@@ -50,6 +50,25 @@ struct ClusteringOptions {
   uint32_t right_source = 1;
 };
 
+/// The record universe of a pairwise workload under one ClusteringOptions
+/// view: the sorted distinct packed keys of both endpoint columns, and each
+/// pair's endpoint positions in them (`record_keys[left[i]]` is pair i's
+/// left record). EntityClustering and RepairTransitivity both build on it,
+/// so this is the one place that knows how records are laid out.
+struct RecordUniverse {
+  std::vector<uint64_t> record_keys;  // sorted ascending, distinct
+  std::vector<uint32_t> left;         // per pair, index into record_keys
+  std::vector<uint32_t> right;        // per pair, index into record_keys
+};
+
+/// Builds the record universe in linear passes with no binary search: each
+/// endpoint column is radix-sorted by id (only as many 11-bit passes as its
+/// largest id needs), its distinct ids are ranked in one scan, and the two
+/// ranked sides are merged once by packed key. A pure function of the pair
+/// set: independent of pair order and thread count.
+RecordUniverse IndexRecords(const data::Workload& workload,
+                            const ClusteringOptions& options);
+
 /// A transitively-consistent partition of the records of a pairwise
 /// workload into ENTITIES: the connected components of the match-labeled
 /// pair graph. This is the layer that converts certified pair labels into
@@ -64,10 +83,11 @@ struct ClusteringOptions {
 ///     order, so entity 0 contains the globally smallest record;
 ///   * members of an entity are stored in ascending record-key order.
 /// Two clusterings over the same workload are therefore equal (operator==,
-/// equal Checksum()) iff they induce the same partition. Construction is
-/// parallel over the ThreadPool for the column scans; the union-find itself
-/// is a serial O(n alpha(n)) pass whose result the canonical renumbering
-/// makes schedule-independent.
+/// equal Checksum()) iff they induce the same partition. Construction is a
+/// serial sequence of linear passes: IndexRecords radix-ranks the record
+/// universe, an O(n alpha(n)) union-find joins the match edges, and the
+/// canonical renumbering erases any dependence on union order. Each
+/// temporary is freed as soon as its pass ends.
 ///
 /// Immutable after construction: every accessor is const and touches only
 /// frozen storage, so a clustering shared through a shared_ptr (see
@@ -149,8 +169,7 @@ class EntityClustering {
   size_t RecordIndexOf(RecordRef record) const;
 
  private:
-  void BuildFrom(const data::Workload& workload, const std::vector<int>& labels,
-                 const ClusteringOptions& options);
+  void BuildFrom(RecordUniverse universe, const std::vector<int>& labels);
   uint64_t ComputeChecksum() const;
 
   std::vector<uint64_t> record_keys_;   // sorted ascending

@@ -1,6 +1,5 @@
 #include "entity/transitivity_repair.h"
 
-#include <algorithm>
 #include <cassert>
 #include <map>
 #include <numeric>
@@ -143,26 +142,11 @@ RepairResult RepairTransitivity(const data::Workload& workload,
   const EntityClustering initial =
       EntityClustering::FromLabels(workload, labels, cluster_options);
   const size_t num_entities = initial.num_entities();
-  const uint32_t* left = workload.left_id_data();
-  const uint32_t* right = workload.right_id_data();
-  const uint64_t left_src = static_cast<uint64_t>(cluster_options.left_source)
-                            << 32;
-  const uint64_t right_src = static_cast<uint64_t>(cluster_options.right_source)
-                             << 32;
-
   // Endpoint record indices into the clustering's record universe.
-  std::vector<uint32_t> left_idx(n), right_idx(n);
-  const std::vector<uint64_t>& keys = initial.record_keys();
-  ThreadPool::Global()->ParallelFor(n, 4096, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      left_idx[i] = static_cast<uint32_t>(
-          std::lower_bound(keys.begin(), keys.end(), left_src | left[i]) -
-          keys.begin());
-      right_idx[i] = static_cast<uint32_t>(
-          std::lower_bound(keys.begin(), keys.end(), right_src | right[i]) -
-          keys.begin());
-    }
-  });
+  const RecordUniverse universe = IndexRecords(workload, cluster_options);
+  assert(universe.record_keys == initial.record_keys());
+  const std::vector<uint32_t>& left_idx = universe.left;
+  const std::vector<uint32_t>& right_idx = universe.right;
   const std::vector<uint32_t>& entity_of = initial.entity_of_record();
 
   // Pass 1: count pre-repair disagreements and mark conflict entities.

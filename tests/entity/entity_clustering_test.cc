@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/solution.h"
 #include "data/workload.h"
 
@@ -114,6 +118,193 @@ TEST(EntityClusteringTest, RecordIndexRoundTrip) {
     EXPECT_TRUE(c.MembersOf(c.entity_of_record()[r]).Contains(ref));
   }
   EXPECT_EQ(c.RecordIndexOf({9, 9}), c.num_records());
+}
+
+/// The clustering built the straightforward way: sort and dedup all 2n
+/// endpoint keys, binary-search each endpoint, then the same union-find,
+/// canonical renumbering and FNV-1a checksum as the library.
+struct ReferenceClustering {
+  std::vector<uint64_t> record_keys;
+  std::vector<uint32_t> left_idx, right_idx;
+  std::vector<uint32_t> entity_of;
+  std::vector<std::vector<uint64_t>> members;
+  uint64_t checksum = 0;
+};
+
+ReferenceClustering ReferenceFromLabels(const data::Workload& w,
+                                        const std::vector<int>& labels,
+                                        const ClusteringOptions& options) {
+  ReferenceClustering out;
+  const size_t n = w.size();
+  const uint64_t left_src = static_cast<uint64_t>(options.left_source) << 32;
+  const uint64_t right_src = static_cast<uint64_t>(options.right_source) << 32;
+  std::vector<uint64_t>& keys = out.record_keys;
+  for (size_t i = 0; i < n; ++i) {
+    keys.push_back(left_src | w.left_id_data()[i]);
+    keys.push_back(right_src | w.right_id_data()[i]);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const auto index_of = [&keys](uint64_t key) {
+    return static_cast<uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
+  };
+  for (size_t i = 0; i < n; ++i) {
+    out.left_idx.push_back(index_of(left_src | w.left_id_data()[i]));
+    out.right_idx.push_back(index_of(right_src | w.right_id_data()[i]));
+  }
+
+  const size_t m = keys.size();
+  std::vector<uint32_t> parent(m);
+  std::iota(parent.begin(), parent.end(), 0u);
+  const auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    if (labels[i] != 1) continue;
+    const uint32_t a = find(out.left_idx[i]);
+    const uint32_t b = find(out.right_idx[i]);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  std::vector<uint32_t> entity_of_root(m, UINT32_MAX);
+  for (size_t r = 0; r < m; ++r) {
+    const uint32_t root = find(static_cast<uint32_t>(r));
+    if (entity_of_root[root] == UINT32_MAX) {
+      entity_of_root[root] = static_cast<uint32_t>(out.members.size());
+      out.members.emplace_back();
+    }
+    out.entity_of.push_back(entity_of_root[root]);
+    out.members[entity_of_root[root]].push_back(keys[r]);
+  }
+
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix64 = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  mix64(m);
+  mix64(out.members.size());
+  for (size_t r = 0; r < m; ++r) {
+    mix64(keys[r]);
+    mix64(out.entity_of[r]);
+  }
+  out.checksum = h;
+  return out;
+}
+
+/// n pairs whose ids are drawn from the given pools, with random
+/// similarities (so the workload's sort scrambles draw order) and a random
+/// match label at `match_rate`.
+data::Workload PoolWorkload(size_t n, const std::vector<uint32_t>& left_pool,
+                            const std::vector<uint32_t>& right_pool,
+                            double match_rate, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<data::InstancePair> pairs;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t l = left_pool[rng.NextBelow(left_pool.size())];
+    const uint32_t r = right_pool[rng.NextBelow(right_pool.size())];
+    pairs.push_back({l, r, rng.NextDouble(), rng.NextDouble() < match_rate});
+  }
+  return data::Workload(std::move(pairs));
+}
+
+/// `count` ids below 2^bits (all of [0, 2^32) for bits == 32), always
+/// including 0 and the largest such id.
+std::vector<uint32_t> IdPool(int bits, size_t count, uint64_t seed) {
+  const uint32_t max_id =
+      bits == 32 ? UINT32_MAX : static_cast<uint32_t>((1ULL << bits) - 1);
+  Rng rng(seed);
+  std::vector<uint32_t> pool = {0, max_id};
+  while (pool.size() < count) {
+    pool.push_back(static_cast<uint32_t>(rng.NextUint64() & max_id));
+  }
+  return pool;
+}
+
+void ExpectMatchesReference(const data::Workload& w,
+                            const ClusteringOptions& options) {
+  const std::vector<int> labels = w.GroundTruthLabels();
+  const ReferenceClustering ref = ReferenceFromLabels(w, labels, options);
+
+  const entity::RecordUniverse universe = entity::IndexRecords(w, options);
+  EXPECT_EQ(universe.record_keys, ref.record_keys);
+  EXPECT_EQ(universe.left, ref.left_idx);
+  EXPECT_EQ(universe.right, ref.right_idx);
+
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::SetGlobalThreads(threads);
+    const EntityClustering c = EntityClustering::FromLabels(w, labels, options);
+    EXPECT_EQ(c.record_keys(), ref.record_keys);
+    EXPECT_EQ(c.entity_of_record(), ref.entity_of);
+    ASSERT_EQ(c.num_entities(), ref.members.size());
+    for (uint32_t e = 0; e < c.num_entities(); ++e) {
+      const EntityClustering::MemberRange members = c.MembersOf(e);
+      EXPECT_EQ(std::vector<uint64_t>(members.data,
+                                      members.data + members.count),
+                ref.members[e]);
+    }
+    EXPECT_EQ(c.Checksum(), ref.checksum);
+  }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+TEST(EntityClusteringTest, MatchesSortAndBinarySearchReference) {
+  const ClusteringOptions two_table{0, 1};
+  const ClusteringOptions dedup{4, 4};
+  {
+    SCOPED_TRACE("empty and single pair");
+    ExpectMatchesReference(data::Workload(), two_table);
+    ExpectMatchesReference(data::Workload({{3, 7, 0.5, true}}), two_table);
+    ExpectMatchesReference(data::Workload({{7, 7, 0.5, false}}), dedup);
+  }
+  {
+    SCOPED_TRACE("all ids 0: zero radix passes");
+    const data::Workload w({{0, 0, 0.1, true}, {0, 0, 0.2, false}});
+    ExpectMatchesReference(w, two_table);
+    ExpectMatchesReference(w, dedup);
+  }
+  for (const int bits : {11, 22, 32}) {
+    SCOPED_TRACE(bits);
+    const data::Workload w =
+        PoolWorkload(3000, IdPool(bits, 900, bits), IdPool(bits, 700, bits + 1),
+                     0.3, 100 + bits);
+    ExpectMatchesReference(w, two_table);
+    ExpectMatchesReference(w, dedup);
+  }
+  {
+    SCOPED_TRACE("left_source > right_source");
+    const data::Workload w = PoolWorkload(2000, IdPool(32, 400, 1),
+                                          IdPool(32, 400, 1), 0.4, 7);
+    ExpectMatchesReference(w, ClusteringOptions{1, 0});
+    ExpectMatchesReference(w, ClusteringOptions{9, 2});
+    ExpectMatchesReference(w, ClusteringOptions{UINT32_MAX, 0});
+  }
+  {
+    SCOPED_TRACE("one source: self-pairs and duplicate pairs");
+    const data::Workload w({{5, 5, 0.9, true},
+                            {5, 5, 0.3, false},
+                            {2, 5, 0.8, true},
+                            {2, 5, 0.8, false},
+                            {5, 2, 0.4, true},
+                            {UINT32_MAX, UINT32_MAX, 0.6, false},
+                            {UINT32_MAX, 2, 0.7, true}});
+    ExpectMatchesReference(w, dedup);
+    ExpectMatchesReference(w, ClusteringOptions{UINT32_MAX, UINT32_MAX});
+  }
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<uint32_t> sparse(1500);
+    for (uint32_t& id : sparse) id = static_cast<uint32_t>(rng.NextUint64());
+    const data::Workload w = PoolWorkload(
+        500 * seed, sparse, sparse, 0.1 * static_cast<double>(seed), seed);
+    ExpectMatchesReference(w, two_table);
+    ExpectMatchesReference(w, dedup);
+  }
 }
 
 }  // namespace

@@ -14,8 +14,13 @@ namespace {
 /// shapes and quality targets, must (a) return a structurally valid
 /// solution, (b) meet the quality requirement on monotone workloads, and
 /// (c) account human cost consistently.
+///
+/// The tag is stored inline rather than as a `const char*`: gtest prints the
+/// parameter as a raw byte dump, and that dump is part of the test name that
+/// ctest registers. A pointer would put a link-layout-dependent address into
+/// the name; inline bytes keep it identical across builds.
 struct PropertyCase {
-  const char* optimizer;  // "base" | "samp" | "hybr"
+  char optimizer[8];  // "base" | "samp" | "hybr"
   double tau;
   double level;  // alpha = beta
 };

@@ -3,10 +3,11 @@
 
 Compares a freshly produced bench JSON against the committed baseline and
 fails (exit 1) when any CONTRACT field regresses by more than the tolerance
-(default 20%). Contract fields are ratios and counters that are stable
-across machines — speedups, cost ratios, reuse counts, bit-identity flags —
-NOT raw wall-clock milliseconds, which CI hardware jitter would turn into a
-flaky gate. Rows are matched by a per-bench key; candidate runs may cover a
+(default 20%). Contract fields are mostly ratios and counters that are
+stable across machines — speedups, cost ratios, reuse counts, bit-identity
+flags. The entity bench is the exception: its cluster throughput and repair
+time are raw wall-clock numbers, gated because no ratio pins the entity
+layer's speed. Rows are matched by a per-bench key; candidate runs may cover a
 subset of the baseline rows (smoke configs), but at least one row must
 match.
 
@@ -32,6 +33,7 @@ The per-bench contract (keyed by the JSON's "bench" field):
                   pairs, shards,     exact         drained_equals_synchronous,
                   readers)                         snapshots_consistent
   entities        key (pairs)        higher-better cluster_mpairs_per_sec
+                                     lower-better  repair_ms
                                      exact         records, entities,
                                                    disagreements_before,
                                                    disagreements_after,
@@ -97,7 +99,7 @@ CONTRACTS = {
     "entities": {
         "key": ("pairs",),
         "higher": ("cluster_mpairs_per_sec",),
-        "lower": (),
+        "lower": ("repair_ms",),
         "exact": (
             "records",
             "entities",
@@ -261,6 +263,7 @@ def selftest():
                 "records": 30000,
                 "entities": 10000,
                 "cluster_mpairs_per_sec": 20.0,
+                "repair_ms": 400.0,
                 "disagreements_before": 2000,
                 "disagreements_after": 100,
                 "exact_recovery": True,
@@ -276,6 +279,11 @@ def selftest():
     )
     assert compare(entities, copy.deepcopy(entities), TOLERANCE_DEFAULT) == [], (
         "selftest: clean entities run must pass"
+    )
+    slow_repair = copy.deepcopy(entities)
+    slow_repair["results"][0]["repair_ms"] *= 1.25  # injected 25% slowdown
+    assert compare(entities, slow_repair, TOLERANCE_DEFAULT), (
+        "selftest: entity repair slowdown must be rejected"
     )
 
     crowd = {
