@@ -1,7 +1,7 @@
 // Microbenchmark of the incremental GP machinery behind SAMP/HYBR rounds:
 //
 //   refit:   full hyperparameter-grid re-selection from scratch every round
-//            (the legacy HUMO_GP_INCREMENTAL=0 path) vs. rank-k Cholesky
+//            (gp_warm_lml_slack = -infinity) vs. rank-k Cholesky
 //            appends on the previous winner (Cholesky::Append via
 //            GpRegression::ExtendedWith — the warm-start path)
 //   predict: per-point GpRegression::Predict in a loop vs. PredictBatch

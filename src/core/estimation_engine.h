@@ -36,7 +36,7 @@ struct CacheStats {
   size_t gp_warm_starts = 0;
   /// GP fits that evaluated the full hyperparameter grid (first fit of a
   /// run, warm-start rejections, the final scatter refit, and every round
-  /// when HUMO_GP_INCREMENTAL=0).
+  /// when PartialSamplingOptions::gp_warm_lml_slack is -infinity).
   size_t gp_grid_fits = 0;
   /// Training observations appended to an existing factor across all
   /// warm-started rounds.
@@ -96,8 +96,9 @@ class SubsetStatsCache {
 /// Training points are kept in INSERTION order: grid fits store the sorted
 /// subset order they fit on, warm starts append at the end. The GP is
 /// permutation-invariant up to factorization roundoff, so predictions agree
-/// with the sorted-order fit within ~1e-12 (and the HUMO_GP_INCREMENTAL=0/1
-/// end-to-end solutions are identical on every workload we test).
+/// with the sorted-order fit within ~1e-12 (and end-to-end solutions equal
+/// the grid-every-round reference, gp_warm_lml_slack = -infinity, on every
+/// workload we test).
 struct GpFitState {
   /// Subset indices of the current model's training set, insertion order.
   std::vector<size_t> order;

@@ -19,11 +19,8 @@ double HashToUnit(uint64_t seed, uint64_t index) {
 }  // namespace
 
 Oracle::Oracle(const data::Workload* workload, double error_rate,
-               uint64_t seed, uint64_t index_offset)
-    : workload_(workload),
-      error_rate_(error_rate),
-      seed_(seed),
-      index_offset_(index_offset) {
+               uint64_t seed)
+    : workload_(workload), error_rate_(error_rate), seed_(seed) {
   assert(workload_ != nullptr);
   assert(error_rate_ >= 0.0 && error_rate_ <= 1.0);
 }
@@ -32,8 +29,7 @@ bool Oracle::InlineAnswer(size_t index) const {
   assert(index < workload_->size());
   bool truth = workload_->IsMatch(index);
   if (error_rate_ > 0.0 &&
-      HashToUnit(seed_, static_cast<uint64_t>(index) + index_offset_) <
-          error_rate_) {
+      HashToUnit(seed_, static_cast<uint64_t>(index)) < error_rate_) {
     truth = !truth;
   }
   return truth;

@@ -8,7 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/env.h"
 #include "common/random.h"
 
 namespace humo::core {
@@ -99,20 +98,13 @@ double EstimateScatterVariance(const SubsetPartition& partition,
   return std::clamp(var, 0.0, 0.25);
 }
 
-/// True unless HUMO_GP_INCREMENTAL=0: warm-start GP refits from the
-/// previous round's winner instead of re-running the hyperparameter grid
-/// from scratch. Read per call so tests can flip the flag between runs.
-bool GpIncrementalEnabled() {
-  return GetEnvInt64("HUMO_GP_INCREMENTAL", 1) != 0;
-}
-
 /// Attempts to serve a refit round from the context's round-over-round
 /// state: if the requested training set is the previous one plus appended
 /// observations (nothing removed, nothing re-observed), the previous
 /// winner's factor is extended via a rank-k Cholesky append and kept as
 /// long as its per-datum log marginal likelihood has not degraded past
 /// `options.gp_warm_lml_slack`. Returns nullopt when the round must run
-/// the full grid.
+/// the full grid — always, when the slack is -infinity.
 std::optional<gp::GpRegression> TryWarmStart(
     EstimationContext* ctx, const SubsetPartition& partition,
     const std::vector<stats::Stratum>& strata,
@@ -143,8 +135,21 @@ std::optional<gp::GpRegression> TryWarmStart(
   std::vector<size_t> fresh;  // ascending — deterministic append order
   for (size_t k : sampled_indices)
     if (!in_prev[k]) fresh.push_back(k);
+  // True when a candidate's per-datum log marginal likelihood has dropped
+  // more than the slack below the last GRID selection's. The baseline is
+  // deliberately not updated on warm rounds: comparing against the previous
+  // warm round instead would let per-round degradations just under the
+  // slack compound without bound before any re-selection happened. A
+  // -infinity slack makes every candidate stale; !(>=) makes a NaN one
+  // stale too.
+  auto stale = [&](const gp::GpRegression& candidate) {
+    const double per_datum = candidate.LogMarginalLikelihood() /
+                             static_cast<double>(sampled_indices.size());
+    return !(per_datum >= state->lml_per_datum - options.gp_warm_lml_slack);
+  };
   if (fresh.empty()) {
     // Identical training set: the previous winner IS this round's fit.
+    if (stale(*state->model)) return std::nullopt;
     ctx->RecordGpWarmStart(0);
     return state->model->Clone();
   }
@@ -157,14 +162,7 @@ std::optional<gp::GpRegression> TryWarmStart(
   Result<gp::GpRegression> warm =
       state->model->ExtendedWith(x_new, y_new, noise_new);
   if (!warm.ok()) return std::nullopt;  // non-PD append: refactor via grid
-  const double per_datum = warm->LogMarginalLikelihood() /
-                           static_cast<double>(sampled_indices.size());
-  // The acceptance baseline stays anchored at the last GRID selection (it
-  // is deliberately not updated here): comparing against the previous warm
-  // round instead would let per-round degradations just under the slack
-  // compound without bound before any re-selection happened.
-  if (per_datum < state->lml_per_datum - options.gp_warm_lml_slack)
-    return std::nullopt;  // stale hyperparameters: re-select on the grid
+  if (stale(*warm)) return std::nullopt;  // re-select on the grid
   for (size_t t = 0; t < fresh.size(); ++t) {
     state->order.push_back(fresh[t]);
     state->ys.push_back(y_new[t]);
@@ -187,15 +185,17 @@ std::optional<gp::GpRegression> TryWarmStart(
 /// DH toward the whole workload.
 ///
 /// Refinement rounds that only APPEND observations are served incrementally
-/// through the context's GpFitState (see TryWarmStart) unless
-/// HUMO_GP_INCREMENTAL=0; the scatter refit always re-runs the grid (its
-/// noise model differs on every diagonal entry, so no factor is reusable).
+/// through the context's GpFitState (see TryWarmStart); the scatter refit
+/// always re-runs the grid (its noise model differs on every diagonal
+/// entry, so no factor is reusable). A gp_warm_lml_slack of -infinity
+/// re-selects on the grid every round: the reference path the incremental
+/// tests compare against.
 Result<gp::GpRegression> FitGp(
     EstimationContext* ctx, const SubsetPartition& partition,
     const std::vector<stats::Stratum>& strata,
     const std::vector<size_t>& sampled_indices,
     const PartialSamplingOptions& options, double scatter_variance = 0.0) {
-  const bool incremental = GpIncrementalEnabled() && scatter_variance == 0.0;
+  const bool incremental = scatter_variance == 0.0;
   if (incremental) {
     std::optional<gp::GpRegression> warm =
         TryWarmStart(ctx, partition, strata, sampled_indices, options);

@@ -55,8 +55,8 @@ struct PartialSamplingOptions {
   /// — i.e. when the new pins disagree with the stale kernel. Smaller
   /// values re-select more eagerly; 0 re-runs the grid on any strict
   /// degradation, though warm rounds whose LML holds or improves are still
-  /// served incrementally. To force the legacy full-grid refit every round,
-  /// set HUMO_GP_INCREMENTAL=0 (common/env).
+  /// served incrementally. -infinity re-selects on the grid every round;
+  /// the incremental tests compare against that reference path.
   double gp_warm_lml_slack = 0.25;
   /// Homoscedastic noise floor added on top of the per-subset sampling
   /// variance. Kept tiny by default: fully-enumerated sampled subsets have

@@ -1,5 +1,8 @@
 #include "data/persistence.h"
 
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -8,6 +11,40 @@
 #include "common/string_util.h"
 
 namespace humo::data {
+namespace {
+
+/// Parses a record id: decimal digits only (no sign, no whitespace), the
+/// whole field consumed, value at most UINT32_MAX.
+Result<uint32_t> ParseId(const std::string& field, size_t row,
+                         const char* column) {
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(field.c_str(), &end, 10);
+  if (field.empty() || !std::isdigit(static_cast<unsigned char>(field[0])) ||
+      end != field.c_str() + field.size() || v > UINT32_MAX) {
+    return Status::InvalidArgument(
+        StrFormat("row %zu: %s '%s' is not an unsigned 32-bit id", row,
+                  column, field.c_str()));
+  }
+  return static_cast<uint32_t>(v);
+}
+
+/// Parses a similarity: the whole field consumed, finite, inside [0,1].
+Result<double> ParseSimilarity(const std::string& field, size_t row) {
+  char* end = nullptr;
+  const double v = std::strtod(field.c_str(), &end);
+  if (field.empty() || end != field.c_str() + field.size() ||
+      !std::isfinite(v)) {
+    return Status::InvalidArgument(StrFormat(
+        "row %zu: similarity '%s' is not a number", row, field.c_str()));
+  }
+  if (v < 0.0 || v > 1.0) {
+    return Status::InvalidArgument(
+        StrFormat("row %zu: similarity %.4f outside [0,1]", row, v));
+  }
+  return v;
+}
+
+}  // namespace
 
 std::string WorkloadToCsv(const Workload& workload) {
   CsvDocument doc;
@@ -38,17 +75,12 @@ Result<Workload> WorkloadFromCsv(const std::string& text) {
   for (size_t r = 0; r < doc.rows.size(); ++r) {
     const auto& row = doc.rows[r];
     InstancePair p;
-    char* end = nullptr;
-    p.left_id = static_cast<uint32_t>(
-        std::strtoul(row[static_cast<size_t>(li)].c_str(), &end, 10));
-    p.right_id = static_cast<uint32_t>(
-        std::strtoul(row[static_cast<size_t>(ri)].c_str(), &end, 10));
-    p.similarity = std::strtod(row[static_cast<size_t>(si)].c_str(), &end);
-    if (p.similarity < 0.0 || p.similarity > 1.0) {
-      return Status::InvalidArgument(
-          StrFormat("row %zu: similarity %.4f outside [0,1]", r,
-                    p.similarity));
-    }
+    HUMO_ASSIGN_OR_RETURN(
+        p.left_id, ParseId(row[static_cast<size_t>(li)], r, "left_id"));
+    HUMO_ASSIGN_OR_RETURN(
+        p.right_id, ParseId(row[static_cast<size_t>(ri)], r, "right_id"));
+    HUMO_ASSIGN_OR_RETURN(p.similarity,
+                          ParseSimilarity(row[static_cast<size_t>(si)], r));
     const std::string& label = row[static_cast<size_t>(la)];
     if (label != "0" && label != "1") {
       return Status::InvalidArgument(

@@ -93,22 +93,6 @@
 ///   oracle.SetAnswerProvider(broker.Provider());
 ///   // broker.stats(): tasks issued, votes bought, answers inferred free
 ///
-/// To spread one resolution across CPU cores or worker PROCESSES, the shard
-/// coordinator (core/shard_coordinator.h) partitions the sorted workload
-/// into K contiguous computation shards (subset boundaries never straddle a
-/// shard), splits the oracle budget proportionally via
-/// stats::AllocateSamples, fans each oracle batch out to per-shard workers
-/// (in-process on the thread pool, or forked processes talking frames over
-/// common/ipc_channel.h), and merges the per-shard evidence and Beta
-/// posteriors in deterministic shard order. The merged solution, labeling,
-/// and oracle cost are bit-identical to the one-shot resolver at ANY K:
-///
-///   core::ShardedOptions sharding;           // num_shards=4, in-process
-///   sharding.transport = core::ShardTransport::kFork;  // worker processes
-///   core::ShardCoordinator coordinator(sharding, req);
-///   auto cert = coordinator.Resolve(w);      // == streaming.Certify()
-///   // cert->shards[k].answered, cert->merged_strata, cert->posterior_alpha
-///
 /// Machine-side heavy paths (GP kernel matrices, Cholesky factorization,
 /// workload simulation) run on a thread pool sized by the HUMO_NUM_THREADS
 /// environment variable (default: hardware concurrency); results are
@@ -117,7 +101,6 @@
 #include "actl/active_learning.h"
 #include "common/csv.h"
 #include "common/env.h"
-#include "common/ipc_channel.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -140,8 +123,6 @@
 #include "core/resolution_service.h"
 #include "core/risk_aware_optimizer.h"
 #include "core/risk_model.h"
-#include "core/shard_coordinator.h"
-#include "core/sharded_resolver.h"
 #include "core/solution.h"
 #include "core/streaming_resolver.h"
 #include "data/blocking.h"

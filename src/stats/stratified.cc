@@ -65,81 +65,4 @@ double UnionProportion(const StratifiedEstimate& est) {
   return est.total_mean / static_cast<double>(est.population);
 }
 
-std::vector<size_t> AllocateSamples(const std::vector<Stratum>& strata,
-                                    size_t budget) {
-  const size_t m = strata.size();
-  std::vector<size_t> alloc(m, 0);
-  size_t total_pop = 0;
-  for (const Stratum& st : strata) total_pop += st.population;
-  size_t remaining = std::min(budget, total_pop);
-  if (remaining == 0) return alloc;
-
-  // Proportional floor allocation, capped at each population, then hand the
-  // leftover budget out one unit at a time by largest fractional remainder
-  // (index order breaking ties), skipping strata that are already full.
-  // Repeat while budget remains — caps can force several passes, and each
-  // pass places at least one unit, so the loop terminates with the sum
-  // exactly equal to min(budget, total population).
-  while (remaining > 0) {
-    size_t headroom_total = 0;
-    for (size_t i = 0; i < m; ++i)
-      headroom_total += strata[i].population - alloc[i];
-    assert(headroom_total >= remaining);
-    std::vector<std::pair<double, size_t>> remainders;
-    remainders.reserve(m);
-    size_t placed = 0;
-    for (size_t i = 0; i < m; ++i) {
-      const size_t headroom = strata[i].population - alloc[i];
-      if (headroom == 0) continue;
-      const double share = static_cast<double>(remaining) *
-                           static_cast<double>(headroom) /
-                           static_cast<double>(headroom_total);
-      const size_t floor_units =
-          std::min(headroom, static_cast<size_t>(std::floor(share)));
-      alloc[i] += floor_units;
-      placed += floor_units;
-      if (alloc[i] < strata[i].population)
-        remainders.push_back({share - std::floor(share), i});
-    }
-    remaining -= placed;
-    if (remaining == 0) break;
-    // Distribute the rounding leftover by descending remainder; stable
-    // index-ordered ties keep the result deterministic.
-    std::sort(remainders.begin(), remainders.end(),
-              [](const std::pair<double, size_t>& a,
-                 const std::pair<double, size_t>& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    for (const auto& [frac, i] : remainders) {
-      (void)frac;
-      if (remaining == 0) break;
-      if (alloc[i] < strata[i].population) {
-        ++alloc[i];
-        --remaining;
-      }
-    }
-  }
-  return alloc;
-}
-
-std::vector<size_t> ReallocateUnspent(const std::vector<size_t>& allocation,
-                                      const std::vector<size_t>& demand) {
-  assert(allocation.size() == demand.size());
-  const size_t m = allocation.size();
-  std::vector<size_t> grant(m, 0);
-  size_t pool = 0;
-  for (size_t i = 0; i < m; ++i) {
-    grant[i] = std::min(allocation[i], demand[i]);
-    pool += allocation[i] - grant[i];
-  }
-  for (size_t i = 0; i < m && pool > 0; ++i) {
-    const size_t deficit = demand[i] - grant[i];
-    const size_t extra = std::min(deficit, pool);
-    grant[i] += extra;
-    pool -= extra;
-  }
-  return grant;
-}
-
 }  // namespace humo::stats

@@ -61,39 +61,4 @@ StratifiedEstimate CombineStrata(const std::vector<Stratum>& strata);
 /// Mean match proportion of the union (R bar of the paper) = total_mean / N.
 double UnionProportion(const StratifiedEstimate& est);
 
-/// Splits a total sampling budget across strata proportionally to their
-/// populations (largest-remainder rounding, index-ordered tie-break), with
-/// two invariants the caller can rely on exactly:
-///   * allocation[i] <= strata[i].population for every stratum (overflow is
-///     redistributed to strata with remaining headroom), and
-///   * sum(allocation) == min(budget, total population).
-/// Deterministic for a given input. This is how the shard coordinator
-/// (core/shard_coordinator.h) splits a finite oracle budget across
-/// computation shards — one Stratum per shard, population = the shard's
-/// pair count — and the exact-sum and cap invariants are what its
-/// accounting relies on (locked by tests/property/ and tests/stats/).
-/// Existing sample_size/sample_positives fields are ignored — only
-/// populations matter.
-std::vector<size_t> AllocateSamples(const std::vector<Stratum>& strata,
-                                    size_t budget);
-
-/// Settles a proportional allocation against what each consumer actually
-/// demanded: under-spenders return their slack to a common pool, which then
-/// tops up over-demanders in ascending index order (deterministic). The
-/// shard coordinator's budget settlement — a shard whose certification
-/// needed fewer answers than its AllocateSamples share funds a shard that
-/// needed more, and the run only overruns when the TOTAL demand exceeds the
-/// total allocation.
-///
-/// Invariants (`allocation` and `demand` must be the same length):
-///   * grant[i] >= min(allocation[i], demand[i]) — settling never claws
-///     back budget a consumer both held and used;
-///   * grant[i] <= demand[i] — nobody is granted answers they never asked
-///     for;
-///   * sum(grant) == min(sum(allocation), sum(demand)) — the pool is spent
-///     exactly, bounded by the global budget.
-/// When sum(demand) <= sum(allocation), every demand is fully granted.
-std::vector<size_t> ReallocateUnspent(const std::vector<size_t>& allocation,
-                                      const std::vector<size_t>& demand);
-
 }  // namespace humo::stats

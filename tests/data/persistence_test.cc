@@ -47,10 +47,39 @@ TEST(PersistenceTest, RejectsMissingColumns) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// Loads a one-row workload CSV.
+Result<Workload> LoadRow(const std::string& row) {
+  return WorkloadFromCsv("left_id,right_id,similarity,label\n" + row + "\n");
+}
+
+/// True when the load failed with a message containing `what`.
+bool FailsNaming(const Result<Workload>& r, const char* what) {
+  return !r.ok() && r.status().code() == StatusCode::kInvalidArgument &&
+         r.status().message().find(what) != std::string::npos;
+}
+
 TEST(PersistenceTest, RejectsBadSimilarity) {
-  auto r = WorkloadFromCsv(
-      "left_id,right_id,similarity,label\n1,2,1.5,0\n");
-  EXPECT_FALSE(r.ok());
+  // Out of range, not a number (NaN would slip past the [0,1] check and
+  // break the similarity sort), empty, or not fully consumed.
+  for (const char* sim : {"1.5", "-0.1", "nan", "inf", "", "abc", "0.5x"}) {
+    auto r = LoadRow(std::string("1,2,") + sim + ",0");
+    EXPECT_TRUE(FailsNaming(r, "row 0: similarity")) << "'" << sim << "'";
+  }
+}
+
+TEST(PersistenceTest, RejectsBadId) {
+  // Signed, wider than 32 bits, empty, or not fully consumed.
+  for (const char* id : {"-1", "+1", "4294967296", "", "x7", "7x", " 7"}) {
+    const std::string bad = id;
+    EXPECT_TRUE(FailsNaming(LoadRow(bad + ",2,0.5,0"), "row 0: left_id"))
+        << "'" << id << "'";
+    EXPECT_TRUE(FailsNaming(LoadRow("1," + bad + ",0.5,0"), "row 0: right_id"))
+        << "'" << id << "'";
+  }
+  // The largest id still loads.
+  auto max = LoadRow("4294967295,0,0.5,1");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].left_id, UINT32_MAX);
 }
 
 TEST(PersistenceTest, RejectsBadLabel) {

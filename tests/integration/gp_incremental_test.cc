@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
+#include <limits>
 
 #include "common/thread_pool.h"
 #include "core/estimation_engine.h"
@@ -14,28 +13,11 @@
 namespace humo {
 namespace {
 
-/// Scoped HUMO_GP_INCREMENTAL override; restores the prior value on exit so
-/// the rest of the suite keeps running under the default (incremental on).
-class ScopedGpIncremental {
- public:
-  explicit ScopedGpIncremental(const char* value) {
-    const char* prev = std::getenv("HUMO_GP_INCREMENTAL");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv("HUMO_GP_INCREMENTAL", value, /*overwrite=*/1);
-  }
-  ~ScopedGpIncremental() {
-    if (had_prev_) {
-      ::setenv("HUMO_GP_INCREMENTAL", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("HUMO_GP_INCREMENTAL");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
+/// gp_warm_lml_slack that rejects every warm-start candidate, so each GP
+/// refit re-selects on the full hyperparameter grid: the reference path the
+/// incremental (default) runs must reproduce.
+constexpr double kGridEveryRound = -std::numeric_limits<double>::infinity();
+const double kDefaultSlack = core::PartialSamplingOptions().gp_warm_lml_slack;
 
 data::Workload MakeWorkload(uint64_t seed = 1, size_t n = 40000) {
   data::LogisticGeneratorOptions o;
@@ -52,24 +34,28 @@ struct RunOutcome {
   core::CacheStats stats;
 };
 
-RunOutcome RunSamp(const data::Workload& w, uint64_t seed) {
+RunOutcome RunSamp(const data::Workload& w, uint64_t seed,
+                   double warm_slack = kDefaultSlack) {
   core::SubsetPartition p(&w, 200);
   core::Oracle oracle(&w);
   core::EstimationContext ctx(&p, &oracle);
   core::PartialSamplingOptions po;
   po.seed = seed;
+  po.gp_warm_lml_slack = warm_slack;
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   auto sol = core::PartialSamplingOptimizer(po).Optimize(&ctx, req);
   EXPECT_TRUE(sol.ok());
   return {sol->h_lo, sol->h_hi, oracle.cost(), ctx.stats()};
 }
 
-RunOutcome RunHybr(const data::Workload& w, uint64_t seed) {
+RunOutcome RunHybr(const data::Workload& w, uint64_t seed,
+                   double warm_slack = kDefaultSlack) {
   core::SubsetPartition p(&w, 200);
   core::Oracle oracle(&w);
   core::EstimationContext ctx(&p, &oracle);
   core::HybridOptions ho;
   ho.sampling.seed = seed;
+  ho.sampling.gp_warm_lml_slack = warm_slack;
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   auto sol = core::HybridOptimizer(ho).Optimize(&ctx, req);
   EXPECT_TRUE(sol.ok());
@@ -78,53 +64,42 @@ RunOutcome RunHybr(const data::Workload& w, uint64_t seed) {
 
 /// The acceptance property of the incremental refit path: SAMP produces the
 /// SAME solution, at the same human cost, whether GP re-estimation re-runs
-/// the full hyperparameter grid every round (legacy, HUMO_GP_INCREMENTAL=0)
+/// the full hyperparameter grid every round (gp_warm_lml_slack = -infinity)
 /// or warm-starts rank-k appends on the previous winner (default).
 TEST(GpIncrementalTest, SampSolutionsIdenticalWithAndWithoutIncremental) {
   const data::Workload w = MakeWorkload(1);
   for (uint64_t seed : {5u, 17u, 42u}) {
-    RunOutcome legacy_out, warm_out;
-    {
-      ScopedGpIncremental off("0");
-      legacy_out = RunSamp(w, seed);
-    }
-    {
-      ScopedGpIncremental on("1");
-      warm_out = RunSamp(w, seed);
-    }
-    EXPECT_EQ(legacy_out.h_lo, warm_out.h_lo) << "seed " << seed;
-    EXPECT_EQ(legacy_out.h_hi, warm_out.h_hi) << "seed " << seed;
-    EXPECT_EQ(legacy_out.cost, warm_out.cost) << "seed " << seed;
-    // Counter sanity: the legacy path never warm-starts; the incremental
+    const RunOutcome grid_out = RunSamp(w, seed, kGridEveryRound);
+    const RunOutcome warm_out = RunSamp(w, seed);
+    EXPECT_EQ(grid_out.h_lo, warm_out.h_lo) << "seed " << seed;
+    EXPECT_EQ(grid_out.h_hi, warm_out.h_hi) << "seed " << seed;
+    EXPECT_EQ(grid_out.cost, warm_out.cost) << "seed " << seed;
+    // Counter sanity: the reference path never warm-starts; the incremental
     // path replaced grid re-runs with appends.
-    EXPECT_EQ(legacy_out.stats.gp_warm_starts, 0u);
-    EXPECT_GT(legacy_out.stats.gp_grid_fits, 0u);
+    EXPECT_EQ(grid_out.stats.gp_warm_starts, 0u);
+    EXPECT_GT(grid_out.stats.gp_grid_fits, 0u);
     EXPECT_GT(warm_out.stats.gp_warm_starts, 0u) << "seed " << seed;
-    EXPECT_LT(warm_out.stats.gp_grid_fits, legacy_out.stats.gp_grid_fits)
+    EXPECT_LT(warm_out.stats.gp_grid_fits, grid_out.stats.gp_grid_fits)
         << "seed " << seed;
   }
 }
 
 TEST(GpIncrementalTest, HybrSolutionsIdenticalWithAndWithoutIncremental) {
   const data::Workload w = MakeWorkload(3);
-  RunOutcome legacy_out, warm_out;
-  {
-    ScopedGpIncremental off("0");
-    legacy_out = RunHybr(w, 7);
-  }
-  {
-    ScopedGpIncremental on("1");
-    warm_out = RunHybr(w, 7);
-  }
-  EXPECT_EQ(legacy_out.h_lo, warm_out.h_lo);
-  EXPECT_EQ(legacy_out.h_hi, warm_out.h_hi);
-  EXPECT_EQ(legacy_out.cost, warm_out.cost);
+  const RunOutcome grid_out = RunHybr(w, 7, kGridEveryRound);
+  const RunOutcome warm_out = RunHybr(w, 7);
+  EXPECT_EQ(grid_out.h_lo, warm_out.h_lo);
+  EXPECT_EQ(grid_out.h_hi, warm_out.h_hi);
+  EXPECT_EQ(grid_out.cost, warm_out.cost);
+  // Non-vacuous: the two runs took different GP paths to the same answer.
+  EXPECT_EQ(grid_out.stats.gp_warm_starts, 0u);
+  EXPECT_GT(warm_out.stats.gp_warm_starts, 0u);
+  EXPECT_LT(warm_out.stats.gp_grid_fits, grid_out.stats.gp_grid_fits);
 }
 
 /// Incremental refits stay bit-identical across thread counts, like every
 /// other parallel surface in the library.
 TEST(GpIncrementalTest, IncrementalPathThreadCountInvariant) {
-  ScopedGpIncremental on("1");
   const data::Workload w = MakeWorkload(9, 30000);
   auto run = [&](size_t threads) {
     ThreadPool::SetGlobalThreads(threads);
@@ -144,7 +119,7 @@ TEST(GpIncrementalTest, IncrementalPathThreadCountInvariant) {
 /// A chained run on a SHARED context that asks for a different kernel
 /// family must not warm-start from the previous run's model — the warm path
 /// keeps hyperparameters, and a Matern run served an RBF fit would break
-/// the 0/1-identity contract exactly where GpFitState persists across runs.
+/// the warm-vs-grid identity exactly where GpFitState persists across runs.
 TEST(GpIncrementalTest, DifferentKernelFamilyOnSharedContextRefitsGrid) {
   const data::Workload w = MakeWorkload(11);
   core::SubsetPartition p(&w, 200);
@@ -154,14 +129,17 @@ TEST(GpIncrementalTest, DifferentKernelFamilyOnSharedContextRefitsGrid) {
   core::PartialSamplingOptions matern = rbf;
   matern.kernel_family = gp::KernelFamily::kMatern52;
 
-  // Reference: Matern on a fresh context under the legacy full-refit path.
+  // Reference: Matern on a fresh context, re-selecting on the grid every
+  // round.
   size_t ref_lo, ref_hi;
   {
-    ScopedGpIncremental off("0");
+    core::PartialSamplingOptions reference = matern;
+    reference.gp_warm_lml_slack = kGridEveryRound;
     core::Oracle oracle(&w);
     core::EstimationContext ctx(&p, &oracle);
-    auto sol = core::PartialSamplingOptimizer(matern).Optimize(&ctx, req);
+    auto sol = core::PartialSamplingOptimizer(reference).Optimize(&ctx, req);
     ASSERT_TRUE(sol.ok());
+    EXPECT_EQ(ctx.stats().gp_warm_starts, 0u);
     ref_lo = sol->h_lo;
     ref_hi = sol->h_hi;
   }
@@ -169,7 +147,6 @@ TEST(GpIncrementalTest, DifferentKernelFamilyOnSharedContextRefitsGrid) {
   // Chained: RBF first, then Matern on the SAME context with warm starts
   // enabled. The Matern run must ignore the RBF fit state and agree with
   // the fresh-context reference.
-  ScopedGpIncremental on("1");
   core::Oracle oracle(&w);
   core::EstimationContext ctx(&p, &oracle);
   ASSERT_TRUE(core::PartialSamplingOptimizer(rbf).Optimize(&ctx, req).ok());
@@ -183,7 +160,6 @@ TEST(GpIncrementalTest, DifferentKernelFamilyOnSharedContextRefitsGrid) {
 /// still meet the quality targets (the solution is identical, so this is
 /// belt-and-braces on top of the identity tests above).
 TEST(GpIncrementalTest, IncrementalRunStillMeetsQuality) {
-  ScopedGpIncremental on("1");
   const data::Workload w = MakeWorkload(5);
   core::SubsetPartition p(&w, 200);
   core::Oracle oracle(&w);

@@ -195,60 +195,6 @@ TEST(IntervalRandomPropertyTest, BetaTailBoundsBracketTheInterval) {
   }
 }
 
-/// AllocateSamples invariants over randomized strata: the allocation sums
-/// EXACTLY to min(budget, total population), never exceeds any stratum's
-/// population, and is deterministic.
-TEST(AllocationPropertyTest, SumsExactlyToBudget) {
-  Rng rng(11);
-  for (int rep = 0; rep < 300; ++rep) {
-    std::vector<Stratum> strata(1 + rng.NextBelow(12));
-    size_t total_pop = 0;
-    for (auto& s : strata) {
-      s.population = rng.NextBelow(400);  // empty strata allowed
-      total_pop += s.population;
-    }
-    const size_t budget = rng.NextBelow(total_pop + 200);
-    const auto alloc = AllocateSamples(strata, budget);
-    ASSERT_EQ(alloc.size(), strata.size());
-    size_t sum = 0;
-    for (size_t i = 0; i < alloc.size(); ++i) {
-      EXPECT_LE(alloc[i], strata[i].population) << "rep " << rep;
-      sum += alloc[i];
-    }
-    EXPECT_EQ(sum, std::min(budget, total_pop)) << "rep " << rep;
-  }
-}
-
-TEST(AllocationPropertyTest, DeterministicAndProportionalOnEqualStrata) {
-  std::vector<Stratum> strata(4);
-  for (auto& s : strata) s.population = 100;
-  const auto a = AllocateSamples(strata, 202);
-  const auto b = AllocateSamples(strata, 202);
-  EXPECT_EQ(a, b);
-  // 202 over four equal strata: two get 51, two get 50 (index-ordered
-  // remainder tie-break), never anything wilder.
-  size_t sum = 0;
-  for (size_t v : a) {
-    EXPECT_GE(v, 50u);
-    EXPECT_LE(v, 51u);
-    sum += v;
-  }
-  EXPECT_EQ(sum, 202u);
-}
-
-TEST(AllocationPropertyTest, CapsAtPopulationAndRedistributes) {
-  std::vector<Stratum> strata(3);
-  strata[0].population = 5;
-  strata[1].population = 1000;
-  strata[2].population = 10;
-  const auto alloc = AllocateSamples(strata, 900);
-  EXPECT_LE(alloc[0], 5u);
-  EXPECT_LE(alloc[2], 10u);
-  EXPECT_EQ(alloc[0] + alloc[1] + alloc[2], 900u);
-  // The big stratum absorbs what the capped ones cannot take.
-  EXPECT_GE(alloc[1], 885u);
-}
-
 TEST(NormalPropertyTest, CriticalValueMonotoneInConfidence) {
   double prev = 0.0;
   for (double conf = 0.5; conf < 0.999; conf += 0.05) {

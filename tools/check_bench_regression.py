@@ -45,12 +45,6 @@ The per-bench contract (keyed by the JSON's "bench" field):
                                      exact         tasks_le_questions,
                                                    certified,
                                                    thread_invariant
-  sharded         key (workload,     higher-better shard_speedup
-                  transport,         exact         merged_equals_oneshot,
-                  shards, pairs)                   evidence_consistent,
-                                                   labels_consistent,
-                                                   transport_ran_as_requested,
-                                                   sharded_cost
 
 --selftest proves the gate can actually fail: it fabricates a baseline,
 injects a 25% regression into a copy, and asserts the comparison rejects it
@@ -118,22 +112,6 @@ CONTRACTS = {
         "higher": ("inferred_fraction", "task_reduction"),
         "lower": (),
         "exact": ("tasks_le_questions", "certified", "thread_invariant"),
-    },
-    "sharded": {
-        "key": ("workload", "transport", "shards", "pairs"),
-        # Only the dataplane row measures shard_speedup; contract rows carry
-        # 0.0 there and the b > 0 guard keeps them out of the ratio check.
-        # sharded_cost is exactly pinned: the merged oracle cost must equal
-        # the committed one-shot value bit for bit at every shard count.
-        "higher": ("shard_speedup",),
-        "lower": (),
-        "exact": (
-            "merged_equals_oneshot",
-            "evidence_consistent",
-            "labels_consistent",
-            "transport_ran_as_requested",
-            "sharded_cost",
-        ),
     },
 }
 
@@ -323,59 +301,6 @@ def selftest():
     uncertified["results"][1]["certified"] = False
     assert compare(crowd, uncertified, TOLERANCE_DEFAULT), (
         "selftest: guarantee flag flip must be rejected"
-    )
-
-    sharded = {
-        "bench": "sharded",
-        "results": [
-            {
-                "workload": "DS",
-                "transport": "fork",
-                "shards": 4,
-                "pairs": 20000,
-                "sharded_cost": 20000,
-                "merged_equals_oneshot": True,
-                "evidence_consistent": True,
-                "labels_consistent": True,
-                "transport_ran_as_requested": True,
-                "shard_speedup": 0.0,
-            },
-            {
-                "workload": "DS",
-                "transport": "dataplane",
-                "shards": 4,
-                "pairs": 1000000,
-                "sharded_cost": 0,
-                "merged_equals_oneshot": True,
-                "evidence_consistent": True,
-                "labels_consistent": True,
-                "transport_ran_as_requested": True,
-                "shard_speedup": 3.2,
-            },
-        ],
-    }
-    assert compare(sharded, copy.deepcopy(sharded), TOLERANCE_DEFAULT) == [], (
-        "selftest: clean sharded run must pass"
-    )
-    diverged = copy.deepcopy(sharded)
-    diverged["results"][0]["merged_equals_oneshot"] = False
-    assert compare(sharded, diverged, TOLERANCE_DEFAULT), (
-        "selftest: sharded bit-identity flip must be rejected"
-    )
-    costlier = copy.deepcopy(sharded)
-    costlier["results"][0]["sharded_cost"] = 20001
-    assert compare(sharded, costlier, TOLERANCE_DEFAULT), (
-        "selftest: merged-cost drift must be rejected"
-    )
-    slower = copy.deepcopy(sharded)
-    slower["results"][1]["shard_speedup"] = 2.4  # 25% loss on dataplane row
-    assert compare(sharded, slower, TOLERANCE_DEFAULT), (
-        "selftest: data-plane speedup regression must be rejected"
-    )
-    degraded = copy.deepcopy(sharded)
-    degraded["results"][0]["transport_ran_as_requested"] = False
-    assert compare(sharded, degraded, TOLERANCE_DEFAULT), (
-        "selftest: silent fork-to-inprocess degradation must be rejected"
     )
 
     print("selftest OK: gate rejects injected regressions and passes clean runs")
