@@ -8,7 +8,7 @@ using namespace humo;
 
 int main() {
   bench::PrintHeader("Ablation — GP kernel family for SAMP",
-                     "design choice, §VI-B / DESIGN.md §5");
+                     "design choice, §VI-B / docs/ARCHITECTURE.md");
   const data::Workload ds = data::SimulatePairs(data::DsConfig());
   core::SubsetPartition p(&ds, 200);
   const core::QualityRequirement req{0.9, 0.9, 0.9};

@@ -9,7 +9,7 @@ using namespace humo;
 
 int main() {
   bench::PrintHeader("Ablation — sampling fraction range [p_l, p_u]",
-                     "design choice, §VI-B / DESIGN.md §5");
+                     "design choice, §VI-B / docs/ARCHITECTURE.md");
   const data::Workload ds = data::SimulatePairs(data::DsConfig());
   core::SubsetPartition p(&ds, 200);
   const core::QualityRequirement req{0.9, 0.9, 0.9};

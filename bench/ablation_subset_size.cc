@@ -9,7 +9,7 @@ using namespace humo;
 
 int main() {
   bench::PrintHeader("Ablation — unit subset size (paper default: 200)",
-                     "design choice, DESIGN.md §5");
+                     "design choice, docs/ARCHITECTURE.md");
   const data::Workload ds = data::SimulatePairs(data::DsConfig());
   const core::QualityRequirement req{0.9, 0.9, 0.9};
 

@@ -26,10 +26,13 @@
 //     under RISK (risk-ordered partial inspection buys fewer redundant
 //     pairs by design, so less is inferable);
 //   - thread_invariant: the full pipeline replays bit-identically at 1 and
-//     4 threads (labels, counters, and crowd stats).
+//     4 threads (labels, counters, and crowd stats);
+//   - every question is either purchased or inferred, and nothing is
+//     inferred on DS/AB (degree-1 records share no record to infer over);
+//   - six rows: {DS, AB, ENT} x {SAMP, RISK}.
 //
 // Environment knobs (all optional):
-//   HUMO_CROWD_BENCH_PAIRS_DS   DS size (default 20000; CI smoke 6000)
+//   HUMO_CROWD_BENCH_PAIRS_DS   DS size (default 20000)
 //   HUMO_CROWD_BENCH_PAIRS_AB   AB size (default 60000)
 //   HUMO_CROWD_BENCH_PAIRS_ENT  ENT target size (default 20000)
 //   HUMO_CROWD_TASK_CAPACITY    pairs per HIT (default 10)
@@ -38,10 +41,8 @@
 //                               guarantee contract assumes a crowd whose
 //                               verdicts match the expert's)
 //   HUMO_SEED                   sampling seed (default 1000)
-//   HUMO_BENCH_CROWD_JSON       output path (default BENCH_crowd.json)
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -232,7 +233,17 @@ int main() {
               r);
       }
       check(r.thread_invariant, "thread-count variance", r);
+      check(r.pairs_purchased + r.pairs_inferred == r.questions,
+            "purchased + inferred pairs differ from questions", r);
+      if (spec.name != "ENT") {
+        check(r.pairs_inferred == 0, "inference on degree-1 records", r);
+      }
     }
+  }
+  if (rows.size() != 6) {
+    std::fprintf(stderr, "CONTRACT VIOLATION: %zu rows, expected 6\n",
+                 rows.size());
+    contract_ok = false;
   }
 
   std::printf("\n%-4s %-5s %8s %9s %7s %9s %9s %8s %8s %8s %8s\n", "wl",
@@ -246,46 +257,35 @@ int main() {
         r.inferred_fraction, r.task_reduction, r.precision, r.recall);
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_CROWD_JSON", "BENCH_crowd.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonObject> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonObject& out = json_rows.emplace_back();
+    out.Set("workload", r.workload);
+    out.Set("certifier", r.certifier);
+    out.Set("pairs", r.pairs);
+    out.Set("questions", r.questions);
+    out.Set("tasks_posted", r.tasks_posted);
+    out.Set("pairs_purchased", r.pairs_purchased);
+    out.Set("pairs_inferred", r.pairs_inferred);
+    out.Set("worker_answers", r.worker_answers);
+    out.Set("inferred_fraction", r.inferred_fraction, 6);
+    out.Set("task_reduction", r.task_reduction, 6);
+    out.Set("precision", r.precision, 6);
+    out.Set("recall", r.recall, 6);
+    out.Set("certified", r.certified);
+    out.Set("tasks_le_questions", r.tasks_le_questions);
+    out.Set("thread_invariant", r.thread_invariant);
   }
-  json << "{\n"
-       << "  \"bench\": \"crowd\",\n"
-       << "  \"alpha\": " << target << ",\n"
-       << "  \"beta\": " << target << ",\n"
-       << "  \"theta\": " << target << ",\n"
-       << "  \"task_capacity\": " << capacity << ",\n"
-       << "  \"workers_per_pair\": " << crowd_options.workers_per_pair
-       << ",\n"
-       << "  \"worker_error_rate\": " << crowd_options.worker_error_rate
-       << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"certifier\": \"%s\", \"pairs\": %zu, "
-        "\"questions\": %zu, \"tasks_posted\": %zu, \"pairs_purchased\": "
-        "%zu, \"pairs_inferred\": %zu, \"worker_answers\": %zu, "
-        "\"inferred_fraction\": %.6f, \"task_reduction\": %.6f, "
-        "\"precision\": %.6f, \"recall\": %.6f, \"certified\": %s, "
-        "\"tasks_le_questions\": %s, \"thread_invariant\": %s}%s\n",
-        r.workload.c_str(), r.certifier.c_str(), r.pairs, r.questions,
-        r.tasks_posted, r.pairs_purchased, r.pairs_inferred, r.worker_answers,
-        r.inferred_fraction, r.task_reduction, r.precision, r.recall,
-        r.certified ? "true" : "false",
-        r.tasks_le_questions ? "true" : "false",
-        r.thread_invariant ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonObject doc;
+  doc.Set("bench", "crowd");
+  doc.Set("alpha", target);
+  doc.Set("beta", target);
+  doc.Set("theta", target);
+  doc.Set("task_capacity", capacity);
+  doc.Set("workers_per_pair", crowd_options.workers_per_pair);
+  doc.Set("worker_error_rate", crowd_options.worker_error_rate);
+  doc.Set("results", json_rows);
+  if (!bench::WriteBenchJson("BENCH_crowd.json", doc)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "crowd bench contract violated; see above\n");

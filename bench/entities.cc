@@ -27,12 +27,10 @@
 //                          genuinely improving moves, so the baseline pins
 //                          a repair that DOES something, not a no-op)
 //   HUMO_ENTITY_MPS_FLOOR  minimum cluster Mpairs/sec (default 1.0)
-//   HUMO_BENCH_ENTITIES_JSON  output path (default BENCH_entities.json)
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,16 +38,11 @@
 #include "humo.h"
 
 using namespace humo;
+using bench::MsSince;
 
 namespace {
 
 constexpr entity::ClusteringOptions kDedup{0, 0};
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 struct Row {
   size_t target_pairs = 0;
@@ -101,7 +94,8 @@ int main() {
       "ISSUE 8 entity contracts: exact recovery, transitive closure, "
       "thread-count invariance");
 
-  const std::string pairs_list = GetEnvString("HUMO_ENTITY_PAIRS", "1000000");
+  const std::vector<size_t> targets =
+      bench::ParseScales(GetEnvString("HUMO_ENTITY_PAIRS", "1000000"));
   const size_t reps = static_cast<size_t>(GetEnvInt64("HUMO_ENTITY_REPS", 3));
   const double noise = GetEnvDouble("HUMO_ENTITY_NOISE", 0.02);
   const double mps_floor = GetEnvDouble("HUMO_ENTITY_MPS_FLOOR", 1.0);
@@ -109,8 +103,7 @@ int main() {
   std::vector<Row> rows;
   bool contract_ok = true;
 
-  for (const std::string& token : SplitAny(pairs_list, ", ")) {
-    const size_t target = static_cast<size_t>(std::stoull(token));
+  for (const size_t target : targets) {
     const data::EntityGraphConfig config =
         data::EntityGraphConfigForPairs(target, bench::BaseSeed());
     const data::EntityGraph g = data::GenerateEntityGraph(config);
@@ -235,43 +228,33 @@ int main() {
                 r.thread_invariant ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_ENTITIES_JSON", "BENCH_entities.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonObject> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonObject& out = json_rows.emplace_back();
+    out.Set("pairs", r.pairs);
+    out.Set("records", r.records);
+    out.Set("entities", r.entities);
+    out.Set("noise_flips", r.noise_flips);
+    out.Set("cluster_ms", r.cluster_ms, 2);
+    out.Set("cluster_mpairs_per_sec", r.cluster_mpairs_per_sec, 2);
+    out.Set("repair_ms", r.repair_ms, 2);
+    out.Set("conflict_components", r.conflict_components);
+    out.Set("moves_applied", r.moves_applied);
+    out.Set("disagreements_before", r.disagreements_before);
+    out.Set("disagreements_after", r.disagreements_after);
+    out.Set("exact_recovery", r.exact_recovery);
+    out.Set("repaired_transitive", r.repaired_transitive);
+    out.Set("thread_invariant", r.thread_invariant);
+    out.Set("entity_precision", r.entity_precision, 6);
+    out.Set("entity_recall", r.entity_recall, 6);
+    out.Set("jaccard_agreement", r.jaccard_agreement, 6);
   }
-  json << "{\n"
-       << "  \"bench\": \"entities\",\n"
-       << "  \"noise\": " << noise << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"pairs\": %zu, \"records\": %zu, \"entities\": %zu, "
-        "\"noise_flips\": %zu, \"cluster_ms\": %.2f, "
-        "\"cluster_mpairs_per_sec\": %.2f, \"repair_ms\": %.2f, "
-        "\"conflict_components\": %zu, \"moves_applied\": %zu, "
-        "\"disagreements_before\": %zu, \"disagreements_after\": %zu, "
-        "\"exact_recovery\": %s, \"repaired_transitive\": %s, "
-        "\"thread_invariant\": %s, \"entity_precision\": %.6f, "
-        "\"entity_recall\": %.6f, \"jaccard_agreement\": %.6f}%s\n",
-        r.pairs, r.records, r.entities, r.noise_flips, r.cluster_ms,
-        r.cluster_mpairs_per_sec, r.repair_ms, r.conflict_components,
-        r.moves_applied, r.disagreements_before, r.disagreements_after,
-        r.exact_recovery ? "true" : "false",
-        r.repaired_transitive ? "true" : "false",
-        r.thread_invariant ? "true" : "false", r.entity_precision,
-        r.entity_recall, r.jaccard_agreement,
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonObject doc;
+  doc.Set("bench", "entities");
+  doc.Set("noise", noise);
+  doc.Set("reps", reps);
+  doc.Set("results", json_rows);
+  if (!bench::WriteBenchJson("BENCH_entities.json", doc)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "entity contracts violated; see above\n");

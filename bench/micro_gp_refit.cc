@@ -8,8 +8,8 @@
 //            (one cross-Gram build + one blocked multi-RHS solve)
 //
 // across training sizes n in {64, 128, 256, 512}. Results go to stdout and,
-// machine-readably, to BENCH_gp_refit.json (override: HUMO_BENCH_GP_JSON) so
-// successive PRs can track the speedup trajectory next to BENCH_runtime.json.
+// machine-readably, to BENCH_gp_refit.json so successive PRs can track the
+// speedup trajectory next to BENCH_runtime.json.
 //
 // The bench also *checks* the contracts it advertises — batch predictions
 // must equal per-point predictions bit-for-bit and the appended fit must
@@ -22,27 +22,19 @@
 //   HUMO_GP_BENCH_ROUNDS   appended-observation rounds per size (default 8)
 //   HUMO_GP_BENCH_QUERIES  prediction batch size (default 100)
 //   HUMO_GP_BENCH_REPS     timing repetitions, best-of (default 3)
-//   HUMO_BENCH_GP_JSON     output path (default BENCH_gp_refit.json)
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "humo.h"
 
 using namespace humo;
+using bench::NowMs;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct SyntheticData {
   std::vector<double> x, y, noise;
@@ -202,8 +194,6 @@ int main() {
   const size_t queries =
       static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_QUERIES", 100));
   const size_t reps = static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_REPS", 3));
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_GP_JSON", "BENCH_gp_refit.json");
 
   std::printf("micro_gp_refit: incremental GP refits and batched prediction\n");
   std::printf("threads=%zu rounds=%zu queries=%zu reps=%zu\n\n",
@@ -211,7 +201,7 @@ int main() {
   std::printf("%6s | %14s %14s %8s | %14s %14s %8s\n", "n", "full-refit ms",
               "append ms", "speedup", "per-point ms", "batch ms", "speedup");
 
-  std::vector<SizeResult> results;
+  std::vector<bench::JsonObject> rows;
   for (size_t n : {size_t{64}, size_t{128}, size_t{256}, size_t{512}}) {
     if (n > max_n) continue;
     SizeResult r;
@@ -219,35 +209,22 @@ int main() {
     std::printf("%6zu | %14.3f %14.3f %7.1fx | %14.3f %14.3f %7.1fx\n", r.n,
                 r.refit_full_ms, r.refit_incremental_ms, r.refit_speedup,
                 r.predict_per_point_ms, r.predict_batch_ms, r.predict_speedup);
-    results.push_back(r);
+    bench::JsonObject& out = rows.emplace_back();
+    out.Set("n", r.n);
+    out.Set("refit_full_ms", r.refit_full_ms, 6);
+    out.Set("refit_incremental_ms", r.refit_incremental_ms, 6);
+    out.Set("refit_speedup", r.refit_speedup, 3);
+    out.Set("predict_per_point_ms", r.predict_per_point_ms, 6);
+    out.Set("predict_batch_ms", r.predict_batch_ms, 6);
+    out.Set("predict_speedup", r.predict_speedup, 3);
   }
 
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  json << "{\n"
-       << "  \"bench\": \"micro_gp_refit\",\n"
-       << "  \"threads\": " << ThreadPool::Global()->num_threads() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"queries\": " << queries << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"n\": %zu, \"refit_full_ms\": %.6f, "
-                  "\"refit_incremental_ms\": %.6f, \"refit_speedup\": %.3f, "
-                  "\"predict_per_point_ms\": %.6f, \"predict_batch_ms\": %.6f, "
-                  "\"predict_speedup\": %.3f}%s\n",
-                  r.n, r.refit_full_ms, r.refit_incremental_ms,
-                  r.refit_speedup, r.predict_per_point_ms, r.predict_batch_ms,
-                  r.predict_speedup, i + 1 < results.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  bench::JsonObject doc;
+  doc.Set("bench", "micro_gp_refit");
+  doc.Set("threads", ThreadPool::Global()->num_threads());
+  doc.Set("rounds", rounds);
+  doc.Set("queries", queries);
+  doc.Set("reps", reps);
+  doc.Set("results", rows);
+  return bench::WriteBenchJson("BENCH_gp_refit.json", doc) ? 0 : 1;
 }

@@ -43,12 +43,8 @@
 //   HUMO_RECORDS_RUN_PAIRS     external-sort run size (default 1000000)
 //   HUMO_RECORDS_MMAP_PATH     columnar file location (default
 //                              "/tmp/humo_records.humocol"; removed after)
-//   HUMO_BENCH_RECORDS_JSON    output path (default BENCH_records.json)
-
-#include <sys/resource.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -56,38 +52,14 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "humo.h"
 
 using namespace humo;
+using bench::NowMs;
+using bench::PeakRssMb;
 
 namespace {
-
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-double PeakRssMb() {
-  struct rusage usage;
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
-std::vector<size_t> ParseScales(const std::string& csv) {
-  std::vector<size_t> scales;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? csv.size() - pos
-                                                   : comma - pos);
-    if (!tok.empty()) scales.push_back(std::stoull(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return scales;
-}
 
 const core::QualityRequirement kReq{0.9, 0.9, 0.9};
 constexpr uint64_t kSeed = 1000;
@@ -461,7 +433,7 @@ int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
 
 int main() {
   const std::vector<size_t> scales =
-      ParseScales(GetEnvString("HUMO_RECORDS_PAIRS", "100000,1000000"));
+      bench::ParseScales(GetEnvString("HUMO_RECORDS_PAIRS", "100000,1000000"));
   const size_t reps =
       static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_REPS", 3));
   const bool certify = GetEnvInt64("HUMO_RECORDS_CERTIFY", 1) != 0;
@@ -473,8 +445,6 @@ int main() {
       static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_RUN_PAIRS", 1000000));
   const std::string mmap_path =
       GetEnvString("HUMO_RECORDS_MMAP_PATH", "/tmp/humo_records.humocol");
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_RECORDS_JSON", "BENCH_records.json");
 
   std::printf(
       "bench_records_scale: raw-record resolution (threads=%zu, reps=%zu, "
@@ -486,7 +456,7 @@ int main() {
               "tok ms", "exact ms", "lsh ms", "recall", "str ms", "simd ms",
               "speedup", "rss MB");
 
-  std::vector<RecordsResult> results;
+  std::vector<bench::JsonObject> rows;
   for (size_t scale : scales) {
     RecordsResult r;
     if (RunScale(scale, reps, certify, recall_floor, &r) != 0) return 1;
@@ -494,7 +464,27 @@ int main() {
         "%10zu | %8.1f | %9.1f %9.1f %6.3f | %9.1f %9.1f %6.2fx | %8.1f\n",
         r.scale, r.tokenize_ms, r.exact_ms, r.lsh_ms, r.lsh_recall,
         r.string_score_ms, r.simd_score_ms, r.simd_speedup, r.peak_rss_mb);
-    results.push_back(r);
+    bench::JsonObject& out = rows.emplace_back();
+    out.Set("scale", r.scale);
+    out.Set("records", r.records);
+    out.Set("tokenize_ms", r.tokenize_ms, 3);
+    out.Set("exact_pairs", r.exact_pairs);
+    out.Set("exact_ms", r.exact_ms, 3);
+    out.Set("lsh_pairs", r.lsh_pairs);
+    out.Set("lsh_ms", r.lsh_ms, 3);
+    out.Set("lsh_recall", r.lsh_recall, 5);
+    out.Set("score_pairs", r.score_pairs);
+    out.Set("string_score_ms", r.string_score_ms, 3);
+    out.Set("simd_score_ms", r.simd_score_ms, 3);
+    out.Set("simd_speedup", r.simd_speedup, 3);
+    out.Set("scores_identical", r.scores_identical);
+    out.Set("samp_ms", r.samp_ms, 3);
+    out.Set("samp_cost", r.samp_cost);
+    out.Set("samp_precision", r.samp_precision);
+    out.Set("samp_recall", r.samp_recall);
+    out.Set("risk_ms", r.risk_ms, 3);
+    out.Set("risk_cost", r.risk_cost);
+    out.Set("peak_rss_mb", r.peak_rss_mb, 1);
   }
 
   MmapResult mmap_result;
@@ -512,60 +502,30 @@ int main() {
         mmap_result.peak_rss_mb);
   }
 
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  json << "{\n"
-       << "  \"bench\": \"records_scale\",\n"
-       << "  \"threads\": " << ThreadPool::Global()->num_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"subset_size\": " << kSubsetSize << ",\n"
-       << "  \"avx2\": " << (text::internal::CpuHasAvx2() ? "true" : "false")
-       << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RecordsResult& r = results[i];
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scale\": %zu, \"records\": %zu, \"tokenize_ms\": %.3f, "
-        "\"exact_pairs\": %zu, \"exact_ms\": %.3f, \"lsh_pairs\": %zu, "
-        "\"lsh_ms\": %.3f, \"lsh_recall\": %.5f, \"score_pairs\": %zu, "
-        "\"string_score_ms\": %.3f, \"simd_score_ms\": %.3f, "
-        "\"simd_speedup\": %.3f, \"scores_identical\": %d, "
-        "\"samp_ms\": %.3f, \"samp_cost\": %lld, "
-        "\"samp_precision\": %.17g, \"samp_recall\": %.17g, "
-        "\"risk_ms\": %.3f, \"risk_cost\": %lld, \"peak_rss_mb\": %.1f}%s\n",
-        r.scale, r.records, r.tokenize_ms, r.exact_pairs, r.exact_ms,
-        r.lsh_pairs, r.lsh_ms, r.lsh_recall, r.score_pairs,
-        r.string_score_ms, r.simd_score_ms, r.simd_speedup,
-        r.scores_identical, r.samp_ms, r.samp_cost, r.samp_precision,
-        r.samp_recall, r.risk_ms, r.risk_cost, r.peak_rss_mb,
-        i + 1 < results.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ],\n";
+  bench::JsonObject doc;
+  doc.Set("bench", "records_scale");
+  doc.Set("threads", ThreadPool::Global()->num_threads());
+  doc.Set("reps", reps);
+  doc.Set("subset_size", kSubsetSize);
+  doc.Set("avx2", text::internal::CpuHasAvx2());
+  doc.Set("results", rows);
   if (ran_mmap) {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"mmap\": {\"pairs\": %zu, \"run_pairs\": %zu, "
-        "\"write_ms\": %.3f, \"open_ms\": %.3f, \"mapped_mb\": %.1f, "
-        "\"samp_ms\": %.3f, \"samp_cost\": %lld, "
-        "\"samp_precision\": %.17g, \"samp_recall\": %.17g, "
-        "\"verified_against_ram\": %d, \"peak_rss_mb\": %.1f}\n",
-        mmap_result.pairs, mmap_result.run_pairs, mmap_result.write_ms,
-        mmap_result.open_ms, mmap_result.mapped_mb, mmap_result.samp_ms,
-        mmap_result.samp_cost, mmap_result.samp_precision,
-        mmap_result.samp_recall, mmap_result.verified_against_ram,
-        mmap_result.peak_rss_mb);
-    json << buf;
+    const MmapResult& m = mmap_result;
+    bench::JsonObject mmap;
+    mmap.Set("pairs", m.pairs);
+    mmap.Set("run_pairs", m.run_pairs);
+    mmap.Set("write_ms", m.write_ms, 3);
+    mmap.Set("open_ms", m.open_ms, 3);
+    mmap.Set("mapped_mb", m.mapped_mb, 1);
+    mmap.Set("samp_ms", m.samp_ms, 3);
+    mmap.Set("samp_cost", m.samp_cost);
+    mmap.Set("samp_precision", m.samp_precision);
+    mmap.Set("samp_recall", m.samp_recall);
+    mmap.Set("verified_against_ram", m.verified_against_ram);
+    mmap.Set("peak_rss_mb", m.peak_rss_mb, 1);
+    doc.Set("mmap", mmap);
   } else {
-    json << "  \"mmap\": null\n";
+    doc.SetNull("mmap");
   }
-  json << "}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return bench::WriteBenchJson("BENCH_records.json", doc) ? 0 : 1;
 }

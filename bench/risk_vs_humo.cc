@@ -9,26 +9,26 @@
 //   RISK       SAMP's DH, risk-ordered PARTIAL inspection (r-HUMO-style)
 //   HYBR_RISK  HYBR's range selection + risk-ordered partial inspection
 //
-// Results go to stdout and, machine-readably, to BENCH_risk.json (override:
-// HUMO_BENCH_RISK_JSON) so successive PRs can track the budget trajectory
-// next to BENCH_runtime.json / BENCH_gp_refit.json.
+// Results go to stdout and, machine-readably, to BENCH_risk.json so
+// successive PRs can track the budget trajectory next to BENCH_runtime.json /
+// BENCH_gp_refit.json.
 //
 // The bench *checks* the contract it advertises — at every cell the
 // risk-aware optimizer's mean cost must not exceed SAMP's (the two share
 // the sampling phase; RISK can only skip DH inspections, never add any) —
-// and exits nonzero on violation, so the committed JSON can't silently go
-// stale. The strict "fewer inspections" claim at default sizes is asserted
-// by tests/core/risk_aware_optimizer_test.cc.
+// and exits nonzero on violation, as it does when the cells miss one of the
+// five optimizers, so the committed JSON can't silently go stale. The
+// strict "fewer inspections" claim at default sizes is asserted by
+// tests/core/risk_aware_optimizer_test.cc.
 //
 // Environment knobs (all optional):
 //   HUMO_RISK_BENCH_PAIRS_DS  DS workload size (default 20000; CI smoke 8000)
-//   HUMO_RISK_BENCH_PAIRS_AB  AB workload size (default 60000)
+//   HUMO_RISK_BENCH_PAIRS_AB  AB workload size (default 60000; CI smoke 20000)
 //   HUMO_TRIALS               randomized trials per cell (default 5 here)
 //   HUMO_SEED                 base sampling seed (default 1000)
-//   HUMO_BENCH_RISK_JSON      output path (default BENCH_risk.json)
 
 #include <cstdio>
-#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -205,35 +205,33 @@ int main() {
                 c.success_rate, c.mean_machine_labeled);
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_RISK_JSON", "BENCH_risk.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::set<std::string> optimizers;
+  std::vector<bench::JsonObject> rows;
+  for (const Cell& c : cells) {
+    optimizers.insert(c.optimizer);
+    bench::JsonObject& out = rows.emplace_back();
+    out.Set("workload", c.workload);
+    out.Set("alpha", c.alpha, 2);
+    out.Set("beta", c.alpha, 2);
+    out.Set("optimizer", c.optimizer);
+    out.Set("trials", c.trials);
+    out.Set("mean_cost_fraction", c.mean_cost_fraction, 6);
+    out.Set("mean_precision", c.mean_precision, 6);
+    out.Set("mean_recall", c.mean_recall, 6);
+    out.Set("success_rate", c.success_rate, 4);
+    out.Set("mean_machine_labeled", c.mean_machine_labeled, 1);
   }
-  json << "{\n"
-       << "  \"bench\": \"risk_vs_humo\",\n"
-       << "  \"theta\": " << theta << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"workload\": \"%s\", \"alpha\": %.2f, \"beta\": "
-                  "%.2f, \"optimizer\": \"%s\", \"trials\": %zu, "
-                  "\"mean_cost_fraction\": %.6f, \"mean_precision\": %.6f, "
-                  "\"mean_recall\": %.6f, \"success_rate\": %.4f, "
-                  "\"mean_machine_labeled\": %.1f}%s\n",
-                  c.workload.c_str(), c.alpha, c.alpha, c.optimizer.c_str(),
-                  c.trials, c.mean_cost_fraction, c.mean_precision,
-                  c.mean_recall, c.success_rate, c.mean_machine_labeled,
-                  i + 1 < cells.size() ? "," : "");
-    json << buf;
+  if (optimizers != std::set<std::string>{"BASE", "SAMP", "HYBR", "RISK",
+                                          "HYBR_RISK"}) {
+    std::fprintf(stderr, "CONTRACT VIOLATION: optimizer set differs\n");
+    contract_ok = false;
   }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonObject doc;
+  doc.Set("bench", "risk_vs_humo");
+  doc.Set("theta", theta);
+  doc.Set("trials", trials);
+  doc.Set("results", rows);
+  if (!bench::WriteBenchJson("BENCH_risk.json", doc)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "risk-vs-humo contract violated; see above\n");

@@ -23,12 +23,10 @@
 //   HUMO_SERVE_READERS    reader threads (default 4)
 //   HUMO_SERVE_CROWD      crowd worker threads (default 2)
 //   HUMO_SERVE_LPS_FLOOR  minimum sustained lookups/sec (default 1000000)
-//   HUMO_BENCH_SERVING_JSON  output path (default BENCH_serving.json)
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,14 +35,9 @@
 #include "humo.h"
 
 using namespace humo;
+using bench::MsSince;
 
 namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 struct Row {
   std::string workload;
@@ -140,8 +133,8 @@ int main() {
       "ISSUE 7 serving contracts: wait-free lookups under mutation, "
       "drain == synchronous");
 
-  const std::string pairs_list =
-      GetEnvString("HUMO_SERVE_PAIRS", "60000,200000");
+  const std::vector<size_t> pair_counts =
+      bench::ParseScales(GetEnvString("HUMO_SERVE_PAIRS", "60000,200000"));
   const size_t shards =
       static_cast<size_t>(GetEnvInt64("HUMO_SERVE_SHARDS", 16));
   const size_t readers =
@@ -155,8 +148,7 @@ int main() {
   std::vector<Row> rows;
   bool contract_ok = true;
 
-  for (const std::string& token : SplitAny(pairs_list, ", ")) {
-    const size_t pairs = static_cast<size_t>(std::stoull(token));
+  for (const size_t pairs : pair_counts) {
     const data::Workload base =
         data::SimulatePairs(data::AbConfigSmall(1234, pairs));
     std::printf("AB: %zu pairs, %zu matches, %zu shards, %zu readers, "
@@ -328,42 +320,33 @@ int main() {
                 r.certified ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_SERVING_JSON", "BENCH_serving.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonObject> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonObject& out = json_rows.emplace_back();
+    out.Set("workload", r.workload);
+    out.Set("pairs", r.pairs);
+    out.Set("shards", r.shards);
+    out.Set("readers", r.readers);
+    out.Set("crowd_workers", r.crowd_workers);
+    out.Set("lookups_total", r.lookups_total);
+    out.Set("mutate_ms", r.mutate_ms, 2);
+    out.Set("lookups_per_sec", r.lookups_per_sec, 0);
+    out.Set("snapshots_published", r.snapshots_published);
+    out.Set("reviews_folded", r.reviews_folded);
+    out.Set("drained_equals_synchronous", r.drained_equals_synchronous);
+    out.Set("snapshots_consistent", r.snapshots_consistent);
+    out.Set("streaming_cost", r.streaming_cost);
+    out.Set("sync_cost", r.sync_cost);
+    out.Set("certified", r.certified);
+    out.Set("sync_ms", r.sync_ms, 2);
   }
-  json << "{\n"
-       << "  \"bench\": \"serving\",\n"
-       << "  \"alpha\": " << req.alpha << ",\n"
-       << "  \"beta\": " << req.beta << ",\n"
-       << "  \"theta\": " << req.theta << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"pairs\": %zu, \"shards\": %zu, "
-        "\"readers\": %zu, \"crowd_workers\": %zu, \"lookups_total\": %zu, "
-        "\"mutate_ms\": %.2f, \"lookups_per_sec\": %.0f, "
-        "\"snapshots_published\": %zu, \"reviews_folded\": %zu, "
-        "\"drained_equals_synchronous\": %s, \"snapshots_consistent\": %s, "
-        "\"streaming_cost\": %zu, \"sync_cost\": %zu, \"certified\": %s, "
-        "\"sync_ms\": %.2f}%s\n",
-        r.workload.c_str(), r.pairs, r.shards, r.readers, r.crowd_workers,
-        r.lookups_total, r.mutate_ms, r.lookups_per_sec,
-        r.snapshots_published, r.reviews_folded,
-        r.drained_equals_synchronous ? "true" : "false",
-        r.snapshots_consistent ? "true" : "false", r.streaming_cost,
-        r.sync_cost, r.certified ? "true" : "false", r.sync_ms,
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonObject doc;
+  doc.Set("bench", "serving");
+  doc.Set("alpha", req.alpha);
+  doc.Set("beta", req.beta);
+  doc.Set("theta", req.theta);
+  doc.Set("results", json_rows);
+  if (!bench::WriteBenchJson("BENCH_serving.json", doc)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "serving contracts violated; see above\n");

@@ -16,16 +16,16 @@
 //     its fresh cost must be strictly below the one-shot cost — the carried
 //     evidence pays. The TOTAL across both certificates exceeds one-shot by
 //     the mid-stream certificate's price; the row reports that ratio
-//     honestly rather than enforcing it.
+//     honestly rather than enforcing it;
+//   * the rows cover both modes and both certifiers (SAMP, RISK).
 //
 // Environment knobs (all optional):
-//   HUMO_STREAM_BENCH_PAIRS_DS   DS workload size (default 20000; CI 8000)
-//   HUMO_STREAM_BENCH_PAIRS_AB   AB workload size (default 60000; CI 20000)
-//   HUMO_BENCH_STREAMING_JSON    output path (default BENCH_streaming.json)
+//   HUMO_STREAM_BENCH_PAIRS_DS   DS workload size (default 20000)
+//   HUMO_STREAM_BENCH_PAIRS_AB   AB workload size (default 60000)
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,14 +33,9 @@
 #include "humo.h"
 
 using namespace humo;
+using bench::MsSince;
 
 namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 struct Row {
   std::string workload;
@@ -248,40 +243,41 @@ int main() {
                 r.identical_labels ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_STREAMING_JSON", "BENCH_streaming.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  // Every run of the grid must show up: both modes, both certifiers.
+  std::set<std::string> modes, certifiers;
+  std::vector<bench::JsonObject> json_rows;
+  for (const Row& r : rows) {
+    modes.insert(r.mode);
+    certifiers.insert(r.certifier);
+    bench::JsonObject& out = json_rows.emplace_back();
+    out.Set("workload", r.workload);
+    out.Set("mode", r.mode);
+    out.Set("certifier", r.certifier);
+    out.Set("shards", r.shards);
+    out.Set("order", r.order);
+    out.Set("pairs", r.pairs);
+    out.Set("oneshot_cost", r.oneshot_cost);
+    out.Set("streaming_cost", r.streaming_cost);
+    out.Set("final_certify_cost", r.final_certify_cost);
+    out.Set("reused_answers", r.reused_answers);
+    out.Set("cost_ratio", r.cost_ratio, 6);
+    out.Set("identical_labels", r.identical_labels);
+    out.Set("oneshot_ms", r.oneshot_ms, 2);
+    out.Set("streaming_ms", r.streaming_ms, 2);
+    out.Set("wall_ratio", r.wall_ratio, 3);
   }
-  json << "{\n"
-       << "  \"bench\": \"streaming\",\n"
-       << "  \"alpha\": " << req.alpha << ",\n"
-       << "  \"beta\": " << req.beta << ",\n"
-       << "  \"theta\": " << req.theta << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"mode\": \"%s\", \"certifier\": \"%s\", "
-        "\"shards\": %zu, \"order\": \"%s\", \"pairs\": %zu, "
-        "\"oneshot_cost\": %zu, \"streaming_cost\": %zu, "
-        "\"final_certify_cost\": %zu, \"reused_answers\": %zu, "
-        "\"cost_ratio\": %.6f, \"identical_labels\": %s, "
-        "\"oneshot_ms\": %.2f, \"streaming_ms\": %.2f, "
-        "\"wall_ratio\": %.3f}%s\n",
-        r.workload.c_str(), r.mode.c_str(), r.certifier.c_str(), r.shards,
-        r.order.c_str(), r.pairs, r.oneshot_cost, r.streaming_cost,
-        r.final_certify_cost, r.reused_answers, r.cost_ratio,
-        r.identical_labels ? "true" : "false", r.oneshot_ms, r.streaming_ms,
-        r.wall_ratio, i + 1 < rows.size() ? "," : "");
-    json << buf;
+  if (modes != std::set<std::string>{"certify_once", "recertify"} ||
+      certifiers != std::set<std::string>{"SAMP", "RISK"}) {
+    std::fprintf(stderr, "CONTRACT VIOLATION: a mode or certifier missing\n");
+    contract_ok = false;
   }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonObject doc;
+  doc.Set("bench", "streaming");
+  doc.Set("alpha", req.alpha);
+  doc.Set("beta", req.beta);
+  doc.Set("theta", req.theta);
+  doc.Set("results", json_rows);
+  if (!bench::WriteBenchJson("BENCH_streaming.json", doc)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "streaming contracts violated; see above\n");

@@ -126,8 +126,8 @@ class Oracle {
     return answers_.Snapshot();
   }
 
-  /// Bytes of answer memory currently held (paged bitmap + page table) —
-  /// reported by bench_scale against the hash-map layout it replaced.
+  /// Bytes of answer memory currently held (paged bitmap + page table);
+  /// OracleTest.AnswerMemoryStaysPagedAndLean bounds it per pair.
   size_t AnswerMemoryBytes() const { return answers_.MemoryBytes(); }
 
   const data::Workload& workload() const { return *workload_; }

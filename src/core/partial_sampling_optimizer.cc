@@ -416,9 +416,10 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   }
 
   // ---- Phase 1b: variance-targeted refinement (implementation extension;
-  // DESIGN.md §5). Algorithm 1's epsilon test only checks posterior MEANS at
-  // bracket midpoints; subsets whose posterior variance is large (pair-dense
-  // gaps, the transition band) can survive it and then dominate the Eq. 20
+  // docs/ARCHITECTURE.md, "The estimation engine and its data flow").
+  // Algorithm 1's epsilon test only checks posterior MEANS at bracket
+  // midpoints; subsets whose posterior variance is large (pair-dense gaps,
+  // the transition band) can survive it and then dominate the Eq. 20
   // aggregation. Spend any remaining sampling budget on the unsampled
   // subset with the largest bound contribution n_k * std(k).
   while (train.size() < budget) {

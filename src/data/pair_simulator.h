@@ -11,7 +11,7 @@ namespace humo::data {
 /// [lo, hi], producing a workload whose (similarity, label) joint
 /// distribution is calibrated to a published dataset's statistics — the
 /// substitution for the real DBLP-Scholar / Abt-Buy pair files documented in
-/// DESIGN.md §3.
+/// docs/REPRODUCING.md ("Notes on fidelity").
 /// One weighted Beta component of a similarity distribution.
 struct BetaComponent {
   double weight = 1.0;

@@ -45,33 +45,10 @@ std::string PseudoWord(Rng* rng, size_t min_len = 3, size_t max_len = 8) {
 
 }  // namespace
 
-std::vector<InstancePair> GenerateScalePairs(
-    const ScaleWorkloadConfig& config) {
-  assert(config.hi > config.lo);
-  assert(config.match_fraction >= 0.0 && config.match_fraction <= 1.0);
-  const size_t n = config.num_pairs;
-  const size_t num_matches = static_cast<size_t>(
-      std::llround(static_cast<double>(n) * config.match_fraction));
-  const double span = config.hi - config.lo;
-  std::vector<InstancePair> pairs(n);
-  ThreadPool::Global()->ParallelFor(n, kScaleGrain, [&](size_t begin,
-                                                        size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      Rng rng = Rng::Stream(config.seed, static_cast<uint64_t>(i));
-      InstancePair& p = pairs[i];
-      p.left_id = static_cast<uint32_t>(i);
-      p.right_id = static_cast<uint32_t>(i);
-      p.is_match = i < num_matches;
-      const double b = p.is_match ? SampleMatchSimilarity(&rng)
-                                  : SampleUnmatchSimilarity(&rng);
-      p.similarity = config.lo + span * b;
-    }
-  });
-  return pairs;
-}
-
 ScaleColumns GenerateScaleColumnsRange(const ScaleWorkloadConfig& config,
                                        size_t begin, size_t end) {
+  assert(config.hi > config.lo);
+  assert(config.match_fraction >= 0.0 && config.match_fraction <= 1.0);
   assert(begin <= end && end <= config.num_pairs);
   // num_matches is computed from the FULL configured size, so a chunk's
   // labels agree with the full generation no matter how the range is cut.
@@ -112,27 +89,6 @@ Workload GenerateScaleWorkload(const ScaleWorkloadConfig& config) {
   return Workload::FromColumns(std::move(c.left_ids), std::move(c.right_ids),
                                std::move(c.similarities),
                                std::move(c.labels));
-}
-
-ScaleWorkloadConfig ScaleConfig1M(uint64_t seed) {
-  ScaleWorkloadConfig c;
-  c.num_pairs = 1'000'000;
-  c.seed = seed;
-  return c;
-}
-
-ScaleWorkloadConfig ScaleConfig5M(uint64_t seed) {
-  ScaleWorkloadConfig c;
-  c.num_pairs = 5'000'000;
-  c.seed = seed;
-  return c;
-}
-
-ScaleWorkloadConfig ScaleConfig10M(uint64_t seed) {
-  ScaleWorkloadConfig c;
-  c.num_pairs = 10'000'000;
-  c.seed = seed;
-  return c;
 }
 
 ScaleTables GenerateScaleTables(const ScaleTablesConfig& config) {

@@ -22,8 +22,8 @@ namespace humo::data {
 ///    blocking. Records are organized in groups that share one blocking
 ///    token, so TokenBlock yields exactly
 ///    groups * left_per_group * right_per_group candidate pairs — the knob
-///    that lets bench_scale drive the generate -> block -> partition ->
-///    certify pipeline at 1M/5M/10M pairs with a predictable candidate
+///    that lets the record benches (bench_records_scale, humo-e2e's
+///    records-1m) size the blocking stage with a predictable candidate
 ///    count.
 struct ScaleWorkloadConfig {
   size_t num_pairs = 1'000'000;
@@ -38,12 +38,6 @@ struct ScaleWorkloadConfig {
 /// Draws the configured workload (sorted, SoA). Parallel over the thread
 /// pool with one Rng::Stream per pair.
 Workload GenerateScaleWorkload(const ScaleWorkloadConfig& config);
-
-/// The unsorted raw pairs of the same realization — what
-/// GenerateScaleWorkload sorts. Exposed so bench_scale can time workload
-/// CONSTRUCTION (radix sort vs. the legacy comparison sort) on identical
-/// input.
-std::vector<InstancePair> GenerateScalePairs(const ScaleWorkloadConfig& config);
 
 /// The same realization as unsorted columns — the zero-copy handoff the
 /// scale pipeline actually uses (generators write columns, the Workload
@@ -63,11 +57,6 @@ ScaleColumns GenerateScaleColumns(const ScaleWorkloadConfig& config);
 ScaleColumns GenerateScaleColumnsRange(const ScaleWorkloadConfig& config,
                                        size_t begin, size_t end);
 
-/// Preset scales of the scalability study.
-ScaleWorkloadConfig ScaleConfig1M(uint64_t seed = 20260728);
-ScaleWorkloadConfig ScaleConfig5M(uint64_t seed = 20260728);
-ScaleWorkloadConfig ScaleConfig10M(uint64_t seed = 20260728);
-
 struct ScaleTablesConfig {
   /// Blocking groups; every record in group g carries token "gN" in its
   /// blocking attribute, so TokenBlock emits the full cross product within
@@ -84,9 +73,10 @@ struct ScaleTablesConfig {
   /// partner's name through the PerturbString model below (typos, token
   /// drops, abbreviations, swaps) instead of the legacy "append one extra
   /// pseudo word" — realistic dirty duplicates for blocking-recall studies.
-  /// Default false: the legacy realization is pinned bit-for-bit by
-  /// bench_scale's golden contract. Deterministic either way (the same
-  /// per-record Rng::Stream drives the perturbation draws).
+  /// Default false keeps the legacy realization, which
+  /// ScaleGeneratorTest.PerturbedTablesDeterministicAndDistinctFromLegacy
+  /// compares against. Deterministic either way (the same per-record
+  /// Rng::Stream drives the perturbation draws).
   bool perturb_names = false;
   PerturbationOptions perturbation = LightPerturbation();
 };

@@ -145,7 +145,6 @@
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
 #include "eval/experiment.h"
-#include "eval/golden_reference.h"
 #include "eval/report.h"
 #include "gp/gp_regression.h"
 #include "gp/kernel.h"

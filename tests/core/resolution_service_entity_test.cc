@@ -97,7 +97,9 @@ TEST_F(ResolutionServiceEntityTest, EntityViewConsistentUnderConcurrentIngest) {
 
   for (size_t e = 0; e < stream.num_shards(); ++e) {
     service.Ingest(stream.ShardAt(e));
-    if (e == 20) ASSERT_TRUE(service.RequestCertification());
+    if (e == 20) {
+      ASSERT_TRUE(service.RequestCertification());
+    }
   }
   ASSERT_TRUE(service.RequestCertification());
   auto cert = service.DrainToQuiescence();

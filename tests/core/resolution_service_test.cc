@@ -232,7 +232,9 @@ TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
       }
       service.EnqueueReview(burst);
     }
-    if (e == 40) ASSERT_TRUE(service.RequestCertification());
+    if (e == 40) {
+      ASSERT_TRUE(service.RequestCertification());
+    }
     // The second request may race the first certification's final counter
     // store; a drop (false) is acceptable behavior, not a failure.
     if (e == 80) service.RequestCertification();

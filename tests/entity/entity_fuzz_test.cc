@@ -33,7 +33,9 @@ void CheckClusteringInvariants(const EntityClustering& c) {
     if (members.size() >= 2) ++multi;
     for (size_t i = 0; i < members.size(); ++i) {
       ASSERT_EQ(c.EntityOf(members[i]), std::optional<uint32_t>(e));
-      if (i > 0) ASSERT_LT(members.data[i - 1], members.data[i]);
+      if (i > 0) {
+        ASSERT_LT(members.data[i - 1], members.data[i]);
+      }
     }
     total += members.size();
   }

@@ -11,20 +11,22 @@
 #include "core/risk_aware_optimizer.h"
 #include "core/solution.h"
 #include "data/pair_simulator.h"
+#include "data/scale_generator.h"
 #include "entity/entity_clustering.h"
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
-#include "eval/golden_reference.h"
 
 namespace humo {
 namespace {
 
-/// Seed-pinned end-to-end snapshot: on the calibrated DS/AB realizations,
-/// every optimizer's solution range, achieved precision/recall, and oracle
-/// counters must match the committed golden values EXACTLY — bit-for-bit
-/// doubles, not tolerances. Any silent determinism drift (a reordered
-/// accumulation, an unordered-container iteration leaking into results, an
-/// RNG stream change) fails here even when the per-module tests still pass.
+/// Seed-pinned end-to-end snapshot: on the calibrated DS/AB realizations
+/// (every optimizer) and the 100k-pair scale-generator workload (SAMP and
+/// RISK, a certificate that inspects ~18% of the pairs), the solution range,
+/// achieved precision/recall, and oracle counters must match the committed
+/// golden values EXACTLY — bit-for-bit doubles, not tolerances. Any silent
+/// determinism drift (a reordered accumulation, an unordered-container
+/// iteration leaking into results, an RNG stream change) fails here even
+/// when the per-module tests still pass.
 ///
 /// Regenerating after an INTENTIONAL behavior change:
 ///   HUMO_PRINT_GOLDEN=1 ./tests/humo_tests
@@ -67,6 +69,12 @@ const GoldenRow kGolden[] = {
      119794, 1, 0.99516908212560384},
     {"AB", "RISK", false, 10, 299, 1, 0.99516908212560384, 54128, 54128, 0,
      119794, 1, 0.99516908212560384},
+    {"S100K", "SAMP", false, 411, 480, 0.93460955269143287,
+     0.98619999999999997, 17800, 17800, 0, 194724, 0.93460955269143287,
+     0.98619999999999997},
+    {"S100K", "RISK", false, 411, 480, 0.93457234970604963,
+     0.98560000000000003, 17496, 17496, 0, 194727, 0.93457234970604963,
+     0.98560000000000003},
 };
 
 struct ActualRow {
@@ -133,15 +141,20 @@ class GoldenRegressionTest : public ::testing::Test {
  protected:
   static data::Workload ds_;
   static data::Workload ab_;
+  static data::Workload s100k_;
 
   static void SetUpTestSuite() {
     ds_ = data::SimulatePairs(data::DsConfigSmall(555, 20000));
     ab_ = data::SimulatePairs(data::AbConfigSmall(1234, 60000));
+    data::ScaleWorkloadConfig scale;
+    scale.num_pairs = 100000;
+    s100k_ = data::GenerateScaleWorkload(scale);
   }
 };
 
 data::Workload GoldenRegressionTest::ds_;
 data::Workload GoldenRegressionTest::ab_;
+data::Workload GoldenRegressionTest::s100k_;
 
 void CheckRow(const data::Workload& w, const GoldenRow& golden) {
   const ActualRow actual = RunOptimizer(w, golden.optimizer);
@@ -169,35 +182,25 @@ void CheckRow(const data::Workload& w, const GoldenRow& golden) {
   EXPECT_EQ(actual.entity_recall, golden.entity_recall);
 }
 
-TEST_F(GoldenRegressionTest, DsSnapshotExact) {
+/// Checks every kGolden row of `workload` against `w`.
+void CheckWorkload(const data::Workload& w, const std::string& workload) {
   for (const GoldenRow& row : kGolden) {
-    if (std::string(row.workload) != "DS") continue;
+    if (workload != row.workload) continue;
     SCOPED_TRACE(row.optimizer);
-    CheckRow(ds_, row);
+    CheckRow(w, row);
   }
+}
+
+TEST_F(GoldenRegressionTest, DsSnapshotExact) {
+  CheckWorkload(ds_, "DS");
 }
 
 TEST_F(GoldenRegressionTest, AbSnapshotExact) {
-  for (const GoldenRow& row : kGolden) {
-    if (std::string(row.workload) != "AB") continue;
-    SCOPED_TRACE(row.optimizer);
-    CheckRow(ab_, row);
-  }
+  CheckWorkload(ab_, "AB");
 }
 
-TEST(GoldenReferenceTest, SharedSampRowsMatchGoldenTable) {
-  // eval/golden_reference.h is the copy bench_scale checks itself against;
-  // a regeneration of kGolden that forgets to update it must fail HERE,
-  // locally, not as a confusing bench divergence in CI.
-  for (const GoldenRow& row : kGolden) {
-    if (std::string(row.optimizer) != "SAMP") continue;
-    const eval::GoldenSampReference& shared =
-        std::string(row.workload) == "DS" ? eval::kGoldenSampDs
-                                          : eval::kGoldenSampAb;
-    EXPECT_EQ(row.precision, shared.precision) << row.workload;
-    EXPECT_EQ(row.recall, shared.recall) << row.workload;
-    EXPECT_EQ(row.human_cost, shared.human_cost) << row.workload;
-  }
+TEST_F(GoldenRegressionTest, Scale100kSnapshotExact) {
+  CheckWorkload(s100k_, "S100K");
 }
 
 TEST_F(GoldenRegressionTest, RerunIsStable) {

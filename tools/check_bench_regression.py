@@ -2,9 +2,9 @@
 """CI performance-regression gate over the committed BENCH_*.json baselines.
 
 Compares a freshly produced bench JSON against the committed baseline and
-fails (exit 1) when any CONTRACT field regresses by more than the tolerance
-(default 20%). Contract fields are mostly ratios and counters that are
-stable across machines — speedups, cost ratios, reuse counts, bit-identity
+fails (exit 1) when any CONTRACT field regresses by more than TOLERANCE
+(20%). Contract fields are mostly ratios and counters that are stable
+across machines — speedups, cost ratios, reuse counts, bit-identity
 flags. The entity bench is the exception: its cluster throughput and repair
 time are raw wall-clock numbers, gated because no ratio pins the entity
 layer's speed. Rows are matched by a per-bench key; candidate runs may cover a
@@ -13,7 +13,7 @@ match.
 
 Usage:
   check_bench_regression.py --baseline BENCH_gp_refit.json \
-      --candidate build/BENCH_gp_refit.json [--tolerance 0.20]
+      --candidate build/BENCH_gp_refit.json
   check_bench_regression.py --selftest
 
 The per-bench contract (keyed by the JSON's "bench" field):
@@ -23,9 +23,6 @@ The per-bench contract (keyed by the JSON's "bench" field):
                   mode, certifier,   higher-better reused_answers
                   shards, order,     exact         identical_labels
                   pairs)
-  scale           key (scale)        higher-better build_speedup,
-                                     partition_speedup
-                                     exact         samp_cost, block_pairs
   records_scale   key (scale)        higher-better simd_speedup, lsh_recall
                                      exact         lsh_pairs, samp_cost,
                                                    scores_identical
@@ -46,6 +43,9 @@ The per-bench contract (keyed by the JSON's "bench" field):
                                                    certified,
                                                    thread_invariant
 
+A field the bench wrote as null (a non-finite double) counts as missing and
+fails the gate.
+
 --selftest proves the gate can actually fail: it fabricates a baseline,
 injects a 25% regression into a copy, and asserts the comparison rejects it
 (and accepts the unmodified copy).
@@ -56,7 +56,7 @@ import copy
 import json
 import sys
 
-TOLERANCE_DEFAULT = 0.20
+TOLERANCE = 0.20
 
 # bench name -> (row key fields, higher-better, lower-better, exact)
 CONTRACTS = {
@@ -71,12 +71,6 @@ CONTRACTS = {
         "higher": ("reused_answers",),
         "lower": ("cost_ratio",),
         "exact": ("identical_labels",),
-    },
-    "scale": {
-        "key": ("scale",),
-        "higher": ("build_speedup", "partition_speedup"),
-        "lower": (),
-        "exact": ("samp_cost", "block_pairs"),
     },
     "records_scale": {
         "key": ("scale",),
@@ -125,7 +119,7 @@ def row_key(row, fields):
     return tuple(row.get(f) for f in fields)
 
 
-def compare(baseline, candidate, tolerance):
+def compare(baseline, candidate):
     """Returns a list of violation strings (empty = gate passes)."""
     bench = baseline.get("bench")
     if bench != candidate.get("bench"):
@@ -153,23 +147,25 @@ def compare(baseline, candidate, tolerance):
             b, c = base.get(field), row.get(field)
             if b is None or c is None:
                 violations.append("%s: missing field %r" % (label, field))
-            elif b > 0 and c < b * (1.0 - tolerance):
+            elif b > 0 and c < b * (1.0 - TOLERANCE):
                 violations.append(
                     "%s: %s regressed %.3f -> %.3f (>%.0f%% below baseline)"
-                    % (label, field, b, c, tolerance * 100)
+                    % (label, field, b, c, TOLERANCE * 100)
                 )
         for field in contract["lower"]:
             b, c = base.get(field), row.get(field)
             if b is None or c is None:
                 violations.append("%s: missing field %r" % (label, field))
-            elif c > b * (1.0 + tolerance):
+            elif c > b * (1.0 + TOLERANCE):
                 violations.append(
                     "%s: %s regressed %.3f -> %.3f (>%.0f%% above baseline)"
-                    % (label, field, b, c, tolerance * 100)
+                    % (label, field, b, c, TOLERANCE * 100)
                 )
         for field in contract["exact"]:
             b, c = base.get(field), row.get(field)
-            if b != c:
+            if c is None and b is not None:
+                violations.append("%s: missing field %r" % (label, field))
+            elif b != c:
                 violations.append(
                     "%s: %s changed exactly-pinned value %r -> %r"
                     % (label, field, b, c)
@@ -191,18 +187,24 @@ def selftest():
         ],
     }
     clean = copy.deepcopy(baseline)
-    assert compare(baseline, clean, TOLERANCE_DEFAULT) == [], (
+    assert compare(baseline, clean) == [], (
         "selftest: identical run must pass"
     )
 
     regressed = copy.deepcopy(baseline)
     regressed["results"][0]["refit_speedup"] *= 0.75  # injected 25% loss
-    violations = compare(baseline, regressed, TOLERANCE_DEFAULT)
+    violations = compare(baseline, regressed)
     assert violations, "selftest: 25% regression must be rejected"
+
+    nulled = copy.deepcopy(baseline)
+    nulled["results"][1]["predict_speedup"] = None  # a non-finite double
+    assert compare(baseline, nulled), (
+        "selftest: a null contract field must be rejected"
+    )
 
     within = copy.deepcopy(baseline)
     within["results"][0]["refit_speedup"] *= 0.85  # 15% — inside tolerance
-    assert compare(baseline, within, TOLERANCE_DEFAULT) == [], (
+    assert compare(baseline, within) == [], (
         "selftest: 15% wobble must pass at 20% tolerance"
     )
 
@@ -224,12 +226,12 @@ def selftest():
     }
     worse = copy.deepcopy(lower)
     worse["results"][0]["cost_ratio"] = 1.3
-    assert compare(lower, worse, TOLERANCE_DEFAULT), (
+    assert compare(lower, worse), (
         "selftest: lower-better field rising 30% must be rejected"
     )
     flipped = copy.deepcopy(lower)
     flipped["results"][0]["identical_labels"] = False
-    assert compare(lower, flipped, TOLERANCE_DEFAULT), (
+    assert compare(lower, flipped), (
         "selftest: exact field flip must be rejected"
     )
 
@@ -252,15 +254,15 @@ def selftest():
     }
     drifted = copy.deepcopy(entities)
     drifted["results"][0]["disagreements_after"] = 101
-    assert compare(entities, drifted, TOLERANCE_DEFAULT), (
+    assert compare(entities, drifted), (
         "selftest: entity determinism drift must be rejected"
     )
-    assert compare(entities, copy.deepcopy(entities), TOLERANCE_DEFAULT) == [], (
+    assert compare(entities, copy.deepcopy(entities)) == [], (
         "selftest: clean entities run must pass"
     )
     slow_repair = copy.deepcopy(entities)
     slow_repair["results"][0]["repair_ms"] *= 1.25  # injected 25% slowdown
-    assert compare(entities, slow_repair, TOLERANCE_DEFAULT), (
+    assert compare(entities, slow_repair), (
         "selftest: entity repair slowdown must be rejected"
     )
 
@@ -289,17 +291,17 @@ def selftest():
             },
         ],
     }
-    assert compare(crowd, copy.deepcopy(crowd), TOLERANCE_DEFAULT) == [], (
+    assert compare(crowd, copy.deepcopy(crowd)) == [], (
         "selftest: clean crowd run must pass"
     )
     less_inferred = copy.deepcopy(crowd)
     less_inferred["results"][0]["inferred_fraction"] *= 0.75  # 25% loss
-    assert compare(crowd, less_inferred, TOLERANCE_DEFAULT), (
+    assert compare(crowd, less_inferred), (
         "selftest: inferred-fraction regression must be rejected"
     )
     uncertified = copy.deepcopy(crowd)
     uncertified["results"][1]["certified"] = False
-    assert compare(crowd, uncertified, TOLERANCE_DEFAULT), (
+    assert compare(crowd, uncertified), (
         "selftest: guarantee flag flip must be rejected"
     )
 
@@ -312,12 +314,6 @@ def main():
     parser.add_argument("--baseline", help="committed BENCH_*.json")
     parser.add_argument("--candidate", help="freshly produced BENCH_*.json")
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=TOLERANCE_DEFAULT,
-        help="allowed relative regression (default 0.20)",
-    )
-    parser.add_argument(
         "--selftest",
         action="store_true",
         help="verify the gate fails on an injected 25%% regression",
@@ -329,8 +325,7 @@ def main():
     if not args.baseline or not args.candidate:
         parser.error("--baseline and --candidate are required")
 
-    violations = compare(load(args.baseline), load(args.candidate),
-                         args.tolerance)
+    violations = compare(load(args.baseline), load(args.candidate))
     if violations:
         print("PERFORMANCE REGRESSION GATE FAILED (%d violation%s):"
               % (len(violations), "s" if len(violations) != 1 else ""))
@@ -339,7 +334,7 @@ def main():
         return 1
     print(
         "perf gate OK: %s within %.0f%% of baseline %s"
-        % (args.candidate, args.tolerance * 100, args.baseline)
+        % (args.candidate, TOLERANCE * 100, args.baseline)
     )
     return 0
 
