@@ -16,6 +16,11 @@
 // agree with a from-scratch fit of the same kernel within 1e-9 — and exits
 // nonzero on violation, so the committed JSON can't silently go stale.
 //
+// The pool is pinned to 1 thread, the count BENCH_gp_refit.json records:
+// refit_speedup divides a grid refit (whose Gram builds fan out) by a serial
+// append, so the ratio is only comparable at one fixed pool size, and
+// HUMO_NUM_THREADS does not change it.
+//
 // Environment knobs (all optional):
 //   HUMO_GP_BENCH_MAX_N    largest training size to run (default 512; CI
 //                          smoke uses 64)
@@ -187,6 +192,7 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
 }  // namespace
 
 int main() {
+  ThreadPool::SetGlobalThreads(1);
   const size_t max_n =
       static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_MAX_N", 512));
   const size_t rounds =

@@ -31,6 +31,9 @@
 // BYTE-IDENTICAL to WriteColumnsFile of the in-RAM radix sort and that the
 // mmap-backed certification reproduces the RAM-backed solution exactly.
 //
+// The pool is pinned to 1 thread, the count BENCH_records.json records, so
+// HUMO_NUM_THREADS does not change what the gate compares.
+//
 // Environment knobs:
 //   HUMO_RECORDS_PAIRS         comma list of candidate-pair scales
 //                              (default "100000,1000000")
@@ -432,6 +435,7 @@ int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
 }  // namespace
 
 int main() {
+  ThreadPool::SetGlobalThreads(1);
   const std::vector<size_t> scales =
       bench::ParseScales(GetEnvString("HUMO_RECORDS_PAIRS", "100000,1000000"));
   const size_t reps =

@@ -24,18 +24,66 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
   assert(obs_.empty() || obs_.size() == v_.size());
   assert(scatter_.empty() || scatter_.size() == v_.size());
   assert(variance_inflation_ >= 1.0);
-  const size_t m = v_.size();
-  mean_.resize(m);
-  pop_prefix_.assign(m + 1, 0.0);
   // One batched posterior over every subset replaces m per-point solves:
   // the same pass yields the posterior means and the whitened cross
   // vectors the range accumulators need (each bit-identical to the
   // per-point Predict / WhitenedCross it stands in for).
-  const std::vector<gp::Prediction> preds = gp_.PredictBatch(v_, &w_);
+  InitFromPosterior(gp_.PredictBatch(v_, &w_));
+}
+
+GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
+                             std::vector<double> avg_similarity,
+                             std::vector<double> subset_sizes,
+                             const std::vector<gp::Prediction>& predictions,
+                             std::vector<linalg::Vector> whitened,
+                             std::vector<SubsetObservation> observations,
+                             std::vector<double> scatter_variance,
+                             double variance_inflation)
+    : gp_(std::move(gp)),
+      v_(std::move(avg_similarity)),
+      n_(std::move(subset_sizes)),
+      w_(std::move(whitened)),
+      obs_(std::move(observations)),
+      scatter_(std::move(scatter_variance)),
+      variance_inflation_(variance_inflation) {
+  assert(v_.size() == n_.size());
+  assert(predictions.size() == v_.size() && w_.size() == v_.size());
+  assert(obs_.empty() || obs_.size() == v_.size());
+  assert(scatter_.empty() || scatter_.size() == v_.size());
+  assert(variance_inflation_ >= 1.0);
+  InitFromPosterior(predictions);
+}
+
+void GpSubsetModel::InitFromPosterior(
+    const std::vector<gp::Prediction>& predictions) {
+  const size_t m = v_.size();
+  mean_.resize(m);
+  pop_prefix_.assign(m + 1, 0.0);
   for (size_t k = 0; k < m; ++k) {
     mean_[k] = IsExact(k) ? obs_[k].proportion
-                          : std::clamp(preds[k].mean, 0.0, 1.0);
+                          : std::clamp(predictions[k].mean, 0.0, 1.0);
     pop_prefix_[k + 1] = pop_prefix_[k] + n_[k];
+  }
+  // Cross-sums over the lower triangle, each kernel value evaluated once:
+  // K(v_k, v_j) for j < k joins LeftCross(k) and RightCross(j). The outer
+  // loop runs k upward, so every RightCross(j) also accumulates in
+  // ascending order. The kernel is symmetric bit for bit (|x - y| is exact)
+  // and FillRow evaluates the same expression as operator(), so each sum
+  // is the same double the accumulator's O(range) loop produces.
+  left_cross_.assign(m, 0.0);
+  right_cross_.assign(m, 0.0);
+  std::vector<double> row(m);
+  for (size_t k = 1; k < m; ++k) {
+    if (IsExact(k)) continue;
+    gp_.kernel().FillRow(v_[k], v_.data(), k, row.data());
+    const double nk = n_[k];
+    double left = 0.0;
+    for (size_t j = 0; j < k; ++j) {
+      if (IsExact(j)) continue;
+      left += n_[j] * row[j];
+      right_cross_[j] += nk * row[j];
+    }
+    left_cross_[k] = left;
   }
 }
 
@@ -89,15 +137,9 @@ void GpRangeAccumulator::AddSubset(size_t k) {
   pop_sum_ += nk;
   if (model_->IsExact(k)) return;  // exact counts carry no uncertainty
   // Prior double-sum update: cross terms against the current non-exact
-  // members plus the self term. Membership is exactly [a_, b_] minus k
-  // itself when k is being appended (caller has already updated a_/b_ to
-  // include k).
-  double cross = 0.0;
-  for (size_t j = a_; j <= b_; ++j) {
-    if (j == k || model_->IsExact(j)) continue;
-    cross += model_->SubsetSize(j) * model_->PriorK(k, j);
-  }
-  prior_q_ += 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
+  // members plus the self term. The caller has already updated a_/b_ to
+  // include k.
+  prior_q_ += 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
   const auto& wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
   scatter_sum_ += nk * nk * model_->ScatterVariance(k);
@@ -110,15 +152,23 @@ void GpRangeAccumulator::RemoveSubset(size_t k) {
   if (model_->IsExact(k)) return;
   // Membership still includes k at call time; subtract cross terms against
   // the remaining non-exact members.
+  prior_q_ -= 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
+  const auto& wk = model_->W(k);
+  for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
+  scatter_sum_ -= nk * nk * model_->ScatterVariance(k);
+}
+
+double GpRangeAccumulator::CrossSum(size_t k) const {
+  // k is always an edge of [a_, b_]. When the rest of the range is
+  // [0, k-1] or [k+1, m-1], the model holds the sum already.
+  if (a_ == 0 && k == b_) return model_->LeftCross(k);
+  if (k == a_ && b_ + 1 == model_->num_subsets()) return model_->RightCross(k);
   double cross = 0.0;
   for (size_t j = a_; j <= b_; ++j) {
     if (j == k || model_->IsExact(j)) continue;
     cross += model_->SubsetSize(j) * model_->PriorK(k, j);
   }
-  prior_q_ -= 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
-  const auto& wk = model_->W(k);
-  for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
-  scatter_sum_ -= nk * nk * model_->ScatterVariance(k);
+  return cross;
 }
 
 void GpRangeAccumulator::ExtendRight() {

@@ -48,6 +48,20 @@ class GpSubsetModel {
                 std::vector<double> scatter_variance = {},
                 double variance_inflation = 1.0);
 
+  /// The same model from a posterior the caller already holds:
+  /// `predictions` and `whitened` must be what
+  /// `gp.PredictBatch(avg_similarity, &whitened)` returned. A caller that
+  /// needs the per-subset predictions itself (SAMP derives the scatter
+  /// variances from them) hands its pass over instead of paying for a
+  /// second one; the model is bit-identical to the constructor above.
+  GpSubsetModel(gp::GpRegression gp, std::vector<double> avg_similarity,
+                std::vector<double> subset_sizes,
+                const std::vector<gp::Prediction>& predictions,
+                std::vector<linalg::Vector> whitened,
+                std::vector<SubsetObservation> observations,
+                std::vector<double> scatter_variance,
+                double variance_inflation);
+
   size_t num_subsets() const { return v_.size(); }
 
   /// Best estimate of subset k's match proportion: the exact observation
@@ -81,6 +95,16 @@ class GpSubsetModel {
   /// Prior kernel value between subsets a and b.
   double PriorK(size_t a, size_t b) const;
 
+  /// Prior cross-sums of non-exact subset k against the non-exact subsets
+  /// below and above it, each accumulated in ascending j from 0.0:
+  ///   LeftCross(k)  = sum_{j<k, non-exact} n_j K(v_k, v_j)
+  ///   RightCross(k) = sum_{j>k, non-exact} n_j K(v_k, v_j)
+  /// These are the cross terms a range accumulator needs when k enters or
+  /// leaves a range anchored at subset 0 or at subset m-1; both are 0 for
+  /// exact subsets.
+  double LeftCross(size_t k) const { return left_cross_[k]; }
+  double RightCross(size_t k) const { return right_cross_[k]; }
+
   double SubsetSize(size_t k) const { return n_[k]; }
   double AvgSimilarity(size_t k) const { return v_[k]; }
 
@@ -90,6 +114,10 @@ class GpSubsetModel {
   const gp::GpRegression& gp() const { return gp_; }
 
  private:
+  /// Fills the means, population prefix and cross-sums from the posterior
+  /// predictions (w_ already set).
+  void InitFromPosterior(const std::vector<gp::Prediction>& predictions);
+
   gp::GpRegression gp_;
   std::vector<double> v_;
   std::vector<double> n_;
@@ -99,6 +127,8 @@ class GpSubsetModel {
   std::vector<double> scatter_;
   double variance_inflation_ = 1.0;
   std::vector<double> pop_prefix_;  // pop_prefix_[k] = sum n_[0..k-1]
+  std::vector<double> left_cross_;
+  std::vector<double> right_cross_;
 };
 
 /// Incrementally maintained estimate of the total match count over a
@@ -108,15 +138,22 @@ class GpSubsetModel {
 ///           n_k^2 scatter_var
 /// with cov from the GP posterior, decomposed as
 ///   cov(k,l) = K(v_k,v_l) - w_k.w_l
-/// so extending or shrinking the range by one subset costs
-/// O(range + dim(w)), keeping the optimizer's monotone bound sweeps at
-/// O(m^2) total. Exact subsets contribute their known counts and no
+/// Extending or shrinking the range by one subset costs O(dim(w)) plus the
+/// prior cross terms of that subset against the rest of the range. When the
+/// rest is anchored at subset 0 or at subset m-1 those are the model's
+/// precomputed LeftCross/RightCross (no kernel evaluation); otherwise they
+/// are O(range) kernel evaluations. The optimizers' sweeps move anchored
+/// edges, so a sweep over m subsets costs O(m dim(w)) after the model's
+/// one-off O(m^2) cross-sum pass; ranges anchored at neither end (SAMP's
+/// DH when its lower bound is above 0, SetRange(a, b) with a > 0) keep the
+/// O(range) step. Exact subsets contribute their known counts and no
 /// variance.
 class GpRangeAccumulator {
  public:
   explicit GpRangeAccumulator(const GpSubsetModel* model);
 
-  /// Rebuilds the accumulator for range [a, b] (inclusive); O(len^2).
+  /// Rebuilds the accumulator for range [a, b] (inclusive): O(len) steps,
+  /// each kernel-free when a == 0 and O(len) kernel evaluations otherwise.
   void SetRange(size_t a, size_t b);
   /// Makes the range empty.
   void Clear();
@@ -146,6 +183,9 @@ class GpRangeAccumulator {
  private:
   void AddSubset(size_t k);
   void RemoveSubset(size_t k);
+  /// sum_j n_j K(v_k, v_j) over the non-exact members of [a_, b_] other
+  /// than k, in ascending j.
+  double CrossSum(size_t k) const;
 
   const GpSubsetModel* model_;
   size_t a_ = 0, b_ = 0;

@@ -79,8 +79,7 @@ double LooVarianceInflation(const gp::GpRegression& gp,
 /// cancel the smooth latent trend, and the median over triples resists the
 /// transition band's genuine curvature. For a pure second difference of
 /// i.i.d. N(0, s^2) scatter, Var(d) = 6 s^2 and median(d^2) ~ 0.455 * 6 s^2.
-double EstimateScatterVariance(const SubsetPartition& partition,
-                               const std::vector<stats::Stratum>& strata,
+double EstimateScatterVariance(const std::vector<stats::Stratum>& strata,
                                const std::vector<size_t>& train) {
   if (train.size() < 4) return 0.0;
   std::vector<double> d2;
@@ -88,7 +87,6 @@ double EstimateScatterVariance(const SubsetPartition& partition,
     const double y0 = strata[train[t - 1]].proportion();
     const double y1 = strata[train[t]].proportion();
     const double y2 = strata[train[t + 1]].proportion();
-    (void)partition;
     const double d = y2 - 2.0 * y1 + y0;
     d2.push_back(d * d);
   }
@@ -456,7 +454,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   }
 
   // ---- Build the subset-level model. ----
-  const double scatter = EstimateScatterVariance(partition, strata, train);
+  const double scatter = EstimateScatterVariance(strata, train);
   if (scatter > 1e-6) {
     // Refit with the scatter as observation noise so the latent curve does
     // not chase per-subset irregularity (the scatter re-enters the bound
@@ -474,31 +472,26 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
       obs[k].proportion = strata[k].proportion();
     }
   }
+  // One posterior pass over every subset serves both the latent rates
+  // below and the model (PredictBatch entries do not depend on the batch).
+  std::vector<linalg::Vector> whitened;
+  const std::vector<gp::Prediction> preds = gp.PredictBatch(vs, &whitened);
   // Per-subset scatter: workload irregularity plus the binomial variance of
   // the subset's realized count around the latent rate (smoothed so rate ~0
-  // still carries width). Latent rates for all non-exact subsets come from
-  // one batched prediction.
+  // still carries width).
   std::vector<double> scatter_vec(m, 0.0);
-  std::vector<size_t> inexact;
-  std::vector<double> inexact_sims;
   for (size_t k = 0; k < m; ++k) {
     if (obs[k].exact) continue;
-    inexact.push_back(k);
-    inexact_sims.push_back(vs[k]);
-  }
-  const std::vector<gp::Prediction> rate_preds = gp.PredictBatch(inexact_sims);
-  for (size_t t = 0; t < inexact.size(); ++t) {
-    const size_t k = inexact[t];
     const double nk = ns[k];
-    const double raw = std::clamp(rate_preds[t].mean, 0.0, 1.0);
+    const double raw = std::clamp(preds[k].mean, 0.0, 1.0);
     const double p = std::max(raw, 0.5 / nk);
     scatter_vec[k] = scatter + p * (1.0 - p) / nk;
   }
   const double inflation = LooVarianceInflation(gp, partition, strata, train,
                                                 options_, scatter);
   auto model = std::make_shared<GpSubsetModel>(
-      std::move(gp), std::move(vs), std::move(ns), std::move(obs),
-      std::move(scatter_vec), inflation);
+      std::move(gp), std::move(vs), std::move(ns), preds, std::move(whitened),
+      std::move(obs), std::move(scatter_vec), inflation);
 
   // ---- Phase 2: bound search with GP confidence intervals. ----
   const double conf = std::sqrt(req.theta);

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "stats/distributions.h"
 
 namespace humo::core {
 namespace {
@@ -218,6 +226,314 @@ TEST(GpRangeAccumulatorTest, IncrementalOpsHandleExactSubsets) {
   direct.SetRange(2, 7);
   EXPECT_NEAR(inc.TotalMean(), direct.TotalMean(), 1e-9);
   EXPECT_NEAR(inc.TotalStdDev(), direct.TotalStdDev(), 1e-9);
+}
+
+/// The range accumulator as it was before the model held precomputed
+/// cross-sums: every edge step sums the prior cross terms over the rest of
+/// the range. The production accumulator must reproduce it bit for bit.
+class ReferenceAccumulator {
+ public:
+  explicit ReferenceAccumulator(const GpSubsetModel* model)
+      : model_(model),
+        w_sum_(model->num_subsets() > 0 ? model->W(0).size() : 0, 0.0) {}
+
+  void Clear() {
+    empty_ = true;
+    a_ = b_ = 0;
+    mean_sum_ = prior_q_ = scatter_sum_ = pop_sum_ = 0.0;
+    std::fill(w_sum_.begin(), w_sum_.end(), 0.0);
+  }
+  void SetRange(size_t a, size_t b) {
+    Clear();
+    if (a > b || b >= model_->num_subsets()) return;
+    empty_ = false;
+    a_ = b_ = a;
+    Update(a, +1.0);
+    while (b_ < b) ExtendRight();
+  }
+  void ExtendRight() {
+    if (empty_) return SetRange(0, 0);
+    ++b_;
+    Update(b_, +1.0);
+  }
+  void ExtendLeft() {
+    const size_t last = model_->num_subsets() - 1;
+    if (empty_) return SetRange(last, last);
+    --a_;
+    Update(a_, +1.0);
+  }
+  void ShrinkLeft() {
+    if (a_ == b_) return Clear();
+    Update(a_, -1.0);
+    ++a_;
+  }
+  void ShrinkRight() {
+    if (a_ == b_) return Clear();
+    Update(b_, -1.0);
+    --b_;
+  }
+
+  bool IsEmpty() const { return empty_; }
+  size_t a() const { return a_; }
+  size_t b() const { return b_; }
+  double TotalMean() const {
+    return empty_ ? 0.0 : std::clamp(mean_sum_, 0.0, pop_sum_);
+  }
+  double TotalStdDev() const {
+    if (empty_) return 0.0;
+    double dot = 0.0;
+    for (double x : w_sum_) dot += x * x;
+    const double var =
+        model_->variance_inflation() * std::max(0.0, prior_q_ - dot) +
+        scatter_sum_;
+    return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+  double LowerBound(double confidence) const {
+    if (empty_) return 0.0;
+    const double z = stats::NormalTwoSidedCritical(confidence);
+    return std::max(0.0, TotalMean() - z * TotalStdDev());
+  }
+  double UpperBound(double confidence) const {
+    if (empty_) return 0.0;
+    const double z = stats::NormalTwoSidedCritical(confidence);
+    return std::min(pop_sum_, TotalMean() + z * TotalStdDev());
+  }
+
+ private:
+  // Adds (sign +1) or removes (sign -1) edge subset k; [a_, b_] includes k.
+  void Update(size_t k, double sign) {
+    const double nk = model_->SubsetSize(k);
+    const double dmean = nk * model_->PosteriorMean(k);
+    if (sign > 0) {
+      mean_sum_ += dmean;
+      pop_sum_ += nk;
+    } else {
+      mean_sum_ -= dmean;
+      pop_sum_ -= nk;
+    }
+    if (model_->IsExact(k)) return;
+    double cross = 0.0;
+    for (size_t j = a_; j <= b_; ++j) {
+      if (j == k || model_->IsExact(j)) continue;
+      cross += model_->SubsetSize(j) * model_->PriorK(k, j);
+    }
+    const double dq = 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
+    const double dscatter = nk * nk * model_->ScatterVariance(k);
+    const auto& wk = model_->W(k);
+    if (sign > 0) {
+      prior_q_ += dq;
+      for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
+      scatter_sum_ += dscatter;
+    } else {
+      prior_q_ -= dq;
+      for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
+      scatter_sum_ -= dscatter;
+    }
+  }
+
+  const GpSubsetModel* model_;
+  size_t a_ = 0, b_ = 0;
+  bool empty_ = true;
+  double mean_sum_ = 0.0, prior_q_ = 0.0, scatter_sum_ = 0.0, pop_sum_ = 0.0;
+  linalg::Vector w_sum_;
+};
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Fits one GP on a fixed noisy ramp, independent of the subset count.
+gp::GpRegression FitRampGp() {
+  const std::vector<double> x = {0.05, 0.2, 0.35, 0.5, 0.62, 0.8, 0.95};
+  const std::vector<double> y = {0.02, 0.06, 0.21, 0.48, 0.7, 0.91, 0.97};
+  gp::GpOptions o;
+  o.noise_variance = 1e-4;
+  auto gp = gp::GpRegression::Fit(
+      std::make_unique<gp::Matern52Kernel>(0.3, 0.25), x, y, o);
+  EXPECT_TRUE(gp.ok());
+  return std::move(*gp);
+}
+
+struct SubsetLayout {
+  std::vector<double> v, n, scatter;
+  std::vector<SubsetObservation> obs;
+};
+
+/// m subsets with irregular sizes and similarities; `exact` lists the
+/// fully-enumerated ones.
+SubsetLayout MakeLayout(size_t m, const std::vector<size_t>& exact) {
+  SubsetLayout l;
+  l.obs.resize(m);
+  for (size_t k = 0; k < m; ++k) {
+    const double t = (static_cast<double>(k) + 0.37) / static_cast<double>(m);
+    l.v.push_back(t * t * (3.0 - 2.0 * t));
+    l.n.push_back(static_cast<double>(17 + (k * 29) % 83));
+    l.scatter.push_back(0.003 + 0.0007 * static_cast<double>(k % 5));
+  }
+  for (size_t k : exact) {
+    l.obs[k].exact = true;
+    l.obs[k].proportion = 0.25 + 0.01 * static_cast<double>(k);
+    l.scatter[k] = 0.0;
+  }
+  return l;
+}
+
+GpSubsetModel MakeLayoutModel(const SubsetLayout& l) {
+  return GpSubsetModel(FitRampGp(), l.v, l.n, l.obs, l.scatter, 1.7);
+}
+
+/// Applies each operation to both accumulators and checks every output bit
+/// for bit after it.
+class LockstepChecker {
+ public:
+  explicit LockstepChecker(const GpSubsetModel* model)
+      : acc_(model), ref_(model) {}
+
+  void SetRange(size_t a, size_t b) {
+    Step("SetRange(" + std::to_string(a) + ", " + std::to_string(b) + ")",
+         [=](auto& x) { x.SetRange(a, b); });
+  }
+  void Clear() { Step("Clear", [](auto& x) { x.Clear(); }); }
+  void ExtendRight() {
+    Step(Where("ExtendRight"), [](auto& x) { x.ExtendRight(); });
+  }
+  void ExtendLeft() {
+    Step(Where("ExtendLeft"), [](auto& x) { x.ExtendLeft(); });
+  }
+  void ShrinkLeft() {
+    Step(Where("ShrinkLeft"), [](auto& x) { x.ShrinkLeft(); });
+  }
+  void ShrinkRight() {
+    Step(Where("ShrinkRight"), [](auto& x) { x.ShrinkRight(); });
+  }
+  bool IsEmpty() const { return acc_.IsEmpty(); }
+  size_t a() const { return acc_.a(); }
+  size_t b() const { return acc_.b(); }
+
+ private:
+  template <typename Op>
+  void Step(const std::string& what, Op op) {
+    op(acc_);
+    op(ref_);
+    ASSERT_EQ(acc_.IsEmpty(), ref_.IsEmpty()) << what;
+    if (!acc_.IsEmpty()) {
+      ASSERT_EQ(acc_.a(), ref_.a()) << what;
+      ASSERT_EQ(acc_.b(), ref_.b()) << what;
+    }
+    EXPECT_EQ(Bits(acc_.TotalMean()), Bits(ref_.TotalMean())) << what;
+    EXPECT_EQ(Bits(acc_.TotalStdDev()), Bits(ref_.TotalStdDev())) << what;
+    for (double conf : {0.9, 0.974679}) {
+      EXPECT_EQ(Bits(acc_.LowerBound(conf)), Bits(ref_.LowerBound(conf)))
+          << what << " conf " << conf;
+      EXPECT_EQ(Bits(acc_.UpperBound(conf)), Bits(ref_.UpperBound(conf)))
+          << what << " conf " << conf;
+    }
+  }
+
+  std::string Where(const char* op) const {
+    if (acc_.IsEmpty()) return std::string(op) + " from empty";
+    return std::string(op) + " from [" + std::to_string(acc_.a()) + ", " +
+           std::to_string(acc_.b()) + "]";
+  }
+
+  GpRangeAccumulator acc_;
+  ReferenceAccumulator ref_;
+};
+
+/// Exact-subset placements: none, both ends, the middle, and all three.
+std::vector<std::vector<size_t>> ExactPlacements(size_t m) {
+  std::vector<std::vector<size_t>> out = {{}, {0, m - 1}};
+  if (m > 2) {
+    out.push_back({m / 3, m / 3 + 1, m / 2});
+    out.push_back({0, 1, m / 2, m - 2, m - 1});
+  }
+  return out;
+}
+
+TEST(GpRangeAccumulatorTest, AnchoredSweepsMatchReferenceBitForBit) {
+  for (size_t m : {size_t{1}, size_t{2}, size_t{37}}) {
+    for (const auto& exact : ExactPlacements(m)) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " exact=" +
+                   std::to_string(exact.size()));
+      const SubsetLayout layout = MakeLayout(m, exact);
+      const GpSubsetModel model = MakeLayoutModel(layout);
+      LockstepChecker c(&model);
+      for (size_t b = 0; b < m; ++b) c.SetRange(0, b);
+      // ShrinkLeft from [0, m-1] (keep, D+) down to empty.
+      c.SetRange(0, m - 1);
+      while (!c.IsEmpty()) c.ShrinkLeft();
+      // ExtendRight from empty (lost) up to [0, m-1].
+      for (size_t k = 0; k < m; ++k) c.ExtendRight();
+      // ShrinkRight on [0, k] (lost, D-) down to empty.
+      while (!c.IsEmpty()) c.ShrinkRight();
+      // ExtendLeft from empty into [k, m-1] (D+), then back out.
+      for (size_t k = 0; k < m; ++k) c.ExtendLeft();
+      while (!c.IsEmpty()) c.ShrinkLeft();
+      // SAMP's recall sweep with its one revert step.
+      c.SetRange(0, m - 1);
+      if (m > 1) {
+        c.ShrinkLeft();
+        c.ExtendLeft();
+      }
+    }
+  }
+}
+
+TEST(GpRangeAccumulatorTest, UnanchoredRangesMatchReferenceBitForBit) {
+  const size_t m = 37;
+  for (const auto& exact : ExactPlacements(m)) {
+    SCOPED_TRACE("exact=" + std::to_string(exact.size()));
+    const SubsetLayout layout = MakeLayout(m, exact);
+    const GpSubsetModel model = MakeLayoutModel(layout);
+    LockstepChecker c(&model);
+    c.SetRange(5, 30);
+    c.ShrinkRight();
+    c.ShrinkLeft();
+    c.ExtendLeft();
+    c.ExtendRight();
+    // Grow to touch one end, then step off it again.
+    while (c.b() + 1 < m) c.ExtendRight();
+    c.ShrinkLeft();
+    c.ShrinkRight();
+    while (c.a() > 0) c.ExtendLeft();
+    c.ShrinkRight();
+    c.ShrinkLeft();
+    c.SetRange(12, 12);
+    c.ExtendLeft();
+    c.ExtendRight();
+    // SAMP's precision sweep on DH = [i, m-1] with i > 0.
+    c.SetRange(9, m - 1);
+    while (c.b() > 9) c.ShrinkRight();
+    c.ExtendRight();
+    c.Clear();
+    c.ExtendLeft();
+  }
+}
+
+TEST(GpSubsetModelTest, PrecomputedPosteriorMatchesSelfComputingBitForBit) {
+  const size_t m = 37;
+  for (const auto& exact : ExactPlacements(m)) {
+    const SubsetLayout l = MakeLayout(m, exact);
+    const GpSubsetModel self = MakeLayoutModel(l);
+    gp::GpRegression gp = FitRampGp();
+    std::vector<linalg::Vector> whitened;
+    const std::vector<gp::Prediction> preds = gp.PredictBatch(l.v, &whitened);
+    const GpSubsetModel handed(std::move(gp), l.v, l.n, preds,
+                               std::move(whitened), l.obs, l.scatter, 1.7);
+    ASSERT_EQ(handed.num_subsets(), m);
+    for (size_t k = 0; k < m; ++k) {
+      EXPECT_EQ(Bits(handed.PosteriorMean(k)), Bits(self.PosteriorMean(k)));
+      EXPECT_EQ(Bits(handed.PosteriorVariance(k)),
+                Bits(self.PosteriorVariance(k)));
+      EXPECT_EQ(Bits(handed.LeftCross(k)), Bits(self.LeftCross(k)));
+      EXPECT_EQ(Bits(handed.RightCross(k)), Bits(self.RightCross(k)));
+      ASSERT_EQ(handed.W(k).size(), self.W(k).size());
+      for (size_t i = 0; i < self.W(k).size(); ++i)
+        EXPECT_EQ(Bits(handed.W(k)[i]), Bits(self.W(k)[i])) << k << "," << i;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 namespace humo::gp {
 namespace {
@@ -81,6 +84,45 @@ TEST(KernelTest, GramSymmetricIsSymmetric) {
   const auto g = k.GramSymmetric(xs);
   for (size_t i = 0; i < 3; ++i)
     for (size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(g(i, j), g(j, i));
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// The subset model's precomputed prior cross-sums reuse K(v_k, v_j) as
+// K(v_j, v_k) and read rows from FillRow where the range accumulator calls
+// operator(); both substitutions are exact only if these hold bit for bit.
+TEST(KernelTest, SymmetricAndFillRowMatchOperatorBitForBit) {
+  std::vector<double> xs;
+  for (size_t i = 0; i < 61; ++i) {
+    // Irregular, inexactly representable points in [0, 1], with repeats
+    // (distance 0) and both ends included.
+    xs.push_back(std::fmod(0.1 + 0.6180339887498949 * static_cast<double>(i),
+                           1.0));
+  }
+  xs.push_back(0.0);
+  xs.push_back(1.0);
+  xs.push_back(xs[7]);
+  const RbfKernel rbf(0.8, 0.137);
+  const Matern32Kernel m32(1.3, 0.29);
+  const Matern52Kernel m52(0.45, 0.071);
+  const Kernel* kernels[] = {&rbf, &m32, &m52};
+  std::vector<double> row(xs.size());
+  for (const Kernel* k : kernels) {
+    for (size_t a = 0; a < xs.size(); ++a) {
+      k->FillRow(xs[a], xs.data(), xs.size(), row.data());
+      for (size_t b = 0; b < xs.size(); ++b) {
+        const double kab = (*k)(xs[a], xs[b]);
+        EXPECT_EQ(Bits(kab), Bits((*k)(xs[b], xs[a])))
+            << k->ToString() << " a=" << a << " b=" << b;
+        EXPECT_EQ(Bits(row[b]), Bits(kab))
+            << k->ToString() << " a=" << a << " b=" << b;
+      }
+    }
+  }
 }
 
 TEST(KernelTest, ToStringMentionsParameters) {

@@ -46,6 +46,10 @@ The per-bench contract (keyed by the JSON's "bench" field):
 A field the bench wrote as null (a non-finite double) counts as missing and
 fails the gate.
 
+Rows are comparable only at the same pool size: when the candidate's
+top-level "threads" differs from the baseline's (including one of them
+lacking it), the gate fails before comparing any row.
+
 --selftest proves the gate can actually fail: it fabricates a baseline,
 injects a 25% regression into a copy, and asserts the comparison rejects it
 (and accepts the unmodified copy).
@@ -130,6 +134,11 @@ def compare(baseline, candidate):
     contract = CONTRACTS.get(bench)
     if contract is None:
         return ["no contract registered for bench %r" % bench]
+    if baseline.get("threads") != candidate.get("threads"):
+        return [
+            "%s: threads mismatch: baseline ran at %r, candidate at %r"
+            % (bench, baseline.get("threads"), candidate.get("threads"))
+        ]
 
     base_rows = {
         row_key(r, contract["key"]): r for r in baseline.get("results", [])
@@ -181,6 +190,7 @@ def compare(baseline, candidate):
 def selftest():
     baseline = {
         "bench": "micro_gp_refit",
+        "threads": 1,
         "results": [
             {"n": 64, "refit_speedup": 120.0, "predict_speedup": 2.0},
             {"n": 128, "refit_speedup": 250.0, "predict_speedup": 2.6},
@@ -200,6 +210,17 @@ def selftest():
     nulled["results"][1]["predict_speedup"] = None  # a non-finite double
     assert compare(baseline, nulled), (
         "selftest: a null contract field must be rejected"
+    )
+
+    other_pool = copy.deepcopy(baseline)
+    other_pool["threads"] = 4
+    assert compare(baseline, other_pool), (
+        "selftest: a candidate run at another thread count must be rejected"
+    )
+    no_pool = copy.deepcopy(baseline)
+    del no_pool["threads"]
+    assert compare(baseline, no_pool), (
+        "selftest: a candidate without a thread count must be rejected"
     )
 
     within = copy.deepcopy(baseline)
