@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -77,13 +79,20 @@ std::vector<MinHashFn> MakeHashFamily(const MinHashLshOptions& options) {
 
 /// Smallest and second-smallest hash of a record's id set under every
 /// function of the family, written to min1/min2 (each H long). The second
-/// minimum feeds multi-probe; single-token records have min2 == min1.
+/// minimum feeds multi-probe; single-token records have min2 == min1. With
+/// `min2 == nullptr` only the minima are computed (probe-0 keys never read
+/// min2); they equal the two-output minima bit for bit.
 void ComputeSignature(const uint32_t* ids, size_t n,
                       const std::vector<MinHashFn>& fns, uint64_t* min1,
                       uint64_t* min2) {
   const size_t H = fns.size();
   for (size_t h = 0; h < H; ++h) {
     uint64_t m1 = UINT64_MAX, m2 = UINT64_MAX;
+    if (min2 == nullptr) {
+      for (size_t i = 0; i < n; ++i) m1 = std::min(m1, fns[h](ids[i]));
+      min1[h] = m1;
+      continue;
+    }
     for (size_t i = 0; i < n; ++i) {
       const uint64_t v = fns[h](ids[i]);
       if (v < m1) {
@@ -100,9 +109,9 @@ void ComputeSignature(const uint32_t* ids, size_t n,
 }
 
 /// Key of band `b` for probe `p`: rows are min1 values except that probe
-/// p >= 1 substitutes min2 in row p-1. Band index is folded in so equal row
-/// values in different bands do not alias (maps are per band anyway; this
-/// is belt and braces).
+/// p >= 1 substitutes min2 in row p-1 (probe 0 never reads min2). The band
+/// index is folded in so equal row values in different bands do not alias;
+/// the index lookup compares the band anyway.
 uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
                  size_t rows, size_t probe) {
   uint64_t key = Mix64(0x9E3779B97F4A7C15ULL + band);
@@ -115,23 +124,102 @@ uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
   return key;
 }
 
-/// Per-band hash buckets over the RIGHT table (canonical probe-0 keys
-/// only; multi-probe happens on the query side). Postings are in record
-/// order — deterministic regardless of map iteration.
+/// Flat LSH buckets over the RIGHT table (canonical probe-0 keys only;
+/// multi-probe happens on the query side).
+///
+/// `postings` lists every non-empty right record once per band, sorted by
+/// (band, key, record): band b owns the segment [b * live, (b + 1) * live),
+/// and each bucket is one contiguous run of it in record order. `slots` is
+/// a power-of-two open-addressed table (linear probing, load <= 1/2) from a
+/// bucket's key to its [begin, end) run; `end == 0` marks an empty slot.
+/// AppendBucket matches a slot only when the key is equal AND the run lies
+/// in the band's segment, so the candidate set equals per-band hash maps'
+/// exactly, not merely up to a cross-band 64-bit key collision.
+///
+/// Offsets are uint32, so an index holds at most UINT32_MAX postings
+/// (non-empty right records x bands); BuildLshIndex aborts beyond that in
+/// every build type rather than wrap.
 struct LshIndex {
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
   std::vector<MinHashFn> fns;
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> buckets;
+  std::vector<uint32_t> postings;
+  std::vector<Slot> slots;
+  size_t live = 0;  // non-empty right records = postings per band
   size_t bands = 0;
   size_t rows = 0;
   size_t probes = 0;
+
+  /// Appends the postings of bucket (band, key), if any, to `out`.
+  void AppendBucket(size_t band, uint64_t key,
+                    std::vector<uint32_t>* out) const {
+    const size_t lo = band * live;
+    const size_t hi = lo + live;
+    const size_t mask = slots.size() - 1;
+    for (size_t pos = key & mask;; pos = (pos + 1) & mask) {
+      const Slot& s = slots[pos];
+      if (s.end == 0) return;
+      if (s.key == key && s.begin >= lo && s.begin < hi) {
+        out->insert(out->end(), postings.data() + s.begin,
+                    postings.data() + s.end);
+        return;
+      }
+    }
+  }
 };
 
 /// Records per signature/probe task.
 constexpr size_t kLshGrain = 512;
 
+/// One right record's probe-0 key in one band.
+struct Entry {
+  uint64_t key;
+  uint32_t record;
+};
+
+/// 11-bit digits: 2048 counters per pass stay L1-resident; a 64-bit key
+/// takes six passes, an even count, so the result lands back in place.
+constexpr int kKeyDigitBits = 11;
+constexpr size_t kKeyDigits = size_t{1} << kKeyDigitBits;
+constexpr int kKeyPasses = (64 + kKeyDigitBits - 1) / kKeyDigitBits;
+static_assert(kKeyPasses % 2 == 0, "SortByKey ends in its input buffer");
+
+/// Stable LSD radix sort of `a[0, n)` by key, through `scratch` (n long).
+/// Entries in record order come out in (key, record) order.
+void SortByKey(Entry* a, Entry* scratch, size_t n) {
+  std::vector<uint32_t> counts(kKeyPasses * kKeyDigits, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (int p = 0; p < kKeyPasses; ++p) {
+      ++counts[p * kKeyDigits +
+               ((a[i].key >> (p * kKeyDigitBits)) & (kKeyDigits - 1))];
+    }
+  }
+  Entry* src = a;
+  Entry* dst = scratch;
+  for (int p = 0; p < kKeyPasses; ++p) {
+    uint32_t* offsets = counts.data() + p * kKeyDigits;
+    uint32_t running = 0;
+    for (size_t d = 0; d < kKeyDigits; ++d) {
+      const uint32_t c = offsets[d];
+      offsets[d] = running;
+      running += c;
+    }
+    const int shift = p * kKeyDigitBits;
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(src[i].key >> shift) & (kKeyDigits - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+}
+
+/// Requires bands > 0 and rows > 0 (MinHashLshCandidates returns early
+/// otherwise).
 LshIndex BuildLshIndex(const RecordColumns& right_cols,
                        const MinHashLshOptions& options) {
-  assert(options.bands > 0 && options.rows > 0);
   LshIndex index;
   index.bands = options.bands;
   index.rows = options.rows;
@@ -139,27 +227,68 @@ LshIndex BuildLshIndex(const RecordColumns& right_cols,
                                               1 + options.rows));
   index.fns = MakeHashFamily(options);
   const size_t H = index.fns.size();
-  const size_t n = right_cols.num_records();
+  const size_t bands = index.bands;
 
-  // Signatures in parallel (index-addressed), bucket inserts serial in
-  // record order.
-  std::vector<uint64_t> min1(n * H), min2(n * H);
+  std::vector<uint32_t> live;  // empty sets match nothing: no postings
+  for (size_t r = 0; r < right_cols.num_records(); ++r) {
+    if (right_cols.num_ids(r) > 0) live.push_back(static_cast<uint32_t>(r));
+  }
+  const size_t m = live.size();
+  if (m > UINT32_MAX / bands) {
+    std::fprintf(stderr,
+                 "MinHashLshBlock: %zu non-empty right records x %zu bands "
+                 "exceeds the index's UINT32_MAX postings\n",
+                 m, bands);
+    std::abort();
+  }
+  index.live = m;
+
+  // Probe-0 band keys in parallel, written band-major to index-addressed
+  // entries, so band b's segment starts in record order; sorting each
+  // segment by key then makes every bucket one record-ordered run.
+  std::vector<Entry> entries(m * bands);
   ThreadPool::Global()->ParallelFor(
-      n, kLshGrain, [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
+      m, kLshGrain, [&](size_t begin, size_t end) {
+        std::vector<uint64_t> min1(H);
+        for (size_t i = begin; i < end; ++i) {
+          const uint32_t r = live[i];
           ComputeSignature(right_cols.ids(r), right_cols.num_ids(r),
-                           index.fns, min1.data() + r * H,
-                           min2.data() + r * H);
+                           index.fns, min1.data(), /*min2=*/nullptr);
+          for (size_t b = 0; b < bands; ++b) {
+            entries[b * m + i] = {BandKey(min1.data(), /*min2=*/nullptr, b,
+                                          index.rows, /*probe=*/0),
+                                  r};
+          }
         }
       });
-  index.buckets.resize(index.bands);
-  for (size_t r = 0; r < n; ++r) {
-    if (right_cols.num_ids(r) == 0) continue;  // empty set matches nothing
-    for (size_t b = 0; b < index.bands; ++b) {
-      const uint64_t key = BandKey(min1.data() + r * H, min2.data() + r * H,
-                                   b, index.rows, /*probe=*/0);
-      index.buckets[b][key].push_back(static_cast<uint32_t>(r));
-    }
+  std::vector<Entry> scratch(m);
+  for (size_t b = 0; b < bands; ++b) {
+    SortByKey(entries.data() + b * m, scratch.data(), m);
+  }
+
+  // A run (one bucket) ends at a key change or a band boundary. Count the
+  // runs to size the table, then copy postings and insert each run's slot.
+  const size_t total = entries.size();
+  const auto run_ends_at = [&](size_t e) {
+    return e + 1 == total || (e + 1) % m == 0 ||
+           entries[e + 1].key != entries[e].key;
+  };
+  size_t runs = 0;
+  for (size_t e = 0; e < total; ++e) runs += run_ends_at(e);
+  size_t capacity = 1;
+  while (capacity < 2 * runs) capacity <<= 1;
+  index.slots.resize(capacity);
+  index.postings.resize(total);
+  const size_t mask = capacity - 1;
+  size_t begin = 0;
+  for (size_t e = 0; e < total; ++e) {
+    index.postings[e] = entries[e].record;
+    if (!run_ends_at(e)) continue;
+    size_t pos = entries[e].key & mask;
+    while (index.slots[pos].end != 0) pos = (pos + 1) & mask;
+    index.slots[pos] = {entries[e].key, static_cast<uint32_t>(begin),
+                        static_cast<uint32_t>(e + 1)};
+    begin = e + 1;
   }
   return index;
 }
@@ -173,17 +302,24 @@ void ProbeRecord(const RecordColumns& left_cols, size_t r,
   const size_t n_ids = left_cols.num_ids(r);
   if (n_ids == 0) return;
   const size_t H = index.fns.size();
-  sig_scratch->resize(2 * H);
+  const size_t P = index.probes;
+  sig_scratch->resize(2 * H + index.bands * P);
   uint64_t* min1 = sig_scratch->data();
-  uint64_t* min2 = sig_scratch->data() + H;
+  uint64_t* min2 = min1 + H;
+  uint64_t* keys = min2 + H;
   ComputeSignature(left_cols.ids(r), n_ids, index.fns, min1, min2);
+  // All keys first, each home slot prefetched, so the table's cache misses
+  // overlap instead of serializing lookup by lookup.
+  const size_t mask = index.slots.size() - 1;
   for (size_t b = 0; b < index.bands; ++b) {
-    for (size_t p = 0; p < index.probes; ++p) {
-      const uint64_t key = BandKey(min1, min2, b, index.rows, p);
-      const auto it = index.buckets[b].find(key);
-      if (it == index.buckets[b].end()) continue;
-      candidates->insert(candidates->end(), it->second.begin(),
-                         it->second.end());
+    for (size_t p = 0; p < P; ++p) {
+      keys[b * P + p] = BandKey(min1, min2, b, index.rows, p);
+      __builtin_prefetch(&index.slots[keys[b * P + p] & mask]);
+    }
+  }
+  for (size_t b = 0; b < index.bands; ++b) {
+    for (size_t p = 0; p < P; ++p) {
+      index.AppendBucket(b, keys[b * P + p], candidates);
     }
   }
   std::sort(candidates->begin(), candidates->end());
@@ -457,6 +593,7 @@ Workload SortedNeighborhoodBlock(const RecordTable& left,
 LshCandidates MinHashLshCandidates(const RecordColumns& left_cols,
                                    const RecordColumns& right_cols,
                                    const MinHashLshOptions& options) {
+  if (options.bands == 0 || options.rows == 0) return {};
   const LshIndex index = BuildLshIndex(right_cols, options);
   const size_t n = left_cols.num_records();
   const size_t num_chunks = n == 0 ? 0 : (n + kLshGrain - 1) / kLshGrain;

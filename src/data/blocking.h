@@ -70,6 +70,9 @@ Workload SortedNeighborhoodBlock(const RecordTable& left,
 /// probability 1 - (1 - s^r)^b; the defaults (16 x 2) put the S-curve's
 /// knee near s ~ 0.25, which keeps recall on real match pairs (s >= ~0.5
 /// after perturbation) above 0.99 while pruning the low-similarity bulk.
+/// `bands == 0` or `rows == 0` yields no candidates in every build type (a
+/// band of zero rows would put every record in one bucket per band, i.e.
+/// the full cross product).
 struct MinHashLshOptions {
   size_t bands = 16;
   size_t rows = 2;
@@ -88,7 +91,13 @@ struct MinHashLshOptions {
 /// Deduplicated candidate (left record index, right record index) pairs
 /// emitted by the LSH probe phase, BEFORE scoring — exposed so recall can
 /// be measured against an exact blocker and so benches can time the
-/// scoring kernels on a realistic candidate stream.
+/// scoring kernels on a realistic candidate stream. Pairs come in left
+/// record order, each left record's right indices ascending. The right
+/// table's buckets live in one flat index (record-ordered postings sorted
+/// by (band, key) plus an open-addressed (band, key) -> range table), so
+/// the set equals per-band hash maps' exactly. The index holds at most
+/// UINT32_MAX postings (non-empty right records x bands); beyond that the
+/// call aborts rather than wrap.
 struct LshCandidates {
   std::vector<uint32_t> left;
   std::vector<uint32_t> right;

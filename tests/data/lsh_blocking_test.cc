@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "data/blocking.h"
 #include "data/record_columns.h"
@@ -189,6 +194,176 @@ TEST(MinHashLshBlockTest, SeedChangesBucketsButDeterministically) {
   // workload (sorted, same scoring) even if the candidate set differs.
   for (size_t i = 1; i < wb.size(); ++i) {
     EXPECT_LE(wb.Similarity(i - 1), wb.Similarity(i));
+  }
+}
+
+TEST(MinHashLshCandidatesTest, ZeroBandsOrRowsYieldNoCandidates) {
+  // Zero rows would give every record one constant key per band (the full
+  // cross product); zero bands gives no buckets. Both are empty in every
+  // build type.
+  RecordTable left({"key", "name"});
+  RecordTable right({"key", "name"});
+  for (uint32_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(left.Add({i, i, {"k", "shared words " + std::to_string(i)}})
+                    .ok());
+    ASSERT_TRUE(right.Add({i, i, {"k", "shared words " + std::to_string(i)}})
+                    .ok());
+  }
+  text::TokenDictionary dict;
+  const RecordColumns lcols = RecordColumns::Build(left, 1, &dict);
+  const RecordColumns rcols = RecordColumns::Build(right, 1, &dict);
+  MinHashLshOptions no_rows;
+  no_rows.rows = 0;
+  MinHashLshOptions no_bands;
+  no_bands.bands = 0;
+  for (const MinHashLshOptions& options : {no_rows, no_bands}) {
+    const LshCandidates c = MinHashLshCandidates(lcols, rcols, options);
+    EXPECT_TRUE(c.left.empty());
+    EXPECT_TRUE(c.right.empty());
+    EXPECT_EQ(MinHashLshBlock(left, right, 1, options, 0.0).size(), 0u);
+  }
+}
+
+/// Reference copy of the per-band hash-map index the flat index replaced:
+/// one unordered_map from band key to record-ordered postings per band,
+/// probed with find. The hash family, signatures and band keys repeat the
+/// library's definitions, so candidates must agree exactly.
+namespace reference {
+
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+struct HashFn {
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t operator()(uint32_t id) const {
+    return Mix64((static_cast<uint64_t>(id) + b) * a);
+  }
+};
+
+void Signature(const uint32_t* ids, size_t n, const std::vector<HashFn>& fns,
+               uint64_t* min1, uint64_t* min2) {
+  for (size_t h = 0; h < fns.size(); ++h) {
+    uint64_t m1 = UINT64_MAX, m2 = UINT64_MAX;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t v = fns[h](ids[i]);
+      if (v < m1) {
+        m2 = m1;
+        m1 = v;
+      } else if (v < m2) {
+        m2 = v;
+      }
+    }
+    min1[h] = m1;
+    min2[h] = m2 == UINT64_MAX ? m1 : m2;
+  }
+}
+
+uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
+                 size_t rows, size_t probe) {
+  uint64_t key = Mix64(0x9E3779B97F4A7C15ULL + band);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t v = (probe >= 1 && r == probe - 1) ? min2[band * rows + r]
+                                                      : min1[band * rows + r];
+    key = Mix64(key ^ v);
+  }
+  return key;
+}
+
+LshCandidates Candidates(const RecordColumns& left, const RecordColumns& right,
+                         const MinHashLshOptions& options) {
+  const size_t bands = options.bands, rows = options.rows;
+  const size_t probes = std::max<size_t>(1, std::min(options.probes, 1 + rows));
+  std::vector<HashFn> fns(bands * rows);
+  for (size_t h = 0; h < fns.size(); ++h) {
+    Rng rng = Rng::Stream(options.seed, static_cast<uint64_t>(h));
+    fns[h].a = rng.NextUint64() | 1;
+    fns[h].b = rng.NextUint64();
+  }
+  std::vector<uint64_t> min1(fns.size()), min2(fns.size());
+  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> buckets(
+      bands);
+  for (size_t r = 0; r < right.num_records(); ++r) {
+    if (right.num_ids(r) == 0) continue;
+    Signature(right.ids(r), right.num_ids(r), fns, min1.data(), min2.data());
+    for (size_t b = 0; b < bands; ++b) {
+      buckets[b][BandKey(min1.data(), min2.data(), b, rows, 0)].push_back(
+          static_cast<uint32_t>(r));
+    }
+  }
+  LshCandidates out;
+  std::vector<uint32_t> cand;
+  for (size_t r = 0; r < left.num_records(); ++r) {
+    if (left.num_ids(r) == 0) continue;
+    Signature(left.ids(r), left.num_ids(r), fns, min1.data(), min2.data());
+    cand.clear();
+    for (size_t b = 0; b < bands; ++b) {
+      for (size_t p = 0; p < probes; ++p) {
+        const auto it =
+            buckets[b].find(BandKey(min1.data(), min2.data(), b, rows, p));
+        if (it == buckets[b].end()) continue;
+        cand.insert(cand.end(), it->second.begin(), it->second.end());
+      }
+    }
+    std::sort(cand.begin(), cand.end());
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+    for (uint32_t j : cand) {
+      out.left.push_back(static_cast<uint32_t>(r));
+      out.right.push_back(j);
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
+/// Appends, to both tables: records with empty values, single-token
+/// records, and an all-identical block (one long posting list per band).
+void AddEdgeRecords(RecordTable* left, RecordTable* right) {
+  const auto add = [](RecordTable* t, uint32_t entity, std::string name) {
+    const uint32_t id = static_cast<uint32_t>(t->size());
+    ASSERT_TRUE(t->Add({id, entity, {"k", std::move(name)}}).ok());
+  };
+  for (RecordTable* t : {left, right}) {
+    for (uint32_t i = 0; i < 3; ++i) add(t, 900000 + i, "");
+    for (const char* word : {"solo", "alpha", "solo", "omega"}) {
+      add(t, 910000, word);
+    }
+    for (uint32_t i = 0; i < 40; ++i) add(t, 920000, "same exact words");
+  }
+}
+
+TEST(MinHashLshCandidatesTest, MatchesPerBandHashMapReference) {
+  ScaleTables tables = PerturbedTables(/*groups=*/12);
+  AddEdgeRecords(&tables.left, &tables.right);
+  text::TokenDictionary dict;
+  const RecordColumns left = RecordColumns::Build(tables.left, 1, &dict);
+  const RecordColumns right = RecordColumns::Build(tables.right, 1, &dict);
+  for (const uint64_t seed : {0x15481D3AULL, 0xDEADBEEFULL}) {
+    for (const size_t bands : {1, 4, 16}) {
+      for (const size_t rows : {1, 2, 3}) {
+        for (const size_t probes : {size_t{1}, size_t{2}, 1 + rows}) {
+          MinHashLshOptions options;
+          options.seed = seed;
+          options.bands = bands;
+          options.rows = rows;
+          options.probes = probes;
+          const LshCandidates want =
+              reference::Candidates(left, right, options);
+          const LshCandidates got = MinHashLshCandidates(left, right, options);
+          ASSERT_FALSE(want.left.empty());
+          EXPECT_EQ(got.left, want.left)
+              << "seed " << seed << " bands " << bands << " rows " << rows
+              << " probes " << probes;
+          EXPECT_EQ(got.right, want.right)
+              << "seed " << seed << " bands " << bands << " rows " << rows
+              << " probes " << probes;
+        }
+      }
+    }
   }
 }
 
