@@ -1,11 +1,13 @@
 #include "data/record_columns.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "text/tokenizer.h"
 
 namespace humo::data {
 namespace {
@@ -24,26 +26,37 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
   cols.offsets_.assign(n + 1, 0);
   if (n == 0) return cols;
 
-  // Phase 1 (parallel, index-addressed): normalize + tokenize + local sort
-  // and dedup of each record's token STRINGS, with per-token counts. The
-  // string work is the expensive part and is embarrassingly parallel.
+  // Phase 1 (parallel, index-addressed): normalize each record's value once
+  // into its slot, then split, sort and dedup string_views into that one
+  // string, with per-token counts. NormalizeForMatching leaves only single
+  // ' ' separators and no leading/trailing one, so splitting on ' ' yields
+  // exactly text::WordTokens' tokens, with no per-token allocation.
   struct RecordTokens {
-    std::vector<std::string> tokens;  // sorted unique
-    std::vector<uint32_t> counts;     // parallel term frequencies
+    std::string text;                      // normalized value
+    std::vector<std::string_view> tokens;  // sorted unique, views of text
+    std::vector<uint32_t> counts;          // parallel term frequencies
   };
   std::vector<RecordTokens> tokenized(n);
   ThreadPool::Global()->ParallelFor(
       n, kTokenizeGrain, [&](size_t begin, size_t end) {
+        std::vector<std::string_view> toks;
         for (size_t r = begin; r < end; ++r) {
-          std::vector<std::string> toks = text::WordTokens(
-              NormalizeForMatching(table[r].attributes[attribute_index]));
-          std::sort(toks.begin(), toks.end());
           RecordTokens& out = tokenized[r];
+          out.text = NormalizeForMatching(table[r].attributes[attribute_index]);
+          const std::string_view text = out.text;
+          toks.clear();
+          for (size_t b = 0; b < text.size();) {
+            size_t e = text.find(' ', b);
+            if (e == std::string_view::npos) e = text.size();
+            toks.push_back(text.substr(b, e - b));
+            b = e + 1;
+          }
+          std::sort(toks.begin(), toks.end());
           for (size_t i = 0; i < toks.size();) {
             size_t j = i + 1;
             while (j < toks.size() && toks[j] == toks[i]) ++j;
             out.counts.push_back(static_cast<uint32_t>(j - i));
-            out.tokens.push_back(std::move(toks[i]));
+            out.tokens.push_back(toks[i]);
             i = j;
           }
         }
@@ -56,6 +69,13 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
   // so id order is NOT token order.
   size_t total = 0;
   for (const RecordTokens& rt : tokenized) total += rt.tokens.size();
+  if (total > UINT32_MAX) {
+    std::fprintf(stderr,
+                 "RecordColumns::Build: %zu token ids exceed the uint32 "
+                 "offset range\n",
+                 total);
+    std::abort();
+  }
   cols.token_ids_.reserve(total);
   cols.term_freq_.reserve(total);
   std::vector<std::pair<uint32_t, uint32_t>> scratch;  // (id, tf)

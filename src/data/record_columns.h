@@ -22,7 +22,10 @@ namespace humo::data {
 /// Building is deterministic: tokenization runs parallel over the thread
 /// pool into index-addressed slots, and interning runs serially in record
 /// order, so ids (and everything derived from them) are bit-identical at
-/// any thread count.
+/// any thread count and independent of the dictionary's hash function.
+/// Tokenizing allocates one normalized string per record and nothing per
+/// token: tokens are string_views into it until the dictionary copies each
+/// distinct one into its arena.
 class RecordColumns {
  public:
   RecordColumns() = default;
@@ -32,7 +35,9 @@ class RecordColumns {
   /// into `dict` (shared across tables so both sides agree on ids), sorts
   /// and dedups each record's ids, and accumulates per-record tf plus the
   /// dictionary's document frequencies. One dictionary document is counted
-  /// per record.
+  /// per record. Offsets are uint32: aborts in every build type, rather
+  /// than wrap, when the table's total ids exceed UINT32_MAX (and, via
+  /// TokenDictionary::Intern, when the dictionary's arena would).
   static RecordColumns Build(const RecordTable& table, size_t attribute_index,
                              text::TokenDictionary* dict);
 
@@ -52,8 +57,8 @@ class RecordColumns {
   /// Per-id TF-IDF weights (empty until AttachTfIdf).
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Fills the weight column from `model` (which must be bound to the same
-  /// dictionary ids — TfIdfModel::FitDictionary or BindDictionary).
+  /// Fills the weight column from `model`, which TfIdfModel::FitDictionary
+  /// fitted on the same dictionary.
   void AttachTfIdf(const text::TfIdfModel& model);
 
   /// Zero-copy kernel view for text::BatchIdSetSimilarity. Weights are

@@ -11,49 +11,34 @@ double TfIdfModel::IdfOfCount(double df) const {
 }
 
 void TfIdfModel::Fit(const std::vector<std::vector<std::string>>& corpus) {
-  doc_freq_.clear();
   idf_.clear();
   idf_by_id_.clear();
   num_documents_ = corpus.size();
+  std::unordered_map<std::string, size_t> doc_freq;
   for (const auto& doc : corpus) {
     std::unordered_set<std::string> seen(doc.begin(), doc.end());
-    for (const auto& t : seen) ++doc_freq_[t];
+    for (const auto& t : seen) ++doc_freq[t];
   }
-  idf_.reserve(doc_freq_.size());
-  for (const auto& [tok, df] : doc_freq_) {
+  idf_.reserve(doc_freq.size());
+  for (const auto& [tok, df] : doc_freq) {
     idf_.emplace(tok, IdfOfCount(static_cast<double>(df)));
   }
 }
 
 void TfIdfModel::FitDictionary(const TokenDictionary& dict) {
-  doc_freq_.clear();
   idf_.clear();
   num_documents_ = dict.num_documents();
-  const auto& df = dict.doc_freq();
-  doc_freq_.reserve(df.size());
-  idf_.reserve(df.size());
-  for (uint32_t id = 0; id < df.size(); ++id) {
-    const std::string& tok = dict.TokenOf(id);
-    doc_freq_.emplace(tok, df[id]);
-    idf_.emplace(tok, IdfOfCount(static_cast<double>(df[id])));
+  const std::vector<uint32_t>& df = dict.doc_freq();
+  idf_by_id_.resize(df.size());
+  for (size_t id = 0; id < df.size(); ++id) {
+    idf_by_id_[id] = IdfOfCount(static_cast<double>(df[id]));
   }
-  BindDictionary(dict);
 }
 
 double TfIdfModel::Idf(const std::string& token) const {
   const auto it = idf_.find(token);
   if (it != idf_.end()) return it->second;
   return IdfOfCount(0.0);
-}
-
-void TfIdfModel::BindDictionary(const TokenDictionary& dict) {
-  idf_by_id_.resize(dict.size());
-  for (uint32_t id = 0; id < dict.size(); ++id) {
-    const auto it = doc_freq_.find(dict.TokenOf(id));
-    const double df =
-        it == doc_freq_.end() ? 0.0 : static_cast<double>(it->second);
-    idf_by_id_[id] = IdfOfCount(df);
-  }
 }
 
 double TfIdfModel::IdfById(uint32_t id) const {

@@ -16,26 +16,32 @@ using SparseVector = std::unordered_map<std::string, double>;
 /// list), then transform documents into L2-normalized sparse vectors whose
 /// dot product is the cosine similarity.
 ///
-/// Two APIs share one model:
-///  * The string API (Transform/Cosine over SparseVector) — convenient, and
-///    kept for callers that do not hold a dictionary.
-///  * The id API (BindDictionary + TransformIds) — the raw-record hot path:
-///    IDF becomes one array lookup per token id and Transform writes
-///    weights into a caller-provided contiguous column, no hashing and no
-///    per-document map allocation.
+/// Two APIs share one class but not one fit:
+///  * The string API (Fit, then Idf/Transform/Cosine over SparseVector) —
+///    convenient, and kept for callers that do not hold a dictionary. It
+///    answers from Fit alone: after FitDictionary, Idf gives every token
+///    the unseen (df = 0) smoothing.
+///  * The id API (FitDictionary, then IdfById/TransformIds) — the raw-record
+///    hot path: IDF becomes one array lookup per token id and Transform
+///    writes weights into a caller-provided contiguous column, no hashing
+///    and no per-document map allocation. It answers from FitDictionary
+///    alone.
+/// On the same corpus the two agree bitwise: IdfById(id) of FitDictionary
+/// equals Idf(token) of Fit, since both evaluate IdfOfCount on the same
+/// integer document frequency.
 class TfIdfModel {
  public:
   /// Builds document frequencies from the corpus and caches every seen
   /// token's IDF value (Idf() is then a single hash lookup, not a log()).
   void Fit(const std::vector<std::vector<std::string>>& corpus);
 
-  /// Fits directly from dictionary statistics: `dict.num_documents()`
+  /// Fits the id API from dictionary statistics: `dict.num_documents()`
   /// documents with `dict.doc_freq()` per-id frequencies (as accumulated by
-  /// TokenDictionary::CountDocument). Equivalent to Fit on the same corpus
-  /// followed by BindDictionary, without touching token strings.
+  /// TokenDictionary::CountDocument). Touches no token string; clears the
+  /// string API's fit.
   void FitDictionary(const TokenDictionary& dict);
 
-  /// Number of documents seen during Fit.
+  /// Number of documents seen during Fit/FitDictionary.
   size_t num_documents() const { return num_documents_; }
 
   /// Smoothed inverse document frequency of `token`:
@@ -43,17 +49,8 @@ class TfIdfModel {
   /// unseen tokens pay one log().
   double Idf(const std::string& token) const;
 
-  /// Binds the id API to `dict`: builds the id-indexed IDF table from the
-  /// model's document frequencies (tokens absent from the fit corpus get
-  /// the df=0 smoothing). Call again after re-Fit or when the dictionary
-  /// grew.
-  void BindDictionary(const TokenDictionary& dict);
-
-  /// True once BindDictionary/FitDictionary populated the id table.
-  bool bound() const { return !idf_by_id_.empty() || num_documents_ == 0; }
-
-  /// IDF by token id (requires a bound dictionary; ids beyond the bound
-  /// table get the unseen-token smoothing).
+  /// IDF by token id from FitDictionary; ids beyond the fitted dictionary
+  /// (and every id after Fit) get the unseen-token smoothing.
   double IdfById(uint32_t id) const;
 
   /// Id-based Transform: the document is `n` sorted unique token ids with
@@ -74,11 +71,10 @@ class TfIdfModel {
  private:
   double IdfOfCount(double df) const;
 
-  std::unordered_map<std::string, size_t> doc_freq_;
   /// IDF cache keyed by token, filled in Fit — Transform's inner loop reads
   /// this instead of recomputing log((1+N)/(1+df)) per occurrence.
   std::unordered_map<std::string, double> idf_;
-  /// IDF by dictionary id, filled in BindDictionary/FitDictionary.
+  /// IDF by dictionary id, filled in FitDictionary.
   std::vector<double> idf_by_id_;
   size_t num_documents_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace humo::text {
@@ -13,11 +12,22 @@ namespace humo::text {
 /// strings: everything downstream (record columns, similarity kernels,
 /// MinHash signatures, TF-IDF weights) operates on the integer ids. Because
 /// ids are assigned by insertion order, a dictionary built by iterating
-/// records in table order is deterministic — independent of hash-map
-/// iteration order, thread count, and platform.
+/// records in table order is deterministic — independent of the hash
+/// function, thread count, and platform.
+///
+/// Layout: every token's bytes live once, back to back, in one arena
+/// (`bytes_`; token `id` is [starts_[id], starts_[id + 1])). A power-of-two
+/// open-addressed table of ids (linear probing, load <= 1/2) finds a token
+/// by its 64-bit hash, cached per id so growing the table never rereads
+/// token bytes. Intern and IdOf take a string_view and allocate nothing
+/// unless the token is new (and then only amortized arena/table growth).
+///
+/// Offsets are uint32, so the arena holds at most UINT32_MAX bytes and the
+/// dictionary fewer than kNoToken ids; Intern aborts beyond either limit in
+/// every build type rather than wrap.
 ///
 /// The dictionary also tracks per-token document frequency (via
-/// CountDocument), the statistic TfIdfModel::BindDictionary turns into an
+/// CountDocument), the statistic TfIdfModel::FitDictionary turns into an
 /// id-indexed IDF table.
 class TokenDictionary {
  public:
@@ -28,10 +38,13 @@ class TokenDictionary {
   static constexpr uint32_t kNoToken = UINT32_MAX;
   uint32_t IdOf(std::string_view token) const;
 
-  /// Token string for an id (ids are dense, so this is an array lookup).
-  const std::string& TokenOf(uint32_t id) const { return tokens_[id]; }
+  /// Token bytes for an id (a view into the arena: valid until the next
+  /// Intern of an unseen token).
+  std::string_view TokenOf(uint32_t id) const {
+    return {bytes_.data() + starts_[id], starts_[id + 1] - starts_[id]};
+  }
 
-  size_t size() const { return tokens_.size(); }
+  size_t size() const { return hashes_.size(); }
 
   /// Bumps the document frequency of every id in [ids, ids + n). Callers
   /// pass each document's DEDUPLICATED ids exactly once, mirroring
@@ -43,8 +56,17 @@ class TokenDictionary {
   const std::vector<uint32_t>& doc_freq() const { return doc_freq_; }
 
  private:
-  std::unordered_map<std::string, uint32_t> id_by_token_;
-  std::vector<std::string> tokens_;
+  /// Slot of `token` (hash `h`) in slots_: the slot holding its id, or the
+  /// empty slot where it would go. slots_ must be non-empty.
+  size_t FindSlot(std::string_view token, uint64_t h) const;
+  /// Doubles slots_ (or allocates it) and reinserts every id by its cached
+  /// hash.
+  void Grow();
+
+  std::string bytes_;                // token bytes, back to back
+  std::vector<uint32_t> starts_{0};  // size() + 1 arena offsets
+  std::vector<uint64_t> hashes_;     // per id
+  std::vector<uint32_t> slots_;      // ids; kNoToken marks an empty slot
   std::vector<uint32_t> doc_freq_;
   size_t num_documents_ = 0;
 };

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "data/scale_generator.h"
 #include "text/token_similarity.h"
+#include "text/tokenizer.h"
 
 namespace humo::data {
 namespace {
@@ -135,10 +142,192 @@ TEST(RecordColumnsTest, BuildDeterministicAcrossThreadCounts) {
   text::TokenDictionary dict4;
   const RecordColumns c4 = RecordColumns::Build(t, 0, &dict4);
   ThreadPool::SetGlobalThreads(0);
-  EXPECT_EQ(dict1.size(), dict4.size());
+  ASSERT_EQ(dict1.size(), dict4.size());
+  for (uint32_t id = 0; id < dict1.size(); ++id) {
+    EXPECT_EQ(dict1.TokenOf(id), dict4.TokenOf(id)) << "id " << id;
+  }
+  EXPECT_EQ(dict1.doc_freq(), dict4.doc_freq());
   EXPECT_EQ(c1.offsets(), c4.offsets());
   EXPECT_EQ(c1.token_ids(), c4.token_ids());
   EXPECT_EQ(c1.term_freq(), c4.term_freq());
+}
+
+/// The string-keyed dictionary and string-vector Build that the arena
+/// dictionary and string_view tokenization replaced, kept serial and
+/// allocation-heavy on purpose as the reference the fast path must match
+/// bit for bit.
+struct ReferenceDictionary {
+  std::unordered_map<std::string, uint32_t> id_by_token;
+  std::vector<std::string> tokens;
+  std::vector<uint32_t> doc_freq;
+  size_t num_documents = 0;
+
+  uint32_t Intern(const std::string& token) {
+    const auto it = id_by_token.find(token);
+    if (it != id_by_token.end()) return it->second;
+    const uint32_t id = static_cast<uint32_t>(tokens.size());
+    tokens.push_back(token);
+    doc_freq.push_back(0);
+    id_by_token.emplace(token, id);
+    return id;
+  }
+};
+
+struct ReferenceColumns {
+  std::vector<uint32_t> offsets{0};
+  std::vector<uint32_t> token_ids;
+  std::vector<uint32_t> term_freq;
+  std::vector<double> weights;
+};
+
+ReferenceColumns ReferenceBuild(const RecordTable& table,
+                                size_t attribute_index,
+                                ReferenceDictionary* dict) {
+  ReferenceColumns cols;
+  for (size_t r = 0; r < table.size(); ++r) {
+    std::vector<std::string> toks = text::WordTokens(
+        NormalizeForMatching(table[r].attributes[attribute_index]));
+    std::sort(toks.begin(), toks.end());
+    std::vector<std::pair<uint32_t, uint32_t>> id_tf;
+    for (size_t i = 0; i < toks.size();) {
+      size_t j = i + 1;
+      while (j < toks.size() && toks[j] == toks[i]) ++j;
+      id_tf.emplace_back(dict->Intern(toks[i]), static_cast<uint32_t>(j - i));
+      i = j;
+    }
+    std::sort(id_tf.begin(), id_tf.end());
+    ++dict->num_documents;
+    for (const auto& [id, tf] : id_tf) {
+      cols.token_ids.push_back(id);
+      cols.term_freq.push_back(tf);
+      ++dict->doc_freq[id];
+    }
+    cols.offsets.push_back(static_cast<uint32_t>(cols.token_ids.size()));
+  }
+  return cols;
+}
+
+/// Reference weights: IDF from the string API's Fit over every record's
+/// token list, then TransformIds' arithmetic in the same order.
+void ReferenceAttachTfIdf(const ReferenceDictionary& dict,
+                          const text::TfIdfModel& string_model,
+                          ReferenceColumns* cols) {
+  cols->weights.resize(cols->token_ids.size());
+  for (size_t r = 0; r + 1 < cols->offsets.size(); ++r) {
+    double norm_sq = 0.0;
+    for (uint32_t k = cols->offsets[r]; k < cols->offsets[r + 1]; ++k) {
+      const double w = static_cast<double>(cols->term_freq[k]) *
+                       string_model.Idf(dict.tokens[cols->token_ids[k]]);
+      cols->weights[k] = w;
+      norm_sq += w * w;
+    }
+    if (norm_sq > 0.0) {
+      const double inv = 1.0 / std::sqrt(norm_sq);
+      for (uint32_t k = cols->offsets[r]; k < cols->offsets[r + 1]; ++k) {
+        cols->weights[k] *= inv;
+      }
+    }
+  }
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Empty values, punctuation-only values, repeated tokens, tokens longer
+/// than one 8-byte hash word, and non-ASCII bytes (which normalize to
+/// separators).
+RecordTable EdgeCaseTable() {
+  const std::vector<std::string> values = {
+      "",
+      "   ",
+      "!!! --- ...",
+      "Foo foo FOO bar foo",
+      "na\xc3\xafve caf\xc3\xa9 \xff\xfe",
+      "a-b-c a.b.c A B C",
+      "tab\tsep\nnewline\r\n end",
+      "internationalization internationalisation x",
+      "0123456789abcdef 0123456789abcdeg 01234567",
+      "bar",
+      "a ab abc abcd abcde abcdef abcdefg abcdefgh abcdefghi",
+  };
+  RecordTable t({"value"});
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    EXPECT_TRUE(t.Add({i, i, {values[i]}}).ok());
+  }
+  return t;
+}
+
+TEST(RecordColumnsTest, MatchesStringMapDictionaryReference) {
+  struct Input {
+    RecordTable left, right;
+    size_t attribute;
+  };
+  std::vector<Input> inputs;
+  for (const uint64_t seed : {777u, 4242u}) {
+    ScaleTablesConfig config;
+    config.groups = 64;
+    config.perturb_names = true;
+    config.seed = seed;
+    ScaleTables tables = GenerateScaleTables(config);
+    for (const size_t attribute : {0u, 1u}) {
+      inputs.push_back({tables.left, tables.right, attribute});
+    }
+  }
+  inputs.push_back({EdgeCaseTable(), SmallTable(), 0});
+
+  for (const Input& in : inputs) {
+    // Both tables share one dictionary, as the record pipeline builds them.
+    ReferenceDictionary ref_dict;
+    ReferenceColumns ref_left = ReferenceBuild(in.left, in.attribute,
+                                               &ref_dict);
+    ReferenceColumns ref_right = ReferenceBuild(in.right, in.attribute,
+                                                &ref_dict);
+    std::vector<std::vector<std::string>> corpus;
+    for (const RecordTable* t : {&in.left, &in.right}) {
+      for (size_t r = 0; r < t->size(); ++r) {
+        corpus.push_back(text::WordTokens(
+            NormalizeForMatching((*t)[r].attributes[in.attribute])));
+      }
+    }
+    text::TfIdfModel string_model;
+    string_model.Fit(corpus);
+    ReferenceAttachTfIdf(ref_dict, string_model, &ref_left);
+    ReferenceAttachTfIdf(ref_dict, string_model, &ref_right);
+
+    for (const size_t threads : {1u, 4u}) {
+      ThreadPool::SetGlobalThreads(threads);
+      text::TokenDictionary dict;
+      RecordColumns left = RecordColumns::Build(in.left, in.attribute, &dict);
+      RecordColumns right =
+          RecordColumns::Build(in.right, in.attribute, &dict);
+      text::TfIdfModel model;
+      model.FitDictionary(dict);
+      left.AttachTfIdf(model);
+      right.AttachTfIdf(model);
+
+      const std::string where = "attribute " + std::to_string(in.attribute) +
+                                ", " + std::to_string(threads) + " threads";
+      for (const auto& [got, want] :
+           {std::pair<const RecordColumns*, const ReferenceColumns*>{
+                &left, &ref_left},
+            {&right, &ref_right}}) {
+        EXPECT_EQ(got->offsets(), want->offsets) << where;
+        EXPECT_EQ(got->token_ids(), want->token_ids) << where;
+        EXPECT_EQ(got->term_freq(), want->term_freq) << where;
+        EXPECT_TRUE(BitwiseEqual(got->weights(), want->weights)) << where;
+      }
+      EXPECT_EQ(dict.num_documents(), ref_dict.num_documents) << where;
+      EXPECT_EQ(dict.doc_freq(), ref_dict.doc_freq) << where;
+      ASSERT_EQ(dict.size(), ref_dict.tokens.size()) << where;
+      for (uint32_t id = 0; id < dict.size(); ++id) {
+        ASSERT_EQ(dict.TokenOf(id), ref_dict.tokens[id]) << where;
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(BatchScorePairsTest, MatchesPairwiseStringScoring) {

@@ -272,9 +272,12 @@ TEST(IdWeightedDotTest, AgreesWithTfIdfCosine) {
   const double id_cosine =
       IdWeightedDot(doc_a_ids.data(), wa.data(), 2, doc_b_ids.data(),
                     wb.data(), 2);
+  // The string API answers from Fit alone: fit it on the same documents.
+  TfIdfModel string_model;
+  string_model.Fit({{"data", "entity"}, {"entity", "match"}});
   const double string_cosine =
-      TfIdfModel::Cosine(model.Transform({"data", "entity"}),
-                         model.Transform({"entity", "match"}));
+      TfIdfModel::Cosine(string_model.Transform({"data", "entity"}),
+                         string_model.Transform({"entity", "match"}));
   EXPECT_NEAR(id_cosine, string_cosine, 1e-12);
 }
 

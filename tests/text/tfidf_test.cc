@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "text/token_dictionary.h"
 
 namespace humo::text {
 namespace {
@@ -78,6 +84,33 @@ TEST(TfIdfTest, TermFrequencyMatters) {
   const auto twice = model.Transform({"entity", "entity", "stream"});
   // Repeating "entity" shifts weight toward it.
   EXPECT_GT(twice.at("entity"), once.at("entity"));
+}
+
+TEST(TfIdfTest, FitDictionaryIdfEqualsFitIdfBitwise) {
+  // The id API (FitDictionary) and the string API (Fit) on one corpus give
+  // every token the same IDF value, bit for bit.
+  std::vector<std::vector<std::string>> corpus = Corpus();
+  corpus.push_back({"entity", "entity", "survey", "stream"});
+  TokenDictionary dict;
+  for (const auto& doc : corpus) {
+    std::vector<uint32_t> ids;
+    for (const auto& t : doc) ids.push_back(dict.Intern(t));
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    dict.CountDocument(ids.data(), ids.size());
+  }
+  TfIdfModel by_id;
+  by_id.FitDictionary(dict);
+  TfIdfModel by_string;
+  by_string.Fit(corpus);
+  EXPECT_EQ(by_id.num_documents(), by_string.num_documents());
+  for (uint32_t id = 0; id < dict.size(); ++id) {
+    const std::string token(dict.TokenOf(id));
+    EXPECT_EQ(by_id.IdfById(id), by_string.Idf(token)) << token;
+  }
+  // Past the fitted dictionary both give the unseen-token smoothing.
+  EXPECT_EQ(by_id.IdfById(static_cast<uint32_t>(dict.size())),
+            by_string.Idf("neverseen"));
 }
 
 }  // namespace
