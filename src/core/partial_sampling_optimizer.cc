@@ -50,12 +50,13 @@ double LooVarianceInflation(const gp::GpRegression& gp,
   linalg::Vector centered(k);
   for (size_t t = 0; t < k; ++t) centered[t] = ys[t] - y_mean;
   const linalg::Vector alpha = chol->Solve(centered);
-  const linalg::Matrix inv = chol->Solve(linalg::Matrix::Identity(k));
+  // Only diag(K^-1) is read; InverseDiagonal gives Solve(I)'s diagonal bits.
+  const linalg::Vector inv_diag = chol->InverseDiagonal();
 
   std::vector<double> standardized;
   standardized.reserve(k);
   for (size_t t = 0; t < k; ++t) {
-    const double precision = inv(t, t);
+    const double precision = inv_diag[t];
     if (precision <= 0.0) continue;
     const double residual = alpha[t] / precision;  // y_t - loo_mean_t
     const double var = 1.0 / precision;            // loo predictive variance

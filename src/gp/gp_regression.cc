@@ -1,18 +1,40 @@
 #include "gp/gp_regression.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <optional>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "linalg/cholesky_lanes.h"
 
 namespace humo::gp {
 namespace {
 
 constexpr double kLog2Pi = 1.8378770664093454835606594728112;
+
+/// The constant subtracted from the targets before fitting: their average
+/// when centering, else 0. Fit and the grid selector share it, so both
+/// factor against the same centered targets.
+double TargetMean(const std::vector<double>& y, bool center) {
+  double mean = 0.0;
+  if (center) {
+    for (double v : y) mean += v;
+    mean /= static_cast<double>(y.size());
+  }
+  return mean;
+}
+
+/// log p(y) = -y^T K^-1 y / 2 - log|K| / 2 - n log(2 pi) / 2, from
+/// data_fit = y^T K^-1 y and log_det = log|K|.
+double LogMarginalFromTerms(double data_fit, double log_det, size_t n) {
+  const double nd = static_cast<double>(n);
+  return -0.5 * data_fit - 0.5 * log_det - 0.5 * nd * kLog2Pi;
+}
 
 }  // namespace
 
@@ -37,24 +59,19 @@ double JointPrediction::WeightedTotalStdDev(
 }
 
 void GpRegression::FinishFit() {
-  y_mean_ = 0.0;
-  if (options_.center_mean) {
-    for (double v : y_) y_mean_ += v;
-    y_mean_ /= static_cast<double>(y_.size());
-  }
+  y_mean_ = TargetMean(y_, options_.center_mean);
   y_centered_.resize(y_.size());
   for (size_t i = 0; i < y_.size(); ++i) y_centered_[i] = y_[i] - y_mean_;
   alpha_ = chol_.Solve(y_centered_);
-  const double n = static_cast<double>(x_.size());
-  log_marginal_ = -0.5 * linalg::Dot(y_centered_, alpha_) -
-                  0.5 * chol_.LogDeterminant() - 0.5 * n * kLog2Pi;
+  log_marginal_ = LogMarginalFromTerms(linalg::Dot(y_centered_, alpha_),
+                                       chol_.LogDeterminant(), x_.size());
 }
 
-Result<GpRegression> GpRegression::Fit(
-    std::unique_ptr<Kernel> kernel, std::vector<double> x,
-    std::vector<double> y, GpOptions options,
-    std::vector<double> noise_variances,
-    const linalg::Matrix* pairwise_distances) {
+Result<GpRegression> GpRegression::Fit(std::unique_ptr<Kernel> kernel,
+                                       std::vector<double> x,
+                                       std::vector<double> y,
+                                       GpOptions options,
+                                       std::vector<double> noise_variances) {
   if (!kernel) return Status::InvalidArgument("kernel must not be null");
   if (x.size() != y.size())
     return Status::InvalidArgument(
@@ -62,10 +79,6 @@ Result<GpRegression> GpRegression::Fit(
   if (x.empty()) return Status::InvalidArgument("empty training set");
   if (!noise_variances.empty() && noise_variances.size() != x.size())
     return Status::InvalidArgument("noise_variances must parallel x");
-  if (pairwise_distances != nullptr &&
-      (pairwise_distances->rows() != x.size() ||
-       pairwise_distances->cols() != x.size()))
-    return Status::InvalidArgument("pairwise_distances must be n x n");
 
   GpRegression gp;
   gp.kernel_ = std::move(kernel);
@@ -73,9 +86,7 @@ Result<GpRegression> GpRegression::Fit(
   gp.x_ = std::move(x);
   gp.y_ = std::move(y);
 
-  linalg::Matrix k = pairwise_distances != nullptr
-                         ? gp.kernel_->GramFromDistances(*pairwise_distances)
-                         : gp.kernel_->GramSymmetric(gp.x_);
+  linalg::Matrix k = gp.kernel_->GramSymmetric(gp.x_);
   k.AddToDiagonal(options.noise_variance);
   for (size_t i = 0; i < noise_variances.size(); ++i)
     k(i, i) += noise_variances[i];
@@ -240,57 +251,259 @@ double GpRegression::PosteriorVarianceFromWhitened(
   return var < 0.0 ? 0.0 : var;
 }
 
+namespace {
+
+constexpr size_t kLanes = linalg::CholeskyLanes::kLanes;
+constexpr size_t kNoCandidate = std::numeric_limits<size_t>::max();
+
+std::unique_ptr<Kernel> MakeKernel(KernelFamily family,
+                                   const GpCandidate& cand) {
+  switch (family) {
+    case KernelFamily::kMatern32:
+      return std::make_unique<Matern32Kernel>(cand.signal_variance,
+                                              cand.length_scale);
+    case KernelFamily::kMatern52:
+      return std::make_unique<Matern52Kernel>(cand.signal_variance,
+                                              cand.length_scale);
+    case KernelFamily::kRbf:
+      break;
+  }
+  return std::make_unique<RbfKernel>(cand.signal_variance, cand.length_scale);
+}
+
+bool AllFinite(const std::vector<double>& v) {
+  for (double x : v)
+    if (!std::isfinite(x)) return false;
+  return true;
+}
+
+Status ValidateGridInputs(const std::vector<double>& x,
+                          const std::vector<double>& y,
+                          const std::vector<GpCandidate>& grid,
+                          const std::vector<double>& noise_variances) {
+  if (grid.empty()) return Status::InvalidArgument("empty candidate grid");
+  if (x.size() != y.size())
+    return Status::InvalidArgument(
+        StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
+  if (x.empty()) return Status::InvalidArgument("empty training set");
+  if (!noise_variances.empty() && noise_variances.size() != x.size())
+    return Status::InvalidArgument("noise_variances must parallel x");
+  if (!AllFinite(x) || !AllFinite(y) || !AllFinite(noise_variances))
+    return Status::InvalidArgument("x, y and noise_variances must be finite");
+  for (size_t c = 0; c < grid.size(); ++c) {
+    const double sf2 = grid[c].signal_variance;
+    const double l = grid[c].length_scale;
+    const bool positive = sf2 > 0.0 && l > 0.0;
+    if (!positive || !std::isfinite(sf2) || !std::isfinite(l))
+      return Status::InvalidArgument(
+          StrFormat("grid[%zu] needs finite sf2, l > 0: %g, %g", c, sf2, l));
+  }
+  return Status::OK();
+}
+
+/// One length scale's kernel shape at every pair of training inputs, in
+/// CholeskyLanes' panel order (see LaneMatrixSource), so a panel request is
+/// one contiguous run. Within a diagonal block the slots above the diagonal
+/// hold the mirrored pair's shape, which the factor never reads. `poly`
+/// stays empty for RBF, whose polynomial factor is 1.
+struct ScaleShapes {
+  double length_scale = 0.0;
+  std::vector<double> poly, env;
+};
+
+template <class K>
+void ComputeShapes(const std::vector<double>& x, bool with_poly,
+                   ScaleShapes* shapes) {
+  using linalg::CholeskyLanes;
+  const size_t n = x.size();
+  const size_t size = CholeskyLanes::PanelOrderSize(n);
+  shapes->env.resize(size);
+  if (with_poly) shapes->poly.resize(size);
+  for (size_t j0 = 0; j0 < n; j0 += CholeskyLanes::kBlock) {
+    const size_t j_end = std::min(j0 + CholeskyLanes::kBlock, n);
+    size_t idx = CholeskyLanes::PanelOffset(j0, n);
+    for (size_t i = j0; i < n; ++i) {
+      for (size_t j = j0; j < j_end; ++j, ++idx) {
+        // The distance Kernel::operator() evaluates the kernel at.
+        const double r = x[i] >= x[j] ? x[i] - x[j] : x[j] - x[i];
+        const KernelShape k = K::Shape(r, shapes->length_scale);
+        if (with_poly) shapes->poly[idx] = k.poly;
+        shapes->env[idx] = k.env;
+      }
+    }
+  }
+}
+
+/// The four matrices of one lane group: lane q holds the noisy Gram matrix
+/// GpRegression::Fit would factor for its candidate, entry by entry in
+/// Fit's operation order — (sf2 * poly) * env off the diagonal, then the
+/// noise floor, then the point's own noise on it.
+class GridLanes : public linalg::LaneMatrixSource {
+ public:
+  GridLanes(const std::array<const ScaleShapes*, kLanes>& shapes,
+            const std::array<double, kLanes>& sf2, double noise_floor,
+            const std::vector<double>& noise, size_t n)
+      : shapes_(shapes), sf2_(sf2), floor_(noise_floor), noise_(noise), n_(n) {}
+
+  void FillPanel(size_t j0, size_t width, double* out) const override {
+    const size_t offset = linalg::CholeskyLanes::PanelOffset(j0, n_);
+    const size_t count = (n_ - j0) * width;
+    for (size_t q = 0; q < kLanes; ++q) {
+      const ScaleShapes& s = *shapes_[q];
+      const double* env = s.env.data() + offset;
+      const double* poly = s.poly.empty() ? nullptr : s.poly.data() + offset;
+      for (size_t k = 0; k < count; ++k)
+        out[kLanes * k + q] =
+            (sf2_[q] * (poly != nullptr ? poly[k] : 1.0)) * env[k];
+    }
+    for (size_t i = j0; i < j0 + width; ++i) {
+      double* diag = out + kLanes * ((i - j0) * width + (i - j0));
+      for (size_t q = 0; q < kLanes; ++q) {
+        diag[q] += floor_;
+        if (!noise_.empty()) diag[q] += noise_[i];
+      }
+    }
+  }
+
+ private:
+  std::array<const ScaleShapes*, kLanes> shapes_;
+  std::array<double, kLanes> sf2_;
+  double floor_;
+  const std::vector<double>& noise_;
+  size_t n_;
+};
+
+/// A candidate chosen so far: its LML and grid index, and where its factor
+/// lives — lane `lane` of some CholeskyLanes, or `refit` when its lane
+/// failed and Fit's jitter escalation rescued it.
+struct Pick {
+  double lml = -std::numeric_limits<double>::infinity();
+  size_t index = kNoCandidate;
+  size_t lane = 0;
+  std::optional<GpRegression> refit;
+};
+
+/// The serial scan's selection rule, independent of evaluation order: a
+/// finite-or-+inf LML beats the pick when it is larger, or equal with an
+/// earlier grid index (the scan keeps the first of a tie). -inf and NaN
+/// never win, as they never strictly improve on the scan's -inf start.
+bool Beats(double lml, size_t index, const Pick& pick) {
+  if (!(lml > -std::numeric_limits<double>::infinity())) return false;
+  return lml > pick.lml || (lml == pick.lml && index < pick.index);
+}
+
+}  // namespace
+
 Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
     const std::vector<GpCandidate>& grid, KernelFamily family,
     GpOptions options, std::vector<double> noise_variances) {
-  if (grid.empty()) return Status::InvalidArgument("empty candidate grid");
-  // The pairwise distances are the kernel-independent part of every
-  // candidate's Gram matrix; build them once for the whole grid instead of
-  // re-deriving all n^2 of them inside each fit.
-  const linalg::Matrix distances = PairwiseDistances(x);
-  // Candidate fits are independent (each builds its own Gram matrix and
-  // Cholesky factor), so the grid is the natural unit of parallelism — one
-  // fit per task, kernel construction inside each fit running inline. The
-  // winner is selected serially afterwards with the same strict-improvement
-  // rule the serial loop applied (first-best wins on ties), so the chosen
-  // model is identical at any thread count.
-  std::vector<std::optional<Result<GpRegression>>> fits(grid.size());
+  HUMO_RETURN_NOT_OK(ValidateGridInputs(x, y, grid, noise_variances));
+  const size_t n = x.size();
+  const double y_mean = TargetMean(y, options.center_mean);
+  std::vector<double> y_centered(n);
+  for (size_t i = 0; i < n; ++i) y_centered[i] = y[i] - y_mean;
+
+  // One shape per distinct length scale, shared by every signal variance.
+  std::vector<ScaleShapes> shapes;
+  std::vector<size_t> scale_of(grid.size());
+  for (size_t c = 0; c < grid.size(); ++c) {
+    size_t s = 0;
+    while (s < shapes.size() && shapes[s].length_scale != grid[c].length_scale)
+      ++s;
+    if (s == shapes.size()) shapes.push_back({grid[c].length_scale, {}, {}});
+    scale_of[c] = s;
+  }
   ThreadPool::Global()->ParallelFor(
-      grid.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          const auto& cand = grid[c];
-          std::unique_ptr<Kernel> k;
+      shapes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
           switch (family) {
             case KernelFamily::kRbf:
-              k = std::make_unique<RbfKernel>(cand.signal_variance,
-                                              cand.length_scale);
+              ComputeShapes<RbfKernel>(x, false, &shapes[s]);
               break;
             case KernelFamily::kMatern32:
-              k = std::make_unique<Matern32Kernel>(cand.signal_variance,
-                                                   cand.length_scale);
+              ComputeShapes<Matern32Kernel>(x, true, &shapes[s]);
               break;
             case KernelFamily::kMatern52:
-              k = std::make_unique<Matern52Kernel>(cand.signal_variance,
-                                                   cand.length_scale);
+              ComputeShapes<Matern52Kernel>(x, true, &shapes[s]);
               break;
           }
-          fits[c].emplace(GpRegression::Fit(std::move(k), x, y, options,
-                                            noise_variances, &distances));
         }
       });
-  double best_lml = -std::numeric_limits<double>::infinity();
-  Result<GpRegression> best =
-      Status::Internal("no candidate produced a valid fit");
-  for (auto& fit : fits) {
-    if (!fit.has_value() || !fit->ok()) continue;
-    const double lml = (*fit)->LogMarginalLikelihood();
-    if (lml > best_lml) {
-      best_lml = lml;
-      best = std::move(*fit);
-    }
-  }
-  return best;
+
+  // A candidate whose jitter-free lane factor failed: Fit retries it with
+  // jitter, as the per-candidate loop would have.
+  auto refit = [&](size_t c) {
+    return GpRegression::Fit(MakeKernel(family, grid[c]), x, y, options,
+                             noise_variances);
+  };
+  // Lane groups run in parallel; each merges its pick into `winner` under
+  // the lock with Beats, whose order does not depend on which group
+  // finishes first, so the winner is the serial scan's at any thread count.
+  // Only the winner's factor is kept: a group whose lane wins swaps its
+  // lanes with `winner_lanes`.
+  Pick winner;
+  linalg::CholeskyLanes winner_lanes;
+  std::mutex winner_mu;
+  const double noise_floor = options.noise_variance;
+  // Group g holds candidates 4g .. 4g + 3; idle lanes of the last group
+  // repeat its first candidate, and their results are ignored.
+  const size_t num_groups = (grid.size() + kLanes - 1) / kLanes;
+  ThreadPool::Global()->ParallelFor(
+      num_groups, /*grain=*/1, [&](size_t begin, size_t end) {
+        linalg::CholeskyLanes lanes;
+        std::vector<double> alpha(kLanes * n);
+        for (size_t g = begin; g < end; ++g) {
+          const size_t first = kLanes * g;
+          const size_t used = std::min(kLanes, grid.size() - first);
+          std::array<const ScaleShapes*, kLanes> scales;
+          std::array<double, kLanes> sf2;
+          for (size_t q = 0; q < kLanes; ++q) {
+            const size_t c = first + (q < used ? q : 0);
+            scales[q] = &shapes[scale_of[c]];
+            sf2[q] = grid[c].signal_variance;
+          }
+          const GridLanes source(scales, sf2, noise_floor, noise_variances, n);
+          const unsigned factored = lanes.Factor(n, source);
+          if (factored != 0) lanes.Solve(y_centered.data(), alpha.data());
+
+          Pick pick;
+          for (size_t q = 0; q < used; ++q) {
+            const size_t c = first + q;
+            if ((factored >> q) & 1u) {
+              // Dot(y_centered, alpha) and LogDeterminant, per lane.
+              double data_fit = 0.0;
+              for (size_t i = 0; i < n; ++i)
+                data_fit += y_centered[i] * alpha[kLanes * i + q];
+              const double log_det = lanes.LogDeterminant(q);
+              const double lml = LogMarginalFromTerms(data_fit, log_det, n);
+              if (Beats(lml, c, pick)) pick = Pick{lml, c, q, std::nullopt};
+              continue;
+            }
+            Result<GpRegression> fit = refit(c);
+            if (!fit.ok()) continue;
+            const double lml = fit->LogMarginalLikelihood();
+            if (Beats(lml, c, pick)) pick = Pick{lml, c, 0, std::move(*fit)};
+          }
+          if (pick.index == kNoCandidate) continue;
+          std::lock_guard<std::mutex> lock(winner_mu);
+          if (!Beats(pick.lml, pick.index, winner)) continue;
+          if (!pick.refit.has_value()) std::swap(winner_lanes, lanes);
+          winner = std::move(pick);
+        }
+      });
+
+  if (winner.index == kNoCandidate)
+    return Status::Internal("no candidate produced a valid fit");
+  if (winner.refit.has_value()) return std::move(*winner.refit);
+  GpRegression gp;
+  gp.kernel_ = MakeKernel(family, grid[winner.index]);
+  gp.options_ = options;
+  gp.x_ = x;
+  gp.y_ = y;
+  gp.chol_ = winner_lanes.Lane(winner.lane);
+  gp.FinishFit();
+  return gp;
 }
 
 std::vector<GpCandidate> DefaultGpGrid() {

@@ -44,6 +44,15 @@ struct GpOptions {
   bool center_mean = true;
 };
 
+/// Candidate hyperparameter grid entry for SelectGpByMarginalLikelihood.
+struct GpCandidate {
+  double signal_variance;
+  double length_scale;
+};
+
+/// Kernel families the selector can instantiate.
+enum class KernelFamily { kRbf, kMatern32, kMatern52 };
+
 /// Gaussian-process regression over scalar inputs.
 ///
 /// This implements §VI-B of the paper: the match proportions of unit subsets
@@ -54,15 +63,11 @@ class GpRegression {
  public:
   /// Fits the GP. `noise_variances`, when non-empty, must parallel `x` and
   /// adds heteroscedastic per-observation noise (sampling variance of each
-  /// observed proportion) to the training diagonal. `pairwise_distances`,
-  /// when non-null, must be PairwiseDistances(x) and lets the fit skip
-  /// rebuilding the distance part of the Gram matrix — the hyperparameter
-  /// grid selector passes one distance matrix to every candidate fit.
-  static Result<GpRegression> Fit(
-      std::unique_ptr<Kernel> kernel, std::vector<double> x,
-      std::vector<double> y, GpOptions options = {},
-      std::vector<double> noise_variances = {},
-      const linalg::Matrix* pairwise_distances = nullptr);
+  /// observed proportion) to the training diagonal.
+  static Result<GpRegression> Fit(std::unique_ptr<Kernel> kernel,
+                                  std::vector<double> x, std::vector<double> y,
+                                  GpOptions options = {},
+                                  std::vector<double> noise_variances = {});
 
   /// Deep copy (the kernel is cloned); fitted state is value-like.
   GpRegression Clone() const;
@@ -120,6 +125,10 @@ class GpRegression {
   /// The fitted kernel (hyperparameters as selected at Fit time).
   const Kernel& kernel() const { return *kernel_; }
 
+  /// Diagonal jitter the factorization needed (0 when none; see
+  /// linalg::Cholesky::Factor).
+  double jitter_used() const { return chol_.jitter_used(); }
+
   /// Number of training observations the posterior conditions on.
   size_t num_training_points() const { return x_.size(); }
 
@@ -131,6 +140,12 @@ class GpRegression {
   const std::vector<double>& training_targets() const { return y_; }
 
  private:
+  // Builds only the winning candidate's model, from its lane factor.
+  friend Result<GpRegression> SelectGpByMarginalLikelihood(
+      const std::vector<double>& x, const std::vector<double>& y,
+      const std::vector<GpCandidate>& grid, KernelFamily family,
+      GpOptions options, std::vector<double> noise_variances);
+
   GpRegression() = default;
 
   /// Recomputes mean/centering, alpha, and the log marginal likelihood from
@@ -148,20 +163,27 @@ class GpRegression {
   double log_marginal_ = 0.0;
 };
 
-/// Candidate hyperparameter grid entry for SelectGpByMarginalLikelihood.
-struct GpCandidate {
-  double signal_variance;
-  double length_scale;
-};
-
-/// Kernel families the selector can instantiate.
-enum class KernelFamily { kRbf, kMatern32, kMatern52 };
-
 /// Fits one GP per candidate on a small grid and returns the one with the
 /// highest log marginal likelihood (simple, derivative-free model selection;
-/// adequate for 1-D inputs). The pairwise-distance matrix of `x` is computed
-/// ONCE and shared by every candidate fit (all kernel families are
-/// stationary), so the per-candidate cost is the factorization alone.
+/// adequate for 1-D inputs); the first candidate in grid order wins a tie.
+/// The result is bit-identical to fitting every candidate with
+/// GpRegression::Fit and keeping the first strict improvement, at any thread
+/// count. How it gets there:
+///   - each distinct length scale's kernel shape (KernelShape) is computed
+///     once per pair of inputs; a candidate's Gram entries are then two
+///     multiplications, (sf2 * poly) * env, plus the noise diagonal;
+///   - candidates are factored and solved four at a time, one per lane of
+///     linalg::CholeskyLanes, with the shapes filled in column block by
+///     column block rather than as n x n Gram matrices; lane groups are the
+///     thread-pool unit;
+///   - only the best factor so far is kept, and only the winner becomes a
+///     GpRegression;
+///   - a candidate whose lane hits a non-positive pivot is refit alone with
+///     GpRegression::Fit, whose jitter escalation may rescue it.
+/// Inputs are validated up front: mismatched or empty x/y, noise_variances
+/// of the wrong length, a non-finite x, y or noise value, and a grid entry
+/// whose signal variance or length scale is not positive and finite are
+/// InvalidArgument. Internal means no candidate factored even with jitter.
 Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
     const std::vector<GpCandidate>& grid, KernelFamily family,

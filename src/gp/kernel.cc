@@ -53,51 +53,19 @@ linalg::Matrix Kernel::GramSymmetric(const std::vector<double>& xs) const {
   return k;
 }
 
-linalg::Matrix Kernel::GramFromDistances(
-    const linalg::Matrix& distances) const {
-  assert(distances.rows() == distances.cols());
-  const size_t n = distances.rows();
-  linalg::Matrix k(n, n);
-  // Same ownership scheme as GramSymmetric; the entries are
-  // EvalDistance(|x_i - x_j|) either way, so the two builds agree
-  // bit-for-bit — this one just skips recomputing the n^2 distances.
-  ThreadPool::Global()->ParallelFor(
-      n, kParallelRowGrain, [&](size_t row_begin, size_t row_end) {
-        for (size_t i = row_begin; i < row_end; ++i) {
-          for (size_t j = 0; j <= i; ++j) {
-            const double v = EvalDistance(distances(i, j));
-            k(i, j) = v;
-            k(j, i) = v;
-          }
-        }
-      });
-  return k;
-}
-
-linalg::Matrix PairwiseDistances(const std::vector<double>& xs) {
-  const size_t n = xs.size();
-  linalg::Matrix d(n, n);
-  ThreadPool::Global()->ParallelFor(
-      n, kParallelRowGrain, [&](size_t row_begin, size_t row_end) {
-        for (size_t i = row_begin; i < row_end; ++i) {
-          for (size_t j = 0; j <= i; ++j) {
-            const double r = xs[i] >= xs[j] ? xs[i] - xs[j] : xs[j] - xs[i];
-            d(i, j) = r;
-            d(j, i) = r;
-          }
-        }
-      });
-  return d;
-}
-
 RbfKernel::RbfKernel(double signal_variance, double length_scale)
     : sf2_(signal_variance), l_(length_scale) {
   assert(sf2_ > 0.0 && l_ > 0.0);
 }
 
+KernelShape RbfKernel::Shape(double r, double length_scale) {
+  const double d = r / length_scale;
+  return {1.0, std::exp(-0.5 * d * d)};
+}
+
 double RbfKernel::EvalDistance(double r) const {
-  const double d = r / l_;
-  return sf2_ * std::exp(-0.5 * d * d);
+  const KernelShape s = Shape(r, l_);
+  return (sf2_ * s.poly) * s.env;
 }
 
 void RbfKernel::FillRow(double x_star, const double* xs, size_t n,
@@ -123,10 +91,15 @@ Matern32Kernel::Matern32Kernel(double signal_variance, double length_scale)
   assert(sf2_ > 0.0 && l_ > 0.0);
 }
 
-double Matern32Kernel::EvalDistance(double dist) const {
-  const double r = dist / l_;
+KernelShape Matern32Kernel::Shape(double dist, double length_scale) {
+  const double r = dist / length_scale;
   const double a = std::sqrt(3.0) * r;
-  return sf2_ * (1.0 + a) * std::exp(-a);
+  return {1.0 + a, std::exp(-a)};
+}
+
+double Matern32Kernel::EvalDistance(double dist) const {
+  const KernelShape s = Shape(dist, l_);
+  return (sf2_ * s.poly) * s.env;
 }
 
 void Matern32Kernel::FillRow(double x_star, const double* xs, size_t n,
@@ -150,10 +123,15 @@ Matern52Kernel::Matern52Kernel(double signal_variance, double length_scale)
   assert(sf2_ > 0.0 && l_ > 0.0);
 }
 
-double Matern52Kernel::EvalDistance(double dist) const {
-  const double r = dist / l_;
+KernelShape Matern52Kernel::Shape(double dist, double length_scale) {
+  const double r = dist / length_scale;
   const double a = std::sqrt(5.0) * r;
-  return sf2_ * (1.0 + a + 5.0 * r * r / 3.0) * std::exp(-a);
+  return {1.0 + a + 5.0 * r * r / 3.0, std::exp(-a)};
+}
+
+double Matern52Kernel::EvalDistance(double dist) const {
+  const KernelShape s = Shape(dist, l_);
+  return (sf2_ * s.poly) * s.env;
 }
 
 void Matern52Kernel::FillRow(double x_star, const double* xs, size_t n,

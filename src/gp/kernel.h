@@ -12,10 +12,10 @@ namespace humo::gp {
 ///
 /// Every kernel in this library is stationary in one dimension — its value
 /// depends on x and y only through the distance |x - y| — so the interface
-/// is EvalDistance(|x - y|). That is what lets the hyperparameter grid
-/// share one pairwise-distance matrix across every candidate
-/// (GramFromDistances): the n^2 distance computations are paid once per
-/// training set instead of once per candidate.
+/// is EvalDistance(|x - y|). The families below also expose that function
+/// split into a signal-variance-free shape (KernelShape), which lets the
+/// hyperparameter grid pay the n^2 exponentials once per length scale
+/// instead of once per candidate.
 class Kernel {
  public:
   virtual ~Kernel() = default;
@@ -49,24 +49,26 @@ class Kernel {
 
   /// Symmetric Gram matrix K(xs, xs); exploits symmetry.
   linalg::Matrix GramSymmetric(const std::vector<double>& xs) const;
-
-  /// Symmetric Gram matrix from a precomputed pairwise-distance matrix
-  /// (PairwiseDistances below): entry (i, j) = EvalDistance(d(i, j)).
-  /// Bit-identical to GramSymmetric on the xs the distances were built
-  /// from; the point is that the distances are built once per training set
-  /// and reused by every candidate of a hyperparameter grid.
-  linalg::Matrix GramFromDistances(const linalg::Matrix& distances) const;
 };
 
-/// Symmetric matrix of pairwise distances |xs[i] - xs[j]| — the
-/// kernel-independent part of every stationary Gram matrix.
-linalg::Matrix PairwiseDistances(const std::vector<double>& xs);
+/// The signal-variance-free factors of a stationary family's kernel at one
+/// distance and length scale: each family below evaluates EvalDistance(r)
+/// as exactly (sf2 * poly) * env from its Shape(r, l), so a grid of signal
+/// variances sharing a length scale can compute the shape once per pair
+/// and reproduce every candidate's Gram entries bit for bit with two
+/// multiplications.
+struct KernelShape {
+  double poly;  // polynomial factor: 1 for RBF
+  double env;   // exponential envelope
+};
 
 /// Squared-exponential (RBF): sf2 * exp(-(x-y)^2 / (2 l^2)).
 class RbfKernel : public Kernel {
  public:
   RbfKernel(double signal_variance, double length_scale);
   double EvalDistance(double r) const override;
+  /// poly = 1, env = exp(-(r/l)^2 / 2).
+  static KernelShape Shape(double r, double length_scale);
   void FillRow(double x_star, const double* xs, size_t n,
                double* out) const override;
   std::string ToString() const override;
@@ -83,6 +85,8 @@ class Matern32Kernel : public Kernel {
  public:
   Matern32Kernel(double signal_variance, double length_scale);
   double EvalDistance(double r) const override;
+  /// poly = 1 + sqrt(3) r/l, env = exp(-sqrt(3) r/l).
+  static KernelShape Shape(double r, double length_scale);
   void FillRow(double x_star, const double* xs, size_t n,
                double* out) const override;
   std::string ToString() const override;
@@ -97,6 +101,8 @@ class Matern52Kernel : public Kernel {
  public:
   Matern52Kernel(double signal_variance, double length_scale);
   double EvalDistance(double r) const override;
+  /// poly = 1 + sqrt(5) r/l + 5r^2/(3l^2), env = exp(-sqrt(5) r/l).
+  static KernelShape Shape(double r, double length_scale);
   void FillRow(double x_star, const double* xs, size_t n,
                double* out) const override;
   std::string ToString() const override;

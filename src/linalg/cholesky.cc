@@ -234,6 +234,31 @@ Matrix Cholesky::Solve(const Matrix& b) const {
   return x;
 }
 
+Vector Cholesky::InverseDiagonal() const {
+  const size_t n = l_.rows();
+  Vector diag(n);
+  ThreadPool::Global()->ParallelFor(
+      n, /*grain=*/8, [&](size_t t_begin, size_t t_end) {
+        Vector y(n), x(n);
+        for (size_t t = t_begin; t < t_end; ++t) {
+          // Forward substitution of e_t from row t on (y[0..t) would be +0).
+          y[t] = 1.0 / l_(t, t);
+          for (size_t i = t + 1; i < n; ++i) {
+            const double* li = l_.RowPtr(i);
+            y[i] = SubDotRange(0.0, li + t, y.data() + t, i - t) / l_(i, i);
+          }
+          // Back substitution down to row t, as Solve writes it.
+          for (size_t ii = n; ii-- > t;) {
+            double sum = y[ii];
+            for (size_t k = ii + 1; k < n; ++k) sum -= l_(k, ii) * x[k];
+            x[ii] = sum / l_(ii, ii);
+          }
+          diag[t] = x[t];
+        }
+      });
+  return diag;
+}
+
 double Cholesky::LogDeterminant() const {
   double acc = 0.0;
   for (size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));

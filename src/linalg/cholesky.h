@@ -60,6 +60,16 @@ class Cholesky {
   /// prediction gets its single-core speedup.
   Matrix SolveLowerRows(const Matrix& rhs_rows) const;
 
+  /// Diagonal of A^-1, entry t bit-identical to Solve(Identity)(t, t):
+  /// column t's forward substitution starts at row t (the rows above it
+  /// solve to exact +0 against the zero right-hand side, and subtracting
+  /// their zero products leaves every later chain's bits unchanged) and its
+  /// back substitution stops at row t. Sum over t of (n - t)^2 multiply-
+  /// subtracts, a third of the full inverse's n^3. Columns are independent
+  /// and fan out over the thread pool; the result does not depend on the
+  /// thread count.
+  Vector InverseDiagonal() const;
+
   /// log(det(A)) = 2 * sum(log(L_ii)); cheap once factored.
   double LogDeterminant() const;
 
@@ -70,6 +80,8 @@ class Cholesky {
   double jitter_used() const { return jitter_used_; }
 
  private:
+  friend class CholeskyLanes;  // hands out a lane's factor (Lane)
+
   Matrix l_;
   double jitter_used_ = 0.0;
 };

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace humo::linalg {
 namespace {
@@ -104,6 +106,40 @@ TEST(CholeskyTest, RandomSpdRoundTrip) {
     const Vector ax = a * x;
     for (size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], rhs[i], 1e-8);
   }
+}
+
+TEST(CholeskyTest, InverseDiagonalMatchesFullInverseBitwise) {
+  humo::Rng rng(41);
+  for (size_t threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (size_t n : {1, 2, 3, 9, 17, 64, 130}) {
+      // An RBF Gram matrix with a noise diagonal: the LOO calibration's
+      // matrix, and ill-conditioned enough that any reordering would show.
+      std::vector<double> x(n);
+      for (double& v : x) v = rng.NextDouble();
+      Matrix a(n, n);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          const double d = (x[i] - x[j]) / 0.2;
+          a(i, j) = 0.25 * std::exp(-0.5 * d * d);
+        }
+        a(i, i) += 1e-6 + 1e-4 * rng.NextDouble();
+      }
+      auto chol = Cholesky::Factor(a);
+      ASSERT_TRUE(chol.ok());
+      const Vector diag = chol->InverseDiagonal();
+      ASSERT_EQ(diag.size(), n);
+      // The full inverse, one column solve at a time.
+      for (size_t t = 0; t < n; ++t) {
+        Vector e(n, 0.0);
+        e[t] = 1.0;
+        const double want = chol->Solve(e)[t];
+        EXPECT_EQ(std::memcmp(&diag[t], &want, sizeof(double)), 0)
+            << "threads=" << threads << " n=" << n << " t=" << t;
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 }  // namespace
