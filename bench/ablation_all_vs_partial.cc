@@ -26,8 +26,8 @@ int main() {
         return core::AllSamplingOptimizer(opts).Optimize(part, rq, o);
       };
     };
-    const auto s = eval::RunExperiment(p, req, factory, bench::Trials(),
-                                       bench::BaseSeed());
+    const auto s = eval::RunExperiment(p, req, factory, bench::kTrials,
+                                       bench::kBaseSeed);
     table.AddRow({"ALL (s=" + std::to_string(sps) + "/subset)",
                   eval::FmtPercent(s.mean_cost_fraction),
                   eval::Fmt(s.mean_precision), eval::Fmt(s.mean_recall),
@@ -53,11 +53,11 @@ int main() {
     core::Oracle oracle(&ds);
     core::EstimationContext ctx(&p, &oracle);
     core::PartialSamplingOptions popts;
-    popts.seed = bench::BaseSeed();
+    popts.seed = bench::kBaseSeed;
     auto s0 = core::PartialSamplingOptimizer(popts).Optimize(&ctx, req);
     const size_t partial_cost = oracle.cost();
     core::AllSamplingOptions aopts;
-    aopts.seed = bench::BaseSeed();
+    aopts.seed = bench::kBaseSeed;
     aopts.samples_per_subset = 20;
     auto s1 = core::AllSamplingOptimizer(aopts).Optimize(&ctx, req);
     const size_t marginal = oracle.cost() - partial_cost;

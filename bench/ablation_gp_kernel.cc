@@ -30,8 +30,8 @@ int main() {
         return core::PartialSamplingOptimizer(opts).Optimize(part, rq, o);
       };
     };
-    const auto s = eval::RunExperiment(p, req, factory, bench::Trials(),
-                                       bench::BaseSeed());
+    const auto s = eval::RunExperiment(p, req, factory, bench::kTrials,
+                                       bench::kBaseSeed);
     table.AddRow({e.name, eval::FmtPercent(s.mean_cost_fraction),
                   eval::Fmt(s.mean_precision), eval::Fmt(s.mean_recall),
                   eval::FmtPercent(s.success_rate, 0)});

@@ -32,8 +32,8 @@ int main() {
         return core::PartialSamplingOptimizer(opts).Optimize(part, rq, o);
       };
     };
-    const auto s = eval::RunExperiment(p, req, factory, bench::Trials(),
-                                       bench::BaseSeed());
+    const auto s = eval::RunExperiment(p, req, factory, bench::kTrials,
+                                       bench::kBaseSeed);
     table.AddRow({"[" + eval::FmtPercent(r.lo, 1) + ", " +
                       eval::FmtPercent(r.hi, 1) + "]",
                   eval::FmtPercent(s.mean_cost_fraction),

@@ -7,10 +7,14 @@
 // JsonObject / WriteBenchJson below, to a fixed BENCH_*.json name in the
 // working directory.
 //
-// Environment knobs:
-//   HUMO_TRIALS  — randomized trials per cell for SAMP/HYBR (default 20;
-//                  the paper averaged 100).
-//   HUMO_SEED    — base seed (default 1000).
+// No bench reads the environment: every size it runs is a constant in the
+// code. What several benches share is defined once below — the DS/AB
+// contract presets, the trial count and the base seed. A size only one
+// bench uses is a constexpr row at the top of that bench, next to the
+// baseline it must match; changing one means editing the row and
+// re-recording that bench's BENCH_*.json. The one size choice left is
+// kSanitized, read from the build: ASan and TSan builds run each bench's
+// smaller sanitizer rows.
 
 #include <sys/resource.h>
 
@@ -29,6 +33,37 @@
 
 namespace humo::bench {
 
+/// True in an AddressSanitizer or ThreadSanitizer build (GCC's
+/// __SANITIZE_*__ macros, clang's __has_feature). Such builds are an order
+/// of magnitude slower and check memory and races, not throughput, so the
+/// contract benches run smaller rows there and relax their speed floors.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kSanitized = true;
+#else
+inline constexpr bool kSanitized = false;
+#endif
+#else
+inline constexpr bool kSanitized = false;
+#endif
+
+/// Randomized trials per cell for SAMP/HYBR (the paper averaged 100).
+inline constexpr size_t kTrials = 20;
+/// Base seed of every bench's sampling.
+inline constexpr uint64_t kBaseSeed = 1000;
+
+/// The contract workloads of the streaming, risk, crowd and serving
+/// benches: the Fig. 6 DS simulator at 20k pairs, and AB at 60k pairs
+/// (serving also runs AB at other sizes).
+inline data::PairSimulatorConfig ContractDs() {
+  return data::DsConfigSmall(555, 20000);
+}
+inline data::PairSimulatorConfig ContractAb(size_t pairs = 60000) {
+  return data::AbConfigSmall(1234, pairs);
+}
+
 inline double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -46,15 +81,6 @@ inline double PeakRssMb() {
   struct rusage usage;
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
-/// Sizes from a comma- or space-separated list, e.g. "100000,1000000".
-inline std::vector<size_t> ParseScales(const std::string& list) {
-  std::vector<size_t> scales;
-  for (const std::string& token : SplitAny(list, ", ")) {
-    scales.push_back(static_cast<size_t>(std::stoull(token)));
-  }
-  return scales;
 }
 
 /// One JSON object whose fields print in insertion order. Doubles print
@@ -113,7 +139,6 @@ class JsonObject {
     }
     Raw(key, out + "\n  ]");
   }
-  void SetNull(const std::string& key) { Raw(key, "null"); }
 
   std::string Inline() const { return Join(", ", "{", "}"); }
   /// One field per line: the layout of the committed BENCH_*.json files.
@@ -161,14 +186,6 @@ inline bool WriteBenchJson(const std::string& path, const JsonObject& doc) {
   return true;
 }
 
-inline size_t Trials() {
-  return static_cast<size_t>(GetEnvInt64("HUMO_TRIALS", 20));
-}
-
-inline uint64_t BaseSeed() {
-  return static_cast<uint64_t>(GetEnvInt64("HUMO_SEED", 1000));
-}
-
 /// Optimizer factories wired the way §VIII runs them.
 inline eval::OptimizerFn MakeBase() {
   return [](const core::SubsetPartition& p, const core::QualityRequirement& r,
@@ -199,21 +216,21 @@ inline eval::ExperimentSummary RunBase(const core::SubsetPartition& p,
                                        const core::QualityRequirement& req) {
   // BASE is deterministic; a single trial suffices.
   return eval::RunExperiment(
-      p, req, [](uint64_t) { return MakeBase(); }, 1, BaseSeed());
+      p, req, [](uint64_t) { return MakeBase(); }, 1, kBaseSeed);
 }
 
 inline eval::ExperimentSummary RunSamp(const core::SubsetPartition& p,
                                        const core::QualityRequirement& req) {
   return eval::RunExperiment(
-      p, req, [](uint64_t seed) { return MakeSamp(seed); }, Trials(),
-      BaseSeed());
+      p, req, [](uint64_t seed) { return MakeSamp(seed); }, kTrials,
+      kBaseSeed);
 }
 
 inline eval::ExperimentSummary RunHybr(const core::SubsetPartition& p,
                                        const core::QualityRequirement& req) {
   return eval::RunExperiment(
-      p, req, [](uint64_t seed) { return MakeHybr(seed); }, Trials(),
-      BaseSeed());
+      p, req, [](uint64_t seed) { return MakeHybr(seed); }, kTrials,
+      kBaseSeed);
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper) {

@@ -31,16 +31,8 @@
 //     inferred on DS/AB (degree-1 records share no record to infer over);
 //   - six rows: {DS, AB, ENT} x {SAMP, RISK}.
 //
-// Environment knobs (all optional):
-//   HUMO_CROWD_BENCH_PAIRS_DS   DS size (default 20000)
-//   HUMO_CROWD_BENCH_PAIRS_AB   AB size (default 60000)
-//   HUMO_CROWD_BENCH_PAIRS_ENT  ENT target size (default 20000)
-//   HUMO_CROWD_TASK_CAPACITY    pairs per HIT (default 10)
-//   HUMO_CROWD_WORKERS          workers per pair (default 3)
-//   HUMO_CROWD_ERROR            per-worker error rate (default 0.0 — the
-//                               guarantee contract assumes a crowd whose
-//                               verdicts match the expert's)
-//   HUMO_SEED                   sampling seed (default 1000)
+// Workloads: bench::ContractDs() and bench::ContractAb() (DS 20k, AB 60k),
+// plus the ENT row below; sampling seed bench::kBaseSeed.
 
 #include <cstdio>
 #include <string>
@@ -52,6 +44,16 @@
 using namespace humo;
 
 namespace {
+
+// ENT entity-graph target size, in pairs.
+constexpr size_t kEntPairs = 20000;
+// Pairs per HIT.
+constexpr size_t kTaskCapacity = 10;
+// Workers judging each pair.
+constexpr size_t kWorkersPerPair = 3;
+// Per-worker error rate: the guarantee contract assumes a crowd whose
+// verdicts match the expert's.
+constexpr double kWorkerErrorRate = 0.0;
 
 struct Row {
   std::string workload;
@@ -98,22 +100,13 @@ int main() {
       "CrowdER-style HIT packing + transitive inference over the §IX crowd "
       "direction");
 
-  const uint64_t seed = bench::BaseSeed();
-  const size_t ds_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_CROWD_BENCH_PAIRS_DS", 20000));
-  const size_t ab_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_CROWD_BENCH_PAIRS_AB", 60000));
-  const size_t ent_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_CROWD_BENCH_PAIRS_ENT", 20000));
-  const size_t capacity =
-      static_cast<size_t>(GetEnvInt64("HUMO_CROWD_TASK_CAPACITY", 10));
+  const uint64_t seed = bench::kBaseSeed;
   const double target = 0.9;
   const core::QualityRequirement req{target, target, target};
 
   core::CrowdOptions crowd_options;
-  crowd_options.workers_per_pair =
-      static_cast<size_t>(GetEnvInt64("HUMO_CROWD_WORKERS", 3));
-  crowd_options.worker_error_rate = GetEnvDouble("HUMO_CROWD_ERROR", 0.0);
+  crowd_options.workers_per_pair = kWorkersPerPair;
+  crowd_options.worker_error_rate = kWorkerErrorRate;
 
   std::vector<Row> rows;
   bool contract_ok = true;
@@ -133,16 +126,14 @@ int main() {
   std::vector<WorkloadSpec> specs;
   {
     core::CrowdTaskOptions two_table;
-    two_table.task_capacity = capacity;
-    specs.push_back({"DS",
-                     data::SimulatePairs(data::DsConfigSmall(555, ds_pairs)),
-                     two_table});
-    specs.push_back({"AB",
-                     data::SimulatePairs(data::AbConfigSmall(1234, ab_pairs)),
-                     two_table});
+    two_table.task_capacity = kTaskCapacity;
+    specs.push_back(
+        {"DS", data::SimulatePairs(bench::ContractDs()), two_table});
+    specs.push_back(
+        {"AB", data::SimulatePairs(bench::ContractAb()), two_table});
     // ENT: one table, shared records — denser intra-entity redundancy than
     // the entity-layer default so transitive closure has edges to spend.
-    data::EntityGraphConfig cfg = data::EntityGraphConfigForPairs(ent_pairs);
+    data::EntityGraphConfig cfg = data::EntityGraphConfigForPairs(kEntPairs);
     cfg.extra_intra_fraction = 1.5;
     core::CrowdTaskOptions dedup = two_table;
     dedup.left_source = cfg.source;
@@ -281,7 +272,7 @@ int main() {
   doc.Set("alpha", target);
   doc.Set("beta", target);
   doc.Set("theta", target);
-  doc.Set("task_capacity", capacity);
+  doc.Set("task_capacity", kTaskCapacity);
   doc.Set("workers_per_pair", crowd_options.workers_per_pair);
   doc.Set("worker_error_rate", crowd_options.worker_error_rate);
   doc.Set("results", json_rows);

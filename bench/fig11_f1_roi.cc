@@ -18,7 +18,7 @@ void RunDataset(const char* name, const data::Workload& w,
 
     core::Oracle oracle(&w);
     actl::ActlOptions opts;
-    opts.seed = bench::BaseSeed();
+    opts.seed = bench::kBaseSeed;
     const auto actl_result =
         actl::ActiveLearningResolver(opts).Resolve(p, target, &oracle);
     double actl_f1 = 0.0, actl_psi = 0.0;

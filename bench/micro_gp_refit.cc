@@ -21,12 +21,8 @@
 // append, so the ratio is only comparable at one fixed pool size, and
 // HUMO_NUM_THREADS does not change it.
 //
-// Environment knobs (all optional):
-//   HUMO_GP_BENCH_MAX_N    largest training size to run (default 512; CI
-//                          smoke uses 64)
-//   HUMO_GP_BENCH_ROUNDS   appended-observation rounds per size (default 8)
-//   HUMO_GP_BENCH_QUERIES  prediction batch size (default 100)
-//   HUMO_GP_BENCH_REPS     timing repetitions, best-of (default 3)
+// Sanitizer builds (bench::kSanitized) run n = 64 only, with fewer rounds,
+// queries and repetitions.
 
 #include <algorithm>
 #include <cmath>
@@ -40,6 +36,15 @@ using namespace humo;
 using bench::NowMs;
 
 namespace {
+
+// Largest training size run.
+constexpr size_t kMaxN = bench::kSanitized ? 64 : 512;
+// Appended-observation rounds per size.
+constexpr size_t kRounds = bench::kSanitized ? 2 : 8;
+// Prediction batch size.
+constexpr size_t kQueries = bench::kSanitized ? 20 : 100;
+// Timing repetitions; each row keeps the best.
+constexpr size_t kReps = bench::kSanitized ? 1 : 3;
 
 struct SyntheticData {
   std::vector<double> x, y, noise;
@@ -193,25 +198,18 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
 
 int main() {
   ThreadPool::SetGlobalThreads(1);
-  const size_t max_n =
-      static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_MAX_N", 512));
-  const size_t rounds =
-      static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_ROUNDS", 8));
-  const size_t queries =
-      static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_QUERIES", 100));
-  const size_t reps = static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_REPS", 3));
 
   std::printf("micro_gp_refit: incremental GP refits and batched prediction\n");
   std::printf("threads=%zu rounds=%zu queries=%zu reps=%zu\n\n",
-              ThreadPool::Global()->num_threads(), rounds, queries, reps);
+              ThreadPool::Global()->num_threads(), kRounds, kQueries, kReps);
   std::printf("%6s | %14s %14s %8s | %14s %14s %8s\n", "n", "full-refit ms",
               "append ms", "speedup", "per-point ms", "batch ms", "speedup");
 
   std::vector<bench::JsonObject> rows;
   for (size_t n : {size_t{64}, size_t{128}, size_t{256}, size_t{512}}) {
-    if (n > max_n) continue;
+    if (n > kMaxN) continue;
     SizeResult r;
-    if (RunSize(n, rounds, queries, reps, &r) != 0) return 1;
+    if (RunSize(n, kRounds, kQueries, kReps, &r) != 0) return 1;
     std::printf("%6zu | %14.3f %14.3f %7.1fx | %14.3f %14.3f %7.1fx\n", r.n,
                 r.refit_full_ms, r.refit_incremental_ms, r.refit_speedup,
                 r.predict_per_point_ms, r.predict_batch_ms, r.predict_speedup);
@@ -228,9 +226,9 @@ int main() {
   bench::JsonObject doc;
   doc.Set("bench", "micro_gp_refit");
   doc.Set("threads", ThreadPool::Global()->num_threads());
-  doc.Set("rounds", rounds);
-  doc.Set("queries", queries);
-  doc.Set("reps", reps);
+  doc.Set("rounds", kRounds);
+  doc.Set("queries", kQueries);
+  doc.Set("reps", kReps);
   doc.Set("results", rows);
   return bench::WriteBenchJson("BENCH_gp_refit.json", doc) ? 0 : 1;
 }

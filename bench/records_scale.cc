@@ -23,32 +23,24 @@
 //                     (alpha=beta=theta=0.9, seed 1000, subset 200)
 //   peak_rss_mb       getrusage high-water mark after the scale's stages
 //
-// The mmap stage (HUMO_RECORDS_MMAP_PAIRS pairs, default 10M) streams the
-// scale-generator realization chunk-by-chunk through ExternalColumnsWriter
-// (peak buffered columns: HUMO_RECORDS_RUN_PAIRS * 17 bytes), maps the
-// merged file, and certifies the mmap-backed workload with SAMP. A small
-// in-RAM cross-check (100k pairs) asserts the external file is
-// BYTE-IDENTICAL to WriteColumnsFile of the in-RAM radix sort and that the
-// mmap-backed certification reproduces the RAM-backed solution exactly.
+// The mmap stage (kMmapPairs pairs, 10M) streams the scale-generator
+// realization chunk-by-chunk through ExternalColumnsWriter (peak buffered
+// columns: kRunPairs * 17 bytes), maps the merged file, and certifies the
+// mmap-backed workload with SAMP. A small in-RAM cross-check (100k pairs)
+// asserts the external file is BYTE-IDENTICAL to WriteColumnsFile of the
+// in-RAM radix sort and that the mmap-backed certification reproduces the
+// RAM-backed solution exactly. The columnar files live in
+// std::filesystem::temp_directory_path() (TMPDIR when set) and are removed
+// on every exit path.
 //
 // The pool is pinned to 1 thread, the count BENCH_records.json records, so
-// HUMO_NUM_THREADS does not change what the gate compares.
-//
-// Environment knobs:
-//   HUMO_RECORDS_PAIRS         comma list of candidate-pair scales
-//                              (default "100000,1000000")
-//   HUMO_RECORDS_REPS          best-of repetitions for scoring timings
-//                              (default 3)
-//   HUMO_RECORDS_CERTIFY       run SAMP/RISK certification (default 1)
-//   HUMO_RECORDS_RECALL_FLOOR  minimum lsh_recall (default 0.95)
-//   HUMO_RECORDS_MMAP_PAIRS    out-of-core stage size (default 10000000;
-//                              0 disables the stage)
-//   HUMO_RECORDS_RUN_PAIRS     external-sort run size (default 1000000)
-//   HUMO_RECORDS_MMAP_PATH     columnar file location (default
-//                              "/tmp/humo_records.humocol"; removed after)
+// HUMO_NUM_THREADS does not change what the gate compares. Sanitizer builds
+// (bench::kSanitized) run one 20k-pair scale, one repetition, and a 200k
+// mmap stage in 60k-pair runs.
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -65,9 +57,35 @@ using bench::PeakRssMb;
 namespace {
 
 const core::QualityRequirement kReq{0.9, 0.9, 0.9};
-constexpr uint64_t kSeed = 1000;
 constexpr size_t kSubsetSize = 200;
 constexpr double kScoreThreshold = 0.2;
+
+// Candidate-pair scales, one row each.
+const std::vector<size_t> kScales =
+    bench::kSanitized ? std::vector<size_t>{20000}
+                      : std::vector<size_t>{100000, 1000000};
+// Best-of repetitions for the scoring timings.
+constexpr size_t kReps = bench::kSanitized ? 1 : 3;
+// Minimum lsh_recall.
+constexpr double kRecallFloor = 0.95;
+// Out-of-core stage size, and the external sort's run size.
+constexpr size_t kMmapPairs = bench::kSanitized ? 200000 : 10000000;
+constexpr size_t kRunPairs = bench::kSanitized ? 60000 : 1000000;
+
+/// Removes its files when it goes out of scope, on every exit path.
+class RemoveOnExit {
+ public:
+  explicit RemoveOnExit(std::vector<std::string> paths)
+      : paths_(std::move(paths)) {}
+  ~RemoveOnExit() {
+    for (const std::string& path : paths_) std::remove(path.c_str());
+  }
+  RemoveOnExit(const RemoveOnExit&) = delete;
+  RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+
+ private:
+  std::vector<std::string> paths_;
+};
 
 struct RecordsResult {
   size_t scale = 0;
@@ -100,8 +118,7 @@ std::set<std::pair<uint32_t, uint32_t>> MatchedPairs(const data::Workload& w) {
   return out;
 }
 
-int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
-             RecordsResult* out) {
+int RunScale(size_t scale, RecordsResult* out) {
   out->scale = scale;
 
   // Tables sized so TokenBlock yields exactly `scale` candidate pairs
@@ -158,11 +175,11 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
           ? 1.0
           : static_cast<double>(retained) /
                 static_cast<double>(exact_matches.size());
-  if (out->lsh_recall < recall_floor) {
+  if (out->lsh_recall < kRecallFloor) {
     std::fprintf(stderr,
                  "bench_records_scale: LSH recall %.4f below floor %.4f at "
                  "scale %zu (%zu/%zu matched pairs retained)\n",
-                 out->lsh_recall, recall_floor, scale, retained,
+                 out->lsh_recall, kRecallFloor, scale, retained,
                  exact_matches.size());
     return 1;
   }
@@ -185,7 +202,7 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
   }
   out->score_pairs = candidates.left.size();
   std::vector<double> string_scores(candidates.left.size());
-  for (size_t rep = 0; rep < reps; ++rep) {
+  for (size_t rep = 0; rep < kReps; ++rep) {
     t0 = NowMs();
     for (size_t k = 0; k < candidates.left.size(); ++k) {
       string_scores[k] =
@@ -197,7 +214,7 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
         rep == 0 ? ms : std::min(out->string_score_ms, ms);
   }
   std::vector<double> simd_scores(candidates.left.size());
-  for (size_t rep = 0; rep < reps; ++rep) {
+  for (size_t rep = 0; rep < kReps; ++rep) {
     t0 = NowMs();
     data::BatchScorePairs(left_cols, right_cols, candidates.left.data(),
                           candidates.right.data(), candidates.left.size(),
@@ -222,10 +239,10 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
 
   // ---- SAMP certification over the LSH workload. ----
   core::SubsetPartition partition(&lsh, kSubsetSize);
-  if (certify) {
+  {
     core::Oracle oracle(&lsh);
     core::PartialSamplingOptions options;
-    options.seed = kSeed;
+    options.seed = bench::kBaseSeed;
     t0 = NowMs();
     auto solution = core::PartialSamplingOptimizer(options).Optimize(
         partition, kReq, &oracle);
@@ -244,10 +261,10 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
   }
 
   // ---- RISK certification. ----
-  if (certify) {
+  {
     core::Oracle oracle(&lsh);
     core::RiskAwareOptions options;
-    options.sampling.seed = kSeed;
+    options.sampling.seed = bench::kBaseSeed;
     t0 = NowMs();
     auto outcome =
         core::RiskAwareOptimizer(options).Resolve(partition, kReq, &oracle);
@@ -282,14 +299,15 @@ struct MmapResult {
 /// 100k-pair cross-check: the external merge must produce the byte-identical
 /// file of the in-RAM radix sort, and SAMP over the mapping must reproduce
 /// the RAM-backed solution exactly.
-int VerifyMmapAgainstRam(const std::string& dir) {
+int VerifyMmapAgainstRam(const std::filesystem::path& dir) {
+  const std::string golden = dir / "humo_records_golden.humocol";
+  const std::string merged = dir / "humo_records_merged.humocol";
+  const RemoveOnExit cleanup({golden, merged});
   data::ScaleWorkloadConfig cfg;
   cfg.num_pairs = 100000;
   const data::Workload ram = data::GenerateScaleWorkload(cfg);
-  const std::string golden = dir + "/humo_records_golden.humocol";
   if (!data::WriteColumnsFile(ram, golden).ok()) return 1;
 
-  const std::string merged = dir + "/humo_records_merged.humocol";
   data::ExternalColumnsWriter writer(merged, /*run_pairs=*/17000);
   for (size_t begin = 0; begin < cfg.num_pairs; begin += 23000) {
     const size_t end = std::min(begin + 23000, cfg.num_pairs);
@@ -324,7 +342,7 @@ int VerifyMmapAgainstRam(const std::string& dir) {
     core::SubsetPartition p(&w, kSubsetSize);
     core::Oracle oracle(&w);
     core::PartialSamplingOptions o;
-    o.seed = kSeed;
+    o.seed = bench::kBaseSeed;
     auto sol = core::PartialSamplingOptimizer(o).Optimize(p, kReq, &oracle);
     if (!sol.ok()) return std::make_pair(size_t{0}, size_t{0});
     core::ApplySolution(p, *sol, &oracle);
@@ -341,31 +359,28 @@ int VerifyMmapAgainstRam(const std::string& dir) {
                  mmap_cost, ram_cost);
     return 1;
   }
-  std::remove(golden.c_str());
-  std::remove(merged.c_str());
   return 0;
 }
 
-int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
-                 bool certify, MmapResult* out) {
-  out->pairs = pairs;
-  out->run_pairs = run_pairs;
+int RunMmapStage(MmapResult* out) {
+  out->pairs = kMmapPairs;
+  out->run_pairs = kRunPairs;
 
   // The in-RAM equivalence proof first, at a scale where both fit.
-  const size_t slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
+  const std::filesystem::path dir = std::filesystem::temp_directory_path();
   if (VerifyMmapAgainstRam(dir) != 0) return 1;
   out->verified_against_ram = 1;
 
   // Stream the full realization to disk in run-sized unsorted chunks; the
   // columns never exist in RAM all at once.
+  const std::string path = dir / "humo_records.humocol";
+  const RemoveOnExit cleanup({path});
   double t0 = NowMs();
-  data::ExternalColumnsWriter writer(path, run_pairs);
+  data::ExternalColumnsWriter writer(path, kRunPairs);
   data::ScaleWorkloadConfig cfg;
-  cfg.num_pairs = pairs;
-  for (size_t begin = 0; begin < pairs; begin += run_pairs) {
-    const size_t end = std::min(begin + run_pairs, pairs);
+  cfg.num_pairs = kMmapPairs;
+  for (size_t begin = 0; begin < kMmapPairs; begin += kRunPairs) {
+    const size_t end = std::min(begin + kRunPairs, kMmapPairs);
     const data::ScaleColumns cols =
         data::GenerateScaleColumnsRange(cfg, begin, end);
     if (!writer
@@ -378,7 +393,7 @@ int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
     }
   }
   auto total = writer.Finish();
-  if (!total.ok() || *total != pairs) {
+  if (!total.ok() || *total != kMmapPairs) {
     std::fprintf(stderr, "bench_records_scale: external sort failed\n");
     return 1;
   }
@@ -397,38 +412,35 @@ int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
   out->mapped_mb =
       static_cast<double>((*mapped)->MappedBytes()) / (1024.0 * 1024.0);
 
-  if (certify) {
-    core::SubsetPartition partition(&workload, kSubsetSize);
-    core::Oracle oracle(&workload);
-    core::PartialSamplingOptions options;
-    options.seed = kSeed;
-    // SAMP's GP fit is cubic in the sampled-subset count and its posterior
-    // sweep quadratic in it times the total subset count; at 10M pairs the
-    // default [4%, 6%] fraction would train on ~2500 of 50000 subsets.
-    // Above 20k subsets drop to the paper's own lower sampling range so
-    // the out-of-core certification stays minutes, not hours.
-    if (partition.num_subsets() > 20000) {
-      options.sample_fraction_lo = 0.01;
-      options.sample_fraction_hi = 0.015;
-    }
-    t0 = NowMs();
-    auto solution = core::PartialSamplingOptimizer(options).Optimize(
-        partition, kReq, &oracle);
-    if (!solution.ok()) {
-      std::fprintf(stderr, "bench_records_scale: mmap SAMP failed: %s\n",
-                   solution.status().ToString().c_str());
-      return 1;
-    }
-    const auto resolution = core::ApplySolution(partition, *solution, &oracle);
-    out->samp_ms = NowMs() - t0;
-    out->samp_cost = static_cast<long long>(oracle.cost());
-    const auto quality = eval::QualityOf(workload, resolution.labels);
-    out->samp_precision = quality.precision;
-    out->samp_recall = quality.recall;
+  core::SubsetPartition partition(&workload, kSubsetSize);
+  core::Oracle oracle(&workload);
+  core::PartialSamplingOptions options;
+  options.seed = bench::kBaseSeed;
+  // SAMP's GP fit is cubic in the sampled-subset count and its posterior
+  // sweep quadratic in it times the total subset count; at 10M pairs the
+  // default [4%, 6%] fraction would train on ~2500 of 50000 subsets.
+  // Above 20k subsets drop to the paper's own lower sampling range so
+  // the out-of-core certification stays minutes, not hours.
+  if (partition.num_subsets() > 20000) {
+    options.sample_fraction_lo = 0.01;
+    options.sample_fraction_hi = 0.015;
   }
+  t0 = NowMs();
+  auto solution = core::PartialSamplingOptimizer(options).Optimize(
+      partition, kReq, &oracle);
+  if (!solution.ok()) {
+    std::fprintf(stderr, "bench_records_scale: mmap SAMP failed: %s\n",
+                 solution.status().ToString().c_str());
+    return 1;
+  }
+  const auto resolution = core::ApplySolution(partition, *solution, &oracle);
+  out->samp_ms = NowMs() - t0;
+  out->samp_cost = static_cast<long long>(oracle.cost());
+  const auto quality = eval::QualityOf(workload, resolution.labels);
+  out->samp_precision = quality.precision;
+  out->samp_recall = quality.recall;
 
   out->peak_rss_mb = PeakRssMb();
-  std::remove(path.c_str());
   return 0;
 }
 
@@ -436,24 +448,11 @@ int RunMmapStage(size_t pairs, size_t run_pairs, const std::string& path,
 
 int main() {
   ThreadPool::SetGlobalThreads(1);
-  const std::vector<size_t> scales =
-      bench::ParseScales(GetEnvString("HUMO_RECORDS_PAIRS", "100000,1000000"));
-  const size_t reps =
-      static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_REPS", 3));
-  const bool certify = GetEnvInt64("HUMO_RECORDS_CERTIFY", 1) != 0;
-  const double recall_floor =
-      std::stod(GetEnvString("HUMO_RECORDS_RECALL_FLOOR", "0.95"));
-  const size_t mmap_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_MMAP_PAIRS", 10000000));
-  const size_t run_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_RUN_PAIRS", 1000000));
-  const std::string mmap_path =
-      GetEnvString("HUMO_RECORDS_MMAP_PATH", "/tmp/humo_records.humocol");
 
   std::printf(
       "bench_records_scale: raw-record resolution (threads=%zu, reps=%zu, "
       "avx2=%s)\n\n",
-      ThreadPool::Global()->num_threads(), reps,
+      ThreadPool::Global()->num_threads(), kReps,
       text::internal::CpuHasAvx2() ? "yes" : "no");
 
   std::printf("%10s | %8s | %9s %9s %7s | %9s %9s %7s | %8s\n", "pairs",
@@ -461,9 +460,9 @@ int main() {
               "speedup", "rss MB");
 
   std::vector<bench::JsonObject> rows;
-  for (size_t scale : scales) {
+  for (size_t scale : kScales) {
     RecordsResult r;
-    if (RunScale(scale, reps, certify, recall_floor, &r) != 0) return 1;
+    if (RunScale(scale, &r) != 0) return 1;
     std::printf(
         "%10zu | %8.1f | %9.1f %9.1f %6.3f | %9.1f %9.1f %6.2fx | %8.1f\n",
         r.scale, r.tokenize_ms, r.exact_ms, r.lsh_ms, r.lsh_recall,
@@ -491,45 +490,33 @@ int main() {
     out.Set("peak_rss_mb", r.peak_rss_mb, 1);
   }
 
-  MmapResult mmap_result;
-  const bool ran_mmap = mmap_pairs > 0;
-  if (ran_mmap) {
-    if (RunMmapStage(mmap_pairs, run_pairs, mmap_path, certify,
-                     &mmap_result) != 0) {
-      return 1;
-    }
-    std::printf(
-        "\nmmap %zu pairs: write %.1f ms, map %.1f ms (%.1f MB file), "
-        "samp %.1f ms cost %lld, rss %.1f MB\n",
-        mmap_result.pairs, mmap_result.write_ms, mmap_result.open_ms,
-        mmap_result.mapped_mb, mmap_result.samp_ms, mmap_result.samp_cost,
-        mmap_result.peak_rss_mb);
-  }
+  MmapResult m;
+  if (RunMmapStage(&m) != 0) return 1;
+  std::printf(
+      "\nmmap %zu pairs: write %.1f ms, map %.1f ms (%.1f MB file), "
+      "samp %.1f ms cost %lld, rss %.1f MB\n",
+      m.pairs, m.write_ms, m.open_ms, m.mapped_mb, m.samp_ms, m.samp_cost,
+      m.peak_rss_mb);
 
   bench::JsonObject doc;
   doc.Set("bench", "records_scale");
   doc.Set("threads", ThreadPool::Global()->num_threads());
-  doc.Set("reps", reps);
+  doc.Set("reps", kReps);
   doc.Set("subset_size", kSubsetSize);
   doc.Set("avx2", text::internal::CpuHasAvx2());
   doc.Set("results", rows);
-  if (ran_mmap) {
-    const MmapResult& m = mmap_result;
-    bench::JsonObject mmap;
-    mmap.Set("pairs", m.pairs);
-    mmap.Set("run_pairs", m.run_pairs);
-    mmap.Set("write_ms", m.write_ms, 3);
-    mmap.Set("open_ms", m.open_ms, 3);
-    mmap.Set("mapped_mb", m.mapped_mb, 1);
-    mmap.Set("samp_ms", m.samp_ms, 3);
-    mmap.Set("samp_cost", m.samp_cost);
-    mmap.Set("samp_precision", m.samp_precision);
-    mmap.Set("samp_recall", m.samp_recall);
-    mmap.Set("verified_against_ram", m.verified_against_ram);
-    mmap.Set("peak_rss_mb", m.peak_rss_mb, 1);
-    doc.Set("mmap", mmap);
-  } else {
-    doc.SetNull("mmap");
-  }
+  bench::JsonObject mmap;
+  mmap.Set("pairs", m.pairs);
+  mmap.Set("run_pairs", m.run_pairs);
+  mmap.Set("write_ms", m.write_ms, 3);
+  mmap.Set("open_ms", m.open_ms, 3);
+  mmap.Set("mapped_mb", m.mapped_mb, 1);
+  mmap.Set("samp_ms", m.samp_ms, 3);
+  mmap.Set("samp_cost", m.samp_cost);
+  mmap.Set("samp_precision", m.samp_precision);
+  mmap.Set("samp_recall", m.samp_recall);
+  mmap.Set("verified_against_ram", m.verified_against_ram);
+  mmap.Set("peak_rss_mb", m.peak_rss_mb, 1);
+  doc.Set("mmap", mmap);
   return bench::WriteBenchJson("BENCH_records.json", doc) ? 0 : 1;
 }

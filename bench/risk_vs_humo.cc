@@ -21,11 +21,8 @@
 // strict "fewer inspections" claim at default sizes is asserted by
 // tests/core/risk_aware_optimizer_test.cc.
 //
-// Environment knobs (all optional):
-//   HUMO_RISK_BENCH_PAIRS_DS  DS workload size (default 20000; CI smoke 8000)
-//   HUMO_RISK_BENCH_PAIRS_AB  AB workload size (default 60000; CI smoke 20000)
-//   HUMO_TRIALS               randomized trials per cell (default 5 here)
-//   HUMO_SEED                 base sampling seed (default 1000)
+// Workloads: bench::ContractDs() and bench::ContractAb() (DS 20k, AB 60k),
+// kTrials seeds per cell from bench::kBaseSeed.
 
 #include <cstdio>
 #include <set>
@@ -38,6 +35,10 @@
 using namespace humo;
 
 namespace {
+
+// Fewer trials than bench::kTrials: every trial runs four randomized
+// optimizers at four targets on both workloads.
+constexpr size_t kTrials = 5;
 
 struct Cell {
   std::string workload;
@@ -90,12 +91,6 @@ int main() {
       "risk-aware inspection",
       "r-HUMO (Hou et al.) risk-ordered inspection on the Fig. 6 workloads");
 
-  const size_t trials = static_cast<size_t>(GetEnvInt64("HUMO_TRIALS", 5));
-  const uint64_t base_seed = bench::BaseSeed();
-  const size_t ds_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_RISK_BENCH_PAIRS_DS", 20000));
-  const size_t ab_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_RISK_BENCH_PAIRS_AB", 60000));
   const std::vector<double> targets = {0.80, 0.85, 0.90, 0.95};
   const double theta = 0.9;
 
@@ -105,8 +100,7 @@ int main() {
   for (const char* name : {"DS", "AB"}) {
     const bool is_ds = name[0] == 'D';
     const data::Workload w = data::SimulatePairs(
-        is_ds ? data::DsConfigSmall(555, ds_pairs)
-              : data::AbConfigSmall(1234, ab_pairs));
+        is_ds ? bench::ContractDs() : bench::ContractAb());
     core::SubsetPartition partition(&w, 200);
     std::printf("%s: %zu pairs, %zu matches, %zu subsets\n", name, w.size(),
                 w.CountMatches(), partition.num_subsets());
@@ -136,8 +130,8 @@ int main() {
           target));
 
       std::vector<Trial> samp, hybr, risk, hybr_risk;
-      for (size_t t = 0; t < trials; ++t) {
-        const uint64_t seed = base_seed + t;
+      for (size_t t = 0; t < kTrials; ++t) {
+        const uint64_t seed = bench::kBaseSeed + t;
         samp.push_back(run_classic("SAMP", bench::MakeSamp(seed)));
         hybr.push_back(run_classic("HYBR", bench::MakeHybr(seed)));
         {
@@ -229,7 +223,7 @@ int main() {
   bench::JsonObject doc;
   doc.Set("bench", "risk_vs_humo");
   doc.Set("theta", theta);
-  doc.Set("trials", trials);
+  doc.Set("trials", kTrials);
   doc.Set("results", rows);
   if (!bench::WriteBenchJson("BENCH_risk.json", doc)) return 1;
 

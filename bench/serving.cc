@@ -7,8 +7,8 @@
 // The bench *checks* the contracts it advertises and exits nonzero on any
 // violation, so the committed BENCH_serving.json cannot silently go stale:
 //   * sustained lookup throughput across every reader must stay at or
-//     above HUMO_SERVE_LPS_FLOOR (default 1,000,000 lookups/sec) for the
-//     whole mutate phase;
+//     above kLookupsPerSecFloor (1,000,000 lookups/sec) for the whole
+//     mutate phase;
 //   * every snapshot a reader observes validates (checksum + size
 //     agreement) with monotonically advancing versions;
 //   * after DrainToQuiescence, the service's certificate, labels, and
@@ -16,13 +16,9 @@
 //     driven through the same shard/certification/review schedule — the
 //     async queue changes who answers and when, never the result.
 //
-// Environment knobs (all optional):
-//   HUMO_SERVE_PAIRS      comma list of AB workload sizes
-//                         (default "60000,200000"; CI smoke runs 60000)
-//   HUMO_SERVE_SHARDS     shards per stream (default 16)
-//   HUMO_SERVE_READERS    reader threads (default 4)
-//   HUMO_SERVE_CROWD      crowd worker threads (default 2)
-//   HUMO_SERVE_LPS_FLOOR  minimum sustained lookups/sec (default 1000000)
+// Workloads: bench::ContractAb() at 60k and 200k pairs. Sanitizer builds
+// (bench::kSanitized) run one 20k-pair row over 8 shards and check races
+// and the exact contracts, not throughput: their lookup floor is 1/sec.
 
 #include <atomic>
 #include <chrono>
@@ -38,6 +34,19 @@ using namespace humo;
 using bench::MsSince;
 
 namespace {
+
+// AB workload sizes, one row each.
+const std::vector<size_t> kPairCounts =
+    bench::kSanitized ? std::vector<size_t>{20000}
+                      : std::vector<size_t>{60000, 200000};
+// Shards per stream.
+constexpr size_t kShards = bench::kSanitized ? 8 : 16;
+// Reader threads.
+constexpr size_t kReaders = 4;
+// Crowd worker threads.
+constexpr size_t kCrowdWorkers = 2;
+// Minimum sustained lookups/sec across every reader.
+constexpr double kLookupsPerSecFloor = bench::kSanitized ? 1.0 : 1e6;
 
 struct Row {
   std::string workload;
@@ -133,57 +142,47 @@ int main() {
       "ISSUE 7 serving contracts: wait-free lookups under mutation, "
       "drain == synchronous");
 
-  const std::vector<size_t> pair_counts =
-      bench::ParseScales(GetEnvString("HUMO_SERVE_PAIRS", "60000,200000"));
-  const size_t shards =
-      static_cast<size_t>(GetEnvInt64("HUMO_SERVE_SHARDS", 16));
-  const size_t readers =
-      static_cast<size_t>(GetEnvInt64("HUMO_SERVE_READERS", 4));
-  const size_t crowd =
-      static_cast<size_t>(GetEnvInt64("HUMO_SERVE_CROWD", 2));
-  const double lps_floor = static_cast<double>(
-      GetEnvInt64("HUMO_SERVE_LPS_FLOOR", 1000000));
   const core::QualityRequirement req{0.9, 0.9, 0.9};
 
   std::vector<Row> rows;
   bool contract_ok = true;
 
-  for (const size_t pairs : pair_counts) {
-    const data::Workload base =
-        data::SimulatePairs(data::AbConfigSmall(1234, pairs));
+  for (const size_t pairs : kPairCounts) {
+    const data::Workload base = data::SimulatePairs(bench::ContractAb(pairs));
     std::printf("AB: %zu pairs, %zu matches, %zu shards, %zu readers, "
                 "%zu crowd workers\n",
-                base.size(), base.CountMatches(), shards, readers, crowd);
+                base.size(), base.CountMatches(), kShards, kReaders,
+                kCrowdWorkers);
 
     core::StreamingOptions streaming;
     streaming.certifier = core::StreamCertifier::kRisk;
-    streaming.sampling.seed = bench::BaseSeed();
-    const SyncRun sync = RunSynchronous(base, streaming, req, shards);
+    streaming.sampling.seed = bench::kBaseSeed;
+    const SyncRun sync = RunSynchronous(base, streaming, req, kShards);
 
     Row row;
     row.workload = "AB";
     row.pairs = base.size();
-    row.shards = shards;
-    row.readers = readers;
-    row.crowd_workers = crowd;
+    row.shards = kShards;
+    row.readers = kReaders;
+    row.crowd_workers = kCrowdWorkers;
     row.sync_cost = sync.total_inspections;
     row.sync_ms = sync.ms;
 
     core::ResolutionServiceOptions service_options;
     service_options.streaming = streaming;
-    service_options.crowd_workers = crowd;
+    service_options.crowd_workers = kCrowdWorkers;
     core::ResolutionService service(service_options, req);
 
     data::WorkloadStreamOptions stream_options;
-    stream_options.num_shards = shards;
+    stream_options.num_shards = kShards;
     data::WorkloadStream stream(&base, stream_options);
 
     std::atomic<bool> mutating{true};
     std::atomic<bool> snapshots_consistent{true};
     std::atomic<size_t> total_lookups{0};
     std::vector<std::thread> reader_threads;
-    reader_threads.reserve(readers);
-    for (size_t r = 0; r < readers; ++r) {
+    reader_threads.reserve(kReaders);
+    for (size_t r = 0; r < kReaders; ++r) {
       reader_threads.emplace_back([&service, &mutating, &snapshots_consistent,
                                    &total_lookups, r] {
         size_t lookups = 0;
@@ -221,8 +220,8 @@ int main() {
     }
 
     const auto mutate_start = std::chrono::steady_clock::now();
-    for (size_t e = 0; e < shards; ++e) {
-      if (e == shards / 2) {
+    for (size_t e = 0; e < kShards; ++e) {
+      if (e == kShards / 2) {
         // Background certification over exactly the first half:
         // RequestCertification returns once the certifier owns the writer
         // lock, so the next Ingest serializes behind it. Waiting for review
@@ -298,11 +297,11 @@ int main() {
                    "snapshot\n");
       contract_ok = false;
     }
-    if (row.lookups_per_sec < lps_floor) {
+    if (row.lookups_per_sec < kLookupsPerSecFloor) {
       std::fprintf(stderr,
                    "CONTRACT VIOLATION: %.0f lookups/sec below the %.0f "
                    "floor\n",
-                   row.lookups_per_sec, lps_floor);
+                   row.lookups_per_sec, kLookupsPerSecFloor);
       contract_ok = false;
     }
     rows.push_back(row);

@@ -19,9 +19,7 @@
 //     honestly rather than enforcing it;
 //   * the rows cover both modes and both certifiers (SAMP, RISK).
 //
-// Environment knobs (all optional):
-//   HUMO_STREAM_BENCH_PAIRS_DS   DS workload size (default 20000)
-//   HUMO_STREAM_BENCH_PAIRS_AB   AB workload size (default 60000)
+// Workloads: bench::ContractDs() and bench::ContractAb() (DS 20k, AB 60k).
 
 #include <chrono>
 #include <cstdio>
@@ -90,13 +88,9 @@ int main() {
       "bench_streaming — epoch-based streaming resolution vs one-shot HUMO",
       "ISSUE 4 streaming contracts on the Fig. 6 workloads (shard grid)");
 
-  const size_t ds_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_STREAM_BENCH_PAIRS_DS", 20000));
-  const size_t ab_pairs =
-      static_cast<size_t>(GetEnvInt64("HUMO_STREAM_BENCH_PAIRS_AB", 60000));
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   core::PartialSamplingOptions sampling;
-  sampling.seed = bench::BaseSeed();
+  sampling.seed = bench::kBaseSeed;
 
   std::vector<Row> rows;
   bool contract_ok = true;
@@ -104,8 +98,7 @@ int main() {
   for (const char* name : {"DS", "AB"}) {
     const bool is_ds = name[0] == 'D';
     const data::Workload base = data::SimulatePairs(
-        is_ds ? data::DsConfigSmall(555, ds_pairs)
-              : data::AbConfigSmall(1234, ab_pairs));
+        is_ds ? bench::ContractDs() : bench::ContractAb());
     std::printf("%s: %zu pairs, %zu matches\n", name, base.size(),
                 base.CountMatches());
     const OneShot oneshot = RunOneShot(base, req, sampling);

@@ -29,6 +29,6 @@ int main() {
   table.Print();
   std::printf("\npaper: success rates 96-100; averaged quality above the "
               "requirement in all cells (%zu trials here; paper used 100)\n",
-              bench::Trials());
+              bench::kTrials);
   return 0;
 }

@@ -21,7 +21,7 @@ int main() {
 
     core::Oracle oracle(&ab);
     actl::ActlOptions actl_opts;
-    actl_opts.seed = bench::BaseSeed();
+    actl_opts.seed = bench::kBaseSeed;
     const auto actl_result =
         actl::ActiveLearningResolver(actl_opts).Resolve(p, target, &oracle);
     double actl_recall = 0.0, actl_psi = 0.0;

@@ -13,18 +13,4 @@ int64_t GetEnvInt64(const char* name, int64_t fallback) {
   return static_cast<int64_t>(v);
 }
 
-double GetEnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return fallback;
-  return v;
-}
-
-std::string GetEnvString(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  return (raw == nullptr) ? fallback : std::string(raw);
-}
-
 }  // namespace humo

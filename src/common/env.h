@@ -1,19 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace humo {
 
 /// Reads an environment variable as int64, returning `fallback` when unset or
-/// unparsable. Used by the benchmark harness for knobs like HUMO_TRIALS.
+/// unparsable. The one caller is ThreadPool's HUMO_NUM_THREADS.
 int64_t GetEnvInt64(const char* name, int64_t fallback);
-
-/// Reads an environment variable as double, returning `fallback` when unset
-/// or unparsable.
-double GetEnvDouble(const char* name, double fallback);
-
-/// Reads an environment variable as string.
-std::string GetEnvString(const char* name, const std::string& fallback);
 
 }  // namespace humo

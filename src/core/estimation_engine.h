@@ -110,12 +110,11 @@ struct GpFitState {
   std::shared_ptr<const gp::GpRegression> model;
   /// Per-datum log marginal likelihood when `model` was last accepted.
   double lml_per_datum = 0.0;
-  /// Fit configuration `model` was selected under. A later run on the same
-  /// context asking for a different kernel family or noise floor must not
-  /// reuse the model (the warm path keeps hyperparameters), so FitGp
-  /// compares these before warm-starting.
+  /// Kernel family `model` was selected under. A later run on the same
+  /// context asking for a different family must not reuse the model (the
+  /// warm path keeps hyperparameters), so FitGp compares it before
+  /// warm-starting.
   gp::KernelFamily kernel_family = gp::KernelFamily::kRbf;
-  double noise_floor = 0.0;
 };
 
 /// Everything the hybrid approach needs from a partial-sampling run: the

@@ -9,6 +9,17 @@
 #include "stats/distributions.h"
 
 namespace humo::core {
+namespace {
+
+/// Risk mode (OptimizeRiskAware) only: an S0 subset adjacent to the selected
+/// range whose GP-posterior proportion half-width (at the run's confidence)
+/// exceeds this is absorbed into DH rather than left in D+/D-, where its
+/// bound penalty would be immovable — inspection is confined to DH, so one
+/// wide edge subset left outside costs more compensating inspections inside
+/// than absorbing it does.
+constexpr double kRiskEdgeUncertainty = 0.02;
+
+}  // namespace
 
 Result<HumoSolution> HybridOptimizer::Optimize(const SubsetPartition& partition,
                                                const QualityRequirement& req,
@@ -44,10 +55,8 @@ Result<HumoSolution> HybridOptimizer::Optimize(
   const double conf = std::sqrt(req.theta);
   // Same discretization-guard margin the sampling search applies: DH moves
   // in whole subsets, so certify a hair above the target.
-  const double alpha =
-      std::min(1.0, req.alpha + options_.sampling.quality_margin);
-  const double beta =
-      std::min(1.0, req.beta + options_.sampling.quality_margin);
+  const double alpha = std::min(1.0, req.alpha + kQualityMargin);
+  const double beta = std::min(1.0, req.beta + kQualityMargin);
 
   // ---- Step 2: re-extend DH from the median subset of [i0, j0]. ----
   const size_t mid = i0 + (j0 - i0) / 2;
@@ -178,10 +187,8 @@ Result<RiskAwareOutcome> HybridOptimizer::OptimizeRiskAware(
   const size_t i0 = s0->solution.h_lo;
   const size_t j0 = s0->solution.h_hi;
   const double conf = std::sqrt(req.theta);
-  const double alpha =
-      std::min(1.0, req.alpha + options_.sampling.quality_margin);
-  const double beta =
-      std::min(1.0, req.beta + options_.sampling.quality_margin);
+  const double alpha = std::min(1.0, req.alpha + kQualityMargin);
+  const double beta = std::min(1.0, req.beta + kQualityMargin);
 
   // ---- Step 2: grow the range from S0's median subset until its POTENTIAL
   // certificate passes — without inspecting anything. The potential is the
@@ -190,7 +197,7 @@ Result<RiskAwareOutcome> HybridOptimizer::OptimizeRiskAware(
   // work inside the range can certify it, so grow toward the failing
   // requirement exactly like Optimize's re-extension (precision -> right,
   // recall -> left), never exceeding [i0, j0].
-  RiskModel risk(model, i0, j0, risk_options.risk);
+  RiskModel risk(model, i0, j0);
   SeedRiskEvidence(partition, *oracle, &risk);
 
   const size_t mid = i0 + (j0 - i0) / 2;
@@ -203,7 +210,7 @@ Result<RiskAwareOutcome> HybridOptimizer::OptimizeRiskAware(
   // stopping early, so the certification loop would grind most of its pairs
   // anyway — an edge subset left under a weak GP bound in D+/D- costs more
   // inspections to compensate for than absorbing it into DH does.
-  const double grow_margin = options_.sampling.quality_margin;
+  const double grow_margin = kQualityMargin;
   while (true) {
     const RiskCertificate potential =
         CertifyRangePotential(risk, lo, hi, dplus, dminus, conf);
@@ -229,13 +236,13 @@ Result<RiskAwareOutcome> HybridOptimizer::OptimizeRiskAware(
   const double z = stats::NormalTwoSidedCritical(conf);
   while (hi < j0 &&
          z * std::sqrt(model->PosteriorVariance(hi + 1)) >
-             options_.risk_edge_uncertainty) {
+             kRiskEdgeUncertainty) {
     ++hi;
     dplus.ShrinkLeft();
   }
   while (lo > i0 &&
          z * std::sqrt(model->PosteriorVariance(lo - 1)) >
-             options_.risk_edge_uncertainty) {
+             kRiskEdgeUncertainty) {
     --lo;
     dminus.ShrinkRight();
   }

@@ -18,13 +18,6 @@ struct HybridOptions {
   PartialSamplingOptions sampling;
   /// BASE-style estimation window used for the monotonicity bounds.
   size_t window_subsets = 5;
-  /// Risk mode (OptimizeRiskAware) only: an S0 subset adjacent to the
-  /// selected range whose GP-posterior proportion half-width (at the run's
-  /// confidence) exceeds this is absorbed into DH rather than left in
-  /// D+/D-, where its bound penalty would be immovable — inspection is
-  /// confined to DH, so one wide edge subset left outside costs more
-  /// compensating inspections inside than absorbing it does.
-  double risk_edge_uncertainty = 0.02;
 };
 
 /// HYBR: starts from the partial-sampling solution S0 = [i0, j0], resets DH
@@ -62,8 +55,8 @@ class HybridOptimizer {
   /// failing requirement and re-certified — nothing already inspected is
   /// wasted, the evidence persists in the oracle's memory.
   /// `risk_options.sampling` is ignored: S0 and the margins come from this
-  /// optimizer's own options_.sampling; only the risk prior, batch size
-  /// and inspection-order seed are consumed. The returned inspection stats
+  /// optimizer's own options_.sampling; only the batch size and
+  /// inspection-order seed are consumed. The returned inspection stats
   /// aggregate pairs_inspected/batches across certification attempts;
   /// subsets_touched covers the final attempt.
   Result<RiskAwareOutcome> OptimizeRiskAware(

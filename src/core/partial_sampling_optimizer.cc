@@ -13,6 +13,11 @@
 namespace humo::core {
 namespace {
 
+/// Error threshold epsilon of Algorithm 1: a midpoint subset whose observed
+/// proportion deviates from the GP prediction by at least this much
+/// triggers recursive refinement of its bracket.
+constexpr double kErrorThreshold = 0.05;
+
 /// Leave-one-out calibration of the fitted GP: for each sampled subset,
 /// predict its observed proportion from the other samples and compare the
 /// squared residual to the LOO predictive variance. The mean standardized
@@ -26,7 +31,6 @@ double LooVarianceInflation(const gp::GpRegression& gp,
                             const SubsetPartition& partition,
                             const std::vector<stats::Stratum>& strata,
                             const std::vector<size_t>& train,
-                            const PartialSamplingOptions& options,
                             double scatter_variance) {
   const size_t k = train.size();
   if (k < 4) return 1.0;
@@ -40,7 +44,7 @@ double LooVarianceInflation(const gp::GpRegression& gp,
   y_mean /= static_cast<double>(k);
 
   linalg::Matrix gram = gp.kernel().GramSymmetric(xs);
-  gram.AddToDiagonal(options.gp_noise_floor);
+  gram.AddToDiagonal(kGpNoiseFloor);
   for (size_t t = 0; t < k; ++t) {
     gram(t, t) +=
         strata[train[t]].proportion_variance() + scatter_variance;
@@ -112,10 +116,8 @@ std::optional<gp::GpRegression> TryWarmStart(
   GpFitState* state = ctx->gp_fit_state();
   if (state->model == nullptr) return std::nullopt;
   // The warm path keeps the previous winner's kernel, so a run configured
-  // for a different family or noise floor must re-select on the grid.
-  if (state->kernel_family != options.kernel_family ||
-      state->noise_floor != options.gp_noise_floor)
-    return std::nullopt;
+  // for a different family must re-select on the grid.
+  if (state->kernel_family != options.kernel_family) return std::nullopt;
   if (state->order.size() > sampled_indices.size()) return std::nullopt;
   // The previous training set must be exactly reusable: every subset it
   // used still sampled, with bitwise-unchanged observation and noise
@@ -218,7 +220,7 @@ Result<gp::GpRegression> FitGp(
   }
   const std::vector<gp::GpCandidate> grid = gp::GapGuardedGrid(xs);
   gp::GpOptions gp_options;
-  gp_options.noise_variance = options.gp_noise_floor;
+  gp_options.noise_variance = kGpNoiseFloor;
   gp_options.center_mean = true;
   ctx->RecordGpGridFit();
   Result<gp::GpRegression> fit = gp::SelectGpByMarginalLikelihood(
@@ -233,7 +235,6 @@ Result<gp::GpRegression> FitGp(
     state->lml_per_datum = fit->LogMarginalLikelihood() /
                            static_cast<double>(sampled_indices.size());
     state->kernel_family = options.kernel_family;
-    state->noise_floor = options.gp_noise_floor;
   }
   return fit;
 }
@@ -407,7 +408,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
     const double predicted = preds[best_t].mean;
     take_subset(x);
     const double observed = strata[x].proportion();
-    if (std::fabs(predicted - observed) >= options_.error_threshold) {
+    if (std::fabs(predicted - observed) >= kErrorThreshold) {
       brackets.emplace_back(ia, x);
       brackets.emplace_back(x, ib);
     }
@@ -488,16 +489,16 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
     const double p = std::max(raw, 0.5 / nk);
     scatter_vec[k] = scatter + p * (1.0 - p) / nk;
   }
-  const double inflation = LooVarianceInflation(gp, partition, strata, train,
-                                                options_, scatter);
+  const double inflation =
+      LooVarianceInflation(gp, partition, strata, train, scatter);
   auto model = std::make_shared<GpSubsetModel>(
       std::move(gp), std::move(vs), std::move(ns), preds, std::move(whitened),
       std::move(obs), std::move(scatter_vec), inflation);
 
   // ---- Phase 2: bound search with GP confidence intervals. ----
   const double conf = std::sqrt(req.theta);
-  const double alpha = std::min(1.0, req.alpha + options_.quality_margin);
-  const double beta = std::min(1.0, req.beta + options_.quality_margin);
+  const double alpha = std::min(1.0, req.alpha + kQualityMargin);
+  const double beta = std::min(1.0, req.beta + kQualityMargin);
 
   // Recall: maximal i with beta <= lb([i,m-1]) / (ub([0,i-1]) + lb([i,m-1])).
   // Incremental accumulators: keep = [i, m-1], lost = [0, i-1].

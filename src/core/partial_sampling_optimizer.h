@@ -15,6 +15,22 @@
 
 namespace humo::core {
 
+/// Internal safety margin added to alpha and beta during the bound search.
+/// DH moves in whole-subset steps, so the continuous Eq. 13/14 conditions
+/// can be satisfied by a solution whose true quality sits a hair under the
+/// target (observed misses of ~0.001-0.002); the margin absorbs that
+/// discretization error at negligible cost. HYBR and RISK apply it too.
+inline constexpr double kQualityMargin = 0.015;
+
+/// Homoscedastic noise floor added on top of the per-subset sampling
+/// variance of every GP fit. Kept tiny: fully-enumerated sampled subsets
+/// have zero sampling variance, and an artificial floor of variance f
+/// inflates every unsampled subset's posterior std by ~sqrt(f/2), which —
+/// summed over hundreds of subsets in the Eq. 20 aggregation — dwarfs the
+/// real uncertainty and balloons DH. Numerical conditioning is handled by
+/// the Cholesky jitter, not this floor.
+inline constexpr double kGpNoiseFloor = 1e-8;
+
 /// Options of the partial-sampling search (§VI-B, Algorithm 1).
 struct PartialSamplingOptions {
   /// Pairs sampled (and human-labeled) per sampled subset. The paper
@@ -32,19 +48,9 @@ struct PartialSamplingOptions {
   /// bench_ablation_sampling_range for the sweep).
   double sample_fraction_lo = 0.04;
   double sample_fraction_hi = 0.06;
-  /// Error threshold epsilon of Algorithm 1: a midpoint subset whose
-  /// observed proportion deviates from the GP prediction by at least this
-  /// much triggers recursive refinement of its bracket.
-  double error_threshold = 0.05;
   /// Kernel family for the GP fit; hyperparameters are selected on a small
   /// grid by log marginal likelihood.
   gp::KernelFamily kernel_family = gp::KernelFamily::kRbf;
-  /// Internal safety margin added to alpha and beta during the bound
-  /// search. DH moves in whole-subset steps, so the continuous Eq. 13/14
-  /// conditions can be satisfied by a solution whose true quality sits a
-  /// hair under the target (observed misses of ~0.001-0.002); the margin
-  /// absorbs that discretization error at negligible cost.
-  double quality_margin = 0.015;
   /// Warm-start acceptance slack for incremental GP refits, in nats per
   /// training point. When a refinement round only appends observations, the
   /// previous winner's Cholesky factor is extended (Cholesky::Append,
@@ -58,14 +64,6 @@ struct PartialSamplingOptions {
   /// served incrementally. -infinity re-selects on the grid every round;
   /// the incremental tests compare against that reference path.
   double gp_warm_lml_slack = 0.25;
-  /// Homoscedastic noise floor added on top of the per-subset sampling
-  /// variance. Kept tiny by default: fully-enumerated sampled subsets have
-  /// zero sampling variance, and an artificial floor of variance f inflates
-  /// every unsampled subset's posterior std by ~sqrt(f/2), which — summed
-  /// over hundreds of subsets in the Eq. 20 aggregation — dwarfs the real
-  /// uncertainty and balloons DH. Numerical conditioning is handled by the
-  /// Cholesky jitter, not this floor.
-  double gp_noise_floor = 1e-8;
   uint64_t seed = 5;
 };
 

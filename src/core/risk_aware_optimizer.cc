@@ -97,17 +97,15 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
   const size_t j = dh.h_hi;
 
   const double conf = std::sqrt(req.theta);
-  const double alpha =
-      std::min(1.0, req.alpha + options_.sampling.quality_margin);
-  const double beta =
-      std::min(1.0, req.beta + options_.sampling.quality_margin);
+  const double alpha = std::min(1.0, req.alpha + kQualityMargin);
+  const double beta = std::min(1.0, req.beta + kQualityMargin);
 
   // Incremental D+/D- bounds at the same confidence SAMP certified with.
   GpRangeAccumulator dplus(model), dminus(model);
   if (j + 1 < m) dplus.SetRange(j + 1, m - 1);
   if (i > 0) dminus.SetRange(0, i - 1);
 
-  RiskModel risk(model, i, j, options_.risk);
+  RiskModel risk(model, i, j);
   std::vector<std::vector<size_t>> pending =
       InitRiskEvidence(partition, *oracle, &risk, options_.seed);
 

@@ -17,11 +17,9 @@ namespace humo::core {
 struct RiskAwareOptions {
   /// Configuration of the initial partial-sampling run that produces the DH
   /// range and the GP model (S0, reused from the context when an earlier
-  /// SAMP run already certified the same requirement). Its quality_margin is
-  /// also the margin the risk certification applies to alpha/beta.
+  /// SAMP run already certified the same requirement). The risk
+  /// certification applies the same kQualityMargin to alpha/beta.
   PartialSamplingOptions sampling;
-  /// Beta prior of the per-subset evidence posterior.
-  RiskModelOptions risk;
   /// Pairs inspected per priority-queue pop; the certification bounds are
   /// re-estimated after every batch. Smaller batches track the risk ordering
   /// more closely at the price of more bound re-estimations.

@@ -8,13 +8,20 @@
 #include "stats/distributions.h"
 
 namespace humo::core {
+namespace {
 
-RiskModel::RiskModel(const GpSubsetModel* model, size_t lo, size_t hi,
-                     RiskModelOptions options)
-    : model_(model), lo_(lo), hi_(hi), options_(options) {
+/// Beta prior over the match proportion of a subset's uninspected pairs.
+/// The uniform prior keeps the posterior proper with zero evidence;
+/// Jeffreys (0.5/0.5) is sharper but anti-conservative at tiny counts.
+constexpr double kPriorA = 1.0;
+constexpr double kPriorB = 1.0;
+
+}  // namespace
+
+RiskModel::RiskModel(const GpSubsetModel* model, size_t lo, size_t hi)
+    : model_(model), lo_(lo), hi_(hi) {
   assert(model_ != nullptr);
   assert(lo_ <= hi_ && hi_ < model_->num_subsets());
-  assert(options_.prior_a > 0.0 && options_.prior_b > 0.0);
   const size_t len = hi_ - lo_ + 1;
   size_.resize(len);
   for (size_t k = lo_; k <= hi_; ++k)
@@ -46,9 +53,8 @@ RiskModel::Posterior RiskModel::PosteriorOf(size_t k) const {
   assert(k >= lo_ && k <= hi_);
   const size_t t = k - lo_;
   // Beta posterior over the direct evidence.
-  const double a = options_.prior_a + static_cast<double>(matches_[t]);
-  const double b = options_.prior_b +
-                   static_cast<double>(inspected_[t] - matches_[t]);
+  const double a = kPriorA + static_cast<double>(matches_[t]);
+  const double b = kPriorB + static_cast<double>(inspected_[t] - matches_[t]);
   const double ab = a + b;
   Posterior beta;
   beta.mean = a / ab;
@@ -80,8 +86,7 @@ double RiskModel::PairRisk(size_t k, double confidence) const {
   double err_hi;
   if (post.from_beta) {
     const stats::ProportionInterval iv = stats::BetaPosteriorInterval(
-        matches_[t], inspected_[t], confidence, options_.prior_a,
-        options_.prior_b);
+        matches_[t], inspected_[t], confidence, kPriorA, kPriorB);
     err_hi = label_match ? 1.0 - iv.lo : iv.hi;
   } else {
     const double z = stats::NormalTwoSidedCritical(confidence);

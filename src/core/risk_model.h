@@ -11,15 +11,6 @@
 
 namespace humo::core {
 
-/// Options of the per-pair misclassification-risk model.
-struct RiskModelOptions {
-  /// Beta prior over the match proportion of a subset's uninspected pairs.
-  /// The uniform default keeps the posterior proper with zero evidence;
-  /// Jeffreys (0.5/0.5) is sharper but anti-conservative at tiny counts.
-  double prior_a = 1.0;
-  double prior_b = 1.0;
-};
-
 /// Posterior misclassification risk of the machine-labeled (not yet
 /// human-inspected) pairs inside a DH subset range — the r-HUMO idea (Hou et
 /// al.): instead of inspecting DH wholesale, rank individual pairs by the
@@ -47,8 +38,7 @@ class RiskModel {
  public:
   /// Models subsets [lo, hi] of `model`'s partition (inclusive; the DH
   /// range under risk-ordered inspection). `model` must outlive this object.
-  RiskModel(const GpSubsetModel* model, size_t lo, size_t hi,
-            RiskModelOptions options = {});
+  RiskModel(const GpSubsetModel* model, size_t lo, size_t hi);
 
   size_t lo() const { return lo_; }
   size_t hi() const { return hi_; }
@@ -116,7 +106,6 @@ class RiskModel {
 
   const GpSubsetModel* model_;
   size_t lo_ = 0, hi_ = 0;
-  RiskModelOptions options_;
   std::vector<size_t> size_;       // subset sizes, indexed k - lo
   std::vector<size_t> inspected_;  // evidence counts, indexed k - lo
   std::vector<size_t> matches_;

@@ -8,6 +8,13 @@
 namespace humo::core {
 namespace {
 
+/// Minimum pinned subsets before a provisional GP is fitted.
+constexpr size_t kProvisionalMinPins = 3;
+/// Minimum carried answers inside a subset before it pins the provisional
+/// GP (fully enumerated subsets always qualify). Partially covered subsets
+/// carry their sampling variance as observation noise.
+constexpr size_t kProvisionalPinMinSamples = 30;
+
 /// Grid fit over provisional pins, under the same gap guard as the SAMP
 /// certification fit (gp::GapGuardedGrid) so the serving model and the
 /// certification model can never diverge on the length-scale floor.
@@ -16,7 +23,7 @@ Result<gp::GpRegression> FitProvisionalGp(const std::vector<double>& xs,
                                           std::vector<double> noise,
                                           const PartialSamplingOptions& sopt) {
   gp::GpOptions options;
-  options.noise_variance = sopt.gp_noise_floor;
+  options.noise_variance = kGpNoiseFloor;
   options.center_mean = true;
   return gp::SelectGpByMarginalLikelihood(xs, ys, gp::GapGuardedGrid(xs),
                                           sopt.kernel_family, options,
@@ -33,7 +40,7 @@ StreamingResolver::StreamingResolver(StreamingOptions options,
       req_(req),
       cumulative_(),
       partition_(&cumulative_, options_.subset_size),
-      oracle_(&cumulative_, options_.oracle_error_rate, options_.oracle_seed),
+      oracle_(&cumulative_),
       ctx_(&partition_, &oracle_) {}
 
 const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
@@ -206,8 +213,7 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
   for (size_t k = 0; k < m; ++k) {
     const stats::Stratum& st = evidence_strata_[k];
     if (pinned[k] != 0 || st.population == 0) continue;
-    if (!st.fully_enumerated() &&
-        st.sample_size < options_.provisional_pin_min_samples)
+    if (!st.fully_enumerated() && st.sample_size < kProvisionalPinMinSamples)
       continue;
     fresh.push_back({k, partition_[k].avg_similarity, st.proportion(),
                      st.proportion_variance(), st.population,
@@ -216,7 +222,7 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
 
   bool warm_extended = false;
   if (!fresh.empty() &&
-      prov_pins_.size() + fresh.size() >= options_.provisional_min_pins) {
+      prov_pins_.size() + fresh.size() >= kProvisionalMinPins) {
     if (prov_model_.has_value()) {
       // Only new pins arrived on top of an intact training set: extend the
       // factor by the appended rows instead of re-running the grid.

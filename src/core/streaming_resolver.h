@@ -42,18 +42,6 @@ struct StreamingOptions {
   /// Extra configuration of the kRisk certifier; its `sampling` member is
   /// overridden by `sampling` above.
   RiskAwareOptions risk;
-  /// Simulated-human configuration of the resolver-owned oracle. Error
-  /// injection is keyed by pair index at answer time; an answer given in an
-  /// earlier epoch is carried verbatim across merges (the human's verdict
-  /// does not change because the dataset grew).
-  double oracle_error_rate = 0.0;
-  uint64_t oracle_seed = 99;
-  /// Minimum pinned subsets before a provisional GP is fitted.
-  size_t provisional_min_pins = 3;
-  /// Minimum carried answers inside a subset before it pins the provisional
-  /// GP (fully enumerated subsets always qualify). Partially covered
-  /// subsets carry their sampling variance as observation noise.
-  size_t provisional_pin_min_samples = 30;
 };
 
 /// What one epoch's ingest did and what the machine-side serving state says
@@ -136,10 +124,10 @@ struct StreamingCertificate {
 ///    for kHybr/kRisk), with zero duplicate oracle requests.
 ///  * Re-certifying after more shards arrive replays no human work: every
 ///    carried answer is served from memory, so the new certificate costs
-///    only the fresh pairs the new evidence demands. With an error-free
-///    oracle and an interior (non-append) merge history, the re-certified
-///    result is again bit-identical to a one-shot run on the grown
-///    workload — just cheaper by exactly the reused evidence. On pure
+///    only the fresh pairs the new evidence demands. The resolver's oracle
+///    is error-free, so after an interior (non-append) merge history the
+///    re-certified result is again bit-identical to a one-shot run on the
+///    grown workload — just cheaper by exactly the reused evidence. On pure
 ///    tail-append streams the carried subset statistics are additionally
 ///    reused as-is (their subsets' contents are provably unchanged), which
 ///    is cheaper still, at the price of the bitwise comparison against a

@@ -32,27 +32,5 @@ TEST(EnvTest, Int64FallbackOnGarbage) {
   unsetenv("HUMO_TEST_INT_VAR");
 }
 
-TEST(EnvTest, DoubleParsesAndFallsBack) {
-  unsetenv("HUMO_TEST_DBL_VAR");
-  EXPECT_DOUBLE_EQ(GetEnvDouble("HUMO_TEST_DBL_VAR", 0.25), 0.25);
-  setenv("HUMO_TEST_DBL_VAR", "0.002", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("HUMO_TEST_DBL_VAR", 0.25), 0.002);
-  setenv("HUMO_TEST_DBL_VAR", "1e-3", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("HUMO_TEST_DBL_VAR", 0.25), 1e-3);
-  setenv("HUMO_TEST_DBL_VAR", "0.5x", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("HUMO_TEST_DBL_VAR", 0.25), 0.25);
-  setenv("HUMO_TEST_DBL_VAR", "", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("HUMO_TEST_DBL_VAR", 0.25), 0.25);
-  unsetenv("HUMO_TEST_DBL_VAR");
-}
-
-TEST(EnvTest, StringFallbackAndValue) {
-  unsetenv("HUMO_TEST_STR_VAR");
-  EXPECT_EQ(GetEnvString("HUMO_TEST_STR_VAR", "dft"), "dft");
-  setenv("HUMO_TEST_STR_VAR", "hello", 1);
-  EXPECT_EQ(GetEnvString("HUMO_TEST_STR_VAR", "dft"), "hello");
-  unsetenv("HUMO_TEST_STR_VAR");
-}
-
 }  // namespace
 }  // namespace humo

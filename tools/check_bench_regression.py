@@ -7,9 +7,9 @@ fails (exit 1) when any CONTRACT field regresses by more than TOLERANCE
 across machines — speedups, cost ratios, reuse counts, bit-identity
 flags. The entity bench is the exception: its cluster throughput and repair
 time are raw wall-clock numbers, gated because no ratio pins the entity
-layer's speed. Rows are matched by a per-bench key; candidate runs may cover a
-subset of the baseline rows (smoke configs), but at least one row must
-match.
+layer's speed. Rows are matched by a per-bench key, and the candidate must
+cover exactly the baseline's rows: a baseline row with no matching candidate
+row, and a candidate row the baseline lacks, each fail the gate.
 
 Usage:
   check_bench_regression.py --baseline BENCH_gp_refit.json \
@@ -144,14 +144,15 @@ def compare(baseline, candidate):
         row_key(r, contract["key"]): r for r in baseline.get("results", [])
     }
     violations = []
-    matched = 0
+    matched = set()
     for row in candidate.get("results", []):
         key = row_key(row, contract["key"])
+        label = "%s %s" % (bench, dict(zip(contract["key"], key)))
         base = base_rows.get(key)
         if base is None:
-            continue  # smoke config measuring a row the baseline lacks
-        matched += 1
-        label = "%s %s" % (bench, dict(zip(contract["key"], key)))
+            violations.append("%s: row missing from the baseline" % label)
+            continue
+        matched.add(key)
         for field in contract["higher"]:
             b, c = base.get(field), row.get(field)
             if b is None or c is None:
@@ -179,7 +180,13 @@ def compare(baseline, candidate):
                     "%s: %s changed exactly-pinned value %r -> %r"
                     % (label, field, b, c)
                 )
-    if matched == 0:
+    for key in base_rows:
+        if key not in matched:
+            violations.append(
+                "%s %s: baseline row missing from the candidate"
+                % (bench, dict(zip(contract["key"], key)))
+            )
+    if not matched:
         violations.append(
             "no candidate row matched any baseline row (keys: %s)"
             % (contract["key"],)
@@ -221,6 +228,19 @@ def selftest():
     del no_pool["threads"]
     assert compare(baseline, no_pool), (
         "selftest: a candidate without a thread count must be rejected"
+    )
+
+    dropped = copy.deepcopy(baseline)
+    del dropped["results"][1]  # the n=128 row is not run
+    assert compare(baseline, dropped), (
+        "selftest: a baseline row the candidate lacks must be rejected"
+    )
+    extra = copy.deepcopy(baseline)
+    extra["results"].append(
+        {"n": 1024, "refit_speedup": 300.0, "predict_speedup": 3.0}
+    )
+    assert compare(baseline, extra), (
+        "selftest: a candidate row the baseline lacks must be rejected"
     )
 
     within = copy.deepcopy(baseline)
