@@ -124,7 +124,7 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
     best_full = std::min(best_full, NowMs() - t0);
 
     const double t1 = NowMs();
-    gp::GpRegression model = base->Clone();
+    gp::GpRegression model = *base;
     for (size_t r = 1; r <= rounds; ++r) {
       auto warm = model.ExtendedWith({data.x[n + r - 1]}, {data.y[n + r - 1]},
                                      {data.noise[n + r - 1]});
@@ -141,8 +141,8 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
       // Contract check: the appended model must agree with a from-scratch
       // fit of the SAME kernel on the same data within 1e-9.
       auto scratch = gp::GpRegression::Fit(
-          model.kernel().Clone(), Slice(data.x, n + rounds),
-          Slice(data.y, n + rounds), options, Slice(data.noise, n + rounds));
+          model.kernel(), Slice(data.x, n + rounds), Slice(data.y, n + rounds),
+          options, Slice(data.noise, n + rounds));
       if (!scratch.ok()) return 1;
       for (double q : {0.05, 0.31, 0.5, 0.77, 0.96}) {
         const auto a = model.Predict(q);

@@ -117,7 +117,8 @@ std::optional<gp::GpRegression> TryWarmStart(
   if (state->model == nullptr) return std::nullopt;
   // The warm path keeps the previous winner's kernel, so a run configured
   // for a different family must re-select on the grid.
-  if (state->kernel_family != options.kernel_family) return std::nullopt;
+  if (state->model->kernel().family() != options.kernel_family)
+    return std::nullopt;
   if (state->order.size() > sampled_indices.size()) return std::nullopt;
   // The previous training set must be exactly reusable: every subset it
   // used still sampled, with bitwise-unchanged observation and noise
@@ -152,7 +153,7 @@ std::optional<gp::GpRegression> TryWarmStart(
     // Identical training set: the previous winner IS this round's fit.
     if (stale(*state->model)) return std::nullopt;
     ctx->RecordGpWarmStart(0);
-    return state->model->Clone();
+    return *state->model;
   }
   std::vector<double> x_new, y_new, noise_new;
   for (size_t k : fresh) {
@@ -169,10 +170,9 @@ std::optional<gp::GpRegression> TryWarmStart(
     state->ys.push_back(y_new[t]);
     state->noise.push_back(noise_new[t]);
   }
-  gp::GpRegression out = std::move(*warm);
-  state->model = std::make_shared<const gp::GpRegression>(out.Clone());
+  state->model = std::make_shared<const gp::GpRegression>(*warm);
   ctx->RecordGpWarmStart(fresh.size());
-  return out;
+  return std::move(*warm);
 }
 
 /// Fits the GP on the sampled subsets, selecting hyperparameters by log
@@ -231,10 +231,9 @@ Result<gp::GpRegression> FitGp(
     state->order = sampled_indices;
     state->ys = std::move(ys);
     state->noise = std::move(noise);
-    state->model = std::make_shared<const gp::GpRegression>(fit->Clone());
+    state->model = std::make_shared<const gp::GpRegression>(*fit);
     state->lml_per_datum = fit->LogMarginalLikelihood() /
                            static_cast<double>(sampled_indices.size());
-    state->kernel_family = options.kernel_family;
   }
   return fit;
 }

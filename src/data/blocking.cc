@@ -44,8 +44,6 @@ struct PairColumns {
 /// costs (a row's work is proportional to its candidate count).
 constexpr size_t kThresholdGrain = 16;
 constexpr size_t kTokenGrain = 64;
-constexpr size_t kWindowGrain = 256;
-constexpr size_t kScoreGrain = 512;
 
 /// 64-bit mixing step (SplitMix64 finalizer) — the building block of the
 /// MinHash hash family and band-key combiner. Pure integer: identical on
@@ -414,180 +412,6 @@ Workload TokenBlock(const RecordTable& left, const RecordTable& right,
         }
       });
   return BuildWorkload(std::move(chunks));
-}
-
-namespace {
-
-/// Phases 1-2 of sorted-neighborhood blocking, shared by the string and id
-/// scoring paths: merge-sort both tables by the normalized blocking key,
-/// slide the window, and return the deduped (left_idx << 32 | right_idx)
-/// candidate keys in first-occurrence order (chunk-id-ordered, so
-/// deterministic at any thread count).
-std::vector<uint64_t> SortedNeighborhoodCandidates(const RecordTable& left,
-                                                   const RecordTable& right,
-                                                   size_t attribute_index,
-                                                   size_t window) {
-  // Merge both tables into one sorted sequence keyed by the normalized
-  // blocking attribute; remember table provenance for pairing.
-  struct Entry {
-    std::string key;
-    bool from_left;
-    size_t index;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(left.size() + right.size());
-  for (size_t i = 0; i < left.size(); ++i) {
-    entries.push_back(
-        {NormalizeForMatching(left[i].attributes[attribute_index]), true, i});
-  }
-  for (size_t j = 0; j < right.size(); ++j) {
-    entries.push_back(
-        {NormalizeForMatching(right[j].attributes[attribute_index]), false,
-         j});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
-
-  // Phase 1 (parallel): each chunk of window anchors collects its candidate
-  // (left_idx, right_idx) keys. A pair inside overlapping windows is
-  // emitted by several anchors — dedup happens in phase 2, BEFORE the
-  // expensive scoring runs.
-  const size_t n = entries.size();
-  const size_t num_chunks = n == 0 ? 0 : (n + kWindowGrain - 1) / kWindowGrain;
-  std::vector<std::vector<uint64_t>> chunk_keys(num_chunks);
-  ThreadPool::Global()->ParallelFor(
-      n, kWindowGrain, [&](size_t begin, size_t end) {
-        std::vector<uint64_t>& out = chunk_keys[begin / kWindowGrain];
-        for (size_t a = begin; a < end; ++a) {
-          const size_t stop = std::min(n, a + window);
-          for (size_t b = a + 1; b < stop; ++b) {
-            const Entry& ea = entries[a];
-            const Entry& eb = entries[b];
-            if (ea.from_left == eb.from_left) continue;  // cross-table only
-            const Entry& l = ea.from_left ? ea : eb;
-            const Entry& r = ea.from_left ? eb : ea;
-            out.push_back((static_cast<uint64_t>(l.index) << 32) |
-                          static_cast<uint64_t>(r.index));
-          }
-        }
-      });
-
-  // Phase 2 (serial): concatenate in chunk order and keep each key's first
-  // occurrence — deterministic at any thread count.
-  std::vector<uint64_t> candidates;
-  std::unordered_set<uint64_t> seen;
-  for (const auto& keys : chunk_keys) {
-    for (uint64_t k : keys) {
-      if (seen.insert(k).second) candidates.push_back(k);
-    }
-  }
-  return candidates;
-}
-
-}  // namespace
-
-Workload SortedNeighborhoodBlock(const RecordTable& left,
-                                 const RecordTable& right,
-                                 size_t attribute_index, size_t window,
-                                 const PairScorer& scorer, double threshold) {
-  const std::vector<uint64_t> candidates =
-      SortedNeighborhoodCandidates(left, right, attribute_index, window);
-
-  // Phase 3 (parallel): score the deduped candidates into an
-  // index-addressed column, then filter.
-  std::vector<double> scores(candidates.size());
-  ThreadPool::Global()->ParallelFor(
-      candidates.size(), kScoreGrain, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          const size_t li = static_cast<size_t>(candidates[c] >> 32);
-          const size_t rj = static_cast<size_t>(candidates[c] & 0xFFFFFFFFu);
-          scores[c] = scorer(left[li], right[rj]);
-        }
-      });
-
-  PairColumns out;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (scores[c] < threshold) continue;
-    const size_t li = static_cast<size_t>(candidates[c] >> 32);
-    const size_t rj = static_cast<size_t>(candidates[c] & 0xFFFFFFFFu);
-    out.Add(left[li].id, right[rj].id, scores[c],
-            left[li].entity_id == right[rj].entity_id);
-  }
-  return Workload::FromColumns(std::move(out.lefts), std::move(out.rights),
-                               std::move(out.sims), std::move(out.labels));
-}
-
-Workload ThresholdBlock(const RecordTable& left, const RecordTable& right,
-                        const RecordColumns& left_cols,
-                        const RecordColumns& right_cols,
-                        text::IdSetMetric metric, double threshold) {
-  assert(left_cols.num_records() == left.size());
-  assert(right_cols.num_records() == right.size());
-  const size_t n = left.size();
-  const size_t m = right.size();
-  const size_t num_chunks =
-      n == 0 ? 0 : (n + kThresholdGrain - 1) / kThresholdGrain;
-  std::vector<PairColumns> chunks(num_chunks);
-  ThreadPool::Global()->ParallelFor(
-      n, kThresholdGrain, [&](size_t begin, size_t end) {
-        PairColumns& out = chunks[begin / kThresholdGrain];
-        // Materialize this chunk's slice of the cross product as index
-        // columns and push it through the batched kernels in one call
-        // (nested ParallelFor runs inline on pool threads).
-        const size_t k = (end - begin) * m;
-        std::vector<uint32_t> li(k), rj(k);
-        size_t p = 0;
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t j = 0; j < m; ++j, ++p) {
-            li[p] = static_cast<uint32_t>(i);
-            rj[p] = static_cast<uint32_t>(j);
-          }
-        }
-        std::vector<double> scores(k);
-        BatchScorePairs(left_cols, right_cols, li.data(), rj.data(), k,
-                        metric, scores.data());
-        for (p = 0; p < k; ++p) {
-          if (scores[p] < threshold) continue;
-          const Record& l = left[li[p]];
-          const Record& r = right[rj[p]];
-          out.Add(l.id, r.id, scores[p], l.entity_id == r.entity_id);
-        }
-      });
-  return BuildWorkload(std::move(chunks));
-}
-
-Workload SortedNeighborhoodBlock(const RecordTable& left,
-                                 const RecordTable& right,
-                                 const RecordColumns& left_cols,
-                                 const RecordColumns& right_cols,
-                                 size_t attribute_index, size_t window,
-                                 text::IdSetMetric metric, double threshold) {
-  assert(left_cols.num_records() == left.size());
-  assert(right_cols.num_records() == right.size());
-  const std::vector<uint64_t> candidates =
-      SortedNeighborhoodCandidates(left, right, attribute_index, window);
-
-  // Phase 3: one batched kernel call over all deduped candidates (the
-  // kernel parallelizes internally), then filter in candidate order.
-  const size_t k = candidates.size();
-  std::vector<uint32_t> li(k), rj(k);
-  for (size_t c = 0; c < k; ++c) {
-    li[c] = static_cast<uint32_t>(candidates[c] >> 32);
-    rj[c] = static_cast<uint32_t>(candidates[c] & 0xFFFFFFFFu);
-  }
-  std::vector<double> scores(k);
-  BatchScorePairs(left_cols, right_cols, li.data(), rj.data(), k, metric,
-                  scores.data());
-
-  PairColumns out;
-  for (size_t c = 0; c < k; ++c) {
-    if (scores[c] < threshold) continue;
-    const Record& l = left[li[c]];
-    const Record& r = right[rj[c]];
-    out.Add(l.id, r.id, scores[c], l.entity_id == r.entity_id);
-  }
-  return Workload::FromColumns(std::move(out.lefts), std::move(out.rights),
-                               std::move(out.sims), std::move(out.labels));
 }
 
 LshCandidates MinHashLshCandidates(const RecordColumns& left_cols,

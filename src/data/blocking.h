@@ -13,7 +13,7 @@ namespace humo::data {
 
 /// Pair scorer: similarity of two records in [0,1]. Blocking runs scorers
 /// in parallel on the global thread pool, so a scorer must be pure (no
-/// shared mutable state); all three blockers below produce bit-identical
+/// shared mutable state); every blocker below produces bit-identical
 /// workloads at any thread count (chunk outputs are concatenated in
 /// deterministic chunk order before the final sort).
 using PairScorer = std::function<double(const Record&, const Record&)>;
@@ -33,37 +33,6 @@ Workload ThresholdBlock(const RecordTable& left, const RecordTable& right,
 Workload TokenBlock(const RecordTable& left, const RecordTable& right,
                     size_t attribute_index, const PairScorer& scorer,
                     double threshold);
-
-/// Sorted-neighborhood blocking (Hernandez-Stolfo style): both tables'
-/// records are merged, sorted by a normalized blocking key extracted from
-/// `attribute_index`, and each record is compared only against the records
-/// inside a sliding window of the sorted order. Subquadratic; catches pairs
-/// that token blocking misses when keys share prefixes but no whole token.
-Workload SortedNeighborhoodBlock(const RecordTable& left,
-                                 const RecordTable& right,
-                                 size_t attribute_index, size_t window,
-                                 const PairScorer& scorer, double threshold);
-
-/// Id-path overload: scores the full cross product with the batched SIMD
-/// kernels over tokenized record columns (see data/record_columns.h)
-/// instead of calling a string scorer per pair. `left_cols`/`right_cols`
-/// must be built over a SHARED dictionary. Produces the same workload as
-/// the string path when the scorer computes the same metric over the same
-/// attribute (Jaccard over word tokens is bitwise-equal by construction).
-Workload ThresholdBlock(const RecordTable& left, const RecordTable& right,
-                        const RecordColumns& left_cols,
-                        const RecordColumns& right_cols,
-                        text::IdSetMetric metric, double threshold);
-
-/// Id-path overload of sorted-neighborhood blocking: the window sort key
-/// still comes from `attribute_index`'s normalized string, but candidate
-/// scoring runs through the batched id kernels.
-Workload SortedNeighborhoodBlock(const RecordTable& left,
-                                 const RecordTable& right,
-                                 const RecordColumns& left_cols,
-                                 const RecordColumns& right_cols,
-                                 size_t attribute_index, size_t window,
-                                 text::IdSetMetric metric, double threshold);
 
 /// Knobs of the MinHash/LSH blocker. With b bands of r rows each, a pair of
 /// Jaccard similarity s lands in at least one shared bucket with
@@ -106,7 +75,7 @@ LshCandidates MinHashLshCandidates(const RecordColumns& left_cols,
                                    const RecordColumns& right_cols,
                                    const MinHashLshOptions& options);
 
-/// The fourth blocker: banded MinHash/LSH multi-probe candidate generation
+/// The third blocker: banded MinHash/LSH multi-probe candidate generation
 /// over tokenized record columns, batch-scored with the SIMD id kernels and
 /// filtered at `threshold`. Subquadratic and string-free after tokenization;
 /// candidate emission is chunk-id-ordered like the other blockers, so the

@@ -36,6 +36,39 @@ double LogMarginalFromTerms(double data_fit, double log_det, size_t n) {
   return -0.5 * data_fit - 0.5 * log_det - 0.5 * nd * kLog2Pi;
 }
 
+bool AllFinite(const std::vector<double>& v) {
+  for (double x : v)
+    if (!std::isfinite(x)) return false;
+  return true;
+}
+
+/// The observation check Fit, ExtendedWith and the grid selector share: x
+/// and y parallel, noise_variances empty or parallel, and every value
+/// (the noise floor included) finite. Emptiness is the caller's rule.
+Status ValidateObservations(const std::vector<double>& x,
+                            const std::vector<double>& y,
+                            const std::vector<double>& noise_variances,
+                            double noise_floor) {
+  if (x.size() != y.size())
+    return Status::InvalidArgument(
+        StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
+  if (!noise_variances.empty() && noise_variances.size() != x.size())
+    return Status::InvalidArgument("noise_variances must parallel x");
+  if (!AllFinite(x) || !AllFinite(y) || !AllFinite(noise_variances) ||
+      !std::isfinite(noise_floor))
+    return Status::InvalidArgument("x, y and noise variances must be finite");
+  return Status::OK();
+}
+
+/// A kernel's hyperparameters must be positive and finite.
+Status ValidateHyperparameters(double sf2, double l) {
+  const bool positive = sf2 > 0.0 && l > 0.0;
+  if (!positive || !std::isfinite(sf2) || !std::isfinite(l))
+    return Status::InvalidArgument(
+        StrFormat("kernel needs finite sf2, l > 0: %g, %g", sf2, l));
+  return Status::OK();
+}
+
 }  // namespace
 
 double Prediction::stddev() const { return std::sqrt(std::max(0.0, variance)); }
@@ -67,26 +100,18 @@ void GpRegression::FinishFit() {
                                        chol_.LogDeterminant(), x_.size());
 }
 
-Result<GpRegression> GpRegression::Fit(std::unique_ptr<Kernel> kernel,
-                                       std::vector<double> x,
+Result<GpRegression> GpRegression::Fit(Kernel kernel, std::vector<double> x,
                                        std::vector<double> y,
                                        GpOptions options,
                                        std::vector<double> noise_variances) {
-  if (!kernel) return Status::InvalidArgument("kernel must not be null");
-  if (x.size() != y.size())
-    return Status::InvalidArgument(
-        StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
+  HUMO_RETURN_NOT_OK(
+      ValidateObservations(x, y, noise_variances, options.noise_variance));
   if (x.empty()) return Status::InvalidArgument("empty training set");
-  if (!noise_variances.empty() && noise_variances.size() != x.size())
-    return Status::InvalidArgument("noise_variances must parallel x");
+  HUMO_RETURN_NOT_OK(
+      ValidateHyperparameters(kernel.signal_variance(), kernel.length_scale()));
 
-  GpRegression gp;
-  gp.kernel_ = std::move(kernel);
-  gp.options_ = options;
-  gp.x_ = std::move(x);
-  gp.y_ = std::move(y);
-
-  linalg::Matrix k = gp.kernel_->GramSymmetric(gp.x_);
+  GpRegression gp(kernel, options, std::move(x), std::move(y));
+  linalg::Matrix k = gp.kernel_.GramSymmetric(gp.x_);
   k.AddToDiagonal(options.noise_variance);
   for (size_t i = 0; i < noise_variances.size(); ++i)
     k(i, i) += noise_variances[i];
@@ -96,30 +121,12 @@ Result<GpRegression> GpRegression::Fit(std::unique_ptr<Kernel> kernel,
   return gp;
 }
 
-GpRegression GpRegression::Clone() const {
-  GpRegression gp;
-  gp.kernel_ = kernel_->Clone();
-  gp.options_ = options_;
-  gp.x_ = x_;
-  gp.y_ = y_;
-  gp.y_centered_ = y_centered_;
-  gp.y_mean_ = y_mean_;
-  gp.chol_ = chol_;
-  gp.alpha_ = alpha_;
-  gp.log_marginal_ = log_marginal_;
-  return gp;
-}
-
 Result<GpRegression> GpRegression::ExtendedWith(
     const std::vector<double>& x_new, const std::vector<double>& y_new,
     const std::vector<double>& noise_variances_new) const {
-  if (x_new.size() != y_new.size())
-    return Status::InvalidArgument(
-        StrFormat("x/y size mismatch: %zu vs %zu", x_new.size(), y_new.size()));
-  if (!noise_variances_new.empty() &&
-      noise_variances_new.size() != x_new.size())
-    return Status::InvalidArgument("noise_variances_new must parallel x_new");
-  if (x_new.empty()) return Clone();
+  HUMO_RETURN_NOT_OK(ValidateObservations(x_new, y_new, noise_variances_new,
+                                          options_.noise_variance));
+  if (x_new.empty()) return *this;
 
   const size_t n = x_.size();
   const size_t k = x_new.size();
@@ -129,19 +136,14 @@ Result<GpRegression> GpRegression::ExtendedWith(
   // noise) so the extended matrix matches a from-scratch build bit-for-bit.
   linalg::Matrix rows(k, n + k);
   for (size_t i = 0; i < k; ++i) {
-    for (size_t t = 0; t < n; ++t) rows(i, t) = (*kernel_)(x_new[i], x_[t]);
-    for (size_t j = 0; j <= i; ++j)
-      rows(i, n + j) = (*kernel_)(x_new[i], x_new[j]);
+    kernel_.FillRow(x_new[i], x_.data(), n, rows.RowPtr(i));
+    kernel_.FillRow(x_new[i], x_new.data(), i + 1, rows.RowPtr(i) + n);
     rows(i, n + i) += options_.noise_variance;
     if (!noise_variances_new.empty()) rows(i, n + i) += noise_variances_new[i];
   }
 
-  GpRegression gp;
-  gp.kernel_ = kernel_->Clone();
-  gp.options_ = options_;
-  gp.x_ = x_;
+  GpRegression gp(kernel_, options_, x_, y_);
   gp.x_.insert(gp.x_.end(), x_new.begin(), x_new.end());
-  gp.y_ = y_;
   gp.y_.insert(gp.y_.end(), y_new.begin(), y_new.end());
   // Extended (not copy + Append): the frozen factor block is copied once,
   // directly into the extended matrix.
@@ -153,11 +155,11 @@ Result<GpRegression> GpRegression::ExtendedWith(
 Prediction GpRegression::Predict(double x_star) const {
   const size_t n = x_.size();
   linalg::Vector k_star(n);
-  kernel_->FillRow(x_star, x_.data(), n, k_star.data());
+  kernel_.FillRow(x_star, x_.data(), n, k_star.data());
   Prediction p;
   p.mean = y_mean_ + linalg::Dot(k_star, alpha_);
   const linalg::Vector v = chol_.SolveLower(k_star);
-  p.variance = (*kernel_)(x_star, x_star) - linalg::Dot(v, v);
+  p.variance = kernel_(x_star, x_star) - linalg::Dot(v, v);
   if (p.variance < 0.0) p.variance = 0.0;
   return p;
 }
@@ -174,7 +176,7 @@ std::vector<Prediction> GpRegression::PredictBatch(
   ThreadPool::Global()->ParallelFor(
       q, /*grain=*/16, [&](size_t begin, size_t end) {
         for (size_t j = begin; j < end; ++j)
-          kernel_->FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
+          kernel_.FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
       });
   // One blocked multi-RHS forward substitution replaces q per-point solves.
   const linalg::Matrix w = chol_.SolveLowerRows(k_cross);
@@ -185,7 +187,7 @@ std::vector<Prediction> GpRegression::PredictBatch(
           Prediction p;
           p.mean = y_mean_ + linalg::DotRange(k_cross.RowPtr(j),
                                               alpha_.data(), n);
-          p.variance = (*kernel_)(x_star[j], x_star[j]) -
+          p.variance = kernel_(x_star[j], x_star[j]) -
                        linalg::DotRange(w.RowPtr(j), w.RowPtr(j), n);
           if (p.variance < 0.0) p.variance = 0.0;
           preds[j] = p;
@@ -210,7 +212,7 @@ JointPrediction GpRegression::PredictJoint(
   // K(V*, V) — q x n, one row per query (see PredictBatch).
   linalg::Matrix k_cross(q, n);
   for (size_t j = 0; j < q; ++j)
-    kernel_->FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
+    kernel_.FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
   // Means: y_mean + K(V*,V) alpha.
   for (size_t j = 0; j < q; ++j) {
     jp.mean[j] =
@@ -220,7 +222,7 @@ JointPrediction GpRegression::PredictJoint(
   //                     = K(V*,V*) - W W^T with row j of W = L^-1 k(V, x*_j),
   // all rows obtained in one blocked multi-RHS substitution.
   const linalg::Matrix w = chol_.SolveLowerRows(k_cross);
-  jp.covariance = kernel_->GramSymmetric(x_star);
+  jp.covariance = kernel_.GramSymmetric(x_star);
   for (size_t a = 0; a < q; ++a) {
     for (size_t b = 0; b <= a; ++b) {
       const double acc = linalg::DotRange(w.RowPtr(a), w.RowPtr(b), n);
@@ -239,14 +241,14 @@ double GpRegression::LogMarginalLikelihood() const { return log_marginal_; }
 linalg::Vector GpRegression::WhitenedCross(double x_star) const {
   const size_t n = x_.size();
   linalg::Vector k_star(n);
-  kernel_->FillRow(x_star, x_.data(), n, k_star.data());
+  kernel_.FillRow(x_star, x_.data(), n, k_star.data());
   return chol_.SolveLower(k_star);
 }
 
 double GpRegression::PosteriorVarianceFromWhitened(
     double x_star, const linalg::Vector& w) const {
   assert(w.size() == x_.size());
-  const double var = (*kernel_)(x_star, x_star) -
+  const double var = kernel_(x_star, x_star) -
                      linalg::DotRange(w.data(), w.data(), w.size());
   return var < 0.0 ? 0.0 : var;
 }
@@ -256,48 +258,17 @@ namespace {
 constexpr size_t kLanes = linalg::CholeskyLanes::kLanes;
 constexpr size_t kNoCandidate = std::numeric_limits<size_t>::max();
 
-std::unique_ptr<Kernel> MakeKernel(KernelFamily family,
-                                   const GpCandidate& cand) {
-  switch (family) {
-    case KernelFamily::kMatern32:
-      return std::make_unique<Matern32Kernel>(cand.signal_variance,
-                                              cand.length_scale);
-    case KernelFamily::kMatern52:
-      return std::make_unique<Matern52Kernel>(cand.signal_variance,
-                                              cand.length_scale);
-    case KernelFamily::kRbf:
-      break;
-  }
-  return std::make_unique<RbfKernel>(cand.signal_variance, cand.length_scale);
-}
-
-bool AllFinite(const std::vector<double>& v) {
-  for (double x : v)
-    if (!std::isfinite(x)) return false;
-  return true;
-}
-
 Status ValidateGridInputs(const std::vector<double>& x,
                           const std::vector<double>& y,
                           const std::vector<GpCandidate>& grid,
-                          const std::vector<double>& noise_variances) {
+                          const std::vector<double>& noise_variances,
+                          double noise_floor) {
   if (grid.empty()) return Status::InvalidArgument("empty candidate grid");
-  if (x.size() != y.size())
-    return Status::InvalidArgument(
-        StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
+  HUMO_RETURN_NOT_OK(ValidateObservations(x, y, noise_variances, noise_floor));
   if (x.empty()) return Status::InvalidArgument("empty training set");
-  if (!noise_variances.empty() && noise_variances.size() != x.size())
-    return Status::InvalidArgument("noise_variances must parallel x");
-  if (!AllFinite(x) || !AllFinite(y) || !AllFinite(noise_variances))
-    return Status::InvalidArgument("x, y and noise_variances must be finite");
-  for (size_t c = 0; c < grid.size(); ++c) {
-    const double sf2 = grid[c].signal_variance;
-    const double l = grid[c].length_scale;
-    const bool positive = sf2 > 0.0 && l > 0.0;
-    if (!positive || !std::isfinite(sf2) || !std::isfinite(l))
-      return Status::InvalidArgument(
-          StrFormat("grid[%zu] needs finite sf2, l > 0: %g, %g", c, sf2, l));
-  }
+  for (const GpCandidate& c : grid)
+    HUMO_RETURN_NOT_OK(
+        ValidateHyperparameters(c.signal_variance, c.length_scale));
   return Status::OK();
 }
 
@@ -311,9 +282,11 @@ struct ScaleShapes {
   std::vector<double> poly, env;
 };
 
-template <class K>
-void ComputeShapes(const std::vector<double>& x, bool with_poly,
+template <class FamilyTag>
+void ComputeShapes(FamilyTag, const std::vector<double>& x,
                    ScaleShapes* shapes) {
+  // RBF's polynomial factor is 1; the other families store theirs.
+  constexpr bool with_poly = FamilyTag::value != KernelFamily::kRbf;
   using linalg::CholeskyLanes;
   const size_t n = x.size();
   const size_t size = CholeskyLanes::PanelOrderSize(n);
@@ -326,7 +299,8 @@ void ComputeShapes(const std::vector<double>& x, bool with_poly,
       for (size_t j = j0; j < j_end; ++j, ++idx) {
         // The distance Kernel::operator() evaluates the kernel at.
         const double r = x[i] >= x[j] ? x[i] - x[j] : x[j] - x[i];
-        const KernelShape k = K::Shape(r, shapes->length_scale);
+        const KernelShape k =
+            FamilyShape<FamilyTag::value>(r, shapes->length_scale);
         if (with_poly) shapes->poly[idx] = k.poly;
         shapes->env[idx] = k.env;
       }
@@ -398,7 +372,8 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
     const std::vector<GpCandidate>& grid, KernelFamily family,
     GpOptions options, std::vector<double> noise_variances) {
-  HUMO_RETURN_NOT_OK(ValidateGridInputs(x, y, grid, noise_variances));
+  HUMO_RETURN_NOT_OK(
+      ValidateGridInputs(x, y, grid, noise_variances, options.noise_variance));
   const size_t n = x.size();
   const double y_mean = TargetMean(y, options.center_mean);
   std::vector<double> y_centered(n);
@@ -417,25 +392,15 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
   ThreadPool::Global()->ParallelFor(
       shapes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
-          switch (family) {
-            case KernelFamily::kRbf:
-              ComputeShapes<RbfKernel>(x, false, &shapes[s]);
-              break;
-            case KernelFamily::kMatern32:
-              ComputeShapes<Matern32Kernel>(x, true, &shapes[s]);
-              break;
-            case KernelFamily::kMatern52:
-              ComputeShapes<Matern52Kernel>(x, true, &shapes[s]);
-              break;
-          }
+          WithFamily(family, [&](auto f) { ComputeShapes(f, x, &shapes[s]); });
         }
       });
 
   // A candidate whose jitter-free lane factor failed: Fit retries it with
   // jitter, as the per-candidate loop would have.
   auto refit = [&](size_t c) {
-    return GpRegression::Fit(MakeKernel(family, grid[c]), x, y, options,
-                             noise_variances);
+    const Kernel kernel(family, grid[c].signal_variance, grid[c].length_scale);
+    return GpRegression::Fit(kernel, x, y, options, noise_variances);
   };
   // Lane groups run in parallel; each merges its pick into `winner` under
   // the lock with Beats, whose order does not depend on which group
@@ -496,11 +461,9 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
   if (winner.index == kNoCandidate)
     return Status::Internal("no candidate produced a valid fit");
   if (winner.refit.has_value()) return std::move(*winner.refit);
-  GpRegression gp;
-  gp.kernel_ = MakeKernel(family, grid[winner.index]);
-  gp.options_ = options;
-  gp.x_ = x;
-  gp.y_ = y;
+  const GpCandidate& best = grid[winner.index];
+  const Kernel kernel(family, best.signal_variance, best.length_scale);
+  GpRegression gp(kernel, options, x, y);
   gp.chol_ = winner_lanes.Lane(winner.lane);
   gp.FinishFit();
   return gp;

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -50,27 +50,25 @@ struct GpCandidate {
   double length_scale;
 };
 
-/// Kernel families the selector can instantiate.
-enum class KernelFamily { kRbf, kMatern32, kMatern52 };
-
 /// Gaussian-process regression over scalar inputs.
 ///
 /// This implements §VI-B of the paper: the match proportions of unit subsets
 /// are modeled as a joint Gaussian in their (average) similarity values,
 /// the posterior supplies both interpolated proportions (Eq. 16-17) and the
-/// covariance needed to bound totals over subset unions (Eq. 19-21).
+/// covariance needed to bound totals over subset unions (Eq. 19-21). A
+/// fitted model is a plain value: copies are independent and equal.
 class GpRegression {
  public:
   /// Fits the GP. `noise_variances`, when non-empty, must parallel `x` and
   /// adds heteroscedastic per-observation noise (sampling variance of each
-  /// observed proportion) to the training diagonal.
-  static Result<GpRegression> Fit(std::unique_ptr<Kernel> kernel,
-                                  std::vector<double> x, std::vector<double> y,
+  /// observed proportion) to the training diagonal. Mismatched or empty
+  /// x/y, noise_variances of the wrong length, a non-finite x, y or noise
+  /// value, and a kernel whose signal variance or length scale is not
+  /// positive and finite are InvalidArgument.
+  static Result<GpRegression> Fit(Kernel kernel, std::vector<double> x,
+                                  std::vector<double> y,
                                   GpOptions options = {},
                                   std::vector<double> noise_variances = {});
-
-  /// Deep copy (the kernel is cloned); fitted state is value-like.
-  GpRegression Clone() const;
 
   /// Returns a model refitted on this model's training set extended by
   /// (x_new, y_new, noise_variances_new), reusing the existing Cholesky
@@ -123,7 +121,7 @@ class GpRegression {
                                        const linalg::Vector& w) const;
 
   /// The fitted kernel (hyperparameters as selected at Fit time).
-  const Kernel& kernel() const { return *kernel_; }
+  const Kernel& kernel() const { return kernel_; }
 
   /// Diagonal jitter the factorization needed (0 when none; see
   /// linalg::Cholesky::Factor).
@@ -146,13 +144,18 @@ class GpRegression {
       const std::vector<GpCandidate>& grid, KernelFamily family,
       GpOptions options, std::vector<double> noise_variances);
 
-  GpRegression() = default;
+  GpRegression(Kernel kernel, GpOptions options, std::vector<double> x,
+               std::vector<double> y)
+      : kernel_(kernel),
+        options_(options),
+        x_(std::move(x)),
+        y_(std::move(y)) {}
 
   /// Recomputes mean/centering, alpha, and the log marginal likelihood from
   /// x_/y_/chol_ — the shared tail of Fit and ExtendedWith.
   void FinishFit();
 
-  std::unique_ptr<Kernel> kernel_;
+  Kernel kernel_;
   GpOptions options_;
   std::vector<double> x_;
   std::vector<double> y_;  // original observations (ExtendedWith re-centers)

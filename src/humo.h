@@ -101,7 +101,6 @@
 #include "actl/active_learning.h"
 #include "common/csv.h"
 #include "common/env.h"
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -115,7 +114,6 @@
 #include "core/estimation_engine.h"
 #include "core/gp_subset_model.h"
 #include "core/hybrid_optimizer.h"
-#include "core/machine_metric.h"
 #include "core/oracle.h"
 #include "core/paged_bitmap.h"
 #include "core/partial_sampling_optimizer.h"
@@ -140,7 +138,6 @@
 #include "data/workload.h"
 #include "data/workload_stream.h"
 #include "entity/entity_clustering.h"
-#include "entity/multi_source.h"
 #include "entity/transitivity_repair.h"
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
@@ -152,19 +149,14 @@
 #include "linalg/matrix.h"
 #include "ml/dataset.h"
 #include "ml/linear_svm.h"
-#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
-#include "ml/scaler.h"
 #include "stats/dawid_skene.h"
-#include "stats/descriptive.h"
 #include "stats/distributions.h"
 #include "stats/proportion.h"
 #include "stats/sampling.h"
 #include "stats/stratified.h"
 #include "text/attribute_similarity.h"
-#include "text/edit_distance.h"
 #include "text/jaro.h"
-#include "text/phonetic.h"
 #include "text/simd_similarity.h"
 #include "text/tfidf.h"
 #include "text/token_dictionary.h"

@@ -28,16 +28,6 @@ double BetaQuantile(double a, double b, double target) {
 
 }  // namespace
 
-ProportionInterval WaldInterval(size_t positives, size_t n,
-                                double confidence) {
-  assert(positives <= n);
-  if (n == 0) return {0.0, 1.0};
-  const double p = static_cast<double>(positives) / static_cast<double>(n);
-  const double z = NormalTwoSidedCritical(confidence);
-  const double half = z * std::sqrt(p * (1.0 - p) / static_cast<double>(n));
-  return {Clamp01(p - half), Clamp01(p + half)};
-}
-
 ProportionInterval WilsonInterval(size_t positives, size_t n,
                                   double confidence) {
   assert(positives <= n);
@@ -57,35 +47,6 @@ ProportionInterval WilsonInterval(size_t positives, size_t n,
   return iv;
 }
 
-ProportionInterval ClopperPearsonInterval(size_t positives, size_t n,
-                                          double confidence) {
-  assert(positives <= n);
-  if (n == 0) return {0.0, 1.0};
-  const double alpha = 1.0 - confidence;
-  const double k = static_cast<double>(positives);
-  const double nn = static_cast<double>(n);
-  ProportionInterval iv;
-  iv.lo = (positives == 0)
-              ? 0.0
-              : BetaQuantile(k, nn - k + 1.0, alpha / 2.0);
-  iv.hi = (positives == n)
-              ? 1.0
-              : BetaQuantile(k + 1.0, nn - k, 1.0 - alpha / 2.0);
-  return iv;
-}
-
-ProportionInterval AgrestiCoullInterval(size_t positives, size_t n,
-                                        double confidence) {
-  assert(positives <= n);
-  if (n == 0) return {0.0, 1.0};
-  const double z = NormalTwoSidedCritical(confidence);
-  const double z2 = z * z;
-  const double n_tilde = static_cast<double>(n) + z2;
-  const double p_tilde = (static_cast<double>(positives) + z2 / 2.0) / n_tilde;
-  const double half = z * std::sqrt(p_tilde * (1.0 - p_tilde) / n_tilde);
-  return {Clamp01(p_tilde - half), Clamp01(p_tilde + half)};
-}
-
 ProportionInterval BetaPosteriorInterval(size_t positives, size_t n,
                                          double confidence, double prior_a,
                                          double prior_b) {
@@ -95,24 +56,6 @@ ProportionInterval BetaPosteriorInterval(size_t positives, size_t n,
   const double b = prior_b + static_cast<double>(n - positives);
   const double tail = (1.0 - confidence) / 2.0;
   return {BetaQuantile(a, b, tail), BetaQuantile(a, b, 1.0 - tail)};
-}
-
-double BetaPosteriorUpperBound(size_t positives, size_t n, double confidence,
-                               double prior_a, double prior_b) {
-  assert(positives <= n);
-  assert(prior_a > 0.0 && prior_b > 0.0);
-  const double a = prior_a + static_cast<double>(positives);
-  const double b = prior_b + static_cast<double>(n - positives);
-  return BetaQuantile(a, b, confidence);
-}
-
-double BetaPosteriorLowerBound(size_t positives, size_t n, double confidence,
-                               double prior_a, double prior_b) {
-  assert(positives <= n);
-  assert(prior_a > 0.0 && prior_b > 0.0);
-  const double a = prior_a + static_cast<double>(positives);
-  const double b = prior_b + static_cast<double>(n - positives);
-  return BetaQuantile(a, b, 1.0 - confidence);
 }
 
 }  // namespace humo::stats

@@ -10,23 +10,10 @@ struct ProportionInterval {
   double hi = 1.0;
 };
 
-/// Wald interval p_hat +- z * sqrt(p_hat (1-p_hat) / n). Simple but
-/// ill-behaved near 0/1; kept for comparison with the stronger intervals.
-ProportionInterval WaldInterval(size_t positives, size_t n, double confidence);
-
 /// Wilson score interval — the recommended default for the ACTL comparator's
 /// sampled precision estimates (well-behaved for small n and extreme p).
 ProportionInterval WilsonInterval(size_t positives, size_t n,
                                   double confidence);
-
-/// Clopper-Pearson "exact" interval via the beta-quantile characterization,
-/// computed with bisection on the regularized incomplete beta function.
-ProportionInterval ClopperPearsonInterval(size_t positives, size_t n,
-                                          double confidence);
-
-/// Agresti-Coull interval (adjusted Wald).
-ProportionInterval AgrestiCoullInterval(size_t positives, size_t n,
-                                        double confidence);
 
 /// Equal-tailed Bayesian credible interval for a binomial proportion under a
 /// Beta(prior_a, prior_b) prior: the (1-c)/2 and (1+c)/2 quantiles of the
@@ -39,16 +26,5 @@ ProportionInterval BetaPosteriorInterval(size_t positives, size_t n,
                                          double confidence,
                                          double prior_a = 1.0,
                                          double prior_b = 1.0);
-
-/// One-sided upper tail bound: the `confidence` quantile of the posterior
-/// Beta(prior_a + positives, prior_b + n - positives). The true proportion
-/// exceeds the returned value with posterior probability 1 - confidence.
-double BetaPosteriorUpperBound(size_t positives, size_t n, double confidence,
-                               double prior_a = 1.0, double prior_b = 1.0);
-
-/// One-sided lower tail bound: the (1 - confidence) quantile of the
-/// posterior (mirror of BetaPosteriorUpperBound).
-double BetaPosteriorLowerBound(size_t positives, size_t n, double confidence,
-                               double prior_a = 1.0, double prior_b = 1.0);
 
 }  // namespace humo::stats

@@ -31,7 +31,7 @@ GpSubsetModel MakeModel(size_t m = 20) {
   }
   gp::GpOptions o;
   o.noise_variance = 1e-6;
-  auto gp = gp::GpRegression::Fit(std::make_unique<gp::RbfKernel>(0.5, 0.3),
+  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.5, 0.3),
                                   train_x, train_y, o);
   EXPECT_TRUE(gp.ok());
   return GpSubsetModel(std::move(*gp), v, n);
@@ -168,7 +168,7 @@ GpSubsetModel MakeModelWithObservations(double scatter_var,
   }
   gp::GpOptions o;
   o.noise_variance = 1e-8;
-  auto gp = gp::GpRegression::Fit(std::make_unique<gp::RbfKernel>(0.25, 0.4),
+  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.25, 0.4),
                                   train_x, train_y, o);
   EXPECT_TRUE(gp.ok());
   return GpSubsetModel(std::move(*gp), v, n, obs, scatter, inflation);
@@ -351,7 +351,7 @@ gp::GpRegression FitRampGp() {
   gp::GpOptions o;
   o.noise_variance = 1e-4;
   auto gp = gp::GpRegression::Fit(
-      std::make_unique<gp::Matern52Kernel>(0.3, 0.25), x, y, o);
+      gp::Kernel(gp::KernelFamily::kMatern52, 0.3, 0.25), x, y, o);
   EXPECT_TRUE(gp.ok());
   return std::move(*gp);
 }

@@ -23,7 +23,7 @@ namespace {
 std::shared_ptr<GpSubsetModel> MakeModel() {
   std::vector<double> xs = {0.1, 0.3, 0.5, 0.7, 0.9};
   std::vector<double> ys = {0.0, 0.1, 0.5, 0.9, 1.0};
-  auto gp = gp::GpRegression::Fit(std::make_unique<gp::RbfKernel>(0.5, 0.25),
+  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.5, 0.25),
                                   xs, ys);
   EXPECT_TRUE(gp.ok());
   std::vector<double> v, n;

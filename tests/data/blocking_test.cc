@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
-#include <utility>
 
 #include "common/thread_pool.h"
 #include "text/token_similarity.h"
@@ -96,53 +94,6 @@ TEST(BlockingStatsTest, ReductionAndCompleteness) {
   EXPECT_DOUBLE_EQ(stats.PairCompleteness(), 1.0);
 }
 
-TEST(SortedNeighborhoodTest, FindsPrefixNeighborsTokenBlockingMisses) {
-  // Keys share a prefix but no full token: "kestrelx200" vs "kestrelx2oo".
-  RecordTable left({"name"});
-  ASSERT_TRUE(left.Add({0, 1, {"kestrelx200 speaker"}}).ok());
-  RecordTable right({"name"});
-  ASSERT_TRUE(right.Add({0, 1, {"kestrelx2oo speakers"}}).ok());
-  const Workload token = TokenBlock(left, right, 0, NameScorer, 0.0);
-  EXPECT_EQ(token.size(), 0u);  // no shared whole token
-  const Workload snm =
-      SortedNeighborhoodBlock(left, right, 0, /*window=*/3, NameScorer, 0.0);
-  EXPECT_EQ(snm.size(), 1u);  // adjacent in sorted key order
-}
-
-TEST(SortedNeighborhoodTest, WindowLimitsComparisons) {
-  const auto left = LeftTable();
-  const auto right = RightTable();
-  // Window of the full merged size degenerates to the cross product
-  // (cross-table pairs only).
-  const Workload wide = SortedNeighborhoodBlock(
-      left, right, 0, left.size() + right.size(), NameScorer, 0.0);
-  EXPECT_EQ(wide.size(), left.size() * right.size());
-  const Workload narrow =
-      SortedNeighborhoodBlock(left, right, 0, 2, NameScorer, 0.0);
-  EXPECT_LE(narrow.size(), wide.size());
-}
-
-TEST(SortedNeighborhoodTest, NoDuplicatePairs) {
-  const auto left = LeftTable();
-  const auto right = RightTable();
-  const Workload w =
-      SortedNeighborhoodBlock(left, right, 0, 4, NameScorer, 0.0);
-  std::set<std::pair<uint32_t, uint32_t>> seen;
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_TRUE(seen.insert({w[i].left_id, w[i].right_id}).second);
-  }
-}
-
-TEST(SortedNeighborhoodTest, RespectsThreshold) {
-  const auto left = LeftTable();
-  const auto right = RightTable();
-  const Workload w =
-      SortedNeighborhoodBlock(left, right, 0, 6, NameScorer, 0.5);
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_GE(w[i].similarity, 0.5);
-  }
-}
-
 TEST(BlockingStatsTest, LostMatchLowersCompleteness) {
   const auto left = LeftTable();
   const auto right = RightTable();
@@ -170,8 +121,6 @@ TEST(BlockingStatsTest, OneEmptySideBlocksNothing) {
   EXPECT_TRUE(ThresholdBlock(left, empty, NameScorer, 0.0).empty());
   EXPECT_TRUE(ThresholdBlock(empty, LeftTable(), NameScorer, 0.0).empty());
   EXPECT_TRUE(TokenBlock(left, empty, 0, NameScorer, 0.0).empty());
-  EXPECT_TRUE(
-      SortedNeighborhoodBlock(left, empty, 0, 4, NameScorer, 0.0).empty());
 }
 
 TEST(BlockingStatsTest, ZeroCandidatesStillComputesStats) {
@@ -231,22 +180,16 @@ TEST(BlockingDeterminismTest, ParallelEqualsSerialBitForBit) {
   ThreadPool::SetGlobalThreads(1);
   const Workload threshold_1 = ThresholdBlock(left, right, NameScorer, 0.3);
   const Workload token_1 = TokenBlock(left, right, 0, NameScorer, 0.2);
-  const Workload snm_1 =
-      SortedNeighborhoodBlock(left, right, 0, 12, NameScorer, 0.2);
 
   ThreadPool::SetGlobalThreads(4);
   const Workload threshold_4 = ThresholdBlock(left, right, NameScorer, 0.3);
   const Workload token_4 = TokenBlock(left, right, 0, NameScorer, 0.2);
-  const Workload snm_4 =
-      SortedNeighborhoodBlock(left, right, 0, 12, NameScorer, 0.2);
   ThreadPool::SetGlobalThreads(0);
 
   ASSERT_GT(threshold_1.size(), 0u);
   ASSERT_GT(token_1.size(), 0u);
-  ASSERT_GT(snm_1.size(), 0u);
   ExpectSameWorkload(threshold_1, threshold_4);
   ExpectSameWorkload(token_1, token_4);
-  ExpectSameWorkload(snm_1, snm_4);
 }
 
 }  // namespace

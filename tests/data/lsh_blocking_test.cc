@@ -367,39 +367,5 @@ TEST(MinHashLshCandidatesTest, MatchesPerBandHashMapReference) {
   }
 }
 
-TEST(IdPathBlockersTest, ThresholdBlockIdPathMatchesStringPath) {
-  const ScaleTables tables = PerturbedTables(/*groups=*/8);
-  text::TokenDictionary dict;
-  const RecordColumns left = RecordColumns::Build(tables.left, 1, &dict);
-  const RecordColumns right = RecordColumns::Build(tables.right, 1, &dict);
-  const Workload via_strings =
-      ThresholdBlock(tables.left, tables.right, NameScorer, 0.3);
-  const Workload via_ids =
-      ThresholdBlock(tables.left, tables.right, left, right,
-                     text::IdSetMetric::kJaccard, 0.3);
-  ASSERT_EQ(via_strings.size(), via_ids.size());
-  EXPECT_EQ(via_strings.similarities(), via_ids.similarities());
-  EXPECT_EQ(via_strings.left_ids(), via_ids.left_ids());
-  EXPECT_EQ(via_strings.right_ids(), via_ids.right_ids());
-  EXPECT_EQ(via_strings.match_labels(), via_ids.match_labels());
-}
-
-TEST(IdPathBlockersTest, SortedNeighborhoodIdPathMatchesStringPath) {
-  const ScaleTables tables = PerturbedTables(/*groups=*/8);
-  text::TokenDictionary dict;
-  const RecordColumns left = RecordColumns::Build(tables.left, 1, &dict);
-  const RecordColumns right = RecordColumns::Build(tables.right, 1, &dict);
-  const Workload via_strings = SortedNeighborhoodBlock(
-      tables.left, tables.right, 0, /*window=*/10, NameScorer, 0.3);
-  const Workload via_ids = SortedNeighborhoodBlock(
-      tables.left, tables.right, left, right, 0, /*window=*/10,
-      text::IdSetMetric::kJaccard, 0.3);
-  ASSERT_EQ(via_strings.size(), via_ids.size());
-  EXPECT_EQ(via_strings.similarities(), via_ids.similarities());
-  EXPECT_EQ(via_strings.left_ids(), via_ids.left_ids());
-  EXPECT_EQ(via_strings.right_ids(), via_ids.right_ids());
-  EXPECT_EQ(via_strings.match_labels(), via_ids.match_labels());
-}
-
 }  // namespace
 }  // namespace humo::data

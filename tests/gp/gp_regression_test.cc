@@ -18,7 +18,7 @@ GpOptions TightOptions() {
 TEST(GpRegressionTest, InterpolatesTrainingPointsWithLowNoise) {
   const std::vector<double> x = {0.0, 0.25, 0.5, 0.75, 1.0};
   const std::vector<double> y = {0.0, 0.2, 0.5, 0.8, 0.95};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.2), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.2), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   for (size_t i = 0; i < x.size(); ++i) {
@@ -31,7 +31,7 @@ TEST(GpRegressionTest, InterpolatesTrainingPointsWithLowNoise) {
 TEST(GpRegressionTest, UncertaintyGrowsAwayFromData) {
   const std::vector<double> x = {0.4, 0.5, 0.6};
   const std::vector<double> y = {0.4, 0.5, 0.6};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.05), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.05), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const double var_near = gp->Predict(0.5).variance;
@@ -43,7 +43,7 @@ TEST(GpRegressionTest, SmoothInterpolationBetweenPoints) {
   // Linear-ish data: midpoint prediction should land between neighbors.
   const std::vector<double> x = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
   const std::vector<double> y = {0.0, 0.1, 0.3, 0.6, 0.85, 0.95};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(0.5, 0.25), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 0.5, 0.25), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const double mid = gp->Predict(0.5).mean;
@@ -52,25 +52,33 @@ TEST(GpRegressionTest, SmoothInterpolationBetweenPoints) {
 }
 
 TEST(GpRegressionTest, RejectsBadInputs) {
-  EXPECT_FALSE(GpRegression::Fit(nullptr, {0.1}, {0.2}).ok());
-  EXPECT_FALSE(GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.1),
-                                 {0.1, 0.2}, {0.2})
-                   .ok());
-  EXPECT_FALSE(
-      GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.1), {}, {}).ok());
-  EXPECT_FALSE(GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.1), {0.1},
-                                 {0.2}, {}, {0.1, 0.1})
-                   .ok());
+  const Kernel rbf(KernelFamily::kRbf, 1.0, 0.1);
+  EXPECT_FALSE(GpRegression::Fit(rbf, {0.1, 0.2}, {0.2}).ok());
+  EXPECT_FALSE(GpRegression::Fit(rbf, {}, {}).ok());
+  EXPECT_FALSE(GpRegression::Fit(rbf, {0.1}, {0.2}, {}, {0.1, 0.1}).ok());
+  // Non-finite observations and non-positive hyperparameters are the
+  // caller's error, not a NaN model or a failed factorization.
+  const double nan = std::nan("");
+  const std::vector<double> x = {0.1, 0.5, 0.9};
+  auto nan_y = GpRegression::Fit(rbf, x, {0.2, nan, 0.8});
+  EXPECT_EQ(nan_y.status().code(), StatusCode::kInvalidArgument);
+  auto zero_l = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.0), x,
+                                  {0.2, 0.5, 0.8});
+  EXPECT_EQ(zero_l.status().code(), StatusCode::kInvalidArgument);
+  auto gp = GpRegression::Fit(rbf, x, {0.2, 0.5, 0.8});
+  ASSERT_TRUE(gp.ok());
+  EXPECT_EQ(gp->ExtendedWith({0.7}, {nan}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GpRegressionTest, HeteroscedasticNoiseWidensLocally) {
   const std::vector<double> x = {0.2, 0.5, 0.8};
   const std::vector<double> y = {0.3, 0.5, 0.7};
   // Give the middle observation huge noise.
-  auto gp_noisy = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.2), x,
-                                    y, TightOptions(), {1e-8, 0.5, 1e-8});
-  auto gp_clean = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.2), x,
-                                    y, TightOptions(), {1e-8, 1e-8, 1e-8});
+  auto gp_noisy = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.2), x, y,
+                                    TightOptions(), {1e-8, 0.5, 1e-8});
+  auto gp_clean = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.2), x, y,
+                                    TightOptions(), {1e-8, 1e-8, 1e-8});
   ASSERT_TRUE(gp_noisy.ok());
   ASSERT_TRUE(gp_clean.ok());
   EXPECT_GT(gp_noisy->Predict(0.5).variance, gp_clean->Predict(0.5).variance);
@@ -79,7 +87,7 @@ TEST(GpRegressionTest, HeteroscedasticNoiseWidensLocally) {
 TEST(GpRegressionTest, JointPredictionDiagonalMatchesPointwise) {
   const std::vector<double> x = {0.1, 0.3, 0.5, 0.7};
   const std::vector<double> y = {0.1, 0.4, 0.5, 0.9};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.15), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.15), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const std::vector<double> q = {0.2, 0.6, 0.95};
@@ -95,7 +103,7 @@ TEST(GpRegressionTest, JointPredictionDiagonalMatchesPointwise) {
 TEST(GpRegressionTest, JointCovarianceOffDiagonalPositiveForNearbyPoints) {
   const std::vector<double> x = {0.1, 0.9};
   const std::vector<double> y = {0.2, 0.8};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.2), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.2), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const auto joint = gp->PredictJoint({0.48, 0.52});
@@ -106,7 +114,7 @@ TEST(GpRegressionTest, JointCovarianceOffDiagonalPositiveForNearbyPoints) {
 TEST(GpRegressionTest, WeightedTotalAggregation) {
   const std::vector<double> x = {0.0, 0.5, 1.0};
   const std::vector<double> y = {0.0, 0.5, 1.0};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.3), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.3), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const std::vector<double> q = {0.25, 0.75};
@@ -120,7 +128,7 @@ TEST(GpRegressionTest, WeightedTotalAggregation) {
 TEST(GpRegressionTest, WhitenedCrossConsistentWithVariance) {
   const std::vector<double> x = {0.2, 0.4, 0.6, 0.8};
   const std::vector<double> y = {0.2, 0.3, 0.6, 0.9};
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.2), x, y,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.2), x, y,
                               TightOptions());
   ASSERT_TRUE(gp.ok());
   const double q = 0.55;
@@ -144,9 +152,8 @@ TEST(GpRegressionTest, LogMarginalLikelihoodPrefersTrueLengthScale) {
   }
   GpOptions o;
   o.noise_variance = 1e-4;
-  auto good = GpRegression::Fit(std::make_unique<RbfKernel>(0.3, 0.3), x, y, o);
-  auto bad =
-      GpRegression::Fit(std::make_unique<RbfKernel>(0.3, 0.001), x, y, o);
+  auto good = GpRegression::Fit(Kernel(KernelFamily::kRbf, 0.3, 0.3), x, y, o);
+  auto bad = GpRegression::Fit(Kernel(KernelFamily::kRbf, 0.3, 0.001), x, y, o);
   ASSERT_TRUE(good.ok());
   ASSERT_TRUE(bad.ok());
   EXPECT_GT(good->LogMarginalLikelihood(), bad->LogMarginalLikelihood());

@@ -32,7 +32,7 @@ TrainingSet MakeTraining(size_t n, uint64_t seed) {
 GpRegression FitRbf(const TrainingSet& t, double sf2 = 0.25, double l = 0.1) {
   GpOptions o;
   o.noise_variance = 1e-6;
-  auto gp = GpRegression::Fit(std::make_unique<RbfKernel>(sf2, l), t.x, t.y, o,
+  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, sf2, l), t.x, t.y, o,
                               t.noise);
   EXPECT_TRUE(gp.ok());
   return std::move(*gp);
@@ -106,7 +106,7 @@ TEST(PredictBatchTest, ExtendedWithAgreesWithFromScratchFit) {
   GpOptions o;
   o.noise_variance = 1e-6;
   auto base = GpRegression::Fit(
-      std::make_unique<RbfKernel>(0.25, 0.1),
+      Kernel(KernelFamily::kRbf, 0.25, 0.1),
       std::vector<double>(t.x.begin(), t.x.begin() + n0),
       std::vector<double>(t.y.begin(), t.y.begin() + n0), o,
       std::vector<double>(t.noise.begin(), t.noise.begin() + n0));
@@ -118,7 +118,7 @@ TEST(PredictBatchTest, ExtendedWithAgreesWithFromScratchFit) {
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ(extended->num_training_points(), t.x.size());
 
-  auto scratch = GpRegression::Fit(std::make_unique<RbfKernel>(0.25, 0.1), t.x,
+  auto scratch = GpRegression::Fit(Kernel(KernelFamily::kRbf, 0.25, 0.1), t.x,
                                    t.y, o, t.noise);
   ASSERT_TRUE(scratch.ok());
   EXPECT_NEAR(extended->LogMarginalLikelihood(),

@@ -7,7 +7,6 @@
 #include "data/publication_generator.h"
 #include "eval/evaluation.h"
 #include "ml/linear_svm.h"
-#include "ml/scaler.h"
 #include "text/attribute_similarity.h"
 #include "text/jaro.h"
 #include "text/token_similarity.h"
@@ -140,15 +139,12 @@ TEST(RecordPipelineTest, SvmTrainedOnAttributeFeaturesBeatsChance) {
 
   Rng rng(1);
   const auto split = ml::SplitDataset(dataset, 0.7, &rng);
-  ml::StandardScaler scaler;
-  scaler.Fit(split.train);
   ml::SvmOptions svm_opts;
   svm_opts.positive_weight = 5.0;
-  const auto svm = ml::LinearSvm::Train(scaler.Transform(split.train),
-                                        svm_opts);
+  const auto svm = ml::LinearSvm::Train(split.train, svm_opts);
   std::vector<int> preds;
   for (const auto& f : split.test.features)
-    preds.push_back(svm.Predict(scaler.Transform(f)));
+    preds.push_back(svm.Predict(f));
   const auto m = ml::EvaluateLabels(preds, split.test.labels);
   EXPECT_GT(m.f1(), 0.3);  // product matching is hard; beat chance clearly
 }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "text/edit_distance.h"
 #include "text/jaro.h"
 #include "text/token_similarity.h"
 #include "text/tokenizer.h"
@@ -15,8 +14,8 @@ namespace {
 /// Fuzz/edge-case coverage for the text metrics: hostile inputs — empty
 /// strings, single characters, embedded NULs, long repeats, invalid UTF-8 —
 /// must never crash (exercised under ASan in CI) and must keep the metric
-/// properties (symmetry, identity, unit range, triangle inequality) that
-/// the randomized property suite checks on well-formed words.
+/// properties (symmetry, identity, unit range) that the randomized property
+/// suite checks on well-formed words.
 
 std::string RandomBytes(Rng* rng, size_t max_len) {
   const size_t len = rng->NextBelow(max_len + 1);
@@ -48,24 +47,6 @@ const std::vector<std::string>& HostileStrings() {
     return v;
   }();
   return *strings;
-}
-
-TEST(TextFuzzTest, EditDistanceSurvivesHostilePairs) {
-  const auto& inputs = HostileStrings();
-  for (const std::string& a : inputs) {
-    for (const std::string& b : inputs) {
-      const size_t d = LevenshteinDistance(a, b);
-      EXPECT_EQ(d, LevenshteinDistance(b, a));
-      EXPECT_LE(d, std::max(a.size(), b.size()));
-      EXPECT_LE(DamerauLevenshteinDistance(a, b), d);
-      EXPECT_LE(LongestCommonSubsequence(a, b), std::min(a.size(), b.size()));
-      const double s = LevenshteinSimilarity(a, b);
-      EXPECT_GE(s, 0.0);
-      EXPECT_LE(s, 1.0);
-    }
-    EXPECT_EQ(LevenshteinDistance(a, a), 0u);
-    EXPECT_EQ(LevenshteinSimilarity(a, a), 1.0);
-  }
 }
 
 TEST(TextFuzzTest, JaroSurvivesHostilePairs) {
@@ -117,12 +98,7 @@ TEST(TextFuzzTest, RandomByteStringsKeepMetricProperties) {
   for (int rep = 0; rep < 250; ++rep) {
     const std::string a = RandomBytes(&rng, 40);
     const std::string b = RandomBytes(&rng, 40);
-    const std::string c = RandomBytes(&rng, 40);
-    const size_t dab = LevenshteinDistance(a, b);
-    const size_t dac = LevenshteinDistance(a, c);
-    const size_t dcb = LevenshteinDistance(c, b);
-    EXPECT_EQ(dab, LevenshteinDistance(b, a)) << "rep " << rep;
-    EXPECT_LE(dab, dac + dcb) << "rep " << rep;  // triangle inequality
+    RandomBytes(&rng, 40);  // a third string, kept so the stream is unchanged
     const double j = JaroSimilarity(a, b);
     EXPECT_GE(j, 0.0);
     EXPECT_LE(j, 1.0);
@@ -131,31 +107,10 @@ TEST(TextFuzzTest, RandomByteStringsKeepMetricProperties) {
   }
 }
 
-TEST(TextFuzzTest, HammingOnEqualLengthHostileInputs) {
-  Rng rng(99);
-  for (int rep = 0; rep < 100; ++rep) {
-    const size_t len = rng.NextBelow(64);
-    std::string a, b;
-    for (size_t i = 0; i < len; ++i) {
-      a.push_back(static_cast<char>(rng.NextBelow(256)));
-      b.push_back(static_cast<char>(rng.NextBelow(256)));
-    }
-    const size_t d = HammingDistance(a, b);
-    EXPECT_EQ(d, HammingDistance(b, a));
-    EXPECT_LE(d, len);
-    EXPECT_EQ(HammingDistance(a, a), 0u);
-  }
-}
-
 TEST(TextFuzzTest, LongRepeatsAreExactNotApproximate) {
   const std::string a(2000, 'a');
-  const std::string b(1999, 'a');
-  EXPECT_EQ(LevenshteinDistance(a, b), 1u);
-  EXPECT_EQ(LongestCommonSubsequence(a, b), 1999u);
   std::string c = a;
   c[1000] = 'b';
-  EXPECT_EQ(LevenshteinDistance(a, c), 1u);
-  EXPECT_EQ(DamerauLevenshteinDistance(a, c), 1u);
   EXPECT_GT(JaroSimilarity(a, c), 0.99);
 }
 
