@@ -8,27 +8,47 @@
 
 namespace humo::core {
 
+SubsetPosterior ConditionSubset(double prior_mean, double prior_variance,
+                                size_t matches, size_t inspected, size_t size) {
+  assert(matches <= inspected && inspected <= size);
+  const double x = static_cast<double>(matches);
+  const double s = static_cast<double>(inspected);
+  const double u = static_cast<double>(size - inspected);
+  const double m = prior_mean;
+  // Evidence: x-hat (0 when s = 0, where its weight below is 0) and its
+  // variance at the smoothed rate, infinite when s = 0.
+  const double x_hat = x / std::max(s, 1.0);
+  const double p_smooth = (x + 0.5) / (s + 1.0);
+  const double e = p_smooth * (1.0 - p_smooth) / s;
+  const double gap = m - x_hat;
+  const double w = std::max(prior_variance, gap * gap - e);
+  const double gain = w / (w + e);
+  SubsetPosterior post;
+  post.rate_mean = std::clamp(m + gain * (x_hat - m), 0.0, 1.0);
+  post.rate_variance = (1.0 - gain) * w;
+  const double p = post.rate_mean;
+  post.count_mean = u * p;
+  post.count_variance = u * u * post.rate_variance + u * p * (1.0 - p);
+  return post;
+}
+
 GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
                              std::vector<double> avg_similarity,
                              std::vector<double> subset_sizes,
-                             std::vector<SubsetObservation> observations,
+                             std::vector<stats::Stratum> evidence,
                              std::vector<double> scatter_variance,
                              double variance_inflation)
     : gp_(std::move(gp)),
       v_(std::move(avg_similarity)),
       n_(std::move(subset_sizes)),
-      obs_(std::move(observations)),
-      scatter_(std::move(scatter_variance)),
+      evidence_(std::move(evidence)),
       variance_inflation_(variance_inflation) {
   assert(v_.size() == n_.size());
-  assert(obs_.empty() || obs_.size() == v_.size());
-  assert(scatter_.empty() || scatter_.size() == v_.size());
-  assert(variance_inflation_ >= 1.0);
   // One batched posterior over every subset replaces m per-point solves:
   // the same pass yields the posterior means and the whitened cross
   // vectors the range accumulators need (each bit-identical to the
   // per-point Predict / WhitenedCross it stands in for).
-  InitFromPosterior(gp_.PredictBatch(v_, &w_));
+  InitFromPosterior(gp_.PredictBatch(v_, &w_), scatter_variance);
 }
 
 GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
@@ -36,33 +56,51 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
                              std::vector<double> subset_sizes,
                              const std::vector<gp::Prediction>& predictions,
                              std::vector<linalg::Vector> whitened,
-                             std::vector<SubsetObservation> observations,
+                             std::vector<stats::Stratum> evidence,
                              std::vector<double> scatter_variance,
                              double variance_inflation)
     : gp_(std::move(gp)),
       v_(std::move(avg_similarity)),
       n_(std::move(subset_sizes)),
       w_(std::move(whitened)),
-      obs_(std::move(observations)),
-      scatter_(std::move(scatter_variance)),
+      evidence_(std::move(evidence)),
       variance_inflation_(variance_inflation) {
   assert(v_.size() == n_.size());
   assert(predictions.size() == v_.size() && w_.size() == v_.size());
-  assert(obs_.empty() || obs_.size() == v_.size());
-  assert(scatter_.empty() || scatter_.size() == v_.size());
-  assert(variance_inflation_ >= 1.0);
-  InitFromPosterior(predictions);
+  InitFromPosterior(predictions, scatter_variance);
 }
 
 void GpSubsetModel::InitFromPosterior(
-    const std::vector<gp::Prediction>& predictions) {
+    const std::vector<gp::Prediction>& predictions,
+    const std::vector<double>& scatter) {
+  assert(evidence_.empty() || evidence_.size() == v_.size());
+  assert(scatter.empty() || scatter.size() == v_.size());
+  assert(variance_inflation_ >= 1.0);
   const size_t m = v_.size();
+  prior_mean_.resize(m);
+  prior_var_.resize(m);
   mean_.resize(m);
+  indep_var_.resize(m);
   pop_prefix_.assign(m + 1, 0.0);
   for (size_t k = 0; k < m; ++k) {
-    mean_[k] = IsExact(k) ? obs_[k].proportion
-                          : std::clamp(predictions[k].mean, 0.0, 1.0);
-    pop_prefix_[k + 1] = pop_prefix_[k] + n_[k];
+    const double nk = n_[k];
+    const double scatter_k = scatter.empty() ? 0.0 : scatter[k];
+    prior_mean_[k] = std::clamp(predictions[k].mean, 0.0, 1.0);
+    prior_var_[k] = variance_inflation_ * predictions[k].variance + scatter_k;
+    if (HasEvidence(k)) {
+      const stats::Stratum& ev = evidence_[k];
+      assert(ev.sample_size <= static_cast<size_t>(nk));
+      const SubsetPosterior post =
+          ConditionSubset(prior_mean_[k], prior_var_[k], ev.sample_positives,
+                          ev.sample_size, static_cast<size_t>(nk));
+      const double x = static_cast<double>(ev.sample_positives);
+      mean_[k] = (x + post.count_mean) / nk;
+      indep_var_[k] = post.count_variance;
+    } else {
+      mean_[k] = prior_mean_[k];
+      indep_var_[k] = nk * nk * scatter_k;
+    }
+    pop_prefix_[k + 1] = pop_prefix_[k] + nk;
   }
   // Cross-sums over the lower triangle, each kernel value evaluated once:
   // K(v_k, v_j) for j < k joins LeftCross(k) and RightCross(j). The outer
@@ -74,12 +112,12 @@ void GpSubsetModel::InitFromPosterior(
   right_cross_.assign(m, 0.0);
   std::vector<double> row(m);
   for (size_t k = 1; k < m; ++k) {
-    if (IsExact(k)) continue;
+    if (HasEvidence(k)) continue;
     gp_.kernel().FillRow(v_[k], v_.data(), k, row.data());
     const double nk = n_[k];
     double left = 0.0;
     for (size_t j = 0; j < k; ++j) {
-      if (IsExact(j)) continue;
+      if (HasEvidence(j)) continue;
       left += n_[j] * row[j];
       right_cross_[j] += nk * row[j];
     }
@@ -93,9 +131,7 @@ double GpSubsetModel::PriorK(size_t a, size_t b) const {
 
 double GpSubsetModel::PosteriorVariance(size_t k) const {
   assert(k < v_.size());
-  if (IsExact(k)) return 0.0;
-  return variance_inflation_ * gp_.PosteriorVarianceFromWhitened(v_[k], w_[k]) +
-         ScatterVariance(k);
+  return HasEvidence(k) ? indep_var_[k] / (n_[k] * n_[k]) : prior_var_[k];
 }
 
 double GpSubsetModel::PopulationInRange(size_t a, size_t b) const {
@@ -116,7 +152,7 @@ void GpRangeAccumulator::Clear() {
   a_ = b_ = 0;
   mean_sum_ = 0.0;
   prior_q_ = 0.0;
-  scatter_sum_ = 0.0;
+  indep_sum_ = 0.0;
   pop_sum_ = 0.0;
   std::fill(w_sum_.begin(), w_sum_.end(), 0.0);
 }
@@ -135,27 +171,27 @@ void GpRangeAccumulator::AddSubset(size_t k) {
   const double nk = model_->SubsetSize(k);
   mean_sum_ += nk * model_->PosteriorMean(k);
   pop_sum_ += nk;
-  if (model_->IsExact(k)) return;  // exact counts carry no uncertainty
-  // Prior double-sum update: cross terms against the current non-exact
+  indep_sum_ += model_->IndependentVariance(k);
+  if (model_->HasEvidence(k)) return;  // conditioned counts: no GP terms
+  // Prior double-sum update: cross terms against the current evidence-free
   // members plus the self term. The caller has already updated a_/b_ to
   // include k.
   prior_q_ += 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
   const auto& wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
-  scatter_sum_ += nk * nk * model_->ScatterVariance(k);
 }
 
 void GpRangeAccumulator::RemoveSubset(size_t k) {
   const double nk = model_->SubsetSize(k);
   mean_sum_ -= nk * model_->PosteriorMean(k);
   pop_sum_ -= nk;
-  if (model_->IsExact(k)) return;
+  indep_sum_ -= model_->IndependentVariance(k);
+  if (model_->HasEvidence(k)) return;
   // Membership still includes k at call time; subtract cross terms against
-  // the remaining non-exact members.
+  // the remaining evidence-free members.
   prior_q_ -= 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
   const auto& wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
-  scatter_sum_ -= nk * nk * model_->ScatterVariance(k);
 }
 
 double GpRangeAccumulator::CrossSum(size_t k) const {
@@ -165,7 +201,7 @@ double GpRangeAccumulator::CrossSum(size_t k) const {
   if (k == a_ && b_ + 1 == model_->num_subsets()) return model_->RightCross(k);
   double cross = 0.0;
   for (size_t j = a_; j <= b_; ++j) {
-    if (j == k || model_->IsExact(j)) continue;
+    if (j == k || model_->HasEvidence(j)) continue;
     cross += model_->SubsetSize(j) * model_->PriorK(k, j);
   }
   return cross;
@@ -223,7 +259,7 @@ double GpRangeAccumulator::TotalStdDev() const {
   double dot = 0.0;
   for (double x : w_sum_) dot += x * x;
   const double gp_var = std::max(0.0, prior_q_ - dot);
-  const double var = model_->variance_inflation() * gp_var + scatter_sum_;
+  const double var = model_->variance_inflation() * gp_var + indep_sum_;
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 

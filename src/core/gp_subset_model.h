@@ -5,46 +5,65 @@
 
 #include "gp/gp_regression.h"
 #include "linalg/matrix.h"
+#include "stats/stratified.h"
 
 namespace humo::core {
 
-/// Per-subset observation status feeding the bound computation.
-struct SubsetObservation {
-  /// True when the subset was fully enumerated by the human — its match
-  /// count is then known exactly and contributes no uncertainty.
-  bool exact = false;
-  /// Observed match proportion (only meaningful when exact).
-  double proportion = 0.0;
+/// Posterior of one subset's match rate given its own evidence, and the
+/// predictive moments of the match count among its uninspected pairs.
+struct SubsetPosterior {
+  double rate_mean = 0.0;       ///< p-bar, in [0, 1]
+  double rate_variance = 0.0;   ///< r
+  double count_mean = 0.0;      ///< u p-bar
+  double count_variance = 0.0;  ///< u^2 r + u p-bar (1 - p-bar)
 };
 
+/// The per-subset posterior SAMP, HYBR and RISK share (r-HUMO's). Prior
+/// N(m, v) on the subset's match rate; evidence `matches` = x of
+/// `inspected` = s of its `size` pairs, read as x-hat = x/s with variance
+/// e = p~(1-p~)/s at p~ = (x+1/2)/(s+1). The prior variance is widened to
+/// w = max(v, (m - x-hat)^2 - e), so a prior that contradicts the evidence
+/// cannot outvote it, and the two combine by precision: r = 1/(1/w + 1/e),
+/// p-bar = clamp(r (m/w + x-hat/e), 0, 1), evaluated in gain form so that
+/// s = 0 returns the prior exactly. Only the u = size - s uninspected pairs
+/// are predicted; u = 0 is an exact count.
+SubsetPosterior ConditionSubset(double prior_mean, double prior_variance,
+                                size_t matches, size_t inspected, size_t size);
+
 /// A fitted Gaussian-process view over the unit subsets of a workload:
-/// per-subset posterior match-proportion means plus the machinery needed to
-/// bound the total match count of any contiguous subset range (the n+ of
-/// Eq. 13/14 computed via Eq. 19-21).
+/// per-subset match-proportion estimates plus the machinery needed to bound
+/// the total match count of any contiguous subset range (the n+ of Eq. 13/14
+/// computed via Eq. 19-21).
 ///
 /// The statistical model is: subset proportion p_k = f(v_k) + e_k with a
 /// smooth latent f (the GP) and independent per-subset scatter
-/// e_k ~ N(0, scatter_var) capturing the distribution irregularity the
-/// paper's sigma parameter controls. Fully-enumerated subsets enter ranges
-/// with their exact counts; unsampled subsets contribute the GP posterior
-/// of f (correlated across subsets, Eq. 20) plus their own independent
-/// scatter variance.
+/// e_k ~ N(0, scatter_k) capturing the distribution irregularity the paper's
+/// sigma parameter controls. The model holds the resulting prior on every
+/// p_k: the clamped GP posterior mean, and the LOO-inflated GP posterior
+/// variance plus scatter_k. A subset without evidence enters ranges through
+/// the GP posterior of f (correlated across subsets, Eq. 20) plus its own
+/// scatter. A subset with evidence (x matches among s inspected pairs) is
+/// conditioned on it by ConditionSubset: it enters ranges as x plus the
+/// predicted count of its uninspected pairs, whose variance is independent
+/// of the GP cross terms. A fully inspected subset is the u = 0 case: an
+/// exact count.
 class GpSubsetModel {
  public:
   /// `avg_similarity[k]` / `subset_sizes[k]` describe subset k of the
   /// partition; the GP must have been fitted on sampled (similarity,
-  /// proportion) observations. `observations` (optional, may be empty)
-  /// marks exactly-known subsets; `scatter_variance` (empty = all zero) is
-  /// the independent per-subset proportion variance: workload irregularity
-  /// plus the binomial realization variance of the subset's count around
-  /// the latent rate.
-  /// `variance_inflation` scales the GP-posterior part of every range
-  /// variance; it is the leave-one-out calibration factor measured on the
-  /// sampled subsets (1 = the GP is well calibrated; >1 = the fit misses
-  /// its own pins by more than its posterior claims, so widen the bounds).
+  /// proportion) observations. `evidence` (optional, may be empty) holds
+  /// each subset's inspected pairs: `sample_size` distinct pairs of which
+  /// `sample_positives` are matches (0 of 0 = no evidence).
+  /// `scatter_variance` (empty = all zero) is the independent per-subset
+  /// proportion variance: workload irregularity plus the binomial
+  /// realization variance of the subset's count around the latent rate.
+  /// `variance_inflation` scales the GP-posterior part of every variance;
+  /// it is the leave-one-out calibration factor measured on the sampled
+  /// subsets (1 = the GP is well calibrated; >1 = the fit misses its own
+  /// pins by more than its posterior claims, so widen the bounds).
   GpSubsetModel(gp::GpRegression gp, std::vector<double> avg_similarity,
                 std::vector<double> subset_sizes,
-                std::vector<SubsetObservation> observations = {},
+                std::vector<stats::Stratum> evidence = {},
                 std::vector<double> scatter_variance = {},
                 double variance_inflation = 1.0);
 
@@ -58,33 +77,36 @@ class GpSubsetModel {
                 std::vector<double> subset_sizes,
                 const std::vector<gp::Prediction>& predictions,
                 std::vector<linalg::Vector> whitened,
-                std::vector<SubsetObservation> observations,
+                std::vector<stats::Stratum> evidence,
                 std::vector<double> scatter_variance,
                 double variance_inflation);
 
   size_t num_subsets() const { return v_.size(); }
 
-  /// Best estimate of subset k's match proportion: the exact observation
-  /// when available, otherwise the GP posterior mean clamped to [0,1].
+  /// Prior on subset k's match proportion: the GP posterior mean clamped to
+  /// [0,1], and the LOO-inflated GP posterior variance at v_k plus the
+  /// subset's independent scatter. RISK conditions this prior on its own
+  /// evidence.
+  double PriorMean(size_t k) const { return prior_mean_[k]; }
+  double PriorVariance(size_t k) const { return prior_var_[k]; }
+
+  /// True when some of subset k's pairs were inspected.
+  bool HasEvidence(size_t k) const {
+    return !evidence_.empty() && evidence_[k].sample_size > 0;
+  }
+
+  /// Best estimate of subset k's match proportion: the prior mean without
+  /// evidence, (x + u p-bar) / n_k with it.
   double PosteriorMean(size_t k) const { return mean_[k]; }
 
-  /// True when subset k's match count is exactly known.
-  bool IsExact(size_t k) const {
-    return !obs_.empty() && obs_[k].exact;
-  }
-
-  /// Posterior variance of subset k's match proportion: the LOO-inflated GP
-  /// posterior variance at v_k plus the subset's independent scatter; 0 for
-  /// exact subsets. Computed from the cached whitened cross vector
-  /// (GpRegression::PosteriorVarianceFromWhitened), so it costs one kernel
-  /// evaluation plus one O(train) dot product — this is the per-subset
-  /// uncertainty the risk-aware optimizer scores inspection priority with.
+  /// Variance of that estimate: the prior variance without evidence, the
+  /// predictive count variance over n_k^2 with it (0 when fully inspected).
   double PosteriorVariance(size_t k) const;
 
-  /// Independent scatter variance applied to non-exact subset k.
-  double ScatterVariance(size_t k) const {
-    return scatter_.empty() ? 0.0 : scatter_[k];
-  }
+  /// Variance of subset k's match count that enters a range outside the GP
+  /// cross terms: n_k^2 scatter_k without evidence, the predictive count
+  /// variance of the uninspected pairs with it.
+  double IndependentVariance(size_t k) const { return indep_var_[k]; }
 
   /// LOO calibration factor applied to the GP-posterior variance part.
   double variance_inflation() const { return variance_inflation_; }
@@ -95,13 +117,13 @@ class GpSubsetModel {
   /// Prior kernel value between subsets a and b.
   double PriorK(size_t a, size_t b) const;
 
-  /// Prior cross-sums of non-exact subset k against the non-exact subsets
-  /// below and above it, each accumulated in ascending j from 0.0:
-  ///   LeftCross(k)  = sum_{j<k, non-exact} n_j K(v_k, v_j)
-  ///   RightCross(k) = sum_{j>k, non-exact} n_j K(v_k, v_j)
+  /// Prior cross-sums of evidence-free subset k against the evidence-free
+  /// subsets below and above it, each accumulated in ascending j from 0.0:
+  ///   LeftCross(k)  = sum_{j<k, no evidence} n_j K(v_k, v_j)
+  ///   RightCross(k) = sum_{j>k, no evidence} n_j K(v_k, v_j)
   /// These are the cross terms a range accumulator needs when k enters or
   /// leaves a range anchored at subset 0 or at subset m-1; both are 0 for
-  /// exact subsets.
+  /// subsets with evidence.
   double LeftCross(size_t k) const { return left_cross_[k]; }
   double RightCross(size_t k) const { return right_cross_[k]; }
 
@@ -114,18 +136,21 @@ class GpSubsetModel {
   const gp::GpRegression& gp() const { return gp_; }
 
  private:
-  /// Fills the means, population prefix and cross-sums from the posterior
-  /// predictions (w_ already set).
-  void InitFromPosterior(const std::vector<gp::Prediction>& predictions);
+  /// Fills the prior, the per-subset posteriors, the population prefix and
+  /// the cross-sums from the posterior predictions (w_ already set).
+  void InitFromPosterior(const std::vector<gp::Prediction>& predictions,
+                         const std::vector<double>& scatter);
 
   gp::GpRegression gp_;
   std::vector<double> v_;
   std::vector<double> n_;
-  std::vector<double> mean_;
   std::vector<linalg::Vector> w_;
-  std::vector<SubsetObservation> obs_;
-  std::vector<double> scatter_;
+  std::vector<stats::Stratum> evidence_;
   double variance_inflation_ = 1.0;
+  std::vector<double> prior_mean_;
+  std::vector<double> prior_var_;
+  std::vector<double> mean_;
+  std::vector<double> indep_var_;
   std::vector<double> pop_prefix_;  // pop_prefix_[k] = sum n_[0..k-1]
   std::vector<double> left_cross_;
   std::vector<double> right_cross_;
@@ -134,10 +159,11 @@ class GpSubsetModel {
 /// Incrementally maintained estimate of the total match count over a
 /// contiguous subset range [a, b], following Eq. 19-21:
 ///   mean  = sum_k n_k m_k
-///   var   = sum_{k,l not exact} n_k n_l cov(k,l) + sum_{k not exact}
-///           n_k^2 scatter_var
+///   var   = sum_{k,l no evidence} n_k n_l cov(k,l) + sum_k indep_k
 /// with cov from the GP posterior, decomposed as
 ///   cov(k,l) = K(v_k,v_l) - w_k.w_l
+/// and indep_k the model's IndependentVariance (scatter without evidence,
+/// the uninspected pairs' predictive variance with it).
 /// Extending or shrinking the range by one subset costs O(dim(w)) plus the
 /// prior cross terms of that subset against the rest of the range. When the
 /// rest is anchored at subset 0 or at subset m-1 those are the model's
@@ -146,8 +172,7 @@ class GpSubsetModel {
 /// edges, so a sweep over m subsets costs O(m dim(w)) after the model's
 /// one-off O(m^2) cross-sum pass; ranges anchored at neither end (SAMP's
 /// DH when its lower bound is above 0, SetRange(a, b) with a > 0) keep the
-/// O(range) step. Exact subsets contribute their known counts and no
-/// variance.
+/// O(range) step. Subsets with evidence take no part in the GP terms.
 class GpRangeAccumulator {
  public:
   explicit GpRangeAccumulator(const GpSubsetModel* model);
@@ -183,17 +208,17 @@ class GpRangeAccumulator {
  private:
   void AddSubset(size_t k);
   void RemoveSubset(size_t k);
-  /// sum_j n_j K(v_k, v_j) over the non-exact members of [a_, b_] other
-  /// than k, in ascending j.
+  /// sum_j n_j K(v_k, v_j) over the evidence-free members of [a_, b_]
+  /// other than k, in ascending j.
   double CrossSum(size_t k) const;
 
   const GpSubsetModel* model_;
   size_t a_ = 0, b_ = 0;
   bool empty_ = true;
   double mean_sum_ = 0.0;
-  double prior_q_ = 0.0;   // sum_{k,l in range, non-exact} n_k n_l K(v_k,v_l)
-  linalg::Vector w_sum_;   // sum_{k non-exact} n_k w_k
-  double scatter_sum_ = 0.0;  // sum_{k non-exact} n_k^2 scatter_k
+  double prior_q_ = 0.0;  // sum_{k,l in range, no evidence} n_k n_l K(v_k,v_l)
+  linalg::Vector w_sum_;  // sum_{k no evidence} n_k w_k
+  double indep_sum_ = 0.0;  // sum_k IndependentVariance(k)
   double pop_sum_ = 0.0;
 };
 

@@ -464,14 +464,9 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
         gp, FitGp(ctx, partition, strata, train, options_, scatter));
   }
   std::vector<double> vs(m), ns(m);
-  std::vector<SubsetObservation> obs(m);
   for (size_t k = 0; k < m; ++k) {
     vs[k] = partition[k].avg_similarity;
     ns[k] = static_cast<double>(partition[k].size());
-    if (sampled[k] && strata[k].fully_enumerated()) {
-      obs[k].exact = true;
-      obs[k].proportion = strata[k].proportion();
-    }
   }
   // One posterior pass over every subset serves both the latent rates
   // below and the model (PredictBatch entries do not depend on the batch).
@@ -480,9 +475,8 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   // Per-subset scatter: workload irregularity plus the binomial variance of
   // the subset's realized count around the latent rate (smoothed so rate ~0
   // still carries width).
-  std::vector<double> scatter_vec(m, 0.0);
+  std::vector<double> scatter_vec(m);
   for (size_t k = 0; k < m; ++k) {
-    if (obs[k].exact) continue;
     const double nk = ns[k];
     const double raw = std::clamp(preds[k].mean, 0.0, 1.0);
     const double p = std::max(raw, 0.5 / nk);
@@ -492,7 +486,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
       LooVarianceInflation(gp, partition, strata, train, scatter);
   auto model = std::make_shared<GpSubsetModel>(
       std::move(gp), std::move(vs), std::move(ns), preds, std::move(whitened),
-      std::move(obs), std::move(scatter_vec), inflation);
+      strata, std::move(scatter_vec), inflation);
 
   // ---- Phase 2: bound search with GP confidence intervals. ----
   const double conf = std::sqrt(req.theta);

@@ -8,15 +8,6 @@
 #include "stats/distributions.h"
 
 namespace humo::core {
-namespace {
-
-/// Beta prior over the match proportion of a subset's uninspected pairs.
-/// The uniform prior keeps the posterior proper with zero evidence;
-/// Jeffreys (0.5/0.5) is sharper but anti-conservative at tiny counts.
-constexpr double kPriorA = 1.0;
-constexpr double kPriorB = 1.0;
-
-}  // namespace
 
 RiskModel::RiskModel(const GpSubsetModel* model, size_t lo, size_t hi)
     : model_(model), lo_(lo), hi_(hi) {
@@ -49,50 +40,28 @@ size_t RiskModel::InspectedMatches(size_t k) const {
   return matches_[k - lo_];
 }
 
-RiskModel::Posterior RiskModel::PosteriorOf(size_t k) const {
+SubsetPosterior RiskModel::PosteriorOf(size_t k) const {
   assert(k >= lo_ && k <= hi_);
   const size_t t = k - lo_;
-  // Beta posterior over the direct evidence.
-  const double a = kPriorA + static_cast<double>(matches_[t]);
-  const double b = kPriorB + static_cast<double>(inspected_[t] - matches_[t]);
-  const double ab = a + b;
-  Posterior beta;
-  beta.mean = a / ab;
-  beta.variance = a * b / (ab * ab * (ab + 1.0));
-  beta.from_beta = true;
-  // GP posterior from the partial-sampling fit (exact subsets carry zero
-  // variance and their observed proportion).
-  Posterior gp;
-  gp.mean = model_->PosteriorMean(k);
-  gp.variance = model_->PosteriorVariance(k);
-  gp.from_beta = false;
-  return gp.variance <= beta.variance ? gp : beta;
+  return ConditionSubset(model_->PriorMean(k), model_->PriorVariance(k),
+                         matches_[t], inspected_[t], size_[t]);
 }
 
-double RiskModel::PosteriorMean(size_t k) const { return PosteriorOf(k).mean; }
-
-double RiskModel::PosteriorVariance(size_t k) const {
-  return PosteriorOf(k).variance;
+double RiskModel::PosteriorMean(size_t k) const {
+  return PosteriorOf(k).rate_mean;
 }
 
 double RiskModel::PairRisk(size_t k, double confidence) const {
   assert(k >= lo_ && k <= hi_);
   const size_t t = k - lo_;
   if (inspected_[t] >= size_[t]) return 0.0;  // nothing machine-labeled
-  const Posterior post = PosteriorOf(k);
-  const bool label_match = post.mean >= 0.5;
+  const SubsetPosterior post = PosteriorOf(k);
   // Upper tail of the ERROR proportion: 1 - lower tail of p for a match
   // label, upper tail of p for an unmatch label.
-  double err_hi;
-  if (post.from_beta) {
-    const stats::ProportionInterval iv = stats::BetaPosteriorInterval(
-        matches_[t], inspected_[t], confidence, kPriorA, kPriorB);
-    err_hi = label_match ? 1.0 - iv.lo : iv.hi;
-  } else {
-    const double z = stats::NormalTwoSidedCritical(confidence);
-    const double half = z * std::sqrt(std::max(0.0, post.variance));
-    err_hi = label_match ? 1.0 - (post.mean - half) : post.mean + half;
-  }
+  const double p = post.rate_mean;
+  const double half =
+      stats::NormalTwoSidedCritical(confidence) * std::sqrt(post.rate_variance);
+  const double err_hi = p >= 0.5 ? 1.0 - (p - half) : p + half;
   return std::clamp(err_hi, 0.0, 1.0);
 }
 
@@ -104,17 +73,14 @@ RiskModel::UninspectedAggregate RiskModel::Aggregate(size_t a,
     const size_t t = k - lo_;
     const double u = static_cast<double>(size_[t] - inspected_[t]);
     if (u == 0.0) continue;
-    const Posterior post = PosteriorOf(k);
-    const double p = std::clamp(post.mean, 0.0, 1.0);
-    const double mean = u * p;
-    const double var = u * u * post.variance + u * p * (1.0 - p);
-    if (post.mean >= 0.5) {
-      agg.match_mean += mean;
-      agg.match_var += var;
+    const SubsetPosterior post = PosteriorOf(k);
+    if (post.rate_mean >= 0.5) {
+      agg.match_mean += post.count_mean;
+      agg.match_var += post.count_variance;
       agg.match_pairs += u;
     } else {
-      agg.unmatch_mean += mean;
-      agg.unmatch_var += var;
+      agg.unmatch_mean += post.count_mean;
+      agg.unmatch_var += post.count_variance;
       agg.unmatch_pairs += u;
     }
   }

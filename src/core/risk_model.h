@@ -7,7 +7,6 @@
 #include "core/gp_subset_model.h"
 #include "core/oracle.h"
 #include "core/partition.h"
-#include "stats/proportion.h"
 
 namespace humo::core {
 
@@ -17,18 +16,15 @@ namespace humo::core {
 /// probability that their machine label is wrong and spend the human budget
 /// top-down until the quality requirement certifies.
 ///
-/// Per subset k the model maintains two posteriors over the match proportion
-/// of the uninspected pairs and uses whichever is TIGHTER (smaller
-/// variance):
-///
-///  - the GP posterior from the partial-sampling fit (GpSubsetModel's
-///    posterior mean and LOO-inflated variance at v_k plus the subset's
-///    independent scatter) — all the model knows before any direct evidence;
-///  - a conservative Beta posterior over the direct evidence (`inspected`
-///    pairs of k human-labeled, `matches` of them positive), via the
-///    stats/proportion Beta tail bounds. With zero evidence its prior
-///    variance (1/12 for the uniform prior) loses to the GP; as inspections
-///    accumulate it sharpens past the GP and takes over.
+/// Per subset k the posterior over the match proportion of the uninspected
+/// pairs is the one SAMP's model uses (ConditionSubset): the GpSubsetModel's
+/// prior on p_k (clamped GP mean; LOO-inflated GP variance plus the
+/// subset's scatter) conditioned on this model's evidence, `inspected`
+/// pairs of k human-labeled and `matches` of them positive. RISK reads the
+/// prior, not the GpSubsetModel's conditioned estimate: its evidence is
+/// seeded from the oracle's memory (InitRiskEvidence) and so already holds
+/// SAMP's sampled pairs, which count once. With no evidence the posterior
+/// is the prior; as inspections accumulate it moves to the observed rate.
 ///
 /// Uninspected pairs of subset k are machine-labeled match iff the posterior
 /// mean reaches 0.5; a pair's risk is the posterior probability that label
@@ -55,12 +51,8 @@ class RiskModel {
   size_t InspectedMatches(size_t k) const;
 
   /// Posterior mean of the match proportion among subset k's uninspected
-  /// pairs (tighter of GP and Beta evidence; see class comment).
+  /// pairs (see class comment).
   double PosteriorMean(size_t k) const;
-
-  /// Posterior variance of that proportion (the proportion itself, not the
-  /// realized count — callers add the binomial realization term).
-  double PosteriorVariance(size_t k) const;
 
   /// Machine label subset k's uninspected pairs would receive: match iff
   /// the posterior mean reaches 0.5.
@@ -75,9 +67,8 @@ class RiskModel {
 
   /// Aggregate posterior over the uninspected pairs of subsets [a, b]
   /// (within [lo, hi]), split by machine label: the mean and variance of
-  /// the realized match COUNT in each bucket (per-subset proportion
-  /// variance scaled by u_k^2 plus the u_k p (1-p) binomial realization
-  /// term, summed as independent across subsets), plus the pair totals.
+  /// the realized match COUNT in each bucket (ConditionSubset's count
+  /// moments, summed as independent across subsets), plus the pair totals.
   /// These feed the precision/recall certification bounds.
   struct UninspectedAggregate {
     double match_mean = 0.0, match_var = 0.0, match_pairs = 0.0;
@@ -97,12 +88,7 @@ class RiskModel {
   size_t TotalUninspected() const { return TotalUninspected(lo_, hi_); }
 
  private:
-  struct Posterior {
-    double mean = 0.0;
-    double variance = 0.0;
-    bool from_beta = false;
-  };
-  Posterior PosteriorOf(size_t k) const;
+  SubsetPosterior PosteriorOf(size_t k) const;
 
   const GpSubsetModel* model_;
   size_t lo_ = 0, hi_ = 0;

@@ -245,14 +245,6 @@ linalg::Vector GpRegression::WhitenedCross(double x_star) const {
   return chol_.SolveLower(k_star);
 }
 
-double GpRegression::PosteriorVarianceFromWhitened(
-    double x_star, const linalg::Vector& w) const {
-  assert(w.size() == x_.size());
-  const double var = kernel_(x_star, x_star) -
-                     linalg::DotRange(w.data(), w.data(), w.size());
-  return var < 0.0 ? 0.0 : var;
-}
-
 namespace {
 
 constexpr size_t kLanes = linalg::CholeskyLanes::kLanes;

@@ -111,15 +111,6 @@ class GpRegression {
   /// O(len(V)) per update instead of re-solving per query set.
   linalg::Vector WhitenedCross(double x_star) const;
 
-  /// Posterior variance k(x*,x*) - w.w (clamped at 0) at a query point whose
-  /// whitened cross vector `w` was already computed (by WhitenedCross or the
-  /// PredictBatch out-param). O(len(V)) — no triangular solve — which is what
-  /// makes per-subset risk scoring over cached whitened vectors cheap
-  /// (GpSubsetModel::PosteriorVariance). `w` must have been produced by THIS
-  /// model; equals Predict(x_star).variance exactly.
-  double PosteriorVarianceFromWhitened(double x_star,
-                                       const linalg::Vector& w) const;
-
   /// The fitted kernel (hyperparameters as selected at Fit time).
   const Kernel& kernel() const { return kernel_; }
 

@@ -37,6 +37,38 @@ GpSubsetModel MakeModel(size_t m = 20) {
   return GpSubsetModel(std::move(*gp), v, n);
 }
 
+TEST(ConditionSubsetTest, NoEvidenceReturnsThePriorExactly) {
+  const SubsetPosterior post = ConditionSubset(0.3, 0.004, 0, 0, 200);
+  EXPECT_EQ(post.rate_mean, 0.3);
+  EXPECT_EQ(post.rate_variance, 0.004);
+  const double count_variance = 200.0 * 200.0 * 0.004 + 200.0 * 0.3 * 0.7;
+  EXPECT_DOUBLE_EQ(post.count_mean, 60.0);
+  EXPECT_DOUBLE_EQ(post.count_variance, count_variance);
+}
+
+TEST(ConditionSubsetTest, FullInspectionLeavesAnExactCount) {
+  const SubsetPosterior post = ConditionSubset(0.9, 0.01, 37, 200, 200);
+  EXPECT_EQ(post.count_mean, 0.0);
+  EXPECT_EQ(post.count_variance, 0.0);
+}
+
+TEST(ConditionSubsetTest, ContradictedPriorCannotOutvoteItsPin) {
+  // A confident prior at 1.0 against 124 matches in 200 of 240 pairs: the
+  // widened prior gives way and the rate lands near the pin's 0.62.
+  const SubsetPosterior post = ConditionSubset(1.0, 1e-6, 124, 200, 240);
+  EXPECT_NEAR(post.rate_mean, 0.62, 0.02);
+  EXPECT_GT(post.rate_variance, 1e-6);
+  EXPECT_NEAR(post.count_mean, 40.0 * post.rate_mean, 1e-12);
+}
+
+TEST(ConditionSubsetTest, AgreeingEvidenceTightensThePrior) {
+  const double prior_var = 0.01;
+  const SubsetPosterior post = ConditionSubset(0.5, prior_var, 50, 100, 300);
+  const double evidence_var = 0.5 * 0.5 / 100.0;
+  EXPECT_NEAR(post.rate_mean, 0.5, 1e-3);
+  EXPECT_LT(post.rate_variance, std::min(prior_var, evidence_var));
+}
+
 TEST(GpSubsetModelTest, PosteriorMeansTrackRamp) {
   const auto model = MakeModel();
   for (size_t k = 0; k < model.num_subsets(); ++k) {
@@ -154,16 +186,14 @@ GpSubsetModel MakeModelWithObservations(double scatter_var,
   const size_t m = 10;
   std::vector<double> train_x, train_y;
   std::vector<double> v(m), n(m, 100.0);
-  std::vector<SubsetObservation> obs(m);
+  std::vector<stats::Stratum> evidence(m);
   std::vector<double> scatter(m, scatter_var);
   for (size_t k = 0; k < m; ++k) {
     v[k] = (static_cast<double>(k) + 0.5) / static_cast<double>(m);
     if (k % 2 == 0) {
       train_x.push_back(v[k]);
       train_y.push_back(0.5);
-      obs[k].exact = true;
-      obs[k].proportion = 0.5;
-      scatter[k] = 0.0;
+      evidence[k] = {100, 100, 50};  // fully inspected: 50 of 100 match
     }
   }
   gp::GpOptions o;
@@ -171,16 +201,17 @@ GpSubsetModel MakeModelWithObservations(double scatter_var,
   auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.25, 0.4),
                                   train_x, train_y, o);
   EXPECT_TRUE(gp.ok());
-  return GpSubsetModel(std::move(*gp), v, n, obs, scatter, inflation);
+  return GpSubsetModel(std::move(*gp), v, n, evidence, scatter, inflation);
 }
 
 TEST(GpSubsetModelTest, ExactObservationsOverrideGpMean) {
   const auto model = MakeModelWithObservations(0.0);
   for (size_t k = 0; k < model.num_subsets(); k += 2) {
-    EXPECT_TRUE(model.IsExact(k));
+    EXPECT_TRUE(model.HasEvidence(k));
     EXPECT_DOUBLE_EQ(model.PosteriorMean(k), 0.5);
+    EXPECT_EQ(model.PosteriorVariance(k), 0.0);
   }
-  EXPECT_FALSE(model.IsExact(1));
+  EXPECT_FALSE(model.HasEvidence(1));
 }
 
 TEST(GpRangeAccumulatorTest, ExactOnlyRangeHasZeroVariance) {
@@ -240,7 +271,7 @@ class ReferenceAccumulator {
   void Clear() {
     empty_ = true;
     a_ = b_ = 0;
-    mean_sum_ = prior_q_ = scatter_sum_ = pop_sum_ = 0.0;
+    mean_sum_ = prior_q_ = indep_sum_ = pop_sum_ = 0.0;
     std::fill(w_sum_.begin(), w_sum_.end(), 0.0);
   }
   void SetRange(size_t a, size_t b) {
@@ -285,7 +316,7 @@ class ReferenceAccumulator {
     for (double x : w_sum_) dot += x * x;
     const double var =
         model_->variance_inflation() * std::max(0.0, prior_q_ - dot) +
-        scatter_sum_;
+        indep_sum_;
     return var > 0.0 ? std::sqrt(var) : 0.0;
   }
   double LowerBound(double confidence) const {
@@ -311,30 +342,32 @@ class ReferenceAccumulator {
       mean_sum_ -= dmean;
       pop_sum_ -= nk;
     }
-    if (model_->IsExact(k)) return;
+    if (sign > 0) {
+      indep_sum_ += model_->IndependentVariance(k);
+    } else {
+      indep_sum_ -= model_->IndependentVariance(k);
+    }
+    if (model_->HasEvidence(k)) return;
     double cross = 0.0;
     for (size_t j = a_; j <= b_; ++j) {
-      if (j == k || model_->IsExact(j)) continue;
+      if (j == k || model_->HasEvidence(j)) continue;
       cross += model_->SubsetSize(j) * model_->PriorK(k, j);
     }
     const double dq = 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
-    const double dscatter = nk * nk * model_->ScatterVariance(k);
     const auto& wk = model_->W(k);
     if (sign > 0) {
       prior_q_ += dq;
       for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
-      scatter_sum_ += dscatter;
     } else {
       prior_q_ -= dq;
       for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
-      scatter_sum_ -= dscatter;
     }
   }
 
   const GpSubsetModel* model_;
   size_t a_ = 0, b_ = 0;
   bool empty_ = true;
-  double mean_sum_ = 0.0, prior_q_ = 0.0, scatter_sum_ = 0.0, pop_sum_ = 0.0;
+  double mean_sum_ = 0.0, prior_q_ = 0.0, indep_sum_ = 0.0, pop_sum_ = 0.0;
   linalg::Vector w_sum_;
 };
 
@@ -358,30 +391,31 @@ gp::GpRegression FitRampGp() {
 
 struct SubsetLayout {
   std::vector<double> v, n, scatter;
-  std::vector<SubsetObservation> obs;
+  std::vector<stats::Stratum> evidence;
 };
 
-/// m subsets with irregular sizes and similarities; `exact` lists the
-/// fully-enumerated ones.
-SubsetLayout MakeLayout(size_t m, const std::vector<size_t>& exact) {
+/// m subsets with irregular sizes and similarities; `inspected` lists the
+/// ones with evidence, alternately fully and half inspected.
+SubsetLayout MakeLayout(size_t m, const std::vector<size_t>& inspected) {
   SubsetLayout l;
-  l.obs.resize(m);
+  l.evidence.resize(m);
   for (size_t k = 0; k < m; ++k) {
     const double t = (static_cast<double>(k) + 0.37) / static_cast<double>(m);
     l.v.push_back(t * t * (3.0 - 2.0 * t));
     l.n.push_back(static_cast<double>(17 + (k * 29) % 83));
     l.scatter.push_back(0.003 + 0.0007 * static_cast<double>(k % 5));
   }
-  for (size_t k : exact) {
-    l.obs[k].exact = true;
-    l.obs[k].proportion = 0.25 + 0.01 * static_cast<double>(k);
-    l.scatter[k] = 0.0;
+  for (size_t t = 0; t < inspected.size(); ++t) {
+    const size_t k = inspected[t];
+    const size_t nk = static_cast<size_t>(l.n[k]);
+    const size_t s = t % 2 == 0 ? nk : nk / 2;
+    l.evidence[k] = {nk, s, s / 4 + k % 3};
   }
   return l;
 }
 
 GpSubsetModel MakeLayoutModel(const SubsetLayout& l) {
-  return GpSubsetModel(FitRampGp(), l.v, l.n, l.obs, l.scatter, 1.7);
+  return GpSubsetModel(FitRampGp(), l.v, l.n, l.evidence, l.scatter, 1.7);
 }
 
 /// Applies each operation to both accumulators and checks every output bit
@@ -442,8 +476,8 @@ class LockstepChecker {
   ReferenceAccumulator ref_;
 };
 
-/// Exact-subset placements: none, both ends, the middle, and all three.
-std::vector<std::vector<size_t>> ExactPlacements(size_t m) {
+/// Evidence placements: none, both ends, the middle, and all three.
+std::vector<std::vector<size_t>> EvidencePlacements(size_t m) {
   std::vector<std::vector<size_t>> out = {{}, {0, m - 1}};
   if (m > 2) {
     out.push_back({m / 3, m / 3 + 1, m / 2});
@@ -454,10 +488,10 @@ std::vector<std::vector<size_t>> ExactPlacements(size_t m) {
 
 TEST(GpRangeAccumulatorTest, AnchoredSweepsMatchReferenceBitForBit) {
   for (size_t m : {size_t{1}, size_t{2}, size_t{37}}) {
-    for (const auto& exact : ExactPlacements(m)) {
-      SCOPED_TRACE("m=" + std::to_string(m) + " exact=" +
-                   std::to_string(exact.size()));
-      const SubsetLayout layout = MakeLayout(m, exact);
+    for (const auto& inspected : EvidencePlacements(m)) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " inspected=" +
+                   std::to_string(inspected.size()));
+      const SubsetLayout layout = MakeLayout(m, inspected);
       const GpSubsetModel model = MakeLayoutModel(layout);
       LockstepChecker c(&model);
       for (size_t b = 0; b < m; ++b) c.SetRange(0, b);
@@ -483,9 +517,9 @@ TEST(GpRangeAccumulatorTest, AnchoredSweepsMatchReferenceBitForBit) {
 
 TEST(GpRangeAccumulatorTest, UnanchoredRangesMatchReferenceBitForBit) {
   const size_t m = 37;
-  for (const auto& exact : ExactPlacements(m)) {
-    SCOPED_TRACE("exact=" + std::to_string(exact.size()));
-    const SubsetLayout layout = MakeLayout(m, exact);
+  for (const auto& inspected : EvidencePlacements(m)) {
+    SCOPED_TRACE("inspected=" + std::to_string(inspected.size()));
+    const SubsetLayout layout = MakeLayout(m, inspected);
     const GpSubsetModel model = MakeLayoutModel(layout);
     LockstepChecker c(&model);
     c.SetRange(5, 30);
@@ -514,14 +548,14 @@ TEST(GpRangeAccumulatorTest, UnanchoredRangesMatchReferenceBitForBit) {
 
 TEST(GpSubsetModelTest, PrecomputedPosteriorMatchesSelfComputingBitForBit) {
   const size_t m = 37;
-  for (const auto& exact : ExactPlacements(m)) {
-    const SubsetLayout l = MakeLayout(m, exact);
+  for (const auto& inspected : EvidencePlacements(m)) {
+    const SubsetLayout l = MakeLayout(m, inspected);
     const GpSubsetModel self = MakeLayoutModel(l);
     gp::GpRegression gp = FitRampGp();
     std::vector<linalg::Vector> whitened;
     const std::vector<gp::Prediction> preds = gp.PredictBatch(l.v, &whitened);
     const GpSubsetModel handed(std::move(gp), l.v, l.n, preds,
-                               std::move(whitened), l.obs, l.scatter, 1.7);
+                               std::move(whitened), l.evidence, l.scatter, 1.7);
     ASSERT_EQ(handed.num_subsets(), m);
     for (size_t k = 0; k < m; ++k) {
       EXPECT_EQ(Bits(handed.PosteriorMean(k)), Bits(self.PosteriorMean(k)));

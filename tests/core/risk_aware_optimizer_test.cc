@@ -19,7 +19,7 @@ namespace humo::core {
 namespace {
 
 /// Small GP subset model over a logistic-ish proportion curve: 10 subsets
-/// of 100 pairs each, 5 of them pinned exactly.
+/// of 100 pairs each, none of them inspected.
 std::shared_ptr<GpSubsetModel> MakeModel() {
   std::vector<double> xs = {0.1, 0.3, 0.5, 0.7, 0.9};
   std::vector<double> ys = {0.0, 0.1, 0.5, 0.9, 1.0};
@@ -27,28 +27,28 @@ std::shared_ptr<GpSubsetModel> MakeModel() {
                                   xs, ys);
   EXPECT_TRUE(gp.ok());
   std::vector<double> v, n;
-  std::vector<SubsetObservation> obs(10);
   std::vector<double> scatter(10, 1e-4);
   for (size_t k = 0; k < 10; ++k) {
     v.push_back(0.05 + 0.1 * static_cast<double>(k));
     n.push_back(100.0);
   }
   return std::make_shared<GpSubsetModel>(std::move(*gp), std::move(v),
-                                         std::move(n), std::move(obs),
+                                         std::move(n),
+                                         std::vector<stats::Stratum>{},
                                          std::move(scatter));
 }
 
-TEST(RiskModelTest, GpPosteriorServesUntilBetaEvidenceIsTighter) {
+TEST(RiskModelTest, GpPriorServesUntilEvidenceContradictsIt) {
   auto model = MakeModel();
   RiskModel risk(model.get(), 0, 9);
-  // No evidence: the GP posterior (variance well under the uniform prior's
-  // 1/12) decides, so means follow the fitted curve.
+  // No evidence: the posterior is the GP prior, so means follow the fitted
+  // curve.
   EXPECT_LT(risk.PosteriorMean(0), 0.2);
   EXPECT_GT(risk.PosteriorMean(9), 0.8);
   EXPECT_FALSE(risk.MachineLabelsMatch(0));
   EXPECT_TRUE(risk.MachineLabelsMatch(9));
-  // Overwhelming direct evidence contradicting the GP takes over once its
-  // Beta posterior is tighter.
+  // Overwhelming direct evidence contradicting the GP widens the prior and
+  // takes over.
   const double before = risk.PosteriorMean(9);
   risk.SetEvidence(9, 90, 9);  // only 10% matches among 90 inspected
   EXPECT_LT(risk.PosteriorMean(9), 0.2);

@@ -60,21 +60,21 @@ const GoldenRow kGolden[] = {
      38946, 0.99810246679316883, 1},
     {"DS", "HYBR", false, 49, 97, 0.98872180451127822, 1, 10200, 10200, 0,
      38936, 0.98872180451127822, 1},
-    {"DS", "RISK", false, 1, 98, 0.98858230256898194, 0.98764258555133078,
-     12896, 12896, 0, 38949, 0.98858230256898194, 0.98764258555133078},
+    {"DS", "RISK", false, 1, 98, 0.97294685990338159, 0.95722433460076051,
+     7488, 7488, 0, 38965, 0.97294685990338159, 0.95722433460076051},
     {"AB", "BASE", false, 267, 299, 1, 0.94202898550724634, 6600, 6600, 0,
      119805, 1, 0.94202898550724634},
     {"AB", "SAMP", false, 10, 299, 1, 1, 58200, 58200, 0, 119793, 1, 1},
     {"AB", "HYBR", false, 154, 299, 1, 0.99516908212560384, 30200, 30200, 0,
      119794, 1, 0.99516908212560384},
-    {"AB", "RISK", false, 10, 299, 1, 0.99516908212560384, 54128, 54128, 0,
-     119794, 1, 0.99516908212560384},
+    {"AB", "RISK", false, 10, 299, 1, 0.99033816425120769, 45224, 45224, 0,
+     119795, 1, 0.99033816425120769},
     {"S100K", "SAMP", false, 411, 480, 0.93460955269143287,
      0.98619999999999997, 17800, 17800, 0, 194724, 0.93460955269143287,
      0.98619999999999997},
-    {"S100K", "RISK", false, 411, 480, 0.93457234970604963,
-     0.98560000000000003, 17496, 17496, 0, 194727, 0.93457234970604963,
-     0.98560000000000003},
+    {"S100K", "RISK", false, 411, 480, 0.93453510436432641,
+     0.98499999999999999, 17008, 17008, 0, 194730, 0.93453510436432641,
+     0.98499999999999999},
 };
 
 struct ActualRow {

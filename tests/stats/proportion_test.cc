@@ -64,42 +64,5 @@ TEST(ProportionTest, WilsonCoverage) {
   EXPECT_GE(static_cast<double>(covered) / reps, 0.87);
 }
 
-TEST(BetaPosteriorTest, UniformPriorNoEvidenceIsTheUniformQuantiles) {
-  // With zero observations the uniform-prior posterior IS Beta(1,1), whose
-  // equal-tailed 90% interval is exactly [0.05, 0.95].
-  const auto iv = BetaPosteriorInterval(0, 0, 0.9);
-  EXPECT_NEAR(iv.lo, 0.05, 1e-9);
-  EXPECT_NEAR(iv.hi, 0.95, 1e-9);
-}
-
-TEST(BetaPosteriorTest, IntervalContainsPosteriorMeanAndTightensWithN) {
-  const auto small = BetaPosteriorInterval(5, 20, 0.9);
-  const auto large = BetaPosteriorInterval(50, 200, 0.9);
-  const double mean_small = (1.0 + 5.0) / (2.0 + 20.0);
-  const double mean_large = (1.0 + 50.0) / (2.0 + 200.0);
-  EXPECT_LT(small.lo, mean_small);
-  EXPECT_GT(small.hi, mean_small);
-  EXPECT_LT(large.lo, mean_large);
-  EXPECT_GT(large.hi, mean_large);
-  EXPECT_LT(large.hi - large.lo, small.hi - small.lo);
-}
-
-TEST(BetaPosteriorTest, CoverageAtLeastNominal) {
-  // Monte-Carlo: a 90% credible interval under a flat prior behaves close
-  // to a 90% confidence interval for moderate n.
-  Rng rng(13);
-  const double p = 0.12;
-  const size_t n = 80;
-  int covered = 0;
-  const int reps = 2000;
-  for (int r = 0; r < reps; ++r) {
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) k += rng.NextBernoulli(p);
-    const auto iv = BetaPosteriorInterval(k, n, 0.9);
-    if (iv.lo <= p && p <= iv.hi) ++covered;
-  }
-  EXPECT_GE(static_cast<double>(covered) / reps, 0.87);
-}
-
 }  // namespace
 }  // namespace humo::stats
