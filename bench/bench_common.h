@@ -1,20 +1,18 @@
 #pragma once
 
-// Shared plumbing for the bench binaries. Every paper-reproduction binary
-// prints the same rows/series the corresponding paper table or figure
-// reports, on the simulated workloads described in docs/REPRODUCING.md
-// ("Notes on fidelity"). The contract benches write their JSON through
-// JsonObject / WriteBenchJson below, to a fixed BENCH_*.json name in the
-// working directory.
+// Shared plumbing for the bench binaries. bench_paper reproduces the
+// paper's tables and figures on the simulated workloads described in
+// docs/REPRODUCING.md ("Notes on fidelity"); it and the contract benches
+// write their JSON through JsonObject / WriteBenchJson below, to a fixed
+// BENCH_*.json name in the working directory.
 //
 // No bench reads the environment: every size it runs is a constant in the
 // code. What several benches share is defined once below — the DS/AB
-// contract presets, the trial count and the base seed. A size only one
-// bench uses is a constexpr row at the top of that bench, next to the
-// baseline it must match; changing one means editing the row and
-// re-recording that bench's BENCH_*.json. The one size choice left is
-// kSanitized, read from the build: ASan and TSan builds run each bench's
-// smaller sanitizer rows.
+// contract presets and the base seed. A size only one bench uses is a
+// constexpr row at the top of that bench, next to the baseline it must
+// match; changing one means editing the row and re-recording that bench's
+// BENCH_*.json. The one size choice left is kSanitized, read from the
+// build: ASan and TSan builds run each bench's smaller sanitizer rows.
 
 #include <sys/resource.h>
 
@@ -49,8 +47,6 @@ inline constexpr bool kSanitized = false;
 inline constexpr bool kSanitized = false;
 #endif
 
-/// Randomized trials per cell for SAMP/HYBR (the paper averaged 100).
-inline constexpr size_t kTrials = 20;
 /// Base seed of every bench's sampling.
 inline constexpr uint64_t kBaseSeed = 1000;
 
@@ -210,27 +206,6 @@ inline eval::OptimizerFn MakeHybr(uint64_t seed) {
     opts.sampling.seed = seed;
     return core::HybridOptimizer(opts).Optimize(p, r, o);
   };
-}
-
-inline eval::ExperimentSummary RunBase(const core::SubsetPartition& p,
-                                       const core::QualityRequirement& req) {
-  // BASE is deterministic; a single trial suffices.
-  return eval::RunExperiment(
-      p, req, [](uint64_t) { return MakeBase(); }, 1, kBaseSeed);
-}
-
-inline eval::ExperimentSummary RunSamp(const core::SubsetPartition& p,
-                                       const core::QualityRequirement& req) {
-  return eval::RunExperiment(
-      p, req, [](uint64_t seed) { return MakeSamp(seed); }, kTrials,
-      kBaseSeed);
-}
-
-inline eval::ExperimentSummary RunHybr(const core::SubsetPartition& p,
-                                       const core::QualityRequirement& req) {
-  return eval::RunExperiment(
-      p, req, [](uint64_t seed) { return MakeHybr(seed); }, kTrials,
-      kBaseSeed);
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper) {

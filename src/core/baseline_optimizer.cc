@@ -23,8 +23,6 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   const SubsetPartition& partition = ctx->partition();
   const size_t m = partition.num_subsets();
   if (m == 0) return Status::InvalidArgument("empty workload");
-  if (options_.window_subsets == 0)
-    return Status::InvalidArgument("window_subsets must be positive");
 
   // Start at the subset containing the midpoint similarity value (or the
   // user-provided start).
@@ -58,7 +56,7 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   // Eq. 7 windows are capped both by subset count and by pair count (the
   // final subset absorbs the partition remainder, so w subsets can hold
   // more than w * subset_size pairs).
-  const size_t w = options_.window_subsets;
+  const size_t w = kWindowSubsets;
   const size_t window_pair_cap = w * partition.subset_size();
 
   // Eq. 7: upper bound freezes when R(I+) >= (alpha*|D+| - (1-alpha)*

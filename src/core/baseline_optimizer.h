@@ -10,13 +10,14 @@
 
 namespace humo::core {
 
+/// Estimation window of the monotonicity bounds (BASE, and the BASE side of
+/// HYBR): the match-proportion bounds of D+ / D- are taken from the average
+/// observed proportion of this many consecutive freshly-labeled subsets
+/// (the paper recommends 3..10; larger = more conservative).
+inline constexpr size_t kWindowSubsets = 5;
+
 /// Options of the conservative baseline search (§V).
 struct BaselineOptions {
-  /// Estimation window: the match-proportion bounds of D+ / D- are taken
-  /// from the average observed proportion of this many consecutive
-  /// freshly-labeled subsets (the paper recommends 3..10; larger = more
-  /// conservative).
-  size_t window_subsets = 5;
   /// Starting subset of the search; when kAutoStart the subset containing
   /// the midpoint of the similarity support is used ("an initial medium
   /// similarity value (e.g. the boundary value of a classifier or simply a

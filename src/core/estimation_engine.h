@@ -129,7 +129,7 @@ struct PartialSamplingOutcome {
 
 /// Shared estimation state for one (partition, oracle) pair.
 ///
-/// All the optimizers (BASE §V, ALL/SAMP §VI, HYBR §VII, and the r-HUMO
+/// All the optimizers (BASE §V, SAMP §VI, HYBR §VII, and the r-HUMO
 /// style RISK) consume subset statistics that are expensive only because
 /// producing them asks the human:
 /// full enumerations, random samples, GP fits over the samples, and the

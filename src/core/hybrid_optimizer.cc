@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/baseline_optimizer.h"
 #include "stats/distributions.h"
 
 namespace humo::core {
@@ -39,8 +40,6 @@ Result<HumoSolution> HybridOptimizer::Optimize(
   const SubsetPartition& partition = ctx->partition();
   const size_t m = partition.num_subsets();
   if (m == 0) return Status::InvalidArgument("empty workload");
-  if (options_.window_subsets == 0)
-    return Status::InvalidArgument("window_subsets must be positive");
 
   // ---- Step 1: initial partial-sampling solution S0. ----
   // Reuse the outcome an earlier SAMP run published into the context when
@@ -68,7 +67,7 @@ Result<HumoSolution> HybridOptimizer::Optimize(
   if (hi + 1 < m) dplus.SetRange(hi + 1, m - 1);
   if (lo > 0) dminus.SetRange(0, lo - 1);
 
-  const size_t w = options_.window_subsets;
+  const size_t w = kWindowSubsets;
 
   // Precision check with exact DH knowledge (every DH subset is labeled):
   //   precision >= (dh_matches + lb(n+_{D+})) / (dh_matches + |D+|).

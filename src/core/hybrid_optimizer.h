@@ -16,8 +16,6 @@ namespace humo::core {
 struct HybridOptions {
   /// Configuration of the initial partial-sampling run.
   PartialSamplingOptions sampling;
-  /// BASE-style estimation window used for the monotonicity bounds.
-  size_t window_subsets = 5;
 };
 
 /// HYBR: starts from the partial-sampling solution S0 = [i0, j0], resets DH

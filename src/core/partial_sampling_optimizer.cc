@@ -115,10 +115,6 @@ std::optional<gp::GpRegression> TryWarmStart(
     const PartialSamplingOptions& options) {
   GpFitState* state = ctx->gp_fit_state();
   if (state->model == nullptr) return std::nullopt;
-  // The warm path keeps the previous winner's kernel, so a run configured
-  // for a different family must re-select on the grid.
-  if (state->model->kernel().family() != options.kernel_family)
-    return std::nullopt;
   if (state->order.size() > sampled_indices.size()) return std::nullopt;
   // The previous training set must be exactly reusable: every subset it
   // used still sampled, with bitwise-unchanged observation and noise
@@ -224,7 +220,7 @@ Result<gp::GpRegression> FitGp(
   gp_options.center_mean = true;
   ctx->RecordGpGridFit();
   Result<gp::GpRegression> fit = gp::SelectGpByMarginalLikelihood(
-      xs, ys, grid, options.kernel_family, gp_options, noise);
+      xs, ys, grid, gp::KernelFamily::kRbf, gp_options, noise);
   if (incremental && fit.ok()) {
     // This grid winner becomes the warm-start baseline for later rounds.
     GpFitState* state = ctx->gp_fit_state();

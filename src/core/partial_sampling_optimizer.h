@@ -44,13 +44,9 @@ struct PartialSamplingOptions {
   /// sampled (the paper uses [1%, 5%]). Defaults place most of the budget
   /// in the equidistant initial pass ([4%, 6%]) because sparse initial
   /// coverage leaves the GP posterior too uncertain over the hundreds of
-  /// unsampled subsets, inflating the Eq. 20 bounds and with them DH (see
-  /// bench_ablation_sampling_range for the sweep).
+  /// unsampled subsets, inflating the Eq. 20 bounds and with them DH.
   double sample_fraction_lo = 0.04;
   double sample_fraction_hi = 0.06;
-  /// Kernel family for the GP fit; hyperparameters are selected on a small
-  /// grid by log marginal likelihood.
-  gp::KernelFamily kernel_family = gp::KernelFamily::kRbf;
   /// Warm-start acceptance slack for incremental GP refits, in nats per
   /// training point. When a refinement round only appends observations, the
   /// previous winner's Cholesky factor is extended (Cholesky::Append,

@@ -20,13 +20,12 @@ constexpr size_t kProvisionalPinMinSamples = 30;
 /// certification model can never diverge on the length-scale floor.
 Result<gp::GpRegression> FitProvisionalGp(const std::vector<double>& xs,
                                           const std::vector<double>& ys,
-                                          std::vector<double> noise,
-                                          const PartialSamplingOptions& sopt) {
+                                          std::vector<double> noise) {
   gp::GpOptions options;
   options.noise_variance = kGpNoiseFloor;
   options.center_mean = true;
   return gp::SelectGpByMarginalLikelihood(xs, ys, gp::GapGuardedGrid(xs),
-                                          sopt.kernel_family, options,
+                                          gp::KernelFamily::kRbf, options,
                                           std::move(noise));
 }
 
@@ -259,7 +258,7 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
         noise.push_back(p.noise);
       }
       Result<gp::GpRegression> fit =
-          FitProvisionalGp(xs, ys, std::move(noise), options_.sampling);
+          FitProvisionalGp(xs, ys, std::move(noise));
       if (fit.ok()) {
         prov_model_ = std::move(*fit);
         prov_pins_ = std::move(all);

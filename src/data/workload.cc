@@ -412,22 +412,6 @@ std::vector<int> Workload::GroundTruthLabels() const {
   return std::vector<int>(label_data_, label_data_ + num_pairs_);
 }
 
-std::vector<size_t> Workload::MatchHistogram(size_t num_buckets, double lo,
-                                             double hi) const {
-  assert(num_buckets > 0 && hi > lo);
-  std::vector<size_t> hist(num_buckets, 0);
-  const double width = (hi - lo) / static_cast<double>(num_buckets);
-  for (size_t i = 0; i < size(); ++i) {
-    if (!label_data_[i]) continue;
-    const double sim = sim_data_[i];
-    if (sim < lo || sim >= hi) continue;
-    size_t b = static_cast<size_t>((sim - lo) / width);
-    if (b >= num_buckets) b = num_buckets - 1;
-    ++hist[b];
-  }
-  return hist;
-}
-
 void Workload::Add(InstancePair pair) {
   assert(!mmap_backed());
   similarities_.push_back(pair.similarity);

@@ -153,11 +153,6 @@ class Workload {
   /// Ground-truth labels vector (1 = match), for evaluation.
   std::vector<int> GroundTruthLabels() const;
 
-  /// Histogram of matching-pair counts per similarity bucket — reproduces
-  /// the data behind Fig. 4. Returns `num_buckets` counts covering [lo, hi).
-  std::vector<size_t> MatchHistogram(size_t num_buckets, double lo = 0.0,
-                                     double hi = 1.0) const;
-
   /// Appends a pair (invalidates sortedness until SortBySimilarity).
   void Add(InstancePair pair);
 

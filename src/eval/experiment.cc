@@ -1,5 +1,7 @@
 #include "eval/experiment.h"
 
+#include <cmath>
+
 #include "eval/evaluation.h"
 
 namespace humo::eval {
@@ -44,7 +46,7 @@ ExperimentSummary RunExperiment(
     s.mean_recall += tr.recall;
     s.mean_f1 += tr.f1;
     s.mean_cost_fraction += tr.human_cost_fraction;
-    s.success_rate += tr.success ? 1.0 : 0.0;
+    s.successes += tr.success ? 1 : 0;
   }
   if (ok_trials > 0) {
     const double n = static_cast<double>(ok_trials);
@@ -52,9 +54,26 @@ ExperimentSummary RunExperiment(
     s.mean_recall /= n;
     s.mean_f1 /= n;
     s.mean_cost_fraction /= n;
-    s.success_rate /= n;
   }
+  if (trials > 0)
+    s.success_rate =
+        static_cast<double>(s.successes) / static_cast<double>(trials);
   return s;
+}
+
+bool CoverageHolds(size_t met, size_t runs, double theta) {
+  if (met > runs) return false;
+  // P(X <= met) for X ~ Binomial(runs, theta), summed term by term in log
+  // space.
+  const double n = static_cast<double>(runs);
+  double tail = 0.0;
+  for (size_t i = 0; i <= met; ++i) {
+    const double k = static_cast<double>(i);
+    tail += std::exp(std::lgamma(n + 1.0) - std::lgamma(k + 1.0) -
+                     std::lgamma(n - k + 1.0) + k * std::log(theta) +
+                     (n - k) * std::log1p(-theta));
+  }
+  return tail >= 1e-3;
 }
 
 }  // namespace humo::eval

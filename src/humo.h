@@ -106,9 +106,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/all_sampling_optimizer.h"
 #include "core/baseline_optimizer.h"
-#include "core/budgeted_resolver.h"
 #include "core/crowd_oracle.h"
 #include "core/crowd_tasks.h"
 #include "core/estimation_engine.h"

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace humo::stats {
 
@@ -31,34 +30,5 @@ struct Stratum {
   /// True if every unit was inspected (no sampling error).
   bool fully_enumerated() const { return sample_size >= population; }
 };
-
-/// Aggregate estimate of the total number of positives in a union of strata,
-/// with a confidence interval from the stratified-sampling theory the paper
-/// cites (Cochran; Student-t critical values, Eq. 12).
-struct StratifiedEstimate {
-  /// Point estimate of the total positives: sum n_i * p_i.
-  double total_mean = 0.0;
-  /// Standard deviation of the total estimate: sqrt(sum n_i^2 var(p_i)).
-  double total_stddev = 0.0;
-  /// Effective degrees of freedom used for the t critical value.
-  double degrees_of_freedom = 0.0;
-  /// Total population across strata.
-  size_t population = 0;
-
-  /// Two-sided bounds at the given confidence, clamped to [0, population].
-  double LowerBound(double confidence) const;
-  double UpperBound(double confidence) const;
-};
-
-/// Combines strata into an estimate of the total number of positives.
-///
-/// Degrees of freedom follow the common stratified-sampling convention
-/// d.f. = sum_i (s_i - 1) over strata that were actually sampled (Cochran
-/// 5A.42 simplification); strata that are fully enumerated contribute no
-/// sampling variance and no d.f.
-StratifiedEstimate CombineStrata(const std::vector<Stratum>& strata);
-
-/// Mean match proportion of the union (R bar of the paper) = total_mean / N.
-double UnionProportion(const StratifiedEstimate& est);
 
 }  // namespace humo::stats

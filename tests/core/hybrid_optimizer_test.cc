@@ -119,10 +119,6 @@ TEST(HybridOptimizerTest, RejectsBadInputs) {
   QualityRequirement req{0.9, 0.9, 0.9};
   HybridOptimizer opt;
   EXPECT_FALSE(opt.Optimize(p, req, nullptr).ok());
-  HybridOptions bad;
-  bad.window_subsets = 0;
-  Oracle oracle(&w);
-  EXPECT_FALSE(HybridOptimizer(bad).Optimize(p, req, &oracle).ok());
 }
 
 TEST(HybridOptimizerTest, SolutionBoundsValid) {

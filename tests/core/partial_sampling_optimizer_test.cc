@@ -165,23 +165,5 @@ TEST(PartialSamplingOptimizerTest, RejectsBadInputs) {
   EXPECT_FALSE(PartialSamplingOptimizer(bad_range).Optimize(p, req, &o2).ok());
 }
 
-TEST(PartialSamplingOptimizerTest, KernelFamiliesAllWork) {
-  const data::Workload w = MakeWorkload();
-  SubsetPartition p(&w, 200);
-  QualityRequirement req{0.85, 0.85, 0.9};
-  for (auto family : {gp::KernelFamily::kRbf, gp::KernelFamily::kMatern32,
-                      gp::KernelFamily::kMatern52}) {
-    Oracle oracle(&w);
-    PartialSamplingOptions o;
-    o.kernel_family = family;
-    auto sol = PartialSamplingOptimizer(o).Optimize(p, req, &oracle);
-    ASSERT_TRUE(sol.ok());
-    const auto result = ApplySolution(p, *sol, &oracle);
-    const auto q = eval::QualityOf(w, result.labels);
-    EXPECT_GE(q.precision, 0.8);
-    EXPECT_GE(q.recall, 0.8);
-  }
-}
-
 }  // namespace
 }  // namespace humo::core

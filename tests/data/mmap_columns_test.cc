@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/all_sampling_optimizer.h"
 #include "core/oracle.h"
+#include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
 #include "core/solution.h"
 #include "data/scale_generator.h"
@@ -188,9 +188,9 @@ TEST(WorkloadFromMmapTest, SampCertificationIdenticalToRamBacked) {
   auto certify = [&](const Workload& w) {
     core::SubsetPartition p(&w, 200);
     core::Oracle oracle(&w);
-    core::AllSamplingOptions o;
+    core::PartialSamplingOptions o;
     o.seed = 1000;
-    auto sol = core::AllSamplingOptimizer(o).Optimize(p, req, &oracle);
+    auto sol = core::PartialSamplingOptimizer(o).Optimize(p, req, &oracle);
     EXPECT_TRUE(sol.ok());
     const auto result = core::ApplySolution(p, *sol, &oracle);
     return std::make_pair(*sol, oracle.cost());

@@ -48,23 +48,6 @@ TEST(WorkloadTest, GroundTruthLabels) {
   EXPECT_EQ(labels[4], 1);
 }
 
-TEST(WorkloadTest, MatchHistogram) {
-  const Workload w = MakeWorkload();
-  const auto hist = w.MatchHistogram(2, 0.0, 1.0);
-  ASSERT_EQ(hist.size(), 2u);
-  // Matches at 0.5 and 0.9: 0.5 lands in the second bucket [0.5, 1.0).
-  EXPECT_EQ(hist[0], 0u);
-  EXPECT_EQ(hist[1], 2u);
-}
-
-TEST(WorkloadTest, MatchHistogramBucketEdges) {
-  std::vector<InstancePair> pairs = {{0, 0, 0.0, true}, {1, 1, 0.999, true}};
-  const Workload w{std::move(pairs)};
-  const auto hist = w.MatchHistogram(10);
-  EXPECT_EQ(hist[0], 1u);
-  EXPECT_EQ(hist[9], 1u);
-}
-
 TEST(WorkloadTest, AddThenSort) {
   Workload w;
   w.Add({0, 0, 0.7, false});

@@ -74,6 +74,37 @@ TEST(ExperimentTest, FailedOptimizerCounted) {
   EXPECT_DOUBLE_EQ(summary.mean_precision, 0.0);
 }
 
+TEST(ExperimentTest, FailedTrialsCountAsMisses) {
+  const data::Workload w = MakeWorkload();
+  core::SubsetPartition p(&w, 200);
+  core::QualityRequirement req{0.85, 0.85, 0.9};
+  // Odd seeds fail to run; even seeds run BASE, which meets the requirement
+  // on this workload.
+  auto mixed_factory = [](uint64_t seed) -> OptimizerFn {
+    return [seed](const core::SubsetPartition& part,
+                  const core::QualityRequirement& r,
+                  core::Oracle* o) -> humo::Result<core::HumoSolution> {
+      if (seed % 2 == 1) return humo::Status::Internal("synthetic failure");
+      return core::BaselineOptimizer().Optimize(part, r, o);
+    };
+  };
+  const auto summary = RunExperiment(p, req, mixed_factory, 20, 0);
+  EXPECT_EQ(summary.failed_trials, 10u);
+  EXPECT_EQ(summary.successes, 10u);
+  EXPECT_LE(summary.success_rate, 0.5);
+  EXPECT_GT(summary.mean_precision, 0.85);
+}
+
+TEST(CoverageHoldsTest, BinomialThresholdsAtTheta90) {
+  EXPECT_FALSE(CoverageHolds(12, 20, 0.9));
+  EXPECT_TRUE(CoverageHolds(13, 20, 0.9));
+  EXPECT_FALSE(CoverageHolds(16, 25, 0.9));
+  EXPECT_TRUE(CoverageHolds(17, 25, 0.9));
+  EXPECT_TRUE(CoverageHolds(20, 20, 0.9));
+  // One run cannot reject theta = 0.9: P(X = 0) = 0.1.
+  EXPECT_TRUE(CoverageHolds(0, 1, 0.9));
+}
+
 TEST(ExperimentTest, SeedsVaryAcrossTrials) {
   const data::Workload w = MakeWorkload();
   core::SubsetPartition p(&w, 200);

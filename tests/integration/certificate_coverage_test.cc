@@ -16,6 +16,7 @@
 #include "data/pair_simulator.h"
 #include "data/workload_stream.h"
 #include "eval/evaluation.h"
+#include "eval/experiment.h"
 #include "stats/proportion.h"
 
 namespace humo {
@@ -25,9 +26,9 @@ namespace {
 /// Tables II-IV claim that a certificate at confidence theta holds on at
 /// least a theta share of runs. Each cell counts how many runs' final labels
 /// meet (alpha, beta) and fails only when that count is implausibly low for
-/// a rate of theta: one-sided binomial P(X <= successes | n, theta) < 0.001,
-/// the rule bench/e2e applies to its certifications. At theta = 0.9 that
-/// means <= 12 of 20 or <= 16 of 25 fail.
+/// a rate of theta: eval::CoverageHolds, the one-sided binomial rule
+/// P(X <= successes | n, theta) < 0.001 that bench_paper and bench/e2e also
+/// apply. At theta = 0.9 that means <= 12 of 20 or <= 16 of 25 fail.
 ///
 /// The rule has little power over 20 runs: a certifier that holds on 17 of
 /// 20 (p = 0.32) or on 6 of 8 streaming epochs (p = 0.19) passes, so the
@@ -59,24 +60,12 @@ const data::Workload& DsRealization(size_t s) {
   return w;
 }
 
-double BinomialCdf(size_t k, size_t n, double p) {
-  double sum = 0.0;
-  for (size_t i = 0; i <= k; ++i) {
-    const double di = static_cast<double>(i);
-    const double dn = static_cast<double>(n);
-    sum += std::exp(std::lgamma(dn + 1.0) - std::lgamma(di + 1.0) -
-                    std::lgamma(dn - di + 1.0) + di * std::log(p) +
-                    (dn - di) * std::log1p(-p));
-  }
-  return sum;
-}
-
 void ExpectCoverage(size_t successes, size_t runs) {
   ::testing::Test::RecordProperty("successes", static_cast<int>(successes));
   ::testing::Test::RecordProperty("runs", static_cast<int>(runs));
   // Also on stdout, which ctest's JUnit report keeps.
   std::printf("coverage: %zu of %zu runs met (alpha, beta)\n", successes, runs);
-  EXPECT_GE(BinomialCdf(successes, runs, kTheta), 1e-3)
+  EXPECT_TRUE(eval::CoverageHolds(successes, runs, kTheta))
       << successes << " of " << runs << " runs met (alpha, beta)";
 }
 

@@ -116,46 +116,6 @@ TEST(GpIncrementalTest, IncrementalPathThreadCountInvariant) {
   EXPECT_EQ(serial.stats.gp_rows_appended, parallel.stats.gp_rows_appended);
 }
 
-/// A chained run on a SHARED context that asks for a different kernel
-/// family must not warm-start from the previous run's model — the warm path
-/// keeps hyperparameters, and a Matern run served an RBF fit would break
-/// the warm-vs-grid identity exactly where GpFitState persists across runs.
-TEST(GpIncrementalTest, DifferentKernelFamilyOnSharedContextRefitsGrid) {
-  const data::Workload w = MakeWorkload(11);
-  core::SubsetPartition p(&w, 200);
-  const core::QualityRequirement req{0.9, 0.9, 0.9};
-  core::PartialSamplingOptions rbf;
-  rbf.seed = 3;
-  core::PartialSamplingOptions matern = rbf;
-  matern.kernel_family = gp::KernelFamily::kMatern52;
-
-  // Reference: Matern on a fresh context, re-selecting on the grid every
-  // round.
-  size_t ref_lo, ref_hi;
-  {
-    core::PartialSamplingOptions reference = matern;
-    reference.gp_warm_lml_slack = kGridEveryRound;
-    core::Oracle oracle(&w);
-    core::EstimationContext ctx(&p, &oracle);
-    auto sol = core::PartialSamplingOptimizer(reference).Optimize(&ctx, req);
-    ASSERT_TRUE(sol.ok());
-    EXPECT_EQ(ctx.stats().gp_warm_starts, 0u);
-    ref_lo = sol->h_lo;
-    ref_hi = sol->h_hi;
-  }
-
-  // Chained: RBF first, then Matern on the SAME context with warm starts
-  // enabled. The Matern run must ignore the RBF fit state and agree with
-  // the fresh-context reference.
-  core::Oracle oracle(&w);
-  core::EstimationContext ctx(&p, &oracle);
-  ASSERT_TRUE(core::PartialSamplingOptimizer(rbf).Optimize(&ctx, req).ok());
-  auto chained = core::PartialSamplingOptimizer(matern).Optimize(&ctx, req);
-  ASSERT_TRUE(chained.ok());
-  EXPECT_EQ(chained->h_lo, ref_lo);
-  EXPECT_EQ(chained->h_hi, ref_hi);
-}
-
 /// The incremental path must not cost the human anything: warm-started runs
 /// still meet the quality targets (the solution is identical, so this is
 /// belt-and-braces on top of the identity tests above).

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/all_sampling_optimizer.h"
 #include "core/baseline_optimizer.h"
 #include "core/hybrid_optimizer.h"
 #include "core/partial_sampling_optimizer.h"

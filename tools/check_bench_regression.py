@@ -3,9 +3,9 @@
 
 Compares a freshly produced bench JSON against the committed baseline and
 fails (exit 1) when any CONTRACT field regresses by more than TOLERANCE
-(20%). Contract fields are mostly ratios and counters that are stable
-across machines — speedups, cost ratios, reuse counts, bit-identity
-flags. The entity bench is the exception: its cluster throughput and repair
+(20%), when an exact field changes, or when a ratchet field grows at all.
+Contract fields are mostly ratios and counters that are stable across
+machines — speedups, cost ratios, reuse counts, bit-identity flags. The entity bench is the exception: its cluster throughput and repair
 time are raw wall-clock numbers, gated because no ratio pins the entity
 layer's speed. Rows are matched by a per-bench key, and the candidate must
 cover exactly the baseline's rows: a baseline row with no matching candidate
@@ -42,6 +42,13 @@ The per-bench contract (keyed by the JSON's "bench" field):
                                      exact         tasks_le_questions,
                                                    certified,
                                                    thread_invariant
+  paper           key (preset,       exact         runs, met
+                  optimizer, alpha,  ratchet       band_gap, order_gap
+                  theta)
+
+A ratchet field is a distance from a paper claim: the candidate must not
+exceed the baseline, with no tolerance. A change that shrinks it passes,
+and re-recording the baseline then locks the gain in.
 
 A field the bench wrote as null (a non-finite double) counts as missing and
 fails the gate.
@@ -52,7 +59,8 @@ lacking it), the gate fails before comparing any row.
 
 --selftest proves the gate can actually fail: it fabricates a baseline,
 injects a 25% regression into a copy, and asserts the comparison rejects it
-(and accepts the unmodified copy).
+(and accepts the unmodified copy). It also asserts that a ratchet field that
+grows is rejected and one that stays equal or shrinks passes.
 """
 
 import argparse
@@ -62,7 +70,8 @@ import sys
 
 TOLERANCE = 0.20
 
-# bench name -> (row key fields, higher-better, lower-better, exact)
+# bench name -> (row key fields, higher-better, lower-better, exact,
+# ratchet); a missing category is empty
 CONTRACTS = {
     "micro_gp_refit": {
         "key": ("n",),
@@ -110,6 +119,13 @@ CONTRACTS = {
         "higher": ("inferred_fraction", "task_reduction"),
         "lower": (),
         "exact": ("tasks_le_questions", "certified", "thread_invariant"),
+    },
+    "paper": {
+        "key": ("preset", "optimizer", "alpha", "theta"),
+        "higher": (),
+        "lower": (),
+        "exact": ("runs", "met"),
+        "ratchet": ("band_gap", "order_gap"),
     },
 }
 
@@ -178,6 +194,15 @@ def compare(baseline, candidate):
             elif b != c:
                 violations.append(
                     "%s: %s changed exactly-pinned value %r -> %r"
+                    % (label, field, b, c)
+                )
+        for field in contract.get("ratchet", ()):
+            b, c = base.get(field), row.get(field)
+            if b is None or c is None:
+                violations.append("%s: missing field %r" % (label, field))
+            elif c > b:
+                violations.append(
+                    "%s: %s grew %.6f -> %.6f (a ratchet may only shrink)"
                     % (label, field, b, c)
                 )
     for key in base_rows:
@@ -344,6 +369,41 @@ def selftest():
     uncertified["results"][1]["certified"] = False
     assert compare(crowd, uncertified), (
         "selftest: guarantee flag flip must be rejected"
+    )
+
+    paper = {
+        "bench": "paper",
+        "results": [
+            {
+                "preset": "AB",
+                "optimizer": "SAMP",
+                "alpha": 0.9,
+                "theta": 0.9,
+                "runs": 20,
+                "met": 20,
+                "band_gap": 0.106,
+                "order_gap": 0.2197,
+            }
+        ],
+    }
+    assert compare(paper, copy.deepcopy(paper)) == [], (
+        "selftest: an equal gap must pass"
+    )
+    for field in ("band_gap", "order_gap"):
+        grown = copy.deepcopy(paper)
+        grown["results"][0][field] += 1e-6
+        assert compare(paper, grown), (
+            "selftest: a grown %s must be rejected" % field
+        )
+        shrunk = copy.deepcopy(paper)
+        shrunk["results"][0][field] = 0.0
+        assert compare(paper, shrunk) == [], (
+            "selftest: a shrunk %s must pass" % field
+        )
+    fewer_met = copy.deepcopy(paper)
+    fewer_met["results"][0]["met"] = 19
+    assert compare(paper, fewer_met), (
+        "selftest: a changed met count must be rejected"
     )
 
     print("selftest OK: gate rejects injected regressions and passes clean runs")
