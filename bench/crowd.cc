@@ -1,8 +1,9 @@
-// Budget-to-guarantee curves with a TASK-denominated cost axis: the same
-// SAMP / RISK certifications as bench_risk_vs_humo, but with every human
-// question routed through the crowd task layer (core/crowd_tasks.h) —
-// cluster-packed HITs over a simulated CrowdOracle, transitivity /
-// anti-transitivity inference answering correlated pairs for free.
+// Budget-to-guarantee curves with a TASK-denominated cost axis: the SAMP
+// and RISK certifications whose oracle cost bench_paper gates, but with
+// every human question routed through the crowd task layer
+// (core/crowd_tasks.h): cluster-packed HITs over a simulated CrowdOracle,
+// transitivity / anti-transitivity inference answering correlated pairs
+// for free.
 //
 // Workloads:
 //   DS / AB   the paper's Fig. 6 simulations. Their generators emit

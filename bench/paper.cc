@@ -4,19 +4,22 @@
 // theta) and names every paper artifact it reproduces, so a cell that
 // several figures and tables share runs once. docs/REPRODUCING.md maps each
 // artifact to its rows, and says why Figs. 4, 5, 12 and Table I have none.
+// The RISK rows carry the risk-ordered inspection of the r-HUMO follow-up
+// (arXiv 1803.05714) on the same presets.
 //
 // Protocol, the same for every row: the calibrated realization of each
 // preset (DsConfig(), AbConfig(), or the logistic generator at 100k pairs
 // and seed 7), subsets of 200 pairs, and kTrials sampler seeds from
-// bench::kBaseSeed for SAMP and HYBR. BASE is deterministic and ACTL runs
-// with seed kBaseSeed, so each runs once.
+// bench::kBaseSeed for SAMP, HYBR and RISK. BASE is deterministic and ACTL
+// runs with seed kBaseSeed, so each runs once. A run that errors counts as
+// a miss.
 //
 // Every row writes runs, met (runs meeting alpha and beta), mean cost
 // fraction, precision, recall and F1, plus two gaps the regression gate
 // holds as ratchets (a committed gap may only shrink):
 //   band_gap   distance of the mean cost outside the paper's Fig. 6 band,
-//              [4%, 16%] on DS and [6%, 20%] on AB; 0 on logistic and ACTL
-//              rows, for which the paper gives no band.
+//              [4%, 16%] on DS and [6%, 20%] on AB; 0 on logistic, ACTL
+//              and RISK rows, for which the paper gives no band.
 //   order_gap  max(0, SAMP cost - BASE cost) on DS/AB SAMP rows, and
 //              max(0, ACTL recall - HYBR recall) on ACTL rows; 0 elsewhere.
 //
@@ -26,7 +29,9 @@
 //              where the paper reports the monotonicity assumption failing
 //              (Fig. 10). Their met counts are still written, and the
 //              regression gate pins them.
-//   ordering   HYBR cost <= SAMP cost in every cell where both run.
+//   ordering   HYBR cost <= SAMP cost and RISK cost <= SAMP cost in every
+//              cell where both run. RISK shares SAMP's sampling phase and
+//              can only skip DH inspections, never add any.
 
 #include <algorithm>
 #include <cstdio>
@@ -42,7 +47,7 @@ using namespace humo;
 
 namespace {
 
-/// Sampler seeds per SAMP/HYBR cell (the paper averaged 100 runs).
+/// Sampler seeds per SAMP/HYBR/RISK cell (the paper averaged 100 runs).
 constexpr size_t kTrials = 20;
 constexpr size_t kSubsetSize = 200;
 
@@ -71,10 +76,11 @@ constexpr Preset kPresets[] = {
     {"LOG_t14_s0.5", Source::kLogistic, 14.0, 0.5},
 };
 
-enum class Opt { kBase, kSamp, kHybr, kActl };
+enum class Opt { kBase, kSamp, kHybr, kActl, kRisk };
 
 const char* Name(Opt opt) {
-  static const char* const kNames[] = {"BASE", "SAMP", "HYBR", "ACTL"};
+  static const char* const kNames[] = {"BASE", "SAMP", "HYBR", "ACTL",
+                                       "RISK"};
   return kNames[static_cast<int>(opt)];
 }
 
@@ -125,6 +131,10 @@ constexpr Row kRows[] = {
     {"DS", Opt::kActl, 0.85, 0.90, "Fig. 11; Table V"},
     {"DS", Opt::kActl, 0.90, 0.90, "Fig. 11; Table V"},
     {"DS", Opt::kActl, 0.95, 0.90, "Fig. 11; Table V"},
+    {"DS", Opt::kRisk, 0.80, 0.90, "r-HUMO"},
+    {"DS", Opt::kRisk, 0.85, 0.90, "r-HUMO"},
+    {"DS", Opt::kRisk, 0.90, 0.90, "r-HUMO"},
+    {"DS", Opt::kRisk, 0.95, 0.90, "r-HUMO"},
     {"AB", Opt::kBase, 0.70, 0.90, "Fig. 6b; Table II"},
     {"AB", Opt::kSamp, 0.70, 0.90, "Fig. 6b; Table III"},
     {"AB", Opt::kHybr, 0.70, 0.90, "Fig. 6b; Table IV"},
@@ -162,6 +172,10 @@ constexpr Row kRows[] = {
     {"AB", Opt::kActl, 0.85, 0.90, "Fig. 11; Table VI"},
     {"AB", Opt::kActl, 0.90, 0.90, "Fig. 11; Table VI"},
     {"AB", Opt::kActl, 0.95, 0.90, "Fig. 11; Table VI"},
+    {"AB", Opt::kRisk, 0.80, 0.90, "r-HUMO"},
+    {"AB", Opt::kRisk, 0.85, 0.90, "r-HUMO"},
+    {"AB", Opt::kRisk, 0.90, 0.90, "r-HUMO"},
+    {"AB", Opt::kRisk, 0.95, 0.90, "r-HUMO"},
     {"LOG_t8_s0.1", Opt::kBase, 0.90, 0.90, "Fig. 9"},
     {"LOG_t8_s0.1", Opt::kSamp, 0.90, 0.90, "Fig. 9"},
     {"LOG_t8_s0.1", Opt::kHybr, 0.90, 0.90, "Fig. 9"},
@@ -241,10 +255,43 @@ Cell RunActl(const data::Workload& w, const core::SubsetPartition& p,
   return cell;
 }
 
+/// RISK returns its own labeling, so it runs outside eval::RunExperiment
+/// under the same rules: one fresh oracle per sampler seed, and a run that
+/// errors counts as a miss and stays out of the means.
+Cell RunRisk(const data::Workload& w, const core::SubsetPartition& p,
+             const core::QualityRequirement& req) {
+  Cell cell;
+  cell.runs = kTrials;
+  size_t ok_runs = 0;
+  for (size_t t = 0; t < kTrials; ++t) {
+    core::Oracle oracle(&w);
+    core::RiskAwareOptions options;
+    options.sampling.seed = bench::kBaseSeed + t;
+    const auto out = core::RiskAwareOptimizer(options).Resolve(p, req, &oracle);
+    if (!out.ok()) continue;
+    ++ok_runs;
+    const eval::Quality q = eval::QualityOf(w, out->resolution.labels);
+    cell.met += q.precision >= req.alpha && q.recall >= req.beta;
+    cell.cost += out->resolution.human_cost_fraction;
+    cell.precision += q.precision;
+    cell.recall += q.recall;
+    cell.f1 += q.f1;
+  }
+  if (ok_runs > 0) {
+    const double n = static_cast<double>(ok_runs);
+    cell.cost /= n;
+    cell.precision /= n;
+    cell.recall /= n;
+    cell.f1 /= n;
+  }
+  return cell;
+}
+
 Cell RunCell(const data::Workload& w, const core::SubsetPartition& p,
              const Row& row) {
   const core::QualityRequirement req{row.alpha, row.alpha, row.theta};
   if (row.optimizer == Opt::kActl) return RunActl(w, p, req);
+  if (row.optimizer == Opt::kRisk) return RunRisk(w, p, req);
   auto factory = [&row](uint64_t seed) {
     if (row.optimizer == Opt::kSamp) return bench::MakeSamp(seed);
     if (row.optimizer == Opt::kHybr) return bench::MakeHybr(seed);
@@ -276,7 +323,7 @@ const Cell* Partner(const std::vector<Cell>& cells, const Row& row, Opt opt) {
 }
 
 double BandGap(const Row& row, const Cell& cell) {
-  if (row.optimizer == Opt::kActl) return 0.0;
+  if (row.optimizer == Opt::kActl || row.optimizer == Opt::kRisk) return 0.0;
   const Preset& p = PresetOf(row);
   return std::max({0.0, p.band_lo - cell.cost, cell.cost - p.band_hi});
 }
@@ -312,7 +359,8 @@ bool CoverageExempt(const Row& row) {
 
 int main() {
   bench::PrintHeader("bench_paper — the paper's §VIII claims, gated",
-                     "Chen et al., ICDE 2018, Figs. 6-11, Tables II-VI");
+                     "Chen et al., ICDE 2018, Figs. 6-11, Tables II-VI; "
+                     "r-HUMO risk-ordered inspection");
   const auto start = std::chrono::steady_clock::now();
 
   // One workload at a time: run every row of a preset, then drop it.
@@ -347,10 +395,11 @@ int main() {
       ok = false;
     }
     const Cell* samp = Partner(cells, row, Opt::kSamp);
-    if (row.optimizer == Opt::kHybr && samp != nullptr &&
-        cell.cost > samp->cost) {
-      std::fprintf(stderr, "ORDERING: %s (%.2f, %.2f): HYBR %.4f > SAMP %.4f\n",
-                   row.preset, row.alpha, row.theta, cell.cost, samp->cost);
+    if ((row.optimizer == Opt::kHybr || row.optimizer == Opt::kRisk) &&
+        samp != nullptr && cell.cost > samp->cost) {
+      std::fprintf(stderr, "ORDERING: %s (%.2f, %.2f): %s %.4f > SAMP %.4f\n",
+                   row.preset, row.alpha, row.theta, Name(row.optimizer),
+                   cell.cost, samp->cost);
       ok = false;
     }
 

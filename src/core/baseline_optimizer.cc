@@ -23,6 +23,7 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   const SubsetPartition& partition = ctx->partition();
   const size_t m = partition.num_subsets();
   if (m == 0) return Status::InvalidArgument("empty workload");
+  HUMO_RETURN_NOT_OK(ValidateRequirement(req));
 
   // Start at the subset containing the midpoint similarity value (or the
   // user-provided start).

@@ -129,11 +129,6 @@ double GpSubsetModel::PriorK(size_t a, size_t b) const {
   return gp_.kernel()(v_[a], v_[b]);
 }
 
-double GpSubsetModel::PosteriorVariance(size_t k) const {
-  assert(k < v_.size());
-  return HasEvidence(k) ? indep_var_[k] / (n_[k] * n_[k]) : prior_var_[k];
-}
-
 double GpSubsetModel::PopulationInRange(size_t a, size_t b) const {
   if (a > b || b >= v_.size()) return 0.0;
   return pop_prefix_[b + 1] - pop_prefix_[a];

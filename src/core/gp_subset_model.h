@@ -99,10 +99,6 @@ class GpSubsetModel {
   /// evidence, (x + u p-bar) / n_k with it.
   double PosteriorMean(size_t k) const { return mean_[k]; }
 
-  /// Variance of that estimate: the prior variance without evidence, the
-  /// predictive count variance over n_k^2 with it (0 when fully inspected).
-  double PosteriorVariance(size_t k) const;
-
   /// Variance of subset k's match count that enters a range outside the GP
   /// cross terms: n_k^2 scatter_k without evidence, the predictive count
   /// variance of the uninspected pairs with it.

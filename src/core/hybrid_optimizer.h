@@ -7,7 +7,6 @@
 #include "core/oracle.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
-#include "core/risk_aware_optimizer.h"
 #include "core/solution.h"
 
 namespace humo::core {
@@ -40,31 +39,6 @@ class HybridOptimizer {
   Result<HumoSolution> Optimize(const SubsetPartition& partition,
                                 const QualityRequirement& req,
                                 Oracle* oracle) const;
-
-  /// HYBR with risk-ordered inspection inside its selected subsets. Like
-  /// Optimize, DH is re-grown outward from the median subset of S0 and
-  /// never exceeds S0's range — but no subset is labeled wholesale.
-  /// Instead the range first grows, without any inspection, until its
-  /// POTENTIAL certificate (CertifyRangePotential: the bounds full
-  /// inspection could at best reach) meets the requirement, and then the
-  /// shared risk certification loop (RiskAwareOptimizer::ResolveWithin)
-  /// inspects the selected subsets' pairs in risk order until the actual
-  /// bounds certify. A range that exhausts uncertified is grown toward the
-  /// failing requirement and re-certified — nothing already inspected is
-  /// wasted, the evidence persists in the oracle's memory.
-  /// `risk_options.sampling` is ignored: S0 and the margins come from this
-  /// optimizer's own options_.sampling; only the batch size and
-  /// inspection-order seed are consumed. The returned inspection stats
-  /// aggregate pairs_inspected/batches across certification attempts;
-  /// subsets_touched covers the final attempt.
-  Result<RiskAwareOutcome> OptimizeRiskAware(
-      EstimationContext* ctx, const QualityRequirement& req,
-      const RiskAwareOptions& risk_options = {}) const;
-
-  /// Risk-ordered variant with a private, throwaway context.
-  Result<RiskAwareOutcome> OptimizeRiskAware(
-      const SubsetPartition& partition, const QualityRequirement& req,
-      Oracle* oracle, const RiskAwareOptions& risk_options = {}) const;
 
  private:
   HybridOptions options_;

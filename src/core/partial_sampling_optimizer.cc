@@ -287,6 +287,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   const SubsetPartition& partition = ctx->partition();
   const size_t m = partition.num_subsets();
   if (m == 0) return Status::InvalidArgument("empty workload");
+  HUMO_RETURN_NOT_OK(ValidateRequirement(req));
   if (options_.samples_per_subset == 0)
     return Status::InvalidArgument("samples_per_subset must be positive");
   if (!(options_.sample_fraction_lo > 0.0 &&

@@ -47,52 +47,19 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::Resolve(
     return Status::InvalidArgument("estimation context must not be null");
   if (ctx->oracle() == nullptr)
     return Status::InvalidArgument("oracle must not be null");
-  if (ctx->partition().num_subsets() == 0)
-    return Status::InvalidArgument("empty workload");
+  const SubsetPartition& partition = ctx->partition();
+  Oracle* oracle = ctx->oracle();
+  const size_t m = partition.num_subsets();
+  if (m == 0) return Status::InvalidArgument("empty workload");
+  HUMO_RETURN_NOT_OK(ValidateRequirement(req));
   // S0: reuse a stored partial-sampling outcome certifying the same
   // requirement, or run SAMP here (publishing its outcome as a side
   // effect) — the same reuse discipline HYBR applies.
   HUMO_ASSIGN_OR_RETURN(std::shared_ptr<const PartialSamplingOutcome> s0,
                         EnsureSamplingOutcome(ctx, req, options_.sampling));
-  HUMO_ASSIGN_OR_RETURN(RiskAwareOutcome out,
-                        ResolveWithin(ctx, req, s0->solution, s0->model.get()));
-  if (!out.certified) {
-    // Never hand back a partially machine-labeled DH without a
-    // certificate: fall back to full DH inspection, which is exactly the
-    // SAMP labeling (S0 certified it) at exactly SAMP's cost.
-    out.resolution = ApplySolution(ctx->partition(), out.solution,
-                                   ctx->oracle());
-    out.inspection.pairs_machine_labeled = 0;
-  }
-  return out;
-}
-
-Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
-    EstimationContext* ctx, const QualityRequirement& req,
-    const HumoSolution& dh, const GpSubsetModel* model) const {
-  if (ctx == nullptr)
-    return Status::InvalidArgument("estimation context must not be null");
-  if (ctx->oracle() == nullptr)
-    return Status::InvalidArgument("oracle must not be null");
-  if (model == nullptr)
-    return Status::InvalidArgument("subset model must not be null");
-  const SubsetPartition& partition = ctx->partition();
-  Oracle* oracle = ctx->oracle();
-  const size_t m = partition.num_subsets();
-  if (m == 0) return Status::InvalidArgument("empty workload");
-  if (model->num_subsets() != m)
-    return Status::InvalidArgument("model does not describe this partition");
-  if (options_.batch_pairs == 0)
-    return Status::InvalidArgument("batch_pairs must be positive");
-  if (dh.empty) {
-    // Nothing to inspect: pure machine labeling around the split point.
-    RiskAwareOutcome out;
-    out.solution = dh;
-    out.resolution = ApplySolution(partition, dh, oracle);
-    return out;
-  }
-  if (dh.h_lo > dh.h_hi || dh.h_hi >= m)
-    return Status::InvalidArgument("invalid DH range");
+  const HumoSolution& dh = s0->solution;
+  const GpSubsetModel* model = s0->model.get();
+  assert(!dh.empty);  // SAMP always selects a DH range
   const size_t i = dh.h_lo;
   const size_t j = dh.h_hi;
 
@@ -107,7 +74,7 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
 
   RiskModel risk(model, i, j);
   std::vector<std::vector<size_t>> pending =
-      InitRiskEvidence(partition, *oracle, &risk, options_.seed);
+      InitRiskEvidence(partition, *oracle, &risk, kRiskOrderSeed);
 
   // Priority queue of subsets by conservative per-pair risk (lazy
   // deletion, see QueueEntry). All pairs of one subset share a risk score —
@@ -124,15 +91,13 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
 
   RiskInspectionStats stats;
   std::vector<char> touched(j - i + 1, 0);
-  RiskCertificate bounds = CertifyRange(risk, i, j, dplus, dminus, conf);
+  RiskCertificate bounds = CertifyRange(risk, dplus, dminus, conf);
   while (!bounds.Meets(alpha, beta)) {
     // Fast-fail: when even the POTENTIAL certificate (every remaining pair
     // resolving to its posterior mean — an upper envelope of the actual
     // bounds) misses a target, further inspection inside this range is
-    // near-certainly wasted; stop and report uncertified so the caller
-    // (HYBR's re-growth loop) can widen the range instead.
-    if (!CertifyRangePotential(risk, i, j, dplus, dminus, conf)
-             .Meets(alpha, beta))
+    // near-certainly wasted; stop and fall back to full DH inspection below.
+    if (!CertifyRangePotential(risk, dplus, dminus, conf).Meets(alpha, beta))
       break;
     // Pop the riskiest subset, discarding entries whose evidence changed
     // since they were pushed.
@@ -147,7 +112,7 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
     }
     if (k == m) break;  // DH exhausted: labeling now equals full inspection
     std::vector<size_t>& todo = pending[k - i];
-    const size_t take = std::min(options_.batch_pairs, todo.size());
+    const size_t take = std::min(kRiskBatchPairs, todo.size());
     const std::vector<size_t> batch(todo.end() - static_cast<long>(take),
                                     todo.end());
     todo.resize(todo.size() - take);
@@ -163,7 +128,7 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
       touched[k - i] = 1;
       ++stats.subsets_touched;
     }
-    bounds = CertifyRange(risk, i, j, dplus, dminus, conf);
+    bounds = CertifyRange(risk, dplus, dminus, conf);
   }
   stats.pairs_machine_labeled = risk.TotalUninspected();
 
@@ -173,6 +138,14 @@ Result<RiskAwareOutcome> RiskAwareOptimizer::ResolveWithin(
   out.precision_lb = bounds.precision_lb;
   out.recall_lb = bounds.recall_lb;
   out.certified = bounds.Meets(alpha, beta);
+  if (!out.certified) {
+    // Never hand back a partially machine-labeled DH without a
+    // certificate: fall back to full DH inspection, which is exactly the
+    // SAMP labeling (S0 certified it) at exactly SAMP's cost.
+    out.resolution = ApplySolution(partition, dh, oracle);
+    out.inspection.pairs_machine_labeled = 0;
+    return out;
+  }
 
   // Final labeling WITHOUT further oracle traffic: D- unmatch, D+ match;
   // inside DH every answered pair keeps its human label (free lookups) and

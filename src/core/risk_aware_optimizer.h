@@ -13,6 +13,15 @@
 
 namespace humo::core {
 
+/// Pairs inspected per priority-queue pop; the certification bounds are
+/// re-estimated after every batch. Smaller batches track the risk ordering
+/// more closely at the price of more bound re-estimations.
+inline constexpr size_t kRiskBatchPairs = 64;
+
+/// Seed of the within-subset inspection order (Rng::Stream(seed, subset));
+/// independent of the sampling seed so the two phases stay decoupled.
+inline constexpr uint64_t kRiskOrderSeed = 11;
+
 /// Options of the risk-aware search.
 struct RiskAwareOptions {
   /// Configuration of the initial partial-sampling run that produces the DH
@@ -20,13 +29,6 @@ struct RiskAwareOptions {
   /// SAMP run already certified the same requirement). The risk
   /// certification applies the same kQualityMargin to alpha/beta.
   PartialSamplingOptions sampling;
-  /// Pairs inspected per priority-queue pop; the certification bounds are
-  /// re-estimated after every batch. Smaller batches track the risk ordering
-  /// more closely at the price of more bound re-estimations.
-  size_t batch_pairs = 64;
-  /// Seed of the within-subset inspection order (Rng::Stream(seed, subset));
-  /// independent of the sampling seed so the two phases stay decoupled.
-  uint64_t seed = 11;
 };
 
 /// How much human work the risk loop did and avoided.
@@ -45,7 +47,7 @@ struct RiskInspectionStats {
 /// Everything a risk-aware run produces: the inherited DH range, the final
 /// labeling with cost accounting, and the certificate the loop stopped on.
 struct RiskAwareOutcome {
-  /// DH range inherited from S0 (or the range handed to ResolveWithin).
+  /// DH range inherited from S0.
   HumoSolution solution;
   /// Final labels over the whole workload plus human-cost accounting;
   /// uninspected DH pairs carry their subset's machine label.
@@ -57,13 +59,10 @@ struct RiskAwareOutcome {
   double recall_lb = 0.0;
   /// True when both bounds reached the (margin-adjusted) targets. False
   /// when DH ran out of pairs first, or when the potential certificate
-  /// showed certification unreachable inside the range (ResolveWithin's
-  /// fast-fail). Resolve() never returns a partially machine-labeled
-  /// uncertified result: it falls back to full DH inspection, so its
-  /// labeling then equals the full-inspection SAMP labeling and quality
-  /// matches SAMP's. A raw ResolveWithin caller gets the partial labeling
-  /// as-is and must handle the fallback itself (HYBR re-grows the range
-  /// instead).
+  /// showed certification unreachable inside the range (the fast-fail).
+  /// Resolve() never returns a partially machine-labeled uncertified
+  /// result: it falls back to full DH inspection, so its labeling then
+  /// equals the full-inspection SAMP labeling and quality matches SAMP's.
   bool certified = false;
 };
 
@@ -78,8 +77,8 @@ struct RiskAwareOutcome {
 /// the moment both certify, leaving the low-risk remainder of DH
 /// machine-labeled. Same guarantee as SAMP at equal confidence, measurably
 /// fewer oracle inspections (tracked by CacheStats and the oracle's request
-/// counters; see tests/core/risk_aware_optimizer_test.cc and
-/// bench/risk_vs_humo.cc).
+/// counters; see tests/core/risk_aware_optimizer_test.cc and bench_paper's
+/// RISK rows, which gate RISK cost <= SAMP cost on the full DS/AB presets).
 class RiskAwareOptimizer {
  public:
   explicit RiskAwareOptimizer(RiskAwareOptions options = {})
@@ -101,21 +100,6 @@ class RiskAwareOptimizer {
   Result<RiskAwareOutcome> Resolve(const SubsetPartition& partition,
                                    const QualityRequirement& req,
                                    Oracle* oracle) const;
-
-  /// The certification loop alone, inside an arbitrary DH range: evidence
-  /// is seeded from every pair the oracle already answered, then pairs are
-  /// inspected in risk order until the bounds certify `req`, the range is
-  /// exhausted, or the potential certificate shows certification
-  /// unreachable (fast-fail; the outcome is then uncertified and partially
-  /// machine-labeled — see RiskAwareOutcome::certified). `model` must
-  /// describe the context's partition (normally a PartialSamplingOutcome's
-  /// model) and outlive the call. This is the hook
-  /// HybridOptimizer::OptimizeRiskAware drives after its re-extension
-  /// phase selected the subsets.
-  Result<RiskAwareOutcome> ResolveWithin(EstimationContext* ctx,
-                                         const QualityRequirement& req,
-                                         const HumoSolution& dh,
-                                         const GpSubsetModel* model) const;
 
   const RiskAwareOptions& options() const { return options_; }
 

@@ -65,11 +65,9 @@ double RiskModel::PairRisk(size_t k, double confidence) const {
   return std::clamp(err_hi, 0.0, 1.0);
 }
 
-RiskModel::UninspectedAggregate RiskModel::Aggregate(size_t a,
-                                                     size_t b) const {
-  assert(a >= lo_ && a <= b && b <= hi_);
+RiskModel::UninspectedAggregate RiskModel::Aggregate() const {
   UninspectedAggregate agg;
-  for (size_t k = a; k <= b; ++k) {
+  for (size_t k = lo_; k <= hi_; ++k) {
     const size_t t = k - lo_;
     const double u = static_cast<double>(size_[t] - inspected_[t]);
     if (u == 0.0) continue;
@@ -87,29 +85,26 @@ RiskModel::UninspectedAggregate RiskModel::Aggregate(size_t a,
   return agg;
 }
 
-size_t RiskModel::TotalInspectedMatches(size_t a, size_t b) const {
-  assert(a >= lo_ && a <= b && b <= hi_);
+size_t RiskModel::TotalInspectedMatches() const {
   size_t total = 0;
-  for (size_t k = a; k <= b; ++k) total += matches_[k - lo_];
+  for (size_t m : matches_) total += m;
   return total;
 }
 
-size_t RiskModel::TotalUninspected(size_t a, size_t b) const {
-  assert(a >= lo_ && a <= b && b <= hi_);
+size_t RiskModel::TotalUninspected() const {
   size_t total = 0;
-  for (size_t k = a; k <= b; ++k)
-    total += size_[k - lo_] - inspected_[k - lo_];
+  for (size_t t = 0; t < size_.size(); ++t) total += size_[t] - inspected_[t];
   return total;
 }
 
-RiskCertificate CertifyRange(const RiskModel& risk, size_t a, size_t b,
+RiskCertificate CertifyRange(const RiskModel& risk,
                              const GpRangeAccumulator& dplus,
                              const GpRangeAccumulator& dminus,
                              double confidence) {
   const double z = stats::NormalTwoSidedCritical(confidence);
-  const RiskModel::UninspectedAggregate agg = risk.Aggregate(a, b);
+  const RiskModel::UninspectedAggregate agg = risk.Aggregate();
   const double inspected_matches =
-      static_cast<double>(risk.TotalInspectedMatches(a, b));
+      static_cast<double>(risk.TotalInspectedMatches());
   const double lb_dp = dplus.IsEmpty() ? 0.0 : dplus.LowerBound(confidence);
   const double n_dp = dplus.Population();
   const double ub_dm = dminus.IsEmpty() ? 0.0 : dminus.UpperBound(confidence);
@@ -127,17 +122,16 @@ RiskCertificate CertifyRange(const RiskModel& risk, size_t a, size_t b,
   return c;
 }
 
-RiskCertificate CertifyRangePotential(const RiskModel& risk, size_t a,
-                                      size_t b,
+RiskCertificate CertifyRangePotential(const RiskModel& risk,
                                       const GpRangeAccumulator& dplus,
                                       const GpRangeAccumulator& dminus,
                                       double confidence) {
-  const RiskModel::UninspectedAggregate agg = risk.Aggregate(a, b);
+  const RiskModel::UninspectedAggregate agg = risk.Aggregate();
   // Full inspection finds every DH match (expected count: evidence plus
   // both buckets' posterior means) and leaves no machine-labeled pairs —
   // only the D+/D- bounds remain.
   const double dh_matches =
-      static_cast<double>(risk.TotalInspectedMatches(a, b)) + agg.match_mean +
+      static_cast<double>(risk.TotalInspectedMatches()) + agg.match_mean +
       agg.unmatch_mean;
   const double lb_dp = dplus.IsEmpty() ? 0.0 : dplus.LowerBound(confidence);
   const double n_dp = dplus.Population();
@@ -173,21 +167,6 @@ std::vector<std::vector<size_t>> InitRiskEvidence(
     risk->SetEvidence(k, inspected, matches);
   }
   return pending;
-}
-
-void SeedRiskEvidence(const SubsetPartition& partition, const Oracle& oracle,
-                      RiskModel* risk) {
-  assert(risk != nullptr);
-  for (size_t k = risk->lo(); k <= risk->hi(); ++k) {
-    const Subset& s = partition[k];
-    size_t inspected = 0, matches = 0;
-    for (size_t i = s.begin; i < s.end; ++i) {
-      if (!oracle.WasAsked(i)) continue;
-      ++inspected;
-      matches += oracle.CachedAnswer(i);
-    }
-    risk->SetEvidence(k, inspected, matches);
-  }
 }
 
 }  // namespace humo::core

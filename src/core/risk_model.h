@@ -65,27 +65,22 @@ class RiskModel {
   /// inspecting one pair of subset k removes this much expected error.
   double PairRisk(size_t k, double confidence) const;
 
-  /// Aggregate posterior over the uninspected pairs of subsets [a, b]
-  /// (within [lo, hi]), split by machine label: the mean and variance of
-  /// the realized match COUNT in each bucket (ConditionSubset's count
-  /// moments, summed as independent across subsets), plus the pair totals.
-  /// These feed the precision/recall certification bounds.
+  /// Aggregate posterior over the uninspected pairs of [lo, hi], split by
+  /// machine label: the mean and variance of the realized match COUNT in
+  /// each bucket (ConditionSubset's count moments, summed as independent
+  /// across subsets), plus the pair totals. These feed the precision/recall
+  /// certification bounds.
   struct UninspectedAggregate {
     double match_mean = 0.0, match_var = 0.0, match_pairs = 0.0;
     double unmatch_mean = 0.0, unmatch_var = 0.0, unmatch_pairs = 0.0;
   };
-  UninspectedAggregate Aggregate(size_t a, size_t b) const;
-  UninspectedAggregate Aggregate() const { return Aggregate(lo_, hi_); }
+  UninspectedAggregate Aggregate() const;
 
-  /// Human-inspected matches across subsets [a, b] (full range by default).
-  size_t TotalInspectedMatches(size_t a, size_t b) const;
-  size_t TotalInspectedMatches() const {
-    return TotalInspectedMatches(lo_, hi_);
-  }
+  /// Human-inspected matches across [lo, hi].
+  size_t TotalInspectedMatches() const;
 
-  /// Uninspected pairs across subsets [a, b] (full range by default).
-  size_t TotalUninspected(size_t a, size_t b) const;
-  size_t TotalUninspected() const { return TotalUninspected(lo_, hi_); }
+  /// Uninspected pairs across [lo, hi].
+  size_t TotalUninspected() const;
 
  private:
   SubsetPosterior PosteriorOf(size_t k) const;
@@ -107,28 +102,28 @@ struct RiskCertificate {
   }
 };
 
-/// Precision/recall lower bounds when DH = subsets [a, b] is partially
-/// inspected and the rest of the workload is machine-labeled around it:
+/// Precision/recall lower bounds when DH = the risk model's [lo, hi] is
+/// partially inspected and the rest of the workload is machine-labeled
+/// around it:
 ///   precision >= (lb(D+) + A + lb(match-labeled uninspected)) /
 ///                (|D+| + A + match-labeled uninspected pairs)
 ///   recall    >= tp_lb / (tp_lb + ub(D-) + ub(unmatch-labeled uninspected))
 /// with A the human-inspected DH matches (exact, human-corrected), the
-/// D+/D- terms from the GP range accumulators (`dplus` over [b+1, m-1],
-/// `dminus` over [0, a-1], empty when the zone is), and the uninspected
+/// D+/D- terms from the GP range accumulators (`dplus` over [hi+1, m-1],
+/// `dminus` over [0, lo-1], empty when the zone is), and the uninspected
 /// terms from `risk`'s mean/variance aggregation — every bound taken at
 /// `confidence` (the paper's per-requirement sqrt(theta) convention).
-RiskCertificate CertifyRange(const RiskModel& risk, size_t a, size_t b,
+RiskCertificate CertifyRange(const RiskModel& risk,
                              const GpRangeAccumulator& dplus,
                              const GpRangeAccumulator& dminus,
                              double confidence);
 
 /// Best case the range could certify: the bounds of CertifyRange if every
-/// uninspected pair of [a, b] were human-inspected and resolved exactly to
-/// its posterior mean. When even this potential misses a target, no amount
-/// of inspection inside [a, b] can certify it and the range must grow —
-/// the extension rule of HybridOptimizer::OptimizeRiskAware.
-RiskCertificate CertifyRangePotential(const RiskModel& risk, size_t a,
-                                      size_t b,
+/// uninspected pair of [lo, hi] were human-inspected and resolved exactly
+/// to its posterior mean. When even this potential misses a target, no
+/// amount of inspection inside the range can certify it — the risk loop's
+/// fast-fail.
+RiskCertificate CertifyRangePotential(const RiskModel& risk,
                                       const GpRangeAccumulator& dplus,
                                       const GpRangeAccumulator& dminus,
                                       double confidence);
@@ -144,11 +139,5 @@ RiskCertificate CertifyRangePotential(const RiskModel& risk, size_t a,
 std::vector<std::vector<size_t>> InitRiskEvidence(
     const SubsetPartition& partition, const Oracle& oracle, RiskModel* risk,
     uint64_t seed);
-
-/// Evidence-only variant of InitRiskEvidence: seeds `risk` from the
-/// oracle's answer memory without building (or shuffling) the uninspected
-/// pair lists — all a range-selection phase needs before any inspection.
-void SeedRiskEvidence(const SubsetPartition& partition, const Oracle& oracle,
-                      RiskModel* risk);
 
 }  // namespace humo::core

@@ -6,6 +6,17 @@
 
 namespace humo::core {
 
+Status ValidateRequirement(const QualityRequirement& req) {
+  // Written so that NaN fails every test.
+  if (!(req.alpha >= 0.0 && req.alpha <= 1.0))
+    return Status::InvalidArgument("alpha must lie in [0, 1]");
+  if (!(req.beta >= 0.0 && req.beta <= 1.0))
+    return Status::InvalidArgument("beta must lie in [0, 1]");
+  if (!(req.theta > 0.0 && req.theta < 1.0))
+    return Status::InvalidArgument("theta must lie in (0, 1)");
+  return Status::OK();
+}
+
 ResolutionResult ApplySolution(const SubsetPartition& partition,
                                const HumoSolution& solution, Oracle* oracle) {
   assert(oracle != nullptr);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/oracle.h"
 #include "core/partition.h"
 
@@ -16,6 +17,11 @@ struct QualityRequirement {
   double beta = 0.9;
   double theta = 0.9;
 };
+
+/// Rejects a requirement outside Definition 1's ranges with InvalidArgument:
+/// alpha and beta must lie in [0, 1] and theta in (0, 1); NaN is rejected
+/// too. Every certifier checks this before it inspects a pair.
+Status ValidateRequirement(const QualityRequirement& req);
 
 /// A HUMO solution: the subset-index range [h_lo, h_hi] forming DH.
 /// Subsets below h_lo are D- (auto unmatch); above h_hi are D+ (auto match).

@@ -128,7 +128,7 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
       break;
     }
     case StreamCertifier::kHybr: {
-      HybridOptions hybrid = options_.hybrid;
+      HybridOptions hybrid;
       hybrid.sampling = options_.sampling;
       HUMO_ASSIGN_OR_RETURN(HumoSolution sol,
                             HybridOptimizer(hybrid).Optimize(&ctx_, req_));
@@ -138,7 +138,7 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
       break;
     }
     case StreamCertifier::kRisk: {
-      RiskAwareOptions risk = options_.risk;
+      RiskAwareOptions risk;
       risk.sampling = options_.sampling;
       HUMO_ASSIGN_OR_RETURN(RiskAwareOutcome out,
                             RiskAwareOptimizer(risk).Resolve(&ctx_, req_));

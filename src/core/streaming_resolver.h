@@ -36,12 +36,6 @@ struct StreamingOptions {
   /// The same options must be used for the one-shot comparison run when
   /// checking the bit-identity contract.
   PartialSamplingOptions sampling;
-  /// Extra configuration of the kHybr certifier; its `sampling` member is
-  /// overridden by `sampling` above.
-  HybridOptions hybrid;
-  /// Extra configuration of the kRisk certifier; its `sampling` member is
-  /// overridden by `sampling` above.
-  RiskAwareOptions risk;
 };
 
 /// What one epoch's ingest did and what the machine-side serving state says

@@ -209,7 +209,7 @@ TEST(GpSubsetModelTest, ExactObservationsOverrideGpMean) {
   for (size_t k = 0; k < model.num_subsets(); k += 2) {
     EXPECT_TRUE(model.HasEvidence(k));
     EXPECT_DOUBLE_EQ(model.PosteriorMean(k), 0.5);
-    EXPECT_EQ(model.PosteriorVariance(k), 0.0);
+    EXPECT_EQ(model.IndependentVariance(k), 0.0);
   }
   EXPECT_FALSE(model.HasEvidence(1));
 }
@@ -559,8 +559,9 @@ TEST(GpSubsetModelTest, PrecomputedPosteriorMatchesSelfComputingBitForBit) {
     ASSERT_EQ(handed.num_subsets(), m);
     for (size_t k = 0; k < m; ++k) {
       EXPECT_EQ(Bits(handed.PosteriorMean(k)), Bits(self.PosteriorMean(k)));
-      EXPECT_EQ(Bits(handed.PosteriorVariance(k)),
-                Bits(self.PosteriorVariance(k)));
+      EXPECT_EQ(Bits(handed.PriorVariance(k)), Bits(self.PriorVariance(k)));
+      EXPECT_EQ(Bits(handed.IndependentVariance(k)),
+                Bits(self.IndependentVariance(k)));
       EXPECT_EQ(Bits(handed.LeftCross(k)), Bits(self.LeftCross(k)));
       EXPECT_EQ(Bits(handed.RightCross(k)), Bits(self.RightCross(k)));
       ASSERT_EQ(handed.W(k).size(), self.W(k).size());

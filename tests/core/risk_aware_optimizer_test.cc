@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.h"
 #include "core/estimation_engine.h"
-#include "core/hybrid_optimizer.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/risk_model.h"
 #include "core/solution.h"
@@ -83,8 +82,6 @@ TEST(RiskModelTest, AggregateSplitsByMachineLabelAndHonorsEvidence) {
   EXPECT_EQ(none.match_pairs + none.unmatch_pairs, 0.0);
   EXPECT_EQ(risk.TotalUninspected(), 0u);
   EXPECT_EQ(risk.TotalInspectedMatches(), 5u * 95u + 5u * 2u);
-  // Sub-range aggregation matches manual slicing.
-  EXPECT_EQ(risk.TotalInspectedMatches(0, 4), 5u * 2u);
 }
 
 class RiskAwareOptimizerTest : public ::testing::Test {
@@ -217,39 +214,19 @@ TEST_F(RiskAwareOptimizerTest, BitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(rlb[0], rlb[1]);
 }
 
-TEST_F(RiskAwareOptimizerTest, HybridRiskHookCertifiesBelowSampCost) {
+TEST_F(RiskAwareOptimizerTest, RejectsBadInputs) {
   SubsetPartition p(&ds_, 200);
   const QualityRequirement req{0.9, 0.9, 0.9};
-
-  Oracle samp_oracle(&ds_);
-  auto sol = PartialSamplingOptimizer().Optimize(p, req, &samp_oracle);
-  ASSERT_TRUE(sol.ok());
-  ApplySolution(p, *sol, &samp_oracle);
-
-  Oracle oracle(&ds_);
-  auto out = HybridOptimizer().OptimizeRiskAware(p, req, &oracle);
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(out->certified);
-  EXPECT_LT(oracle.cost(), samp_oracle.cost());
-  const auto q = eval::QualityOf(ds_, out->resolution.labels);
-  EXPECT_GE(q.precision, req.alpha);
-  EXPECT_GE(q.recall, req.beta);
-  // The hook's DH never exceeds S0's range.
-  EXPECT_GE(out->solution.h_lo, sol->h_lo);
-  EXPECT_LE(out->solution.h_hi, sol->h_hi);
-}
-
-TEST_F(RiskAwareOptimizerTest, ResolveWithinRejectsBadArguments) {
-  SubsetPartition p(&ds_, 200);
-  const QualityRequirement req{0.9, 0.9, 0.9};
-  Oracle oracle(&ds_);
-  EstimationContext ctx(&p, &oracle);
-  RiskAwareOptimizer opt;
-  HumoSolution dh;
-  dh.h_lo = 5;
-  dh.h_hi = 2;  // inverted
-  EXPECT_FALSE(opt.ResolveWithin(&ctx, req, dh, MakeModel().get()).ok());
-  EXPECT_FALSE(opt.ResolveWithin(&ctx, req, dh, nullptr).ok());
+  const RiskAwareOptimizer opt;
+  EXPECT_EQ(opt.Resolve(nullptr, req).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(opt.Resolve(p, req, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  const data::Workload empty;
+  SubsetPartition pe(&empty, 200);
+  Oracle oracle(&empty);
+  EXPECT_EQ(opt.Resolve(pe, req, &oracle).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

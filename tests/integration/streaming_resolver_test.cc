@@ -263,7 +263,7 @@ TEST_F(StreamingResolverTest,
   core::SubsetPartition partition(&ds_, options.subset_size);
   core::Oracle oracle(&ds_);
   core::EstimationContext ctx(&partition, &oracle);
-  core::HybridOptions hybrid = options.hybrid;
+  core::HybridOptions hybrid;
   hybrid.sampling = options.sampling;
   auto oneshot_sol = core::HybridOptimizer(hybrid).Optimize(&ctx, req);
   ASSERT_TRUE(oneshot_sol.ok());
