@@ -2,7 +2,7 @@
 //
 //   refit:   full hyperparameter-grid re-selection from scratch every round
 //            (gp_warm_lml_slack = -infinity) vs. rank-k Cholesky
-//            appends on the previous winner (Cholesky::Append via
+//            appends on the previous winner (Cholesky::Extended via
 //            GpRegression::ExtendedWith — the warm-start path)
 //   predict: per-point GpRegression::Predict in a loop vs. PredictBatch
 //            (one cross-Gram build + one blocked multi-RHS solve)

@@ -83,14 +83,6 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<int64_t>(
-                  NextBelow(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 Rng Rng::Stream(uint64_t seed, uint64_t stream_id) {
   // Decorrelate (seed, stream) pairs with one SplitMix64 round over a
   // golden-ratio combination before the constructor's own expansion.

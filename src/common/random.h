@@ -37,17 +37,11 @@ class Rng {
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
-  /// Derives an independent child generator (for parallel substreams).
-  Rng Fork();
-
   /// Deterministic per-task stream: an independent generator derived from a
-  /// base seed and a task/stream id. Unlike Fork(), Stream() does not
-  /// consume state from any existing generator, so tasks scheduled in any
-  /// order (or on any number of threads) always see identical draws —
-  /// the contract ThreadPool::ParallelFor bodies rely on.
+  /// base seed and a task/stream id. Stream() does not consume state from
+  /// any existing generator, so tasks scheduled in any order (or on any
+  /// number of threads) always see identical draws — the contract
+  /// ThreadPool::ParallelFor bodies rely on.
   static Rng Stream(uint64_t seed, uint64_t stream_id);
 
   /// Fisher-Yates shuffle of a vector in place.

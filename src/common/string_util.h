@@ -6,24 +6,11 @@
 
 namespace humo {
 
-/// ASCII lower-casing (the datasets in this project are ASCII-normalized).
-std::string ToLower(std::string_view s);
-
-/// Trims ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
-
-/// Splits on a single character; keeps empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
 /// Splits on any run of characters in `seps`; drops empty fields.
 std::vector<std::string> SplitAny(std::string_view s, std::string_view seps);
 
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// True if `s` starts with / ends with the given prefix/suffix.
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Collapses runs of whitespace to single spaces and trims; lower-cases;
 /// strips all characters that are not alphanumeric or space. This is the

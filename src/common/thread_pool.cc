@@ -105,9 +105,9 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
 
 size_t ThreadPool::DefaultThreadCount() {
   const int64_t env = GetEnvInt64("HUMO_NUM_THREADS", 0);
-  if (env > 0) return static_cast<size_t>(env);
+  if (env > 0) return std::min(static_cast<size_t>(env), kMaxDefaultThreads);
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
+  return hw == 0 ? 1 : std::min(static_cast<size_t>(hw), kMaxDefaultThreads);
 }
 
 namespace {

@@ -22,7 +22,8 @@ namespace humo {
 /// result is bit-identical for every thread count, including 1.
 ///
 /// The pool size defaults to the HUMO_NUM_THREADS environment variable
-/// (read through common/env.h) and falls back to the hardware concurrency.
+/// (read through common/env.h, capped at kMaxDefaultThreads) and falls back
+/// to the hardware concurrency.
 /// A pool of size 1 has no worker threads and runs every body inline, which
 /// is the reference serial path.
 ///
@@ -49,8 +50,12 @@ class ThreadPool {
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
+  /// Upper limit of DefaultThreadCount(). HUMO_NUM_THREADS is outside
+  /// input, and the first Global() starts that many threads.
+  static constexpr size_t kMaxDefaultThreads = 256;
+
   /// HUMO_NUM_THREADS when set to a positive value, otherwise the hardware
-  /// concurrency (at least 1).
+  /// concurrency (at least 1); at most kMaxDefaultThreads either way.
   static size_t DefaultThreadCount();
 
   /// Process-wide pool used by the numeric kernels (GP Gram construction,

@@ -191,43 +191,10 @@ std::vector<char> CrowdOracle::InspectBatch(
   return verdicts;
 }
 
-size_t CrowdOracle::InspectRange(size_t begin, size_t end) {
-  assert(begin <= end && end <= workload_->size());
-  std::vector<size_t> range(end - begin);
-  for (size_t i = begin; i < end; ++i) range[i - begin] = i;
-  const std::vector<char> verdicts = InspectBatch(range);
-  size_t matches = 0;
-  for (const char v : verdicts) matches += v != 0;
-  return matches;
-}
-
-void CrowdOracle::Preload(size_t index, bool verdict) {
-  assert(index < workload_->size());
-  if (verdicts_.Record(index, verdict)) ++preloaded_;
-}
-
-double CrowdOracle::CostFraction() const {
-  if (workload_->size() == 0) return 0.0;
-  return static_cast<double>(worker_answers_) /
-         static_cast<double>(workload_->size());
-}
-
 double CrowdOracle::VerdictErrorRate() const {
   if (adjudicated_ == 0) return 0.0;
   return static_cast<double>(wrong_verdicts_) /
          static_cast<double>(adjudicated_);
-}
-
-void CrowdOracle::Reset() {
-  verdicts_.Clear();
-  worker_answers_ = 0;
-  wrong_verdicts_ = 0;
-  total_requests_ = 0;
-  adjudicated_ = 0;
-  preloaded_ = 0;
-  votes_.clear();
-  vote_items_ = 0;
-  worker_error_estimates_.clear();
 }
 
 }  // namespace humo::core

@@ -79,11 +79,7 @@ CrowdOptions ValidateCrowdOptions(CrowdOptions options);
 ///
 /// Verdict memory uses the same paged bitmap as core::Oracle, so a crowd
 /// pass over a 10M-pair workload holds megabytes, not the >0.5 GiB an
-/// unordered_map verdict cache would. The oracle also carries the same
-/// evidence seam as core::Oracle — Preload / AnswerSnapshot with direct
-/// purchased-vs-preloaded counters — so streaming re-keying and review
-/// fold-in behave identically whichever backend answers the human's
-/// questions.
+/// unordered_map verdict cache would.
 ///
 /// Determinism: votes are pure functions of (seed, pair, worker), the EM
 /// runs a fixed iteration count over the purchase-ordered vote history, and
@@ -104,22 +100,6 @@ class CrowdOracle {
   /// EM adjudicates them.
   std::vector<char> InspectBatch(const std::vector<size_t>& indices);
 
-  /// Batch adjudication of the contiguous pair range [begin, end); returns
-  /// the number of match verdicts among them.
-  size_t InspectRange(size_t begin, size_t end);
-
-  /// Seeds the verdict memory with a verdict that was already paid for
-  /// elsewhere — the same evidence-carry seam as core::Oracle::Preload
-  /// (streaming re-keying across epoch merges, review fold-in). A preloaded
-  /// verdict is free: no worker answers, no requests, and later queries are
-  /// served from memory exactly like an adjudicated pair. Preloading an
-  /// index that already has a verdict is a no-op.
-  void Preload(size_t index, bool verdict);
-
-  /// Number of verdicts seeded through Preload (and still distinct from
-  /// any purchased adjudication).
-  size_t preloaded() const { return preloaded_; }
-
   /// Total worker answers purchased.
   size_t worker_answers() const { return worker_answers_; }
 
@@ -127,24 +107,16 @@ class CrowdOracle {
   /// verdict cache.
   size_t total_requests() const { return total_requests_; }
 
-  /// Requests served from the verdict cache (adjudicated earlier or
-  /// preloaded) instead of a fresh crowd purchase — mirrors
-  /// core::Oracle::duplicate_requests().
+  /// Requests served from the verdict cache instead of a fresh crowd
+  /// purchase — mirrors core::Oracle::duplicate_requests().
   size_t duplicate_requests() const { return total_requests_ - adjudicated_; }
 
-  /// Distinct pairs adjudicated by PURCHASED worker answers. Preloaded
-  /// verdicts are excluded — they were paid for wherever they were
-  /// originally adjudicated. Tracked directly (not derived from the verdict
-  /// memory size), so no preload/inspect ordering can skew it.
+  /// Distinct pairs adjudicated by purchased worker answers.
   size_t pairs_adjudicated() const { return adjudicated_; }
-
-  /// Worker answers divided by workload size: the crowd-cost analogue of
-  /// the paper's psi.
-  double CostFraction() const;
 
   /// Fraction of PURCHASED adjudications whose verdict disagrees with the
   /// ground truth (observable in simulation only; used by tests and
-  /// benches). Preloaded verdicts are not counted.
+  /// benches).
   double VerdictErrorRate() const;
 
   /// The latent error rate planted for pool worker `worker` — what the
@@ -158,23 +130,14 @@ class CrowdOracle {
     return worker_error_estimates_;
   }
 
-  /// True if the pair already has a verdict (adjudicated or preloaded).
+  /// True if the pair already has a verdict.
   bool WasAsked(size_t index) const { return verdicts_.Known(index); }
 
   /// The remembered verdict for a pair with one (free lookup; does not
   /// count as a request). Precondition: WasAsked(index).
   bool CachedAnswer(size_t index) const { return verdicts_.Answer(index); }
 
-  /// Every (index, verdict) held in memory — purchased and preloaded alike
-  /// — ascending by index; the crowd-backend analogue of
-  /// core::Oracle::AnswerSnapshot for streaming evidence re-keying.
-  std::vector<std::pair<size_t, bool>> AnswerSnapshot() const {
-    return verdicts_.Snapshot();
-  }
-
   const CrowdOptions& options() const { return options_; }
-
-  void Reset();
 
  private:
   /// Purchases votes and fixes verdicts for `fresh` (distinct, unknown)
@@ -190,7 +153,6 @@ class CrowdOracle {
   size_t wrong_verdicts_ = 0;
   size_t total_requests_ = 0;
   size_t adjudicated_ = 0;
-  size_t preloaded_ = 0;
   /// Purchase-ordered vote history (kDawidSkene only): item t is the t-th
   /// adjudicated pair.
   std::vector<stats::CrowdVote> votes_;

@@ -45,21 +45,11 @@ void SubsetStatsCache::ResizeKeepingPrefix(size_t num_subsets,
             stratum_known_.end(), 0);
 }
 
-void SubsetStatsCache::Clear() {
-  std::fill(full_known_.begin(), full_known_.end(), 0);
-  std::fill(stratum_known_.begin(), stratum_known_.end(), 0);
-}
-
 EstimationContext::EstimationContext(const SubsetPartition* partition,
                                      Oracle* oracle)
     : partition_(partition), oracle_(oracle) {
   assert(partition_ != nullptr);
   cache_.Resize(partition_->num_subsets());
-}
-
-bool EstimationContext::HasFullLabel(size_t k) const {
-  if (cache_.HasFullCount(k)) return true;
-  return cache_.HasStratum(k) && cache_.StratumAt(k).fully_enumerated();
 }
 
 size_t EstimationContext::LabelSubset(size_t k) {

@@ -72,9 +72,6 @@ class SubsetStatsCache {
   const stats::Stratum& StratumAt(size_t k) const;
   void SetStratum(size_t k, const stats::Stratum& stratum);
 
-  /// Drops every cached statistic (counts and strata).
-  void Clear();
-
  private:
   std::vector<char> full_known_;
   std::vector<size_t> full_count_;
@@ -139,9 +136,9 @@ struct PartialSamplingOutcome {
 /// SAMP enumerated is served from the SubsetStatsCache and every pair SAMP
 /// sampled is filtered out of the batches the engine sends.
 ///
-/// Human interaction goes through Oracle::InspectBatch / InspectRange so a
-/// subset is one batched unit of human work. Heavy machine-side math (GP
-/// Gram construction, Cholesky, simulation) runs on the process-global
+/// Human interaction goes through Oracle::InspectBatch so a subset is one
+/// batched unit of human work. Heavy machine-side math (GP Gram
+/// construction, Cholesky, simulation) runs on the process-global
 /// ThreadPool (size it with HUMO_NUM_THREADS or
 /// ThreadPool::SetGlobalThreads) with deterministic per-task RNG streams.
 class EstimationContext {
@@ -157,9 +154,6 @@ class EstimationContext {
   /// is returned without any oracle traffic, and on a miss only the pairs
   /// the oracle has not already answered are inspected (as one batch).
   size_t LabelSubset(size_t k);
-
-  /// True when subset k's exact match count is already known to the engine.
-  bool HasFullLabel(size_t k) const;
 
   /// Sampling stratum of subset k with up to `take` pairs labeled.
   /// Memoized: a cached stratum with enough samples (or a full enumeration)

@@ -35,25 +35,6 @@ SubsetPosterior ConditionSubset(double prior_mean, double prior_variance,
 GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
                              std::vector<double> avg_similarity,
                              std::vector<double> subset_sizes,
-                             std::vector<stats::Stratum> evidence,
-                             std::vector<double> scatter_variance,
-                             double variance_inflation)
-    : gp_(std::move(gp)),
-      v_(std::move(avg_similarity)),
-      n_(std::move(subset_sizes)),
-      evidence_(std::move(evidence)),
-      variance_inflation_(variance_inflation) {
-  assert(v_.size() == n_.size());
-  // One batched posterior over every subset replaces m per-point solves:
-  // the same pass yields the posterior means and the whitened cross
-  // vectors the range accumulators need (each bit-identical to the
-  // per-point Predict / WhitenedCross it stands in for).
-  InitFromPosterior(gp_.PredictBatch(v_, &w_), scatter_variance);
-}
-
-GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
-                             std::vector<double> avg_similarity,
-                             std::vector<double> subset_sizes,
                              const std::vector<gp::Prediction>& predictions,
                              std::vector<linalg::Vector> whitened,
                              std::vector<stats::Stratum> evidence,
@@ -67,24 +48,18 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
       variance_inflation_(variance_inflation) {
   assert(v_.size() == n_.size());
   assert(predictions.size() == v_.size() && w_.size() == v_.size());
-  InitFromPosterior(predictions, scatter_variance);
-}
-
-void GpSubsetModel::InitFromPosterior(
-    const std::vector<gp::Prediction>& predictions,
-    const std::vector<double>& scatter) {
   assert(evidence_.empty() || evidence_.size() == v_.size());
-  assert(scatter.empty() || scatter.size() == v_.size());
+  assert(scatter_variance.empty() || scatter_variance.size() == v_.size());
   assert(variance_inflation_ >= 1.0);
   const size_t m = v_.size();
   prior_mean_.resize(m);
   prior_var_.resize(m);
   mean_.resize(m);
   indep_var_.resize(m);
-  pop_prefix_.assign(m + 1, 0.0);
   for (size_t k = 0; k < m; ++k) {
     const double nk = n_[k];
-    const double scatter_k = scatter.empty() ? 0.0 : scatter[k];
+    const double scatter_k =
+        scatter_variance.empty() ? 0.0 : scatter_variance[k];
     prior_mean_[k] = std::clamp(predictions[k].mean, 0.0, 1.0);
     prior_var_[k] = variance_inflation_ * predictions[k].variance + scatter_k;
     if (HasEvidence(k)) {
@@ -100,7 +75,6 @@ void GpSubsetModel::InitFromPosterior(
       mean_[k] = prior_mean_[k];
       indep_var_[k] = nk * nk * scatter_k;
     }
-    pop_prefix_[k + 1] = pop_prefix_[k] + nk;
   }
   // Cross-sums over the lower triangle, each kernel value evaluated once:
   // K(v_k, v_j) for j < k joins LeftCross(k) and RightCross(j). The outer
@@ -127,11 +101,6 @@ void GpSubsetModel::InitFromPosterior(
 
 double GpSubsetModel::PriorK(size_t a, size_t b) const {
   return gp_.kernel()(v_[a], v_[b]);
-}
-
-double GpSubsetModel::PopulationInRange(size_t a, size_t b) const {
-  if (a > b || b >= v_.size()) return 0.0;
-  return pop_prefix_[b + 1] - pop_prefix_[a];
 }
 
 GpRangeAccumulator::GpRangeAccumulator(const GpSubsetModel* model)

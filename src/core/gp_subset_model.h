@@ -51,28 +51,19 @@ class GpSubsetModel {
  public:
   /// `avg_similarity[k]` / `subset_sizes[k]` describe subset k of the
   /// partition; the GP must have been fitted on sampled (similarity,
-  /// proportion) observations. `evidence` (optional, may be empty) holds
-  /// each subset's inspected pairs: `sample_size` distinct pairs of which
-  /// `sample_positives` are matches (0 of 0 = no evidence).
-  /// `scatter_variance` (empty = all zero) is the independent per-subset
-  /// proportion variance: workload irregularity plus the binomial
-  /// realization variance of the subset's count around the latent rate.
-  /// `variance_inflation` scales the GP-posterior part of every variance;
-  /// it is the leave-one-out calibration factor measured on the sampled
-  /// subsets (1 = the GP is well calibrated; >1 = the fit misses its own
-  /// pins by more than its posterior claims, so widen the bounds).
-  GpSubsetModel(gp::GpRegression gp, std::vector<double> avg_similarity,
-                std::vector<double> subset_sizes,
-                std::vector<stats::Stratum> evidence = {},
-                std::vector<double> scatter_variance = {},
-                double variance_inflation = 1.0);
-
-  /// The same model from a posterior the caller already holds:
-  /// `predictions` and `whitened` must be what
-  /// `gp.PredictBatch(avg_similarity, &whitened)` returned. A caller that
-  /// needs the per-subset predictions itself (SAMP derives the scatter
-  /// variances from them) hands its pass over instead of paying for a
-  /// second one; the model is bit-identical to the constructor above.
+  /// proportion) observations. `predictions` and `whitened` must be what
+  /// `gp.PredictBatch(avg_similarity, &whitened)` returned: the caller
+  /// makes that one posterior pass (SAMP also derives the scatter variances
+  /// from it). `evidence` (may be empty) holds each subset's inspected
+  /// pairs: `sample_size` distinct pairs of which `sample_positives` are
+  /// matches (0 of 0 = no evidence). `scatter_variance` (empty = all zero)
+  /// is the independent per-subset proportion variance: workload
+  /// irregularity plus the binomial realization variance of the subset's
+  /// count around the latent rate. `variance_inflation` scales the
+  /// GP-posterior part of every variance; it is the leave-one-out
+  /// calibration factor measured on the sampled subsets (1 = the GP is well
+  /// calibrated; >1 = the fit misses its own pins by more than its
+  /// posterior claims, so widen the bounds).
   GpSubsetModel(gp::GpRegression gp, std::vector<double> avg_similarity,
                 std::vector<double> subset_sizes,
                 const std::vector<gp::Prediction>& predictions,
@@ -126,17 +117,9 @@ class GpSubsetModel {
   double SubsetSize(size_t k) const { return n_[k]; }
   double AvgSimilarity(size_t k) const { return v_[k]; }
 
-  /// Total pairs in subsets [a, b]; 0 when a > b.
-  double PopulationInRange(size_t a, size_t b) const;
-
   const gp::GpRegression& gp() const { return gp_; }
 
  private:
-  /// Fills the prior, the per-subset posteriors, the population prefix and
-  /// the cross-sums from the posterior predictions (w_ already set).
-  void InitFromPosterior(const std::vector<gp::Prediction>& predictions,
-                         const std::vector<double>& scatter);
-
   gp::GpRegression gp_;
   std::vector<double> v_;
   std::vector<double> n_;
@@ -147,7 +130,6 @@ class GpSubsetModel {
   std::vector<double> prior_var_;
   std::vector<double> mean_;
   std::vector<double> indep_var_;
-  std::vector<double> pop_prefix_;  // pop_prefix_[k] = sum n_[0..k-1]
   std::vector<double> left_cross_;
   std::vector<double> right_cross_;
 };

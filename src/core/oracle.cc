@@ -88,21 +88,6 @@ std::vector<char> Oracle::InspectBatch(const std::vector<size_t>& indices) {
   return answers;
 }
 
-size_t Oracle::InspectRange(size_t begin, size_t end) {
-  assert(begin <= end && end <= workload_->size());
-  if (provider_) {
-    std::vector<size_t> range(end - begin);
-    for (size_t i = begin; i < end; ++i) range[i - begin] = i;
-    const std::vector<char> answers = InspectBatch(range);
-    size_t matches = 0;
-    for (const char a : answers) matches += a != 0;
-    return matches;
-  }
-  size_t matches = 0;
-  for (size_t i = begin; i < end; ++i) matches += Label(i);
-  return matches;
-}
-
 void Oracle::Preload(size_t index, bool answer) {
   assert(index < workload_->size());
   if (answers_.Record(index, answer)) ++preloaded_;

@@ -38,11 +38,15 @@ class Oracle {
   /// Out-of-band answer source for pairs that have no remembered answer
   /// yet: receives the distinct unanswered indices of one inspection batch
   /// (first-occurrence order) and returns one answer per index, parallel to
-  /// the input. The resolution service's bridge onto its asynchronous crowd
-  /// queue. A provider MUST return exactly the answers InlineAnswer()
+  /// the input. Cost accounting is unchanged whichever provider answers.
+  /// Two providers exist. The resolution service's bridge onto its
+  /// asynchronous crowd queue returns exactly the answers InlineAnswer()
   /// computes — routing changes who answers and when, never the values —
-  /// which is what keeps the drain-to-quiescence contract bit-identical to
-  /// the inline run. Cost accounting is unchanged either way.
+  /// and that exactness is what its drain-to-quiescence contract (drained
+  /// state bit-identical to the synchronous run) needs.
+  /// CrowdTaskBroker::Provider() returns crowd verdicts: they equal
+  /// InlineAnswer() only when every worker is error-free and the oracle's
+  /// own error_rate is 0, and differ otherwise.
   using AnswerProvider =
       std::function<std::vector<char>(const std::vector<size_t>&)>;
 
@@ -73,10 +77,6 @@ class Oracle {
   /// which is what the estimation engine routes through.
   std::vector<char> InspectBatch(const std::vector<size_t>& indices);
 
-  /// Batch inspection of the contiguous pair range [begin, end); returns
-  /// the number of matches among them.
-  size_t InspectRange(size_t begin, size_t end);
-
   /// Seeds the answer memory with an answer that was already paid for
   /// elsewhere — the streaming resolver's evidence carry-over across epoch
   /// merges, where pair indices shift and answers must be re-keyed. A
@@ -95,8 +95,8 @@ class Oracle {
   /// for wherever they were originally inspected.
   size_t cost() const { return inspected_; }
 
-  /// Every pair index ever passed to Label/InspectBatch/InspectRange,
-  /// including repeats answered from memory.
+  /// Every pair index ever passed to Label/InspectBatch, including repeats
+  /// answered from memory.
   size_t total_requests() const { return total_requests_; }
 
   /// Requests that were answered from memory instead of a fresh inspection.

@@ -411,46 +411,6 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
     HUMO_ASSIGN_OR_RETURN(gp, FitGp(ctx, partition, strata, train, options_));
   }
 
-  // ---- Phase 1b: variance-targeted refinement (implementation extension;
-  // docs/ARCHITECTURE.md, "The estimation engine and its data flow").
-  // Algorithm 1's epsilon test only checks posterior MEANS at bracket
-  // midpoints; subsets whose posterior variance is large (pair-dense gaps,
-  // the transition band) can survive it and then dominate the Eq. 20
-  // aggregation. Spend any remaining sampling budget on the unsampled
-  // subset with the largest bound contribution n_k * std(k).
-  while (train.size() < budget) {
-    // One batched posterior over all unsampled subsets per round (the m - j
-    // per-point solves used to dominate this phase).
-    std::vector<size_t> unsampled;
-    std::vector<double> unsampled_sims;
-    for (size_t k = 0; k < m; ++k) {
-      if (sampled[k]) continue;
-      unsampled.push_back(k);
-      unsampled_sims.push_back(partition[k].avg_similarity);
-    }
-    const std::vector<gp::Prediction> preds = gp.PredictBatch(unsampled_sims);
-    double best_score = 0.0;
-    size_t best_k = m;
-    for (size_t t = 0; t < unsampled.size(); ++t) {
-      const size_t k = unsampled[t];
-      const double score =
-          static_cast<double>(partition[k].size()) * preds[t].stddev();
-      if (score > best_score) {
-        best_score = score;
-        best_k = k;
-      }
-    }
-    // Stop when no unsampled subset contributes meaningfully (under one
-    // pair's worth of uncertainty).
-    if (best_k >= m || best_score < 1.0) break;
-    strata[best_k] =
-        ctx->SampleSubset(best_k, options_.samples_per_subset, &rng);
-    sampled[best_k] = true;
-    train.insert(std::upper_bound(train.begin(), train.end(), best_k),
-                 best_k);
-    HUMO_ASSIGN_OR_RETURN(gp, FitGp(ctx, partition, strata, train, options_));
-  }
-
   // ---- Build the subset-level model. ----
   const double scatter = EstimateScatterVariance(strata, train);
   if (scatter > 1e-6) {

@@ -49,7 +49,7 @@ struct PartialSamplingOptions {
   double sample_fraction_hi = 0.06;
   /// Warm-start acceptance slack for incremental GP refits, in nats per
   /// training point. When a refinement round only appends observations, the
-  /// previous winner's Cholesky factor is extended (Cholesky::Append,
+  /// previous winner's Cholesky factor is extended (Cholesky::Extended,
   /// O(n^2 k)) and its hyperparameters kept; the full grid is re-run when
   /// the warm model's per-datum log marginal likelihood drops more than
   /// this below the value of the last GRID selection (the baseline is

@@ -130,11 +130,4 @@ size_t SubsetPartition::PairsInRange(size_t from, size_t to) const {
   return subsets_[to].end - subsets_[from].begin;
 }
 
-size_t SubsetPartition::SubsetOf(size_t pair_idx) const {
-  assert(pair_idx < workload_->size());
-  size_t k = pair_idx / subset_size_;
-  if (k >= subsets_.size()) k = subsets_.size() - 1;
-  return k;
-}
-
 }  // namespace humo::core

@@ -53,9 +53,6 @@ class SubsetPartition {
   /// Total pairs across subsets [from, to] inclusive; 0 when from > to.
   size_t PairsInRange(size_t from, size_t to) const;
 
-  /// Index of the subset containing pair index `pair_idx`.
-  size_t SubsetOf(size_t pair_idx) const;
-
  private:
   const data::Workload* workload_ = nullptr;
   size_t subset_size_ = 0;

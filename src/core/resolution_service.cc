@@ -108,16 +108,6 @@ AsyncOracleQueue::TakeCompleted() {
   return out;
 }
 
-size_t AsyncOracleQueue::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_.size() + in_flight_;
-}
-
-size_t AsyncOracleQueue::completed_unfolded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return completed_.size();
-}
-
 void AsyncOracleQueue::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return tasks_.empty() && in_flight_ == 0; });
@@ -286,25 +276,6 @@ Result<StreamingCertificate> ResolutionService::DrainToQuiescence() {
 
 std::shared_ptr<const ResolutionSnapshot> ResolutionService::snapshot() const {
   return std::atomic_load(&snapshot_);
-}
-
-std::optional<int> ResolutionService::LabelOf(size_t index) const {
-  const std::shared_ptr<const ResolutionSnapshot> snap = snapshot();
-  if (index >= snap->pairs()) return std::nullopt;
-  return snap->LabelOf(index);
-}
-
-std::optional<int> ResolutionService::LabelOfPair(
-    const data::InstancePair& pair) const {
-  const std::shared_ptr<const ResolutionSnapshot> snap = snapshot();
-  const std::optional<size_t> idx = snap->Find(pair);
-  if (!idx.has_value()) return std::nullopt;
-  return snap->LabelOf(*idx);
-}
-
-std::optional<uint32_t> ResolutionService::EntityOfRecord(
-    entity::RecordRef record) const {
-  return snapshot()->EntityOf(record);
 }
 
 size_t ResolutionService::FoldCompletedReviewsLocked() {

@@ -54,16 +54,6 @@ class ResolutionSnapshot {
   const std::vector<int>& labels() const { return labels_; }
   int LabelOf(size_t index) const { return labels_[index]; }
 
-  /// Index of `pair` by identity in this snapshot's sorted order, or
-  /// nullopt when the pair had not arrived yet. Binary search over the
-  /// snapshot's own workload copy — the "have I seen this entity before?"
-  /// serving question, answered without touching mutable state.
-  std::optional<size_t> Find(const data::InstancePair& pair) const {
-    const size_t idx = workload_->IndexOfSorted(pair);
-    if (idx >= workload_->size()) return std::nullopt;
-    return idx;
-  }
-
   /// Batch lookup: labels for `indices`, parallel to the input.
   std::vector<int> BatchLabels(const std::vector<size_t>& indices) const {
     std::vector<int> out(indices.size());
@@ -169,11 +159,6 @@ class AsyncOracleQueue {
   /// Drains the completed-review buffer (delivery order).
   std::vector<CompletedReview> TakeCompleted();
 
-  /// Queued-or-in-flight work items (chunks + reviews).
-  size_t pending() const;
-  /// Reviews delivered but not yet taken by TakeCompleted().
-  size_t completed_unfolded() const;
-
   /// Blocks until no work is queued or in flight.
   void WaitIdle();
 
@@ -235,9 +220,9 @@ struct ResolutionServiceOptions {
 /// shared_ptr swap (RCU-style: readers pin the epoch they loaded, old
 /// epochs are reclaimed when the last reader drops them).
 ///
-/// Read side (snapshot / LabelOf / LabelOfPair / EstimatedQuality) never
-/// takes the writer lock and never blocks on mutation — a lookup is an
-/// atomic snapshot load plus an array read against frozen storage.
+/// Read side (snapshot / EstimatedQuality) never takes the writer lock and
+/// never blocks on mutation — a lookup is an atomic snapshot load plus an
+/// array read against frozen storage.
 ///
 /// Human work is asynchronous: certification runs on a background thread
 /// whose fresh oracle inspections are routed through the AsyncOracleQueue
@@ -309,24 +294,11 @@ class ResolutionService {
   /// The last published snapshot; never null after construction.
   std::shared_ptr<const ResolutionSnapshot> snapshot() const;
 
-  /// Label of pair `index` in the latest snapshot, or nullopt out of range.
-  std::optional<int> LabelOf(size_t index) const;
-
-  /// Label of `pair` by identity in the latest snapshot, or nullopt when
-  /// the pair has not arrived yet.
-  std::optional<int> LabelOfPair(const data::InstancePair& pair) const;
-
-  /// Entity of `record` in the latest snapshot's entity view, or nullopt
-  /// when the record has not been mentioned yet. Wait-free, like LabelOf.
-  std::optional<uint32_t> EntityOfRecord(entity::RecordRef record) const;
-
   QualityEstimate EstimatedQuality() const { return snapshot()->quality(); }
 
   // --- Introspection ---
 
   size_t snapshots_published() const { return publish_count_.load(); }
-  size_t pending_crowd_tasks() const { return queue_.pending(); }
-  size_t unfolded_reviews() const { return queue_.completed_unfolded(); }
   size_t reviews_enqueued() const { return reviews_enqueued_.load(); }
   size_t reviews_folded() const { return reviews_folded_.load(); }
   const AsyncOracleQueue& queue() const { return queue_; }

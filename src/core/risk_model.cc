@@ -30,11 +30,6 @@ void RiskModel::SetEvidence(size_t k, size_t inspected, size_t matches) {
   matches_[t] = matches;
 }
 
-size_t RiskModel::Uninspected(size_t k) const {
-  assert(k >= lo_ && k <= hi_);
-  return size_[k - lo_] - inspected_[k - lo_];
-}
-
 size_t RiskModel::InspectedMatches(size_t k) const {
   assert(k >= lo_ && k <= hi_);
   return matches_[k - lo_];

@@ -44,9 +44,6 @@ class RiskModel {
   /// non-decreasing; `inspected` may not exceed the subset size.
   void SetEvidence(size_t k, size_t inspected, size_t matches);
 
-  /// Pairs of subset k not yet human-inspected (machine-labeled pairs).
-  size_t Uninspected(size_t k) const;
-
   /// Human-inspected matches of subset k (exact, human-corrected).
   size_t InspectedMatches(size_t k) const;
 

@@ -127,16 +127,6 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
       cert.certified = true;
       break;
     }
-    case StreamCertifier::kHybr: {
-      HybridOptions hybrid;
-      hybrid.sampling = options_.sampling;
-      HUMO_ASSIGN_OR_RETURN(HumoSolution sol,
-                            HybridOptimizer(hybrid).Optimize(&ctx_, req_));
-      cert.solution = sol;
-      cert.resolution = ApplySolution(partition_, sol, &oracle_);
-      cert.certified = true;
-      break;
-    }
     case StreamCertifier::kRisk: {
       RiskAwareOptions risk;
       risk.sampling = options_.sampling;
@@ -219,54 +209,27 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
                      st.sample_size});
   }
 
-  bool warm_extended = false;
   if (!fresh.empty() &&
       prov_pins_.size() + fresh.size() >= kProvisionalMinPins) {
-    if (prov_model_.has_value()) {
-      // Only new pins arrived on top of an intact training set: extend the
-      // factor by the appended rows instead of re-running the grid.
-      std::vector<double> xs, ys, noise;
-      xs.reserve(fresh.size());
-      ys.reserve(fresh.size());
-      noise.reserve(fresh.size());
-      for (const ProvPin& p : fresh) {
-        xs.push_back(p.x);
-        ys.push_back(p.y);
-        noise.push_back(p.noise);
-      }
-      Result<gp::GpRegression> extended =
-          prov_model_->ExtendedWith(xs, ys, noise);
-      if (extended.ok()) {
-        prov_model_ = std::move(*extended);
-        prov_pins_.insert(prov_pins_.end(), fresh.begin(), fresh.end());
-        warm_extended = true;
-        ++prov_gp_extensions_;
-      } else {
-        prov_model_.reset();
-      }
+    std::vector<ProvPin> all = prov_pins_;
+    all.insert(all.end(), fresh.begin(), fresh.end());
+    std::vector<double> xs, ys, noise;
+    xs.reserve(all.size());
+    ys.reserve(all.size());
+    noise.reserve(all.size());
+    for (const ProvPin& p : all) {
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+      noise.push_back(p.noise);
     }
-    if (!prov_model_.has_value()) {
-      std::vector<ProvPin> all = prov_pins_;
-      all.insert(all.end(), fresh.begin(), fresh.end());
-      std::vector<double> xs, ys, noise;
-      xs.reserve(all.size());
-      ys.reserve(all.size());
-      noise.reserve(all.size());
-      for (const ProvPin& p : all) {
-        xs.push_back(p.x);
-        ys.push_back(p.y);
-        noise.push_back(p.noise);
-      }
-      Result<gp::GpRegression> fit =
-          FitProvisionalGp(xs, ys, std::move(noise));
-      if (fit.ok()) {
-        prov_model_ = std::move(*fit);
-        prov_pins_ = std::move(all);
-        ++prov_gp_grid_fits_;
-      }
-      // On failure the pins stay unpinned; a later epoch retries with more
-      // evidence.
+    Result<gp::GpRegression> fit = FitProvisionalGp(xs, ys, std::move(noise));
+    if (fit.ok()) {
+      prov_model_ = std::move(*fit);
+      prov_pins_ = std::move(all);
+      ++prov_gp_grid_fits_;
     }
+    // On failure the fresh pins stay unpinned; a later epoch retries with
+    // more evidence.
   }
 
   // Provisional labeling + plug-in quality estimates.
@@ -302,7 +265,6 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
     exp_true += answered_pos + unanswered * q;
   }
   if (report != nullptr) {
-    report->gp_warm_extended = warm_extended;
     report->has_estimate = prov_model_.has_value();
     report->est_precision = exp_pos > 0.0 ? exp_tp / exp_pos : 1.0;
     report->est_recall = exp_true > 0.0 ? exp_tp / exp_true : 1.0;

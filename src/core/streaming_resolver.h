@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "core/estimation_engine.h"
-#include "core/hybrid_optimizer.h"
 #include "core/oracle.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
@@ -24,7 +23,6 @@ namespace humo::core {
 /// workload.
 enum class StreamCertifier {
   kSamp,  ///< partial sampling + GP bounds, full DH inspection (§VI)
-  kHybr,  ///< hybrid re-extension (§VII)
   kRisk,  ///< SAMP's DH, risk-ordered partial inspection (r-HUMO style)
 };
 
@@ -50,9 +48,6 @@ struct EpochReport {
   /// oracle answers, subset statistics, and GP warm-start state all
   /// survived the merge untouched.
   bool pure_append = false;
-  /// True when the provisional GP refit rode GpRegression::ExtendedWith
-  /// (rank-k factor append) instead of a from-scratch grid fit.
-  bool gp_warm_extended = false;
   /// Distinct pairs with a carried human answer after this epoch.
   size_t evidence_pairs = 0;
   /// True when enough evidence exists for a provisional GP estimate; the
@@ -71,11 +66,11 @@ struct StreamingCertificate {
   HumoSolution solution;
   ResolutionResult resolution;
   QualityRequirement req;
-  /// True when the certifier established the requirement (SAMP/HYBR certify
-  /// by construction on success; kRisk reports its stop condition).
+  /// True when the certifier established the requirement (SAMP certifies by
+  /// construction on success; kRisk reports its stop condition).
   bool certified = false;
-  /// Certified lower bounds (kRisk only; 0 for SAMP/HYBR, whose guarantee
-  /// is the req itself at confidence theta).
+  /// Certified lower bounds (kRisk only; 0 for SAMP, whose guarantee is the
+  /// req itself at confidence theta).
   double precision_lb = 0.0;
   double recall_lb = 0.0;
   /// Shards ingested when this certificate was issued.
@@ -101,13 +96,13 @@ struct StreamingCertificate {
 /// across interior merges via Oracle::Preload), the EstimationContext's
 /// subset-statistics cache and GP warm-start state (carried across pure
 /// tail appends, dropped when a merge invalidates them), and a provisional
-/// GP over the accumulated evidence (append-refitted via
-/// GpRegression::ExtendedWith when only new pins arrived).
+/// GP over the accumulated evidence (re-selected on the hyperparameter grid
+/// when new pins arrive).
 ///
 /// Human interaction is epoch-batched and lazy (the CrowdER batching model
 /// taken to its conclusion): Ingest() never contacts the oracle — it only
 /// updates machine-side state and the provisional labeling/estimates —
-/// while Certify() runs the configured SAMP/HYBR/RISK machinery over the
+/// while Certify() runs the configured SAMP or RISK machinery over the
 /// cumulative workload, paying only for pairs no earlier epoch answered.
 /// This is what makes the headline contracts hold simultaneously:
 ///
@@ -115,7 +110,7 @@ struct StreamingCertificate {
 ///    certifying once yields a partition, labeling, and certificate
 ///    bit-identical to the one-shot run on the concatenated workload, at
 ///    exactly the one-shot oracle cost (== one-shot SAMP for kSamp, <= it
-///    for kHybr/kRisk), with zero duplicate oracle requests.
+///    for kRisk), with zero duplicate oracle requests.
 ///  * Re-certifying after more shards arrive replays no human work: every
 ///    carried answer is served from memory, so the new certificate costs
 ///    only the fresh pairs the new evidence demands. The resolver's oracle
@@ -198,10 +193,8 @@ class StreamingResolver {
     oracle_.SetAnswerProvider(std::move(provider));
   }
 
-  /// Lifetime provisional-GP refit counters: how often the serving model
-  /// was extended in place (GpRegression::ExtendedWith rank-k append) vs
-  /// re-selected on the hyperparameter grid.
-  size_t provisional_gp_extensions() const { return prov_gp_extensions_; }
+  /// Lifetime count of provisional-GP fits (grid selections over the
+  /// serving model's pins).
   size_t provisional_gp_grid_fits() const { return prov_gp_grid_fits_; }
 
   /// The most recent certificate, or nullptr before the first Certify().
@@ -226,8 +219,8 @@ class StreamingResolver {
   }
 
  private:
-  /// Rebuilds evidence strata, the provisional GP (ExtendedWith fast path),
-  /// the provisional labeling, and the plug-in quality estimates.
+  /// Rebuilds evidence strata, the provisional GP, the provisional
+  /// labeling, and the plug-in quality estimates.
   void RefreshProvisional(EpochReport* report);
 
   /// Index of `pair` in the cumulative sorted order (binary search under
@@ -260,7 +253,6 @@ class StreamingResolver {
   std::vector<ProvPin> prov_pins_;  // discovery order (GP insertion order)
   std::optional<gp::GpRegression> prov_model_;
   std::vector<int> provisional_labels_;
-  size_t prov_gp_extensions_ = 0;
   size_t prov_gp_grid_fits_ = 0;
 };
 

@@ -218,10 +218,6 @@ MmapColumns::~MmapColumns() {
   if (map_ != nullptr) ::munmap(map_, map_size_);
 }
 
-void MmapColumns::AdviseSequential() const {
-  if (map_ != nullptr) ::madvise(map_, map_size_, MADV_SEQUENTIAL);
-}
-
 void MmapColumns::AdviseRandom() const {
   if (map_ != nullptr) ::madvise(map_, map_size_, MADV_RANDOM);
 }

@@ -55,9 +55,8 @@ class MmapColumns {
   /// Total bytes mapped (the file size).
   size_t MappedBytes() const { return map_size_; }
 
-  /// madvise hints for the whole mapping: streaming scans want aggressive
-  /// readahead, partition/oracle access wants none.
-  void AdviseSequential() const;
+  /// madvise hint for the whole mapping: partition/oracle access wants no
+  /// readahead.
   void AdviseRandom() const;
 
  private:

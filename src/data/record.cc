@@ -14,10 +14,4 @@ Status RecordTable::Add(Record r) {
   return Status::OK();
 }
 
-Result<size_t> RecordTable::AttributeIndex(const std::string& name) const {
-  for (size_t i = 0; i < schema_.size(); ++i)
-    if (schema_[i] == name) return i;
-  return Status::NotFound("no attribute named " + name);
-}
-
 }  // namespace humo::data

@@ -32,9 +32,6 @@ class RecordTable {
   /// Appends a record; its attribute count must match the schema.
   Status Add(Record r);
 
-  /// Attribute column index by name, or error.
-  Result<size_t> AttributeIndex(const std::string& name) const;
-
  private:
   std::vector<std::string> schema_;
   std::vector<Record> records_;

@@ -82,18 +82,6 @@ Workload::Workload(Workload&& other) noexcept
   other.SyncViews();
 }
 
-Workload& Workload::operator=(const Workload& other) {
-  if (this != &other) {
-    similarities_ = other.similarities_;
-    left_ids_ = other.left_ids_;
-    right_ids_ = other.right_ids_;
-    labels_ = other.labels_;
-    mmap_ = other.mmap_;
-    SyncViews();
-  }
-  return *this;
-}
-
 Workload& Workload::operator=(Workload&& other) noexcept {
   if (this != &other) {
     similarities_ = std::move(other.similarities_);
@@ -418,15 +406,6 @@ void Workload::Add(InstancePair pair) {
   left_ids_.push_back(pair.left_id);
   right_ids_.push_back(pair.right_id);
   labels_.push_back(pair.is_match ? 1 : 0);
-  SyncViews();
-}
-
-void Workload::Reserve(size_t n) {
-  assert(!mmap_backed());
-  similarities_.reserve(n);
-  left_ids_.reserve(n);
-  right_ids_.reserve(n);
-  labels_.reserve(n);
   SyncViews();
 }
 

@@ -65,7 +65,8 @@ class Workload {
 
   Workload(const Workload& other);
   Workload(Workload&& other) noexcept;
-  Workload& operator=(const Workload& other);
+  /// No caller assigns a copy; copy-construct or move-assign instead.
+  Workload& operator=(const Workload& other) = delete;
   Workload& operator=(Workload&& other) noexcept;
 
   /// Sorts pairs ascending by similarity (id pair breaks ties
@@ -155,9 +156,6 @@ class Workload {
 
   /// Appends a pair (invalidates sortedness until SortBySimilarity).
   void Add(InstancePair pair);
-
-  /// Reserves column capacity for `n` pairs.
-  void Reserve(size_t n);
 
   /// Builds a workload directly from columns (all four the same length),
   /// then sorts. The zero-copy construction path for generators and

@@ -67,16 +67,4 @@ Shard WorkloadStream::ShardAt(size_t epoch) const {
   return shard;
 }
 
-Workload WorkloadStream::PrefixWorkload(size_t upto) const {
-  assert(upto <= options_.num_shards);
-  std::vector<InstancePair> pairs;
-  size_t total = 0;
-  for (size_t e = 0; e < upto; ++e) total += assignment_[e].size();
-  pairs.reserve(total);
-  for (size_t e = 0; e < upto; ++e) {
-    for (size_t i : assignment_[e]) pairs.push_back((*base_)[i]);
-  }
-  return Workload(std::move(pairs));
-}
-
 }  // namespace humo::data

@@ -69,11 +69,6 @@ class WorkloadStream {
   /// The shard a given epoch delivers, independent of iteration state.
   Shard ShardAt(size_t epoch) const;
 
-  /// Sorted workload holding the union of shards [0, upto): the one-shot
-  /// comparison object for a stream consumed up to epoch `upto`.
-  /// PrefixWorkload(num_shards()) equals the base workload.
-  Workload PrefixWorkload(size_t upto) const;
-
  private:
   const Workload* base_;
   WorkloadStreamOptions options_;

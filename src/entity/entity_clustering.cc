@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/resolution_service.h"
-
 namespace humo::entity {
 namespace {
 
@@ -125,18 +123,6 @@ EntityClustering EntityClustering::FromLabels(const data::Workload& workload,
   EntityClustering out;
   out.BuildFrom(IndexRecords(workload, options), labels);
   return out;
-}
-
-EntityClustering EntityClustering::FromSolution(
-    const data::Workload& workload, const core::ResolutionResult& result,
-    const ClusteringOptions& options) {
-  return FromLabels(workload, result.labels, options);
-}
-
-EntityClustering EntityClustering::FromSnapshot(
-    const core::ResolutionSnapshot& snapshot,
-    const ClusteringOptions& options) {
-  return FromLabels(snapshot.workload(), snapshot.labels(), options);
 }
 
 void EntityClustering::BuildFrom(RecordUniverse universe,

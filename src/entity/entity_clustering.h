@@ -5,12 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/solution.h"
 #include "data/workload.h"
-
-namespace humo::core {
-class ResolutionSnapshot;
-}  // namespace humo::core
 
 namespace humo::entity {
 
@@ -114,19 +109,6 @@ class EntityClustering {
   static EntityClustering FromLabels(const data::Workload& workload,
                                      const std::vector<int>& labels,
                                      const ClusteringOptions& options = {});
-
-  /// Clusters by a certified resolution result (the labels ApplySolution or
-  /// RiskAwareOptimizer::Resolve produced over this workload).
-  static EntityClustering FromSolution(const data::Workload& workload,
-                                       const core::ResolutionResult& result,
-                                       const ClusteringOptions& options = {});
-
-  /// Clusters a published resolution-service snapshot's labels over the
-  /// snapshot's own workload copy. (The service already builds and serves
-  /// this view at publish time — see ResolutionSnapshot::entities(); this
-  /// entry point is for re-deriving it independently.)
-  static EntityClustering FromSnapshot(const core::ResolutionSnapshot& snapshot,
-                                       const ClusteringOptions& options = {});
 
   /// Distinct records seen by the workload (both sides).
   size_t num_records() const { return record_keys_.size(); }

@@ -73,14 +73,6 @@ Status ValidateHyperparameters(double sf2, double l) {
 
 double Prediction::stddev() const { return std::sqrt(std::max(0.0, variance)); }
 
-double JointPrediction::WeightedTotalMean(
-    const std::vector<double>& weights) const {
-  assert(weights.size() == mean.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < mean.size(); ++i) acc += weights[i] * mean[i];
-  return acc;
-}
-
 double JointPrediction::WeightedTotalStdDev(
     const std::vector<double>& weights) const {
   assert(weights.size() == mean.size());

@@ -25,10 +25,6 @@ struct JointPrediction {
   std::vector<double> mean;
   linalg::Matrix covariance;
 
-  /// Sum over points of n_i * mean_i, i.e. expected total positives when
-  /// mean_i are match proportions and weights n_i are subset sizes (Eq. 19).
-  double WeightedTotalMean(const std::vector<double>& weights) const;
-
   /// Std-dev of the weighted total: sqrt(sum_ij n_i n_j cov_ij) (Eq. 20).
   double WeightedTotalStdDev(const std::vector<double>& weights) const;
 };

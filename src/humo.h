@@ -65,7 +65,7 @@
 ///   core::ResolutionService service({/*streaming=*/{}}, req);
 ///   while (stream.Next(&shard)) service.Ingest(std::move(shard));
 ///   service.RequestCertification();        // returns immediately
-///   auto label = service.LabelOfPair(p);   // wait-free, any thread
+///   auto label = service.snapshot()->LabelOf(i);  // wait-free, any thread
 ///   auto cert = service.DrainToQuiescence();  // == streaming.Certify()
 ///
 /// Pair labels are only half the story: downstream consumers want ENTITIES.
@@ -95,8 +95,8 @@
 ///
 /// Machine-side heavy paths (GP kernel matrices, Cholesky factorization,
 /// workload simulation) run on a thread pool sized by the HUMO_NUM_THREADS
-/// environment variable (default: hardware concurrency); results are
-/// bit-identical at any thread count.
+/// environment variable (default: hardware concurrency; at most 256);
+/// results are bit-identical at any thread count.
 
 #include "actl/active_learning.h"
 #include "common/csv.h"

@@ -95,7 +95,7 @@ Result<Cholesky> Cholesky::Extended(const Matrix& rows) const {
   const size_t k = rows.rows();
   if (rows.cols() != n + k && k != 0)
     return Status::InvalidArgument(
-        StrFormat("Append rows must be %zux%zu, got %zux%zu", k, n + k,
+        StrFormat("Extended rows must be %zux%zu, got %zux%zu", k, n + k,
                   rows.rows(), rows.cols()));
   Cholesky out;
   out.jitter_used_ = jitter_used_;
@@ -122,14 +122,6 @@ Result<Cholesky> Cholesky::Extended(const Matrix& rows) const {
     lr[r] = std::sqrt(pivot);
   }
   return out;
-}
-
-Status Cholesky::Append(const Matrix& rows) {
-  if (rows.rows() == 0) return Status::OK();
-  Result<Cholesky> ext = Extended(rows);
-  if (!ext.ok()) return ext.status();
-  *this = std::move(*ext);
-  return Status::OK();
 }
 
 Vector Cholesky::SolveLower(const Vector& b) const {
@@ -213,24 +205,6 @@ Vector Cholesky::Solve(const Vector& b) const {
     for (size_t k = ii + 1; k < n; ++k) sum -= l_(k, ii) * x[k];
     x[ii] = sum / l_(ii, ii);
   }
-  return x;
-}
-
-Matrix Cholesky::Solve(const Matrix& b) const {
-  assert(b.rows() == l_.rows());
-  Matrix x(b.rows(), b.cols());
-  // Columns are independent solves writing disjoint output columns;
-  // per-column arithmetic is the serial forward/back substitution, so the
-  // result is thread-count invariant.
-  ThreadPool::Global()->ParallelFor(
-      b.cols(), /*grain=*/8, [&](size_t col_begin, size_t col_end) {
-        Vector col(b.rows());
-        for (size_t c = col_begin; c < col_end; ++c) {
-          for (size_t r = 0; r < b.rows(); ++r) col[r] = b(r, c);
-          Vector sol = Solve(col);
-          for (size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
-        }
-      });
   return x;
 }
 

@@ -22,30 +22,23 @@ class Cholesky {
                                  double max_jitter = 1e-2);
 
   /// Rank-k extension of the factor when new observations arrive: given
-  /// this factor of the n x n matrix A, appends the k trailing rows/columns
-  /// of the bordered matrix A' = [[A, B^T], [B, C]] in O(n^2 k) instead of
-  /// the O(n^3) from-scratch refactor. `rows` is k x (n+k); its row i holds
-  /// row n+i of A' up to and including the diagonal (columns beyond n+i are
-  /// ignored). Each new factor row is computed with the exact expression
-  /// and summation order of the serial elimination, and jitter_used() is
-  /// added to every new diagonal entry, so on success the factor is
-  /// bit-identical to Factor(A') whenever Factor(A') lands on the same
-  /// jitter. When a new pivot is non-positive the factor is left unchanged
-  /// and an error is returned — jitter cannot be added retroactively to the
+  /// this factor of the n x n matrix A, returns the factor of the bordered
+  /// matrix A' = [[A, B^T], [B, C]] in O(n^2 k) instead of the O(n^3)
+  /// from-scratch refactor, leaving this one untouched. `rows` is
+  /// k x (n+k); its row i holds row n+i of A' up to and including the
+  /// diagonal (columns beyond n+i are ignored). Each new factor row is
+  /// computed with the exact expression and summation order of the serial
+  /// elimination, and jitter_used() is added to every new diagonal entry,
+  /// so on success the factor is bit-identical to Factor(A') whenever
+  /// Factor(A') lands on the same jitter. When a new pivot is non-positive
+  /// an error is returned — jitter cannot be added retroactively to the
   /// already-frozen block, so the caller must refactor from scratch.
-  Status Append(const Matrix& rows);
-
-  /// Non-mutating form of Append: returns the extended factor, leaving this
-  /// one untouched. Exactly one (n+k)^2 allocation+copy is made (the frozen
-  /// block is written straight into the extended matrix), which is what
-  /// GpRegression::ExtendedWith uses to avoid copying the factor twice.
+  /// Exactly one (n+k)^2 allocation+copy is made (the frozen block is
+  /// written straight into the extended matrix).
   Result<Cholesky> Extended(const Matrix& rows) const;
 
   /// Solves A x = b via forward+back substitution.
   Vector Solve(const Vector& b) const;
-
-  /// Solves A X = B column-by-column.
-  Matrix Solve(const Matrix& b) const;
 
   /// Solves L y = b (forward substitution only).
   Vector SolveLower(const Vector& b) const;
@@ -60,7 +53,7 @@ class Cholesky {
   /// prediction gets its single-core speedup.
   Matrix SolveLowerRows(const Matrix& rhs_rows) const;
 
-  /// Diagonal of A^-1, entry t bit-identical to Solve(Identity)(t, t):
+  /// Diagonal of A^-1, entry t bit-identical to Solve(e_t)[t]:
   /// column t's forward substitution starts at row t (the rows above it
   /// solve to exact +0 against the zero right-hand side, and subtracting
   /// their zero products leaves every later chain's bits unchanged) and its

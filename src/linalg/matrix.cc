@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #ifdef __SSE2__
 #include <emmintrin.h>
@@ -61,27 +60,6 @@ Vector Matrix::operator*(const Vector& v) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out = *this;
-  out += rhs;
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] - rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::AddToDiagonal(double x) {
   assert(rows_ == cols_);
   for (size_t i = 0; i < rows_; ++i) (*this)(i, i) += x;
@@ -94,21 +72,6 @@ double Matrix::MaxAbsDiff(const Matrix& rhs) const {
   for (size_t i = 0; i < data_.size(); ++i)
     mx = std::max(mx, std::fabs(data_[i] - rhs.data_[i]));
   return mx;
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream os;
-  os.precision(precision);
-  os << std::fixed;
-  for (size_t r = 0; r < rows_; ++r) {
-    os << "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c) os << ", ";
-      os << (*this)(r, c);
-    }
-    os << "]\n";
-  }
-  return os.str();
 }
 
 double Dot(const Vector& a, const Vector& b) {
@@ -224,25 +187,5 @@ template void SubDotInterleavedStep<4>(const double*, size_t, double, double*);
 template void SubDotInterleavedStep<8>(const double*, size_t, double, double*);
 template void SubDotInterleavedStep<16>(const double*, size_t, double,
                                         double*);
-
-Vector Sub(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-Vector Add(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-Vector Scale(const Vector& v, double s) {
-  Vector out(v);
-  for (double& x : out) x *= s;
-  return out;
-}
 
 }  // namespace humo::linalg

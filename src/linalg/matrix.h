@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace humo::linalg {
@@ -63,15 +62,10 @@ class Matrix {
   Matrix Transpose() const;
   Matrix operator*(const Matrix& rhs) const;
   Vector operator*(const Vector& v) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator+=(const Matrix& rhs);
   Matrix& AddToDiagonal(double x);
 
   /// Max absolute element difference; matrices must be the same shape.
   double MaxAbsDiff(const Matrix& rhs) const;
-
-  std::string ToString(int precision = 4) const;
 
  private:
   size_t rows_, cols_;
@@ -123,14 +117,5 @@ void SubDotRange4(const double start[4], const double* a, const double* b0,
 template <int W>
 void SubDotInterleavedStep(const double* a, size_t i, double pivot,
                            double* buf);
-
-/// a - b elementwise.
-Vector Sub(const Vector& a, const Vector& b);
-
-/// a + b elementwise.
-Vector Add(const Vector& a, const Vector& b);
-
-/// s * v
-Vector Scale(const Vector& v, double s);
 
 }  // namespace humo::linalg

@@ -5,12 +5,6 @@
 
 namespace humo::ml {
 
-size_t Dataset::CountPositives() const {
-  size_t n = 0;
-  for (int l : labels) n += (l == 1);
-  return n;
-}
-
 void Dataset::Add(FeatureVector f, int label) {
   assert(label == 0 || label == 1);
   assert(features.empty() || f.size() == features[0].size());
@@ -32,25 +26,6 @@ TrainTestSplit SplitDataset(const Dataset& data, double train_fraction,
     dst.Add(data.features[idx[i]], data.labels[idx[i]]);
   }
   return split;
-}
-
-std::vector<std::vector<size_t>> KFoldIndices(size_t n, size_t k, Rng* rng) {
-  assert(k >= 2 && k <= n);
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  rng->Shuffle(&idx);
-  std::vector<std::vector<size_t>> folds(k);
-  for (size_t i = 0; i < n; ++i) folds[i % k].push_back(idx[i]);
-  return folds;
-}
-
-Dataset Subset(const Dataset& data, const std::vector<size_t>& indices) {
-  Dataset out;
-  for (size_t i : indices) {
-    assert(i < data.size());
-    out.Add(data.features[i], data.labels[i]);
-  }
-  return out;
 }
 
 }  // namespace humo::ml

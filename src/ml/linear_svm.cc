@@ -1,7 +1,6 @@
 #include "ml/linear_svm.h"
 
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 namespace humo::ml {
@@ -47,9 +46,6 @@ LinearSvm LinearSvm::Train(const Dataset& data, const SvmOptions& options) {
       }
     }
   }
-  svm.w_norm_ = std::sqrt(std::inner_product(svm.w_.begin(), svm.w_.end(),
-                                             svm.w_.begin(), 0.0));
-  if (svm.w_norm_ == 0.0) svm.w_norm_ = 1.0;
   return svm;
 }
 
@@ -62,10 +58,6 @@ double LinearSvm::DecisionValue(const FeatureVector& f) const {
 
 int LinearSvm::Predict(const FeatureVector& f) const {
   return DecisionValue(f) >= 0.0 ? 1 : 0;
-}
-
-double LinearSvm::Distance(const FeatureVector& f) const {
-  return DecisionValue(f) / w_norm_;
 }
 
 }  // namespace humo::ml

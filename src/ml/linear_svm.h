@@ -35,17 +35,12 @@ class LinearSvm {
   /// Hard prediction in {0,1}.
   int Predict(const FeatureVector& f) const;
 
-  /// Signed distance to the hyperplane: (w.x + b) / ||w||. This is the
-  /// "SVM distance" machine metric discussed in §IV-A of the paper.
-  double Distance(const FeatureVector& f) const;
-
   const std::vector<double>& weights() const { return w_; }
   double bias() const { return b_; }
 
  private:
   std::vector<double> w_;
   double b_ = 0.0;
-  double w_norm_ = 1.0;
 };
 
 }  // namespace humo::ml

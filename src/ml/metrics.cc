@@ -22,17 +22,6 @@ double ClassificationMetrics::f1() const {
   return 2.0 * p * r / (p + r);
 }
 
-double ClassificationMetrics::accuracy() const {
-  const size_t n = total();
-  if (n == 0) return 1.0;
-  return static_cast<double>(true_positives + true_negatives) /
-         static_cast<double>(n);
-}
-
-size_t ClassificationMetrics::total() const {
-  return true_positives + false_positives + true_negatives + false_negatives;
-}
-
 ClassificationMetrics EvaluateLabels(const std::vector<int>& predicted,
                                      const std::vector<int>& truth) {
   assert(predicted.size() == truth.size());

@@ -20,8 +20,6 @@ struct ClassificationMetrics {
   double recall() const;
   /// Harmonic mean of precision and recall; 0 when both are 0.
   double f1() const;
-  double accuracy() const;
-  size_t total() const;
 };
 
 /// Computes the confusion counts of predicted vs ground-truth labels

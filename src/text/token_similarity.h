@@ -15,37 +15,8 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 
 /// Convenience overload: normalizes both strings (lower-case, strip
 /// punctuation), word-tokenizes, and computes Jaccard. Re-does that work on
-/// EVERY call — scoring loops that see each record many times should
-/// precompute SortedUniqueTokens once per record and call
-/// JaccardSortedUnique instead (or go all the way to dictionary ids via
-/// data/record_columns.h + simd_similarity.h).
+/// EVERY call — scoring loops that see each record many times should go to
+/// dictionary ids via data/record_columns.h + simd_similarity.h.
 double JaccardSimilarity(std::string_view a, std::string_view b);
-
-/// The precomputation for the fast path below: normalized, word-tokenized,
-/// sorted, deduplicated tokens of `s`.
-std::vector<std::string> SortedUniqueTokens(std::string_view s);
-
-/// Tokens-precomputed Jaccard fast path: both inputs must be sorted and
-/// unique (as produced by SortedUniqueTokens). A single merge pass — no
-/// hashing, no set allocation — returning exactly the same value as
-/// JaccardSimilarity on the originating strings.
-double JaccardSortedUnique(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b);
-
-/// Sørensen-Dice coefficient 2|A∩B| / (|A|+|B|).
-double DiceSimilarity(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b);
-
-/// Overlap coefficient |A∩B| / min(|A|,|B|).
-double OverlapCoefficient(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b);
-
-/// Jaccard over padded character q-grams.
-double QGramJaccard(std::string_view a, std::string_view b, size_t q = 3);
-
-/// Monge-Elkan: mean over tokens of `a` of the best Jaro-Winkler match in
-/// `b`. Asymmetric; callers wanting symmetry should average both directions.
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b);
 
 }  // namespace humo::text

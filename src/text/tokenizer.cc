@@ -8,27 +8,6 @@ std::vector<std::string> WordTokens(std::string_view s) {
   return SplitAny(s, " \t\r\n");
 }
 
-std::vector<std::string> QGrams(std::string_view s, size_t q, bool pad) {
-  std::vector<std::string> grams;
-  if (s.empty() || q == 0) return grams;
-  std::string padded;
-  std::string_view src = s;
-  if (pad && q > 1) {
-    padded.assign(q - 1, '#');
-    padded.append(s);
-    padded.append(q - 1, '#');
-    src = padded;
-  }
-  if (src.size() < q) {
-    grams.emplace_back(src);
-    return grams;
-  }
-  grams.reserve(src.size() - q + 1);
-  for (size_t i = 0; i + q <= src.size(); ++i)
-    grams.emplace_back(src.substr(i, q));
-  return grams;
-}
-
 std::unordered_set<std::string> TokenSet(
     const std::vector<std::string>& tokens) {
   return {tokens.begin(), tokens.end()};

@@ -10,12 +10,6 @@ namespace humo::text {
 /// Splits a normalized string into word tokens (whitespace-delimited).
 std::vector<std::string> WordTokens(std::string_view s);
 
-/// Character q-grams of a string; when `pad` is true the string is padded
-/// with q-1 leading/trailing '#' markers so boundary characters contribute
-/// the same number of grams as interior ones. Returns an empty vector for an
-/// empty input.
-std::vector<std::string> QGrams(std::string_view s, size_t q, bool pad = true);
-
 /// Deduplicated token set (for set-based similarities).
 std::unordered_set<std::string> TokenSet(
     const std::vector<std::string>& tokens);

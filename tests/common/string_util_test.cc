@@ -5,34 +5,6 @@
 namespace humo {
 namespace {
 
-TEST(StringUtilTest, ToLower) {
-  EXPECT_EQ(ToLower("HeLLo 123"), "hello 123");
-  EXPECT_EQ(ToLower(""), "");
-}
-
-TEST(StringUtilTest, Trim) {
-  EXPECT_EQ(Trim("  abc  "), "abc");
-  EXPECT_EQ(Trim("abc"), "abc");
-  EXPECT_EQ(Trim("\t\n abc \r"), "abc");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  const auto parts = Split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(StringUtilTest, SplitSingleField) {
-  const auto parts = Split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(StringUtilTest, SplitAnyDropsEmpties) {
   const auto parts = SplitAny("  foo  bar\tbaz ", " \t");
   ASSERT_EQ(parts.size(), 3u);
@@ -50,13 +22,6 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({"solo"}, ","), "solo");
   EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("humo_core", "humo"));
-  EXPECT_FALSE(StartsWith("humo", "humo_core"));
-  EXPECT_TRUE(EndsWith("table.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", "table.csv"));
 }
 
 TEST(StringUtilTest, NormalizeForMatchingLowercasesAndStripsPunctuation) {

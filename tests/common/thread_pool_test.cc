@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,22 @@ TEST(ThreadPoolTest, ConcurrentGlobalSwapKeepsLoopsValid) {
   EXPECT_GE(ThreadPool::RetiredGlobalPools(), retired_before + kSwaps - 1);
   EXPECT_GT(loops_run.load(), 0u);
   ThreadPool::SetGlobalThreads(0);  // back to the environment default
+}
+
+// HUMO_NUM_THREADS is outside input: a huge value must not size a pool
+// beyond the cap. Only the count is read; no pool is constructed.
+TEST(ThreadPoolTest, DefaultThreadCountCapsTheEnvironment) {
+  const char* old = std::getenv("HUMO_NUM_THREADS");
+  const std::string saved = old != nullptr ? old : "";
+  setenv("HUMO_NUM_THREADS", "1000000000", 1);
+  const size_t count = ThreadPool::DefaultThreadCount();
+  if (old != nullptr) {
+    setenv("HUMO_NUM_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("HUMO_NUM_THREADS");
+  }
+  EXPECT_LE(count, ThreadPool::kMaxDefaultThreads);
+  EXPECT_GE(count, 1u);
 }
 
 TEST(ThreadPoolTest, GlobalPoolResizable) {

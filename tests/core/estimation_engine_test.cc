@@ -25,8 +25,6 @@ TEST(SubsetStatsCacheTest, StoresAndRecallsFullCounts) {
   EXPECT_TRUE(cache.HasFullCount(2));
   EXPECT_EQ(cache.FullCount(2), 37u);
   EXPECT_FALSE(cache.HasFullCount(1));
-  cache.Clear();
-  EXPECT_FALSE(cache.HasFullCount(2));
 }
 
 TEST(SubsetStatsCacheTest, StoresAndRecallsStrata) {
@@ -212,7 +210,7 @@ TEST(EstimationContextTest, InspectSubsetPairsMergesIntoStratumAndPromotes) {
   ASSERT_TRUE(ctx.cache().HasStratum(4));
   EXPECT_EQ(ctx.cache().StratumAt(4).sample_size, first_half.size());
   EXPECT_EQ(ctx.cache().StratumAt(4).sample_positives, m1);
-  EXPECT_FALSE(ctx.HasFullLabel(4));
+  EXPECT_FALSE(ctx.cache().HasFullCount(4));
 
   // Re-asking the same pairs is free (served from the oracle's memory).
   const size_t again = ctx.InspectSubsetPairs(4, first_half);
@@ -223,7 +221,7 @@ TEST(EstimationContextTest, InspectSubsetPairsMergesIntoStratumAndPromotes) {
   // Completing the subset promotes the stratum to a full count, and a later
   // LabelSubset is a pure cache hit.
   const size_t m2 = ctx.InspectSubsetPairs(4, second_half);
-  EXPECT_TRUE(ctx.HasFullLabel(4));
+  EXPECT_TRUE(ctx.cache().HasFullCount(4));
   const size_t cost_before = oracle.cost();
   EXPECT_EQ(ctx.LabelSubset(4), m1 + m2);
   EXPECT_EQ(oracle.cost(), cost_before);
@@ -242,17 +240,6 @@ TEST(OracleBatchTest, InspectBatchMatchesSerialAnswers) {
   EXPECT_EQ(a.cost(), b.cost());
   EXPECT_EQ(a.cost(), 4u) << "distinct pairs only";
   EXPECT_EQ(a.duplicate_requests(), 2u);
-}
-
-TEST(OracleBatchTest, InspectRangeCountsMatches) {
-  const data::Workload w = MakeWorkload();
-  Oracle a(&w);
-  Oracle b(&w);
-  const size_t matches = a.InspectRange(100, 300);
-  size_t expect = 0;
-  for (size_t i = 100; i < 300; ++i) expect += b.Label(i);
-  EXPECT_EQ(matches, expect);
-  EXPECT_EQ(a.cost(), 200u);
 }
 
 }  // namespace

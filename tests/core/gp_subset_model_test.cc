@@ -15,6 +15,19 @@
 namespace humo::core {
 namespace {
 
+/// The model over `gp`'s posterior at `v`, built the way SAMP builds it:
+/// one PredictBatch pass handed to the constructor.
+GpSubsetModel ModelFromGp(gp::GpRegression gp, const std::vector<double>& v,
+                          const std::vector<double>& n,
+                          std::vector<stats::Stratum> evidence = {},
+                          std::vector<double> scatter = {},
+                          double inflation = 1.0) {
+  std::vector<linalg::Vector> whitened;
+  const std::vector<gp::Prediction> preds = gp.PredictBatch(v, &whitened);
+  return GpSubsetModel(std::move(gp), v, n, preds, std::move(whitened),
+                       std::move(evidence), std::move(scatter), inflation);
+}
+
 /// Builds a model over `m` subsets of size 100 whose proportions follow a
 /// smooth ramp, with every 4th subset observed.
 GpSubsetModel MakeModel(size_t m = 20) {
@@ -34,7 +47,7 @@ GpSubsetModel MakeModel(size_t m = 20) {
   auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.5, 0.3),
                                   train_x, train_y, o);
   EXPECT_TRUE(gp.ok());
-  return GpSubsetModel(std::move(*gp), v, n);
+  return ModelFromGp(std::move(*gp), v, n);
 }
 
 TEST(ConditionSubsetTest, NoEvidenceReturnsThePriorExactly) {
@@ -83,13 +96,6 @@ TEST(GpSubsetModelTest, MeansClampedToUnitInterval) {
     EXPECT_GE(model.PosteriorMean(k), 0.0);
     EXPECT_LE(model.PosteriorMean(k), 1.0);
   }
-}
-
-TEST(GpSubsetModelTest, PopulationInRange) {
-  const auto model = MakeModel();
-  EXPECT_DOUBLE_EQ(model.PopulationInRange(0, 19), 2000.0);
-  EXPECT_DOUBLE_EQ(model.PopulationInRange(3, 5), 300.0);
-  EXPECT_DOUBLE_EQ(model.PopulationInRange(5, 3), 0.0);
 }
 
 TEST(GpRangeAccumulatorTest, MatchesDirectJointPrediction) {
@@ -201,7 +207,7 @@ GpSubsetModel MakeModelWithObservations(double scatter_var,
   auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.25, 0.4),
                                   train_x, train_y, o);
   EXPECT_TRUE(gp.ok());
-  return GpSubsetModel(std::move(*gp), v, n, evidence, scatter, inflation);
+  return ModelFromGp(std::move(*gp), v, n, evidence, scatter, inflation);
 }
 
 TEST(GpSubsetModelTest, ExactObservationsOverrideGpMean) {
@@ -415,7 +421,7 @@ SubsetLayout MakeLayout(size_t m, const std::vector<size_t>& inspected) {
 }
 
 GpSubsetModel MakeLayoutModel(const SubsetLayout& l) {
-  return GpSubsetModel(FitRampGp(), l.v, l.n, l.evidence, l.scatter, 1.7);
+  return ModelFromGp(FitRampGp(), l.v, l.n, l.evidence, l.scatter, 1.7);
 }
 
 /// Applies each operation to both accumulators and checks every output bit
@@ -543,31 +549,6 @@ TEST(GpRangeAccumulatorTest, UnanchoredRangesMatchReferenceBitForBit) {
     c.ExtendRight();
     c.Clear();
     c.ExtendLeft();
-  }
-}
-
-TEST(GpSubsetModelTest, PrecomputedPosteriorMatchesSelfComputingBitForBit) {
-  const size_t m = 37;
-  for (const auto& inspected : EvidencePlacements(m)) {
-    const SubsetLayout l = MakeLayout(m, inspected);
-    const GpSubsetModel self = MakeLayoutModel(l);
-    gp::GpRegression gp = FitRampGp();
-    std::vector<linalg::Vector> whitened;
-    const std::vector<gp::Prediction> preds = gp.PredictBatch(l.v, &whitened);
-    const GpSubsetModel handed(std::move(gp), l.v, l.n, preds,
-                               std::move(whitened), l.evidence, l.scatter, 1.7);
-    ASSERT_EQ(handed.num_subsets(), m);
-    for (size_t k = 0; k < m; ++k) {
-      EXPECT_EQ(Bits(handed.PosteriorMean(k)), Bits(self.PosteriorMean(k)));
-      EXPECT_EQ(Bits(handed.PriorVariance(k)), Bits(self.PriorVariance(k)));
-      EXPECT_EQ(Bits(handed.IndependentVariance(k)),
-                Bits(self.IndependentVariance(k)));
-      EXPECT_EQ(Bits(handed.LeftCross(k)), Bits(self.LeftCross(k)));
-      EXPECT_EQ(Bits(handed.RightCross(k)), Bits(self.RightCross(k)));
-      ASSERT_EQ(handed.W(k).size(), self.W(k).size());
-      for (size_t i = 0; i < self.W(k).size(); ++i)
-        EXPECT_EQ(Bits(handed.W(k)[i]), Bits(self.W(k)[i])) << k << "," << i;
-    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/logistic_generator.h"
 
 namespace humo::core {
@@ -138,9 +140,9 @@ TEST(OracleTest, CostCountsOnlyFreshInspectionsNextToPreloads) {
   Oracle oracle(&w);
   oracle.Preload(0, false);
   oracle.Preload(1, true);
-  const size_t matches = oracle.InspectRange(0, 5);
+  const std::vector<char> answers = oracle.InspectBatch({0, 1, 2, 3, 4});
   // Pairs 0/1 served from preloads (1 true), 2-4 fresh (is_match false).
-  EXPECT_EQ(matches, 1u);
+  EXPECT_EQ(answers, (std::vector<char>{0, 1, 0, 0, 0}));
   EXPECT_EQ(oracle.cost(), 3u);
   EXPECT_EQ(oracle.preloaded(), 2u);
   EXPECT_EQ(oracle.CostFraction(), 0.3);
@@ -251,7 +253,9 @@ TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
   // Two pages (~1 KiB each) plus the page-pointer table.
   EXPECT_LT(sparse_bytes, 16 * 1024u);
 
-  oracle.InspectRange(0, n);
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  oracle.InspectBatch(all);
   const size_t full_bytes = oracle.AnswerMemoryBytes();
   EXPECT_EQ(oracle.cost(), n);
   // Full inspection: ~2 bits/pair plus page table — far under the ~50

@@ -38,22 +38,41 @@ TEST(PartialSamplingOptimizerTest, MeetsQualityOnSmoothWorkload) {
   EXPECT_GE(q.recall, 0.9);
 }
 
+// Bracket refinement spends the whole sampling budget, max(j0, floor(m p_u)):
+// it starts from about m p_l brackets against (p_u - p_l) m samples of
+// budget. SAMP has no phase after it that could spend what it leaves.
 TEST(PartialSamplingOptimizerTest, SamplesOnlyBudgetedFraction) {
-  const data::Workload w = MakeWorkload();
-  SubsetPartition p(&w, 200);
-  Oracle oracle(&w);
-  PartialSamplingOptions o;
-  o.sample_fraction_lo = 0.01;
-  o.sample_fraction_hi = 0.05;
-  PartialSamplingOptimizer opt(o);
-  QualityRequirement req{0.9, 0.9, 0.9};
-  auto outcome = opt.OptimizeDetailed(p, req, &oracle);
-  ASSERT_TRUE(outcome.ok());
-  size_t sampled = 0;
-  for (bool s : outcome->sampled) sampled += s;
-  const size_t m = p.num_subsets();
-  EXPECT_GE(sampled, static_cast<size_t>(m * 0.01));
-  EXPECT_LE(sampled, static_cast<size_t>(m * 0.05) + 2);
+  struct Case {
+    data::Workload workload;
+    double lo, hi;
+  };
+  const PartialSamplingOptions defaults;
+  Case cases[] = {
+      {MakeWorkload(), 0.01, 0.05},
+      {data::SimulatePairs(data::DsConfig()), defaults.sample_fraction_lo,
+       defaults.sample_fraction_hi},
+      {data::SimulatePairs(data::AbConfig()), defaults.sample_fraction_lo,
+       defaults.sample_fraction_hi},
+  };
+  for (const Case& c : cases) {
+    SubsetPartition p(&c.workload, 200);
+    Oracle oracle(&c.workload);
+    PartialSamplingOptions o;
+    o.sample_fraction_lo = c.lo;
+    o.sample_fraction_hi = c.hi;
+    PartialSamplingOptimizer opt(o);
+    QualityRequirement req{0.9, 0.9, 0.9};
+    auto outcome = opt.OptimizeDetailed(p, req, &oracle);
+    ASSERT_TRUE(outcome.ok());
+    size_t sampled = 0;
+    for (bool s : outcome->sampled) sampled += s;
+    const size_t m = p.num_subsets();
+    const double md = static_cast<double>(m);
+    const size_t lo_count = static_cast<size_t>(std::ceil(md * c.lo));
+    const size_t hi_count = static_cast<size_t>(std::floor(md * c.hi));
+    const size_t j0 = std::max(std::min<size_t>(4, m), std::min(lo_count, m));
+    EXPECT_EQ(sampled, std::max(j0, hi_count)) << "m = " << m;
+  }
 }
 
 TEST(PartialSamplingOptimizerTest, CheaperSamplingThanAllSampling) {

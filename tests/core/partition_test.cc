@@ -73,21 +73,6 @@ TEST(PartitionTest, PairsInRange) {
   EXPECT_EQ(p.PairsInRange(7, 3), 0u);  // inverted range
 }
 
-TEST(PartitionTest, SubsetOf) {
-  const data::Workload w = UniformWorkload(1000);
-  SubsetPartition p(&w, 100);
-  EXPECT_EQ(p.SubsetOf(0), 0u);
-  EXPECT_EQ(p.SubsetOf(99), 0u);
-  EXPECT_EQ(p.SubsetOf(100), 1u);
-  EXPECT_EQ(p.SubsetOf(999), 9u);
-}
-
-TEST(PartitionTest, SubsetOfRemainderTail) {
-  const data::Workload w = UniformWorkload(1050);
-  SubsetPartition p(&w, 100);
-  EXPECT_EQ(p.SubsetOf(1049), 9u);  // absorbed by the final subset
-}
-
 TEST(PartitionTest, EmptyWorkload) {
   const data::Workload w;
   SubsetPartition p(&w, 100);

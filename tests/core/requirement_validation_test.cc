@@ -71,8 +71,7 @@ TEST(ValidateRequirementTest, EveryCertifierRejectsMalformedRequirements) {
       EXPECT_EQ(oracle->cost(), 0u);
 
     for (StreamCertifier certifier :
-         {StreamCertifier::kSamp, StreamCertifier::kHybr,
-          StreamCertifier::kRisk}) {
+         {StreamCertifier::kSamp, StreamCertifier::kRisk}) {
       StreamingOptions options;
       options.certifier = certifier;
       StreamingResolver resolver(options, req);

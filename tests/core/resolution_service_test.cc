@@ -104,11 +104,7 @@ TEST_F(ResolutionServiceTest, DrainIsBitIdenticalToSynchronousResolver) {
     EXPECT_TRUE(snap->quality().certified);
     EXPECT_EQ(snap->labels(), service_cert->resolution.labels);
     const size_t probe = ds_.size() / 2;
-    EXPECT_EQ(service.LabelOf(probe),
-              std::optional<int>(service_cert->resolution.labels[probe]));
-    const auto found = snap->Find(ds_[probe]);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, probe);
+    EXPECT_EQ(snap->LabelOf(probe), service_cert->resolution.labels[probe]);
   }
 }
 
@@ -154,7 +150,6 @@ TEST_F(ResolutionServiceTest, ReviewFoldInMatchesDirectPreload) {
   // ran yet, so the drain itself reports an error — evidence still folds).
   EXPECT_FALSE(service.DrainToQuiescence().ok());
   EXPECT_EQ(service.reviews_folded(), enqueued);
-  EXPECT_EQ(service.unfolded_reviews(), 0u);
   EXPECT_EQ(service.resolver_unsynchronized().total_inspections(),
             reference.total_inspections());
 
@@ -248,8 +243,6 @@ TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
   // review fold-ins): well past the 100-swap floor.
   EXPECT_GE(service.snapshots_published(), stream.num_shards() + 1);
   EXPECT_GT(lookups.load(), 0u);
-  EXPECT_EQ(service.pending_crowd_tasks(), 0u);
-  EXPECT_EQ(service.unfolded_reviews(), 0u);
   EXPECT_TRUE(service.snapshot()->Validate());
 }
 
@@ -264,7 +257,6 @@ TEST_F(ResolutionServiceTest, EdgeCases) {
   EXPECT_EQ(empty->pairs(), 0u);
   EXPECT_EQ(empty->version(), 1u);
   EXPECT_FALSE(empty->quality().certified);
-  EXPECT_EQ(service.LabelOf(0), std::nullopt);
 
   // Draining before any certification is an error, not a hang.
   EXPECT_FALSE(service.DrainToQuiescence().ok());
@@ -290,9 +282,6 @@ TEST_F(ResolutionServiceTest, EdgeCases) {
   EXPECT_EQ(snap->pairs(), 5u);
   EXPECT_GT(snap->version(), empty->version());
   EXPECT_TRUE(snap->Validate());
-  EXPECT_TRUE(service.LabelOf(4).has_value());
-  EXPECT_EQ(service.LabelOfPair(data::InstancePair{9, 9, 0.99, false}),
-            std::nullopt);
 
   // The pinned early snapshot is untouched by later publishes (RCU: old
   // epochs stay alive and valid for as long as a reader holds them).

@@ -31,10 +31,11 @@ std::shared_ptr<GpSubsetModel> MakeModel() {
     v.push_back(0.05 + 0.1 * static_cast<double>(k));
     n.push_back(100.0);
   }
-  return std::make_shared<GpSubsetModel>(std::move(*gp), std::move(v),
-                                         std::move(n),
-                                         std::vector<stats::Stratum>{},
-                                         std::move(scatter));
+  std::vector<linalg::Vector> whitened;
+  const std::vector<gp::Prediction> preds = gp->PredictBatch(v, &whitened);
+  return std::make_shared<GpSubsetModel>(
+      std::move(*gp), std::move(v), std::move(n), preds, std::move(whitened),
+      std::vector<stats::Stratum>{}, std::move(scatter), 1.0);
 }
 
 TEST(RiskModelTest, GpPriorServesUntilEvidenceContradictsIt) {
@@ -65,7 +66,6 @@ TEST(RiskModelTest, PairRiskPeaksAtTheTransitionAndDiesWhenInspected) {
   // A fully inspected subset has no machine-labeled pairs: zero risk.
   risk.SetEvidence(4, 100, 52);
   EXPECT_EQ(risk.PairRisk(4, 0.95), 0.0);
-  EXPECT_EQ(risk.Uninspected(4), 0u);
   EXPECT_EQ(risk.InspectedMatches(4), 52u);
 }
 

@@ -12,14 +12,6 @@ TEST(RecordTableTest, AddValidatesArity) {
   EXPECT_EQ(t.size(), 1u);
 }
 
-TEST(RecordTableTest, AttributeIndex) {
-  RecordTable t({"title", "year"});
-  auto idx = t.AttributeIndex("year");
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(*idx, 1u);
-  EXPECT_FALSE(t.AttributeIndex("nope").ok());
-}
-
 TEST(RecordTableTest, AccessRecords) {
   RecordTable t({"name"});
   ASSERT_TRUE(t.Add({7, 3, {"x"}}).ok());

@@ -91,33 +91,6 @@ TEST_P(WorkloadStreamTest, ShardAtMatchesIteration) {
   EXPECT_EQ(epoch, 4u);
 }
 
-TEST_P(WorkloadStreamTest, PrefixWorkloadIsSortedUnionOfShards) {
-  const Workload base = SmallWorkload(900);
-  WorkloadStreamOptions options;
-  options.num_shards = 3;
-  options.order = GetParam();
-  WorkloadStream stream(&base, options);
-
-  std::vector<InstancePair> manual;
-  for (size_t upto = 0; upto <= 3; ++upto) {
-    const Workload prefix = stream.PrefixWorkload(upto);
-    std::vector<InstancePair> expected = manual;
-    std::sort(expected.begin(), expected.end(), PairLess);
-    ASSERT_EQ(prefix.size(), expected.size()) << "upto " << upto;
-    for (size_t i = 0; i < expected.size(); ++i)
-      EXPECT_TRUE(SamePair(prefix[i], expected[i]));
-    if (upto < 3) {
-      const Shard shard = stream.ShardAt(upto);
-      manual.insert(manual.end(), shard.pairs.begin(), shard.pairs.end());
-    }
-  }
-  // The full prefix is the base itself.
-  const Workload full = stream.PrefixWorkload(3);
-  ASSERT_EQ(full.size(), base.size());
-  for (size_t i = 0; i < base.size(); ++i)
-    EXPECT_TRUE(SamePair(full[i], base[i]));
-}
-
 INSTANTIATE_TEST_SUITE_P(Orders, WorkloadStreamTest,
                          ::testing::Values(ArrivalOrder::kShuffled,
                                            ArrivalOrder::kRoundRobin,

@@ -87,16 +87,6 @@ TEST(EntityClusteringTest, SingleSourceDedup) {
   EXPECT_NE(c.EntityOf({0, 3}), c.EntityOf({0, 4}));
 }
 
-TEST(EntityClusteringTest, FromSolutionMatchesFromLabels) {
-  const data::Workload w = TwoTableWorkload();
-  core::ResolutionResult result;
-  result.labels = TruthLabels(w);
-  const EntityClustering a = EntityClustering::FromLabels(w, result.labels);
-  const EntityClustering b = EntityClustering::FromSolution(w, result);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Checksum(), b.Checksum());
-}
-
 TEST(EntityClusteringTest, ChecksumSeparatesPartitions) {
   const data::Workload w = TwoTableWorkload();
   const EntityClustering truth = EntityClustering::FromLabels(w, TruthLabels(w));

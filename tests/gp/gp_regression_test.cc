@@ -111,20 +111,6 @@ TEST(GpRegressionTest, JointCovarianceOffDiagonalPositiveForNearbyPoints) {
   EXPECT_NEAR(joint.covariance(0, 1), joint.covariance(1, 0), 1e-12);
 }
 
-TEST(GpRegressionTest, WeightedTotalAggregation) {
-  const std::vector<double> x = {0.0, 0.5, 1.0};
-  const std::vector<double> y = {0.0, 0.5, 1.0};
-  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, 1.0, 0.3), x, y,
-                              TightOptions());
-  ASSERT_TRUE(gp.ok());
-  const std::vector<double> q = {0.25, 0.75};
-  const auto joint = gp->PredictJoint(q);
-  const std::vector<double> weights = {100.0, 100.0};
-  const double total = joint.WeightedTotalMean(weights);
-  EXPECT_NEAR(total, 100.0 * (joint.mean[0] + joint.mean[1]), 1e-9);
-  EXPECT_GE(joint.WeightedTotalStdDev(weights), 0.0);
-}
-
 TEST(GpRegressionTest, WhitenedCrossConsistentWithVariance) {
   const std::vector<double> x = {0.2, 0.4, 0.6, 0.8};
   const std::vector<double> y = {0.2, 0.3, 0.6, 0.9};

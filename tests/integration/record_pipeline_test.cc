@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/hybrid_optimizer.h"
 #include "core/solution.h"
 #include "data/blocking.h"
@@ -135,7 +137,7 @@ TEST(RecordPipelineTest, SvmTrainedOnAttributeFeaturesBeatsChance) {
     }
   }
   ASSERT_GT(dataset.size(), 100u);
-  ASSERT_GT(dataset.CountPositives(), 10u);
+  ASSERT_GT(std::count(dataset.labels.begin(), dataset.labels.end(), 1), 10);
 
   Rng rng(1);
   const auto split = ml::SplitDataset(dataset, 0.7, &rng);

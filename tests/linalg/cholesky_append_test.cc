@@ -19,7 +19,7 @@ Matrix RandomSpd(size_t n, uint64_t seed, double diag = 1.0) {
   return a;
 }
 
-/// The k trailing rows of `a` in the layout Append consumes: k x n, row i =
+/// The k trailing rows of `a` in the layout Extended consumes: k x n, row i =
 /// row (n-k+i) of `a` (entries past the diagonal are present but ignored).
 Matrix TrailingRows(const Matrix& a, size_t k) {
   const size_t n = a.rows();
@@ -32,13 +32,14 @@ Matrix TrailingRows(const Matrix& a, size_t k) {
 TEST(CholeskyAppendTest, AppendEqualsFactorOnExtendedMatrix) {
   const size_t n = 9, k = 3;
   const Matrix ext = RandomSpd(n + k, 42);
-  // Factor the leading principal block, then append the trailing rows.
+  // Factor the leading principal block, then extend by the trailing rows.
   Matrix lead(n, n);
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < n; ++j) lead(i, j) = ext(i, j);
-  auto chol = Cholesky::Factor(lead);
+  auto base = Cholesky::Factor(lead);
+  ASSERT_TRUE(base.ok());
+  auto chol = base->Extended(TrailingRows(ext, k));
   ASSERT_TRUE(chol.ok());
-  ASSERT_TRUE(chol->Append(TrailingRows(ext, k)).ok());
 
   auto full = Cholesky::Factor(ext);
   ASSERT_TRUE(full.ok());
@@ -61,7 +62,9 @@ TEST(CholeskyAppendTest, RepeatedRankOneAppendsMatchOneFactorization) {
   for (size_t n = n0; n < total; ++n) {
     Matrix row(1, n + 1);
     for (size_t c = 0; c <= n; ++c) row(0, c) = ext(n, c);
-    ASSERT_TRUE(chol->Append(row).ok()) << "append at n=" << n;
+    auto next = chol->Extended(row);
+    ASSERT_TRUE(next.ok()) << "append at n=" << n;
+    *chol = std::move(*next);
   }
   auto full = Cholesky::Factor(ext);
   ASSERT_TRUE(full.ok());
@@ -74,9 +77,10 @@ TEST(CholeskyAppendTest, SolvesAgreeAfterAppend) {
   Matrix lead(n, n);
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < n; ++j) lead(i, j) = ext(i, j);
-  auto chol = Cholesky::Factor(lead);
+  auto base = Cholesky::Factor(lead);
+  ASSERT_TRUE(base.ok());
+  auto chol = base->Extended(TrailingRows(ext, k));
   ASSERT_TRUE(chol.ok());
-  ASSERT_TRUE(chol->Append(TrailingRows(ext, k)).ok());
   Vector b(n + k);
   Rng rng(11);
   for (double& v : b) v = rng.NextDouble(-2.0, 2.0);
@@ -99,8 +103,8 @@ TEST(CholeskyAppendTest, JitterCarriesIntoAppendedDiagonal) {
 
   // Extend by a row consistent with the rank structure (cross-covariances
   // in span(v), ample diagonal — the shape a kernel matrix extension has);
-  // Append adds the SAME jitter to the new diagonal, matching Factor of the
-  // uniformly jittered extension.
+  // Extended adds the SAME jitter to the new diagonal, matching Factor of
+  // the uniformly jittered extension.
   Matrix ext(n + 1, n + 1);
   for (size_t i = 0; i < n; ++i)
     for (size_t j = 0; j < n; ++j) ext(i, j) = a(i, j);
@@ -108,13 +112,14 @@ TEST(CholeskyAppendTest, JitterCarriesIntoAppendedDiagonal) {
   ext(n, n) = 5.0;
   Matrix row(1, n + 1);
   for (size_t c = 0; c <= n; ++c) row(0, c) = ext(n, c);
-  ASSERT_TRUE(chol->Append(row).ok());
+  auto extended = chol->Extended(row);
+  ASSERT_TRUE(extended.ok());
 
   Matrix jittered = ext;
   jittered.AddToDiagonal(jitter);
   // Plain TryFactor of the jittered matrix (no ladder): reconstructing
   // through L L^T must reproduce it.
-  const Matrix recon = chol->L() * chol->L().Transpose();
+  const Matrix recon = extended->L() * extended->L().Transpose();
   EXPECT_LT(recon.MaxAbsDiff(jittered), 1e-9);
 }
 
@@ -126,8 +131,7 @@ TEST(CholeskyAppendTest, RejectsNonPositiveDefiniteExtension) {
   Matrix row(1, 4);
   row(0, 0) = 1.0;
   row(0, 3) = 1.0;
-  const Status st = chol->Append(row);
-  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(chol->Extended(row).ok());
   // The factor is untouched and still usable.
   EXPECT_EQ(chol->L().rows(), 3u);
   const Vector b = {1.0, 2.0, 3.0};
@@ -138,9 +142,12 @@ TEST(CholeskyAppendTest, RejectsNonPositiveDefiniteExtension) {
 TEST(CholeskyAppendTest, RejectsWrongRowShape) {
   auto chol = Cholesky::Factor(Matrix::Identity(3));
   ASSERT_TRUE(chol.ok());
-  EXPECT_FALSE(chol->Append(Matrix(2, 4)).ok());  // needs 2 x 5
-  EXPECT_TRUE(chol->Append(Matrix(0, 0)).ok());   // empty append is a no-op
-  EXPECT_EQ(chol->L().rows(), 3u);
+  EXPECT_FALSE(chol->Extended(Matrix(2, 4)).ok());  // needs 2 x 5
+
+  // An empty extension is a copy.
+  auto same = chol->Extended(Matrix(0, 0));
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->L().rows(), 3u);
 }
 
 TEST(CholeskyAppendTest, SolveLowerRowsMatchesPerRowSolveBitwise) {

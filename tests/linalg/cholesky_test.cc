@@ -38,16 +38,6 @@ TEST(CholeskyTest, SolveMatchesDirectCheck) {
   for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(ax[i], b[i], 1e-10);
 }
 
-TEST(CholeskyTest, SolveMatrixColumns) {
-  const Matrix a = Spd3();
-  auto chol = Cholesky::Factor(a);
-  ASSERT_TRUE(chol.ok());
-  const Matrix x = chol->Solve(Matrix::Identity(3));
-  // x should be A^-1: A * x = I.
-  const Matrix prod = a * x;
-  EXPECT_LT(prod.MaxAbsDiff(Matrix::Identity(3)), 1e-9);
-}
-
 TEST(CholeskyTest, SolveLowerIsForwardSubstitution) {
   const Matrix a = Spd3();
   auto chol = Cholesky::Factor(a);

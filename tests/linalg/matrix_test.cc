@@ -62,17 +62,6 @@ TEST(MatrixTest, MatrixVectorMultiply) {
   EXPECT_DOUBLE_EQ(out[1], 7.0);
 }
 
-TEST(MatrixTest, AddSubtract) {
-  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}});
-  Matrix b = Matrix::FromRows({{4, 3}, {2, 1}});
-  Matrix sum = a + b;
-  Matrix diff = a - b;
-  EXPECT_DOUBLE_EQ(sum(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(sum(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(diff(0, 0), -3.0);
-  EXPECT_DOUBLE_EQ(diff(1, 1), 3.0);
-}
-
 TEST(MatrixTest, AddToDiagonal) {
   Matrix a = Matrix::Identity(2);
   a.AddToDiagonal(0.5);
@@ -86,20 +75,9 @@ TEST(MatrixTest, MaxAbsDiff) {
   EXPECT_DOUBLE_EQ(a.MaxAbsDiff(b), 1.0);
 }
 
-TEST(MatrixTest, ToStringRenders) {
-  Matrix a = Matrix::FromRows({{1, 2}});
-  EXPECT_NE(a.ToString().find("1.0000"), std::string::npos);
-}
-
-TEST(VectorOpsTest, DotSubAddScale) {
+TEST(VectorOpsTest, Dot) {
   Vector a = {1, 2, 3}, b = {4, 5, 6};
   EXPECT_DOUBLE_EQ(Dot(a, b), 32.0);
-  const Vector d = Sub(a, b);
-  EXPECT_DOUBLE_EQ(d[0], -3.0);
-  const Vector s = Add(a, b);
-  EXPECT_DOUBLE_EQ(s[2], 9.0);
-  const Vector sc = Scale(a, 2.0);
-  EXPECT_DOUBLE_EQ(sc[1], 4.0);
 }
 
 }  // namespace

@@ -20,14 +20,12 @@ TEST(DatasetTest, SizeAndFeatures) {
   Dataset d = MakeDataset(9);
   EXPECT_EQ(d.size(), 9u);
   EXPECT_EQ(d.num_features(), 2u);
-  EXPECT_EQ(d.CountPositives(), 3u);
 }
 
 TEST(DatasetTest, EmptyDataset) {
   Dataset d;
   EXPECT_EQ(d.size(), 0u);
   EXPECT_EQ(d.num_features(), 0u);
-  EXPECT_EQ(d.CountPositives(), 0u);
 }
 
 TEST(SplitDatasetTest, SplitsAtFraction) {
@@ -55,30 +53,6 @@ TEST(SplitDatasetTest, ExtremeFractions) {
   Rng rng(3);
   EXPECT_EQ(SplitDataset(d, 0.0, &rng).train.size(), 0u);
   EXPECT_EQ(SplitDataset(d, 1.0, &rng).test.size(), 0u);
-}
-
-TEST(KFoldTest, PartitionsAllIndices) {
-  Rng rng(4);
-  const auto folds = KFoldIndices(23, 5, &rng);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<size_t> seen;
-  for (const auto& fold : folds)
-    for (size_t i : fold) seen.insert(i);
-  EXPECT_EQ(seen.size(), 23u);
-}
-
-TEST(KFoldTest, BalancedFoldSizes) {
-  Rng rng(5);
-  const auto folds = KFoldIndices(20, 4, &rng);
-  for (const auto& fold : folds) EXPECT_EQ(fold.size(), 5u);
-}
-
-TEST(SubsetTest, SelectsByIndex) {
-  Dataset d = MakeDataset(10);
-  const Dataset sub = Subset(d, {0, 3, 6});
-  ASSERT_EQ(sub.size(), 3u);
-  EXPECT_EQ(sub.labels[0], 1);  // index 0: 0 % 3 == 0
-  EXPECT_DOUBLE_EQ(sub.features[1][0], 3.0);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@ TEST(MetricsTest, PerfectPrediction) {
   EXPECT_DOUBLE_EQ(m.precision(), 1.0);
   EXPECT_DOUBLE_EQ(m.recall(), 1.0);
   EXPECT_DOUBLE_EQ(m.f1(), 1.0);
-  EXPECT_DOUBLE_EQ(m.accuracy(), 1.0);
 }
 
 TEST(MetricsTest, ConfusionCounts) {
@@ -22,7 +21,6 @@ TEST(MetricsTest, ConfusionCounts) {
   EXPECT_EQ(m.false_positives, 1u);
   EXPECT_EQ(m.false_negatives, 1u);
   EXPECT_EQ(m.true_negatives, 1u);
-  EXPECT_EQ(m.total(), 5u);
 }
 
 TEST(MetricsTest, PrecisionRecallValues) {
@@ -32,7 +30,6 @@ TEST(MetricsTest, PrecisionRecallValues) {
   EXPECT_NEAR(m.precision(), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(m.recall(), 2.0 / 3.0, 1e-12);
   EXPECT_NEAR(m.f1(), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(m.accuracy(), 3.0 / 5.0, 1e-12);
 }
 
 TEST(MetricsTest, NoPredictedPositivesVacuousPrecision) {
@@ -50,8 +47,9 @@ TEST(MetricsTest, NoActualPositivesVacuousRecall) {
 
 TEST(MetricsTest, EmptyInput) {
   const auto m = EvaluateLabels({}, {});
-  EXPECT_EQ(m.total(), 0u);
-  EXPECT_DOUBLE_EQ(m.accuracy(), 1.0);
+  EXPECT_DOUBLE_EQ(m.precision(), 1.0);
+  EXPECT_DOUBLE_EQ(m.recall(), 1.0);
+  EXPECT_DOUBLE_EQ(m.f1(), 1.0);
 }
 
 TEST(MetricsTest, F1IsHarmonicMean) {

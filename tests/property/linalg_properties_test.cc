@@ -9,8 +9,8 @@
 namespace humo::linalg {
 namespace {
 
-/// Property sweep behind the streaming epoch-append path: on random SPD
-/// matrices of many shapes, extending a factor with Cholesky::Append must
+/// Property sweep behind the GP warm-start append path: on random SPD
+/// matrices of many shapes, extending a factor with Cholesky::Extended must
 /// reproduce the from-scratch factorization of the bordered matrix BIT FOR
 /// BIT (both land on zero jitter for these well-conditioned inputs). A few
 /// hundred seeded cases per property; any failure prints its (n, k, seed)
@@ -52,9 +52,10 @@ TEST_P(CholeskyAppendPropertyTest, AppendBitIdenticalToFactor) {
   const auto [n, k] = GetParam();
   for (uint64_t seed = 0; seed < 25; ++seed) {
     const Matrix ext = RandomSpd(n + k, 1000 * n + 10 * k + seed, 1.0);
-    auto incremental = Cholesky::Factor(LeadingBlock(ext, n));
-    ASSERT_TRUE(incremental.ok()) << "n=" << n << " seed=" << seed;
-    ASSERT_TRUE(incremental->Append(TrailingRows(ext, k)).ok())
+    auto lead = Cholesky::Factor(LeadingBlock(ext, n));
+    ASSERT_TRUE(lead.ok()) << "n=" << n << " seed=" << seed;
+    auto incremental = lead->Extended(TrailingRows(ext, k));
+    ASSERT_TRUE(incremental.ok())
         << "n=" << n << " k=" << k << " seed=" << seed;
 
     auto scratch = Cholesky::Factor(ext);

@@ -68,38 +68,5 @@ TEST(SampleBetaTest, SkewDirection) {
   EXPECT_GT(high.mean(), 0.75);
 }
 
-TEST(SampleBinomialTest, SmallNExact) {
-  Rng rng(17);
-  Moments rs;
-  for (int i = 0; i < 50000; ++i)
-    rs.Add(static_cast<double>(SampleBinomial(&rng, 10, 0.3)));
-  EXPECT_NEAR(rs.mean(), 3.0, 0.05);
-  EXPECT_NEAR(rs.variance(), 2.1, 0.15);
-}
-
-TEST(SampleBinomialTest, LargeNNormalPath) {
-  Rng rng(19);
-  Moments rs;
-  const size_t n = 10000;
-  for (int i = 0; i < 5000; ++i)
-    rs.Add(static_cast<double>(SampleBinomial(&rng, n, 0.4)));
-  EXPECT_NEAR(rs.mean(), 4000.0, 30.0);
-}
-
-TEST(SampleBinomialTest, Extremes) {
-  Rng rng(23);
-  EXPECT_EQ(SampleBinomial(&rng, 100, 0.0), 0u);
-  EXPECT_EQ(SampleBinomial(&rng, 100, 1.0), 100u);
-  EXPECT_EQ(SampleBinomial(&rng, 0, 0.5), 0u);
-}
-
-TEST(SampleBinomialTest, ResultNeverExceedsN) {
-  Rng rng(29);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_LE(SampleBinomial(&rng, 50, 0.99), 50u);
-    EXPECT_LE(SampleBinomial(&rng, 100000, 0.999), 100000u);
-  }
-}
-
 }  // namespace
 }  // namespace humo::stats

@@ -74,20 +74,6 @@ TEST(TextFuzzTest, TokenizerSurvivesHostileInputs) {
       total += w.size();
     }
     EXPECT_LE(total, s.size());
-    for (size_t q : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
-      for (bool pad : {false, true}) {
-        const std::vector<std::string> grams = QGrams(s, q, pad);
-        if (s.empty()) {
-          EXPECT_TRUE(grams.empty());
-        } else if (!pad && s.size() < q) {
-          // Unpadded short string: one undersized gram holding it whole.
-          ASSERT_EQ(grams.size(), 1u);
-          EXPECT_EQ(grams[0], s);
-        } else {
-          for (const std::string& g : grams) EXPECT_EQ(g.size(), q);
-        }
-      }
-    }
     const auto set = TokenSet(words);
     EXPECT_LE(set.size(), words.size());
   }
@@ -103,7 +89,6 @@ TEST(TextFuzzTest, RandomByteStringsKeepMetricProperties) {
     EXPECT_GE(j, 0.0);
     EXPECT_LE(j, 1.0);
     EXPECT_EQ(j, JaroSimilarity(b, a)) << "rep " << rep;
-    EXPECT_EQ(QGramJaccard(a, b), QGramJaccard(b, a)) << "rep " << rep;
   }
 }
 

@@ -46,64 +46,5 @@ TEST(JaccardTest, StringOverloadNormalizes) {
   EXPECT_DOUBLE_EQ(JaccardSimilarity("The Quick FOX!", "quick fox, the"), 1.0);
 }
 
-TEST(DiceTest, KnownValue) {
-  // 2*2 / (3+3) = 0.666...
-  EXPECT_NEAR(DiceSimilarity({"a", "b", "c"}, {"b", "c", "d"}), 2.0 / 3.0,
-              1e-12);
-}
-
-TEST(DiceTest, Extremes) {
-  EXPECT_DOUBLE_EQ(DiceSimilarity({"a"}, {"a"}), 1.0);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({"a"}, {"b"}), 0.0);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({"a"}, {}), 0.0);
-}
-
-TEST(OverlapTest, SubsetGivesOne) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({"a", "b"}, {"a", "b", "c", "d"}), 1.0);
-}
-
-TEST(OverlapTest, Extremes) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({"a"}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({"a"}, {"b"}), 0.0);
-}
-
-TEST(QGramJaccardTest, SimilarStringsScoreHigh) {
-  const double close = QGramJaccard("database", "databse");
-  const double far = QGramJaccard("database", "airplane");
-  EXPECT_GT(close, far);
-  EXPECT_GT(close, 0.5);
-}
-
-TEST(QGramJaccardTest, IdenticalAndDisjoint) {
-  EXPECT_DOUBLE_EQ(QGramJaccard("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(QGramJaccard("", ""), 1.0);
-}
-
-TEST(MongeElkanTest, IdenticalTokenLists) {
-  EXPECT_DOUBLE_EQ(MongeElkanSimilarity({"john", "smith"}, {"john", "smith"}),
-                   1.0);
-}
-
-TEST(MongeElkanTest, TypoTolerant) {
-  const double s = MongeElkanSimilarity({"john", "smith"}, {"jon", "smyth"});
-  EXPECT_GT(s, 0.8);
-  EXPECT_LT(s, 1.0);
-}
-
-TEST(MongeElkanTest, Extremes) {
-  EXPECT_DOUBLE_EQ(MongeElkanSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(MongeElkanSimilarity({"a"}, {}), 0.0);
-}
-
-TEST(MongeElkanTest, AsymmetricByDesign) {
-  // One-token list against superset scores the best single match.
-  const double forward = MongeElkanSimilarity({"smith"}, {"smith", "zzz"});
-  const double backward = MongeElkanSimilarity({"smith", "zzz"}, {"smith"});
-  EXPECT_DOUBLE_EQ(forward, 1.0);
-  EXPECT_LT(backward, 1.0);
-}
-
 }  // namespace
 }  // namespace humo::text

@@ -17,40 +17,6 @@ TEST(TokenizerTest, WordTokensEmpty) {
   EXPECT_TRUE(WordTokens("   ").empty());
 }
 
-TEST(TokenizerTest, QGramsPadded) {
-  const auto g = QGrams("ab", 3);
-  // padded: "##ab##" -> ##a, #ab, ab#, b##
-  ASSERT_EQ(g.size(), 4u);
-  EXPECT_EQ(g[0], "##a");
-  EXPECT_EQ(g[1], "#ab");
-  EXPECT_EQ(g[2], "ab#");
-  EXPECT_EQ(g[3], "b##");
-}
-
-TEST(TokenizerTest, QGramsUnpadded) {
-  const auto g = QGrams("abcd", 2, /*pad=*/false);
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_EQ(g[0], "ab");
-  EXPECT_EQ(g[2], "cd");
-}
-
-TEST(TokenizerTest, QGramsShorterThanQUnpadded) {
-  const auto g = QGrams("ab", 3, /*pad=*/false);
-  ASSERT_EQ(g.size(), 1u);
-  EXPECT_EQ(g[0], "ab");
-}
-
-TEST(TokenizerTest, QGramsEmptyAndZeroQ) {
-  EXPECT_TRUE(QGrams("", 3).empty());
-  EXPECT_TRUE(QGrams("abc", 0).empty());
-}
-
-TEST(TokenizerTest, UnigramsArePlainCharacters) {
-  const auto g = QGrams("abc", 1);
-  ASSERT_EQ(g.size(), 3u);
-  EXPECT_EQ(g[0], "a");
-}
-
 TEST(TokenizerTest, TokenSetDeduplicates) {
   const auto s = TokenSet({"a", "b", "a", "c", "b"});
   EXPECT_EQ(s.size(), 3u);
