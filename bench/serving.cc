@@ -16,6 +16,11 @@
 //     driven through the same shard/certification/review schedule — the
 //     async queue changes who answers and when, never the result.
 //
+// Each row also records mutate_over_sync = mutate_ms / sync_ms: what the
+// serving write side (snapshot publishes, crowd queue, concurrent readers)
+// costs over the bare resolver on the same schedule. The regression gate
+// holds it lower-better.
+//
 // Workloads: bench::ContractAb() at 60k and 200k pairs. Sanitizer builds
 // (bench::kSanitized) run one 20k-pair row over 8 shards and check races
 // and the exact contracts, not throughput: their lookup floor is 1/sec.
@@ -65,6 +70,7 @@ struct Row {
   size_t sync_cost = 0;
   bool certified = false;
   double sync_ms = 0.0;
+  double mutate_over_sync = 0.0;
 };
 
 struct SyncRun {
@@ -243,6 +249,7 @@ int main() {
     service.RequestCertification();
     auto cert = service.DrainToQuiescence();
     row.mutate_ms = MsSince(mutate_start);
+    row.mutate_over_sync = row.mutate_ms / row.sync_ms;
     mutating.store(false, std::memory_order_release);
     for (auto& t : reader_threads) t.join();
 
@@ -338,6 +345,7 @@ int main() {
     out.Set("sync_cost", r.sync_cost);
     out.Set("certified", r.certified);
     out.Set("sync_ms", r.sync_ms, 2);
+    out.Set("mutate_over_sync", r.mutate_over_sync, 3);
   }
   bench::JsonObject doc;
   doc.Set("bench", "serving");

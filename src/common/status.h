@@ -38,20 +38,11 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -171,7 +171,6 @@ class CrowdTaskBroker {
 
   const CrowdTaskStats& stats() const { return stats_; }
   const TransitiveInference& inference() const { return inference_; }
-  const CrowdTaskOptions& options() const { return options_; }
 
  private:
   uint64_t LeftKey(size_t pair) const;

@@ -62,7 +62,6 @@ class SubsetStatsCache {
   /// [0, keep_prefix) provably kept their exact [begin, end) content.
   void ResizeKeepingPrefix(size_t num_subsets, size_t keep_prefix);
 
-  size_t num_subsets() const { return full_known_.size(); }
 
   bool HasFullCount(size_t k) const { return full_known_[k] != 0; }
   size_t FullCount(size_t k) const;
@@ -221,7 +220,6 @@ class EstimationContext {
 
   const SubsetStatsCache& cache() const { return cache_; }
   const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CacheStats{}; }
 
  private:
   const SubsetPartition* partition_;

@@ -130,8 +130,6 @@ class Oracle {
   /// OracleTest.AnswerMemoryStaysPagedAndLean bounds it per pair.
   size_t AnswerMemoryBytes() const { return answers_.MemoryBytes(); }
 
-  const data::Workload& workload() const { return *workload_; }
-
  private:
   const data::Workload* workload_;
   double error_rate_;

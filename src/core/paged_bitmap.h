@@ -65,9 +65,6 @@ class PagedAnswerBitmap {
     return true;
   }
 
-  /// Number of recorded indices.
-  size_t known_count() const { return known_count_; }
-
   /// Forgets everything and releases all pages.
   void Clear() {
     pages_.clear();

@@ -46,7 +46,6 @@ class SubsetPartition {
 
   size_t num_subsets() const { return subsets_.size(); }
   const Subset& operator[](size_t k) const { return subsets_[k]; }
-  const std::vector<Subset>& subsets() const { return subsets_; }
   const data::Workload& workload() const { return *workload_; }
   size_t subset_size() const { return subset_size_; }
 

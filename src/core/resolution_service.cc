@@ -19,8 +19,6 @@ uint64_t ResolutionSnapshot::ComputeChecksum() const {
   };
   mix64(version_);
   mix64(epochs_ingested_);
-  mix64(num_subsets_);
-  mix64(evidence_pairs_);
   mix(quality_.has_estimate ? 1u : 0u);
   mix(quality_.certified ? 1u : 0u);
   mix64(labels_.size());
@@ -52,7 +50,6 @@ AsyncOracleQueue::~AsyncOracleQueue() {
 
 std::vector<char> AsyncOracleQueue::InspectBlocking(
     const std::vector<size_t>& indices) {
-  batches_inspected_.fetch_add(1, std::memory_order_relaxed);
   std::vector<char> answers(indices.size());
   if (indices.empty()) return answers;
   if (workers_.empty()) {
@@ -60,7 +57,6 @@ std::vector<char> AsyncOracleQueue::InspectBlocking(
     for (size_t t = 0; t < indices.size(); ++t) {
       answers[t] = compute_(indices[t]) ? 1 : 0;
     }
-    answers_produced_.fetch_add(indices.size(), std::memory_order_relaxed);
     return answers;
   }
   Batch batch;
@@ -90,7 +86,6 @@ void AsyncOracleQueue::SubmitReview(const data::InstancePair& pair,
       // Synchronous crowd: the verdict is delivered immediately; it still
       // folds in only at the next epoch boundary.
       completed_.push_back({pair, answer});
-      answers_produced_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     Task task;
@@ -130,7 +125,6 @@ void AsyncOracleQueue::WorkerLoop() {
     } else {
       std::lock_guard<std::mutex> lock(mu_);
       completed_.push_back(std::move(task.review));
-      answers_produced_.fetch_add(1, std::memory_order_relaxed);
     }
     bool idle = false;
     {
@@ -156,7 +150,6 @@ bool AsyncOracleQueue::RunChunk(Batch* batch) {
   for (size_t t = begin; t < end; ++t) {
     (*batch->answers)[t] = compute_((*batch->indices)[t]) ? 1 : 0;
   }
-  answers_produced_.fetch_add(end - begin, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   batch->remaining -= end - begin;
   if (batch->remaining == 0) {
@@ -174,7 +167,8 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
       req_(req),
       resolver_(options_.streaming, req_),
       queue_([this](size_t index) { return resolver_.oracle().InlineAnswer(index); },
-             options_.crowd_workers) {
+             options_.crowd_workers),
+      published_workload_(std::make_shared<const data::Workload>()) {
   // Fresh certification inspections flow through the crowd queue. The crowd
   // workers' compute function reads the resolver's workload, which is only
   // safe because certification holds the writer lock for its whole duration
@@ -184,7 +178,7 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
         return queue_.InspectBlocking(indices);
       });
   std::lock_guard<std::mutex> lock(writer_mu_);
-  PublishLocked();  // version 1: the empty snapshot, so snapshot() != null
+  PublishLocked(/*refresh=*/true);  // version 1: the empty snapshot
 }
 
 ResolutionService::~ResolutionService() {
@@ -202,7 +196,7 @@ EpochReport ResolutionService::Ingest(data::Shard shard) {
   // carries the folded answers across an interior merge like any others.
   FoldCompletedReviewsLocked();
   EpochReport report = resolver_.Ingest(std::move(shard));
-  PublishLocked();
+  PublishLocked(/*refresh=*/false);
   return report;
 }
 
@@ -234,7 +228,8 @@ void ResolutionService::RunCertification() {
     cert_start_cv_.notify_all();
     FoldCompletedReviewsLocked();
     last_cert_ = resolver_.Certify();
-    PublishLocked();
+    // A failed certification may have inspected pairs without refreshing.
+    PublishLocked(/*refresh=*/!last_cert_->ok());
   }
   cert_running_.store(false, std::memory_order_release);
 }
@@ -255,7 +250,6 @@ size_t ResolutionService::EnqueueReview(
     queue_.SubmitReview(pair, resolver_.oracle().InlineAnswer(idx));
     ++enqueued;
   }
-  reviews_enqueued_.fetch_add(enqueued, std::memory_order_relaxed);
   return enqueued;
 }
 
@@ -266,7 +260,7 @@ Result<StreamingCertificate> ResolutionService::DrainToQuiescence() {
   }
   queue_.WaitIdle();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (FoldCompletedReviewsLocked() > 0) PublishLocked();
+  if (FoldCompletedReviewsLocked() > 0) PublishLocked(/*refresh=*/true);
   if (!last_cert_.has_value()) {
     return Status::FailedPrecondition(
         "DrainToQuiescence: no certification was requested");
@@ -301,20 +295,19 @@ size_t ResolutionService::FoldCompletedReviewsLocked() {
   return folded;
 }
 
-void ResolutionService::PublishLocked() {
-  // Refresh the provisional serving state first: when no evidence arrived
-  // since the last refresh this is a structural no-op (pins stay valid, no
-  // refit), so publishing never perturbs the resolver's deterministic state
-  // — a service run and a bare-resolver run through the same schedule stay
+void ResolutionService::PublishLocked(bool refresh) {
+  // After a review fold the provisional serving state must see the new
+  // evidence. Right after Ingest or Certify it already does, and a second
+  // refresh would be a structural no-op (pins stay valid, no refit): either
+  // way publishing never perturbs the resolver's deterministic state, so a
+  // service run and a bare-resolver run through the same schedule stay
   // bit-identical.
-  const EpochReport report = resolver_.RefreshServing();
+  const EpochReport& report =
+      refresh ? resolver_.RefreshServing() : resolver_.serving_report();
 
   auto snap = std::make_shared<ResolutionSnapshot>();
   snap->version_ = publish_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   snap->epochs_ingested_ = resolver_.epochs_ingested();
-  snap->num_subsets_ = report.num_subsets;
-  snap->subset_size_ = options_.streaming.subset_size;
-  snap->evidence_pairs_ = report.evidence_pairs;
   snap->quality_.has_estimate = report.has_estimate;
   snap->quality_.precision = report.est_precision;
   snap->quality_.recall = report.est_recall;
@@ -330,12 +323,21 @@ void ResolutionService::PublishLocked() {
   snap->quality_.certified = cert_current && cert->certified;
   snap->labels_ =
       cert_current ? cert->resolution.labels : resolver_.provisional_labels();
-  snap->workload_ = std::make_shared<data::Workload>(resolver_.cumulative());
+  // The cumulative workload only grows (Workload::MergeSorted), so an
+  // unchanged size means an unchanged workload: share the last copy and its
+  // universe. A grown one is copied once and its universe extended.
+  const data::Workload& cumulative = resolver_.cumulative();
+  if (cumulative.size() != published_workload_->size()) {
+    auto grown = std::make_shared<const data::Workload>(cumulative);
+    universe_ = entity::ExtendRecords(universe_, *published_workload_, *grown,
+                                      options_.entity);
+    published_workload_ = std::move(grown);
+  }
+  snap->workload_ = published_workload_;
   // Entity view: canonical clustering of the served labels, frozen with the
   // snapshot so EntityOf/MembersOf reads stay wait-free.
   snap->entities_ = std::make_shared<entity::EntityClustering>(
-      entity::EntityClustering::FromLabels(*snap->workload_, snap->labels_,
-                                           options_.entity));
+      entity::EntityClustering::FromUniverse(universe_, snap->labels_));
   snap->checksum_ = snap->ComputeChecksum();
 
   std::atomic_store(&snapshot_,

@@ -42,10 +42,6 @@ class ResolutionSnapshot {
   size_t version() const { return version_; }
   size_t epochs_ingested() const { return epochs_ingested_; }
   size_t pairs() const { return labels_.size(); }
-  size_t num_subsets() const { return num_subsets_; }
-  size_t subset_size() const { return subset_size_; }
-  /// Distinct pairs with a human answer folded in when this was published.
-  size_t evidence_pairs() const { return evidence_pairs_; }
   const QualityEstimate& quality() const { return quality_; }
 
   /// Label of every pair in cumulative sorted order: carried human answers
@@ -85,10 +81,9 @@ class ResolutionSnapshot {
 
   size_t num_entities() const { return entities_->num_entities(); }
 
-  /// FNV-1a over the scalar fields and the label bytes, computed once at
-  /// publish time. Validate() recomputes it — the stress tests' proof that
-  /// no reader can observe a torn or half-published snapshot.
-  uint64_t checksum() const { return checksum_; }
+  /// Recomputes the FNV-1a checksum over the scalar fields, the label bytes
+  /// and the entity checksum that publish stored — the stress tests' proof
+  /// that no reader can observe a torn or half-published snapshot.
   bool Validate() const { return ComputeChecksum() == checksum_; }
 
  private:
@@ -98,17 +93,16 @@ class ResolutionSnapshot {
 
   size_t version_ = 0;
   size_t epochs_ingested_ = 0;
-  size_t num_subsets_ = 0;
-  size_t subset_size_ = 0;
-  size_t evidence_pairs_ = 0;
   QualityEstimate quality_;
   std::vector<int> labels_;
-  /// Deep copy of the cumulative workload at publish time (identity lookup
+  /// Copy of the cumulative workload at publish time (identity lookup
   /// needs the sorted similarity/id columns of THIS epoch, not the moving
-  /// resolver ones). Shared so later snapshots of an unchanged workload
-  /// could alias it; today every publish copies.
+  /// resolver ones). A publish copies only when the workload grew since the
+  /// last one; snapshots of an unchanged workload share one copy.
   std::shared_ptr<const data::Workload> workload_;
   /// Entity clustering of labels_ over workload_, built at publish time.
+  /// Its record keys are the service's carried universe's, shared by every
+  /// snapshot of the same workload.
   std::shared_ptr<const entity::EntityClustering> entities_;
   uint64_t checksum_ = 0;
 };
@@ -162,10 +156,6 @@ class AsyncOracleQueue {
   /// Blocks until no work is queued or in flight.
   void WaitIdle();
 
-  /// Lifetime counters (bench/test visibility).
-  size_t batches_inspected() const { return batches_inspected_.load(); }
-  size_t answers_produced() const { return answers_produced_.load(); }
-
  private:
   /// Pairs per worker claim inside one certification batch.
   static constexpr size_t kChunk = 128;
@@ -197,8 +187,6 @@ class AsyncOracleQueue {
   size_t in_flight_ = 0;              // claimed, not yet finished
   bool stop_ = false;
   std::vector<std::thread> workers_;
-  std::atomic<size_t> batches_inspected_{0};
-  std::atomic<size_t> answers_produced_{0};
 };
 
 struct ResolutionServiceOptions {
@@ -220,9 +208,9 @@ struct ResolutionServiceOptions {
 /// shared_ptr swap (RCU-style: readers pin the epoch they loaded, old
 /// epochs are reclaimed when the last reader drops them).
 ///
-/// Read side (snapshot / EstimatedQuality) never takes the writer lock and
-/// never blocks on mutation — a lookup is an atomic snapshot load plus an
-/// array read against frozen storage.
+/// Read side (snapshot) never takes the writer lock and never blocks on
+/// mutation — a lookup is an atomic snapshot load plus an array read
+/// against frozen storage.
 ///
 /// Human work is asynchronous: certification runs on a background thread
 /// whose fresh oracle inspections are routed through the AsyncOracleQueue
@@ -294,15 +282,10 @@ class ResolutionService {
   /// The last published snapshot; never null after construction.
   std::shared_ptr<const ResolutionSnapshot> snapshot() const;
 
-  QualityEstimate EstimatedQuality() const { return snapshot()->quality(); }
-
   // --- Introspection ---
 
   size_t snapshots_published() const { return publish_count_.load(); }
-  size_t reviews_enqueued() const { return reviews_enqueued_.load(); }
   size_t reviews_folded() const { return reviews_folded_.load(); }
-  const AsyncOracleQueue& queue() const { return queue_; }
-  const QualityRequirement& requirement() const { return req_; }
 
   /// Direct resolver access for the drain-equivalence checks in tests and
   /// bench_serving. NOT synchronized with the write side — only meaningful
@@ -315,8 +298,11 @@ class ResolutionService {
   /// Epoch boundary: folds completed reviews into the resolver's oracle.
   /// Returns how many folded. Caller holds writer_mu_.
   size_t FoldCompletedReviewsLocked();
-  /// Rebuilds and atomically publishes a snapshot. Caller holds writer_mu_.
-  void PublishLocked();
+  /// Builds and atomically publishes a snapshot. `refresh` re-runs the
+  /// resolver's provisional refresh first; without it the snapshot serves
+  /// the refresh the last Ingest or Certify ran, which must be current.
+  /// Caller holds writer_mu_.
+  void PublishLocked(bool refresh);
   /// Body of the background certification thread.
   void RunCertification();
   /// Joins a finished certifier thread. Caller holds cert_admin_mu_.
@@ -345,11 +331,17 @@ class ResolutionService {
   bool cert_started_ = false;  // guarded by cert_start_mu_
   std::optional<Result<StreamingCertificate>> last_cert_;  // writer_mu_
 
+  /// The workload the last snapshot published and its record universe
+  /// under options_.entity. When the cumulative workload grows, the next
+  /// publish extends the universe (entity::ExtendRecords) instead of
+  /// re-indexing every record. Guarded by writer_mu_.
+  std::shared_ptr<const data::Workload> published_workload_;
+  entity::RecordUniverse universe_;
+
   /// The published snapshot, swapped with std::atomic_store (RCU publish).
   std::shared_ptr<const ResolutionSnapshot> snapshot_;
 
   std::atomic<size_t> publish_count_{0};
-  std::atomic<size_t> reviews_enqueued_{0};
   std::atomic<size_t> reviews_folded_{0};
 };
 

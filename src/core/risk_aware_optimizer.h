@@ -101,8 +101,6 @@ class RiskAwareOptimizer {
                                    const QualityRequirement& req,
                                    Oracle* oracle) const;
 
-  const RiskAwareOptions& options() const { return options_; }
-
  private:
   RiskAwareOptions options_;
 };

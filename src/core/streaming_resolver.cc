@@ -88,7 +88,6 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     } else {
       partition_.Rebuild();
       ctx_.OnPartitionExtended(0);
-      retired_requests_ += oracle_.total_requests();
       retired_duplicates_ += oracle_.duplicate_requests();
       oracle_.Reset();
       for (const Evidence& e : evidence)
@@ -96,10 +95,13 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     }
   }
 
-  RefreshProvisional(&report);
-  report.pairs_total = cumulative_.size();
-  report.num_subsets = partition_.num_subsets();
-  report.evidence_pairs = total_inspections();
+  RefreshProvisional();
+  report.pairs_total = serving_.pairs_total;
+  report.num_subsets = serving_.num_subsets;
+  report.evidence_pairs = serving_.evidence_pairs;
+  report.has_estimate = serving_.has_estimate;
+  report.est_precision = serving_.est_precision;
+  report.est_recall = serving_.est_recall;
   reports_.push_back(report);
   return reports_.back();
 }
@@ -152,11 +154,11 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
   last_certificate_ = cert;
 
   // Certification bought fresh evidence; fold it into the serving state.
-  RefreshProvisional(nullptr);
+  RefreshProvisional();
   return cert;
 }
 
-void StreamingResolver::RefreshProvisional(EpochReport* report) {
+void StreamingResolver::RefreshProvisional() {
   const size_t m = partition_.num_subsets();
   const size_t n = cumulative_.size();
 
@@ -264,11 +266,14 @@ void StreamingResolver::RefreshProvisional(EpochReport* report) {
     exp_pos += answered_pos + (label_match ? unanswered : 0.0);
     exp_true += answered_pos + unanswered * q;
   }
-  if (report != nullptr) {
-    report->has_estimate = prov_model_.has_value();
-    report->est_precision = exp_pos > 0.0 ? exp_tp / exp_pos : 1.0;
-    report->est_recall = exp_true > 0.0 ? exp_tp / exp_true : 1.0;
-  }
+  serving_ = EpochReport{};
+  serving_.epoch = epochs_ingested_;
+  serving_.pairs_total = n;
+  serving_.num_subsets = m;
+  serving_.evidence_pairs = total_inspections();
+  serving_.has_estimate = prov_model_.has_value();
+  serving_.est_precision = exp_pos > 0.0 ? exp_tp / exp_pos : 1.0;
+  serving_.est_recall = exp_true > 0.0 ? exp_tp / exp_true : 1.0;
 }
 
 bool StreamingResolver::PreloadEvidence(const data::InstancePair& pair,
@@ -279,14 +284,9 @@ bool StreamingResolver::PreloadEvidence(const data::InstancePair& pair,
   return true;
 }
 
-EpochReport StreamingResolver::RefreshServing() {
-  EpochReport report;
-  report.epoch = epochs_ingested_;
-  RefreshProvisional(&report);
-  report.pairs_total = cumulative_.size();
-  report.num_subsets = partition_.num_subsets();
-  report.evidence_pairs = total_inspections();
-  return report;
+const EpochReport& StreamingResolver::RefreshServing() {
+  RefreshProvisional();
+  return serving_;
 }
 
 size_t StreamingResolver::IndexOf(const data::InstancePair& pair) const {

@@ -144,14 +144,9 @@ class StreamingResolver {
 
   const data::Workload& cumulative() const { return cumulative_; }
   const SubsetPartition& partition() const { return partition_; }
-  const QualityRequirement& requirement() const { return req_; }
-  const StreamingOptions& options() const { return options_; }
 
   /// The resolver-owned oracle (counters; the current epoch's view).
   const Oracle& oracle() const { return oracle_; }
-
-  /// The carried estimation context (cache statistics, GP warm state).
-  const EstimationContext& context() const { return ctx_; }
 
   /// Current machine-side labeling of every cumulative pair: carried
   /// answers verbatim, everything else by the provisional model (GP subset
@@ -183,7 +178,15 @@ class StreamingResolver {
   /// report carrying the fresh estimate fields. Unlike Ingest, nothing is
   /// appended to reports() — this is the post-fold refresh for callers of
   /// PreloadEvidence.
-  EpochReport RefreshServing();
+  const EpochReport& RefreshServing();
+
+  /// The report of the last provisional refresh — the one Ingest(),
+  /// Certify() or RefreshServing() ran last: its epoch is epochs_ingested()
+  /// at that refresh, the size, evidence and estimate fields describe
+  /// provisional_labels(). Current until the next PreloadEvidence or a
+  /// Certify() that fails, so a caller that just ingested or certified can
+  /// read it instead of refreshing again.
+  const EpochReport& serving_report() const { return serving_; }
 
   /// Routes the oracle's fresh inspections through `provider` — the
   /// resolution service's bridge onto its asynchronous crowd queue (see
@@ -207,21 +210,17 @@ class StreamingResolver {
     return oracle_.preloaded() + oracle_.cost();
   }
 
-  /// Lifetime oracle requests and duplicate requests (across the answer
-  /// re-keying an interior merge performs). The streaming discipline keeps
-  /// duplicates at zero: every consumer filters already-answered pairs
-  /// before requesting.
-  size_t total_requests() const {
-    return retired_requests_ + oracle_.total_requests();
-  }
+  /// Lifetime duplicate oracle requests (across the answer re-keying an
+  /// interior merge performs). The streaming discipline keeps them at zero:
+  /// every consumer filters already-answered pairs before requesting.
   size_t total_duplicate_requests() const {
     return retired_duplicates_ + oracle_.duplicate_requests();
   }
 
  private:
   /// Rebuilds evidence strata, the provisional GP, the provisional
-  /// labeling, and the plug-in quality estimates.
-  void RefreshProvisional(EpochReport* report);
+  /// labeling, and the plug-in quality estimates into serving_.
+  void RefreshProvisional();
 
   /// Index of `pair` in the cumulative sorted order (binary search under
   /// data::PairLess); asserts presence.
@@ -235,8 +234,7 @@ class StreamingResolver {
   EstimationContext ctx_;
 
   size_t epochs_ingested_ = 0;
-  size_t retired_requests_ = 0;    // request counters retired by re-keying
-  size_t retired_duplicates_ = 0;
+  size_t retired_duplicates_ = 0;  // duplicates retired by re-keying
   std::deque<EpochReport> reports_;  // stable element refs; see reports()
   std::optional<StreamingCertificate> last_certificate_;
 
@@ -253,6 +251,7 @@ class StreamingResolver {
   std::vector<ProvPin> prov_pins_;  // discovery order (GP insertion order)
   std::optional<gp::GpRegression> prov_model_;
   std::vector<int> provisional_labels_;
+  EpochReport serving_;  // the last refresh; see serving_report()
   size_t prov_gp_grid_fits_ = 0;
 };
 

@@ -58,7 +58,6 @@ class WorkloadStream {
   WorkloadStream(const Workload* base, WorkloadStreamOptions options);
 
   size_t num_shards() const { return options_.num_shards; }
-  const WorkloadStreamOptions& options() const { return options_; }
 
   /// True while epochs remain; fills `out` with the next shard.
   bool Next(Shard* out);

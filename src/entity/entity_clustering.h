@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -31,9 +32,6 @@ inline RecordRef UnpackRecord(uint64_t key) {
 inline bool operator==(RecordRef a, RecordRef b) {
   return a.source == b.source && a.id == b.id;
 }
-inline bool operator<(RecordRef a, RecordRef b) {
-  return PackRecord(a) < PackRecord(b);
-}
 
 /// How a pairwise workload's left/right id columns map onto record sources.
 /// The default treats the workload as two-table ER (DBLP-Scholar, Abt-Buy):
@@ -47,13 +45,16 @@ struct ClusteringOptions {
 
 /// The record universe of a pairwise workload under one ClusteringOptions
 /// view: the sorted distinct packed keys of both endpoint columns, and each
-/// pair's endpoint positions in them (`record_keys[left[i]]` is pair i's
+/// pair's endpoint positions in them (`(*record_keys)[left[i]]` is pair i's
 /// left record). EntityClustering and RepairTransitivity both build on it,
-/// so this is the one place that knows how records are laid out.
+/// so this is the one place that knows how records are laid out. The keys
+/// are immutable and shared: every clustering built from a universe points
+/// at the same array.
 struct RecordUniverse {
-  std::vector<uint64_t> record_keys;  // sorted ascending, distinct
-  std::vector<uint32_t> left;         // per pair, index into record_keys
-  std::vector<uint32_t> right;        // per pair, index into record_keys
+  std::shared_ptr<const std::vector<uint64_t>> record_keys =
+      std::make_shared<const std::vector<uint64_t>>();  // sorted, distinct
+  std::vector<uint32_t> left;   // per pair, index into *record_keys
+  std::vector<uint32_t> right;  // per pair, index into *record_keys
 };
 
 /// Builds the record universe in linear passes with no binary search: each
@@ -63,6 +64,20 @@ struct RecordUniverse {
 /// set: independent of pair order and thread count.
 RecordUniverse IndexRecords(const data::Workload& workload,
                             const ClusteringOptions& options);
+
+/// The record universe of `grown`, built from `prior` ==
+/// IndexRecords(prior_workload, options) instead of from scratch, for a
+/// `grown` that holds prior_workload's pairs as an ordered subsequence (how
+/// data::Workload::MergeSorted grows a workload). One walk over both id
+/// columns finds the pairs `grown` added; only their keys are sorted and
+/// merged into prior's, and every old pair's record indices are carried
+/// through one remap pass. An empty prior, or a `grown` without that
+/// subsequence, takes the cold path, so the result always equals
+/// IndexRecords(grown, options) field for field.
+RecordUniverse ExtendRecords(const RecordUniverse& prior,
+                             const data::Workload& prior_workload,
+                             const data::Workload& grown,
+                             const ClusteringOptions& options);
 
 /// A transitively-consistent partition of the records of a pairwise
 /// workload into ENTITIES: the connected components of the match-labeled
@@ -82,20 +97,25 @@ RecordUniverse IndexRecords(const data::Workload& workload,
 /// serial sequence of linear passes: IndexRecords radix-ranks the record
 /// universe, an O(n alpha(n)) union-find joins the match edges, and the
 /// canonical renumbering erases any dependence on union order. Each
-/// temporary is freed as soon as its pass ends.
+/// temporary is freed as soon as its pass ends. The record keys are the
+/// universe's shared array, not a copy.
 ///
 /// Immutable after construction: every accessor is const and touches only
 /// frozen storage, so a clustering shared through a shared_ptr (see
 /// core::ResolutionSnapshot) is safe to read from any number of threads.
 class EntityClustering {
  public:
-  /// Contiguous view over one entity's members (packed keys ascending).
+  /// View over one entity's members in ascending record order: a
+  /// contiguous run of record indices into the clustering's record keys.
   struct MemberRange {
-    const uint64_t* data = nullptr;
+    const uint32_t* records = nullptr;  // ascending indices into `keys`
+    const uint64_t* keys = nullptr;     // the clustering's record_keys()
     size_t count = 0;
     size_t size() const { return count; }
     bool empty() const { return count == 0; }
-    RecordRef operator[](size_t i) const { return UnpackRecord(data[i]); }
+    RecordRef operator[](size_t i) const {
+      return UnpackRecord(keys[records[i]]);
+    }
     /// True when `record` is a member (binary search, O(log size)).
     bool Contains(RecordRef record) const;
   };
@@ -110,8 +130,15 @@ class EntityClustering {
                                      const std::vector<int>& labels,
                                      const ClusteringOptions& options = {});
 
+  /// Clusters by `labels` over a prebuilt universe (parallel to its
+  /// left/right arrays), sharing its record-key array. Equal to FromLabels
+  /// over the universe's workload; the universe stays intact, so a caller
+  /// that carries one across calls pays only the union-find.
+  static EntityClustering FromUniverse(const RecordUniverse& universe,
+                                       const std::vector<int>& labels);
+
   /// Distinct records seen by the workload (both sides).
-  size_t num_records() const { return record_keys_.size(); }
+  size_t num_records() const { return record_keys_->size(); }
   /// Entities (clusters), singletons included.
   size_t num_entities() const { return num_entities_; }
   /// Entities with at least two members.
@@ -131,17 +158,20 @@ class EntityClustering {
   }
 
   /// Sorted distinct packed record keys (the record universe).
-  const std::vector<uint64_t>& record_keys() const { return record_keys_; }
+  const std::vector<uint64_t>& record_keys() const { return *record_keys_; }
   /// Entity id per record, parallel to record_keys().
   const std::vector<uint32_t>& entity_of_record() const { return entity_of_; }
 
-  /// FNV-1a over the record keys and their entity assignment — equal for
-  /// equal partitions over equal record universes, computed once at build.
+  /// FNV-1a over 64-bit words, computed once at build: starting from
+  /// h = 14695981039346656037, each word w folds in as
+  /// h = (h ^ w) * 1099511628211 (mod 2^64). The words are num_records(),
+  /// num_entities(), then record_keys()[r] and entity_of_record()[r] for
+  /// r ascending. Equal for equal partitions over equal record universes.
   uint64_t Checksum() const { return checksum_; }
 
   /// Structural equality: same record universe, same partition.
   friend bool operator==(const EntityClustering& a, const EntityClustering& b) {
-    return a.record_keys_ == b.record_keys_ && a.entity_of_ == b.entity_of_;
+    return *a.record_keys_ == *b.record_keys_ && a.entity_of_ == b.entity_of_;
   }
   friend bool operator!=(const EntityClustering& a, const EntityClustering& b) {
     return !(a == b);
@@ -151,13 +181,19 @@ class EntityClustering {
   size_t RecordIndexOf(RecordRef record) const;
 
  private:
-  void BuildFrom(RecordUniverse universe, const std::vector<int>& labels);
+  /// Union-find parent array after joining the match edges.
+  static std::vector<uint32_t> UnionMatches(const RecordUniverse& universe,
+                                            const std::vector<int>& labels);
+  /// Canonical ids, CSR members and checksum from the union-find roots.
+  void BuildFrom(std::vector<uint32_t> parent);
   uint64_t ComputeChecksum() const;
 
-  std::vector<uint64_t> record_keys_;   // sorted ascending
+  /// Sorted ascending; shared with the universe it was built from.
+  std::shared_ptr<const std::vector<uint64_t>> record_keys_ =
+      std::make_shared<const std::vector<uint64_t>>();
   std::vector<uint32_t> entity_of_;     // parallel to record_keys_
   std::vector<uint32_t> member_offsets_;  // CSR offsets into members_
-  std::vector<uint64_t> members_;         // packed keys grouped by entity
+  std::vector<uint32_t> members_;  // record indices grouped by entity
   size_t num_entities_ = 0;
   size_t multi_record_entities_ = 0;
   uint64_t checksum_ = 0;

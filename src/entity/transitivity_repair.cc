@@ -21,7 +21,7 @@ struct LocalEdge {
 
 struct ComponentOutcome {
   /// Sub-cluster id per local record (dense, but not canonical — the final
-  /// FromLabels pass canonicalizes globally).
+  /// clustering pass canonicalizes globally).
   std::vector<uint32_t> assignment;
   size_t moves = 0;
   size_t sweeps = 0;
@@ -139,12 +139,11 @@ RepairResult RepairTransitivity(const data::Workload& workload,
   RepairResult out;
   out.labels = labels;
 
-  const EntityClustering initial =
-      EntityClustering::FromLabels(workload, labels, cluster_options);
-  const size_t num_entities = initial.num_entities();
-  // Endpoint record indices into the clustering's record universe.
+  // One record universe serves the initial and the repaired clustering.
   const RecordUniverse universe = IndexRecords(workload, cluster_options);
-  assert(universe.record_keys == initial.record_keys());
+  const EntityClustering initial =
+      EntityClustering::FromUniverse(universe, labels);
+  const size_t num_entities = initial.num_entities();
   const std::vector<uint32_t>& left_idx = universe.left;
   const std::vector<uint32_t>& right_idx = universe.right;
   const std::vector<uint32_t>& entity_of = initial.entity_of_record();
@@ -253,8 +252,7 @@ RepairResult RepairTransitivity(const data::Workload& workload,
     }
   }
 
-  out.clustering =
-      EntityClustering::FromLabels(workload, out.labels, cluster_options);
+  out.clustering = EntityClustering::FromUniverse(universe, out.labels);
   out.stats.disagreements_after =
       CountDisagreements(workload, labels, out.clustering, cluster_options);
   return out;

@@ -117,13 +117,6 @@ class GpRegression {
   /// Number of training observations the posterior conditions on.
   size_t num_training_points() const { return x_.size(); }
 
-  /// Training inputs/targets in insertion order (original, uncentered
-  /// observations). Streaming consumers compare these against a candidate
-  /// training set to decide between ExtendedWith (old set is a prefix of
-  /// the new one) and a from-scratch refit.
-  const std::vector<double>& training_inputs() const { return x_; }
-  const std::vector<double>& training_targets() const { return y_; }
-
  private:
   // Builds only the winning candidate's model, from its lane factor.
   friend Result<GpRegression> SelectGpByMarginalLikelihood(

@@ -37,7 +37,6 @@ class Matrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  bool empty() const { return data_.empty(); }
 
   double& operator()(size_t r, size_t c) {
     assert(r < rows_ && c < cols_);

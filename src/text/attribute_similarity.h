@@ -35,8 +35,6 @@ class AggregatedSimilarity {
   double operator()(const std::vector<std::string>& r1,
                     const std::vector<std::string>& r2) const;
 
-  const std::vector<AttributeSpec>& specs() const { return specs_; }
-
   /// Derives per-attribute weights from value diversity: weight_i = number
   /// of distinct values of attribute i in the union of both tables' columns.
   static std::vector<double> WeightsFromDistinctCounts(

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,88 @@ TEST_F(ResolutionServiceEntityTest, EntityViewConsistentUnderConcurrentIngest) {
       EntityClustering::FromLabels(snap->workload(), snap->labels());
   EXPECT_EQ(rebuilt, snap->entities());
   EXPECT_EQ(rebuilt.Checksum(), snap->entities().Checksum());
+}
+
+/// Every published snapshot's entity view equals a cold clustering of its
+/// own workload and labels, and snapshots of one unchanged workload share
+/// the workload copy and the record-key array. The writer is driven from
+/// one thread and waits out each certification, so every version is seen.
+TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 12;
+  data::WorkloadStream stream(&ds_, stream_options);
+  core::ResolutionService service(ServiceOptions(), {0.9, 0.9, 0.9});
+
+  std::shared_ptr<const core::ResolutionSnapshot> last;
+  size_t shared = 0;
+  const auto check_next = [&service, &last, &shared] {
+    const auto snap = service.snapshot();
+    ASSERT_EQ(snap->version(), service.snapshots_published());
+    ASSERT_EQ(snap->version(), last == nullptr ? 1 : last->version() + 1);
+    ASSERT_TRUE(snap->Validate());
+    const EntityClustering cold =
+        EntityClustering::FromLabels(snap->workload(), snap->labels());
+    ASSERT_EQ(snap->entities(), cold) << "version " << snap->version();
+    ASSERT_EQ(snap->entities().Checksum(), cold.Checksum());
+    if (last != nullptr && last->pairs() == snap->pairs()) {
+      EXPECT_EQ(&last->workload(), &snap->workload());
+      EXPECT_EQ(&last->entities().record_keys(),
+                &snap->entities().record_keys());
+      ++shared;
+    }
+    last = snap;
+  };
+  const auto certify_and_wait = [&service] {
+    ASSERT_TRUE(service.RequestCertification());
+    while (service.certification_in_flight()) std::this_thread::yield();
+  };
+  const auto review_burst = [](size_t e) {
+    std::vector<data::InstancePair> burst;
+    for (size_t k = 0; k < 16; ++k) {
+      burst.push_back(ds_[(e * 7919 + k * 104729) % ds_.size()]);
+    }
+    return burst;
+  };
+
+  check_next();
+  for (size_t e = 0; e < stream.num_shards(); ++e) {
+    if (e == 6) {
+      certify_and_wait();
+      check_next();
+    }
+    if (e % 3 == 1) {
+      service.EnqueueReview(review_burst(e));
+      service.WaitForReviewDelivery();
+    }
+    service.Ingest(stream.ShardAt(e));
+    check_next();
+  }
+  // Verdicts folded at drain publish once more over the same workload. No
+  // mutation is in flight, so the resolver can name the unanswered pairs
+  // the last snapshot labels wrongly (the crowd is error-free: its verdict
+  // is the pair's truth).
+  const core::StreamingResolver& resolver = service.resolver_unsynchronized();
+  std::vector<data::InstancePair> corrected;
+  for (size_t i = 0; i < last->pairs() && corrected.size() < 16; ++i) {
+    const data::InstancePair pair = last->workload()[i];
+    if (!resolver.oracle().WasAsked(i) &&
+        last->LabelOf(i) != (pair.is_match ? 1 : 0)) {
+      corrected.push_back(pair);
+    }
+  }
+  ASSERT_FALSE(corrected.empty());
+  ASSERT_EQ(service.EnqueueReview(corrected), corrected.size());
+  service.WaitForReviewDelivery();
+  ASSERT_TRUE(service.DrainToQuiescence().ok());
+  check_next();
+  // The drain publish refreshed the serving state, so it serves them.
+  for (const data::InstancePair& pair : corrected) {
+    const size_t idx = last->workload().IndexOfSorted(pair);
+    ASSERT_EQ(last->LabelOf(idx), pair.is_match ? 1 : 0) << "pair " << idx;
+  }
+  certify_and_wait();
+  check_next();
+  EXPECT_EQ(shared, 3u);
 }
 
 TEST_F(ResolutionServiceEntityTest, EmptyServiceServesEmptyEntityView) {

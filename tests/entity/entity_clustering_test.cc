@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/solution.h"
 #include "data/workload.h"
+#include "data/workload_stream.h"
 
 namespace humo {
 namespace {
@@ -35,9 +36,8 @@ std::vector<int> TruthLabels(const data::Workload& w) {
 
 TEST(RecordRefTest, PackingPreservesLexicographicOrder) {
   const RecordRef a{0, 5}, b{1, 0}, c{1, 5};
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
   EXPECT_LT(PackRecord(a), PackRecord(b));
+  EXPECT_LT(PackRecord(b), PackRecord(c));
   EXPECT_EQ(UnpackRecord(PackRecord(c)), c);
   EXPECT_TRUE((RecordRef{2, 3}) == (RecordRef{2, 3}));
   EXPECT_FALSE((RecordRef{2, 3}) == (RecordRef{3, 2}));
@@ -168,18 +168,13 @@ ReferenceClustering ReferenceFromLabels(const data::Workload& w,
     out.members[entity_of_root[root]].push_back(keys[r]);
   }
 
-  uint64_t h = 1469598103934665603ULL;
-  const auto mix64 = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix64(m);
-  mix64(out.members.size());
+  // FNV-1a, one step per 64-bit word.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = (h ^ m) * 0x100000001b3ULL;
+  h = (h ^ out.members.size()) * 0x100000001b3ULL;
   for (size_t r = 0; r < m; ++r) {
-    mix64(keys[r]);
-    mix64(out.entity_of[r]);
+    h = (h ^ keys[r]) * 0x100000001b3ULL;
+    h = (h ^ out.entity_of[r]) * 0x100000001b3ULL;
   }
   out.checksum = h;
   return out;
@@ -220,7 +215,7 @@ void ExpectMatchesReference(const data::Workload& w,
   const ReferenceClustering ref = ReferenceFromLabels(w, labels, options);
 
   const entity::RecordUniverse universe = entity::IndexRecords(w, options);
-  EXPECT_EQ(universe.record_keys, ref.record_keys);
+  EXPECT_EQ(*universe.record_keys, ref.record_keys);
   EXPECT_EQ(universe.left, ref.left_idx);
   EXPECT_EQ(universe.right, ref.right_idx);
 
@@ -233,9 +228,11 @@ void ExpectMatchesReference(const data::Workload& w,
     ASSERT_EQ(c.num_entities(), ref.members.size());
     for (uint32_t e = 0; e < c.num_entities(); ++e) {
       const EntityClustering::MemberRange members = c.MembersOf(e);
-      EXPECT_EQ(std::vector<uint64_t>(members.data,
-                                      members.data + members.count),
-                ref.members[e]);
+      std::vector<uint64_t> keys;
+      for (size_t k = 0; k < members.size(); ++k) {
+        keys.push_back(PackRecord(members[k]));
+      }
+      EXPECT_EQ(keys, ref.members[e]);
     }
     EXPECT_EQ(c.Checksum(), ref.checksum);
   }
@@ -295,6 +292,103 @@ TEST(EntityClusteringTest, MatchesSortAndBinarySearchReference) {
     ExpectMatchesReference(w, two_table);
     ExpectMatchesReference(w, dedup);
   }
+}
+
+/// Grows a workload from `start` shard by shard the way the streaming
+/// resolver does (Workload::MergeSorted) and checks after every shard that
+/// extending the previous universe equals indexing the grown workload cold.
+void ExpectExtensionMatchesIndex(const data::Workload& start,
+                                 const data::Workload& base,
+                                 const data::WorkloadStreamOptions& stream,
+                                 const ClusteringOptions& options) {
+  const data::WorkloadStream shards(&base, stream);
+  data::Workload grown = start;
+  entity::RecordUniverse universe = entity::IndexRecords(grown, options);
+  for (size_t e = 0; e < shards.num_shards(); ++e) {
+    SCOPED_TRACE(e);
+    const data::Workload prior = grown;
+    grown.MergeSorted(shards.ShardAt(e).pairs);
+    universe = entity::ExtendRecords(universe, prior, grown, options);
+    const entity::RecordUniverse cold = entity::IndexRecords(grown, options);
+    ASSERT_EQ(*universe.record_keys, *cold.record_keys);
+    ASSERT_EQ(universe.left, cold.left);
+    ASSERT_EQ(universe.right, cold.right);
+  }
+}
+
+TEST(EntityClusteringTest, ExtendedUniverseEqualsColdIndex) {
+  // Small pools force duplicate (left, right) pairs within and across
+  // shards; the 32-bit pool puts ids at 0 and 2^32 - 1.
+  const std::vector<uint32_t> wide = IdPool(32, 300, 7);
+  const std::vector<uint32_t> narrow = IdPool(11, 40, 8);
+  std::vector<data::InstancePair> pairs =
+      PoolWorkload(3000, wide, narrow, 0.3, 9).MaterializePairs();
+  // Exact duplicates: same ids, similarity and label.
+  for (size_t i = 0; i < 200; ++i) pairs.push_back(pairs[i * 7]);
+  const data::Workload base(std::move(pairs));
+  const data::Workload one_pair({{UINT32_MAX, 0, 0.5, true}});
+
+  for (const data::ArrivalOrder order :
+       {data::ArrivalOrder::kShuffled, data::ArrivalOrder::kRoundRobin,
+        data::ArrivalOrder::kSimilarityAscending}) {
+    for (const ClusteringOptions options :
+         {ClusteringOptions{0, 1}, ClusteringOptions{4, 4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "order " << static_cast<int>(order) << " sources "
+                   << options.left_source << "," << options.right_source);
+      data::WorkloadStreamOptions stream;
+      stream.num_shards = 9;
+      stream.order = order;
+      ExpectExtensionMatchesIndex(data::Workload(), base, stream, options);
+      ExpectExtensionMatchesIndex(one_pair, base, stream, options);
+    }
+  }
+}
+
+TEST(EntityClusteringTest, ExtendRecordsHandlesUnchangedAndUnrelatedWorkloads) {
+  const ClusteringOptions two_table{0, 1};
+  const data::Workload w = TwoTableWorkload();
+  const entity::RecordUniverse universe = entity::IndexRecords(w, two_table);
+  {
+    SCOPED_TRACE("unchanged workload");
+    const entity::RecordUniverse same =
+        entity::ExtendRecords(universe, w, w, two_table);
+    EXPECT_EQ(*same.record_keys, *universe.record_keys);
+    EXPECT_EQ(same.left, universe.left);
+    EXPECT_EQ(same.right, universe.right);
+  }
+  {
+    SCOPED_TRACE("a workload that does not contain the prior one");
+    const data::Workload other({{7, 8, 0.5, true}, {0, 0, 0.95, false},
+                                {1, 9, 0.1, true}, {3, 2, 0.85, true},
+                                {4, 4, 0.7, false}});
+    const entity::RecordUniverse extended =
+        entity::ExtendRecords(universe, w, other, two_table);
+    const entity::RecordUniverse cold = entity::IndexRecords(other, two_table);
+    EXPECT_EQ(*extended.record_keys, *cold.record_keys);
+    EXPECT_EQ(extended.left, cold.left);
+    EXPECT_EQ(extended.right, cold.right);
+  }
+}
+
+TEST(EntityClusteringTest, FromUniverseSharesKeysAndEqualsFromLabels) {
+  const ClusteringOptions dedup{4, 4};
+  const std::vector<uint32_t> left = IdPool(22, 200, 3);
+  const std::vector<uint32_t> right = IdPool(22, 200, 4);
+  const data::Workload w = PoolWorkload(800, left, right, 0.4, 5);
+  const entity::RecordUniverse universe = entity::IndexRecords(w, dedup);
+  const std::vector<int> labels = w.GroundTruthLabels();
+  const EntityClustering a = EntityClustering::FromUniverse(universe, labels);
+  const EntityClustering b = EntityClustering::FromUniverse(
+      universe, std::vector<int>(w.size(), 0));
+  const EntityClustering cold = EntityClustering::FromLabels(w, labels, dedup);
+  EXPECT_EQ(a, cold);
+  EXPECT_EQ(a.Checksum(), cold.Checksum());
+  EXPECT_EQ(&a.record_keys(), universe.record_keys.get());
+  EXPECT_EQ(&b.record_keys(), universe.record_keys.get());
+  EXPECT_EQ(b.num_entities(), b.num_records());
+  // The universe stays intact for the next clustering.
+  EXPECT_EQ(universe.left.size(), w.size());
 }
 
 }  // namespace

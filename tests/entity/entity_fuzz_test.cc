@@ -34,7 +34,7 @@ void CheckClusteringInvariants(const EntityClustering& c) {
     for (size_t i = 0; i < members.size(); ++i) {
       ASSERT_EQ(c.EntityOf(members[i]), std::optional<uint32_t>(e));
       if (i > 0) {
-        ASSERT_LT(members.data[i - 1], members.data[i]);
+        ASSERT_LT(PackRecord(members[i - 1]), PackRecord(members[i]));
       }
     }
     total += members.size();

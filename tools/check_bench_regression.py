@@ -27,8 +27,9 @@ The per-bench contract (keyed by the JSON's "bench" field):
                                      exact         lsh_pairs, samp_cost,
                                                    scores_identical
   serving         key (workload,     higher-better lookups_per_sec
-                  pairs, shards,     exact         drained_equals_synchronous,
-                  readers)                         snapshots_consistent
+                  pairs, shards,     lower-better  mutate_over_sync
+                  readers)           exact         drained_equals_synchronous,
+                                                   snapshots_consistent
   entities        key (pairs)        higher-better cluster_mpairs_per_sec
                                      lower-better  repair_ms
                                      exact         records, entities,
@@ -94,7 +95,8 @@ CONTRACTS = {
     "serving": {
         "key": ("workload", "pairs", "shards", "readers"),
         "higher": ("lookups_per_sec",),
-        "lower": (),
+        # serving write side over the bare resolver on the same schedule
+        "lower": ("mutate_over_sync",),
         "exact": ("drained_equals_synchronous", "snapshots_consistent"),
     },
     "entities": {
@@ -299,6 +301,35 @@ def selftest():
     flipped["results"][0]["identical_labels"] = False
     assert compare(lower, flipped), (
         "selftest: exact field flip must be rejected"
+    )
+
+    serving = {
+        "bench": "serving",
+        "results": [
+            {
+                "workload": "AB",
+                "pairs": 60000,
+                "shards": 16,
+                "readers": 4,
+                "lookups_per_sec": 6.0e7,
+                "mutate_over_sync": 2.0,
+                "drained_equals_synchronous": True,
+                "snapshots_consistent": True,
+            }
+        ],
+    }
+    assert compare(serving, copy.deepcopy(serving)) == [], (
+        "selftest: clean serving run must pass"
+    )
+    slow_serving = copy.deepcopy(serving)
+    slow_serving["results"][0]["mutate_over_sync"] *= 1.25
+    assert compare(serving, slow_serving), (
+        "selftest: serving write-side slowdown must be rejected"
+    )
+    no_ratio = copy.deepcopy(serving)
+    del no_ratio["results"][0]["mutate_over_sync"]
+    assert compare(serving, no_ratio), (
+        "selftest: a serving row without mutate_over_sync must be rejected"
     )
 
     entities = {

@@ -18,6 +18,11 @@ is not allowlisted. This mode needs the library and the binaries built at
 called function keeps an out-of-line copy, and --gc-sections drops the ones
 nothing reaches. An optimized build inlines some functions at every call
 site, and they would read as unreached.
+
+A header-inline function reaches libhumo.a only when a library .cc calls
+it, so the same mode also takes, in place of the archive, the object of
+tools/keep_inline_members.cc compiled with -O0 -fkeep-inline-functions: it
+defines every inline humo:: function of the umbrella header.
 """
 import subprocess
 import sys
@@ -30,11 +35,72 @@ ALLOWED = {"persistence.cc.o", "csv.cc.o"}
 # Functions no binary reaches that the library keeps because a test uses
 # them as the reference for, or the observation of, a live path, or to
 # build a live path's input. Keyed by the demangled name without its
-# parameter list (all overloads) or with it (that overload only).
+# parameter list (all overloads) or with it (that overload only). Header
+# inline functions are listed too: they reach the scan through
+# tools/keep_inline_members.cc (see --functions below).
 FUNCTIONS = {
     # common
     "humo::ThreadPool::RetiredGlobalPools":
         "observes that SetGlobalThreads retires the outgoing pool",
+    "humo::CsvReader::CsvReader":
+        "constructs the allowlisted csv module's reader",
+    "humo::CsvWriter::CsvWriter":
+        "constructs the allowlisted csv module's writer",
+    "humo::Status::code":
+        "observes which error a failing call returned",
+    "humo::Status::operator==":
+        "compares statuses in the Status tests",
+    # core
+    "humo::core::CrowdOracle::duplicate_requests":
+        "observes that crowd labeling never re-asks a pair",
+    "humo::core::CrowdOracle::total_requests":
+        "observes the crowd oracle's request count",
+    "humo::core::CrowdOracle::worker_error_estimates":
+        "observes the Dawid-Skene worker error estimates",
+    "humo::core::CrowdOracle::options":
+        "observes the crowd options the oracle clamped",
+    "humo::core::CrowdTaskBroker::inference":
+        "observes the broker's transitive-inference counters",
+    "humo::core::TransitiveInference::conflicts_dropped":
+        "observes transitive inference dropping a conflicting answer",
+    "humo::core::TransitiveInference::merges":
+        "observes transitive inference merging records",
+    "humo::core::TransitiveInference::negative_edges":
+        "observes transitive inference recording non-matches",
+    "humo::core::TransitiveInference::num_records":
+        "observes the records transitive inference has seen",
+    "humo::core::EstimationContext::cache":
+        "observes the subset statistics a context carries",
+    "humo::core::SubsetStatsCache::SubsetStatsCache":
+        "builds a cache of a given size for the cache tests",
+    "humo::core::GpRangeAccumulator::a":
+        "observes the accumulator's range against a rebuilt one",
+    "humo::core::GpRangeAccumulator::b":
+        "observes the accumulator's range against a rebuilt one",
+    "humo::core::GpSubsetModel::AvgSimilarity":
+        "reads the inputs the subset model's GP reference predicts at",
+    "humo::core::GpSubsetModel::gp":
+        "reads the GP the range accumulator is checked against",
+    "humo::core::Oracle::AnswerMemoryBytes":
+        "bounds the oracle's answer memory per pair",
+    "humo::core::PagedAnswerBitmap::MemoryBytes":
+        "bounds the oracle's answer memory per pair",
+    "humo::core::PartialSamplingOptimizer::options":
+        "reads the sampling budget a test bounds SAMP's cost by",
+    "humo::core::ResolutionService::certification_in_flight":
+        "waits out a certification to observe its snapshot",
+    "humo::core::ResolutionSnapshot::BatchLabels":
+        "checks batch lookups against single ones under mutation",
+    "humo::core::ResolutionSnapshot::MembersOf":
+        "observes a snapshot's entity members",
+    "humo::core::ResolutionSnapshot::epochs_ingested":
+        "observes which epochs a snapshot covers",
+    "humo::core::ResolutionSnapshot::quality":
+        "observes a snapshot's certified flag",
+    "humo::core::StreamingResolver::provisional_gp_grid_fits":
+        "observes that the provisional GP refits on new evidence",
+    "humo::core::StreamingResolver::reports":
+        "observes that epoch reports stay put across ingests",
     # data
     "humo::data::MinHashLshBlock(humo::data::RecordTable const&, "
     "humo::data::RecordTable const&, unsigned long, "
@@ -44,10 +110,50 @@ FUNCTIONS = {
         "builds a test workload pair by pair",
     "humo::data::Workload::MaterializePairs":
         "turns a workload into a shard and compares pair lists",
+    "humo::data::Workload::left_ids":
+        "compares a workload's columns with a reference build",
+    "humo::data::Workload::right_ids":
+        "compares a workload's columns with a reference build",
+    "humo::data::Workload::similarities":
+        "compares a workload's columns with a reference build",
+    "humo::data::Workload::match_labels":
+        "compares a workload's columns with a reference build",
+    "humo::data::WorkloadStream::Reset":
+        "replays a stream to check shards are deterministic",
+    "humo::data::WorkloadStream::num_shards":
+        "drives a test's ingest loop over every shard",
+    "humo::data::RecordColumns::offsets":
+        "compares built record columns with a reference build",
+    "humo::data::RecordColumns::token_ids":
+        "compares built record columns with a reference build",
+    "humo::data::RecordColumns::term_freq":
+        "compares built record columns with a reference build",
+    "humo::data::RecordColumns::weights":
+        "compares built record columns with a reference build",
+    "humo::data::RecordTable::schema[abi:cxx11]":
+        "observes the attribute schema a generator emits",
     # entity
     "humo::entity::EntityClustering::MemberRange::Contains":
         "observes the members of a live clustering",
+    "humo::entity::EntityClustering::MemberRange::empty":
+        "observes the members of a live clustering",
+    "humo::entity::EntityClustering::MemberRange::size":
+        "observes the members of a live clustering",
+    "humo::entity::EntityClustering::MemberRange::operator[]":
+        "observes the members of a live clustering",
+    "humo::entity::UnpackRecord":
+        "observes the members of a live clustering",
+    "humo::entity::EntityClustering::num_multi_record_entities":
+        "observes the entity-size split of a live clustering",
+    "humo::entity::operator==":
+        "compares a clustering or record with a reference",
+    "humo::entity::operator!=":
+        "compares a clustering with a reference",
     # gp
+    "humo::gp::GpRegression::jitter_used":
+        "observes the jitter grid selection's rescue needed",
+    "humo::gp::Kernel::family":
+        "observes which kernel family a fit selected",
     "humo::gp::GpRegression::PredictJoint":
         "reference for PredictBatch and the Eq. 20 range accumulator",
     "humo::gp::GpRegression::WhitenedCross":
@@ -59,6 +165,10 @@ FUNCTIONS = {
     "humo::gp::JointPrediction::WeightedTotalStdDev":
         "Eq. 20 reference the range accumulator's std-dev is checked against",
     # linalg
+    "humo::linalg::Cholesky::L":
+        "compares a factor bit for bit with a reference factor",
+    "humo::linalg::Cholesky::jitter_used":
+        "observes the jitter a factorization needed",
     "humo::linalg::Matrix::FromRows":
         "builds the matrices the Cholesky tests factor",
     "humo::linalg::Matrix::Identity":
@@ -73,7 +183,14 @@ FUNCTIONS = {
         "scalar reference the AVX2 lane factorization is checked against",
     "humo::linalg::internal::SolveLanesPortable":
         "scalar reference the AVX2 lane solve is checked against",
+    # ml
+    "humo::ml::LinearSvm::bias":
+        "checks training is deterministic under one seed",
+    "humo::ml::LinearSvm::weights":
+        "checks training is deterministic under one seed",
     # text
+    "humo::text::TfIdfModel::num_documents":
+        "string TF-IDF: reference for the id-path weights",
     "humo::text::TfIdfModel::Fit":
         "string TF-IDF: reference for the id-path cosine",
     "humo::text::TfIdfModel::Transform":
