@@ -75,7 +75,6 @@ struct Row {
 
 struct SyncRun {
   core::StreamingCertificate cert;
-  std::vector<int> provisional_labels;
   size_t total_inspections = 0;
   double ms = 0.0;
 };
@@ -133,7 +132,6 @@ SyncRun RunSynchronous(const data::Workload& base,
   }
   SyncRun run;
   run.cert = *cert;
-  run.provisional_labels = resolver.provisional_labels();
   run.total_inspections = resolver.total_inspections();
   run.ms = MsSince(start);
   return run;

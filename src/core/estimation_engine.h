@@ -114,6 +114,10 @@ struct GpFitState {
 struct PartialSamplingOutcome {
   HumoSolution solution;
   std::shared_ptr<GpSubsetModel> model;
+  /// Workload scatter variance behind the model's per-subset scatter
+  /// (SubsetScatterVariance), so the same prior can be evaluated at subsets
+  /// the model was not built over.
+  double scatter = 0.0;
   /// Per-subset sampling strata; unsampled subsets have sample_size == 0.
   std::vector<stats::Stratum> strata;
   /// Which subsets were sampled during Algorithm 1.

@@ -32,6 +32,18 @@ SubsetPosterior ConditionSubset(double prior_mean, double prior_variance,
   return post;
 }
 
+RatePrior SubsetPrior(const gp::Prediction& pred, double variance_inflation,
+                      double scatter) {
+  return {std::clamp(pred.mean, 0.0, 1.0),
+          variance_inflation * pred.variance + scatter};
+}
+
+double SubsetScatterVariance(double gp_mean, double size,
+                             double workload_scatter) {
+  const double p = std::max(std::clamp(gp_mean, 0.0, 1.0), 0.5 / size);
+  return workload_scatter + p * (1.0 - p) / size;
+}
+
 GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
                              std::vector<double> avg_similarity,
                              std::vector<double> subset_sizes,
@@ -60,8 +72,10 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
     const double nk = n_[k];
     const double scatter_k =
         scatter_variance.empty() ? 0.0 : scatter_variance[k];
-    prior_mean_[k] = std::clamp(predictions[k].mean, 0.0, 1.0);
-    prior_var_[k] = variance_inflation_ * predictions[k].variance + scatter_k;
+    const RatePrior prior =
+        SubsetPrior(predictions[k], variance_inflation_, scatter_k);
+    prior_mean_[k] = prior.mean;
+    prior_var_[k] = prior.variance;
     if (HasEvidence(k)) {
       const stats::Stratum& ev = evidence_[k];
       assert(ev.sample_size <= static_cast<size_t>(nk));

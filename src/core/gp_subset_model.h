@@ -30,6 +30,26 @@ struct SubsetPosterior {
 SubsetPosterior ConditionSubset(double prior_mean, double prior_variance,
                                 size_t matches, size_t inspected, size_t size);
 
+/// Prior N(mean, variance) on one subset's match rate.
+struct RatePrior {
+  double mean = 0.0;
+  double variance = 0.0;
+};
+
+/// The prior GpSubsetModel holds on a subset whose GP posterior at its
+/// average similarity is `pred`: the mean clamped to [0, 1], and
+/// `variance_inflation` times the GP variance plus the subset's independent
+/// `scatter` variance.
+RatePrior SubsetPrior(const gp::Prediction& pred, double variance_inflation,
+                      double scatter);
+
+/// SAMP's independent scatter of a subset of `size` pairs: the workload
+/// irregularity `workload_scatter` plus the binomial variance of the
+/// subset's realized count around the latent rate `gp_mean` (smoothed so a
+/// rate near 0 still carries width).
+double SubsetScatterVariance(double gp_mean, double size,
+                             double workload_scatter);
+
 /// A fitted Gaussian-process view over the unit subsets of a workload:
 /// per-subset match-proportion estimates plus the machinery needed to bound
 /// the total match count of any contiguous subset range (the n+ of Eq. 13/14

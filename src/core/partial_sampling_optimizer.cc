@@ -429,16 +429,9 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   // below and the model (PredictBatch entries do not depend on the batch).
   std::vector<linalg::Vector> whitened;
   const std::vector<gp::Prediction> preds = gp.PredictBatch(vs, &whitened);
-  // Per-subset scatter: workload irregularity plus the binomial variance of
-  // the subset's realized count around the latent rate (smoothed so rate ~0
-  // still carries width).
   std::vector<double> scatter_vec(m);
-  for (size_t k = 0; k < m; ++k) {
-    const double nk = ns[k];
-    const double raw = std::clamp(preds[k].mean, 0.0, 1.0);
-    const double p = std::max(raw, 0.5 / nk);
-    scatter_vec[k] = scatter + p * (1.0 - p) / nk;
-  }
+  for (size_t k = 0; k < m; ++k)
+    scatter_vec[k] = SubsetScatterVariance(preds[k].mean, ns[k], scatter);
   const double inflation =
       LooVarianceInflation(gp, partition, strata, train, scatter);
   auto model = std::make_shared<GpSubsetModel>(
@@ -513,6 +506,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   outcome.solution.h_hi = j;
   outcome.solution.empty = false;
   outcome.model = std::move(model);
+  outcome.scatter = scatter;
   outcome.strata = std::move(strata);
   outcome.sampled = std::move(sampled);
   outcome.req = req;

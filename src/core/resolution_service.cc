@@ -298,10 +298,11 @@ size_t ResolutionService::FoldCompletedReviewsLocked() {
 void ResolutionService::PublishLocked(bool refresh) {
   // After a review fold the provisional serving state must see the new
   // evidence. Right after Ingest or Certify it already does, and a second
-  // refresh would be a structural no-op (pins stay valid, no refit): either
-  // way publishing never perturbs the resolver's deterministic state, so a
-  // service run and a bare-resolver run through the same schedule stay
-  // bit-identical.
+  // refresh would recompute the same labels and estimates. Either way the
+  // refresh writes only serving state (it reads the evidence and the last
+  // certificate's model), so publishing never perturbs the resolver's
+  // deterministic state, and a service run and a bare-resolver run through
+  // the same schedule stay bit-identical.
   const EpochReport& report =
       refresh ? resolver_.RefreshServing() : resolver_.serving_report();
 

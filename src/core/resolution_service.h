@@ -22,7 +22,10 @@ namespace humo::core {
 
 /// Plug-in quality summary a snapshot serves alongside its labels.
 struct QualityEstimate {
-  /// True once enough evidence exists for a provisional GP estimate.
+  /// True once a certification has succeeded: precision and recall are
+  /// then plug-in estimates under its subset model, conditioned on every
+  /// carried answer (see StreamingResolver). False before, when the labels
+  /// follow the similarity midpoint.
   bool has_estimate = false;
   double precision = 0.0;
   double recall = 0.0;
@@ -46,7 +49,7 @@ class ResolutionSnapshot {
 
   /// Label of every pair in cumulative sorted order: carried human answers
   /// verbatim, machine labels elsewhere (certificate labels when
-  /// quality().certified, the provisional model otherwise).
+  /// quality().certified, the resolver's provisional labels otherwise).
   const std::vector<int>& labels() const { return labels_; }
   int LabelOf(size_t index) const { return labels_[index]; }
 
@@ -299,8 +302,9 @@ class ResolutionService {
   /// Returns how many folded. Caller holds writer_mu_.
   size_t FoldCompletedReviewsLocked();
   /// Builds and atomically publishes a snapshot. `refresh` re-runs the
-  /// resolver's provisional refresh first; without it the snapshot serves
-  /// the refresh the last Ingest or Certify ran, which must be current.
+  /// resolver's serving refresh (RefreshServing) first; without it the
+  /// snapshot serves the refresh the last Ingest or Certify ran, which must
+  /// be current.
   /// Caller holds writer_mu_.
   void PublishLocked(bool refresh);
   /// Body of the background certification thread.

@@ -6,32 +6,6 @@
 #include <cstdlib>
 
 namespace humo::core {
-namespace {
-
-/// Minimum pinned subsets before a provisional GP is fitted.
-constexpr size_t kProvisionalMinPins = 3;
-/// Minimum carried answers inside a subset before it pins the provisional
-/// GP (fully enumerated subsets always qualify). Partially covered subsets
-/// carry their sampling variance as observation noise.
-constexpr size_t kProvisionalPinMinSamples = 30;
-
-/// Grid fit over provisional pins, under the same gap guard as the SAMP
-/// certification fit (gp::GapGuardedGrid) so the serving model and the
-/// certification model can never diverge on the length-scale floor.
-Result<gp::GpRegression> FitProvisionalGp(const std::vector<double>& xs,
-                                          const std::vector<double>& ys,
-                                          std::vector<double> noise) {
-  gp::GpOptions options;
-  options.noise_variance = kGpNoiseFloor;
-  options.center_mean = true;
-  return gp::SelectGpByMarginalLikelihood(xs, ys, gp::GapGuardedGrid(xs),
-                                          gp::KernelFamily::kRbf, options,
-                                          std::move(noise));
-}
-
-double ClampUnit(double v) { return std::min(1.0, std::max(0.0, v)); }
-
-}  // namespace
 
 StreamingResolver::StreamingResolver(StreamingOptions options,
                                      QualityRequirement req)
@@ -95,7 +69,7 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     }
   }
 
-  RefreshProvisional();
+  RefreshServing();
   report.pairs_total = serving_.pairs_total;
   report.num_subsets = serving_.num_subsets;
   report.evidence_pairs = serving_.evidence_pairs;
@@ -152,128 +126,77 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
   }
   cert.total_inspections = total_inspections();
   last_certificate_ = cert;
+  // Both certifiers leave the model they certified with on the context.
+  serving_model_ = ctx_.sampling_outcome();
+  assert(serving_model_ != nullptr);
 
   // Certification bought fresh evidence; fold it into the serving state.
-  RefreshProvisional();
+  RefreshServing();
   return cert;
 }
 
-void StreamingResolver::RefreshProvisional() {
+const EpochReport& StreamingResolver::RefreshServing() {
   const size_t m = partition_.num_subsets();
   const size_t n = cumulative_.size();
 
-  evidence_strata_.assign(m, stats::Stratum{});
-  for (size_t k = 0; k < m; ++k) {
-    const Subset& s = partition_[k];
-    stats::Stratum st;
-    st.population = s.size();
-    for (size_t i = s.begin; i < s.end; ++i) {
-      if (!oracle_.WasAsked(i)) continue;
-      ++st.sample_size;
-      st.sample_positives += oracle_.CachedAnswer(i);
-    }
-    evidence_strata_[k] = st;
-  }
-
-  // Carried pins stay valid only while their subsets' contents AND
-  // coverage are untouched (pure tail appends with no new answers inside):
-  // same input, same population, same sample count, same proportion.
-  // Anything else voids the model — an interior merge or fresh inspections
-  // inside a pinned subset force a grid refit over the new pin set.
-  bool valid = true;
-  for (const ProvPin& p : prov_pins_) {
-    if (p.subset >= m) {
-      valid = false;
-      break;
-    }
-    const stats::Stratum& st = evidence_strata_[p.subset];
-    if (st.population != p.population || st.sample_size != p.sample_size ||
-        partition_[p.subset].avg_similarity != p.x || st.proportion() != p.y) {
-      valid = false;
-      break;
-    }
-  }
-  if (!valid) {
-    prov_pins_.clear();
-    prov_model_.reset();
-  }
-
-  std::vector<char> pinned(m, 0);
-  for (const ProvPin& p : prov_pins_) pinned[p.subset] = 1;
-  std::vector<ProvPin> fresh;
-  for (size_t k = 0; k < m; ++k) {
-    const stats::Stratum& st = evidence_strata_[k];
-    if (pinned[k] != 0 || st.population == 0) continue;
-    if (!st.fully_enumerated() && st.sample_size < kProvisionalPinMinSamples)
-      continue;
-    fresh.push_back({k, partition_[k].avg_similarity, st.proportion(),
-                     st.proportion_variance(), st.population,
-                     st.sample_size});
-  }
-
-  if (!fresh.empty() &&
-      prov_pins_.size() + fresh.size() >= kProvisionalMinPins) {
-    std::vector<ProvPin> all = prov_pins_;
-    all.insert(all.end(), fresh.begin(), fresh.end());
-    std::vector<double> xs, ys, noise;
-    xs.reserve(all.size());
-    ys.reserve(all.size());
-    noise.reserve(all.size());
-    for (const ProvPin& p : all) {
-      xs.push_back(p.x);
-      ys.push_back(p.y);
-      noise.push_back(p.noise);
-    }
-    Result<gp::GpRegression> fit = FitProvisionalGp(xs, ys, std::move(noise));
-    if (fit.ok()) {
-      prov_model_ = std::move(*fit);
-      prov_pins_ = std::move(all);
-      ++prov_gp_grid_fits_;
-    }
-    // On failure the fresh pins stay unpinned; a later epoch retries with
-    // more evidence.
-  }
-
-  // Provisional labeling + plug-in quality estimates.
-  provisional_labels_.assign(n, 0);
-  std::vector<gp::Prediction> preds;
-  if (prov_model_.has_value()) {
+  // The certificate's model was built over the partition of its epoch;
+  // evaluate its prior at the current subsets' average similarities.
+  std::vector<RatePrior> priors;
+  if (serving_model_ != nullptr) {
+    const GpSubsetModel& model = *serving_model_->model;
     std::vector<double> xs(m);
     for (size_t k = 0; k < m; ++k) xs[k] = partition_[k].avg_similarity;
-    preds = prov_model_->PredictBatch(xs);
+    const std::vector<gp::Prediction> preds = model.gp().PredictBatch(xs);
+    priors.resize(m);
+    for (size_t k = 0; k < m; ++k) {
+      const double size = static_cast<double>(partition_[k].size());
+      const double scatter =
+          SubsetScatterVariance(preds[k].mean, size, serving_model_->scatter);
+      priors[k] = SubsetPrior(preds[k], model.variance_inflation(), scatter);
+    }
   }
   const double mid =
       n == 0 ? 0.0
              : 0.5 * (cumulative_[0].similarity +
                       cumulative_[n - 1].similarity);
+
+  provisional_labels_.assign(n, 0);
   double exp_tp = 0.0, exp_pos = 0.0, exp_true = 0.0;
   for (size_t k = 0; k < m; ++k) {
     const Subset& s = partition_[k];
-    const stats::Stratum& st = evidence_strata_[k];
-    const double q = prov_model_.has_value()
-                         ? ClampUnit(preds[k].mean)
-                         : (s.avg_similarity >= mid ? 1.0 : 0.0);
+    size_t answered = 0, positives = 0;
+    for (size_t i = s.begin; i < s.end; ++i) {
+      if (!oracle_.WasAsked(i)) continue;
+      ++answered;
+      positives += oracle_.CachedAnswer(i);
+    }
+    double q = s.avg_similarity >= mid ? 1.0 : 0.0;
+    if (!priors.empty()) {
+      const SubsetPosterior post = ConditionSubset(
+          priors[k].mean, priors[k].variance, positives, answered, s.size());
+      q = post.rate_mean;
+    }
     const bool label_match = q >= 0.5;
     for (size_t i = s.begin; i < s.end; ++i) {
       provisional_labels_[i] = oracle_.WasAsked(i)
                                    ? (oracle_.CachedAnswer(i) ? 1 : 0)
                                    : (label_match ? 1 : 0);
     }
-    const double answered_pos = static_cast<double>(st.sample_positives);
-    const double unanswered =
-        static_cast<double>(st.population - st.sample_size);
-    exp_tp += answered_pos + (label_match ? unanswered * q : 0.0);
-    exp_pos += answered_pos + (label_match ? unanswered : 0.0);
-    exp_true += answered_pos + unanswered * q;
+    const double pos = static_cast<double>(positives);
+    const double unanswered = static_cast<double>(s.size() - answered);
+    exp_tp += pos + (label_match ? unanswered * q : 0.0);
+    exp_pos += pos + (label_match ? unanswered : 0.0);
+    exp_true += pos + unanswered * q;
   }
   serving_ = EpochReport{};
   serving_.epoch = epochs_ingested_;
   serving_.pairs_total = n;
   serving_.num_subsets = m;
   serving_.evidence_pairs = total_inspections();
-  serving_.has_estimate = prov_model_.has_value();
+  serving_.has_estimate = serving_model_ != nullptr;
   serving_.est_precision = exp_pos > 0.0 ? exp_tp / exp_pos : 1.0;
   serving_.est_recall = exp_true > 0.0 ? exp_tp / exp_true : 1.0;
+  return serving_;
 }
 
 bool StreamingResolver::PreloadEvidence(const data::InstancePair& pair,
@@ -282,11 +205,6 @@ bool StreamingResolver::PreloadEvidence(const data::InstancePair& pair,
   if (idx >= cumulative_.size()) return false;
   oracle_.Preload(idx, answer);
   return true;
-}
-
-const EpochReport& StreamingResolver::RefreshServing() {
-  RefreshProvisional();
-  return serving_;
 }
 
 size_t StreamingResolver::IndexOf(const data::InstancePair& pair) const {

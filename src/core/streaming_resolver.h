@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -14,8 +15,6 @@
 #include "core/risk_aware_optimizer.h"
 #include "core/solution.h"
 #include "data/workload_stream.h"
-#include "gp/gp_regression.h"
-#include "stats/stratified.h"
 
 namespace humo::core {
 
@@ -50,10 +49,12 @@ struct EpochReport {
   bool pure_append = false;
   /// Distinct pairs with a carried human answer after this epoch.
   size_t evidence_pairs = 0;
-  /// True when enough evidence exists for a provisional GP estimate; the
-  /// est_* fields below are plug-in posterior-mean estimates of the quality
-  /// of provisional_labels() — a serving-time health signal, NOT a
-  /// certificate (no confidence attached; Certify() issues those).
+  /// True once a Certify() has succeeded, so a certificate's subset model
+  /// exists to estimate from; the est_* fields below are then plug-in
+  /// posterior-mean estimates of the quality of provisional_labels() — a
+  /// serving-time health signal, NOT a certificate (no confidence attached;
+  /// Certify() issues those). False before the first certificate, when the
+  /// labels follow the similarity midpoint.
   bool has_estimate = false;
   double est_precision = 0.0;
   double est_recall = 0.0;
@@ -95,9 +96,8 @@ struct StreamingCertificate {
 /// partition (tail-append fast path), the oracle's answer memory (re-keyed
 /// across interior merges via Oracle::Preload), the EstimationContext's
 /// subset-statistics cache and GP warm-start state (carried across pure
-/// tail appends, dropped when a merge invalidates them), and a provisional
-/// GP over the accumulated evidence (re-selected on the hyperparameter grid
-/// when new pins arrive).
+/// tail appends, dropped when a merge invalidates them), and the subset
+/// model of the last certificate, which serving reads between certificates.
 ///
 /// Human interaction is epoch-batched and lazy (the CrowdER batching model
 /// taken to its conclusion): Ingest() never contacts the oracle — it only
@@ -121,6 +121,16 @@ struct StreamingCertificate {
 ///    reused as-is (their subsets' contents are provably unchanged), which
 ///    is cheaper still, at the price of the bitwise comparison against a
 ///    cold run (the cold run would redraw those samples).
+///
+/// Serving has one estimation path, the certifier's. Carried answers are
+/// served verbatim. Once a Certify() has succeeded, every other pair takes
+/// the label of its subset's posterior: the certificate's GpSubsetModel
+/// prior, evaluated at the subset's current average similarity, conditioned
+/// on the subset's carried answers by ConditionSubset (match iff the
+/// posterior rate is >= 0.5). Before the first certificate there is no
+/// model (Ingest never contacts the oracle), and the similarity midpoint
+/// splits the workload. A failed Certify() keeps the last model. No GP is
+/// fitted outside the certifier.
 class StreamingResolver {
  public:
   StreamingResolver(StreamingOptions options, QualityRequirement req);
@@ -149,9 +159,10 @@ class StreamingResolver {
   const Oracle& oracle() const { return oracle_; }
 
   /// Current machine-side labeling of every cumulative pair: carried
-  /// answers verbatim, everything else by the provisional model (GP subset
-  /// mean >= 0.5) or, before any evidence exists, by the similarity
-  /// midpoint. Refreshed by every Ingest() and Certify().
+  /// answers verbatim, everything else by its subset's posterior rate under
+  /// the last certificate's model (>= 0.5 is a match; see the class
+  /// comment) or, before any certificate, by the similarity midpoint.
+  /// Refreshed by every Ingest() and Certify().
   const std::vector<int>& provisional_labels() const {
     return provisional_labels_;
   }
@@ -173,10 +184,11 @@ class StreamingResolver {
   /// estimates see the new evidence.
   bool PreloadEvidence(const data::InstancePair& pair, bool answer);
 
-  /// Recomputes the provisional serving state (evidence strata, GP,
-  /// labels, plug-in estimates) from the current evidence and returns a
-  /// report carrying the fresh estimate fields. Unlike Ingest, nothing is
-  /// appended to reports() — this is the post-fold refresh for callers of
+  /// Recomputes the provisional labels and plug-in estimates from the
+  /// current evidence under the last certificate's model, and returns a
+  /// report carrying the fresh estimate fields. O(n) plus one GP posterior
+  /// pass over the subsets; no fit. Unlike Ingest, nothing is appended to
+  /// reports() — this is the post-fold refresh for callers of
   /// PreloadEvidence.
   const EpochReport& RefreshServing();
 
@@ -196,10 +208,6 @@ class StreamingResolver {
     oracle_.SetAnswerProvider(std::move(provider));
   }
 
-  /// Lifetime count of provisional-GP fits (grid selections over the
-  /// serving model's pins).
-  size_t provisional_gp_grid_fits() const { return prov_gp_grid_fits_; }
-
   /// The most recent certificate, or nullptr before the first Certify().
   const StreamingCertificate* last_certificate() const {
     return last_certificate_ ? &*last_certificate_ : nullptr;
@@ -218,10 +226,6 @@ class StreamingResolver {
   }
 
  private:
-  /// Rebuilds evidence strata, the provisional GP, the provisional
-  /// labeling, and the plug-in quality estimates into serving_.
-  void RefreshProvisional();
-
   /// Index of `pair` in the cumulative sorted order (binary search under
   /// data::PairLess); asserts presence.
   size_t IndexOf(const data::InstancePair& pair) const;
@@ -238,21 +242,12 @@ class StreamingResolver {
   std::deque<EpochReport> reports_;  // stable element refs; see reports()
   std::optional<StreamingCertificate> last_certificate_;
 
-  /// Provisional (machine-only) serving state.
-  struct ProvPin {
-    size_t subset = 0;
-    double x = 0.0;      // avg similarity at fit time
-    double y = 0.0;      // observed match proportion at fit time
-    double noise = 0.0;  // sampling variance (0 when fully enumerated)
-    size_t population = 0;
-    size_t sample_size = 0;
-  };
-  std::vector<stats::Stratum> evidence_strata_;
-  std::vector<ProvPin> prov_pins_;  // discovery order (GP insertion order)
-  std::optional<gp::GpRegression> prov_model_;
+  /// The sampling outcome whose subset model the last successful Certify()
+  /// built (null before one). Held here: the next Ingest drops the
+  /// context's copy.
+  std::shared_ptr<const PartialSamplingOutcome> serving_model_;
   std::vector<int> provisional_labels_;
   EpochReport serving_;  // the last refresh; see serving_report()
-  size_t prov_gp_grid_fits_ = 0;
 };
 
 }  // namespace humo::core

@@ -180,9 +180,8 @@ std::vector<GpCandidate> DefaultGpGrid();
 /// taken). A shorter scale would interpolate the training points perfectly
 /// yet predict at full prior variance inside every gap — useless exactly
 /// where no evidence is. When every stock scale is below the threshold, a
-/// small fallback grid proportional to the gap itself is returned. Shared
-/// by the SAMP certification fit and the streaming provisional fit so the
-/// two models can never diverge on this guard.
+/// small fallback grid proportional to the gap itself is returned. Used by
+/// the SAMP certification fit.
 std::vector<GpCandidate> GapGuardedGrid(const std::vector<double>& xs);
 
 }  // namespace humo::gp

@@ -45,9 +45,10 @@
 ///
 /// When the workload ARRIVES over time instead of sitting in one file, the
 /// streaming resolver (core/streaming_resolver.h) ingests it in epochs —
-/// merge, partition upkeep, and provisional GP serving state are all
-/// incremental and oracle-free — and certifies lazily on demand, reusing
-/// every answer earlier epochs paid for:
+/// merge, partition upkeep, and the provisional labels (served from the last
+/// certificate's subset model) are all incremental and oracle-free — and
+/// certifies lazily on demand, reusing every answer earlier epochs paid
+/// for:
 ///
 ///   data::WorkloadStream stream(&w, {/*num_shards=*/8});
 ///   core::StreamingResolver streaming({}, req);

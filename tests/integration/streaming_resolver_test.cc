@@ -82,6 +82,17 @@ void ExpectPartitionMatchesFresh(const core::SubsetPartition& streamed,
   }
 }
 
+/// Every pair the resolver's oracle answered carries that answer in the
+/// provisional labeling.
+void ExpectCarriedAnswersServed(const core::StreamingResolver& resolver) {
+  const std::vector<int>& labels = resolver.provisional_labels();
+  ASSERT_EQ(labels.size(), resolver.cumulative().size());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (!resolver.oracle().WasAsked(i)) continue;
+    ASSERT_EQ(labels[i], resolver.oracle().CachedAnswer(i) ? 1 : 0) << i;
+  }
+}
+
 TEST_F(StreamingResolverTest, CertifyOnceIsBitIdenticalToOneShot) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   const core::StreamingOptions options = DefaultStreamingOptions();
@@ -230,8 +241,8 @@ TEST_F(StreamingResolverTest, PureAppendStreamCarriesStateAcrossEpochs) {
       RunOneShotSamp(ds_, req, options.sampling, options.subset_size);
   EXPECT_LT(second->fresh_inspections, oneshot.cost);
   EXPECT_EQ(resolver.total_duplicate_requests(), 0u);
-  // The certified evidence pinned the provisional GP at least once.
-  EXPECT_GE(resolver.provisional_gp_grid_fits(), 1u);
+  // Every carried answer is served verbatim.
+  ExpectCarriedAnswersServed(resolver);
   // Final quality still meets the requirement on this realization.
   const auto quality =
       eval::QualityOf(resolver.cumulative(), second->resolution.labels);
@@ -282,26 +293,120 @@ TEST_F(StreamingResolverTest, ProvisionalServingStateAfterCertification) {
   }
   ASSERT_TRUE(resolver.Certify().ok());
 
-  bool saw_estimate = false;
   while (stream.Next(&shard)) {
     const core::EpochReport& report = resolver.Ingest(std::move(shard));
     EXPECT_GT(report.evidence_pairs, 0u);
-    if (report.has_estimate) {
-      saw_estimate = true;
-      EXPECT_GT(report.est_precision, 0.0);
-      EXPECT_LE(report.est_precision, 1.0);
-      EXPECT_GT(report.est_recall, 0.0);
-      EXPECT_LE(report.est_recall, 1.0);
-    }
+    // The certificate's model estimates every later epoch.
+    EXPECT_TRUE(report.has_estimate);
+    EXPECT_GT(report.est_precision, 0.0);
+    EXPECT_LE(report.est_precision, 1.0);
+    EXPECT_GT(report.est_recall, 0.0);
+    EXPECT_LE(report.est_recall, 1.0);
   }
-  EXPECT_TRUE(saw_estimate);
-  // The provisional labeling (carried answers + GP machine labels) is a
-  // usable serving surface between certifications on this realization.
+  // The provisional labeling (carried answers + the certificate model's
+  // conditioned subset labels) is a usable serving surface between
+  // certifications on this realization.
   ASSERT_EQ(resolver.provisional_labels().size(), resolver.cumulative().size());
   const auto quality =
       eval::QualityOf(resolver.cumulative(), resolver.provisional_labels());
   EXPECT_GE(quality.precision, 0.6);
   EXPECT_GE(quality.recall, 0.6);
+}
+
+// Before any certificate there is no model: carried answers are served
+// verbatim and every other pair takes its subset's side of the similarity
+// midpoint, with no estimate.
+TEST_F(StreamingResolverTest, ServingBeforeCertificateSplitsAtMidpoint) {
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  core::StreamingResolver resolver(DefaultStreamingOptions(), req);
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 4;
+  data::WorkloadStream stream(&ds_, stream_options);
+  data::Shard shard;
+  for (size_t e = 0; e < 2; ++e) {
+    ASSERT_TRUE(stream.Next(&shard));
+    resolver.Ingest(std::move(shard));
+  }
+  // Out-of-band reviews of every 37th pair, answered contrary to ground
+  // truth so that no machine rule can reproduce them by chance.
+  const data::Workload& w = resolver.cumulative();
+  std::vector<size_t> reviewed;
+  for (size_t i = 0; i < w.size(); i += 37) reviewed.push_back(i);
+  for (size_t i : reviewed)
+    ASSERT_TRUE(resolver.PreloadEvidence(w[i], !w.IsMatch(i)));
+  const core::EpochReport& report = resolver.RefreshServing();
+  EXPECT_FALSE(report.has_estimate);
+  EXPECT_EQ(report.evidence_pairs, reviewed.size());
+
+  const double mid = 0.5 * (w[0].similarity + w[w.size() - 1].similarity);
+  std::vector<int> expected(w.size(), 0);
+  for (size_t k = 0; k < resolver.partition().num_subsets(); ++k) {
+    const core::Subset& s = resolver.partition()[k];
+    for (size_t i = s.begin; i < s.end; ++i)
+      expected[i] = s.avg_similarity >= mid ? 1 : 0;
+  }
+  for (size_t i : reviewed) expected[i] = w.IsMatch(i) ? 0 : 1;
+  EXPECT_EQ(resolver.provisional_labels(), expected);
+}
+
+// After a certificate, serving conditions the certificate's model on each
+// subset's carried answers. Reviews that contradict a subset's prior move
+// its unanswered pairs with them: ConditionSubset does not let a
+// contradicted prior outvote the evidence.
+TEST(StreamingServingTest, ReviewsThatContradictThePriorMoveTheSubset) {
+  const data::Workload full = data::SimulatePairs(data::DsConfig(555));
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  core::StreamingResolver resolver(DefaultStreamingOptions(), req);
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 4;
+  data::WorkloadStream stream(&full, stream_options);
+  data::Shard shard;
+  while (stream.Next(&shard)) resolver.Ingest(std::move(shard));
+  ASSERT_TRUE(resolver.Certify().ok());
+  ASSERT_TRUE(resolver.serving_report().has_estimate);
+  ExpectCarriedAnswersServed(resolver);
+
+  // The lowest and highest subsets no inspection reached: the model's
+  // prior labels them non-match and match respectively.
+  const core::SubsetPartition& partition = resolver.partition();
+  const core::Oracle& oracle = resolver.oracle();
+  auto uninspected = [&](size_t k) {
+    for (size_t i = partition[k].begin; i < partition[k].end; ++i)
+      if (oracle.WasAsked(i)) return false;
+    return true;
+  };
+  size_t low = 0;
+  while (low < partition.num_subsets() && !uninspected(low)) ++low;
+  size_t high = partition.num_subsets() - 1;
+  while (high > low && !uninspected(high)) --high;
+  ASSERT_LT(low, high);
+  const std::vector<int> before = resolver.provisional_labels();
+  ASSERT_EQ(before[partition[low].begin], 0);
+  ASSERT_EQ(before[partition[high].begin], 1);
+
+  // Reviews answer the first half of each subset against its prior.
+  const data::Workload& w = resolver.cumulative();
+  auto review_first_half = [&](size_t k, bool answer) {
+    const core::Subset& s = partition[k];
+    for (size_t i = s.begin; i < s.begin + s.size() / 2; ++i)
+      ASSERT_TRUE(resolver.PreloadEvidence(w[i], answer));
+  };
+  review_first_half(low, true);
+  review_first_half(high, false);
+  const core::EpochReport& report = resolver.RefreshServing();
+  EXPECT_TRUE(report.has_estimate);
+  ExpectCarriedAnswersServed(resolver);
+  const std::vector<int>& after = resolver.provisional_labels();
+  for (size_t i = partition[low].begin; i < partition[low].end; ++i)
+    EXPECT_EQ(after[i], 1) << i;
+  for (size_t i = partition[high].begin; i < partition[high].end; ++i)
+    EXPECT_EQ(after[i], 0) << i;
+  // No other subset moved.
+  for (size_t k = 0; k < partition.num_subsets(); ++k) {
+    if (k == low || k == high) continue;
+    for (size_t i = partition[k].begin; i < partition[k].end; ++i)
+      ASSERT_EQ(after[i], before[i]) << i;
+  }
 }
 
 /// ISSUE 7 satellite regression: Ingest() hands out a reference into the

@@ -2,27 +2,33 @@
 """Lists the library code that no binary links.
 
   python3 tools/check_unlinked_objects.py <libhumo.a> <binary>...
-  python3 tools/check_unlinked_objects.py --functions <libhumo.a> <binary>...
+  python3 tools/check_unlinked_objects.py --functions <libhumo.a> [<obj.o>...]
+      <binary>...
 
 By default, a member of the static library counts as linked when at least
 one of its global text symbols (nm type T) is defined in some binary. Prints
 every unlinked member and exits 1 if one of them is not allowlisted. Needs
 no special build flags.
 
-With --functions, every text symbol of the library whose demangled name
-starts with `humo::` (lambdas and compiler clones excluded) must be defined
-in some binary, unless it sits in an allowlisted member or is named in
-FUNCTIONS below. Prints every unreached function and exits 1 if one of them
-is not allowlisted. This mode needs the library and the binaries built at
--O0 with -ffunction-sections and linked with -Wl,--gc-sections: at -O0 every
-called function keeps an out-of-line copy, and --gc-sections drops the ones
-nothing reaches. An optimized build inlines some functions at every call
-site, and they would read as unreached.
+With --functions, every text symbol of the scanned files (the leading
+arguments ending in .a or .o) whose demangled name starts with `humo::`
+(lambdas and compiler clones excluded) must be defined in some binary,
+unless it sits in an allowlisted member or is named in FUNCTIONS below.
+Prints every unreached function and exits 1 if one of them is not
+allowlisted, or if a FUNCTIONS entry names no unreached function: an entry
+whose function was deleted or gained a caller is stale. This mode needs the
+library and the binaries built at -O0 with -ffunction-sections and linked
+with -Wl,--gc-sections: at -O0 every called function keeps an out-of-line
+copy, and --gc-sections drops the ones nothing reaches. An optimized build
+inlines some functions at every call site, and they would read as
+unreached.
 
 A header-inline function reaches libhumo.a only when a library .cc calls
-it, so the same mode also takes, in place of the archive, the object of
+it, so the same mode also scans, next to the archive, the object of
 tools/keep_inline_members.cc compiled with -O0 -fkeep-inline-functions: it
-defines every inline humo:: function of the umbrella header.
+defines every inline humo:: function of the umbrella header. Scan both in
+one invocation: each holds only some of FUNCTIONS' names, so the stale-entry
+check is only sound over the two together.
 """
 import subprocess
 import sys
@@ -79,8 +85,6 @@ FUNCTIONS = {
         "observes the accumulator's range against a rebuilt one",
     "humo::core::GpSubsetModel::AvgSimilarity":
         "reads the inputs the subset model's GP reference predicts at",
-    "humo::core::GpSubsetModel::gp":
-        "reads the GP the range accumulator is checked against",
     "humo::core::Oracle::AnswerMemoryBytes":
         "bounds the oracle's answer memory per pair",
     "humo::core::PagedAnswerBitmap::MemoryBytes":
@@ -97,8 +101,6 @@ FUNCTIONS = {
         "observes which epochs a snapshot covers",
     "humo::core::ResolutionSnapshot::quality":
         "observes a snapshot's certified flag",
-    "humo::core::StreamingResolver::provisional_gp_grid_fits":
-        "observes that the provisional GP refits on new evidence",
     "humo::core::StreamingResolver::reports":
         "observes that epoch reports stay put across ingests",
     # data
@@ -230,9 +232,9 @@ def unlinked_members(archive, binaries):
     return 1 if set(unlinked) - ALLOWED else 0
 
 
-def unreached_functions(archive, binaries):
-    symbols = [(where.split(":")[-2], name) for where, kind, name in nm(archive)
-               if kind in "TtWi"]
+def unreached_functions(scanned, binaries):
+    symbols = [(where.split(":")[-2], name) for path in scanned
+               for where, kind, name in nm(path) if kind in "TtWi"]
     mangled = [name for _, name in symbols]
     full = demangle(mangled)
     short = demangle(mangled, "-p")
@@ -248,12 +250,19 @@ def unreached_functions(archive, binaries):
         allowed = signature in FUNCTIONS or bare in FUNCTIONS
         failed += not allowed
         print(signature + ("  (allowlisted)" if allowed else ""))
+    used = {name for pair in unreached for name in pair}
+    for entry in sorted(set(FUNCTIONS) - used):
+        failed += 1
+        print("stale allowlist entry (no unreached function): " + entry)
     return 1 if failed else 0
 
 
 def main(argv):
     if argv[1] == "--functions":
-        return unreached_functions(argv[2], argv[3:])
+        args = argv[2:]
+        split = next((i for i, a in enumerate(args)
+                      if not a.endswith((".a", ".o"))), len(args))
+        return unreached_functions(args[:split], args[split:])
     return unlinked_members(argv[1], argv[2:])
 
 
