@@ -45,6 +45,10 @@ constexpr size_t kRounds = bench::kSanitized ? 2 : 8;
 constexpr size_t kQueries = bench::kSanitized ? 20 : 100;
 // Timing repetitions; each row keeps the best.
 constexpr size_t kReps = bench::kSanitized ? 1 : 3;
+// Prediction timing repetitions. One batch over kQueries points takes about
+// a millisecond at n = 512, so a single host hiccup moves one sample by a
+// large fraction; many interleaved repetitions give each side a clean best.
+constexpr size_t kPredictReps = bench::kSanitized ? 1 : 41;
 
 struct SyntheticData {
   std::vector<double> x, y, noise;
@@ -83,7 +87,7 @@ struct SizeResult {
 bool BitEqual(double a, double b) { return a == b || (a != a && b != b); }
 
 int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
-            SizeResult* out) {
+            size_t predict_reps, SizeResult* out) {
   out->n = n;
   const SyntheticData data = MakeData(n + rounds, /*seed=*/n);
   // Same candidate filter the SAMP optimizer applies (length scales at
@@ -163,23 +167,36 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
   out->refit_speedup = best_full / best_incr;
 
   // ---- Prediction: per-point loop vs. one batched call. ----
+  // The two sides alternate within every repetition, and which one runs
+  // first alternates too, so a slow stretch of the host hits both; each
+  // keeps its best time.
   Rng qrng(17);
   std::vector<double> qs(queries);
   for (double& q : qs) q = qrng.NextDouble();
   const gp::GpRegression& gp_model = *base;
   std::vector<gp::Prediction> per_point(queries), batched;
-  for (size_t rep = 0; rep < reps; ++rep) {
+  double best_per_point = 1e300, best_batch = 1e300;
+  auto time_per_point = [&] {
     const double t0 = NowMs();
     for (size_t j = 0; j < queries; ++j) per_point[j] = gp_model.Predict(qs[j]);
-    out->predict_per_point_ms =
-        rep == 0 ? NowMs() - t0
-                 : std::min(out->predict_per_point_ms, NowMs() - t0);
-
-    const double t1 = NowMs();
+    best_per_point = std::min(best_per_point, NowMs() - t0);
+  };
+  auto time_batch = [&] {
+    const double t0 = NowMs();
     batched = gp_model.PredictBatch(qs);
-    out->predict_batch_ms =
-        rep == 0 ? NowMs() - t1 : std::min(out->predict_batch_ms, NowMs() - t1);
+    best_batch = std::min(best_batch, NowMs() - t0);
+  };
+  for (size_t rep = 0; rep < predict_reps; ++rep) {
+    if (rep % 2 == 0) {
+      time_per_point();
+      time_batch();
+    } else {
+      time_batch();
+      time_per_point();
+    }
   }
+  out->predict_per_point_ms = best_per_point;
+  out->predict_batch_ms = best_batch;
   for (size_t j = 0; j < queries; ++j) {
     if (!BitEqual(per_point[j].mean, batched[j].mean) ||
         !BitEqual(per_point[j].variance, batched[j].variance)) {
@@ -200,8 +217,9 @@ int main() {
   ThreadPool::SetGlobalThreads(1);
 
   std::printf("micro_gp_refit: incremental GP refits and batched prediction\n");
-  std::printf("threads=%zu rounds=%zu queries=%zu reps=%zu\n\n",
-              ThreadPool::Global()->num_threads(), kRounds, kQueries, kReps);
+  std::printf("threads=%zu rounds=%zu queries=%zu reps=%zu predict_reps=%zu\n\n",
+              ThreadPool::Global()->num_threads(), kRounds, kQueries, kReps,
+              kPredictReps);
   std::printf("%6s | %14s %14s %8s | %14s %14s %8s\n", "n", "full-refit ms",
               "append ms", "speedup", "per-point ms", "batch ms", "speedup");
 
@@ -209,7 +227,7 @@ int main() {
   for (size_t n : {size_t{64}, size_t{128}, size_t{256}, size_t{512}}) {
     if (n > kMaxN) continue;
     SizeResult r;
-    if (RunSize(n, kRounds, kQueries, kReps, &r) != 0) return 1;
+    if (RunSize(n, kRounds, kQueries, kReps, kPredictReps, &r) != 0) return 1;
     std::printf("%6zu | %14.3f %14.3f %7.1fx | %14.3f %14.3f %7.1fx\n", r.n,
                 r.refit_full_ms, r.refit_incremental_ms, r.refit_speedup,
                 r.predict_per_point_ms, r.predict_batch_ms, r.predict_speedup);
@@ -229,6 +247,7 @@ int main() {
   doc.Set("rounds", kRounds);
   doc.Set("queries", kQueries);
   doc.Set("reps", kReps);
+  doc.Set("predict_reps", kPredictReps);
   doc.Set("results", rows);
   return bench::WriteBenchJson("BENCH_gp_refit.json", doc) ? 0 : 1;
 }

@@ -453,7 +453,7 @@ int main() {
       "bench_records_scale: raw-record resolution (threads=%zu, reps=%zu, "
       "avx2=%s)\n\n",
       ThreadPool::Global()->num_threads(), kReps,
-      text::internal::CpuHasAvx2() ? "yes" : "no");
+      CpuHasAvx2() ? "yes" : "no");
 
   std::printf("%10s | %8s | %9s %9s %7s | %9s %9s %7s | %8s\n", "pairs",
               "tok ms", "exact ms", "lsh ms", "recall", "str ms", "simd ms",
@@ -503,7 +503,7 @@ int main() {
   doc.Set("threads", ThreadPool::Global()->num_threads());
   doc.Set("reps", kReps);
   doc.Set("subset_size", kSubsetSize);
-  doc.Set("avx2", text::internal::CpuHasAvx2());
+  doc.Set("avx2", CpuHasAvx2());
   doc.Set("results", rows);
   bench::JsonObject mmap;
   mmap.Set("pairs", m.pairs);

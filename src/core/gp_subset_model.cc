@@ -48,7 +48,7 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
                              std::vector<double> avg_similarity,
                              std::vector<double> subset_sizes,
                              const std::vector<gp::Prediction>& predictions,
-                             std::vector<linalg::Vector> whitened,
+                             linalg::Matrix whitened,
                              std::vector<stats::Stratum> evidence,
                              std::vector<double> scatter_variance,
                              double variance_inflation)
@@ -59,7 +59,8 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
       evidence_(std::move(evidence)),
       variance_inflation_(variance_inflation) {
   assert(v_.size() == n_.size());
-  assert(predictions.size() == v_.size() && w_.size() == v_.size());
+  assert(predictions.size() == v_.size() && w_.rows() == v_.size());
+  assert(w_.cols() == gp_.num_training_points());
   assert(evidence_.empty() || evidence_.size() == v_.size());
   assert(scatter_variance.empty() || scatter_variance.size() == v_.size());
   assert(variance_inflation_ >= 1.0);
@@ -117,12 +118,16 @@ double GpSubsetModel::PriorK(size_t a, size_t b) const {
   return gp_.kernel()(v_[a], v_[b]);
 }
 
+void GpSubsetModel::PriorRow(size_t k, size_t begin, size_t len,
+                             double* out) const {
+  assert(begin + len <= v_.size());
+  gp_.kernel().FillRow(v_[k], v_.data() + begin, len, out);
+}
+
 GpRangeAccumulator::GpRangeAccumulator(const GpSubsetModel* model)
     : model_(model) {
   assert(model_ != nullptr);
-  const size_t dim =
-      model_->num_subsets() > 0 ? model_->W(0).size() : size_t{0};
-  w_sum_.assign(dim, 0.0);
+  w_sum_.assign(model_->gp().num_training_points(), 0.0);
 }
 
 void GpRangeAccumulator::Clear() {
@@ -137,10 +142,17 @@ void GpRangeAccumulator::Clear() {
 
 void GpRangeAccumulator::SetRange(size_t a, size_t b) {
   Clear();
-  if (a > b || b >= model_->num_subsets()) return;
+  const size_t m = model_->num_subsets();
+  if (a > b || b >= m) return;
   empty_ = false;
-  a_ = a;
-  b_ = a;
+  if (a > 0 && b + 1 == m) {
+    // A suffix grows from its anchored end, so each step reads RightCross.
+    a_ = b_ = b;
+    AddSubset(b);
+    while (a_ > a) ExtendLeft();
+    return;
+  }
+  a_ = b_ = a;
   AddSubset(a);
   while (b_ < b) ExtendRight();
 }
@@ -155,7 +167,7 @@ void GpRangeAccumulator::AddSubset(size_t k) {
   // members plus the self term. The caller has already updated a_/b_ to
   // include k.
   prior_q_ += 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
-  const auto& wk = model_->W(k);
+  const double* wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
 }
 
@@ -168,19 +180,22 @@ void GpRangeAccumulator::RemoveSubset(size_t k) {
   // Membership still includes k at call time; subtract cross terms against
   // the remaining evidence-free members.
   prior_q_ -= 2.0 * nk * CrossSum(k) + nk * nk * model_->PriorK(k, k);
-  const auto& wk = model_->W(k);
+  const double* wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
 }
 
-double GpRangeAccumulator::CrossSum(size_t k) const {
+double GpRangeAccumulator::CrossSum(size_t k) {
   // k is always an edge of [a_, b_]. When the rest of the range is
   // [0, k-1] or [k+1, m-1], the model holds the sum already.
   if (a_ == 0 && k == b_) return model_->LeftCross(k);
   if (k == a_ && b_ + 1 == model_->num_subsets()) return model_->RightCross(k);
+  const size_t len = b_ - a_ + 1;
+  row_.resize(len);
+  model_->PriorRow(k, a_, len, row_.data());
   double cross = 0.0;
   for (size_t j = a_; j <= b_; ++j) {
     if (j == k || model_->HasEvidence(j)) continue;
-    cross += model_->SubsetSize(j) * model_->PriorK(k, j);
+    cross += model_->SubsetSize(j) * row_[j - a_];
   }
   return cross;
 }

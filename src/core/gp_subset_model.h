@@ -71,12 +71,14 @@ class GpSubsetModel {
  public:
   /// `avg_similarity[k]` / `subset_sizes[k]` describe subset k of the
   /// partition; the GP must have been fitted on sampled (similarity,
-  /// proportion) observations. `predictions` and `whitened` must be what
+  /// proportion) observations. `predictions` and `whitened` (m x n, row k
+  /// = subset k's whitened cross vector) must be what
   /// `gp.PredictBatch(avg_similarity, &whitened)` returned: the caller
   /// makes that one posterior pass (SAMP also derives the scatter variances
-  /// from it). `evidence` (may be empty) holds each subset's inspected
-  /// pairs: `sample_size` distinct pairs of which `sample_positives` are
-  /// matches (0 of 0 = no evidence). `scatter_variance` (empty = all zero)
+  /// from it) and hands its matrix over. `evidence` (may be empty) holds
+  /// each subset's inspected pairs: `sample_size` distinct pairs of which
+  /// `sample_positives` are matches (0 of 0 = no evidence).
+  /// `scatter_variance` (empty = all zero)
   /// is the independent per-subset proportion variance: workload
   /// irregularity plus the binomial realization variance of the subset's
   /// count around the latent rate. `variance_inflation` scales the
@@ -87,7 +89,7 @@ class GpSubsetModel {
   GpSubsetModel(gp::GpRegression gp, std::vector<double> avg_similarity,
                 std::vector<double> subset_sizes,
                 const std::vector<gp::Prediction>& predictions,
-                std::vector<linalg::Vector> whitened,
+                linalg::Matrix whitened,
                 std::vector<stats::Stratum> evidence,
                 std::vector<double> scatter_variance,
                 double variance_inflation);
@@ -118,11 +120,16 @@ class GpSubsetModel {
   /// LOO calibration factor applied to the GP-posterior variance part.
   double variance_inflation() const { return variance_inflation_; }
 
-  /// Whitened cross vector of subset k (L^-1 k(V, v_k)).
-  const linalg::Vector& W(size_t k) const { return w_[k]; }
+  /// Whitened cross vector of subset k (L^-1 k(V, v_k)): a view of
+  /// gp().num_training_points() doubles, valid while the model lives.
+  const double* W(size_t k) const { return w_.RowPtr(k); }
 
   /// Prior kernel value between subsets a and b.
   double PriorK(size_t a, size_t b) const;
+
+  /// out[t] = PriorK(k, begin + t) for t in [0, len), bit for bit, as one
+  /// kernel row (Kernel::FillRow).
+  void PriorRow(size_t k, size_t begin, size_t len, double* out) const;
 
   /// Prior cross-sums of evidence-free subset k against the evidence-free
   /// subsets below and above it, each accumulated in ascending j from 0.0:
@@ -143,7 +150,7 @@ class GpSubsetModel {
   gp::GpRegression gp_;
   std::vector<double> v_;
   std::vector<double> n_;
-  std::vector<linalg::Vector> w_;
+  linalg::Matrix w_;
   std::vector<stats::Stratum> evidence_;
   double variance_inflation_ = 1.0;
   std::vector<double> prior_mean_;
@@ -166,17 +173,23 @@ class GpSubsetModel {
 /// prior cross terms of that subset against the rest of the range. When the
 /// rest is anchored at subset 0 or at subset m-1 those are the model's
 /// precomputed LeftCross/RightCross (no kernel evaluation); otherwise they
-/// are O(range) kernel evaluations. The optimizers' sweeps move anchored
-/// edges, so a sweep over m subsets costs O(m dim(w)) after the model's
-/// one-off O(m^2) cross-sum pass; ranges anchored at neither end (SAMP's
-/// DH when its lower bound is above 0, SetRange(a, b) with a > 0) keep the
-/// O(range) step. Subsets with evidence take no part in the GP terms.
+/// take one kernel row over the range, O(range) kernel evaluations.
+/// SetRange builds a prefix [0, b] rightward from subset 0 and a suffix
+/// [a, m-1] leftward from subset m-1, so every range the optimizers start
+/// from (SAMP's keep, lost and DH, HYBR's and RISK's D+ and D-) costs
+/// O(range dim(w)) after the model's one-off O(m^2) cross-sum pass, and
+/// their sweeps move anchored edges. Only a range anchored at neither end
+/// keeps the O(range) step: SAMP's DH when it shrinks from the right with
+/// its lower bound above 0, and SetRange(a, b) with 0 < a <= b < m-1.
+/// Subsets with evidence take no part in the GP terms.
 class GpRangeAccumulator {
  public:
   explicit GpRangeAccumulator(const GpSubsetModel* model);
 
-  /// Rebuilds the accumulator for range [a, b] (inclusive): O(len) steps,
-  /// each kernel-free when a == 0 and O(len) kernel evaluations otherwise.
+  /// Rebuilds the accumulator for range [a, b] (inclusive) in O(len)
+  /// steps: from a rightward (kernel-free when a == 0), or, for a suffix
+  /// (b == m-1, a > 0), from m-1 leftward (kernel-free). Any other range
+  /// pays O(len) kernel evaluations per step.
   void SetRange(size_t a, size_t b);
   /// Makes the range empty.
   void Clear();
@@ -208,7 +221,7 @@ class GpRangeAccumulator {
   void RemoveSubset(size_t k);
   /// sum_j n_j K(v_k, v_j) over the evidence-free members of [a_, b_]
   /// other than k, in ascending j.
-  double CrossSum(size_t k) const;
+  double CrossSum(size_t k);
 
   const GpSubsetModel* model_;
   size_t a_ = 0, b_ = 0;
@@ -218,6 +231,7 @@ class GpRangeAccumulator {
   linalg::Vector w_sum_;  // sum_{k no evidence} n_k w_k
   double indep_sum_ = 0.0;  // sum_k IndependentVariance(k)
   double pop_sum_ = 0.0;
+  std::vector<double> row_;  // CrossSum's kernel row off the anchors
 };
 
 }  // namespace humo::core

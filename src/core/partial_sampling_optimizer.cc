@@ -107,7 +107,9 @@ double EstimateScatterVariance(const std::vector<stats::Stratum>& strata,
 /// winner's factor is extended via a rank-k Cholesky append and kept as
 /// long as its per-datum log marginal likelihood has not degraded past
 /// `options.gp_warm_lml_slack`. Returns nullopt when the round must run
-/// the full grid — always, when the slack is -infinity.
+/// the full grid — always, when the slack is -infinity. A returned model is
+/// the previous one, or it with rows appended: its training points and
+/// factor rows extend the previous model's.
 std::optional<gp::GpRegression> TryWarmStart(
     EstimationContext* ctx, const SubsetPartition& partition,
     const std::vector<stats::Stratum>& strata,
@@ -186,17 +188,24 @@ std::optional<gp::GpRegression> TryWarmStart(
 /// always re-runs the grid (its noise model differs on every diagonal
 /// entry, so no factor is reusable). A gp_warm_lml_slack of -infinity
 /// re-selects on the grid every round: the reference path the incremental
-/// tests compare against.
+/// tests compare against. `warm`, when non-null, is set to whether the
+/// round was served warm, i.e. whether the result extends the context's
+/// previous model (see TryWarmStart).
 Result<gp::GpRegression> FitGp(
     EstimationContext* ctx, const SubsetPartition& partition,
     const std::vector<stats::Stratum>& strata,
     const std::vector<size_t>& sampled_indices,
-    const PartialSamplingOptions& options, double scatter_variance = 0.0) {
+    const PartialSamplingOptions& options, double scatter_variance = 0.0,
+    bool* warm = nullptr) {
   const bool incremental = scatter_variance == 0.0;
+  if (warm != nullptr) *warm = false;
   if (incremental) {
-    std::optional<gp::GpRegression> warm =
+    std::optional<gp::GpRegression> extended =
         TryWarmStart(ctx, partition, strata, sampled_indices, options);
-    if (warm.has_value()) return std::move(*warm);
+    if (extended.has_value()) {
+      if (warm != nullptr) *warm = true;
+      return std::move(*extended);
+    }
   }
   std::vector<double> xs, ys, noise;
   xs.reserve(sampled_indices.size());
@@ -363,29 +372,59 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   // flat brackets then exhaust it before the transition band is ever
   // examined. Prioritizing by uncertainty keeps the epsilon test and the
   // bisection structure while spending the budget where the GP is blind.
-  std::vector<std::pair<size_t, size_t>> brackets;
+  //
+  // Each bracket keeps its midpoint's PredictBatch rows against the current
+  // GP. A warm round only appends training points (TryWarmStart), so the
+  // rows grow by one entry per new point and the score costs O(n) instead
+  // of a fresh O(n^2) solve; a grid round re-selects the model and drops
+  // every row.
+  struct Bracket {
+    size_t lo, hi;
+    gp::GpRegression::QueryRows rows;  // empty until first scored
+  };
+  std::vector<Bracket> brackets;
   for (size_t t = 0; t + 1 < train.size(); ++t)
-    brackets.emplace_back(train[t], train[t + 1]);
+    brackets.push_back({train[t], train[t + 1], {}});
 
   while (!brackets.empty() && train.size() < budget) {
-    // Score every refinable bracket's midpoint in one batched prediction
-    // (one Gram build + one blocked solve) instead of a per-midpoint solve;
-    // the selection loop below sees bit-identical scores in the same order.
-    std::vector<size_t> refinable;
-    std::vector<double> mid_sims;
+    // Score every refinable bracket's midpoint: rows not yet built come
+    // from one batched prediction (one Gram build + one blocked solve),
+    // kept rows are extended; either way the selection loop below sees the
+    // scores a fresh PredictBatch over all midpoints gives, bit for bit.
+    std::vector<size_t> refinable, unscored;
+    std::vector<double> unscored_sims;
     for (size_t bi = 0; bi < brackets.size(); ++bi) {
-      const auto [ia, ib] = brackets[bi];
-      if (ib - ia < 2) continue;
+      const Bracket& b = brackets[bi];
+      if (b.hi - b.lo < 2) continue;
       refinable.push_back(bi);
-      mid_sims.push_back(partition[ia + (ib - ia) / 2].avg_similarity);
+      if (!b.rows.cross.empty()) continue;
+      unscored.push_back(bi);
+      unscored_sims.push_back(
+          partition[b.lo + (b.hi - b.lo) / 2].avg_similarity);
     }
-    const std::vector<gp::Prediction> preds = gp.PredictBatch(mid_sims);
+    if (!unscored.empty()) {
+      linalg::Matrix whitened, cross;
+      gp.PredictBatch(unscored_sims, &whitened, &cross);
+      const size_t n = gp.num_training_points();
+      for (size_t t = 0; t < unscored.size(); ++t) {
+        gp::GpRegression::QueryRows& rows = brackets[unscored[t]].rows;
+        rows.cross.assign(cross.RowPtr(t), cross.RowPtr(t) + n);
+        rows.whitened.assign(whitened.RowPtr(t), whitened.RowPtr(t) + n);
+      }
+    }
+    std::vector<gp::Prediction> preds(refinable.size());
+    for (size_t t = 0; t < refinable.size(); ++t) {
+      Bracket& b = brackets[refinable[t]];
+      const double sim = partition[b.lo + (b.hi - b.lo) / 2].avg_similarity;
+      gp.ExtendRows(sim, &b.rows);
+      preds[t] = gp.PredictFromRows(sim, b.rows);
+    }
     double best_score = -1.0;
     size_t best_idx = brackets.size();
     size_t best_t = refinable.size();
     for (size_t t = 0; t < refinable.size(); ++t) {
-      const auto [ia, ib] = brackets[refinable[t]];
-      const size_t x = ia + (ib - ia) / 2;
+      const Bracket& b = brackets[refinable[t]];
+      const size_t x = b.lo + (b.hi - b.lo) / 2;
       const double score =
           static_cast<double>(partition[x].size()) * preds[t].stddev();
       if (score > best_score) {
@@ -395,20 +434,25 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
       }
     }
     if (best_idx >= brackets.size()) break;  // nothing refinable remains
-    const auto [ia, ib] = brackets[best_idx];
+    const size_t ia = brackets[best_idx].lo, ib = brackets[best_idx].hi;
     brackets.erase(brackets.begin() + static_cast<long>(best_idx));
     const size_t x = ia + (ib - ia) / 2;
     if (sampled[x]) continue;
-    // The winning midpoint's posterior mean was already computed by the
-    // batched prediction above (bit-identical to a fresh Predict).
+    // The winning midpoint's posterior mean was already computed above
+    // (bit-identical to a fresh Predict).
     const double predicted = preds[best_t].mean;
     take_subset(x);
     const double observed = strata[x].proportion();
     if (std::fabs(predicted - observed) >= kErrorThreshold) {
-      brackets.emplace_back(ia, x);
-      brackets.emplace_back(x, ib);
+      brackets.push_back({ia, x, {}});
+      brackets.push_back({x, ib, {}});
     }
-    HUMO_ASSIGN_OR_RETURN(gp, FitGp(ctx, partition, strata, train, options_));
+    bool warm = false;
+    HUMO_ASSIGN_OR_RETURN(
+        gp, FitGp(ctx, partition, strata, train, options_, 0.0, &warm));
+    if (!warm) {
+      for (Bracket& b : brackets) b.rows = {};
+    }
   }
 
   // ---- Build the subset-level model. ----
@@ -427,7 +471,7 @@ Result<PartialSamplingOutcome> PartialSamplingOptimizer::OptimizeDetailed(
   }
   // One posterior pass over every subset serves both the latent rates
   // below and the model (PredictBatch entries do not depend on the batch).
-  std::vector<linalg::Vector> whitened;
+  linalg::Matrix whitened;
   const std::vector<gp::Prediction> preds = gp.PredictBatch(vs, &whitened);
   std::vector<double> scatter_vec(m);
   for (size_t k = 0; k < m; ++k)

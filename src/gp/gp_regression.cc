@@ -148,51 +148,70 @@ Prediction GpRegression::Predict(double x_star) const {
   const size_t n = x_.size();
   linalg::Vector k_star(n);
   kernel_.FillRow(x_star, x_.data(), n, k_star.data());
-  Prediction p;
-  p.mean = y_mean_ + linalg::Dot(k_star, alpha_);
   const linalg::Vector v = chol_.SolveLower(k_star);
-  p.variance = kernel_(x_star, x_star) - linalg::Dot(v, v);
-  if (p.variance < 0.0) p.variance = 0.0;
-  return p;
+  return {Mean(k_star.data()), Variance(x_star, v.data())};
+}
+
+double GpRegression::Mean(const double* cross) const {
+  return y_mean_ + linalg::DotRange(cross, alpha_.data(), x_.size());
+}
+
+double GpRegression::Variance(double x_star, const double* whitened) const {
+  const double v = kernel_(x_star, x_star) -
+                   linalg::DotRange(whitened, whitened, x_.size());
+  return v < 0.0 ? 0.0 : v;
 }
 
 std::vector<Prediction> GpRegression::PredictBatch(
-    const std::vector<double>& x_star,
-    std::vector<linalg::Vector>* whitened) const {
+    const std::vector<double>& x_star, linalg::Matrix* whitened,
+    linalg::Matrix* cross) const {
   const size_t n = x_.size();
   const size_t q = x_star.size();
   // K(V*, V) as q x n rows: row j is Predict's k_star for query j (the
   // cross-covariance is symmetric in its arguments, so building it
   // query-major is the same values in a solve-friendly layout).
   linalg::Matrix k_cross(q, n);
-  ThreadPool::Global()->ParallelFor(
-      q, /*grain=*/16, [&](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j)
-          kernel_.FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
-      });
-  // One blocked multi-RHS forward substitution replaces q per-point solves.
-  const linalg::Matrix w = chol_.SolveLowerRows(k_cross);
   std::vector<Prediction> preds(q);
   ThreadPool::Global()->ParallelFor(
       q, /*grain=*/16, [&](size_t begin, size_t end) {
         for (size_t j = begin; j < end; ++j) {
-          Prediction p;
-          p.mean = y_mean_ + linalg::DotRange(k_cross.RowPtr(j),
-                                              alpha_.data(), n);
-          p.variance = kernel_(x_star[j], x_star[j]) -
-                       linalg::DotRange(w.RowPtr(j), w.RowPtr(j), n);
-          if (p.variance < 0.0) p.variance = 0.0;
-          preds[j] = p;
+          kernel_.FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
+          preds[j].mean = Mean(k_cross.RowPtr(j));
         }
       });
-  if (whitened != nullptr) {
-    whitened->assign(q, linalg::Vector());
-    for (size_t j = 0; j < q; ++j) {
-      const double* row = w.RowPtr(j);
-      (*whitened)[j].assign(row, row + n);
-    }
-  }
+  if (cross != nullptr) *cross = k_cross;
+  // One blocked multi-RHS forward substitution replaces q per-point solves;
+  // it runs in K(V*, V)'s storage, which then holds the whitened rows.
+  linalg::Matrix w = chol_.SolveLowerRows(std::move(k_cross));
+  ThreadPool::Global()->ParallelFor(
+      q, /*grain=*/16, [&](size_t begin, size_t end) {
+        for (size_t j = begin; j < end; ++j)
+          preds[j].variance = Variance(x_star[j], w.RowPtr(j));
+      });
+  if (whitened != nullptr) *whitened = std::move(w);
   return preds;
+}
+
+void GpRegression::ExtendRows(double x_star, QueryRows* rows) const {
+  const size_t n = x_.size();
+  const size_t from = rows->cross.size();
+  assert(from <= n && rows->whitened.size() == from);
+  rows->cross.resize(n);
+  rows->whitened.resize(n);
+  kernel_.FillRow(x_star, x_.data() + from, n - from,
+                  rows->cross.data() + from);
+  // SolveLower's expression for the new entries; the old ones depend only
+  // on the factor rows this model shares with the one they were built on.
+  const linalg::Matrix& l = chol_.L();
+  double* w = rows->whitened.data();
+  for (size_t i = from; i < n; ++i)
+    w[i] = linalg::SubDotRange(rows->cross[i], l.RowPtr(i), w, i) / l(i, i);
+}
+
+Prediction GpRegression::PredictFromRows(double x_star,
+                                         const QueryRows& rows) const {
+  assert(rows.cross.size() == x_.size() && rows.whitened.size() == x_.size());
+  return {Mean(rows.cross.data()), Variance(x_star, rows.whitened.data())};
 }
 
 JointPrediction GpRegression::PredictJoint(
@@ -266,30 +285,27 @@ struct ScaleShapes {
   std::vector<double> poly, env;
 };
 
-template <class FamilyTag>
-void ComputeShapes(FamilyTag, const std::vector<double>& x,
+void ComputeShapes(KernelFamily family, const std::vector<double>& x,
                    ScaleShapes* shapes) {
-  // RBF's polynomial factor is 1; the other families store theirs.
-  constexpr bool with_poly = FamilyTag::value != KernelFamily::kRbf;
   using linalg::CholeskyLanes;
   const size_t n = x.size();
   const size_t size = CholeskyLanes::PanelOrderSize(n);
+  // Every panel's distances, the ones Kernel::operator() evaluates the
+  // kernel at, then all the shapes in one row pass.
   shapes->env.resize(size);
-  if (with_poly) shapes->poly.resize(size);
+  size_t idx = 0;
   for (size_t j0 = 0; j0 < n; j0 += CholeskyLanes::kBlock) {
     const size_t j_end = std::min(j0 + CholeskyLanes::kBlock, n);
-    size_t idx = CholeskyLanes::PanelOffset(j0, n);
     for (size_t i = j0; i < n; ++i) {
-      for (size_t j = j0; j < j_end; ++j, ++idx) {
-        // The distance Kernel::operator() evaluates the kernel at.
-        const double r = x[i] >= x[j] ? x[i] - x[j] : x[j] - x[i];
-        const KernelShape k =
-            FamilyShape<FamilyTag::value>(r, shapes->length_scale);
-        if (with_poly) shapes->poly[idx] = k.poly;
-        shapes->env[idx] = k.env;
-      }
+      for (size_t j = j0; j < j_end; ++j, ++idx)
+        shapes->env[idx] = x[i] >= x[j] ? x[i] - x[j] : x[j] - x[i];
     }
   }
+  assert(idx == size);
+  // RBF's polynomial factor is 1; the other families store theirs.
+  if (family != KernelFamily::kRbf) shapes->poly.resize(size);
+  ShapeRow(family, shapes->env.data(), size, shapes->length_scale,
+           shapes->poly.data(), shapes->env.data());
 }
 
 /// The four matrices of one lane group: lane q holds the noisy Gram matrix
@@ -376,7 +392,7 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
   ThreadPool::Global()->ParallelFor(
       shapes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
-          WithFamily(family, [&](auto f) { ComputeShapes(f, x, &shapes[s]); });
+          ComputeShapes(family, x, &shapes[s]);
         }
       });
 

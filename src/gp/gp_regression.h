@@ -86,12 +86,33 @@ class GpRegression {
   /// plus one blocked multi-right-hand-side triangular solve for the whole
   /// batch (Cholesky::SolveLowerRows) instead of a per-point solve each.
   /// Entry i is bit-identical to Predict(x_star[i]) at any thread count.
-  /// When `whitened` is non-null it receives the whitened cross vectors
-  /// L^-1 k(V, x*_i) the solve produces (what WhitenedCross returns per
-  /// point) — GpSubsetModel consumes both in one pass.
-  std::vector<Prediction> PredictBatch(
-      const std::vector<double>& x_star,
-      std::vector<linalg::Vector>* whitened = nullptr) const;
+  /// When `whitened` is non-null it receives the q x n matrix whose row i is
+  /// the whitened cross vector L^-1 k(V, x*_i) the solve produces (what
+  /// WhitenedCross returns per point) — GpSubsetModel consumes both in one
+  /// pass. When `cross` is non-null it receives K(V*, V), row i = k(V, x*_i).
+  std::vector<Prediction> PredictBatch(const std::vector<double>& x_star,
+                                       linalg::Matrix* whitened = nullptr,
+                                       linalg::Matrix* cross = nullptr) const;
+
+  /// One query's rows of PredictBatch: the cross-covariance k(V, x*) and
+  /// the whitened cross vector L^-1 k(V, x*), one entry per training point
+  /// the rows cover (a prefix of the model's training set).
+  struct QueryRows {
+    linalg::Vector cross, whitened;
+  };
+
+  /// Brings `rows` of x_star up to this model's training set. The rows must
+  /// be empty or hold PredictBatch's rows of x_star on a model this one
+  /// extends by appended training points (a chain of ExtendedWith calls:
+  /// that model's training points and factor rows are a prefix of this
+  /// one's). Each missing training point adds one kernel entry and one
+  /// forward-substitution entry, O(n), so the rows equal this model's
+  /// PredictBatch rows of x_star bit for bit.
+  void ExtendRows(double x_star, QueryRows* rows) const;
+
+  /// The posterior at x_star from its rows on this model (see ExtendRows):
+  /// PredictBatch's entry for x_star, bit for bit, in O(n).
+  Prediction PredictFromRows(double x_star, const QueryRows& rows) const;
 
   /// Joint posterior over many query points.
   JointPrediction PredictJoint(const std::vector<double>& x_star) const;
@@ -135,6 +156,12 @@ class GpRegression {
   /// x_/y_/chol_ — the shared tail of Fit and ExtendedWith.
   void FinishFit();
 
+  /// The posterior mean from a query's n-entry cross row, and its variance
+  /// (clamped at 0) from its whitened row: the shared tails of Predict,
+  /// PredictBatch and PredictFromRows.
+  double Mean(const double* cross) const;
+  double Variance(double x_star, const double* whitened) const;
+
   Kernel kernel_;
   GpOptions options_;
   std::vector<double> x_;
@@ -152,7 +179,7 @@ class GpRegression {
 /// The result is bit-identical to fitting every candidate with
 /// GpRegression::Fit and keeping the first strict improvement, at any thread
 /// count. How it gets there:
-///   - each distinct length scale's kernel shape (KernelShape) is computed
+///   - each distinct length scale's kernel shape (ShapeRow) is computed
 ///     once per pair of inputs; a candidate's Gram entries are then two
 ///     multiplications, (sf2 * poly) * env, plus the noise diagonal;
 ///   - candidates are factored and solved four at a time, one per lane of

@@ -1,10 +1,10 @@
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <type_traits>
 #include <vector>
 
+#include "gp/exp.h"
 #include "linalg/matrix.h"
 
 namespace humo::gp {
@@ -12,33 +12,21 @@ namespace humo::gp {
 /// The stationary kernel families the selector can instantiate.
 enum class KernelFamily { kRbf, kMatern32, kMatern52 };
 
-/// The signal-variance-free factors of a family's kernel at one distance and
-/// length scale: every family evaluates k(r) as exactly (sf2 * poly) * env,
+/// The signal-variance-free factors of a family's kernel at distance r and
+/// length scale l: every family evaluates k(r) as exactly (sf2 * poly) * env,
+///   RBF:        poly = 1,                         env = Exp(-(r/l)^2 / 2)
+///   Matérn 3/2: poly = 1 + √3 r/l,                env = Exp(-√3 r/l)
+///   Matérn 5/2: poly = 1 + √5 r/l + 5r^2/(3l^2),  env = Exp(-√5 r/l)
 /// so a grid of signal variances sharing a length scale can compute the
 /// shape once per pair and reproduce every candidate's Gram entries bit for
-/// bit with two multiplications.
-struct KernelShape {
-  double poly;  // polynomial factor: 1 for RBF
-  double env;   // exponential envelope
-};
-
-/// Family F's shape at distance r = |x - y| and length scale l:
-///   RBF:        poly = 1,                         env = exp(-(r/l)^2 / 2)
-///   Matérn 3/2: poly = 1 + √3 r/l,                env = exp(-√3 r/l)
-///   Matérn 5/2: poly = 1 + √5 r/l + 5r^2/(3l^2),  env = exp(-√5 r/l)
-template <KernelFamily F>
-KernelShape FamilyShape(double r, double length_scale) {
-  const double d = r / length_scale;
-  if constexpr (F == KernelFamily::kRbf) {
-    return {1.0, std::exp(-0.5 * d * d)};
-  } else if constexpr (F == KernelFamily::kMatern32) {
-    const double a = std::sqrt(3.0) * d;
-    return {1.0 + a, std::exp(-a)};
-  } else {
-    const double a = std::sqrt(5.0) * d;
-    return {1.0 + a + 5.0 * d * d / 3.0, std::exp(-a)};
-  }
-}
+/// bit with two multiplications. ShapeRow writes the shapes of n distances
+/// r[i]: env[i], and poly[i] for the families other than RBF (RBF leaves
+/// `poly` untouched; it may be null). `env` may alias `r`. The envelopes
+/// run through ExpRow, four lanes at a time; entry i is bit for bit the
+/// shape Kernel::EvalDistance(r[i]) multiplies, so per-point and bulk paths
+/// agree.
+void ShapeRow(KernelFamily family, const double* r, size_t n,
+              double length_scale, double* poly, double* env);
 
 /// Calls fn(tag) with tag a std::integral_constant naming `family`, so a
 /// loop inside fn binds its family statically: callers switch once per
@@ -60,7 +48,7 @@ decltype(auto) WithFamily(KernelFamily family, Fn&& fn) {
 /// Covariance function over scalar inputs (similarity values in [0,1]): one
 /// stationary family with its two hyperparameters, a plain copyable value.
 /// Its value depends on x and y only through the distance |x - y|, and
-/// equals (sf2 * poly) * env from FamilyShape at that distance.
+/// equals (sf2 * poly) * env of ShapeRow's shape at that distance.
 class Kernel {
  public:
   Kernel(KernelFamily family, double signal_variance, double length_scale);
@@ -79,11 +67,13 @@ class Kernel {
   }
 
   /// Fills out[i] = k(x_star, xs[i]) for i in [0, n) — the row every Gram
-  /// build and prediction needs — with one family dispatch for the row.
-  /// Entry i equals (*this)(x_star, xs[i]) bit for bit.
+  /// build and prediction needs — with the envelopes evaluated four lanes
+  /// at a time (ShapeRow). Entry i equals (*this)(x_star, xs[i]) bit for
+  /// bit, whatever n and wherever the row starts.
   void FillRow(double x_star, const double* xs, size_t n, double* out) const;
 
-  /// Symmetric Gram matrix K(xs, xs); exploits symmetry.
+  /// Symmetric Gram matrix K(xs, xs): row i's lower triangle from FillRow,
+  /// mirrored above the diagonal.
   linalg::Matrix GramSymmetric(const std::vector<double>& xs) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
@@ -133,11 +134,11 @@ Vector Cholesky::SolveLower(const Vector& b) const {
   return y;
 }
 
-Matrix Cholesky::SolveLowerRows(const Matrix& rhs_rows) const {
+Matrix Cholesky::SolveLowerRows(Matrix rhs_rows) const {
   const size_t n = l_.rows();
   assert(rhs_rows.cols() == n);
   const size_t q = rhs_rows.rows();
-  Matrix y = rhs_rows;  // blocked rows are overwritten with their solutions
+  Matrix y = std::move(rhs_rows);  // rows are overwritten with solutions
   if (q == 0 || n == 0) return y;
 
   // Right-hand sides are solved in interleaved blocks: a block of W chains

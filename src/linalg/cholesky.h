@@ -45,13 +45,14 @@ class Cholesky {
 
   /// Multi-right-hand-side forward substitution: solves L y = rhs for every
   /// ROW of `rhs_rows` (q x n, one right-hand side per row) and returns the
-  /// q x n matrix whose row j is the solution for row j. Row j is computed
+  /// q x n matrix whose row j is the solution for row j, solved in place in
+  /// the argument's storage (move a matrix in to avoid a copy). Row j is computed
   /// with the exact arithmetic of SolveLower on that row — bit-identical at
   /// any thread count — but rows are processed in blocks of four whose
   /// independent accumulator chains overlap in the FPU pipeline
   /// (SubDotRange4) and share each streamed L row, which is where batched
   /// prediction gets its single-core speedup.
-  Matrix SolveLowerRows(const Matrix& rhs_rows) const;
+  Matrix SolveLowerRows(Matrix rhs_rows) const;
 
   /// Diagonal of A^-1, entry t bit-identical to Solve(e_t)[t]:
   /// column t's forward substitution starts at row t (the rows above it

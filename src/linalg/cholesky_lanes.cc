@@ -3,20 +3,10 @@
 #include <cassert>
 #include <cmath>
 
-#if defined(__GNUC__) && defined(__x86_64__)
-#define HUMO_HAS_AVX2_DISPATCH 1
-#endif
+#include "common/cpu.h"
 
 namespace humo::linalg {
 namespace {
-
-/// Four doubles, one per lane. GCC/Clang vector extensions: every operator
-/// is the per-lane IEEE operation (vmulpd/vsubpd/vdivpd under AVX2, two
-/// SSE2 halves in the baseline build, scalar code elsewhere), and with
-/// -ffp-contract=off a product is never fused into the subtraction that
-/// consumes it. may_alias: the storage is also read as plain doubles;
-/// aligned(8): solve vectors need not be 32-byte aligned.
-typedef double V4 __attribute__((vector_size(32), may_alias, aligned(8)));
 
 /// The algorithm bodies are written once and compiled twice: inlined into
 /// an AVX2-targeted entry point and into a baseline-ISA one.
@@ -175,11 +165,6 @@ __attribute__((target("avx2"))) unsigned FactorAvx2(
 __attribute__((target("avx2"))) void SolveAvx2(const V4* l, size_t n,
                                                const double* b, V4* x) {
   SolveBody(l, n, b, x);
-}
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
 }
 #endif  // HUMO_HAS_AVX2_DISPATCH
 

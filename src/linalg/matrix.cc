@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/cpu.h"
+
 #ifdef __SSE2__
 #include <emmintrin.h>
 #endif
-#if defined(__GNUC__) && defined(__x86_64__)
+#ifdef HUMO_HAS_AVX2_DISPATCH
 #include <immintrin.h>
-#define HUMO_HAS_AVX2_DISPATCH 1
 #endif
 
 namespace humo::linalg {
@@ -134,11 +135,6 @@ __attribute__((target("avx2"))) void SubDotInterleavedStepAvx2(
   const __m256d piv = _mm256_set1_pd(pivot);
   for (int v = 0; v < V; ++v)
     _mm256_storeu_pd(buf + i * W + 4 * v, _mm256_div_pd(acc[v], piv));
-}
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
 }
 
 }  // namespace

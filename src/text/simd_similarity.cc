@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/cpu.h"
 #include "common/thread_pool.h"
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#ifdef HUMO_HAS_AVX2_DISPATCH
 #include <immintrin.h>
-#define HUMO_SIMD_SIM_AVX2 1
 #endif
 
 namespace humo::text {
@@ -49,12 +49,7 @@ double IdWeightedDotScalar(const uint32_t* a_ids, const double* a_w, size_t na,
   return dot;
 }
 
-#ifdef HUMO_SIMD_SIM_AVX2
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
+#ifdef HUMO_HAS_AVX2_DISPATCH
 
 /// Broadcast-compare intersection count: for each a[i], an 8-lane window of
 /// b is advanced until its last element reaches a[i]; one vector compare
@@ -129,18 +124,14 @@ __attribute__((target("avx2"))) double IdWeightedDotAvx2(
   return dot;
 }
 
-#else  // !HUMO_SIMD_SIM_AVX2
-
-bool CpuHasAvx2() { return false; }
-
-#endif
+#endif  // HUMO_HAS_AVX2_DISPATCH
 
 }  // namespace internal
 
 size_t SortedIdIntersection(const uint32_t* a, size_t na, const uint32_t* b,
                             size_t nb) {
-#ifdef HUMO_SIMD_SIM_AVX2
-  if (internal::CpuHasAvx2()) {
+#ifdef HUMO_HAS_AVX2_DISPATCH
+  if (CpuHasAvx2()) {
     return internal::SortedIdIntersectionAvx2(a, na, b, nb);
   }
 #endif
@@ -149,8 +140,8 @@ size_t SortedIdIntersection(const uint32_t* a, size_t na, const uint32_t* b,
 
 double IdWeightedDot(const uint32_t* a_ids, const double* a_w, size_t na,
                      const uint32_t* b_ids, const double* b_w, size_t nb) {
-#ifdef HUMO_SIMD_SIM_AVX2
-  if (internal::CpuHasAvx2()) {
+#ifdef HUMO_HAS_AVX2_DISPATCH
+  if (CpuHasAvx2()) {
     // The weighted search walks a in full; putting the smaller side in a
     // keeps the window scan short, and the accumulation order (ascending
     // id) is symmetric, so swapping sides is exact.

@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/cpu.h"
+
 namespace humo::text {
 
 /// Set-similarity metrics over dictionary-encoded token ids. The id-range
@@ -66,8 +68,9 @@ void BatchIdSetSimilarity(const IdSetColumns& a, const IdSetColumns& b,
 
 namespace internal {
 
-/// True when the runtime dispatch selects the AVX2 kernels on this machine.
-bool CpuHasAvx2();
+/// True when the runtime dispatch selects the AVX2 kernels on this machine:
+/// the library-wide probe, also reachable under this name.
+using humo::CpuHasAvx2;
 
 /// The two intersection implementations, individually callable so tests can
 /// assert their equality on machines that have AVX2 (the public entry point
@@ -77,7 +80,7 @@ size_t SortedIdIntersectionScalar(const uint32_t* a, size_t na,
 double IdWeightedDotScalar(const uint32_t* a_ids, const double* a_w,
                            size_t na, const uint32_t* b_ids, const double* b_w,
                            size_t nb);
-#if defined(__GNUC__) && defined(__x86_64__)
+#ifdef HUMO_HAS_AVX2_DISPATCH
 size_t SortedIdIntersectionAvx2(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb);
 double IdWeightedDotAvx2(const uint32_t* a_ids, const double* a_w, size_t na,

@@ -22,7 +22,7 @@ GpSubsetModel ModelFromGp(gp::GpRegression gp, const std::vector<double>& v,
                           std::vector<stats::Stratum> evidence = {},
                           std::vector<double> scatter = {},
                           double inflation = 1.0) {
-  std::vector<linalg::Vector> whitened;
+  linalg::Matrix whitened;
   const std::vector<gp::Prediction> preds = gp.PredictBatch(v, &whitened);
   return GpSubsetModel(std::move(gp), v, n, preds, std::move(whitened),
                        std::move(evidence), std::move(scatter), inflation);
@@ -265,14 +265,17 @@ TEST(GpRangeAccumulatorTest, IncrementalOpsHandleExactSubsets) {
   EXPECT_NEAR(inc.TotalStdDev(), direct.TotalStdDev(), 1e-9);
 }
 
-/// The range accumulator as it was before the model held precomputed
-/// cross-sums: every edge step sums the prior cross terms over the rest of
-/// the range. The production accumulator must reproduce it bit for bit.
+/// The range accumulator without the model's precomputed cross-sums: every
+/// edge step sums the prior cross terms over the rest of the range, one
+/// PriorK call per member. SetRange adds subsets in the production order —
+/// a suffix [a, m-1] with a > 0 from m-1 leftward, any other range from a
+/// rightward — and the production accumulator must reproduce it bit for
+/// bit.
 class ReferenceAccumulator {
  public:
   explicit ReferenceAccumulator(const GpSubsetModel* model)
       : model_(model),
-        w_sum_(model->num_subsets() > 0 ? model->W(0).size() : 0, 0.0) {}
+        w_sum_(model->gp().num_training_points(), 0.0) {}
 
   void Clear() {
     empty_ = true;
@@ -282,8 +285,15 @@ class ReferenceAccumulator {
   }
   void SetRange(size_t a, size_t b) {
     Clear();
-    if (a > b || b >= model_->num_subsets()) return;
+    const size_t m = model_->num_subsets();
+    if (a > b || b >= m) return;
     empty_ = false;
+    if (a > 0 && b + 1 == m) {
+      a_ = b_ = b;
+      Update(b, +1.0);
+      while (a_ > a) ExtendLeft();
+      return;
+    }
     a_ = b_ = a;
     Update(a, +1.0);
     while (b_ < b) ExtendRight();
@@ -360,7 +370,7 @@ class ReferenceAccumulator {
       cross += model_->SubsetSize(j) * model_->PriorK(k, j);
     }
     const double dq = 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
-    const auto& wk = model_->W(k);
+    const double* wk = model_->W(k);
     if (sign > 0) {
       prior_q_ += dq;
       for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
@@ -549,6 +559,27 @@ TEST(GpRangeAccumulatorTest, UnanchoredRangesMatchReferenceBitForBit) {
     c.ExtendRight();
     c.Clear();
     c.ExtendLeft();
+  }
+}
+
+TEST(GpRangeAccumulatorTest, HybrAndRiskEdgeRangesMatchReferenceBitForBit) {
+  for (size_t m : {size_t{2}, size_t{37}}) {
+    for (const auto& inspected : EvidencePlacements(m)) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " inspected=" +
+                   std::to_string(inspected.size()));
+      const SubsetLayout layout = MakeLayout(m, inspected);
+      const GpSubsetModel model = MakeLayoutModel(layout);
+      LockstepChecker dplus(&model), dminus(&model);
+      for (size_t a = 1; a < m; ++a) {
+        // RISK's D+ = [j+1, m-1] and D- = [0, i-1], built once.
+        dplus.SetRange(a, m - 1);
+        dminus.SetRange(0, a - 1);
+        // HYBR's D+ and D- as DH grows into them: D+ loses its lowest
+        // subset, D- its highest, down to empty.
+        while (!dplus.IsEmpty()) dplus.ShrinkLeft();
+        while (!dminus.IsEmpty()) dminus.ShrinkRight();
+      }
+    }
   }
 }
 

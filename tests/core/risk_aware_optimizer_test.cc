@@ -31,7 +31,7 @@ std::shared_ptr<GpSubsetModel> MakeModel() {
     v.push_back(0.05 + 0.1 * static_cast<double>(k));
     n.push_back(100.0);
   }
-  std::vector<linalg::Vector> whitened;
+  linalg::Matrix whitened;
   const std::vector<gp::Prediction> preds = gp->PredictBatch(v, &whitened);
   return std::make_shared<GpSubsetModel>(
       std::move(*gp), std::move(v), std::move(n), preds, std::move(whitened),

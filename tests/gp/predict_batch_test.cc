@@ -50,18 +50,23 @@ TEST(PredictBatchTest, MatchesPerPointBitForBit) {
   const GpRegression gp = FitRbf(t);
   // 101 queries: exercises the blocked multi-RHS path AND the tail rows.
   const std::vector<double> qs = MakeQueries(101, 2);
-  std::vector<linalg::Vector> whitened;
-  const std::vector<Prediction> batch = gp.PredictBatch(qs, &whitened);
+  linalg::Matrix whitened, cross;
+  const std::vector<Prediction> batch = gp.PredictBatch(qs, &whitened, &cross);
   ASSERT_EQ(batch.size(), qs.size());
-  ASSERT_EQ(whitened.size(), qs.size());
+  ASSERT_EQ(whitened.rows(), qs.size());
+  ASSERT_EQ(cross.rows(), qs.size());
   for (size_t j = 0; j < qs.size(); ++j) {
     const Prediction p = gp.Predict(qs[j]);
     EXPECT_EQ(batch[j].mean, p.mean) << "query " << j;          // bitwise
     EXPECT_EQ(batch[j].variance, p.variance) << "query " << j;  // bitwise
     const linalg::Vector w = gp.WhitenedCross(qs[j]);
-    ASSERT_EQ(whitened[j].size(), w.size());
-    for (size_t i = 0; i < w.size(); ++i)
-      EXPECT_EQ(whitened[j][i], w[i]) << "query " << j << " dim " << i;
+    ASSERT_EQ(whitened.cols(), w.size());
+    ASSERT_EQ(cross.cols(), w.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(whitened(j, i), w[i]) << "query " << j << " dim " << i;
+      EXPECT_EQ(cross(j, i), gp.kernel()(qs[j], t.x[i]))
+          << "query " << j << " dim " << i;
+    }
   }
 }
 
@@ -128,6 +133,68 @@ TEST(PredictBatchTest, ExtendedWithAgreesWithFromScratchFit) {
     const Prediction b = scratch->Predict(q);
     EXPECT_NEAR(a.mean, b.mean, 1e-9) << "x=" << q;
     EXPECT_NEAR(a.variance, b.variance, 1e-9) << "x=" << q;
+  }
+}
+
+// SAMP's bracket scores keep each midpoint's rows across rounds that only
+// append training points, and extend them; the scores must be the ones a
+// fresh PredictBatch gives on the extended model, bit for bit.
+TEST(PredictBatchTest, ExtendedRowsMatchFreshPredictBatchBitForBit) {
+  const TrainingSet t = MakeTraining(48, 11);
+  // Fit on every other point; the rest arrive in later rounds out of order,
+  // one, two or none at a time.
+  TrainingSet first, later;
+  for (size_t i = 0; i < t.x.size(); ++i) {
+    TrainingSet& to = i % 2 == 0 ? first : later;
+    to.x.push_back(t.x[i]);
+    to.y.push_back(t.y[i]);
+    to.noise.push_back(t.noise[i]);
+  }
+  GpRegression gp = FitRbf(first, 0.25, 0.15);
+  const std::vector<double> qs = MakeQueries(37, 12);
+  std::vector<GpRegression::QueryRows> rows(qs.size());
+  {
+    linalg::Matrix whitened, cross;
+    gp.PredictBatch(qs, &whitened, &cross);
+    for (size_t j = 0; j < qs.size(); ++j) {
+      rows[j].cross.assign(cross.RowPtr(j), cross.RowPtr(j) + cross.cols());
+      rows[j].whitened.assign(whitened.RowPtr(j),
+                              whitened.RowPtr(j) + whitened.cols());
+    }
+  }
+  const std::vector<size_t> order = {17, 3, 22, 0, 9, 23, 11, 5, 20, 14, 1};
+  const std::vector<size_t> batch = {1, 2, 0, 1, 3, 1, 2, 1};
+  size_t next = 0;
+  for (size_t round = 0; round < batch.size(); ++round) {
+    std::vector<double> x, y, noise;
+    for (size_t b = 0; b < batch[round]; ++b, ++next) {
+      x.push_back(later.x[order[next]]);
+      y.push_back(later.y[order[next]]);
+      noise.push_back(later.noise[order[next]]);
+    }
+    Result<GpRegression> extended = gp.ExtendedWith(x, y, noise);
+    ASSERT_TRUE(extended.ok());
+    gp = std::move(*extended);
+    // A bracket that appears mid-chain starts from empty rows.
+    rows[round].cross.clear();
+    rows[round].whitened.clear();
+    linalg::Matrix whitened, cross;
+    const std::vector<Prediction> fresh =
+        gp.PredictBatch(qs, &whitened, &cross);
+    for (size_t j = 0; j < qs.size(); ++j) {
+      gp.ExtendRows(qs[j], &rows[j]);
+      const Prediction p = gp.PredictFromRows(qs[j], rows[j]);
+      ASSERT_EQ(p.mean, fresh[j].mean) << "round " << round << " query " << j;
+      ASSERT_EQ(p.variance, fresh[j].variance)
+          << "round " << round << " query " << j;
+      ASSERT_EQ(rows[j].cross.size(), gp.num_training_points());
+      ASSERT_EQ(rows[j].whitened.size(), gp.num_training_points());
+      for (size_t i = 0; i < gp.num_training_points(); ++i) {
+        ASSERT_EQ(rows[j].cross[i], cross(j, i)) << "query " << j << " i " << i;
+        ASSERT_EQ(rows[j].whitened[i], whitened(j, i))
+            << "query " << j << " i " << i;
+      }
+    }
   }
 }
 

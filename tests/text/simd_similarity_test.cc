@@ -67,7 +67,7 @@ TEST(SortedIdIntersectionTest, MatchesReferenceOnGrid) {
 
 #if defined(__GNUC__) && defined(__x86_64__)
 TEST(SortedIdIntersectionTest, Avx2BitIdenticalToScalarOnGrid) {
-  if (!internal::CpuHasAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   Rng rng(987654321);
   for (uint32_t universe : kUniverses) {
     for (size_t na : kSizes) {
@@ -87,7 +87,7 @@ TEST(SortedIdIntersectionTest, Avx2BitIdenticalToScalarOnGrid) {
 }
 
 TEST(IdWeightedDotTest, Avx2BitIdenticalToScalarOnGrid) {
-  if (!internal::CpuHasAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
+  if (!CpuHasAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   Rng rng(13579);
   for (uint32_t universe : kUniverses) {
     for (size_t na : kSizes) {

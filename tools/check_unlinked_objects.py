@@ -167,8 +167,6 @@ FUNCTIONS = {
     "humo::gp::JointPrediction::WeightedTotalStdDev":
         "Eq. 20 reference the range accumulator's std-dev is checked against",
     # linalg
-    "humo::linalg::Cholesky::L":
-        "compares a factor bit for bit with a reference factor",
     "humo::linalg::Cholesky::jitter_used":
         "observes the jitter a factorization needed",
     "humo::linalg::Matrix::FromRows":
