@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -75,30 +76,25 @@ std::vector<MinHashFn> MakeHashFamily(const MinHashLshOptions& options) {
   return fns;
 }
 
-/// Smallest and second-smallest hash of a record's id set under every
-/// function of the family, written to min1/min2 (each H long). The second
-/// minimum feeds multi-probe; single-token records have min2 == min1. With
-/// `min2 == nullptr` only the minima are computed (probe-0 keys never read
-/// min2); they equal the two-output minima bit for bit.
-void ComputeSignature(const uint32_t* ids, size_t n,
-                      const std::vector<MinHashFn>& fns, uint64_t* min1,
-                      uint64_t* min2) {
-  const size_t H = fns.size();
-  for (size_t h = 0; h < H; ++h) {
+/// Smallest hash of a record's id set under each of the `count` functions
+/// at `fns`, written to min1 (count long); with `min2 != nullptr` also the
+/// second-smallest, written to min2, which feeds multi-probe (single-token
+/// records have min2 == min1). The minima do not depend on whether min2 is
+/// asked for.
+void ComputeSignature(const uint32_t* ids, size_t n, const MinHashFn* fns,
+                      size_t count, uint64_t* min1, uint64_t* min2) {
+  for (size_t h = 0; h < count; ++h) {
     uint64_t m1 = UINT64_MAX, m2 = UINT64_MAX;
     if (min2 == nullptr) {
       for (size_t i = 0; i < n; ++i) m1 = std::min(m1, fns[h](ids[i]));
       min1[h] = m1;
       continue;
     }
+    // Branch-free: which hash is smallest is a coin flip per id.
     for (size_t i = 0; i < n; ++i) {
       const uint64_t v = fns[h](ids[i]);
-      if (v < m1) {
-        m2 = m1;
-        m1 = v;
-      } else if (v < m2) {
-        m2 = v;
-      }
+      m2 = std::min(m2, std::max(m1, v));
+      m1 = std::min(m1, v);
     }
     if (m2 == UINT64_MAX) m2 = m1;
     min1[h] = m1;
@@ -106,224 +102,230 @@ void ComputeSignature(const uint32_t* ids, size_t n,
   }
 }
 
-/// Key of band `b` for probe `p`: rows are min1 values except that probe
-/// p >= 1 substitutes min2 in row p-1 (probe 0 never reads min2). The band
-/// index is folded in so equal row values in different bands do not alias;
-/// the index lookup compares the band anyway.
-uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
+/// Start of every key of band `band`: the band index is folded in so equal
+/// row values in different bands do not alias.
+uint64_t BandSeed(size_t band) { return Mix64(0x9E3779B97F4A7C15ULL + band); }
+
+/// Key for probe `p` of the band with seed `seed`, from that band's `rows`
+/// minima: rows are min1 values except that probe p >= 1 substitutes min2
+/// in row p-1 (probe 0 never reads min2).
+uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, uint64_t seed,
                  size_t rows, size_t probe) {
-  uint64_t key = Mix64(0x9E3779B97F4A7C15ULL + band);
+  uint64_t key = seed;
   for (size_t r = 0; r < rows; ++r) {
-    const uint64_t v =
-        (probe >= 1 && r == probe - 1) ? min2[band * rows + r]
-                                       : min1[band * rows + r];
+    const uint64_t v = (probe >= 1 && r == probe - 1) ? min2[r] : min1[r];
     key = Mix64(key ^ v);
   }
   return key;
 }
 
-/// Flat LSH buckets over the RIGHT table (canonical probe-0 keys only;
-/// multi-probe happens on the query side).
-///
-/// `postings` lists every non-empty right record once per band, sorted by
-/// (band, key, record): band b owns the segment [b * live, (b + 1) * live),
-/// and each bucket is one contiguous run of it in record order. `slots` is
-/// a power-of-two open-addressed table (linear probing, load <= 1/2) from a
-/// bucket's key to its [begin, end) run; `end == 0` marks an empty slot.
-/// AppendBucket matches a slot only when the key is equal AND the run lies
-/// in the band's segment, so the candidate set equals per-band hash maps'
-/// exactly, not merely up to a cross-band 64-bit key collision.
-///
-/// Offsets are uint32, so an index holds at most UINT32_MAX postings
-/// (non-empty right records x bands); BuildLshIndex aborts beyond that in
-/// every build type rather than wrap.
-struct LshIndex {
-  struct Slot {
-    uint64_t key = 0;
-    uint32_t begin = 0;
-    uint32_t end = 0;
-  };
+/// The buckets of ONE band over the right table (canonical probe-0 keys;
+/// multi-probe happens on the query side). `slots` is a power-of-two
+/// open-addressed table (linear probing, load <= 1/2) from a bucket's key to
+/// its first record; `next` links each record to the next of its bucket, in
+/// record order. Most probes miss, and a miss that walks the slots costs
+/// about two branch mispredictions, so a bit filter over the keys turns most
+/// misses away first, without a branch. Build refills everything in place,
+/// so one band's table is allocated once and reused for every band.
+class BandTable {
+ public:
+  /// Buckets `records[i]` under `keys[i]`; records must be ascending and
+  /// outlive the table's use.
+  void Build(const std::vector<uint64_t>& keys,
+             const std::vector<uint32_t>& records) {
+    const size_t m = keys.size();
+    records_ = &records;
+    size_t capacity = 2;
+    while (capacity < 2 * m) capacity <<= 1;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    // Eight filter bits per slot (at least one word), indexed by the key's
+    // high bits; the slots use its low bits.
+    int filter_bits = 6;
+    while ((size_t{1} << filter_bits) < 8 * capacity) ++filter_bits;
+    filter_shift_ = 64 - filter_bits;
+    filter_.assign((size_t{1} << filter_bits) / 64, 0);
+    // Last record first, each pushed at its bucket's head, so every bucket
+    // lists its records in record order.
+    next_.resize(m);
+    for (size_t i = m; i-- > 0;) {
+      size_t pos = keys[i] & mask_;
+      while (slots_[pos].head != kNone && slots_[pos].key != keys[i]) {
+        pos = (pos + 1) & mask_;
+      }
+      slots_[pos].key = keys[i];
+      next_[i] = slots_[pos].head;
+      slots_[pos].head = static_cast<uint32_t>(i);
+      const uint64_t f = keys[i] >> filter_shift_;
+      filter_[f >> 6] |= uint64_t{1} << (f & 63);
+    }
+  }
 
-  std::vector<MinHashFn> fns;
-  std::vector<uint32_t> postings;
-  std::vector<Slot> slots;
-  size_t live = 0;  // non-empty right records = postings per band
-  size_t bands = 0;
-  size_t rows = 0;
-  size_t probes = 0;
+  /// False only when no bucket has key `key`; true for about one absent
+  /// key in sixteen at half load.
+  bool MayContain(uint64_t key) const {
+    const uint64_t f = key >> filter_shift_;
+    return (filter_[f >> 6] >> (f & 63)) & 1;
+  }
 
-  /// Appends the postings of bucket (band, key), if any, to `out`.
-  void AppendBucket(size_t band, uint64_t key,
-                    std::vector<uint32_t>* out) const {
-    const size_t lo = band * live;
-    const size_t hi = lo + live;
-    const size_t mask = slots.size() - 1;
-    for (size_t pos = key & mask;; pos = (pos + 1) & mask) {
-      const Slot& s = slots[pos];
-      if (s.end == 0) return;
-      if (s.key == key && s.begin >= lo && s.begin < hi) {
-        out->insert(out->end(), postings.data() + s.begin,
-                    postings.data() + s.end);
-        return;
+  void Prefetch(uint64_t key) const {
+    __builtin_prefetch(&slots_[key & mask_]);
+  }
+
+  /// Appends `(left << 32) | right` for every record of bucket `key`, if
+  /// any, to `out`; returns whether the bucket exists.
+  bool AppendBucket(uint64_t key, uint64_t left,
+                    std::vector<uint64_t>* out) const {
+    for (size_t pos = key & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.head == kNone) return false;
+      if (s.key == key) {
+        for (uint32_t i = s.head; i != kNone; i = next_[i]) {
+          out->push_back((left << 32) | (*records_)[i]);
+        }
+        return true;
       }
     }
   }
+
+ private:
+  static constexpr uint32_t kNone = UINT32_MAX;  // empty slot, list end
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t head = kNone;  // index into records
+  };
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;
+  const std::vector<uint32_t>* records_ = nullptr;
+  std::vector<uint64_t> filter_;  // one bit set per bucket key
+  size_t mask_ = 0;
+  int filter_shift_ = 0;
 };
 
-/// Records per signature/probe task.
+/// Records per signature/probe task, and per filter and prefetch batch
+/// within one.
 constexpr size_t kLshGrain = 512;
+constexpr size_t kProbeBatch = 32;
 
-/// One right record's probe-0 key in one band.
-struct Entry {
-  uint64_t key;
-  uint32_t record;
+/// Reusable buffers of one band's join.
+struct BandScratch {
+  BandTable table;
+  std::vector<uint64_t> right_keys;
+  std::vector<std::vector<uint64_t>> chunks;  // per left-record task
+  std::vector<uint64_t> pairs;  // sorted unique (left << 32) | right
 };
 
-/// 11-bit digits: 2048 counters per pass stay L1-resident; a 64-bit key
-/// takes six passes, an even count, so the result lands back in place.
-constexpr int kKeyDigitBits = 11;
-constexpr size_t kKeyDigits = size_t{1} << kKeyDigitBits;
-constexpr int kKeyPasses = (64 + kKeyDigitBits - 1) / kKeyDigitBits;
-static_assert(kKeyPasses % 2 == 0, "SortByKey ends in its input buffer");
-
-/// Stable LSD radix sort of `a[0, n)` by key, through `scratch` (n long).
-/// Entries in record order come out in (key, record) order.
-void SortByKey(Entry* a, Entry* scratch, size_t n) {
-  std::vector<uint32_t> counts(kKeyPasses * kKeyDigits, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (int p = 0; p < kKeyPasses; ++p) {
-      ++counts[p * kKeyDigits +
-               ((a[i].key >> (p * kKeyDigitBits)) & (kKeyDigits - 1))];
+/// The MinHash/LSH candidate join, one band at a time: Band(b) buckets the
+/// right table's probe-0 keys of band b and probes every left record's keys,
+/// hashing only band b's rows functions on either side.
+class LshJoin {
+ public:
+  LshJoin(const RecordColumns& left, const RecordColumns& right,
+          const MinHashLshOptions& options)
+      : left_(left),
+        right_(right),
+        fns_(MakeHashFamily(options)),
+        rows_(options.rows),
+        probes_(std::max<size_t>(1, std::min(options.probes, 1 + rows_))) {
+    // Record indices travel as uint32: halves of a packed pair, and a band
+    // table's links, where UINT32_MAX marks an end. Abort in every build
+    // type rather than wrap.
+    if (left.num_records() > UINT32_MAX || right.num_records() > UINT32_MAX) {
+      std::fprintf(stderr,
+                   "MinHashLshCandidates: %zu left / %zu right records exceed "
+                   "the uint32 record index\n",
+                   left.num_records(), right.num_records());
+      std::abort();
+    }
+    for (size_t r = 0; r < right.num_records(); ++r) {
+      // Empty sets match nothing: never bucketed.
+      if (right.num_ids(r) > 0) live_.push_back(static_cast<uint32_t>(r));
     }
   }
-  Entry* src = a;
-  Entry* dst = scratch;
-  for (int p = 0; p < kKeyPasses; ++p) {
-    uint32_t* offsets = counts.data() + p * kKeyDigits;
-    uint32_t running = 0;
-    for (size_t d = 0; d < kKeyDigits; ++d) {
-      const uint32_t c = offsets[d];
-      offsets[d] = running;
-      running += c;
-    }
-    const int shift = p * kKeyDigitBits;
-    for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i].key >> shift) & (kKeyDigits - 1)]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-}
 
-/// Requires bands > 0 and rows > 0 (MinHashLshCandidates returns early
-/// otherwise).
-LshIndex BuildLshIndex(const RecordColumns& right_cols,
-                       const MinHashLshOptions& options) {
-  LshIndex index;
-  index.bands = options.bands;
-  index.rows = options.rows;
-  index.probes = std::max<size_t>(1, std::min(options.probes,
-                                              1 + options.rows));
-  index.fns = MakeHashFamily(options);
-  const size_t H = index.fns.size();
-  const size_t bands = index.bands;
-
-  std::vector<uint32_t> live;  // empty sets match nothing: no postings
-  for (size_t r = 0; r < right_cols.num_records(); ++r) {
-    if (right_cols.num_ids(r) > 0) live.push_back(static_cast<uint32_t>(r));
-  }
-  const size_t m = live.size();
-  if (m > UINT32_MAX / bands) {
-    std::fprintf(stderr,
-                 "MinHashLshBlock: %zu non-empty right records x %zu bands "
-                 "exceeds the index's UINT32_MAX postings\n",
-                 m, bands);
-    std::abort();
-  }
-  index.live = m;
-
-  // Probe-0 band keys in parallel, written band-major to index-addressed
-  // entries, so band b's segment starts in record order; sorting each
-  // segment by key then makes every bucket one record-ordered run.
-  std::vector<Entry> entries(m * bands);
-  ThreadPool::Global()->ParallelFor(
-      m, kLshGrain, [&](size_t begin, size_t end) {
-        std::vector<uint64_t> min1(H);
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t r = live[i];
-          ComputeSignature(right_cols.ids(r), right_cols.num_ids(r),
-                           index.fns, min1.data(), /*min2=*/nullptr);
-          for (size_t b = 0; b < bands; ++b) {
-            entries[b * m + i] = {BandKey(min1.data(), /*min2=*/nullptr, b,
-                                          index.rows, /*probe=*/0),
-                                  r};
+  /// Fills `s->pairs` with band `band`'s candidates, sorted and unique. A
+  /// right record sits in one bucket per band, so a left record's distinct
+  /// keys hit disjoint buckets: its pairs only need sorting. Left-record
+  /// tasks are concatenated in task order, so the result is the same at
+  /// any thread count.
+  void Band(size_t band, BandScratch* s) const {
+    const MinHashFn* fns = fns_.data() + band * rows_;
+    const uint64_t seed = BandSeed(band);
+    const size_t rows = rows_, probes = probes_, m = live_.size();
+    const size_t n = left_.num_records();
+    ThreadPool* pool = ThreadPool::Global();
+    s->right_keys.resize(m);
+    pool->ParallelFor(m, kLshGrain, [&](size_t begin, size_t end) {
+      std::vector<uint64_t> min1(rows);
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t r = live_[i];
+        ComputeSignature(right_.ids(r), right_.num_ids(r), fns, rows,
+                         min1.data(), /*min2=*/nullptr);
+        s->right_keys[i] =
+            BandKey(min1.data(), /*min2=*/nullptr, seed, rows, /*probe=*/0);
+      }
+    });
+    s->table.Build(s->right_keys, live_);
+    // Cleared up front: a ParallelFor that runs inline fills only the
+    // first task's vector.
+    s->chunks.resize(n == 0 ? 0 : (n + kLshGrain - 1) / kLshGrain);
+    for (std::vector<uint64_t>& c : s->chunks) c.clear();
+    pool->ParallelFor(n, kLshGrain, [&](size_t begin, size_t end) {
+      std::vector<uint64_t>& out = s->chunks[begin / kLshGrain];
+      // Batch by batch: all keys first, kept only when the table's filter
+      // lets them through, so the table sees about one probe in five, and
+      // the home slot of each kept key prefetched so the misses overlap.
+      std::vector<uint64_t> min1(rows), min2(rows),
+          keys(kProbeBatch * probes);
+      std::vector<uint32_t> lefts(kProbeBatch * probes);
+      for (size_t lo = begin; lo < end; lo += kProbeBatch) {
+        const size_t hi = std::min(end, lo + kProbeBatch);
+        size_t kept = 0;
+        for (size_t r = lo; r < hi; ++r) {
+          const size_t n_ids = left_.num_ids(r);
+          if (n_ids == 0) continue;
+          ComputeSignature(left_.ids(r), n_ids, fns, rows, min1.data(),
+                           min2.data());
+          uint64_t* first = keys.data() + kept;
+          for (size_t p = 0; p < probes; ++p) {
+            const uint64_t key =
+                BandKey(min1.data(), min2.data(), seed, rows, p);
+            // Single-token records repeat the probe-0 key.
+            if (std::find(first, keys.data() + kept, key) !=
+                keys.data() + kept) {
+              continue;
+            }
+            keys[kept] = key;
+            lefts[kept] = static_cast<uint32_t>(r);
+            kept += s->table.MayContain(key);  // branch-free
           }
         }
-      });
-  std::vector<Entry> scratch(m);
-  for (size_t b = 0; b < bands; ++b) {
-    SortByKey(entries.data() + b * m, scratch.data(), m);
-  }
-
-  // A run (one bucket) ends at a key change or a band boundary. Count the
-  // runs to size the table, then copy postings and insert each run's slot.
-  const size_t total = entries.size();
-  const auto run_ends_at = [&](size_t e) {
-    return e + 1 == total || (e + 1) % m == 0 ||
-           entries[e + 1].key != entries[e].key;
-  };
-  size_t runs = 0;
-  for (size_t e = 0; e < total; ++e) runs += run_ends_at(e);
-  size_t capacity = 1;
-  while (capacity < 2 * runs) capacity <<= 1;
-  index.slots.resize(capacity);
-  index.postings.resize(total);
-  const size_t mask = capacity - 1;
-  size_t begin = 0;
-  for (size_t e = 0; e < total; ++e) {
-    index.postings[e] = entries[e].record;
-    if (!run_ends_at(e)) continue;
-    size_t pos = entries[e].key & mask;
-    while (index.slots[pos].end != 0) pos = (pos + 1) & mask;
-    index.slots[pos] = {entries[e].key, static_cast<uint32_t>(begin),
-                        static_cast<uint32_t>(e + 1)};
-    begin = e + 1;
-  }
-  return index;
-}
-
-/// Appends the sorted unique candidate right-record indices of left record
-/// `r` to `candidates` (cleared first).
-void ProbeRecord(const RecordColumns& left_cols, size_t r,
-                 const LshIndex& index, std::vector<uint64_t>* sig_scratch,
-                 std::vector<uint32_t>* candidates) {
-  candidates->clear();
-  const size_t n_ids = left_cols.num_ids(r);
-  if (n_ids == 0) return;
-  const size_t H = index.fns.size();
-  const size_t P = index.probes;
-  sig_scratch->resize(2 * H + index.bands * P);
-  uint64_t* min1 = sig_scratch->data();
-  uint64_t* min2 = min1 + H;
-  uint64_t* keys = min2 + H;
-  ComputeSignature(left_cols.ids(r), n_ids, index.fns, min1, min2);
-  // All keys first, each home slot prefetched, so the table's cache misses
-  // overlap instead of serializing lookup by lookup.
-  const size_t mask = index.slots.size() - 1;
-  for (size_t b = 0; b < index.bands; ++b) {
-    for (size_t p = 0; p < P; ++p) {
-      keys[b * P + p] = BandKey(min1, min2, b, index.rows, p);
-      __builtin_prefetch(&index.slots[keys[b * P + p] & mask]);
+        for (size_t j = 0; j < kept; ++j) s->table.Prefetch(keys[j]);
+        for (size_t j = 0; j < kept;) {
+          const uint32_t r = lefts[j];
+          const size_t first = out.size();
+          size_t hits = 0;
+          for (; j < kept && lefts[j] == r; ++j) {
+            hits += s->table.AppendBucket(keys[j], r, &out);
+          }
+          if (hits > 1) std::sort(out.begin() + first, out.end());
+        }
+      }
+    });
+    s->pairs.clear();
+    for (const std::vector<uint64_t>& c : s->chunks) {
+      s->pairs.insert(s->pairs.end(), c.begin(), c.end());
     }
   }
-  for (size_t b = 0; b < index.bands; ++b) {
-    for (size_t p = 0; p < P; ++p) {
-      index.AppendBucket(b, keys[b * P + p], candidates);
-    }
-  }
-  std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
-}
+
+ private:
+  const RecordColumns& left_;
+  const RecordColumns& right_;
+  std::vector<uint32_t> live_;  // non-empty right records
+  std::vector<MinHashFn> fns_;
+  size_t rows_;
+  size_t probes_;
+};
 
 Workload BuildWorkload(std::vector<PairColumns> chunks) {
   PairColumns all;
@@ -418,31 +420,36 @@ LshCandidates MinHashLshCandidates(const RecordColumns& left_cols,
                                    const RecordColumns& right_cols,
                                    const MinHashLshOptions& options) {
   if (options.bands == 0 || options.rows == 0) return {};
-  const LshIndex index = BuildLshIndex(right_cols, options);
-  const size_t n = left_cols.num_records();
-  const size_t num_chunks = n == 0 ? 0 : (n + kLshGrain - 1) / kLshGrain;
-  std::vector<LshCandidates> chunks(num_chunks);
-  ThreadPool::Global()->ParallelFor(
-      n, kLshGrain, [&](size_t begin, size_t end) {
-        LshCandidates& out = chunks[begin / kLshGrain];
-        std::vector<uint64_t> sig_scratch;
-        std::vector<uint32_t> cand;
-        for (size_t r = begin; r < end; ++r) {
-          ProbeRecord(left_cols, r, index, &sig_scratch, &cand);
-          for (uint32_t j : cand) {
-            out.left.push_back(static_cast<uint32_t>(r));
-            out.right.push_back(j);
-          }
-        }
-      });
+  LshJoin join(left_cols, right_cols, options);
+  // Bands run in rounds of one band per pool thread, each joined into its
+  // own scratch, then merged into the sorted unique set. The set does not
+  // depend on the rounds, so it is bit-identical at any thread count, and
+  // live memory stays within one round's tables and band pairs.
+  ThreadPool* pool = ThreadPool::Global();
+  std::vector<BandScratch> scratch(
+      std::min(pool->num_threads(), options.bands));
+  std::vector<uint64_t> pairs, merged;
+  for (size_t b0 = 0; b0 < options.bands; b0 += scratch.size()) {
+    const size_t round = std::min(scratch.size(), options.bands - b0);
+    pool->ParallelFor(round, 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) join.Band(b0 + i, &scratch[i]);
+    });
+    for (size_t i = 0; i < round; ++i) {
+      const std::vector<uint64_t>& band = scratch[i].pairs;
+      merged.clear();
+      merged.reserve(pairs.size() + band.size());
+      std::set_union(pairs.begin(), pairs.end(), band.begin(), band.end(),
+                     std::back_inserter(merged));
+      pairs.swap(merged);
+    }
+  }
+
   LshCandidates all;
-  size_t total = 0;
-  for (const LshCandidates& c : chunks) total += c.left.size();
-  all.left.reserve(total);
-  all.right.reserve(total);
-  for (LshCandidates& c : chunks) {
-    all.left.insert(all.left.end(), c.left.begin(), c.left.end());
-    all.right.insert(all.right.end(), c.right.begin(), c.right.end());
+  all.left.reserve(pairs.size());
+  all.right.reserve(pairs.size());
+  for (const uint64_t pair : pairs) {
+    all.left.push_back(static_cast<uint32_t>(pair >> 32));
+    all.right.push_back(static_cast<uint32_t>(pair));
   }
   return all;
 }

@@ -61,12 +61,17 @@ struct MinHashLshOptions {
 /// emitted by the LSH probe phase, BEFORE scoring — exposed so recall can
 /// be measured against an exact blocker and so benches can time the
 /// scoring kernels on a realistic candidate stream. Pairs come in left
-/// record order, each left record's right indices ascending. The right
-/// table's buckets live in one flat index (record-ordered postings sorted
-/// by (band, key) plus an open-addressed (band, key) -> range table), so
-/// the set equals per-band hash maps' exactly. The index holds at most
-/// UINT32_MAX postings (non-empty right records x bands); beyond that the
-/// call aborts rather than wrap.
+/// record order, each left record's right indices ascending.
+///
+/// MinHashLshCandidates joins one band at a time: it hashes only that
+/// band's rows functions over both tables, buckets the right table's
+/// probe-0 keys in one band-sized hash table (reused band to band), probes
+/// every left record's keys, and merges the band's packed
+/// (left << 32 | right) pairs into the sorted unique set. Live memory is
+/// one band's table and pairs per pool thread plus the unique candidates,
+/// never every band's duplicates at once. The set equals per-band hash
+/// maps' exactly. Record indices are uint32, so a table of more than
+/// UINT32_MAX records aborts the call in every build type rather than wrap.
 struct LshCandidates {
   std::vector<uint32_t> left;
   std::vector<uint32_t> right;

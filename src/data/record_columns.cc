@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -30,11 +31,12 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
   // into its slot, then split, sort and dedup string_views into that one
   // string, with per-token counts. NormalizeForMatching leaves only single
   // ' ' separators and no leading/trailing one, so splitting on ' ' yields
-  // exactly text::WordTokens' tokens, with no per-token allocation.
+  // exactly text::WordTokens' tokens, with no per-token allocation; the
+  // token list is sized once, to the distinct count.
   struct RecordTokens {
-    std::string text;                      // normalized value
-    std::vector<std::string_view> tokens;  // sorted unique, views of text
-    std::vector<uint32_t> counts;          // parallel term frequencies
+    std::string text;  // normalized value
+    // Sorted unique views of text, each with its term frequency.
+    std::vector<std::pair<std::string_view, uint32_t>> tokens;
   };
   std::vector<RecordTokens> tokenized(n);
   ThreadPool::Global()->ParallelFor(
@@ -52,11 +54,15 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
             b = e + 1;
           }
           std::sort(toks.begin(), toks.end());
+          size_t distinct = 0;
+          for (size_t i = 0; i < toks.size(); ++i) {
+            distinct += i == 0 || toks[i] != toks[i - 1];
+          }
+          out.tokens.reserve(distinct);
           for (size_t i = 0; i < toks.size();) {
             size_t j = i + 1;
             while (j < toks.size() && toks[j] == toks[i]) ++j;
-            out.counts.push_back(static_cast<uint32_t>(j - i));
-            out.tokens.push_back(toks[i]);
+            out.tokens.emplace_back(toks[i], static_cast<uint32_t>(j - i));
             i = j;
           }
         }
@@ -83,8 +89,8 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
     const RecordTokens& rt = tokenized[r];
     scratch.clear();
     scratch.reserve(rt.tokens.size());
-    for (size_t i = 0; i < rt.tokens.size(); ++i) {
-      scratch.emplace_back(dict->Intern(rt.tokens[i]), rt.counts[i]);
+    for (const auto& [token, tf] : rt.tokens) {
+      scratch.emplace_back(dict->Intern(token), tf);
     }
     std::sort(scratch.begin(), scratch.end());
     const uint32_t base = cols.offsets_[r];

@@ -224,10 +224,11 @@ TEST(MinHashLshCandidatesTest, ZeroBandsOrRowsYieldNoCandidates) {
   }
 }
 
-/// Reference copy of the per-band hash-map index the flat index replaced:
-/// one unordered_map from band key to record-ordered postings per band,
-/// probed with find. The hash family, signatures and band keys repeat the
-/// library's definitions, so candidates must agree exactly.
+/// Independent reference blocker: one unordered_map per band from band key
+/// to record-ordered postings, built over the whole right table up front,
+/// and every left record probed across all bands at once with find. The
+/// hash family, signatures and band keys repeat the library's definitions,
+/// so candidates must agree exactly with the band-at-a-time join.
 namespace reference {
 
 uint64_t Mix64(uint64_t z) {
@@ -321,7 +322,10 @@ LshCandidates Candidates(const RecordColumns& left, const RecordColumns& right,
 }  // namespace reference
 
 /// Appends, to both tables: records with empty values, single-token
-/// records, and an all-identical block (one long posting list per band).
+/// records, an all-identical block (one long posting list per band), and
+/// "alpha beta" before "beta" and "alpha": in a band where alpha hashes
+/// lower, the left "alpha beta" finds both alphas at probe 0 and the
+/// in-between "beta" at probe 1, two buckets out of record order.
 void AddEdgeRecords(RecordTable* left, RecordTable* right) {
   const auto add = [](RecordTable* t, uint32_t entity, std::string name) {
     const uint32_t id = static_cast<uint32_t>(t->size());
@@ -333,38 +337,115 @@ void AddEdgeRecords(RecordTable* left, RecordTable* right) {
       add(t, 910000, word);
     }
     for (uint32_t i = 0; i < 40; ++i) add(t, 920000, "same exact words");
+    for (const char* name : {"alpha beta", "beta", "alpha"}) {
+      add(t, 930000, name);
+    }
   }
+}
+
+/// Adds one record per name to `t`, entity ids running from `entity`.
+void AddNames(RecordTable* t, uint32_t entity,
+              const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    const uint32_t id = static_cast<uint32_t>(t->size());
+    ASSERT_TRUE(t->Add({id, entity++, {"k", name}}).ok());
+  }
+}
+
+/// Checks MinHashLshCandidates against the reference at 1 and 4 pool
+/// threads, two seeds and every bands x rows x probes of the grid. At 4
+/// threads, 5 bands run as a round of four and a round of one.
+void ExpectMatchesReference(const RecordTable& left_table,
+                            const RecordTable& right_table) {
+  text::TokenDictionary dict;
+  const RecordColumns left = RecordColumns::Build(left_table, 1, &dict);
+  const RecordColumns right = RecordColumns::Build(right_table, 1, &dict);
+  for (const size_t threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    for (const uint64_t seed : {0x15481D3AULL, 0xDEADBEEFULL}) {
+      for (const size_t bands : {1, 4, 5, 16}) {
+        for (const size_t rows : {1, 2, 3}) {
+          for (const size_t probes : {size_t{1}, size_t{2}, 1 + rows}) {
+            MinHashLshOptions options;
+            options.seed = seed;
+            options.bands = bands;
+            options.rows = rows;
+            options.probes = probes;
+            const LshCandidates want =
+                reference::Candidates(left, right, options);
+            const LshCandidates got =
+                MinHashLshCandidates(left, right, options);
+            ASSERT_FALSE(want.left.empty());
+            EXPECT_EQ(got.left, want.left)
+                << "threads " << threads << " seed " << seed << " bands "
+                << bands << " rows " << rows << " probes " << probes;
+            EXPECT_EQ(got.right, want.right)
+                << "threads " << threads << " seed " << seed << " bands "
+                << bands << " rows " << rows << " probes " << probes;
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(MinHashLshCandidatesTest, MatchesPerBandHashMapReference) {
   ScaleTables tables = PerturbedTables(/*groups=*/12);
   AddEdgeRecords(&tables.left, &tables.right);
-  text::TokenDictionary dict;
-  const RecordColumns left = RecordColumns::Build(tables.left, 1, &dict);
-  const RecordColumns right = RecordColumns::Build(tables.right, 1, &dict);
-  for (const uint64_t seed : {0x15481D3AULL, 0xDEADBEEFULL}) {
-    for (const size_t bands : {1, 4, 16}) {
-      for (const size_t rows : {1, 2, 3}) {
-        for (const size_t probes : {size_t{1}, size_t{2}, 1 + rows}) {
-          MinHashLshOptions options;
-          options.seed = seed;
-          options.bands = bands;
-          options.rows = rows;
-          options.probes = probes;
-          const LshCandidates want =
-              reference::Candidates(left, right, options);
-          const LshCandidates got = MinHashLshCandidates(left, right, options);
-          ASSERT_FALSE(want.left.empty());
-          EXPECT_EQ(got.left, want.left)
-              << "seed " << seed << " bands " << bands << " rows " << rows
-              << " probes " << probes;
-          EXPECT_EQ(got.right, want.right)
-              << "seed " << seed << " bands " << bands << " rows " << rows
-              << " probes " << probes;
-        }
-      }
-    }
+  ExpectMatchesReference(tables.left, tables.right);
+}
+
+TEST(MinHashLshCandidatesTest, MatchesReferenceOnUnequalTables) {
+  // The edge-record tables against the first 30 records of their right
+  // table, both ways round.
+  ScaleTables tables = PerturbedTables(/*groups=*/12);
+  AddEdgeRecords(&tables.left, &tables.right);
+  RecordTable right({"key", "name"});
+  for (size_t r = 0; r < 30; ++r) {
+    Record rec = tables.right[r];
+    rec.id = static_cast<uint32_t>(r);
+    ASSERT_TRUE(right.Add(std::move(rec)).ok());
   }
+  ExpectMatchesReference(tables.left, right);
+  ExpectMatchesReference(right, tables.left);
+}
+
+TEST(MinHashLshCandidatesTest, MatchesReferenceOnSingleTokenLeftTable) {
+  // Every non-empty left record is one token, so min2 == min1 in every row
+  // and each probe p >= 1 repeats the probe-0 key.
+  RecordTable left({"key", "name"});
+  RecordTable right({"key", "name"});
+  AddNames(&left, 0,
+           {"", "solo", "alpha", "", "omega", "solo", "beta", "gamma", ""});
+  AddNames(&right, 0,
+           {"solo", "alpha beta", "omega", "", "solo gamma", "alpha",
+            "delta", "beta omega solo"});
+  ExpectMatchesReference(left, right);
+}
+
+TEST(MinHashLshCandidatesTest, AllIdenticalBlockYieldsFullCrossProduct) {
+  // 200 x 200 identical records share one bucket in every band, so 16
+  // bands x 3 probes find each pair once per band, deduplicated to one.
+  RecordTable left({"key", "name"});
+  RecordTable right({"key", "name"});
+  const std::vector<std::string> same(200, "same exact words");
+  AddNames(&left, 0, same);
+  AddNames(&right, 0, same);
+  ExpectMatchesReference(left, right);
+  text::TokenDictionary dict;
+  const RecordColumns lcols = RecordColumns::Build(left, 1, &dict);
+  const RecordColumns rcols = RecordColumns::Build(right, 1, &dict);
+  MinHashLshOptions options;
+  options.probes = 3;
+  ASSERT_EQ(options.bands, 16u);
+  for (const size_t threads : {1, 4}) {
+    ThreadPool::SetGlobalThreads(threads);
+    EXPECT_EQ(MinHashLshCandidates(lcols, rcols, options).left.size(),
+              200u * 200u)
+        << "threads " << threads;
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 }  // namespace
