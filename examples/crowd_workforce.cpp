@@ -8,6 +8,7 @@
 // verdict accuracy.
 
 #include <cstdio>
+#include <vector>
 
 #include "humo.h"
 
@@ -34,18 +35,22 @@ int main() {
       crowd_opts.workers_per_pair = k;
       crowd_opts.worker_error_rate = err;
       core::CrowdOracle crowd(&workload, crowd_opts);
+      // The crowd answers through an Oracle, which remembers and counts
+      // the verdicts; the crowd only adjudicates.
+      core::Oracle crowd_oracle(&workload);
+      crowd_oracle.SetAnswerProvider(crowd.Provider());
 
-      // Execute DH with the crowd.
-      std::vector<int> labels(workload.size(), 0);
+      // Execute DH with the crowd, as one posted batch.
       const size_t dh_begin = partition[sol->h_lo].begin;
       const size_t dh_end = partition[sol->h_hi].end;
-      for (size_t i = 0; i < workload.size(); ++i) {
-        if (i >= dh_begin && i < dh_end) {
-          labels[i] = crowd.Label(i) ? 1 : 0;
-        } else if (i >= dh_end) {
-          labels[i] = 1;
-        }
+      std::vector<size_t> dh(dh_end - dh_begin);
+      for (size_t i = dh_begin; i < dh_end; ++i) dh[i - dh_begin] = i;
+      const std::vector<char> verdicts = crowd_oracle.InspectBatch(dh);
+      std::vector<int> labels(workload.size(), 0);
+      for (size_t i = dh_begin; i < dh_end; ++i) {
+        labels[i] = verdicts[i - dh_begin];
       }
+      for (size_t i = dh_end; i < workload.size(); ++i) labels[i] = 1;
       const auto q = eval::QualityOf(workload, labels);
       table.AddRow({std::to_string(k), eval::FmtPercent(err, 0),
                     eval::FmtPercent(crowd.VerdictErrorRate()),

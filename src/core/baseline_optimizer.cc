@@ -1,6 +1,5 @@
 #include "core/baseline_optimizer.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace humo::core {
@@ -25,22 +24,20 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   if (m == 0) return Status::InvalidArgument("empty workload");
   HUMO_RETURN_NOT_OK(ValidateRequirement(req));
 
-  // Start at the subset containing the midpoint similarity value (or the
-  // user-provided start).
-  size_t start;
-  if (options_.start_subset == BaselineOptions::kAutoStart) {
-    const auto& workload = partition.workload();
-    const double mid = 0.5 * (workload[0].similarity +
-                              workload[workload.size() - 1].similarity);
-    start = m / 2;
-    for (size_t k = 0; k < m; ++k) {
-      if (partition[k].avg_similarity >= mid) {
-        start = k;
-        break;
-      }
+  // Start at the subset containing the midpoint similarity value. On
+  // post-blocking workloads the midpoint of the similarity range sits near
+  // the match/unmatch transition, which is what a classifier boundary would
+  // give; the *pair-count* median would instead land deep inside the
+  // unmatch bulk and force a long, expensive walk.
+  const auto& workload = partition.workload();
+  const double mid = 0.5 * (workload[0].similarity +
+                            workload[workload.size() - 1].similarity);
+  size_t start = m / 2;
+  for (size_t k = 0; k < m; ++k) {
+    if (partition[k].avg_similarity >= mid) {
+      start = k;
+      break;
     }
-  } else {
-    start = std::min(options_.start_subset, m - 1);
   }
 
   // DH = [lo, hi] inclusive; per-subset observed match counts live in the

@@ -16,35 +16,21 @@ namespace humo::core {
 /// (the paper recommends 3..10; larger = more conservative).
 inline constexpr size_t kWindowSubsets = 5;
 
-/// Options of the conservative baseline search (§V).
-struct BaselineOptions {
-  /// Starting subset of the search; when kAutoStart the subset containing
-  /// the midpoint of the similarity support is used ("an initial medium
-  /// similarity value (e.g. the boundary value of a classifier or simply a
-  /// median value)", §V). On post-blocking workloads the midpoint of the
-  /// similarity range sits near the match/unmatch transition, which is what
-  /// a classifier boundary would give; the *pair-count* median would instead
-  /// land deep inside the unmatch bulk and force a long, expensive walk.
-  static constexpr size_t kAutoStart = static_cast<size_t>(-1);
-  size_t start_subset = kAutoStart;
-};
-
 /// BASE: purely monotonicity-based search (§V).
 ///
-/// Starting from a medium subset, DH is alternately extended one subset
-/// rightward and leftward. Every subset absorbed into DH is human-labeled
-/// through the oracle. The upper bound freezes once the last `window`
-/// labeled subsets on the upper side have an observed match proportion
-/// reaching the Eq. 7 threshold (monotonicity then guarantees D+ is at
-/// least as pure). The lower bound freezes once the last `window` labeled
-/// subsets on the lower side fall to the Eq. 9 threshold. Under
-/// monotonicity the returned solution meets alpha/beta with certainty
-/// (Theorem 1); theta is not consumed.
+/// Starting from a medium subset — the one containing the midpoint of the
+/// similarity support, "an initial medium similarity value (e.g. the
+/// boundary value of a classifier or simply a median value)" (§V) — DH is
+/// alternately extended one subset rightward and leftward. Every subset
+/// absorbed into DH is human-labeled through the oracle. The upper bound
+/// freezes once the last `window` labeled subsets on the upper side have an
+/// observed match proportion reaching the Eq. 7 threshold (monotonicity
+/// then guarantees D+ is at least as pure). The lower bound freezes once
+/// the last `window` labeled subsets on the lower side fall to the Eq. 9
+/// threshold. Under monotonicity the returned solution meets alpha/beta
+/// with certainty (Theorem 1); theta is not consumed.
 class BaselineOptimizer {
  public:
-  explicit BaselineOptimizer(BaselineOptions options = {})
-      : options_(options) {}
-
   /// Runs the search against a shared estimation context: subsets already
   /// labeled there (by any earlier optimizer run) are served from the cache
   /// without re-asking the oracle.
@@ -57,9 +43,6 @@ class BaselineOptimizer {
   Result<HumoSolution> Optimize(const SubsetPartition& partition,
                                 const QualityRequirement& req,
                                 Oracle* oracle) const;
-
- private:
-  BaselineOptions options_;
 };
 
 }  // namespace humo::core

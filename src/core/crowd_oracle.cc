@@ -7,17 +7,6 @@
 namespace humo::core {
 namespace {
 
-/// Stable per-(seed, index, worker) unit draw so verdicts are reproducible
-/// and re-queries cannot change history.
-double HashToUnit(uint64_t seed, uint64_t index, uint64_t worker) {
-  uint64_t z = seed ^ (index * 0x9E3779B97F4A7C15ULL) ^
-               (worker * 0xBF58476D1CE4E5B9ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z = z ^ (z >> 31);
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
 /// Domain tag so worker-identity draws never collide with vote draws.
 constexpr uint64_t kWorkerAssignTag = 0xA24BAED4963EE407ULL;
 constexpr uint64_t kWorkerErrorTag = 0x9FB21C651E98DF25ULL;
@@ -85,8 +74,9 @@ void CrowdOracle::AssignWorkers(size_t index,
   }
 }
 
-void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
-  if (fresh.empty()) return;
+std::vector<char> CrowdOracle::Adjudicate(const std::vector<size_t>& fresh) {
+  std::vector<char> verdicts(fresh.size());
+  if (fresh.empty()) return verdicts;
   const size_t k = options_.workers_per_pair;
   const bool ds = options_.aggregation == CrowdAggregation::kDawidSkene &&
                   options_.worker_pool > 0;
@@ -155,40 +145,16 @@ void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
       verdict = votes_match * 2 > k;
     }
     if (verdict != workload_->IsMatch(index)) ++wrong_verdicts_;
-    verdicts_.Record(index, verdict);
+    verdicts[t] = verdict ? 1 : 0;
     ++adjudicated_;
   }
-}
-
-bool CrowdOracle::Label(size_t index) {
-  assert(index < workload_->size());
-  ++total_requests_;
-  if (verdicts_.Known(index)) return verdicts_.Answer(index);
-  AdjudicateFresh({index});
-  return verdicts_.Answer(index);
-}
-
-std::vector<char> CrowdOracle::InspectBatch(
-    const std::vector<size_t>& indices) {
-  // Collect the distinct unknown pairs in first-occurrence order and
-  // adjudicate them as ONE purchase, then serve the whole batch from
-  // memory. Counters land exactly where a per-pair Label loop puts them.
-  std::vector<size_t> fresh;
-  fresh.reserve(indices.size());
-  for (const size_t index : indices) {
-    assert(index < workload_->size());
-    if (!verdicts_.Known(index) &&
-        std::find(fresh.begin(), fresh.end(), index) == fresh.end()) {
-      fresh.push_back(index);
-    }
-  }
-  AdjudicateFresh(fresh);
-  std::vector<char> verdicts(indices.size());
-  for (size_t t = 0; t < indices.size(); ++t) {
-    ++total_requests_;
-    verdicts[t] = verdicts_.Answer(indices[t]) ? 1 : 0;
-  }
   return verdicts;
+}
+
+Oracle::AnswerProvider CrowdOracle::Provider() {
+  return [this](const std::vector<size_t>& fresh) {
+    return Adjudicate(fresh);
+  };
 }
 
 double CrowdOracle::VerdictErrorRate() const {

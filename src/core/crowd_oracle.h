@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/paged_bitmap.h"
+#include "core/oracle.h"
 #include "data/workload.h"
 #include "stats/dawid_skene.h"
 
@@ -77,39 +77,36 @@ CrowdOptions ValidateCrowdOptions(CrowdOptions options);
 /// error worker the same as a 2% one; kDawidSkene recovers each worker's
 /// confusion from the vote history and weights accordingly.
 ///
-/// Verdict memory uses the same paged bitmap as core::Oracle, so a crowd
-/// pass over a 10M-pair workload holds megabytes, not the >0.5 GiB an
-/// unordered_map verdict cache would.
+/// The crowd is a label source, not a ledger: it keeps no verdict memory and
+/// counts no requests. Install it on a core::Oracle (Provider(), or behind a
+/// CrowdTaskBroker); the oracle remembers each verdict, serves repeats from
+/// memory and asks the crowd only about pairs it never judged. That holds
+/// only while one oracle owns the crowd: a second oracle over the same crowd,
+/// or a direct Adjudicate caller that repeats a pair, buys the pair again,
+/// and under kDawidSkene adds a second copy of its votes to the history.
 ///
 /// Determinism: votes are pure functions of (seed, pair, worker), the EM
 /// runs a fixed iteration count over the purchase-ordered vote history, and
 /// a pair's verdict is fixed at adjudication time and never revised — so
-/// any request sequence replays bit-identically, at any thread count.
+/// any purchase sequence replays bit-identically, at any thread count.
 class CrowdOracle {
  public:
   CrowdOracle(const data::Workload* workload, CrowdOptions options = {});
 
-  /// Verdict for pair `index`; repeat queries return the cached verdict
-  /// without re-asking the crowd.
-  bool Label(size_t index);
+  /// Verdicts for `fresh`, parallel to the input: distinct pairs this crowd
+  /// has never judged, in purchase order. The precondition is the caller's
+  /// to keep; it is not checked. One call is one posted task group on a
+  /// crowdsourcing platform; under kDawidSkene the batch's votes join the
+  /// history before the EM adjudicates them.
+  std::vector<char> Adjudicate(const std::vector<size_t>& fresh);
 
-  /// Batch adjudication: verdicts for `indices`, parallel to the input. One
-  /// batch is one posted task group on a crowdsourcing platform; worker
-  /// answers are purchased only for pairs without a cached verdict, and
-  /// under kDawidSkene the batch's fresh votes join the history before the
-  /// EM adjudicates them.
-  std::vector<char> InspectBatch(const std::vector<size_t>& indices);
+  /// Adjudicate as the AnswerProvider to install via
+  /// Oracle::SetAnswerProvider, on exactly one oracle (see the class
+  /// comment). The crowd must outlive the oracle.
+  Oracle::AnswerProvider Provider();
 
   /// Total worker answers purchased.
   size_t worker_answers() const { return worker_answers_; }
-
-  /// Every pair index ever requested, including repeats served from the
-  /// verdict cache.
-  size_t total_requests() const { return total_requests_; }
-
-  /// Requests served from the verdict cache instead of a fresh crowd
-  /// purchase — mirrors core::Oracle::duplicate_requests().
-  size_t duplicate_requests() const { return total_requests_ - adjudicated_; }
 
   /// Distinct pairs adjudicated by purchased worker answers.
   size_t pairs_adjudicated() const { return adjudicated_; }
@@ -130,28 +127,16 @@ class CrowdOracle {
     return worker_error_estimates_;
   }
 
-  /// True if the pair already has a verdict.
-  bool WasAsked(size_t index) const { return verdicts_.Known(index); }
-
-  /// The remembered verdict for a pair with one (free lookup; does not
-  /// count as a request). Precondition: WasAsked(index).
-  bool CachedAnswer(size_t index) const { return verdicts_.Answer(index); }
-
   const CrowdOptions& options() const { return options_; }
 
  private:
-  /// Purchases votes and fixes verdicts for `fresh` (distinct, unknown)
-  /// pairs, in order.
-  void AdjudicateFresh(const std::vector<size_t>& fresh);
   /// The `workers_per_pair` distinct pool workers assigned to `index`.
   void AssignWorkers(size_t index, std::vector<uint32_t>* workers) const;
 
   const data::Workload* workload_;
   CrowdOptions options_;
-  PagedAnswerBitmap verdicts_;
   size_t worker_answers_ = 0;
   size_t wrong_verdicts_ = 0;
-  size_t total_requests_ = 0;
   size_t adjudicated_ = 0;
   /// Purchase-ordered vote history (kDawidSkene only): item t is the t-th
   /// adjudicated pair.

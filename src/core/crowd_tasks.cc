@@ -179,13 +179,15 @@ uint64_t CrowdTaskBroker::RightKey(size_t pair) const {
   return RecordKey(options_.right_source, workload_->right_id_data()[pair]);
 }
 
-std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
+std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices,
+                                          std::vector<size_t>* purchased) {
   std::vector<char> answers(indices.size(), 0);
-  // Positions (into `indices`) still awaiting an answer. Duplicate indices
-  // are tolerated (each position resolves on its own; the crowd oracle's
-  // verdict cache makes the second purchase free).
+  // Positions (into `indices`) still awaiting an answer, and the verdicts
+  // this call bought. A repeated index resolves from `bought` like any
+  // other position.
   std::vector<size_t> pending(indices.size());
   for (size_t p = 0; p < indices.size(); ++p) pending[p] = p;
+  std::unordered_map<size_t, bool> bought;
 
   const size_t workers_before = crowd_->worker_answers();
   while (!pending.empty()) {
@@ -197,21 +199,7 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     for (const size_t p : pending) {
       const size_t i = indices[p];
       assert(i < workload_->size());
-      if (crowd_->WasAsked(i)) {
-        // Already adjudicated (or preloaded) on the crowd side: a free
-        // cache read, neither purchased nor inferred.
-        answers[p] = crowd_->CachedAnswer(i) ? 1 : 0;
-        continue;
-      }
-      int inferred = inference_.Infer(LeftKey(i), RightKey(i));
-      if (inferred == TransitiveInference::kMatch &&
-          !options_.infer_transitivity) {
-        inferred = TransitiveInference::kUnknown;
-      }
-      if (inferred == TransitiveInference::kNonMatch &&
-          !options_.infer_anti_transitivity) {
-        inferred = TransitiveInference::kUnknown;
-      }
+      const int inferred = inference_.Infer(LeftKey(i), RightKey(i));
       if (inferred == TransitiveInference::kUnknown) {
         still_pending.push_back(p);
         continue;
@@ -230,38 +218,30 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     // selected pairs — optimistically assumed matches — would connect,
     // because a match outcome answers it by transitivity for free. Seeded
     // with the closure's component buckets so earlier purchases defer too.
-    // (With transitivity inference off a deferred pair could never be
-    // answered, so everything pending is selected.)
     std::vector<size_t> selected;
     selected.reserve(pending.size());
-    if (options_.infer_transitivity) {
-      std::unordered_map<uint64_t, uint32_t> node_of;
-      std::vector<uint32_t> parent;
-      auto intern = [&](uint64_t bucket) {
-        const auto [it, inserted] =
-            node_of.emplace(bucket, static_cast<uint32_t>(parent.size()));
-        if (inserted) parent.push_back(it->second);
-        return it->second;
-      };
-      auto find = [&](uint32_t x) {
-        while (parent[x] != x) {
-          parent[x] = parent[parent[x]];
-          x = parent[x];
-        }
-        return x;
-      };
-      for (const size_t p : pending) {
-        const size_t i = indices[p];
-        const uint32_t a =
-            find(intern(inference_.ComponentKey(LeftKey(i))));
-        const uint32_t b =
-            find(intern(inference_.ComponentKey(RightKey(i))));
-        if (a == b) continue;  // potentially inferable: defer to next round
-        parent[std::max(a, b)] = std::min(a, b);
-        selected.push_back(i);
+    std::unordered_map<uint64_t, uint32_t> node_of;
+    std::vector<uint32_t> parent;
+    auto intern = [&](uint64_t bucket) {
+      const auto [it, inserted] =
+          node_of.emplace(bucket, static_cast<uint32_t>(parent.size()));
+      if (inserted) parent.push_back(it->second);
+      return it->second;
+    };
+    auto find = [&](uint32_t x) {
+      while (parent[x] != x) {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
       }
-    } else {
-      for (const size_t p : pending) selected.push_back(indices[p]);
+      return x;
+    };
+    for (const size_t p : pending) {
+      const size_t i = indices[p];
+      const uint32_t a = find(intern(inference_.ComponentKey(LeftKey(i))));
+      const uint32_t b = find(intern(inference_.ComponentKey(RightKey(i))));
+      if (a == b) continue;  // potentially inferable: defer to next round
+      parent[std::max(a, b)] = std::min(a, b);
+      selected.push_back(i);
     }
     // The first pending pair always selects (were its records already
     // connected, the inference pass would have answered it), so every
@@ -274,12 +254,16 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     const std::vector<CrowdTask> tasks =
         PackCrowdTasks(*workload_, std::move(selected), options_);
     for (const CrowdTask& task : tasks) {
-      const std::vector<char> verdicts =
-          crowd_->InspectBatch(task.pair_indices);
+      const std::vector<char> verdicts = crowd_->Adjudicate(task.pair_indices);
       ++stats_.tasks_posted;
       stats_.pairs_purchased += task.pair_indices.size();
+      if (purchased != nullptr) {
+        purchased->insert(purchased->end(), task.pair_indices.begin(),
+                          task.pair_indices.end());
+      }
       for (size_t t = 0; t < task.pair_indices.size(); ++t) {
         const size_t i = task.pair_indices[t];
+        bought.emplace(i, verdicts[t] != 0);
         inference_.Observe(LeftKey(i), RightKey(i), verdicts[t] != 0);
       }
     }
@@ -287,9 +271,9 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     // a subset of the pending set by construction).
     still_pending.clear();
     for (const size_t p : pending) {
-      const size_t i = indices[p];
-      if (crowd_->WasAsked(i)) {
-        answers[p] = crowd_->CachedAnswer(i) ? 1 : 0;
+      const auto it = bought.find(indices[p]);
+      if (it != bought.end()) {
+        answers[p] = it->second ? 1 : 0;
       } else {
         still_pending.push_back(p);
       }

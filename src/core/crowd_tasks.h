@@ -13,18 +13,14 @@
 namespace humo::core {
 
 /// Configuration of the crowd TASK layer: how pair questions are packed
-/// into HITs and which answers are inferred instead of purchased.
+/// into HITs. Transitivity (a=b and b=c imply a=c) and anti-transitivity
+/// (a=b and b!=c imply a!=c) over purchased verdicts always apply.
 struct CrowdTaskOptions {
   /// Pairs per posted HIT (CrowdER's task size k). Real crowd platforms
   /// price per task, not per pair, so packing `task_capacity` correlated
   /// pairs into one HIT divides task cost by up to that factor. Clamped to
   /// >= 1.
   size_t task_capacity = 10;
-  /// Apply transitivity over purchased verdicts: a=b and b=c imply a=c, so
-  /// the pair (a,c) is answered for free instead of posted.
-  bool infer_transitivity = true;
-  /// Apply anti-transitivity: a=b and b!=c imply a!=c.
-  bool infer_anti_transitivity = true;
   /// Source tags mixed into the record keys ((source<<32)|id, the entity
   /// layer's packing). Two-table workloads keep the defaults; dedup-style
   /// workloads (both sides drawn from one table, e.g. the entity-graph
@@ -153,6 +149,9 @@ struct CrowdTaskStats {
 /// round's tasks together loses no inference relative to one-at-a-time.
 /// SAMP/RISK/HYBR run unchanged on the owning Oracle and see ordinary
 /// answers; the broker's CrowdTaskStats carry the task-denominated cost.
+/// Like the crowd, the broker keeps no answer ledger: the owning Oracle
+/// remembers every answer it returns, and the verdicts bought during one
+/// Answer() call live only for that call.
 ///
 /// Everything is serial and deterministic: results and stats are
 /// bit-identical at any thread count for a given request sequence.
@@ -162,11 +161,19 @@ class CrowdTaskBroker {
   CrowdTaskBroker(const data::Workload* workload, CrowdOracle* crowd,
                   CrowdTaskOptions options = {});
 
-  /// Answers `indices` (the AnswerProvider contract: distinct, unanswered,
-  /// first-occurrence order), purchasing only what inference cannot supply.
-  std::vector<char> Answer(const std::vector<size_t>& indices);
+  /// Answers `indices` (the AnswerProvider contract: distinct pairs the
+  /// crowd never judged, first-occurrence order), purchasing only what
+  /// inference cannot supply. A direct caller must keep that contract: a
+  /// pair passed to an earlier call may be bought again. When `purchased`
+  /// is non-null, the pairs this call bought are appended to it in
+  /// purchase order.
+  std::vector<char> Answer(const std::vector<size_t>& indices,
+                           std::vector<size_t>* purchased = nullptr);
 
   /// The closure over Answer to install via Oracle::SetAnswerProvider.
+  /// Install it on exactly one Oracle: that oracle is the only memory of
+  /// the answers, so a second oracle over the same broker buys the pairs
+  /// the first one already holds.
   Oracle::AnswerProvider Provider();
 
   const CrowdTaskStats& stats() const { return stats_; }

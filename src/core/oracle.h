@@ -10,6 +10,11 @@
 
 namespace humo::core {
 
+/// Deterministic per-(seed, index, worker) draw in [0, 1): the one source of
+/// simulated human error. The oracle's per-pair flip uses worker 0; the
+/// crowd keys each vote by its worker (core/crowd_oracle.h).
+double HashToUnit(uint64_t seed, uint64_t index, uint64_t worker = 0);
+
 /// Simulated human verifier over a workload's hidden ground truth.
 ///
 /// The paper's protocol (§VIII-A): "the ground-truth labels are originally
@@ -18,6 +23,11 @@ namespace humo::core {
 /// observe labels, and it accounts for human cost as the number of DISTINCT
 /// pairs inspected (repeat queries on the same pair are free — the answer is
 /// already known).
+///
+/// This is the library's one answer ledger: whoever answers — the inline
+/// simulation, a crowd behind an AnswerProvider, a folded review verdict
+/// (Preload) — the answer is remembered and counted here, and moved here
+/// when an interior merge shifts pair indices (MoveForInsertions).
 ///
 /// Answer memory is a paged bitmap (core/paged_bitmap.h), not a hash map:
 /// a fully inspected 10M-pair workload costs ~2.5 MiB instead of the
@@ -38,22 +48,30 @@ class Oracle {
   /// Out-of-band answer source for pairs that have no remembered answer
   /// yet: receives the distinct unanswered indices of one inspection batch
   /// (first-occurrence order) and returns one answer per index, parallel to
-  /// the input. Cost accounting is unchanged whichever provider answers.
-  /// Two providers exist. The resolution service's bridge onto its
+  /// the input. The oracle remembers and counts what the provider returns —
+  /// the provider keeps no answer memory of its own and is never asked about
+  /// a pair twice. The oracle has already claimed the indices in its memory
+  /// when it calls the provider, so a provider must compute or buy its
+  /// answers, never read them back from this oracle. Cost accounting is
+  /// unchanged whichever provider answers.
+  /// Three providers exist. The resolution service's bridge onto its
   /// asynchronous crowd queue returns exactly the answers InlineAnswer()
   /// computes — routing changes who answers and when, never the values —
   /// and that exactness is what its drain-to-quiescence contract (drained
   /// state bit-identical to the synchronous run) needs.
-  /// CrowdTaskBroker::Provider() returns crowd verdicts: they equal
-  /// InlineAnswer() only when every worker is error-free and the oracle's
-  /// own error_rate is 0, and differ otherwise.
+  /// CrowdOracle::Provider() returns one jury verdict per pair, and
+  /// CrowdTaskBroker::Provider() puts transitive inference and HIT packing
+  /// in front of the same juries: their verdicts equal InlineAnswer() only
+  /// when every worker is error-free and the oracle's own error_rate is 0,
+  /// and differ otherwise.
   using AnswerProvider =
       std::function<std::vector<char>(const std::vector<size_t>&)>;
 
   explicit Oracle(const data::Workload* workload, double error_rate = 0.0,
                   uint64_t seed = 99);
 
-  /// Human-labels pair `index`; returns true when labeled match.
+  /// Human-labels pair `index`; returns true when labeled match. A batch
+  /// of one (InspectBatch({index})).
   bool Label(size_t index);
 
   /// The deterministic verdict the simulated human gives for `index`:
@@ -70,16 +88,19 @@ class Oracle {
     provider_ = std::move(provider);
   }
 
-  /// Batch inspection: answers for `indices`, parallel to the input. Cost
-  /// accounting is identical to calling Label() per index — each DISTINCT
-  /// pair is charged once — but the batch is the unit of human interaction
-  /// (one crowd task / review session instead of one round-trip per pair),
-  /// which is what the estimation engine routes through.
+  /// Batch inspection: answers for `indices`, parallel to the input. The
+  /// distinct unanswered indices (first-occurrence order) are claimed in
+  /// the answer memory, answered in one go — inline or by the provider —
+  /// and recorded, then the whole batch is served from memory. Each
+  /// DISTINCT pair is charged once, and every index counts as a request.
+  /// The batch is the unit of human interaction (one crowd task / review
+  /// session instead of one round-trip per pair), which is what the
+  /// estimation engine routes through.
   std::vector<char> InspectBatch(const std::vector<size_t>& indices);
 
   /// Seeds the answer memory with an answer that was already paid for
-  /// elsewhere — the streaming resolver's evidence carry-over across epoch
-  /// merges, where pair indices shift and answers must be re-keyed. A
+  /// elsewhere — StreamingResolver::PreloadEvidence, through which the
+  /// resolution service folds its review verdicts. A
   /// preloaded answer is free: it adds nothing to cost() or
   /// total_requests(), and later queries on the pair are served from memory
   /// exactly like a previously inspected one (WasAsked/CachedAnswer see
@@ -115,15 +136,12 @@ class Oracle {
   /// not count as a request). Precondition: WasAsked(index).
   bool CachedAnswer(size_t index) const { return answers_.Answer(index); }
 
-  /// Forgets all answers (including preloads) and resets every counter.
-  void Reset();
-
-  /// Every (index, answer) held in memory — fresh inspections and preloads
-  /// alike — ascending by index so the snapshot is deterministic. This is
-  /// what the streaming resolver persists across an epoch merge before
-  /// re-keying the answers against the merged workload.
-  std::vector<std::pair<size_t, bool>> AnswerSnapshot() const {
-    return answers_.Snapshot();
+  /// Moves every remembered answer to its pair's index after the workload
+  /// grew by Workload::MergeSorted, which returned `landed` (the ascending
+  /// positions of the inserted pairs). One ascending pass; the counters are
+  /// left alone — no answer is gained, lost or re-paid.
+  void MoveForInsertions(const std::vector<size_t>& landed) {
+    answers_.MoveForInsertions(landed);
   }
 
   /// Bytes of answer memory currently held (paged bitmap + page table);

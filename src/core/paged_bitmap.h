@@ -10,10 +10,10 @@
 
 namespace humo::core {
 
-/// Sparse-friendly answer memory for pair oracles: a paged pair of bitsets
+/// Sparse-friendly answer memory of core::Oracle: a paged pair of bitsets
 /// ("is this index known?" / "what was the answer?") indexed by pair index.
 ///
-/// The pre-overhaul oracles kept a std::unordered_map<size_t, bool>, which
+/// The pre-overhaul oracle kept a std::unordered_map<size_t, bool>, which
 /// costs ~50-60 bytes per inspected pair once node, bucket, and allocator
 /// overhead are counted — at 10M inspected pairs that is over half a
 /// gigabyte of answer memory. A page here covers 4096 consecutive indices
@@ -22,7 +22,7 @@ namespace humo::core {
 /// hashing. Pages are allocated lazily: an oracle that only ever touches DH
 /// pays only for DH's pages.
 ///
-/// Not thread-safe; oracles serialize human interaction by design.
+/// Not thread-safe; the oracle serializes human interaction by design.
 class PagedAnswerBitmap {
  public:
   /// Indices per page. 4096 keeps a page at 1 KiB — small enough that a
@@ -61,21 +61,27 @@ class PagedAnswerBitmap {
     if (page.known[b / 64] & mask) return false;
     page.known[b / 64] |= mask;
     if (answer) page.answer[b / 64] |= mask;
-    ++known_count_;
     return true;
   }
 
-  /// Forgets everything and releases all pages.
-  void Clear() {
-    pages_.clear();
-    known_count_ = 0;
+  /// Turns the recorded answer of index i to match. Only for an index the
+  /// caller itself just recorded as non-match: the oracle claims a batch's
+  /// fresh indices with Record(i, false) before they are answered.
+  /// Precondition: Known(i).
+  void SetMatch(size_t i) {
+    assert(Known(i) && "SetMatch() on an unknown index");
+    const size_t b = i % kPageSize;
+    pages_[i / kPageSize]->answer[b / 64] |= uint64_t{1} << (b % 64);
   }
 
-  /// Every (index, answer) recorded, ascending by index — pages and words
-  /// are walked in order, so the snapshot is deterministic without a sort.
-  std::vector<std::pair<size_t, bool>> Snapshot() const {
-    std::vector<std::pair<size_t, bool>> out;
-    out.reserve(known_count_);
+  /// Moves every recorded answer to the index it has after rows were
+  /// inserted at `landed`: the ascending positions of the new rows in the
+  /// grown index space (Workload::MergeSorted's return value). An answer at
+  /// old index i moves up by the number of rows that landed before it. One
+  /// ascending pass over the pages; answers are moved, never created.
+  void MoveForInsertions(const std::vector<size_t>& landed) {
+    PagedAnswerBitmap moved;
+    size_t shift = 0;
     for (size_t p = 0; p < pages_.size(); ++p) {
       if (pages_[p] == nullptr) continue;
       const Page& page = *pages_[p];
@@ -86,11 +92,14 @@ class PagedAnswerBitmap {
           bits &= bits - 1;
           const size_t index =
               p * kPageSize + w * 64 + static_cast<size_t>(bit);
-          out.emplace_back(index, (page.answer[w] >> bit) & 1u);
+          while (shift < landed.size() && landed[shift] <= index + shift) {
+            ++shift;
+          }
+          moved.Record(index + shift, (page.answer[w] >> bit) & 1u);
         }
       }
     }
-    return out;
+    pages_ = std::move(moved.pages_);
   }
 
   /// Bytes held by pages plus the page table — the number the scaling docs
@@ -112,7 +121,6 @@ class PagedAnswerBitmap {
   };
 
   std::vector<std::unique_ptr<Page>> pages_;
-  size_t known_count_ = 0;
 };
 
 }  // namespace humo::core

@@ -192,8 +192,8 @@ ResolutionService::~ResolutionService() {
 
 EpochReport ResolutionService::Ingest(data::Shard shard) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // Epoch boundary: fold BEFORE the merge, so the resolver's own re-keying
-  // carries the folded answers across an interior merge like any others.
+  // Epoch boundary: fold BEFORE the merge, so the resolver moves the folded
+  // answers across an interior merge like any others.
   FoldCompletedReviewsLocked();
   EpochReport report = resolver_.Ingest(std::move(shard));
   PublishLocked(/*refresh=*/false);

@@ -220,8 +220,9 @@ struct ResolutionServiceOptions {
 /// (crowd workers answer out of band; the certifier folds each completed
 /// batch in and continues), and review verdicts submitted via
 /// EnqueueReview fold in at the next epoch boundary through
-/// StreamingResolver::PreloadEvidence re-keying. Because the crowd answers
-/// with exactly Oracle::InlineAnswer's verdicts, DRAINING TO QUIESCENCE
+/// StreamingResolver::PreloadEvidence, which finds each pair by identity.
+/// Because the crowd answers with exactly Oracle::InlineAnswer's verdicts,
+/// DRAINING TO QUIESCENCE
 /// (all queue traffic answered + folded, certification finished) leaves
 /// labels, oracle cost, and certificates bit-identical to driving the
 /// synchronous StreamingResolver through the same schedule — asserted by

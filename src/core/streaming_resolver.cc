@@ -1,9 +1,6 @@
 #include "core/streaming_resolver.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 namespace humo::core {
 
@@ -32,40 +29,20 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     const size_t old_full = old_n / options_.subset_size;
     const size_t preserved = old_full >= 1 ? old_full - 1 : 0;
 
-    const auto min_it = std::min_element(shard.pairs.begin(),
-                                         shard.pairs.end(), data::PairLess);
-    const bool will_append =
-        old_n == 0 || !data::PairLess(*min_it, cumulative_[old_n - 1]);
+    // Where the shard's pairs landed in the merged order: a pure tail
+    // append leaves every old index in place, an interior merge shifts the
+    // old pairs up past the ones that landed before them.
+    const std::vector<size_t> landed =
+        cumulative_.MergeSorted(std::move(shard.pairs));
+    report.pure_append = landed.front() >= old_n;
 
-    // An interior merge shifts pair indices, so the oracle's index-keyed
-    // answers must be re-keyed. Snapshot them against the OLD order first.
-    struct Evidence {
-      data::InstancePair pair;
-      bool answer;
-    };
-    std::vector<Evidence> evidence;
-    if (!will_append) {
-      const auto snapshot = oracle_.AnswerSnapshot();
-      evidence.reserve(snapshot.size());
-      for (const auto& [index, answer] : snapshot)
-        evidence.push_back({cumulative_[index], answer});
-    }
-
-    const bool pure_append = cumulative_.MergeSorted(std::move(shard.pairs));
-    assert(pure_append == will_append);
-    report.pure_append = pure_append;
-
-    if (pure_append) {
+    if (report.pure_append) {
       partition_.RebuildTail(preserved);
       ctx_.OnPartitionExtended(preserved);
-      // Pair indices are unchanged: the oracle's answers stay valid as-is.
     } else {
       partition_.Rebuild();
       ctx_.OnPartitionExtended(0);
-      retired_duplicates_ += oracle_.duplicate_requests();
-      oracle_.Reset();
-      for (const Evidence& e : evidence)
-        oracle_.Preload(IndexOf(e.pair), e.answer);
+      oracle_.MoveForInsertions(landed);
     }
   }
 
@@ -85,10 +62,8 @@ Result<StreamingCertificate> StreamingResolver::Certify() {
     return Status::InvalidArgument("streaming certify on an empty workload");
 
   std::vector<char> answered_before(cumulative_.size(), 0);
-  for (const auto& [index, answer] : oracle_.AnswerSnapshot()) {
-    (void)answer;
-    answered_before[index] = 1;
-  }
+  for (size_t i = 0; i < cumulative_.size(); ++i)
+    answered_before[i] = oracle_.WasAsked(i) ? 1 : 0;
   const size_t cost_before = oracle_.cost();
 
   StreamingCertificate cert;
@@ -205,24 +180,6 @@ bool StreamingResolver::PreloadEvidence(const data::InstancePair& pair,
   if (idx >= cumulative_.size()) return false;
   oracle_.Preload(idx, answer);
   return true;
-}
-
-size_t StreamingResolver::IndexOf(const data::InstancePair& pair) const {
-  // Column-based binary search over the sorted similarity column — no AoS
-  // materialization of the cumulative workload.
-  const size_t idx = cumulative_.IndexOfSorted(pair);
-  if (idx < cumulative_.size() && cumulative_.IsMatch(idx) == pair.is_match) {
-    return idx;
-  }
-  // A miss means a merge dropped or mutated a pair the human already
-  // answered — re-keying the answer anywhere else would seed a WRONG
-  // verdict onto an arbitrary pair and silently corrupt every later
-  // certificate. Fail loudly, including in release builds.
-  std::fprintf(stderr,
-               "StreamingResolver: evidence pair (%u, %u, sim=%.17g) missing "
-               "from the cumulative workload after a merge\n",
-               pair.left_id, pair.right_id, pair.similarity);
-  std::abort();
 }
 
 }  // namespace humo::core

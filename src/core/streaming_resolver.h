@@ -93,8 +93,9 @@ struct StreamingCertificate {
 /// sees the workload arrive in shards. This resolver maintains, across
 /// epochs, everything a certification needs — the sorted cumulative
 /// workload (O(n + m) merge per epoch instead of a re-sort), the subset
-/// partition (tail-append fast path), the oracle's answer memory (re-keyed
-/// across interior merges via Oracle::Preload), the EstimationContext's
+/// partition (tail-append fast path), the oracle's answer memory (moved
+/// across an interior merge to the indices Workload::MergeSorted reports,
+/// one ascending pass, counters untouched), the EstimationContext's
 /// subset-statistics cache and GP warm-start state (carried across pure
 /// tail appends, dropped when a merge invalidates them), and the subset
 /// model of the last certificate, which serving reads between certificates.
@@ -218,18 +219,14 @@ class StreamingResolver {
     return oracle_.preloaded() + oracle_.cost();
   }
 
-  /// Lifetime duplicate oracle requests (across the answer re-keying an
-  /// interior merge performs). The streaming discipline keeps them at zero:
-  /// every consumer filters already-answered pairs before requesting.
+  /// Lifetime duplicate oracle requests. The streaming discipline keeps
+  /// them at zero: every consumer filters already-answered pairs before
+  /// requesting.
   size_t total_duplicate_requests() const {
-    return retired_duplicates_ + oracle_.duplicate_requests();
+    return oracle_.duplicate_requests();
   }
 
  private:
-  /// Index of `pair` in the cumulative sorted order (binary search under
-  /// data::PairLess); asserts presence.
-  size_t IndexOf(const data::InstancePair& pair) const;
-
   StreamingOptions options_;
   QualityRequirement req_;
   data::Workload cumulative_;
@@ -238,7 +235,6 @@ class StreamingResolver {
   EstimationContext ctx_;
 
   size_t epochs_ingested_ = 0;
-  size_t retired_duplicates_ = 0;  // duplicates retired by re-keying
   std::deque<EpochReport> reports_;  // stable element refs; see reports()
   std::optional<StreamingCertificate> last_certificate_;
 

@@ -72,7 +72,7 @@ class MmapColumns {
 };
 
 /// Writes an already-sorted in-RAM workload as a columnar file. The small
-/// end of the persistence path (and the golden reference the external
+/// end of the columnar-file path (and the golden reference the external
 /// writer is tested against); use ExternalColumnsWriter when the workload
 /// does not fit in RAM.
 Status WriteColumnsFile(const Workload& workload, const std::string& path);

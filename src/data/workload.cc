@@ -311,15 +311,17 @@ void Workload::SortBySimilarity() {
   }
 }
 
-bool Workload::MergeSorted(std::vector<InstancePair> incoming) {
+std::vector<size_t> Workload::MergeSorted(std::vector<InstancePair> incoming) {
   assert(!mmap_backed());
-  if (incoming.empty()) return true;
+  if (incoming.empty()) return {};
   // Sorting the incoming block reuses the whole radix/tiebreak machinery.
   Workload inc(std::move(incoming));
   const size_t n = size(), m = inc.size();
+  std::vector<size_t> landed;
+  landed.reserve(m);
 
-  const bool pure_append = n == 0 || !PairLess(inc[0], (*this)[n - 1]);
-  if (pure_append) {
+  if (n == 0 || !PairLess(inc[0], (*this)[n - 1])) {
+    for (size_t j = 0; j < m; ++j) landed.push_back(n + j);
     similarities_.insert(similarities_.end(), inc.similarities_.begin(),
                          inc.similarities_.end());
     left_ids_.insert(left_ids_.end(), inc.left_ids_.begin(),
@@ -328,7 +330,7 @@ bool Workload::MergeSorted(std::vector<InstancePair> incoming) {
                       inc.right_ids_.end());
     labels_.insert(labels_.end(), inc.labels_.begin(), inc.labels_.end());
     SyncViews();
-    return true;
+    return landed;
   }
 
   // Column-wise two-pointer merge under PairLess: identical to what a
@@ -347,6 +349,7 @@ bool Workload::MergeSorted(std::vector<InstancePair> incoming) {
     const bool take_incoming =
         i == n || (j < m && PairLess(inc[j], (*this)[i]));
     if (take_incoming) {
+      landed.push_back(sims.size());
       sims.push_back(inc.similarities_[j]);
       lefts.push_back(inc.left_ids_[j]);
       rights.push_back(inc.right_ids_[j]);
@@ -365,7 +368,7 @@ bool Workload::MergeSorted(std::vector<InstancePair> incoming) {
   right_ids_ = std::move(rights);
   labels_ = std::move(labels);
   SyncViews();
-  return false;
+  return landed;
 }
 
 std::vector<InstancePair> Workload::MaterializePairs() const {

@@ -83,11 +83,13 @@ class Workload {
   /// against the existing pairs (O(n + m)) under PairLess — the result is
   /// exactly what SortBySimilarity would produce on the concatenation,
   /// without re-sorting the prefix. This is the epoch-ingest path of the
-  /// streaming resolver. Returns true when the merge was a pure tail append
-  /// (every incoming pair ordered after every existing one), in which case
-  /// all pre-existing pair indices are unchanged and index-keyed state
-  /// (oracle answers, subset statistics) stays valid.
-  bool MergeSorted(std::vector<InstancePair> incoming);
+  /// streaming resolver. Returns where the incoming pairs landed: their
+  /// ascending positions in the merged workload (empty when `incoming` is).
+  /// When the first landing is at or past the old size the merge was a
+  /// pure tail append and every pre-existing index is unchanged; otherwise
+  /// the pair at old index i moved up by the number of landings before it,
+  /// which is how index-keyed state (oracle answers) follows its pairs.
+  std::vector<size_t> MergeSorted(std::vector<InstancePair> incoming);
 
   size_t size() const { return num_pairs_; }
   bool empty() const { return num_pairs_ == 0; }

@@ -100,7 +100,6 @@
 /// results are bit-identical at any thread count.
 
 #include "actl/active_learning.h"
-#include "common/csv.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -127,7 +126,6 @@
 #include "data/logistic_generator.h"
 #include "data/mmap_columns.h"
 #include "data/pair_simulator.h"
-#include "data/persistence.h"
 #include "data/perturbation.h"
 #include "data/product_generator.h"
 #include "data/publication_generator.h"

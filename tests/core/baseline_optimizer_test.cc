@@ -147,20 +147,5 @@ TEST(BaselineOptimizerTest, ExtremeRequirementConsumesWholeWorkload) {
   EXPECT_GE(q.recall, 0.99);
 }
 
-TEST(BaselineOptimizerTest, CustomStartSubset) {
-  const data::Workload w = MonotoneWorkload();
-  SubsetPartition p(&w, 200);
-  Oracle oracle(&w);
-  BaselineOptions o;
-  o.start_subset = 10;
-  BaselineOptimizer base(o);
-  QualityRequirement req{0.9, 0.9, 0.9};
-  auto sol = base.Optimize(p, req, &oracle);
-  ASSERT_TRUE(sol.ok());
-  const auto result = ApplySolution(p, *sol, &oracle);
-  const auto q = eval::QualityOf(w, result.labels);
-  EXPECT_GE(q.precision, 0.88);  // start position affects cost, not safety
-}
-
 }  // namespace
 }  // namespace humo::core

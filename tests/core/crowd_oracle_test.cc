@@ -6,10 +6,19 @@
 #include <cmath>
 #include <vector>
 
+#include "core/oracle.h"
 #include "data/logistic_generator.h"
 
 namespace humo::core {
 namespace {
+
+/// The crowd labels through an Oracle: the oracle remembers and counts the
+/// verdicts, the crowd only adjudicates pairs it never judged.
+Oracle Ledger(const data::Workload& w, CrowdOracle* crowd) {
+  Oracle oracle(&w);
+  oracle.SetAnswerProvider(crowd->Provider());
+  return oracle;
+}
 
 data::Workload MakeWorkload(size_t n = 10000) {
   data::LogisticGeneratorOptions o;
@@ -23,8 +32,9 @@ TEST(CrowdOracleTest, PerfectWorkersGiveGroundTruth) {
   CrowdOptions o;
   o.worker_error_rate = 0.0;
   CrowdOracle crowd(&w, o);
+  Oracle oracle = Ledger(w, &crowd);
   for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(crowd.Label(i), w[i].is_match);
+    EXPECT_EQ(oracle.Label(i), w[i].is_match);
   }
   EXPECT_DOUBLE_EQ(crowd.VerdictErrorRate(), 0.0);
 }
@@ -34,9 +44,10 @@ TEST(CrowdOracleTest, CostCountsWorkerAnswers) {
   CrowdOptions o;
   o.workers_per_pair = 5;
   CrowdOracle crowd(&w, o);
-  crowd.Label(0);
-  crowd.Label(1);
-  crowd.Label(0);  // cached: no extra cost
+  Oracle oracle = Ledger(w, &crowd);
+  oracle.Label(0);
+  oracle.Label(1);
+  oracle.Label(0);  // remembered by the oracle: no extra cost
   EXPECT_EQ(crowd.worker_answers(), 10u);
   EXPECT_EQ(crowd.pairs_adjudicated(), 2u);
 }
@@ -46,9 +57,11 @@ TEST(CrowdOracleTest, VerdictsAreStableAcrossRequeries) {
   CrowdOptions o;
   o.worker_error_rate = 0.4;
   CrowdOracle crowd(&w, o);
+  Oracle oracle = Ledger(w, &crowd);
   std::vector<bool> first;
-  for (size_t i = 0; i < 100; ++i) first.push_back(crowd.Label(i));
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(crowd.Label(i), first[i]);
+  for (size_t i = 0; i < 100; ++i) first.push_back(oracle.Label(i));
+  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(oracle.Label(i), first[i]);
+  EXPECT_EQ(crowd.pairs_adjudicated(), 100u);
 }
 
 TEST(CrowdOracleTest, MajorityVoteBeatsSingleWorker) {
@@ -59,9 +72,11 @@ TEST(CrowdOracleTest, MajorityVoteBeatsSingleWorker) {
   CrowdOptions five = one;
   five.workers_per_pair = 5;
   CrowdOracle single(&w, one), majority(&w, five);
+  Oracle single_oracle = Ledger(w, &single);
+  Oracle majority_oracle = Ledger(w, &majority);
   for (size_t i = 0; i < w.size(); ++i) {
-    single.Label(i);
-    majority.Label(i);
+    single_oracle.Label(i);
+    majority_oracle.Label(i);
   }
   // e=0.2: single-worker error 20%; 5-vote majority error ~5.8%.
   EXPECT_NEAR(single.VerdictErrorRate(), 0.2, 0.02);
@@ -75,7 +90,8 @@ TEST(CrowdOracleTest, VerdictErrorMatchesBinomialTheory) {
   o.workers_per_pair = 3;
   o.worker_error_rate = 0.1;
   CrowdOracle crowd(&w, o);
-  for (size_t i = 0; i < w.size(); ++i) crowd.Label(i);
+  Oracle oracle = Ledger(w, &crowd);
+  for (size_t i = 0; i < w.size(); ++i) oracle.Label(i);
   // P(>=2 of 3 wrong) = 3 * 0.1^2 * 0.9 + 0.1^3 = 0.028.
   EXPECT_NEAR(crowd.VerdictErrorRate(), 0.028, 0.008);
 }
@@ -86,7 +102,8 @@ TEST(CrowdOracleTest, DeterministicUnderSeed) {
   o.worker_error_rate = 0.3;
   o.seed = 99;
   CrowdOracle a(&w, o), b(&w, o);
-  for (size_t i = 0; i < 200; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  Oracle oa = Ledger(w, &a), ob = Ledger(w, &b);
+  for (size_t i = 0; i < 200; ++i) EXPECT_EQ(oa.Label(i), ob.Label(i));
 }
 
 TEST(CrowdOracleTest, OptionsAreValidatedInEveryBuildMode) {
@@ -125,7 +142,7 @@ TEST(CrowdOracleTest, OptionsAreValidatedInEveryBuildMode) {
   const data::Workload w = MakeWorkload(100);
   CrowdOracle crowd(&w, o);
   EXPECT_EQ(crowd.options().workers_per_pair, 5u);
-  crowd.Label(0);
+  Ledger(w, &crowd).Label(0);
   EXPECT_EQ(crowd.worker_answers(), 5u);
 }
 
@@ -143,7 +160,8 @@ TEST(CrowdOracleTest, WorkerPoolIsDeterministicAndHeterogeneous) {
   const data::Workload w = MakeWorkload(2000);
   const CrowdOptions o = PoolOptions();
   CrowdOracle a(&w, o), b(&w, o);
-  for (size_t i = 0; i < 500; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  Oracle oa = Ledger(w, &a), ob = Ledger(w, &b);
+  for (size_t i = 0; i < 500; ++i) EXPECT_EQ(oa.Label(i), ob.Label(i));
   EXPECT_EQ(a.worker_answers(), b.worker_answers());
 
   // Planted per-worker errors stay in [0, 0.49] and actually spread out.
@@ -164,6 +182,7 @@ TEST(CrowdOracleTest, DawidSkeneBeatsMajorityOnHeterogeneousPool) {
   CrowdOptions ds = base;
   ds.aggregation = CrowdAggregation::kDawidSkene;
   CrowdOracle majority(&w, base), em(&w, ds);
+  Oracle majority_oracle = Ledger(w, &majority), em_oracle = Ledger(w, &em);
   // Same seed, same pool, same votes — only the fold differs. Batched so
   // the EM history grows in realistic task-sized purchases.
   std::vector<size_t> chunk;
@@ -172,8 +191,8 @@ TEST(CrowdOracleTest, DawidSkeneBeatsMajorityOnHeterogeneousPool) {
     for (size_t i = begin; i < std::min(begin + 1000, w.size()); ++i) {
       chunk.push_back(i);
     }
-    majority.InspectBatch(chunk);
-    em.InspectBatch(chunk);
+    majority_oracle.InspectBatch(chunk);
+    em_oracle.InspectBatch(chunk);
   }
   EXPECT_EQ(majority.worker_answers(), em.worker_answers());
   EXPECT_LT(em.VerdictErrorRate(), majority.VerdictErrorRate())
@@ -198,8 +217,9 @@ TEST(CrowdOracleTest, DawidSkeneFallsBackToMajorityOnThinEvidence) {
   ds.ds_min_adjudicated = 50;
   CrowdOptions maj = PoolOptions();
   CrowdOracle a(&w, ds), b(&w, maj);
+  Oracle oa = Ledger(w, &a), ob = Ledger(w, &b);
   // Below the threshold every verdict must equal the majority fold.
-  for (size_t i = 0; i < 49; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  for (size_t i = 0; i < 49; ++i) EXPECT_EQ(oa.Label(i), ob.Label(i));
   EXPECT_TRUE(a.worker_error_estimates().empty());
 }
 
@@ -210,11 +230,87 @@ TEST(CrowdOracleTest, DawidSkeneIsDeterministic) {
   CrowdOracle a(&w, ds), b(&w, ds);
   std::vector<size_t> all(w.size());
   for (size_t i = 0; i < w.size(); ++i) all[i] = i;
-  EXPECT_EQ(a.InspectBatch(all), b.InspectBatch(all));
+  EXPECT_EQ(Ledger(w, &a).InspectBatch(all), Ledger(w, &b).InspectBatch(all));
   ASSERT_EQ(a.worker_error_estimates().size(),
             b.worker_error_estimates().size());
   for (size_t wk = 0; wk < a.worker_error_estimates().size(); ++wk) {
     EXPECT_EQ(a.worker_error_estimates()[wk], b.worker_error_estimates()[wk]);
+  }
+}
+
+/// A fixed request sequence with repeats inside and across batches, single
+/// labels and a descending batch.
+std::vector<std::vector<size_t>> GoldenRequests() {
+  std::vector<std::vector<size_t>> seq;
+  std::vector<size_t> a;
+  for (size_t i = 0; i < 300; ++i) {
+    a.push_back(i);
+    if (i % 50 == 5) a.push_back(i - 3);
+  }
+  seq.push_back(a);
+  seq.push_back({300});
+  seq.push_back({5});
+  seq.push_back({301});
+  std::vector<size_t> b;
+  for (size_t i = 250; i < 600; ++i) b.push_back(i);
+  seq.push_back(b);
+  std::vector<size_t> c;
+  for (size_t i = 0; i < 2000; i += 7) c.push_back(i);
+  seq.push_back(c);
+  std::vector<size_t> d;
+  for (size_t i = 1999; i >= 1500; --i) d.push_back(i);
+  seq.push_back(d);
+  return seq;
+}
+
+TEST(CrowdOracleTest, VerdictGoldenOnHeterogeneousPool) {
+  // Pinned values of the fold at worker error > 0 (bench_crowd runs at
+  // error 0 and cannot see a changed fold): the FNV-1a checksum of every
+  // served answer, the worker answers bought and the Dawid-Skene worker
+  // error estimates. Any change to purchase order, vote draws, the fold or
+  // the oracle's dedup of repeats moves at least one of them.
+  const data::Workload w = MakeWorkload(2000);
+  const std::vector<double> kGoldenEstimates = {
+      0x1.75efa278efb72p-3, 0x1.0aa4065c5391cp-3, 0x1.60d4807a73812p-2,
+      0x1.fed231ec90924p-4, 0x1.49650175f9f96p-2, 0x1.c54b246a3c81p-2,
+      0x1.ca555a9930b94p-3, 0x1.185dc2d806e3p-3,  0x1.f23c9ae54bea7p-2,
+      0x1.b9c31c987424p-3,  0x1.1c7ce6f68cd66p-2, 0x1.ccdd2accc3b7cp-4,
+      0x1.273bf734c60ap-3,  0x1.5f82436bd86d5p-2, 0x1.4c1cf53b1d9ecp-4,
+      0x1.6916af11d077bp-2, 0x1.bfe86c4948908p-3, 0x1.c7ab442c5849ap-3,
+      0x1.59c8bb7bc1942p-3, 0x1.4590274f37a66p-3, 0x1.b28079715d8f8p-4,
+      0x1.6610cbf947473p-2, 0x1.baab1b7df928ap-3, 0x1.f71cf7a6378dcp-3,
+      0x1.b90106ce2f72cp-2};
+  for (const bool ds : {false, true}) {
+    CrowdOptions o = PoolOptions();
+    if (ds) o.aggregation = CrowdAggregation::kDawidSkene;
+    CrowdOracle crowd(&w, o);
+    Oracle oracle = Ledger(w, &crowd);
+    uint64_t checksum = 14695981039346656037ULL;
+    size_t served = 0;
+    for (const std::vector<size_t>& request : GoldenRequests()) {
+      const std::vector<char> answers =
+          request.size() == 1
+              ? std::vector<char>{static_cast<char>(oracle.Label(request[0]))}
+              : oracle.InspectBatch(request);
+      for (const char a : answers) {
+        checksum = (checksum ^ static_cast<uint64_t>(a)) * 1099511628211ULL;
+        ++served;
+      }
+    }
+    SCOPED_TRACE(ds ? "dawid-skene" : "majority");
+    EXPECT_EQ(served, 1445u);
+    EXPECT_EQ(checksum,
+              ds ? 0xda68f29db4578edaULL : 0xea52f90fefca552aULL);
+    EXPECT_EQ(crowd.worker_answers(), 3687u);
+    EXPECT_EQ(crowd.pairs_adjudicated(), 1229u);
+    EXPECT_EQ(oracle.cost(), 1229u);
+    EXPECT_EQ(crowd.VerdictErrorRate(),
+              ds ? 0x1.9699b99844528p-4 : 0x1.199eeeb60dbf7p-3);
+    if (ds) {
+      EXPECT_EQ(crowd.worker_error_estimates(), kGoldenEstimates);
+    } else {
+      EXPECT_TRUE(crowd.worker_error_estimates().empty());
+    }
   }
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -188,7 +187,9 @@ TEST(CrowdTaskBrokerTest, InferenceIsSoundUnderPerfectCrowd) {
 TEST(CrowdTaskBrokerTest, InferenceNeverContradictsPurchasedVerdicts) {
   // Noisy crowd: verdicts can be wrong and mutually inconsistent. The
   // broker must still (a) serve every purchased pair its purchased verdict
-  // and (b) keep repeat queries bit-stable.
+  // and (b) keep repeat queries bit-stable. One worker per pair without a
+  // pool makes a purchased verdict a pure function of the pair, so a
+  // second crowd adjudicating each pair alone gives the purchased verdict.
   const data::EntityGraph g = SmallEntityGraph();
   const data::Workload& w = g.workload;
   CrowdOptions co;
@@ -196,33 +197,54 @@ TEST(CrowdTaskBrokerTest, InferenceNeverContradictsPurchasedVerdicts) {
   co.workers_per_pair = 1;
   CrowdOracle crowd(&w, co);
   CrowdTaskBroker broker(&w, &crowd, DedupOptions(10));
+  std::vector<size_t> purchased;
+  Oracle oracle(&w);
+  oracle.SetAnswerProvider([&](const std::vector<size_t>& indices) {
+    return broker.Answer(indices, &purchased);
+  });
 
-  std::unordered_map<size_t, char> first_answer;
+  std::vector<char> first_answer;
   for (size_t begin = 0; begin < w.size(); begin += 256) {
     const size_t end = std::min(begin + 256, w.size());
     std::vector<size_t> batch;
     for (size_t i = begin; i < end; ++i) batch.push_back(i);
-    const std::vector<char> answers = broker.Answer(batch);
-    for (size_t t = 0; t < batch.size(); ++t) {
-      first_answer[batch[t]] = answers[t];
-    }
+    const std::vector<char> answers = oracle.InspectBatch(batch);
+    first_answer.insert(first_answer.end(), answers.begin(), answers.end());
   }
   // Noise on a transitively consistent truth must have produced conflicts —
   // otherwise this test exercises nothing.
   EXPECT_GT(broker.inference().conflicts_dropped(), 0u);
-  for (const auto& [i, a] : first_answer) {
-    if (crowd.WasAsked(i)) {
-      EXPECT_EQ(a != 0, crowd.CachedAnswer(i)) << "pair " << i;
+  // Every pair was bought once or inferred, never both.
+  const CrowdTaskStats& s = broker.stats();
+  EXPECT_EQ(purchased.size(), s.pairs_purchased);
+  EXPECT_EQ(crowd.pairs_adjudicated(), s.pairs_purchased);
+  EXPECT_EQ(purchased.size() + s.pairs_inferred(), w.size());
+  std::vector<char> bought(w.size(), 0);
+  for (const size_t i : purchased) {
+    ASSERT_LT(i, w.size());
+    EXPECT_EQ(bought[i], 0) << "pair " << i << " bought twice";
+    bought[i] = 1;
+  }
+  // A purchased pair is served exactly its own verdict; only inferred
+  // answers may differ from it.
+  CrowdOracle alone(&w, co);
+  size_t inferred_differ = 0;
+  for (size_t i = 0; i < w.size(); ++i) {
+    const bool verdict = alone.Adjudicate({i})[0] != 0;
+    if (bought[i]) {
+      EXPECT_EQ(first_answer[i] != 0, verdict) << "pair " << i;
+    } else {
+      inferred_differ += (first_answer[i] != 0) != verdict;
     }
   }
+  // Some inferred answers overrule the pair's own noisy verdict — the
+  // case the per-pair check above must tell apart from purchases.
+  EXPECT_GT(inferred_differ, 0u);
   // Re-asking everything is free (no new tasks) and bit-identical.
   const CrowdTaskStats before = broker.stats();
   std::vector<size_t> all(w.size());
   for (size_t i = 0; i < w.size(); ++i) all[i] = i;
-  const std::vector<char> again = broker.Answer(all);
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(again[i], first_answer[i]) << "pair " << i;
-  }
+  EXPECT_EQ(oracle.InspectBatch(all), first_answer);
   EXPECT_EQ(broker.stats().tasks_posted, before.tasks_posted);
   EXPECT_EQ(broker.stats().pairs_purchased, before.pairs_purchased);
 }
@@ -312,35 +334,6 @@ TEST(CrowdTaskBrokerTest, BitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(serial.stats.pairs_inferred_nonmatch,
             parallel.stats.pairs_inferred_nonmatch);
   EXPECT_EQ(serial.stats.worker_answers, parallel.stats.worker_answers);
-}
-
-TEST(CrowdTaskBrokerTest, InferenceTogglesAreHonored) {
-  const data::EntityGraph g = SmallEntityGraph();
-  const data::Workload& w = g.workload;
-  CrowdOptions co;
-  co.worker_error_rate = 0.0;
-  std::vector<size_t> all(w.size());
-  for (size_t i = 0; i < w.size(); ++i) all[i] = i;
-
-  {
-    CrowdTaskOptions to = DedupOptions(10);
-    to.infer_transitivity = false;
-    to.infer_anti_transitivity = false;
-    CrowdOracle crowd(&w, co);
-    CrowdTaskBroker broker(&w, &crowd, to);
-    broker.Answer(all);
-    EXPECT_EQ(broker.stats().pairs_inferred(), 0u);
-    EXPECT_EQ(broker.stats().pairs_purchased, w.size());
-  }
-  {
-    CrowdTaskOptions to = DedupOptions(10);
-    to.infer_anti_transitivity = false;
-    CrowdOracle crowd(&w, co);
-    CrowdTaskBroker broker(&w, &crowd, to);
-    broker.Answer(all);
-    EXPECT_GT(broker.stats().pairs_inferred_match, 0u);
-    EXPECT_EQ(broker.stats().pairs_inferred_nonmatch, 0u);
-  }
 }
 
 }  // namespace

@@ -53,15 +53,6 @@ TEST(OracleTest, WasAsked) {
   EXPECT_TRUE(oracle.WasAsked(2));
 }
 
-TEST(OracleTest, ResetClearsCost) {
-  const data::Workload w = SmallWorkload();
-  Oracle oracle(&w);
-  oracle.Label(0);
-  oracle.Reset();
-  EXPECT_EQ(oracle.cost(), 0u);
-  EXPECT_FALSE(oracle.WasAsked(0));
-}
-
 TEST(OracleTest, ErrorRateFlipsSomeAnswers) {
   const data::Workload w = SmallWorkload();
   Oracle noisy(&w, /*error_rate=*/0.5, /*seed=*/1);
@@ -146,34 +137,6 @@ TEST(OracleTest, CostCountsOnlyFreshInspectionsNextToPreloads) {
   EXPECT_EQ(oracle.cost(), 3u);
   EXPECT_EQ(oracle.preloaded(), 2u);
   EXPECT_EQ(oracle.CostFraction(), 0.3);
-}
-
-TEST(OracleTest, AnswerSnapshotIsSortedAndComplete) {
-  const data::Workload w = SmallWorkload();
-  Oracle oracle(&w);
-  oracle.Label(8);
-  oracle.Label(1);
-  oracle.Preload(5, true);
-  const auto snapshot = oracle.AnswerSnapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].first, 1u);
-  EXPECT_EQ(snapshot[1].first, 5u);
-  EXPECT_EQ(snapshot[2].first, 8u);
-  EXPECT_FALSE(snapshot[0].second);  // pair 1 is an unmatch
-  EXPECT_TRUE(snapshot[1].second);   // preloaded answer
-  EXPECT_TRUE(snapshot[2].second);   // pair 8 is a match
-}
-
-TEST(OracleTest, ResetClearsPreloads) {
-  const data::Workload w = SmallWorkload();
-  Oracle oracle(&w);
-  oracle.Preload(5, true);
-  oracle.Label(6);
-  oracle.Reset();
-  EXPECT_EQ(oracle.cost(), 0u);
-  EXPECT_EQ(oracle.preloaded(), 0u);
-  EXPECT_EQ(oracle.total_requests(), 0u);
-  EXPECT_FALSE(oracle.WasAsked(5));
 }
 
 /// Regression: cost() was previously DERIVED as answers.size() -
@@ -261,6 +224,62 @@ TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
   // Full inspection: ~2 bits/pair plus page table — far under the ~50
   // bytes/pair an unordered_map node store costs.
   EXPECT_LT(full_bytes, n);
+}
+
+TEST(OracleTest, ProviderSeesEachDistinctUnansweredPairOnce) {
+  // Inline and provider answers share one fill loop: the provider receives
+  // the distinct unanswered indices in first-occurrence order, and a
+  // single Label is a batch of one.
+  const data::Workload w = SmallWorkload();
+  Oracle oracle(&w);
+  std::vector<std::vector<size_t>> calls;
+  oracle.SetAnswerProvider([&](const std::vector<size_t>& fresh) {
+    calls.push_back(fresh);
+    std::vector<char> out;
+    for (const size_t i : fresh) out.push_back(i % 2 == 0 ? 1 : 0);
+    return out;
+  });
+  oracle.Preload(4, false);
+  const std::vector<char> answers = oracle.InspectBatch({7, 4, 2, 7, 9, 2});
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], (std::vector<size_t>{7, 2, 9}));
+  EXPECT_EQ(answers, (std::vector<char>{0, 0, 1, 0, 0, 1}));
+  EXPECT_EQ(oracle.cost(), 3u);
+  EXPECT_EQ(oracle.total_requests(), 6u);
+  EXPECT_EQ(oracle.duplicate_requests(), 3u);
+
+  EXPECT_TRUE(oracle.Label(8));
+  EXPECT_FALSE(oracle.Label(7));  // remembered: the provider is not asked
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_EQ(calls[1], (std::vector<size_t>{8}));
+  EXPECT_EQ(oracle.cost(), 4u);
+  EXPECT_EQ(oracle.total_requests(), 8u);
+}
+
+TEST(OracleTest, MoveForInsertionsFollowsPairsAndKeepsCounters) {
+  const data::Workload w = SmallWorkload();
+  Oracle oracle(&w);
+  oracle.Label(0);
+  oracle.Label(6);
+  oracle.Label(6);
+  oracle.Preload(3, false);
+  // Rows landed at new positions 0, 4 and 5: old 0 -> 1, old 3 -> 6 (three
+  // landings at or below it), old 6 -> 9.
+  oracle.MoveForInsertions({0, 4, 5});
+  EXPECT_FALSE(oracle.WasAsked(0));
+  EXPECT_TRUE(oracle.WasAsked(1));
+  EXPECT_FALSE(oracle.CachedAnswer(1));
+  EXPECT_FALSE(oracle.WasAsked(3));
+  EXPECT_TRUE(oracle.WasAsked(6));
+  EXPECT_FALSE(oracle.CachedAnswer(6));
+  EXPECT_TRUE(oracle.WasAsked(9));
+  EXPECT_TRUE(oracle.CachedAnswer(9));
+  size_t known = 0;
+  for (size_t i = 0; i < w.size(); ++i) known += oracle.WasAsked(i);
+  EXPECT_EQ(known, 3u);
+  EXPECT_EQ(oracle.cost(), 2u);
+  EXPECT_EQ(oracle.preloaded(), 1u);
+  EXPECT_EQ(oracle.total_requests(), 3u);
 }
 
 }  // namespace

@@ -193,7 +193,8 @@ TEST(WorkloadMergeTest, PureAppendDetection) {
   Workload merged;
   Shard shard;
   while (stream.Next(&shard)) {
-    EXPECT_TRUE(merged.MergeSorted(std::move(shard.pairs)));
+    const size_t old_n = merged.size();
+    EXPECT_GE(merged.MergeSorted(std::move(shard.pairs)).front(), old_n);
   }
 
   // Shuffled arrivals are interior merges from the second shard on.
@@ -201,9 +202,70 @@ TEST(WorkloadMergeTest, PureAppendDetection) {
   WorkloadStream shuffled(&base, options);
   Workload merged2;
   shuffled.Next(&shard);
-  EXPECT_TRUE(merged2.MergeSorted(std::move(shard.pairs)));
+  EXPECT_EQ(merged2.MergeSorted(std::move(shard.pairs)).front(), 0u);
   shuffled.Next(&shard);
-  EXPECT_FALSE(merged2.MergeSorted(std::move(shard.pairs)));
+  const size_t old_n = merged2.size();
+  EXPECT_LT(merged2.MergeSorted(std::move(shard.pairs)).front(), old_n);
+  EXPECT_TRUE(merged2.MergeSorted({}).empty());
+}
+
+TEST(WorkloadMergeTest, LandingPositionsMatchReferenceMerge) {
+  // Reference: a stable sort of (existing rows, then the incoming rows)
+  // under PairLess keeps existing pairs first among equals, as the merge
+  // does; the incoming rows' positions in it are where they landed. Every
+  // old row must sit at its index plus the landings before it.
+  for (int rep = 0; rep < 12; ++rep) {
+    const Workload base = SmallWorkload(500 + rep * 31);
+    WorkloadStreamOptions options;
+    options.num_shards = 5;
+    options.order = rep % 3 == 0 ? ArrivalOrder::kSimilarityAscending
+                                 : ArrivalOrder::kShuffled;
+    options.seed = static_cast<uint64_t>(rep);
+    WorkloadStream stream(&base, options);
+    Workload merged;
+    Shard shard;
+    while (stream.Next(&shard)) {
+      std::vector<InstancePair> incoming = shard.pairs;
+      // Repeat an existing pair: equal pairs land after the existing one.
+      if (!merged.empty()) incoming.push_back(merged[merged.size() / 2]);
+      const Workload before = merged;
+
+      struct Row {
+        InstancePair pair;
+        bool incoming;
+      };
+      std::vector<Row> rows;
+      for (size_t i = 0; i < before.size(); ++i) {
+        rows.push_back({before[i], false});
+      }
+      const Workload sorted_incoming{incoming};
+      for (size_t j = 0; j < sorted_incoming.size(); ++j) {
+        rows.push_back({sorted_incoming[j], true});
+      }
+      std::stable_sort(rows.begin(), rows.end(),
+                       [](const Row& a, const Row& b) {
+                         return PairLess(a.pair, b.pair);
+                       });
+      std::vector<size_t> expected;
+      for (size_t k = 0; k < rows.size(); ++k) {
+        if (rows[k].incoming) expected.push_back(k);
+      }
+
+      const std::vector<size_t> landed =
+          merged.MergeSorted(std::move(incoming));
+      ASSERT_EQ(landed, expected) << "rep " << rep;
+      ASSERT_EQ(merged.size(), rows.size());
+      size_t shift = 0;
+      for (size_t i = 0; i < before.size(); ++i) {
+        while (shift < landed.size() && landed[shift] <= i + shift) ++shift;
+        ASSERT_TRUE(SamePair(merged[i + shift], before[i]))
+            << "rep " << rep << " old row " << i;
+      }
+      for (const size_t k : landed) {
+        EXPECT_TRUE(SamePair(merged[k], rows[k].pair)) << "rep " << rep;
+      }
+    }
+  }
 }
 
 }  // namespace

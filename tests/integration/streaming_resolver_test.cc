@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -407,6 +409,111 @@ TEST(StreamingServingTest, ReviewsThatContradictThePriorMoveTheSubset) {
     for (size_t i = partition[k].begin; i < partition[k].end; ++i)
       ASSERT_EQ(after[i], before[i]) << i;
   }
+}
+
+/// (pair, answer) of every answered index, in index order.
+std::vector<std::pair<data::InstancePair, bool>> AnsweredPairs(
+    const core::StreamingResolver& resolver) {
+  std::vector<std::pair<data::InstancePair, bool>> out;
+  for (size_t i = 0; i < resolver.cumulative().size(); ++i) {
+    if (resolver.oracle().WasAsked(i)) {
+      out.emplace_back(resolver.cumulative()[i],
+                       resolver.oracle().CachedAnswer(i));
+    }
+  }
+  return out;
+}
+
+/// Ingests `shard` and checks the answers moved with their pairs: every
+/// answered index after the merge is the one an identity re-key
+/// (IndexOfSorted) finds for a pair answered before it, with the same
+/// answer, and no counter moved.
+void IngestAndCheckAnswersMoved(core::StreamingResolver* resolver,
+                                data::Shard shard, bool expect_append) {
+  const auto before = AnsweredPairs(*resolver);
+  const size_t inspections = resolver->total_inspections();
+  const size_t cost = resolver->oracle().cost();
+  const size_t requests = resolver->oracle().total_requests();
+  ASSERT_EQ(resolver->Ingest(std::move(shard)).pure_append, expect_append);
+
+  const data::Workload& w = resolver->cumulative();
+  std::vector<char> expected(w.size(), 0);
+  for (const auto& [pair, answer] : before) {
+    const size_t idx = w.IndexOfSorted(pair);
+    ASSERT_LT(idx, w.size());
+    ASSERT_TRUE(resolver->oracle().WasAsked(idx)) << idx;
+    EXPECT_EQ(resolver->oracle().CachedAnswer(idx), answer) << idx;
+    EXPECT_EQ(w.IsMatch(idx), pair.is_match) << idx;
+    expected[idx] = 1;
+  }
+  for (size_t i = 0; i < w.size(); ++i) {
+    ASSERT_EQ(resolver->oracle().WasAsked(i), expected[i] != 0) << i;
+  }
+  EXPECT_EQ(resolver->total_inspections(), inspections);
+  EXPECT_EQ(resolver->oracle().cost(), cost);
+  EXPECT_EQ(resolver->oracle().total_requests(), requests);
+  ExpectCarriedAnswersServed(*resolver);
+}
+
+TEST_F(StreamingResolverTest, InteriorMergesMoveAnswersWithTheirPairs) {
+  // Shuffled shards of the lower 11,000 pairs (interior merges), inspected
+  // answers from certifications and preloaded ones flipped against the
+  // truth, then the top 1,000 pairs as a pure append, then a shard that
+  // repeats an answered pair.
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  core::StreamingResolver resolver(DefaultStreamingOptions(), req);
+  const size_t low = 11000;
+  std::vector<data::InstancePair> lower;
+  for (size_t i = 0; i < low; ++i) lower.push_back(ds_[i]);
+  const data::Workload lower_w(std::move(lower));
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 5;
+  stream_options.order = data::ArrivalOrder::kShuffled;
+  stream_options.seed = 77;
+  data::WorkloadStream stream(&lower_w, stream_options);
+
+  data::Shard shard;
+  size_t epoch = 0;
+  while (stream.Next(&shard)) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    IngestAndCheckAnswersMoved(&resolver, std::move(shard),
+                               /*expect_append=*/epoch == 0);
+    // Preload a few unanswered pairs with the wrong answer, so a moved
+    // answer cannot be mistaken for the pair's ground truth.
+    const data::Workload& w = resolver.cumulative();
+    for (size_t i = epoch; i < w.size(); i += 97) {
+      if (!resolver.oracle().WasAsked(i)) {
+        ASSERT_TRUE(resolver.PreloadEvidence(w[i], !w.IsMatch(i)));
+      }
+    }
+    ASSERT_TRUE(resolver.Certify().ok());
+    ++epoch;
+  }
+  ASSERT_GT(resolver.oracle().preloaded(), 0u);
+  ASSERT_GT(resolver.oracle().cost(), 0u);
+
+  data::Shard top;
+  for (size_t i = low; i < ds_.size(); ++i) top.pairs.push_back(ds_[i]);
+  {
+    SCOPED_TRACE("pure append");
+    IngestAndCheckAnswersMoved(&resolver, std::move(top),
+                               /*expect_append=*/true);
+  }
+  ASSERT_TRUE(resolver.Certify().ok());
+
+  const data::Workload& w = resolver.cumulative();
+  size_t answered = w.size() / 2;
+  while (!resolver.oracle().WasAsked(answered)) ++answered;
+  data::Shard repeat;
+  repeat.pairs = {w[answered], ds_[0]};
+  repeat.pairs[1].left_id += 100000;  // a new pair at the bottom
+  {
+    SCOPED_TRACE("repeated pair");
+    IngestAndCheckAnswersMoved(&resolver, std::move(repeat),
+                               /*expect_append=*/false);
+  }
+  EXPECT_EQ(resolver.cumulative().size(), ds_.size() + 2);
+  EXPECT_EQ(resolver.total_duplicate_requests(), 0u);
 }
 
 /// ISSUE 7 satellite regression: Ingest() hands out a reference into the

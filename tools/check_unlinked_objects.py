@@ -33,10 +33,9 @@ check is only sound over the two together.
 import subprocess
 import sys
 
-# data/persistence and common/csv are the library's only text import path
-# for an external labelled workload, with the NaN and partial-field
-# rejection it needs; no binary in this repository imports one.
-ALLOWED = {"persistence.cc.o", "csv.cc.o"}
+# Library members no binary needs to link. Empty: a module only tests reach
+# is deleted or given a caller.
+ALLOWED = set()
 
 # Functions no binary reaches that the library keeps because a test uses
 # them as the reference for, or the observation of, a live path, or to
@@ -48,19 +47,11 @@ FUNCTIONS = {
     # common
     "humo::ThreadPool::RetiredGlobalPools":
         "observes that SetGlobalThreads retires the outgoing pool",
-    "humo::CsvReader::CsvReader":
-        "constructs the allowlisted csv module's reader",
-    "humo::CsvWriter::CsvWriter":
-        "constructs the allowlisted csv module's writer",
     "humo::Status::code":
         "observes which error a failing call returned",
     "humo::Status::operator==":
         "compares statuses in the Status tests",
     # core
-    "humo::core::CrowdOracle::duplicate_requests":
-        "observes that crowd labeling never re-asks a pair",
-    "humo::core::CrowdOracle::total_requests":
-        "observes the crowd oracle's request count",
     "humo::core::CrowdOracle::worker_error_estimates":
         "observes the Dawid-Skene worker error estimates",
     "humo::core::CrowdOracle::options":
