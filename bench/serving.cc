@@ -1,8 +1,8 @@
 // Mixed-traffic serving bench for the always-on resolution service: N
 // reader threads hammer wait-free pair-label lookups against the published
-// snapshot while the write side ingests shards, folds review verdicts, and
-// runs RISK certifications on a background thread over the async crowd
-// queue.
+// snapshot while the write side ingests shards, folds review verdicts that
+// two delivery threads hand over out of band, and runs RISK certifications
+// on a background thread.
 //
 // The bench *checks* the contracts it advertises and exits nonzero on any
 // violation, so the committed BENCH_serving.json cannot silently go stale:
@@ -13,11 +13,11 @@
 //     agreement) with monotonically advancing versions;
 //   * after DrainToQuiescence, the service's certificate, labels, and
 //     lifetime oracle cost are IDENTICAL to a synchronous StreamingResolver
-//     driven through the same shard/certification/review schedule — the
-//     async queue changes who answers and when, never the result.
+//     driven through the same shard/certification/review schedule — out-of-
+//     band review delivery changes when a verdict lands, never the result.
 //
 // Each row also records mutate_over_sync = mutate_ms / sync_ms: what the
-// serving write side (snapshot publishes, crowd queue, concurrent readers)
+// serving write side (snapshot publishes, review queue, concurrent readers)
 // costs over the bare resolver on the same schedule. The regression gate
 // holds it lower-better.
 //
@@ -48,7 +48,7 @@ const std::vector<size_t> kPairCounts =
 constexpr size_t kShards = bench::kSanitized ? 8 : 16;
 // Reader threads.
 constexpr size_t kReaders = 4;
-// Crowd worker threads.
+// Review-delivery threads (ResolutionServiceOptions::crowd_workers).
 constexpr size_t kCrowdWorkers = 2;
 // Minimum sustained lookups/sec across every reader.
 constexpr double kLookupsPerSecFloor = bench::kSanitized ? 1.0 : 1e6;

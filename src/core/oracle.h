@@ -54,16 +54,12 @@ class Oracle {
   /// when it calls the provider, so a provider must compute or buy its
   /// answers, never read them back from this oracle. Cost accounting is
   /// unchanged whichever provider answers.
-  /// Three providers exist. The resolution service's bridge onto its
-  /// asynchronous crowd queue returns exactly the answers InlineAnswer()
-  /// computes — routing changes who answers and when, never the values —
-  /// and that exactness is what its drain-to-quiescence contract (drained
-  /// state bit-identical to the synchronous run) needs.
   /// CrowdOracle::Provider() returns one jury verdict per pair, and
   /// CrowdTaskBroker::Provider() puts transitive inference and HIT packing
   /// in front of the same juries: their verdicts equal InlineAnswer() only
   /// when every worker is error-free and the oracle's own error_rate is 0,
-  /// and differ otherwise.
+  /// and differ otherwise. bench_e2e's traced runs install a provider that
+  /// answers exactly like InlineAnswer() and counts each batch.
   using AnswerProvider =
       std::function<std::vector<char>(const std::vector<size_t>&)>;
 
@@ -76,9 +72,10 @@ class Oracle {
 
   /// The deterministic verdict the simulated human gives for `index`:
   /// ground truth XOR the seeded per-index error flip. Pure (no memory, no
-  /// counters) and safe to call concurrently with const access — this is
-  /// the function an AnswerProvider's crowd workers evaluate so that
-  /// out-of-band answers are indistinguishable from inline ones.
+  /// counters): the inline path answers with it, and so do callers that
+  /// must reproduce an inline answer out of band (a review verdict the
+  /// resolution service computes at enqueue time, a bench's synchronous
+  /// reference).
   bool InlineAnswer(size_t index) const;
 
   /// Routes fresh inspections through `provider` (nullptr restores inline

@@ -1,6 +1,6 @@
 #include "core/resolution_service.h"
 
-#include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace humo::core {
@@ -31,8 +31,7 @@ uint64_t ResolutionSnapshot::ComputeChecksum() const {
 
 // --- AsyncOracleQueue ---
 
-AsyncOracleQueue::AsyncOracleQueue(ComputeFn compute, size_t workers)
-    : compute_(std::move(compute)) {
+AsyncOracleQueue::AsyncOracleQueue(size_t workers) {
   workers_.reserve(workers);
   for (size_t t = 0; t < workers; ++t) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -48,36 +47,6 @@ AsyncOracleQueue::~AsyncOracleQueue() {
   for (auto& w : workers_) w.join();
 }
 
-std::vector<char> AsyncOracleQueue::InspectBlocking(
-    const std::vector<size_t>& indices) {
-  std::vector<char> answers(indices.size());
-  if (indices.empty()) return answers;
-  if (workers_.empty()) {
-    // Synchronous crowd: the caller is the only human.
-    for (size_t t = 0; t < indices.size(); ++t) {
-      answers[t] = compute_(indices[t]) ? 1 : 0;
-    }
-    return answers;
-  }
-  Batch batch;
-  batch.indices = &indices;
-  batch.answers = &answers;
-  batch.remaining = indices.size();
-  const size_t num_chunks = (indices.size() + kChunk - 1) / kChunk;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      Task task;
-      task.batch = &batch;
-      tasks_.push_back(std::move(task));
-    }
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return batch.done; });
-  return answers;
-}
-
 void AsyncOracleQueue::SubmitReview(const data::InstancePair& pair,
                                     bool answer) {
   {
@@ -88,75 +57,32 @@ void AsyncOracleQueue::SubmitReview(const data::InstancePair& pair,
       completed_.push_back({pair, answer});
       return;
     }
-    Task task;
-    task.review = {pair, answer};
-    tasks_.push_back(std::move(task));
+    pending_.push_back({pair, answer});
   }
   work_cv_.notify_one();
 }
 
-std::vector<AsyncOracleQueue::CompletedReview>
-AsyncOracleQueue::TakeCompleted() {
+std::vector<AsyncOracleQueue::Review> AsyncOracleQueue::TakeCompleted() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CompletedReview> out;
+  std::vector<Review> out;
   out.swap(completed_);
   return out;
 }
 
 void AsyncOracleQueue::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return tasks_.empty() && in_flight_ == 0; });
+  done_cv_.wait(lock, [&] { return pending_.empty(); });
 }
 
 void AsyncOracleQueue::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || !tasks_.empty(); });
-      if (stop_) return;
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-      ++in_flight_;
-    }
-    bool batch_done = false;
-    if (task.batch != nullptr) {
-      batch_done = RunChunk(task.batch);
-    } else {
-      std::lock_guard<std::mutex> lock(mu_);
-      completed_.push_back(std::move(task.review));
-    }
-    bool idle = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      idle = tasks_.empty() && in_flight_ == 0;
-    }
-    if (batch_done || idle) done_cv_.notify_all();
+    work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
+    if (stop_) return;
+    completed_.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+    if (pending_.empty()) done_cv_.notify_all();
   }
-}
-
-bool AsyncOracleQueue::RunChunk(Batch* batch) {
-  size_t begin = 0, end = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    begin = batch->next;
-    end = std::min(batch->indices->size(), begin + kChunk);
-    batch->next = end;
-  }
-  // Answers land in index-addressed slots of the requester's output vector;
-  // chunks write disjoint ranges, so the assembled batch is deterministic
-  // no matter which worker finishes when.
-  for (size_t t = begin; t < end; ++t) {
-    (*batch->answers)[t] = compute_((*batch->indices)[t]) ? 1 : 0;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  batch->remaining -= end - begin;
-  if (batch->remaining == 0) {
-    batch->done = true;
-    return true;
-  }
-  return false;
 }
 
 // --- ResolutionService ---
@@ -166,25 +92,15 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
     : options_(options),
       req_(req),
       resolver_(options_.streaming, req_),
-      queue_([this](size_t index) { return resolver_.oracle().InlineAnswer(index); },
-             options_.crowd_workers),
+      queue_(options_.crowd_workers),
       published_workload_(std::make_shared<const data::Workload>()) {
-  // Fresh certification inspections flow through the crowd queue. The crowd
-  // workers' compute function reads the resolver's workload, which is only
-  // safe because certification holds the writer lock for its whole duration
-  // — nothing can merge columns under a worker mid-answer.
-  resolver_.SetOracleAnswerProvider(
-      [this](const std::vector<size_t>& indices) {
-        return queue_.InspectBlocking(indices);
-      });
   std::lock_guard<std::mutex> lock(writer_mu_);
   PublishLocked(/*refresh=*/true);  // version 1: the empty snapshot
 }
 
 ResolutionService::~ResolutionService() {
-  // Join the certifier BEFORE queue_ is destroyed: its InspectBlocking
-  // batches need live workers to complete. Review tasks still queued after
-  // the join never touch the resolver (their verdicts were precomputed at
+  // Join the certifier before the resolver it writes is destroyed. Reviews
+  // still queued never touch the resolver (their verdicts were computed at
   // enqueue time) and are dropped with the queue.
   std::lock_guard<std::mutex> admin(cert_admin_mu_);
   JoinCertifierLocked();
@@ -273,23 +189,13 @@ std::shared_ptr<const ResolutionSnapshot> ResolutionService::snapshot() const {
 }
 
 size_t ResolutionService::FoldCompletedReviewsLocked() {
-  std::vector<AsyncOracleQueue::CompletedReview> pending =
-      std::move(deferred_reviews_);
-  deferred_reviews_.clear();
-  {
-    std::vector<AsyncOracleQueue::CompletedReview> fresh =
-        queue_.TakeCompleted();
-    pending.insert(pending.end(), fresh.begin(), fresh.end());
-  }
   size_t folded = 0;
-  for (const AsyncOracleQueue::CompletedReview& review : pending) {
-    if (resolver_.PreloadEvidence(review.pair, review.answer)) {
-      ++folded;
-    } else {
-      // The pair is not in the cumulative workload (a verdict that outpaced
-      // its shard); keep it for the next boundary.
-      deferred_reviews_.push_back(review);
-    }
+  for (const AsyncOracleQueue::Review& review : queue_.TakeCompleted()) {
+    // EnqueueReview accepted the pair only once it was in the cumulative
+    // workload, and Workload::MergeSorted only adds pairs, so it is found.
+    const bool found = resolver_.PreloadEvidence(review.pair, review.answer);
+    assert(found);
+    folded += found ? 1 : 0;
   }
   reviews_folded_.fetch_add(folded, std::memory_order_relaxed);
   return folded;

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -60,8 +59,9 @@ class ResolutionSnapshot {
     return out;
   }
 
-  /// This snapshot's own sorted workload copy (identity columns; ground
-  /// truth stays behind the Oracle contract).
+  /// This snapshot's own sorted workload copy, for pair -> index lookup.
+  /// The copy carries the ground-truth column too; only evaluation may
+  /// read it (a resolver observes labels through its Oracle alone).
   const data::Workload& workload() const { return *workload_; }
 
   /// ENTITY VIEW of this snapshot: the canonical clustering of the served
@@ -110,91 +110,54 @@ class ResolutionSnapshot {
   uint64_t checksum_ = 0;
 };
 
-/// Asynchronous human-work queue between a certifier and its (simulated)
-/// crowd: the pending-review-queue pattern. Two kinds of traffic flow
-/// through the same worker threads:
-///
-///  * Certification batches (InspectBlocking): the certifier enqueues the
-///    distinct unanswered indices of one inspection batch and blocks until
-///    the crowd has answered all of them. Workers claim fixed-size chunks,
-///    so one large batch is answered by several humans concurrently and
-///    chunk completions arrive out of order — answers land in
-///    index-addressed slots, so the assembled batch is deterministic.
-///  * Review requests (SubmitReview): fire-and-forget inspection of pairs
-///    someone flagged for human review. Verdicts are computed at submit
-///    time (an answer is a pure function of the question — see
-///    Oracle::InlineAnswer) but ARRIVE out of band: workers deliver them to
-///    the completed buffer whenever they get to them, and the service folds
-///    the completed batch in at the next epoch boundary.
+/// Out-of-band delivery of human review verdicts: the pending-review-queue
+/// pattern. SubmitReview enqueues a verdict that is already known (an
+/// answer is a pure function of the question, see Oracle::InlineAnswer and
+/// ResolutionService::EnqueueReview), and worker threads move it to the
+/// completed buffer whenever they get to it, so verdicts ARRIVE at times
+/// the submitter does not control. The service folds the completed buffer
+/// in at the next epoch boundary. Certification never goes through this
+/// queue: its inspections are answered inline by the resolver's oracle.
 class AsyncOracleQueue {
  public:
-  /// Computes the crowd's verdict for a pair index. Called by worker
-  /// threads for certification batches; must be thread-safe and pure
-  /// (Oracle::InlineAnswer is).
-  using ComputeFn = std::function<bool(size_t)>;
-
-  struct CompletedReview {
+  struct Review {
     data::InstancePair pair;
     bool answer = false;
   };
 
-  /// `workers` = crowd size; 0 answers everything inline on the calling
-  /// thread (the degenerate synchronous crowd).
-  AsyncOracleQueue(ComputeFn compute, size_t workers);
+  /// `workers` = delivery threads; 0 delivers every review at submit time
+  /// (the degenerate synchronous crowd).
+  explicit AsyncOracleQueue(size_t workers);
   ~AsyncOracleQueue();
 
   AsyncOracleQueue(const AsyncOracleQueue&) = delete;
   AsyncOracleQueue& operator=(const AsyncOracleQueue&) = delete;
 
-  /// Answers for `indices` (distinct), parallel to the input. Blocks until
-  /// the crowd finishes this batch; other traffic interleaves freely.
-  std::vector<char> InspectBlocking(const std::vector<size_t>& indices);
-
   /// Enqueues one review verdict for out-of-band delivery.
   void SubmitReview(const data::InstancePair& pair, bool answer);
 
   /// Drains the completed-review buffer (delivery order).
-  std::vector<CompletedReview> TakeCompleted();
+  std::vector<Review> TakeCompleted();
 
-  /// Blocks until no work is queued or in flight.
+  /// Blocks until every submitted review has been delivered.
   void WaitIdle();
 
  private:
-  /// Pairs per worker claim inside one certification batch.
-  static constexpr size_t kChunk = 128;
-
-  struct Batch {
-    const std::vector<size_t>* indices = nullptr;
-    std::vector<char>* answers = nullptr;
-    size_t next = 0;       // first unclaimed offset; guarded by mu_
-    size_t remaining = 0;  // unanswered pairs; guarded by mu_
-    bool done = false;
-  };
-
-  struct Task {
-    Batch* batch = nullptr;             // certification chunk when set
-    CompletedReview review;             // review delivery otherwise
-  };
-
   void WorkerLoop();
-  /// Claims and answers one chunk of `batch`. Returns true when the batch
-  /// completed with this chunk. Caller holds no lock; this takes mu_.
-  bool RunChunk(Batch* batch);
 
-  ComputeFn compute_;
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: tasks available / stop
-  std::condition_variable done_cv_;   // requesters: batch done / queue idle
-  std::deque<Task> tasks_;            // guarded by mu_
-  std::vector<CompletedReview> completed_;  // guarded by mu_
-  size_t in_flight_ = 0;              // claimed, not yet finished
+  std::condition_variable work_cv_;   // workers: reviews queued / stop
+  std::condition_variable done_cv_;   // WaitIdle: queue drained
+  std::deque<Review> pending_;        // submitted, not delivered; mu_
+  std::vector<Review> completed_;     // delivered, not folded; mu_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 
 struct ResolutionServiceOptions {
   StreamingOptions streaming;
-  /// Crowd worker threads answering queue traffic; 0 = synchronous crowd.
+  /// Threads delivering review verdicts (AsyncOracleQueue); 0 delivers
+  /// each verdict at submit time.
   size_t crowd_workers = 2;
   /// How the workload's id columns map onto record sources for the
   /// snapshot's entity view (default: two-table ER).
@@ -215,18 +178,17 @@ struct ResolutionServiceOptions {
 /// mutation — a lookup is an atomic snapshot load plus an array read
 /// against frozen storage.
 ///
-/// Human work is asynchronous: certification runs on a background thread
-/// whose fresh oracle inspections are routed through the AsyncOracleQueue
-/// (crowd workers answer out of band; the certifier folds each completed
-/// batch in and continues), and review verdicts submitted via
-/// EnqueueReview fold in at the next epoch boundary through
-/// StreamingResolver::PreloadEvidence, which finds each pair by identity.
-/// Because the crowd answers with exactly Oracle::InlineAnswer's verdicts,
-/// DRAINING TO QUIESCENCE
-/// (all queue traffic answered + folded, certification finished) leaves
-/// labels, oracle cost, and certificates bit-identical to driving the
-/// synchronous StreamingResolver through the same schedule — asserted by
-/// tests and by bench_serving's self-check.
+/// Certification runs on a background thread and answers its own
+/// inspections through the resolver's oracle, exactly as a bare
+/// StreamingResolver does. Human REVIEW verdicts submitted via
+/// EnqueueReview arrive out of band through the AsyncOracleQueue and fold
+/// in at the next epoch boundary through StreamingResolver::PreloadEvidence,
+/// which finds each pair by identity. Because a review verdict is exactly
+/// Oracle::InlineAnswer's, DRAINING TO QUIESCENCE (every review delivered +
+/// folded, certification finished) leaves labels, oracle cost, and
+/// certificates bit-identical to driving the synchronous StreamingResolver
+/// through the same schedule — asserted by tests and by bench_serving's
+/// self-check.
 class ResolutionService {
  public:
   ResolutionService(ResolutionServiceOptions options, QualityRequirement req);
@@ -248,7 +210,7 @@ class ResolutionService {
   /// ingested before this call (mutex wakeup order is not FIFO; returning
   /// any earlier would let a subsequent Ingest overtake the certifier and
   /// make the certified prefix nondeterministic). Readers keep serving the
-  /// last snapshot while the crowd answers; the certificate publishes when
+  /// last snapshot while the certifier runs; the certificate publishes when
   /// done. Returns false when a certification is already in flight (the
   /// request is dropped, not queued). Must not be called while holding a
   /// mutation open elsewhere on the same thread.
@@ -264,18 +226,17 @@ class ResolutionService {
   size_t EnqueueReview(const std::vector<data::InstancePair>& pairs);
 
   /// Blocks until every enqueued review verdict has been delivered by the
-  /// crowd workers (delivered, not folded — folding still happens at the
+  /// queue's threads (delivered, not folded — folding still happens at the
   /// next epoch boundary). Calling this immediately before
   /// RequestCertification pins the certified evidence set: the certifier's
   /// boundary fold then sees EVERY review enqueued so far, independent of
-  /// crowd-worker timing. Without it a slow worker can hold a verdict past
+  /// delivery timing. Without it a slow worker can hold a verdict past
   /// the certification start, and — because risk-aware inspection is
   /// evidence-driven — certify against a different answer set than a rerun
-  /// would. Must not be called while a certification is in flight (its
-  /// oracle batches share the queue).
+  /// would.
   void WaitForReviewDelivery() { queue_.WaitIdle(); }
 
-  /// Waits until every queued crowd task is answered and the in-flight
+  /// Waits until every enqueued review is delivered and the in-flight
   /// certification (if any) finished, folds the remaining completed
   /// reviews, publishes, and returns the latest certificate (error when no
   /// certification ever ran or the last one failed).
@@ -319,10 +280,6 @@ class ResolutionService {
   /// Serializes every resolver mutation (ingest, certification, fold-in).
   std::mutex writer_mu_;
   StreamingResolver resolver_;  // guarded by writer_mu_
-
-  /// Reviews whose pair was unknown at fold time (raced an interior merge);
-  /// retried at the next epoch boundary. Guarded by writer_mu_.
-  std::vector<AsyncOracleQueue::CompletedReview> deferred_reviews_;
 
   AsyncOracleQueue queue_;
 

@@ -175,12 +175,12 @@ class StreamingResolver {
   const std::deque<EpochReport>& reports() const { return reports_; }
   size_t epochs_ingested() const { return epochs_ingested_; }
 
-  /// Seeds an out-of-band human answer (the async-queue fold-in hook):
-  /// locates `pair` by identity — (left, right, similarity), robust to the
-  /// index shifts interior merges cause — and preloads the answer into the
+  /// Seeds an out-of-band human answer (the review fold-in hook): locates
+  /// `pair` by identity — (left, right, similarity), robust to the index
+  /// shifts interior merges cause — and preloads the answer into the
   /// oracle (free, idempotent; see Oracle::Preload). Returns false when the
-  /// pair is not part of the cumulative workload yet, in which case the
-  /// caller keeps the answer pending for a later epoch. Call
+  /// pair is not part of the cumulative workload; merges only add pairs, so
+  /// a pair found once is found at every later epoch. Call
   /// RefreshServing() after a fold-in burst so the provisional labeling and
   /// estimates see the new evidence.
   bool PreloadEvidence(const data::InstancePair& pair, bool answer);
@@ -200,14 +200,6 @@ class StreamingResolver {
   /// Certify() that fails, so a caller that just ingested or certified can
   /// read it instead of refreshing again.
   const EpochReport& serving_report() const { return serving_; }
-
-  /// Routes the oracle's fresh inspections through `provider` — the
-  /// resolution service's bridge onto its asynchronous crowd queue (see
-  /// Oracle::AnswerProvider for the exactness contract). nullptr restores
-  /// inline answering.
-  void SetOracleAnswerProvider(Oracle::AnswerProvider provider) {
-    oracle_.SetAnswerProvider(std::move(provider));
-  }
 
   /// The most recent certificate, or nullptr before the first Certify().
   const StreamingCertificate* last_certificate() const {

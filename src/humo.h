@@ -59,8 +59,8 @@
 /// To SERVE lookups while that stream is still arriving, wrap the resolver
 /// in the resolution service (core/resolution_service.h): every mutation
 /// publishes an immutable snapshot readers access wait-free through an
-/// atomic shared_ptr, certification runs on a background thread whose
-/// fresh inspections an asynchronous crowd queue answers out of band, and
+/// atomic shared_ptr, certification runs on a background thread, human
+/// review verdicts arrive out of band and fold in at epoch boundaries, and
 /// draining to quiescence reproduces the synchronous resolver bit for bit:
 ///
 ///   core::ResolutionService service({/*streaming=*/{}}, req);
