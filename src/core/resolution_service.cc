@@ -112,6 +112,14 @@ EpochReport ResolutionService::Ingest(data::Shard shard) {
   // answers across an interior merge like any others.
   FoldCompletedReviewsLocked();
   EpochReport report = resolver_.Ingest(std::move(shard));
+  // The one place the cumulative workload grows: copy it once for the
+  // snapshots to share and extend the universe by the pairs that landed.
+  if (!resolver_.landed().empty()) {
+    published_workload_ =
+        std::make_shared<const data::Workload>(resolver_.cumulative());
+    universe_ = entity::ExtendRecords(universe_, *published_workload_,
+                                      resolver_.landed(), options_.entity);
+  }
   PublishLocked(/*refresh=*/false);
   return report;
 }
@@ -230,16 +238,6 @@ void ResolutionService::PublishLocked(bool refresh) {
   snap->quality_.certified = cert_current && cert->certified;
   snap->labels_ =
       cert_current ? cert->resolution.labels : resolver_.provisional_labels();
-  // The cumulative workload only grows (Workload::MergeSorted), so an
-  // unchanged size means an unchanged workload: share the last copy and its
-  // universe. A grown one is copied once and its universe extended.
-  const data::Workload& cumulative = resolver_.cumulative();
-  if (cumulative.size() != published_workload_->size()) {
-    auto grown = std::make_shared<const data::Workload>(cumulative);
-    universe_ = entity::ExtendRecords(universe_, *published_workload_, *grown,
-                                      options_.entity);
-    published_workload_ = std::move(grown);
-  }
   snap->workload_ = published_workload_;
   // Entity view: canonical clustering of the served labels, frozen with the
   // snapshot so EntityOf/MembersOf reads stay wait-free.

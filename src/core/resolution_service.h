@@ -100,8 +100,8 @@ class ResolutionSnapshot {
   std::vector<int> labels_;
   /// Copy of the cumulative workload at publish time (identity lookup
   /// needs the sorted similarity/id columns of THIS epoch, not the moving
-  /// resolver ones). A publish copies only when the workload grew since the
-  /// last one; snapshots of an unchanged workload share one copy.
+  /// resolver ones). Copied only by an Ingest that landed pairs; snapshots
+  /// of an unchanged workload share one copy.
   std::shared_ptr<const data::Workload> workload_;
   /// Entity clustering of labels_ over workload_, built at publish time.
   /// Its record keys are the service's carried universe's, shared by every
@@ -263,7 +263,8 @@ class ResolutionService {
   /// Epoch boundary: folds completed reviews into the resolver's oracle.
   /// Returns how many folded. Caller holds writer_mu_.
   size_t FoldCompletedReviewsLocked();
-  /// Builds and atomically publishes a snapshot. `refresh` re-runs the
+  /// Builds and atomically publishes a snapshot over published_workload_
+  /// and universe_, which Ingest keeps current. `refresh` re-runs the
   /// resolver's serving refresh (RefreshServing) first; without it the
   /// snapshot serves the refresh the last Ingest or Certify ran, which must
   /// be current.
@@ -293,10 +294,11 @@ class ResolutionService {
   bool cert_started_ = false;  // guarded by cert_start_mu_
   std::optional<Result<StreamingCertificate>> last_cert_;  // writer_mu_
 
-  /// The workload the last snapshot published and its record universe
-  /// under options_.entity. When the cumulative workload grows, the next
-  /// publish extends the universe (entity::ExtendRecords) instead of
-  /// re-indexing every record. Guarded by writer_mu_.
+  /// A copy of the resolver's cumulative workload, shared by every
+  /// snapshot until it grows, and its record universe under
+  /// options_.entity. Ingest replaces both whenever pairs landed, extending
+  /// the universe by them (entity::ExtendRecords) instead of re-indexing
+  /// every record. Guarded by writer_mu_.
   std::shared_ptr<const data::Workload> published_workload_;
   entity::RecordUniverse universe_;
 

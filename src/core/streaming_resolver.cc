@@ -20,6 +20,7 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
   // An empty shard leaves every piece of index-keyed state untouched —
   // exactly what pure_append advertises.
   report.pure_append = true;
+  landed_.clear();
 
   if (!shard.pairs.empty()) {
     const size_t old_n = cumulative_.size();
@@ -32,9 +33,8 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     // Where the shard's pairs landed in the merged order: a pure tail
     // append leaves every old index in place, an interior merge shifts the
     // old pairs up past the ones that landed before them.
-    const std::vector<size_t> landed =
-        cumulative_.MergeSorted(std::move(shard.pairs));
-    report.pure_append = landed.front() >= old_n;
+    landed_ = cumulative_.MergeSorted(std::move(shard.pairs));
+    report.pure_append = landed_.front() >= old_n;
 
     if (report.pure_append) {
       partition_.RebuildTail(preserved);
@@ -42,7 +42,7 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
     } else {
       partition_.Rebuild();
       ctx_.OnPartitionExtended(0);
-      oracle_.MoveForInsertions(landed);
+      oracle_.MoveForInsertions(landed_);
     }
   }
 

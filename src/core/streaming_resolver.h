@@ -154,6 +154,11 @@ class StreamingResolver {
   Result<StreamingCertificate> Certify();
 
   const data::Workload& cumulative() const { return cumulative_; }
+  /// Where the last Ingest's pairs landed in cumulative(): the ascending
+  /// positions Workload::MergeSorted returned (empty after an empty shard
+  /// and before the first Ingest). Every other position holds a pair that
+  /// was already there, in its old order.
+  const std::vector<size_t>& landed() const { return landed_; }
   const SubsetPartition& partition() const { return partition_; }
 
   /// The resolver-owned oracle (counters; the current epoch's view).
@@ -222,6 +227,7 @@ class StreamingResolver {
   StreamingOptions options_;
   QualityRequirement req_;
   data::Workload cumulative_;
+  std::vector<size_t> landed_;  // see landed()
   SubsetPartition partition_;
   Oracle oracle_;
   EstimationContext ctx_;

@@ -122,40 +122,22 @@ RecordUniverse IndexRecords(const data::Workload& workload,
 }
 
 RecordUniverse ExtendRecords(const RecordUniverse& prior,
-                             const data::Workload& prior_workload,
                              const data::Workload& grown,
+                             const std::vector<size_t>& landed,
                              const ClusteringOptions& options) {
-  const size_t n_old = prior_workload.size();
   const size_t n = grown.size();
-  assert(prior.left.size() == n_old && n <= UINT32_MAX);
-  if (n_old == 0 || n < n_old) return IndexRecords(grown, options);
-  const uint32_t* old_l = prior_workload.left_id_data();
-  const uint32_t* old_r = prior_workload.right_id_data();
+  assert(prior.left.size() + landed.size() == n && n <= UINT32_MAX);
+  assert(landed.empty() || landed.back() < n);
   const uint32_t* new_l = grown.left_id_data();
   const uint32_t* new_r = grown.right_id_data();
 
-  // 1. Greedy in-order match of the old pairs by (left id, right id). Only
-  //    ids matter: two pairs with equal ids have equal record indices, so
-  //    which of several equal pairs is taken as "old" changes nothing.
-  std::vector<uint32_t> added_pairs;  // positions in `grown`, ascending
-  added_pairs.reserve(n - n_old);
-  size_t i = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (i < n_old && new_l[j] == old_l[i] && new_r[j] == old_r[i]) {
-      ++i;
-    } else {
-      added_pairs.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  if (i != n_old) return IndexRecords(grown, options);
-
-  // 2. The added pairs' keys, sorted and distinct, merged into the prior
+  // 1. The landed pairs' keys, sorted and distinct, merged into the prior
   //    keys; `remap` carries each prior record index to its new position.
   const uint64_t left_src = static_cast<uint64_t>(options.left_source) << 32;
   const uint64_t right_src = static_cast<uint64_t>(options.right_source) << 32;
   std::vector<uint64_t> added_keys;
-  added_keys.reserve(2 * added_pairs.size());
-  for (const uint32_t j : added_pairs) {
+  added_keys.reserve(2 * landed.size());
+  for (const size_t j : landed) {
     added_keys.push_back(left_src | new_l[j]);
     added_keys.push_back(right_src | new_r[j]);
   }
@@ -189,7 +171,7 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
   }
   copy_run(m_old);
 
-  // 3. Every pair's record indices: old pairs through the remap, added
+  // 2. Every pair's record indices: old pairs through the remap, landed
   //    pairs through their key's slot among the added keys.
   RecordUniverse out;
   out.record_keys = std::move(keys);
@@ -200,11 +182,11 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
         std::lower_bound(added_keys.begin(), added_keys.end(), key);
     return added_at[it - added_keys.begin()];
   };
-  size_t next_added = 0;
-  i = 0;
+  size_t next_landed = 0;
+  size_t i = 0;
   for (size_t j = 0; j < n; ++j) {
-    if (next_added < added_pairs.size() && added_pairs[next_added] == j) {
-      ++next_added;
+    if (next_landed < landed.size() && landed[next_landed] == j) {
+      ++next_landed;
       out.left[j] = added_index(left_src | new_l[j]);
       out.right[j] = added_index(right_src | new_r[j]);
     } else {

@@ -65,18 +65,17 @@ struct RecordUniverse {
 RecordUniverse IndexRecords(const data::Workload& workload,
                             const ClusteringOptions& options);
 
-/// The record universe of `grown`, built from `prior` ==
-/// IndexRecords(prior_workload, options) instead of from scratch, for a
-/// `grown` that holds prior_workload's pairs as an ordered subsequence (how
-/// data::Workload::MergeSorted grows a workload). One walk over both id
-/// columns finds the pairs `grown` added; only their keys are sorted and
-/// merged into prior's, and every old pair's record indices are carried
-/// through one remap pass. An empty prior, or a `grown` without that
-/// subsequence, takes the cold path, so the result always equals
-/// IndexRecords(grown, options) field for field.
+/// The record universe of `grown`, built from `prior` (the universe before
+/// one data::Workload::MergeSorted) instead of from scratch. `landed` is
+/// what that merge returned: the ascending positions in `grown` of the
+/// pairs it added, so the other positions hold prior's pairs in prior's
+/// order. Only the landed pairs' keys are sorted and merged into prior's,
+/// and every old pair's record indices are carried through one remap
+/// pass. The result equals IndexRecords(grown, options) field for field;
+/// an empty prior (a default RecordUniverse) needs no special case.
 RecordUniverse ExtendRecords(const RecordUniverse& prior,
-                             const data::Workload& prior_workload,
                              const data::Workload& grown,
+                             const std::vector<size_t>& landed,
                              const ClusteringOptions& options);
 
 /// A transitively-consistent partition of the records of a pairwise

@@ -174,6 +174,9 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
     service.Ingest(stream.ShardAt(e));
     check_next();
   }
+  // An empty shard lands nothing: its snapshot shares the last copy.
+  service.Ingest(data::Shard{});
+  check_next();
   // Verdicts folded at drain publish once more over the same workload. No
   // mutation is in flight, so the resolver can name the unanswered pairs
   // the last snapshot labels wrongly (the crowd is error-free: its verdict
@@ -199,7 +202,7 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
   }
   certify_and_wait();
   check_next();
-  EXPECT_EQ(shared, 3u);
+  EXPECT_EQ(shared, 4u);
 }
 
 TEST_F(ResolutionServiceEntityTest, EmptyServiceServesEmptyEntityView) {

@@ -296,7 +296,8 @@ TEST(EntityClusteringTest, MatchesSortAndBinarySearchReference) {
 
 /// Grows a workload from `start` shard by shard the way the streaming
 /// resolver does (Workload::MergeSorted) and checks after every shard that
-/// extending the previous universe equals indexing the grown workload cold.
+/// extending the previous universe by the positions the merge returned
+/// equals indexing the grown workload cold.
 void ExpectExtensionMatchesIndex(const data::Workload& start,
                                  const data::Workload& base,
                                  const data::WorkloadStreamOptions& stream,
@@ -306,9 +307,9 @@ void ExpectExtensionMatchesIndex(const data::Workload& start,
   entity::RecordUniverse universe = entity::IndexRecords(grown, options);
   for (size_t e = 0; e < shards.num_shards(); ++e) {
     SCOPED_TRACE(e);
-    const data::Workload prior = grown;
-    grown.MergeSorted(shards.ShardAt(e).pairs);
-    universe = entity::ExtendRecords(universe, prior, grown, options);
+    const std::vector<size_t> landed =
+        grown.MergeSorted(shards.ShardAt(e).pairs);
+    universe = entity::ExtendRecords(universe, grown, landed, options);
     const entity::RecordUniverse cold = entity::IndexRecords(grown, options);
     ASSERT_EQ(*universe.record_keys, *cold.record_keys);
     ASSERT_EQ(universe.left, cold.left);
@@ -350,24 +351,12 @@ TEST(EntityClusteringTest, ExtendRecordsHandlesUnchangedAndUnrelatedWorkloads) {
   const data::Workload w = TwoTableWorkload();
   const entity::RecordUniverse universe = entity::IndexRecords(w, two_table);
   {
-    SCOPED_TRACE("unchanged workload");
+    SCOPED_TRACE("nothing landed");
     const entity::RecordUniverse same =
-        entity::ExtendRecords(universe, w, w, two_table);
+        entity::ExtendRecords(universe, w, {}, two_table);
     EXPECT_EQ(*same.record_keys, *universe.record_keys);
     EXPECT_EQ(same.left, universe.left);
     EXPECT_EQ(same.right, universe.right);
-  }
-  {
-    SCOPED_TRACE("a workload that does not contain the prior one");
-    const data::Workload other({{7, 8, 0.5, true}, {0, 0, 0.95, false},
-                                {1, 9, 0.1, true}, {3, 2, 0.85, true},
-                                {4, 4, 0.7, false}});
-    const entity::RecordUniverse extended =
-        entity::ExtendRecords(universe, w, other, two_table);
-    const entity::RecordUniverse cold = entity::IndexRecords(other, two_table);
-    EXPECT_EQ(*extended.record_keys, *cold.record_keys);
-    EXPECT_EQ(extended.left, cold.left);
-    EXPECT_EQ(extended.right, cold.right);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -424,19 +425,46 @@ std::vector<std::pair<data::InstancePair, bool>> AnsweredPairs(
   return out;
 }
 
-/// Ingests `shard` and checks the answers moved with their pairs: every
+/// Ingests `shard` and checks landed(): the pairs at its positions are the
+/// shard's pairs in sorted order, the other positions hold the old pairs in
+/// their old order, and it starts at or past the old size exactly on a
+/// pure append. Then checks the answers moved with their pairs: every
 /// answered index after the merge is the one an identity re-key
 /// (IndexOfSorted) finds for a pair answered before it, with the same
 /// answer, and no counter moved.
 void IngestAndCheckAnswersMoved(core::StreamingResolver* resolver,
                                 data::Shard shard, bool expect_append) {
   const auto before = AnsweredPairs(*resolver);
+  const std::vector<data::InstancePair> old_pairs =
+      resolver->cumulative().MaterializePairs();
+  std::vector<data::InstancePair> shard_pairs = shard.pairs;
+  std::sort(shard_pairs.begin(), shard_pairs.end(), data::PairLess);
   const size_t inspections = resolver->total_inspections();
   const size_t cost = resolver->oracle().cost();
   const size_t requests = resolver->oracle().total_requests();
   ASSERT_EQ(resolver->Ingest(std::move(shard)).pure_append, expect_append);
 
   const data::Workload& w = resolver->cumulative();
+  const std::vector<size_t>& landed = resolver->landed();
+  ASSERT_FALSE(landed.empty());
+  ASSERT_EQ(landed.size(), shard_pairs.size());
+  ASSERT_EQ(w.size(), old_pairs.size() + landed.size());
+  EXPECT_EQ(landed.front() >= old_pairs.size(), expect_append);
+  size_t next_landed = 0;
+  size_t next_old = 0;
+  for (size_t i = 0; i < w.size(); ++i) {
+    const bool is_landed =
+        next_landed < landed.size() && landed[next_landed] == i;
+    const data::InstancePair& want =
+        is_landed ? shard_pairs[next_landed++] : old_pairs[next_old++];
+    const data::InstancePair got = w[i];
+    ASSERT_TRUE(got.left_id == want.left_id &&
+                got.right_id == want.right_id &&
+                got.similarity == want.similarity &&
+                got.is_match == want.is_match)
+        << i << (is_landed ? " landed" : " old");
+  }
+  ASSERT_EQ(next_landed, landed.size());
   std::vector<char> expected(w.size(), 0);
   for (const auto& [pair, answer] : before) {
     const size_t idx = w.IndexOfSorted(pair);
@@ -575,6 +603,12 @@ TEST_F(StreamingResolverTest, EdgeCases) {
   EXPECT_EQ(report.pairs_total, 5u);
   EXPECT_EQ(report.num_subsets, 1u);
   EXPECT_EQ(resolver.provisional_labels().size(), 5u);
+  EXPECT_EQ(resolver.landed().size(), 5u);
+
+  // An empty shard after a real one lands nothing.
+  EXPECT_TRUE(resolver.Ingest(data::Shard{}).pure_append);
+  EXPECT_TRUE(resolver.landed().empty());
+  EXPECT_EQ(resolver.cumulative().size(), 5u);
 }
 
 }  // namespace
