@@ -41,12 +41,11 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   }
 
   // DH = [lo, hi] inclusive; per-subset observed match counts live in the
-  // context's SubsetStatsCache (so a later optimizer run — or a re-run with
-  // a stronger requirement — reuses them without oracle traffic). All DH
+  // context's strata (so a later optimizer run — or a re-run with a
+  // stronger requirement — reuses them without oracle traffic). All DH
   // pairs get human labels, so R(DH) is known exactly.
   size_t lo = start, hi = start;
   size_t dh_matches = ctx->LabelSubset(start);
-  size_t dh_pairs = partition[start].size();
 
   bool precision_fixed = (hi + 1 >= m);  // no D+ -> precision vacuous
   bool recall_fixed = (lo == 0);         // no D- -> recall constraint vacuous
@@ -97,7 +96,6 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
       if (hi + 1 < m) {
         ++hi;
         dh_matches += ctx->LabelSubset(hi);
-        dh_pairs += partition[hi].size();
         moved = true;
       }
       precision_fixed = (hi + 1 >= m) || precision_satisfied();
@@ -106,7 +104,6 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
       if (lo > 0) {
         --lo;
         dh_matches += ctx->LabelSubset(lo);
-        dh_pairs += partition[lo].size();
         moved = true;
       }
       recall_fixed = (lo == 0) || recall_satisfied();
@@ -125,7 +122,6 @@ Result<HumoSolution> BaselineOptimizer::Optimize(
   sol.h_lo = lo;
   sol.h_hi = hi;
   sol.empty = false;
-  (void)dh_pairs;
   return sol;
 }
 

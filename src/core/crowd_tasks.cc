@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "entity/entity_clustering.h"
+
 namespace humo::core {
-namespace {
-
-uint64_t RecordKey(uint32_t source, uint32_t id) {
-  return (static_cast<uint64_t>(source) << 32) | static_cast<uint64_t>(id);
-}
-
-}  // namespace
 
 uint32_t TransitiveInference::Intern(uint64_t key) {
   const auto [it, inserted] =
@@ -132,9 +127,10 @@ std::vector<CrowdTask> PackCrowdTasks(const data::Workload& workload,
   const uint32_t* rights = workload.right_id_data();
   for (const size_t i : pair_indices) {
     assert(i < workload.size());
-    const uint32_t a = find(intern(RecordKey(options.left_source, lefts[i])));
+    const uint32_t a =
+        find(intern(entity::PackRecord({options.left_source, lefts[i]})));
     const uint32_t b =
-        find(intern(RecordKey(options.right_source, rights[i])));
+        find(intern(entity::PackRecord({options.right_source, rights[i]})));
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   }
 
@@ -144,7 +140,7 @@ std::vector<CrowdTask> PackCrowdTasks(const data::Workload& workload,
   std::vector<std::vector<size_t>> groups;
   for (const size_t i : pair_indices) {
     const uint32_t root =
-        find(ids.at(RecordKey(options.left_source, lefts[i])));
+        find(ids.at(entity::PackRecord({options.left_source, lefts[i]})));
     const auto [it, inserted] =
         component_ordinal.emplace(root, groups.size());
     if (inserted) groups.emplace_back();
@@ -172,11 +168,13 @@ CrowdTaskBroker::CrowdTaskBroker(const data::Workload* workload,
 }
 
 uint64_t CrowdTaskBroker::LeftKey(size_t pair) const {
-  return RecordKey(options_.left_source, workload_->left_id_data()[pair]);
+  return entity::PackRecord(
+      {options_.left_source, workload_->left_id_data()[pair]});
 }
 
 uint64_t CrowdTaskBroker::RightKey(size_t pair) const {
-  return RecordKey(options_.right_source, workload_->right_id_data()[pair]);
+  return entity::PackRecord(
+      {options_.right_source, workload_->right_id_data()[pair]});
 }
 
 std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices,

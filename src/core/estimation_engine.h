@@ -43,41 +43,6 @@ struct CacheStats {
   size_t gp_rows_appended = 0;
 };
 
-/// Memoized per-subset statistics over one SubsetPartition: exact match
-/// counts of fully human-labeled subsets and sampling strata of partially
-/// sampled ones. This is the state BASE's window estimates, SAMP's strata
-/// and GP pins, and HYBR's re-extension all read — holding it in one place
-/// is what lets a later optimizer run skip every inspection an earlier run
-/// already paid for.
-class SubsetStatsCache {
- public:
-  SubsetStatsCache() = default;
-  explicit SubsetStatsCache(size_t num_subsets) { Resize(num_subsets); }
-
-  void Resize(size_t num_subsets);
-
-  /// Resizes to `num_subsets`, keeping the statistics of the first
-  /// `keep_prefix` subsets and clearing everything at or beyond it — the
-  /// streaming carry-over after a pure tail-append epoch, where subsets
-  /// [0, keep_prefix) provably kept their exact [begin, end) content.
-  void ResizeKeepingPrefix(size_t num_subsets, size_t keep_prefix);
-
-
-  bool HasFullCount(size_t k) const { return full_known_[k] != 0; }
-  size_t FullCount(size_t k) const;
-  void SetFullCount(size_t k, size_t matches);
-
-  bool HasStratum(size_t k) const { return stratum_known_[k] != 0; }
-  const stats::Stratum& StratumAt(size_t k) const;
-  void SetStratum(size_t k, const stats::Stratum& stratum);
-
- private:
-  std::vector<char> full_known_;
-  std::vector<size_t> full_count_;
-  std::vector<char> stratum_known_;
-  std::vector<stats::Stratum> strata_;
-};
-
 /// Round-over-round GP re-estimation state threaded through the context.
 ///
 /// SAMP's refinement loop alternates "sample one more subset" with "refit
@@ -144,8 +109,8 @@ struct PartialSamplingOutcome {
 /// confidence bounds derived from them. Running the optimizers against one
 /// EstimationContext memoizes that work — HYBR's re-extension phase after a
 /// SAMP run issues ZERO duplicate oracle inspections, because every subset
-/// SAMP enumerated is served from the SubsetStatsCache and every pair SAMP
-/// sampled is filtered out of the batches the engine sends.
+/// SAMP enumerated is served from its stratum and every pair SAMP sampled
+/// is filtered out of the batches the engine sends.
 ///
 /// Human interaction goes through Oracle::InspectBatch so a subset is one
 /// batched unit of human work. Heavy machine-side math (GP Gram
@@ -161,34 +126,35 @@ class EstimationContext {
   Oracle* oracle() const { return oracle_; }
 
   /// Exact match count of subset k with every pair human-labeled.
-  /// Memoized; a cached full count (or a cached fully-enumerated stratum)
-  /// is returned without any oracle traffic, and on a miss only the pairs
-  /// the oracle has not already answered are inspected (as one batch).
+  /// Memoized: a fully enumerated stratum is returned without any oracle
+  /// traffic; a miss is InspectSubsetPairs over the whole subset, so only
+  /// the pairs the oracle has not already answered are inspected.
   size_t LabelSubset(size_t k);
 
   /// Sampling stratum of subset k with up to `take` pairs labeled.
-  /// Memoized: a cached stratum with enough samples (or a full enumeration)
-  /// is returned without consuming `rng` or touching the oracle; otherwise a
-  /// fresh sample is drawn from `rng` exactly like the historical serial
-  /// path and inspected as one batch (minus already-answered pairs).
+  /// Memoized: a stratum with at least `take` answered pairs (a full
+  /// enumeration included) is returned without consuming `rng` or touching
+  /// the oracle; otherwise a fresh sample is drawn from `rng` exactly like
+  /// the historical serial path, inspected as one batch (minus
+  /// already-answered pairs) and kept in place of the smaller stratum.
   const stats::Stratum& SampleSubset(size_t k, size_t take, Rng* rng);
 
   /// Human-labels specific pairs of subset k (absolute workload indices
   /// inside the subset's range) as one batch; returns the matches among
   /// them. Pairs the oracle already answered are served from its memory
-  /// (free), only the rest are inspected. Afterwards the subset's cached
-  /// stratum is refreshed to cover EVERY answered pair of the subset, so
-  /// later SampleSubset/LabelSubset calls — and chained optimizer runs —
-  /// reuse the answers (a fully covered subset is promoted to a full
-  /// count). This is the risk-aware optimizer's inspection primitive: it
-  /// pays per pair, not per subset.
+  /// (free), only the rest are inspected. Afterwards the subset's stratum
+  /// is refreshed to cover EVERY answered pair of the subset, so later
+  /// SampleSubset/LabelSubset calls — and chained optimizer runs — reuse
+  /// the answers (a fully covered subset reads as fully labeled). This is
+  /// the risk-aware optimizer's inspection primitive: it pays per pair, not
+  /// per subset.
   size_t InspectSubsetPairs(size_t k, const std::vector<size_t>& pair_indices);
 
   /// Observed match proportion of the `window` most recently labeled
   /// subsets on the upper side of DH = [lo, hi] (walking down from hi).
   /// `max_pairs` optionally caps the window by pair count (BASE's Eq. 7
   /// window uses window * subset_size; 0 = no cap). Every visited subset
-  /// must have a cached full count.
+  /// must be fully labeled.
   double UpperWindowProportion(size_t lo, size_t hi, size_t window,
                                size_t max_pairs = 0) const;
 
@@ -219,8 +185,8 @@ class EstimationContext {
   void RecordGpGridFit() { ++stats_.gp_grid_fits; }
 
   /// Carries the context across a partition change (a streaming epoch
-  /// merge): the subset caches are resized to the partition's new subset
-  /// count, keeping the statistics of the first `preserved_prefix_subsets`
+  /// merge): the strata are resized to the partition's new subset count,
+  /// keeping the evidence of the first `preserved_prefix_subsets`
   /// subsets — the caller's proof that those subsets' [begin, end) contents
   /// are untouched (pure tail append; pass 0 after an interior merge, which
   /// clears everything). The stored sampling outcome is always dropped (its
@@ -230,13 +196,26 @@ class EstimationContext {
   /// Counters in stats() are cumulative and unaffected.
   void OnPartitionExtended(size_t preserved_prefix_subsets);
 
-  const SubsetStatsCache& cache() const { return cache_; }
   const CacheStats& stats() const { return stats_; }
 
  private:
+  /// Splits `pairs` (absolute indices inside `s`) into answered and fresh,
+  /// inspects the fresh ones as one batch and counts both; returns the
+  /// matches among all of them.
+  size_t InspectPairs(const Subset& s, const std::vector<size_t>& pairs);
+
+  /// Match proportion of up to `window` fully labeled subsets, walking from
+  /// subset `from` toward `to` (inclusive) until `max_pairs` (0 = no cap).
+  double WindowProportion(size_t from, size_t to, size_t window,
+                          size_t max_pairs) const;
+
   const SubsetPartition* partition_;
   Oracle* oracle_;
-  SubsetStatsCache cache_;
+  /// One stratum per subset of partition(): population is the subset's
+  /// size, the sample the answered pairs this context has counted for it.
+  /// Subset k is known iff sample_size > 0 and fully labeled iff
+  /// fully_enumerated().
+  std::vector<stats::Stratum> strata_;
   CacheStats stats_;
   GpFitState gp_fit_state_;
   std::shared_ptr<const PartialSamplingOutcome> sampling_outcome_;

@@ -31,7 +31,7 @@ class HybridOptimizer {
   /// already holds a partial-sampling outcome for the same requirement
   /// (from an earlier SAMP run), the S0 phase is skipped entirely and the
   /// re-extension phase issues zero duplicate oracle inspections — every
-  /// subset SAMP enumerated is served from the SubsetStatsCache.
+  /// subset SAMP enumerated is served from the context's strata.
   Result<HumoSolution> Optimize(EstimationContext* ctx,
                                 const QualityRequirement& req) const;
 

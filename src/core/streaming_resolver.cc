@@ -13,7 +13,7 @@ StreamingResolver::StreamingResolver(StreamingOptions options,
       oracle_(&cumulative_),
       ctx_(&partition_, &oracle_) {}
 
-const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
+EpochReport StreamingResolver::Ingest(data::Shard shard) {
   EpochReport report;
   report.epoch = epochs_ingested_++;
   report.pairs_arrived = shard.pairs.size();
@@ -53,8 +53,7 @@ const EpochReport& StreamingResolver::Ingest(data::Shard shard) {
   report.has_estimate = serving_.has_estimate;
   report.est_precision = serving_.est_precision;
   report.est_recall = serving_.est_recall;
-  reports_.push_back(report);
-  return reports_.back();
+  return report;
 }
 
 Result<StreamingCertificate> StreamingResolver::Certify() {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -144,8 +143,8 @@ class StreamingResolver {
 
   /// Merges one arriving shard into the cumulative workload and refreshes
   /// the machine-side serving state. Never contacts the oracle. Returns the
-  /// epoch's report (also appended to reports()).
-  const EpochReport& Ingest(data::Shard shard);
+  /// epoch's report.
+  EpochReport Ingest(data::Shard shard);
 
   /// Runs the configured certifier over the cumulative workload, reusing
   /// every carried answer, and returns the certificate (also retained, see
@@ -173,11 +172,6 @@ class StreamingResolver {
     return provisional_labels_;
   }
 
-  /// Every epoch's report in ingest order. A deque on purpose: push_back
-  /// never moves existing elements, so the references Ingest() hands out
-  /// stay valid for the resolver's lifetime (a std::vector here silently
-  /// dangled them on the next Ingest's reallocation).
-  const std::deque<EpochReport>& reports() const { return reports_; }
   size_t epochs_ingested() const { return epochs_ingested_; }
 
   /// Seeds an out-of-band human answer (the review fold-in hook): locates
@@ -193,9 +187,8 @@ class StreamingResolver {
   /// Recomputes the provisional labels and plug-in estimates from the
   /// current evidence under the last certificate's model, and returns a
   /// report carrying the fresh estimate fields. O(n) plus one GP posterior
-  /// pass over the subsets; no fit. Unlike Ingest, nothing is appended to
-  /// reports() — this is the post-fold refresh for callers of
-  /// PreloadEvidence.
+  /// pass over the subsets; no fit. Unlike Ingest, no epoch is counted —
+  /// this is the post-fold refresh for callers of PreloadEvidence.
   const EpochReport& RefreshServing();
 
   /// The report of the last provisional refresh — the one Ingest(),
@@ -233,7 +226,6 @@ class StreamingResolver {
   EstimationContext ctx_;
 
   size_t epochs_ingested_ = 0;
-  std::deque<EpochReport> reports_;  // stable element refs; see reports()
   std::optional<StreamingCertificate> last_certificate_;
 
   /// The sampling outcome whose subset model the last successful Certify()

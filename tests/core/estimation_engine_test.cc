@@ -18,25 +18,44 @@ data::Workload MakeWorkload(size_t n = 4000) {
   return data::GenerateLogisticWorkload(o);
 }
 
-TEST(SubsetStatsCacheTest, StoresAndRecallsFullCounts) {
-  SubsetStatsCache cache(4);
-  EXPECT_FALSE(cache.HasFullCount(2));
-  cache.SetFullCount(2, 37);
-  EXPECT_TRUE(cache.HasFullCount(2));
-  EXPECT_EQ(cache.FullCount(2), 37u);
-  EXPECT_FALSE(cache.HasFullCount(1));
+TEST(EstimationContextTest, LabelSubsetRecallsOnlyTheLabeledSubset) {
+  const data::Workload w = MakeWorkload();
+  SubsetPartition p(&w, 200);
+  Oracle oracle(&w);
+  EstimationContext ctx(&p, &oracle);
+
+  const size_t matches = ctx.LabelSubset(2);
+  EXPECT_EQ(oracle.cost(), p[2].size());
+  EXPECT_EQ(ctx.LabelSubset(2), matches);
+  EXPECT_EQ(oracle.cost(), p[2].size()) << "a labeled subset re-asked";
+
+  // Its neighbour is still unknown: labeling it is a miss that pays.
+  (void)ctx.LabelSubset(1);
+  EXPECT_EQ(oracle.cost(), p[2].size() + p[1].size());
+  EXPECT_EQ(ctx.stats().full_label_hits, 1u);
+  EXPECT_EQ(ctx.stats().full_label_misses, 2u);
 }
 
-TEST(SubsetStatsCacheTest, StoresAndRecallsStrata) {
-  SubsetStatsCache cache(3);
-  stats::Stratum st;
-  st.population = 200;
-  st.sample_size = 20;
-  st.sample_positives = 5;
-  cache.SetStratum(1, st);
-  ASSERT_TRUE(cache.HasStratum(1));
-  EXPECT_EQ(cache.StratumAt(1).sample_positives, 5u);
-  EXPECT_FALSE(cache.HasStratum(0));
+TEST(EstimationContextTest, SampleSubsetRecallsOnlyTheSampledSubset) {
+  const data::Workload w = MakeWorkload();
+  SubsetPartition p(&w, 200);
+  Oracle oracle(&w);
+  EstimationContext ctx(&p, &oracle);
+
+  Rng rng(5);
+  const stats::Stratum st = ctx.SampleSubset(1, 20, &rng);
+  EXPECT_EQ(st.population, p[1].size());
+  EXPECT_EQ(st.sample_size, 20u);
+  const stats::Stratum again = ctx.SampleSubset(1, 20, &rng);
+  EXPECT_EQ(again.sample_positives, st.sample_positives);
+  EXPECT_EQ(oracle.cost(), 20u);
+
+  // Subset 0 holds no stratum yet: sampling it draws and pays.
+  const stats::Stratum other = ctx.SampleSubset(0, 20, &rng);
+  EXPECT_EQ(other.population, p[0].size());
+  EXPECT_EQ(oracle.cost(), 40u);
+  EXPECT_EQ(ctx.stats().stratum_hits, 1u);
+  EXPECT_EQ(ctx.stats().stratum_misses, 2u);
 }
 
 TEST(EstimationContextTest, LabelSubsetChargesOnceAndCachesCount) {
@@ -207,10 +226,17 @@ TEST(EstimationContextTest, InspectSubsetPairsMergesIntoStratumAndPromotes) {
     second_half.push_back(i);
   const size_t m1 = ctx.InspectSubsetPairs(4, first_half);
   EXPECT_EQ(oracle.cost(), first_half.size());
-  ASSERT_TRUE(ctx.cache().HasStratum(4));
-  EXPECT_EQ(ctx.cache().StratumAt(4).sample_size, first_half.size());
-  EXPECT_EQ(ctx.cache().StratumAt(4).sample_positives, m1);
-  EXPECT_FALSE(ctx.cache().HasFullCount(4));
+
+  // The answered half is the subset's stratum: a sample of that size is a
+  // hit that neither draws nor asks.
+  Rng rng(3);
+  const stats::Stratum half =
+      ctx.SampleSubset(4, first_half.size(), &rng);
+  EXPECT_EQ(half.sample_size, first_half.size());
+  EXPECT_EQ(half.sample_positives, m1);
+  EXPECT_FALSE(half.fully_enumerated());
+  EXPECT_EQ(ctx.stats().stratum_hits, 1u);
+  EXPECT_EQ(rng.NextUint64(), Rng(3).NextUint64()) << "a hit consumed the rng";
 
   // Re-asking the same pairs is free (served from the oracle's memory).
   const size_t again = ctx.InspectSubsetPairs(4, first_half);
@@ -218,13 +244,82 @@ TEST(EstimationContextTest, InspectSubsetPairsMergesIntoStratumAndPromotes) {
   EXPECT_EQ(oracle.cost(), first_half.size());
   EXPECT_EQ(oracle.duplicate_requests(), 0u);
 
-  // Completing the subset promotes the stratum to a full count, and a later
-  // LabelSubset is a pure cache hit.
+  // Completing the subset makes it fully labeled, and a later LabelSubset
+  // is a pure cache hit.
   const size_t m2 = ctx.InspectSubsetPairs(4, second_half);
-  EXPECT_TRUE(ctx.cache().HasFullCount(4));
   const size_t cost_before = oracle.cost();
   EXPECT_EQ(ctx.LabelSubset(4), m1 + m2);
   EXPECT_EQ(oracle.cost(), cost_before);
+  EXPECT_EQ(ctx.stats().full_label_hits, 1u);
+  EXPECT_EQ(ctx.stats().full_label_misses, 0u);
+}
+
+/// LabelSubset after a partial sample must leave the subset's stratum
+/// fully enumerated: a later sample of the old size then reads the exact
+/// count instead of the stale partial sample, at no new cost.
+TEST(EstimationContextTest, LabelSubsetReplacesPartialSampleForLaterDraws) {
+  const data::Workload w = MakeWorkload();
+  SubsetPartition p(&w, 200);
+  Oracle oracle(&w);
+  EstimationContext ctx(&p, &oracle);
+
+  Rng rng(4);
+  const stats::Stratum partial = ctx.SampleSubset(3, 10, &rng);
+  ASSERT_EQ(partial.sample_size, 10u);
+  const size_t matches = ctx.LabelSubset(3);
+  EXPECT_EQ(ctx.stats().full_label_misses, 1u);
+  const size_t cost = oracle.cost();
+  EXPECT_EQ(cost, p[3].size());
+
+  const stats::Stratum st = ctx.SampleSubset(3, 10, &rng);
+  EXPECT_EQ(st.sample_size, st.population);
+  EXPECT_EQ(st.population, p[3].size());
+  EXPECT_EQ(st.sample_positives, matches);
+  EXPECT_EQ(oracle.cost(), cost) << "the second draw re-asked";
+  EXPECT_EQ(ctx.stats().stratum_hits, 1u);
+}
+
+/// A pure tail append keeps the evidence of the preserved prefix: those
+/// subsets hit at zero oracle cost, every later subset misses, and the
+/// stored sampling outcome (which indexes the old partition) is dropped.
+TEST(EstimationContextTest, PartitionExtensionKeepsOnlyThePreservedPrefix) {
+  data::Workload w = MakeWorkload();
+  SubsetPartition p(&w, 200);
+  Oracle oracle(&w);
+  EstimationContext ctx(&p, &oracle);
+  const size_t old_m = p.num_subsets();
+  ASSERT_EQ(old_m, 20u);
+  std::vector<size_t> labeled(old_m);
+  for (size_t k = 0; k < old_m; ++k) labeled[k] = ctx.LabelSubset(k);
+  ctx.StoreSamplingOutcome(std::make_shared<const PartialSamplingOutcome>());
+
+  // 400 pairs above every existing similarity land after the old pairs.
+  std::vector<data::InstancePair> tail;
+  for (uint32_t t = 0; t < 400; ++t)
+    tail.push_back({100000 + t, 100000 + t, 1.0, t % 2 == 0});
+  const std::vector<size_t> landed = w.MergeSorted(std::move(tail));
+  ASSERT_GE(landed.front(), old_m * 200);
+  const size_t keep = old_m - 1;
+  p.RebuildTail(keep);
+  ctx.OnPartitionExtended(keep);
+  EXPECT_EQ(ctx.sampling_outcome(), nullptr);
+  ASSERT_EQ(p.num_subsets(), old_m + 2);
+
+  const size_t cost = oracle.cost();
+  const CacheStats before = ctx.stats();
+  for (size_t k = 0; k < keep; ++k) EXPECT_EQ(ctx.LabelSubset(k), labeled[k]);
+  EXPECT_EQ(oracle.cost(), cost) << "a preserved subset re-asked";
+  EXPECT_EQ(ctx.stats().full_label_hits, before.full_label_hits + keep);
+  EXPECT_EQ(ctx.stats().full_label_misses, before.full_label_misses);
+
+  // The last old subset was reset, though its answers are still in the
+  // oracle's memory: a miss that costs nothing. The new subsets pay.
+  EXPECT_EQ(ctx.LabelSubset(keep), labeled[keep]);
+  EXPECT_EQ(oracle.cost(), cost);
+  for (size_t k = old_m; k < p.num_subsets(); ++k) (void)ctx.LabelSubset(k);
+  EXPECT_EQ(oracle.cost(), cost + 400);
+  EXPECT_EQ(ctx.stats().full_label_misses, before.full_label_misses + 3);
+  EXPECT_EQ(oracle.duplicate_requests(), 0u);
 }
 
 TEST(OracleBatchTest, InspectBatchMatchesSerialAnswers) {

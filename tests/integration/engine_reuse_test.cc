@@ -24,7 +24,7 @@ data::Workload MakeWorkload(uint64_t seed = 1, size_t n = 40000) {
 
 /// The acceptance property of the shared estimation engine: a HYBR run
 /// layered on a SAMP run over one context re-asks the oracle for NOTHING —
-/// every subset SAMP enumerated is served from the SubsetStatsCache, and
+/// every subset SAMP enumerated is served from the context's strata, and
 /// the pairs HYBR newly labels are each inspected exactly once.
 TEST(EngineReuseTest, HybridAfterSamplingIssuesZeroDuplicateInspections) {
   const data::Workload w = MakeWorkload();

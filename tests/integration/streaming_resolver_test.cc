@@ -544,40 +544,6 @@ TEST_F(StreamingResolverTest, InteriorMergesMoveAnswersWithTheirPairs) {
   EXPECT_EQ(resolver.total_duplicate_requests(), 0u);
 }
 
-/// ISSUE 7 satellite regression: Ingest() hands out a reference into the
-/// report store, and reports() exposes the whole history. With the old
-/// std::vector storage the next Ingest's reallocation silently dangled
-/// every previously returned reference; the deque storage must keep each
-/// one valid and bitwise intact for the resolver's lifetime.
-TEST_F(StreamingResolverTest, ReportReferencesStayValidAcrossIngests) {
-  const core::QualityRequirement req{0.9, 0.9, 0.9};
-  core::StreamingResolver resolver(DefaultStreamingOptions(), req);
-  data::WorkloadStreamOptions stream_options;
-  stream_options.num_shards = 64;  // far beyond any vector's first capacity
-  data::WorkloadStream stream(&ds_, stream_options);
-
-  std::vector<const core::EpochReport*> held;
-  std::vector<core::EpochReport> copies;
-  data::Shard shard;
-  while (stream.Next(&shard)) {
-    const core::EpochReport& report = resolver.Ingest(std::move(shard));
-    held.push_back(&report);
-    copies.push_back(report);
-  }
-  ASSERT_EQ(resolver.reports().size(), held.size());
-  for (size_t e = 0; e < held.size(); ++e) {
-    // Same address — the element was never moved — and same contents.
-    ASSERT_EQ(held[e], &resolver.reports()[e]) << e;
-    EXPECT_EQ(held[e]->epoch, copies[e].epoch);
-    EXPECT_EQ(held[e]->pairs_arrived, copies[e].pairs_arrived);
-    EXPECT_EQ(held[e]->pairs_total, copies[e].pairs_total);
-    EXPECT_EQ(held[e]->num_subsets, copies[e].num_subsets);
-    EXPECT_EQ(held[e]->evidence_pairs, copies[e].evidence_pairs);
-    EXPECT_EQ(held[e]->est_precision, copies[e].est_precision);
-    EXPECT_EQ(held[e]->est_recall, copies[e].est_recall);
-  }
-}
-
 TEST_F(StreamingResolverTest, EdgeCases) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   core::StreamingResolver resolver(DefaultStreamingOptions(), req);

@@ -66,10 +66,6 @@ FUNCTIONS = {
         "observes transitive inference recording non-matches",
     "humo::core::TransitiveInference::num_records":
         "observes the records transitive inference has seen",
-    "humo::core::EstimationContext::cache":
-        "observes the subset statistics a context carries",
-    "humo::core::SubsetStatsCache::SubsetStatsCache":
-        "builds a cache of a given size for the cache tests",
     "humo::core::GpRangeAccumulator::a":
         "observes the accumulator's range against a rebuilt one",
     "humo::core::GpRangeAccumulator::b":
@@ -92,8 +88,6 @@ FUNCTIONS = {
         "observes which epochs a snapshot covers",
     "humo::core::ResolutionSnapshot::quality":
         "observes a snapshot's certified flag",
-    "humo::core::StreamingResolver::reports":
-        "observes that epoch reports stay put across ingests",
     # data
     "humo::data::MinHashLshBlock(humo::data::RecordTable const&, "
     "humo::data::RecordTable const&, unsigned long, "
