@@ -90,17 +90,12 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
             size_t predict_reps, SizeResult* out) {
   out->n = n;
   const SyntheticData data = MakeData(n + rounds, /*seed=*/n);
-  // Same candidate filter the SAMP optimizer applies (length scales at
-  // least 1.5x the largest similarity gap): unfiltered ultra-short scales
-  // are never fit in production, and their near-underflow kernel values
-  // drag both timing paths into denormal territory.
-  double max_gap = 0.0;
-  for (size_t t = 1; t < n; ++t)
-    max_gap = std::max(max_gap, data.x[t] - data.x[t - 1]);
-  std::vector<gp::GpCandidate> grid;
-  for (const auto& cand : gp::DefaultGpGrid())
-    if (cand.length_scale >= 1.5 * max_gap) grid.push_back(cand);
-  if (grid.empty()) grid.push_back({0.25, 1.5 * max_gap});
+  // The grid the SAMP optimizer fits (length scales at least 1.5x the
+  // largest similarity gap): unfiltered ultra-short scales are never fit in
+  // production, and their near-underflow kernel values drag both timing
+  // paths into denormal territory.
+  const std::vector<gp::GpCandidate> grid =
+      gp::GapGuardedGrid(Slice(data.x, n));
   gp::GpOptions options;
   options.noise_variance = 1e-8;
 

@@ -95,6 +95,43 @@ void TransitiveInference::Observe(uint64_t a, uint64_t b, bool is_match) {
   }
 }
 
+namespace {
+
+/// Union-find over 64-bit keys, interned to dense ids in first-seen order.
+/// A union hangs the larger root under the smaller, and Root halves paths,
+/// so roots are a pure function of the order keys and unions arrive in.
+class KeyUnionFind {
+ public:
+  /// Root of `key`'s set, interning `key` first if it is new.
+  uint32_t Root(uint64_t key) {
+    const auto [it, inserted] =
+        ids_.emplace(key, static_cast<uint32_t>(parent_.size()));
+    if (inserted) parent_.push_back(it->second);
+    uint32_t x = it->second;
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  }
+
+  /// Joins the sets of `a` and `b` (interning `a`, then `b`). Returns false
+  /// when they were one set already.
+  bool Unite(uint64_t a, uint64_t b) {
+    const uint32_t ra = Root(a);
+    const uint32_t rb = Root(b);
+    if (ra == rb) return false;
+    parent_[std::max(ra, rb)] = std::min(ra, rb);
+    return true;
+  }
+
+ private:
+  std::unordered_map<uint64_t, uint32_t> ids_;
+  std::vector<uint32_t> parent_;
+};
+
+}  // namespace
+
 std::vector<CrowdTask> PackCrowdTasks(const data::Workload& workload,
                                       std::vector<size_t> pair_indices,
                                       const CrowdTaskOptions& options) {
@@ -108,30 +145,13 @@ std::vector<CrowdTask> PackCrowdTasks(const data::Workload& workload,
   // Local union-find over the records these pairs mention; record ids are
   // interned in ascending-pair order, so the whole grouping is a pure
   // function of the sorted input.
-  std::unordered_map<uint64_t, uint32_t> ids;
-  std::vector<uint32_t> parent;
-  auto intern = [&](uint64_t key) {
-    const auto [it, inserted] =
-        ids.emplace(key, static_cast<uint32_t>(parent.size()));
-    if (inserted) parent.push_back(it->second);
-    return it->second;
-  };
-  auto find = [&](uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
+  KeyUnionFind records;
   const uint32_t* lefts = workload.left_id_data();
   const uint32_t* rights = workload.right_id_data();
   for (const size_t i : pair_indices) {
     assert(i < workload.size());
-    const uint32_t a =
-        find(intern(entity::PackRecord({options.left_source, lefts[i]})));
-    const uint32_t b =
-        find(intern(entity::PackRecord({options.right_source, rights[i]})));
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+    records.Unite(entity::PackRecord({options.left_source, lefts[i]}),
+                  entity::PackRecord({options.right_source, rights[i]}));
   }
 
   // Components ordered by first appearance over the ascending pair walk
@@ -140,7 +160,7 @@ std::vector<CrowdTask> PackCrowdTasks(const data::Workload& workload,
   std::vector<std::vector<size_t>> groups;
   for (const size_t i : pair_indices) {
     const uint32_t root =
-        find(ids.at(entity::PackRecord({options.left_source, lefts[i]})));
+        records.Root(entity::PackRecord({options.left_source, lefts[i]}));
     const auto [it, inserted] =
         component_ordinal.emplace(root, groups.size());
     if (inserted) groups.emplace_back();
@@ -218,28 +238,15 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices,
     // with the closure's component buckets so earlier purchases defer too.
     std::vector<size_t> selected;
     selected.reserve(pending.size());
-    std::unordered_map<uint64_t, uint32_t> node_of;
-    std::vector<uint32_t> parent;
-    auto intern = [&](uint64_t bucket) {
-      const auto [it, inserted] =
-          node_of.emplace(bucket, static_cast<uint32_t>(parent.size()));
-      if (inserted) parent.push_back(it->second);
-      return it->second;
-    };
-    auto find = [&](uint32_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
+    KeyUnionFind buckets;
     for (const size_t p : pending) {
       const size_t i = indices[p];
-      const uint32_t a = find(intern(inference_.ComponentKey(LeftKey(i))));
-      const uint32_t b = find(intern(inference_.ComponentKey(RightKey(i))));
-      if (a == b) continue;  // potentially inferable: defer to next round
-      parent[std::max(a, b)] = std::min(a, b);
-      selected.push_back(i);
+      // A pair whose endpoints are already connected is potentially
+      // inferable: it defers to the next round.
+      if (buckets.Unite(inference_.ComponentKey(LeftKey(i)),
+                        inference_.ComponentKey(RightKey(i)))) {
+        selected.push_back(i);
+      }
     }
     // The first pending pair always selects (were its records already
     // connected, the inference pass would have answered it), so every

@@ -1,11 +1,11 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/paged_bitmap.h"
 #include "data/workload.h"
 
 namespace humo::core {
@@ -29,15 +29,13 @@ double HashToUnit(uint64_t seed, uint64_t index, uint64_t worker = 0);
 /// (Preload) — the answer is remembered and counted here, and moved here
 /// when an interior merge shifts pair indices (MoveForInsertions).
 ///
-/// Answer memory is a paged bitmap (core/paged_bitmap.h), not a hash map:
-/// a fully inspected 10M-pair workload costs ~2.5 MiB instead of the
-/// >0.5 GiB an unordered_map<size_t, bool> node store reaches, and every
-/// lookup is two bit probes. Cost counters are tracked directly
+/// Answer memory is two flat bitsets indexed by pair index, `known_` ("is
+/// this pair answered?") and `match_` ("what was the answer?"): two bits per
+/// pair, so a fully inspected 10M-pair workload costs ~2.5 MB, and every
+/// lookup is one word probe. Cost counters are tracked directly
 /// (`inspected_` fresh inspections, `preloaded_` seeded answers) rather
-/// than derived by subtracting container sizes, so no preload/inspect
-/// ordering can underflow cost() — the regression the pre-overhaul
-/// `answers_.size() - preloaded_` formula was one bookkeeping slip away
-/// from turning into a ~SIZE_MAX human cost.
+/// than derived from the answer memory, so no preload/inspect ordering can
+/// underflow cost().
 ///
 /// An optional error rate models imperfect humans (§IV discusses that HUMO's
 /// guarantees then degrade to what the human achieves on DH): each pair's
@@ -85,11 +83,12 @@ class Oracle {
     provider_ = std::move(provider);
   }
 
-  /// Batch inspection: answers for `indices`, parallel to the input. The
-  /// distinct unanswered indices (first-occurrence order) are claimed in
-  /// the answer memory, answered in one go — inline or by the provider —
-  /// and recorded, then the whole batch is served from memory. Each
-  /// DISTINCT pair is charged once, and every index counts as a request.
+  /// Batch inspection: answers for `indices`, parallel to the input. Each
+  /// unanswered index is claimed in the answer memory and answered inline
+  /// as it is met; with a provider, the distinct claimed indices
+  /// (first-occurrence order) are answered in one go and recorded. Then the
+  /// whole batch is served from memory. Each DISTINCT pair is charged once,
+  /// and every index counts as a request.
   /// The batch is the unit of human interaction (one crowd task / review
   /// session instead of one round-trip per pair), which is what the
   /// estimation engine routes through.
@@ -126,33 +125,49 @@ class Oracle {
   /// Cost as a fraction of the workload (the psi of Tables V/VI).
   double CostFraction() const;
 
-  /// True if the pair was already inspected (or preloaded).
-  bool WasAsked(size_t index) const { return answers_.Known(index); }
+  /// True if the pair was already inspected (or preloaded). An index past
+  /// every recorded answer reads not asked.
+  bool WasAsked(size_t index) const {
+    const size_t w = index / 64;
+    return w < known_.size() && ((known_[w] >> (index % 64)) & 1u);
+  }
 
   /// The remembered answer for an already-inspected pair (free lookup; does
   /// not count as a request). Precondition: WasAsked(index).
-  bool CachedAnswer(size_t index) const { return answers_.Answer(index); }
+  bool CachedAnswer(size_t index) const {
+    assert(WasAsked(index) && "CachedAnswer() on an unasked pair");
+    return (match_[index / 64] >> (index % 64)) & 1u;
+  }
 
   /// Moves every remembered answer to its pair's index after the workload
   /// grew by Workload::MergeSorted, which returned `landed` (the ascending
-  /// positions of the inserted pairs). One ascending pass; the counters are
-  /// left alone — no answer is gained, lost or re-paid.
-  void MoveForInsertions(const std::vector<size_t>& landed) {
-    answers_.MoveForInsertions(landed);
+  /// positions of the inserted pairs). An answer at old index i moves up
+  /// by the number of pairs that landed before it. One ascending pass over
+  /// the answered pairs; the counters are left alone — no answer is gained,
+  /// lost or re-paid.
+  void MoveForInsertions(const std::vector<size_t>& landed);
+
+  /// Bytes held by the two answer bitsets (their capacity);
+  /// OracleTest.AnswerMemoryIsTwoBitsPerPair bounds it per pair.
+  size_t AnswerMemoryBytes() const {
+    return (known_.capacity() + match_.capacity()) * sizeof(uint64_t);
   }
 
-  /// Bytes of answer memory currently held (paged bitmap + page table);
-  /// OracleTest.AnswerMemoryStaysPagedAndLean bounds it per pair.
-  size_t AnswerMemoryBytes() const { return answers_.MemoryBytes(); }
-
  private:
+  /// Records `answer` for `index` unless an answer exists already (history
+  /// cannot be rewritten). Returns true when the index was newly recorded.
+  bool Record(size_t index, bool answer);
+
   const data::Workload* workload_;
   double error_rate_;
   uint64_t seed_;
   size_t total_requests_ = 0;
   size_t inspected_ = 0;
   size_t preloaded_ = 0;
-  PagedAnswerBitmap answers_;
+  // Word w covers pair indices [64w, 64w + 64); both grow to cover the
+  // workload when an answer is recorded past their end.
+  std::vector<uint64_t> known_;
+  std::vector<uint64_t> match_;
   AnswerProvider provider_;  // nullptr: answer inline (the default)
 };
 

@@ -226,7 +226,6 @@ Result<gp::GpRegression> FitGp(
   const std::vector<gp::GpCandidate> grid = gp::GapGuardedGrid(xs);
   gp::GpOptions gp_options;
   gp_options.noise_variance = kGpNoiseFloor;
-  gp_options.center_mean = true;
   ctx->RecordGpGridFit();
   Result<gp::GpRegression> fit = gp::SelectGpByMarginalLikelihood(
       xs, ys, grid, gp::KernelFamily::kRbf, gp_options, noise);

@@ -17,16 +17,14 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 
-/// The constant subtracted from the targets before fitting: their average
-/// when centering, else 0. Fit and the grid selector share it, so both
-/// factor against the same centered targets.
-double TargetMean(const std::vector<double>& y, bool center) {
+/// The GP's constant mean function: the targets' average, subtracted before
+/// fitting and added back at prediction (keeps the zero-mean GP assumption
+/// honest for proportions that hover near 0.5). Fit and the grid selector
+/// share it, so both factor against the same centered targets.
+double TargetMean(const std::vector<double>& y) {
   double mean = 0.0;
-  if (center) {
-    for (double v : y) mean += v;
-    mean /= static_cast<double>(y.size());
-  }
-  return mean;
+  for (double v : y) mean += v;
+  return mean / static_cast<double>(y.size());
 }
 
 /// log p(y) = -y^T K^-1 y / 2 - log|K| / 2 - n log(2 pi) / 2, from
@@ -84,7 +82,7 @@ double JointPrediction::WeightedTotalStdDev(
 }
 
 void GpRegression::FinishFit() {
-  y_mean_ = TargetMean(y_, options_.center_mean);
+  y_mean_ = TargetMean(y_);
   y_centered_.resize(y_.size());
   for (size_t i = 0; i < y_.size(); ++i) y_centered_[i] = y_[i] - y_mean_;
   alpha_ = chol_.Solve(y_centered_);
@@ -375,7 +373,7 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
   HUMO_RETURN_NOT_OK(
       ValidateGridInputs(x, y, grid, noise_variances, options.noise_variance));
   const size_t n = x.size();
-  const double y_mean = TargetMean(y, options.center_mean);
+  const double y_mean = TargetMean(y);
   std::vector<double> y_centered(n);
   for (size_t i = 0; i < n; ++i) y_centered[i] = y[i] - y_mean;
 

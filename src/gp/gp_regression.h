@@ -34,10 +34,6 @@ struct GpOptions {
   /// Homoscedastic observation-noise variance added to the training
   /// diagonal; per-point noise can additionally be supplied to Fit.
   double noise_variance = 1e-4;
-  /// Subtract the training-mean before fitting and add it back at
-  /// prediction (a constant mean function; keeps the zero-mean GP assumption
-  /// honest for proportions that hover near 0.5).
-  bool center_mean = true;
 };
 
 /// Candidate hyperparameter grid entry for SelectGpByMarginalLikelihood.

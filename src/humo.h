@@ -113,7 +113,6 @@
 #include "core/gp_subset_model.h"
 #include "core/hybrid_optimizer.h"
 #include "core/oracle.h"
-#include "core/paged_bitmap.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
 #include "core/resolution_service.h"

@@ -35,6 +35,10 @@ TEST(OracleTest, CostCountsDistinctPairs) {
   EXPECT_EQ(oracle.cost(), 1u);
   oracle.Label(4);
   EXPECT_EQ(oracle.cost(), 2u);
+  // A repeat within one inline batch is charged once too.
+  EXPECT_EQ(oracle.InspectBatch({5, 3, 5}), (std::vector<char>{1, 0, 1}));
+  EXPECT_EQ(oracle.cost(), 3u);
+  EXPECT_EQ(oracle.total_requests(), 7u);
 }
 
 TEST(OracleTest, CostFraction) {
@@ -198,9 +202,8 @@ TEST(OracleTest, CostNeverUnderflowsAcrossPreloadInspectOrderings) {
   }
 }
 
-TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
-  // A sparse inspection pattern across a wide index range must only pay
-  // for the pages it touches.
+TEST(OracleTest, AnswerMemoryIsTwoBitsPerPair) {
+  // Two bitsets of ceil(n / 64) words each, with room for vector growth.
   std::vector<data::InstancePair> pairs;
   const size_t n = 200000;
   pairs.reserve(n);
@@ -209,27 +212,22 @@ TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
                      false});
   }
   const data::Workload w{std::move(pairs)};
+  const size_t bound = 2 * (2 * 8 * ((n + 63) / 64));
   Oracle oracle(&w);
   oracle.Label(0);
   oracle.Label(n - 1);
-  const size_t sparse_bytes = oracle.AnswerMemoryBytes();
-  // Two pages (~1 KiB each) plus the page-pointer table.
-  EXPECT_LT(sparse_bytes, 16 * 1024u);
+  EXPECT_LE(oracle.AnswerMemoryBytes(), bound);
 
   std::vector<size_t> all(n);
   for (size_t i = 0; i < n; ++i) all[i] = i;
   oracle.InspectBatch(all);
-  const size_t full_bytes = oracle.AnswerMemoryBytes();
   EXPECT_EQ(oracle.cost(), n);
-  // Full inspection: ~2 bits/pair plus page table — far under the ~50
-  // bytes/pair an unordered_map node store costs.
-  EXPECT_LT(full_bytes, n);
+  EXPECT_LE(oracle.AnswerMemoryBytes(), bound);
 }
 
 TEST(OracleTest, ProviderSeesEachDistinctUnansweredPairOnce) {
-  // Inline and provider answers share one fill loop: the provider receives
-  // the distinct unanswered indices in first-occurrence order, and a
-  // single Label is a batch of one.
+  // The provider receives the distinct unanswered indices in
+  // first-occurrence order, and a single Label is a batch of one.
   const data::Workload w = SmallWorkload();
   Oracle oracle(&w);
   std::vector<std::vector<size_t>> calls;
@@ -280,6 +278,54 @@ TEST(OracleTest, MoveForInsertionsFollowsPairsAndKeepsCounters) {
   EXPECT_EQ(oracle.cost(), 2u);
   EXPECT_EQ(oracle.preloaded(), 1u);
   EXPECT_EQ(oracle.total_requests(), 3u);
+}
+
+TEST(OracleTest, MoveForInsertionsCrossesWordsAndGrowsPastTheOldEnd) {
+  // Answers on both sides of two word boundaries and at the last index.
+  // The shard lands before, between and past them, so answers cross words
+  // and the last one lands beyond the words the oracle held before the
+  // merge.
+  const uint32_t old_n = 4160;  // 65 words: index 4159 sits in the last one
+  std::vector<data::InstancePair> pairs;
+  for (uint32_t i = 0; i < old_n; ++i) {
+    pairs.push_back({i, i, (i + 1) / 8192.0, i % 3 == 0});
+  }
+  data::Workload w{std::move(pairs)};
+  Oracle oracle(&w);
+  const std::vector<size_t> asked = {63, 64, 4095, 4096, old_n - 1};
+  oracle.InspectBatch(asked);
+  oracle.Preload(1000, true);  // ground truth: non-match
+  const std::vector<size_t> landed = w.MergeSorted({
+      {old_n, old_n, 0.0, false},
+      {old_n + 1, old_n + 1, 64.5 / 8192.0, false},
+      {old_n + 2, old_n + 2, 4096.5 / 8192.0, false},
+      {old_n + 3, old_n + 3, 0.9, false},
+      {old_n + 4, old_n + 4, 0.95, false},
+      {old_n + 5, old_n + 5, 1.0, false},
+  });
+  ASSERT_EQ(landed, (std::vector<size_t>{0, 65, 4098, 4163, 4164, 4165}));
+  oracle.MoveForInsertions(landed);
+  // Old 63 -> 64 crosses into word 1; old 4159 -> 4162 lands in word 65,
+  // past the old end.
+  const std::vector<size_t> moved = {64, 66, 4097, 4099, 4162};
+  for (size_t t = 0; t < asked.size(); ++t) {
+    ASSERT_EQ(w[moved[t]].left_id, asked[t]);
+    EXPECT_TRUE(oracle.WasAsked(moved[t])) << asked[t];
+    EXPECT_EQ(oracle.CachedAnswer(moved[t]), w[moved[t]].is_match)
+        << asked[t];
+  }
+  ASSERT_EQ(w[1002].left_id, 1000u);
+  EXPECT_TRUE(oracle.WasAsked(1002));
+  EXPECT_TRUE(oracle.CachedAnswer(1002));
+  size_t known = 0;
+  for (size_t i = 0; i < w.size(); ++i) known += oracle.WasAsked(i);
+  EXPECT_EQ(known, asked.size() + 1);
+  // Indices beyond every recorded answer read not asked.
+  EXPECT_FALSE(oracle.WasAsked(w.size()));
+  EXPECT_FALSE(oracle.WasAsked(size_t{1} << 20));
+  EXPECT_FALSE(oracle.WasAsked(static_cast<size_t>(-1)));
+  EXPECT_EQ(oracle.cost(), asked.size());
+  EXPECT_EQ(oracle.preloaded(), 1u);
 }
 
 }  // namespace

@@ -118,18 +118,16 @@ const char* FamilyName(KernelFamily family) {
 /// One sweep case: the selector against the reference on MakeTraining data
 /// under SAMP's noise floor.
 void CheckCase(size_t n, const std::vector<GpCandidate>& grid,
-               KernelFamily family, bool center, bool noisy) {
+               KernelFamily family, bool noisy) {
   const TrainingSet t = MakeTraining(n, noisy, 100 + n);
   const auto& [x, y, noise] = t;
   GpOptions opt;
   opt.noise_variance = 1e-8;  // SAMP's floor
-  opt.center_mean = center;
   std::string what = "threads=";
   what += std::to_string(ThreadPool::Global()->num_threads());
   what += " n=" + std::to_string(n);
   what += " grid=" + std::to_string(grid.size());
   what += std::string(" ") + FamilyName(family);
-  what += " center=" + std::to_string(center);
   what += " noisy=" + std::to_string(noisy);
   const auto got = SelectGpByMarginalLikelihood(x, y, grid, family, opt, noise);
   const auto want = ReferenceSelect(x, y, grid, family, opt, noise);
@@ -195,11 +193,9 @@ TEST(GpModelSelectionTest, MatchesPerCandidateReference) {
         if (n > 100 && g != 2 && g != 4) continue;
         for (int f = 0; f < 3; ++f) {
           const KernelFamily family = static_cast<KernelFamily>(f);
-          for (bool center : {true, false}) {
-            for (bool noisy : {false, true}) {
-              CheckCase(n, grids[g], family, center, noisy);
-              if (HasFatalFailure()) return;
-            }
+          for (bool noisy : {false, true}) {
+            CheckCase(n, grids[g], family, noisy);
+            if (HasFatalFailure()) return;
           }
         }
       }

@@ -73,9 +73,7 @@ FUNCTIONS = {
     "humo::core::GpSubsetModel::AvgSimilarity":
         "reads the inputs the subset model's GP reference predicts at",
     "humo::core::Oracle::AnswerMemoryBytes":
-        "bounds the oracle's answer memory per pair",
-    "humo::core::PagedAnswerBitmap::MemoryBytes":
-        "bounds the oracle's answer memory per pair",
+        "bounds the oracle's two answer bitsets at two bits per pair",
     "humo::core::PartialSamplingOptimizer::options":
         "reads the sampling budget a test bounds SAMP's cost by",
     "humo::core::ResolutionService::certification_in_flight":
