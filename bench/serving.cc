@@ -1,8 +1,8 @@
 // Mixed-traffic serving bench for the always-on resolution service: N
 // reader threads hammer wait-free pair-label lookups against the published
 // snapshot while the write side ingests shards, folds review verdicts that
-// two delivery threads hand over out of band, and runs RISK certifications
-// on a background thread.
+// two delivery threads hand over out of band, and runs a RISK
+// certification on the writer thread.
 //
 // The bench *checks* the contracts it advertises and exits nonzero on any
 // violation, so the committed BENCH_serving.json cannot silently go stale:
@@ -226,12 +226,11 @@ int main() {
     const auto mutate_start = std::chrono::steady_clock::now();
     for (size_t e = 0; e < kShards; ++e) {
       if (e == kShards / 2) {
-        // Background certification over exactly the first half:
-        // RequestCertification returns once the certifier owns the writer
-        // lock, so the next Ingest serializes behind it. Waiting for review
-        // delivery first pins the certified evidence set — the certifier's
-        // boundary fold sees every review enqueued so far instead of
-        // whatever subset the crowd workers happened to finish.
+        // Certification over exactly the first half, on this thread while
+        // the readers keep serving the previous snapshot. Waiting for
+        // review delivery first pins the certified evidence set — the
+        // certification's boundary fold sees every review enqueued so far
+        // instead of whatever subset the crowd workers happened to finish.
         service.WaitForReviewDelivery();
         service.RequestCertification();
       }

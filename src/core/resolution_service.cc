@@ -98,14 +98,6 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
   PublishLocked(/*refresh=*/true);  // version 1: the empty snapshot
 }
 
-ResolutionService::~ResolutionService() {
-  // Join the certifier before the resolver it writes is destroyed. Reviews
-  // still queued never touch the resolver (their verdicts were computed at
-  // enqueue time) and are dropped with the queue.
-  std::lock_guard<std::mutex> admin(cert_admin_mu_);
-  JoinCertifierLocked();
-}
-
 EpochReport ResolutionService::Ingest(data::Shard shard) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   // Epoch boundary: fold BEFORE the merge, so the resolver moves the folded
@@ -125,37 +117,12 @@ EpochReport ResolutionService::Ingest(data::Shard shard) {
 }
 
 bool ResolutionService::RequestCertification() {
-  std::lock_guard<std::mutex> admin(cert_admin_mu_);
-  if (cert_running_.load(std::memory_order_acquire)) return false;
-  JoinCertifierLocked();
-  cert_running_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> start(cert_start_mu_);
-    cert_started_ = false;
-  }
-  cert_thread_ = std::thread([this] { RunCertification(); });
-  // Block until the certifier owns the writer lock: the caller's next
-  // Ingest then provably serializes AFTER the certification, pinning the
-  // certified prefix to the epochs ingested before this call.
-  std::unique_lock<std::mutex> start(cert_start_mu_);
-  cert_start_cv_.wait(start, [this] { return cert_started_; });
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  FoldCompletedReviewsLocked();
+  last_cert_ = resolver_.Certify();
+  // A failed certification may have inspected pairs without refreshing.
+  PublishLocked(/*refresh=*/!last_cert_->ok());
   return true;
-}
-
-void ResolutionService::RunCertification() {
-  {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    {
-      std::lock_guard<std::mutex> start(cert_start_mu_);
-      cert_started_ = true;
-    }
-    cert_start_cv_.notify_all();
-    FoldCompletedReviewsLocked();
-    last_cert_ = resolver_.Certify();
-    // A failed certification may have inspected pairs without refreshing.
-    PublishLocked(/*refresh=*/!last_cert_->ok());
-  }
-  cert_running_.store(false, std::memory_order_release);
 }
 
 size_t ResolutionService::EnqueueReview(
@@ -178,10 +145,6 @@ size_t ResolutionService::EnqueueReview(
 }
 
 Result<StreamingCertificate> ResolutionService::DrainToQuiescence() {
-  {
-    std::lock_guard<std::mutex> admin(cert_admin_mu_);
-    JoinCertifierLocked();
-  }
   queue_.WaitIdle();
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (FoldCompletedReviewsLocked() > 0) PublishLocked(/*refresh=*/true);
@@ -247,10 +210,6 @@ void ResolutionService::PublishLocked(bool refresh) {
 
   std::atomic_store(&snapshot_,
                     std::shared_ptr<const ResolutionSnapshot>(std::move(snap)));
-}
-
-void ResolutionService::JoinCertifierLocked() {
-  if (cert_thread_.joinable()) cert_thread_.join();
 }
 
 }  // namespace humo::core

@@ -52,13 +52,6 @@ class ResolutionSnapshot {
   const std::vector<int>& labels() const { return labels_; }
   int LabelOf(size_t index) const { return labels_[index]; }
 
-  /// Batch lookup: labels for `indices`, parallel to the input.
-  std::vector<int> BatchLabels(const std::vector<size_t>& indices) const {
-    std::vector<int> out(indices.size());
-    for (size_t t = 0; t < indices.size(); ++t) out[t] = labels_[indices[t]];
-    return out;
-  }
-
   /// This snapshot's own sorted workload copy, for pair -> index lookup.
   /// The copy carries the ground-truth column too; only evaluation may
   /// read it (a resolver observes labels through its Oracle alone).
@@ -178,21 +171,20 @@ struct ResolutionServiceOptions {
 /// mutation — a lookup is an atomic snapshot load plus an array read
 /// against frozen storage.
 ///
-/// Certification runs on a background thread and answers its own
-/// inspections through the resolver's oracle, exactly as a bare
-/// StreamingResolver does. Human REVIEW verdicts submitted via
+/// Certification runs on the caller's thread under the writer lock and
+/// answers its own inspections through the resolver's oracle, exactly as a
+/// bare StreamingResolver does, so a certificate covers exactly the epochs
+/// ingested before the request. Human REVIEW verdicts submitted via
 /// EnqueueReview arrive out of band through the AsyncOracleQueue and fold
 /// in at the next epoch boundary through StreamingResolver::PreloadEvidence,
 /// which finds each pair by identity. Because a review verdict is exactly
-/// Oracle::InlineAnswer's, DRAINING TO QUIESCENCE (every review delivered +
-/// folded, certification finished) leaves labels, oracle cost, and
-/// certificates bit-identical to driving the synchronous StreamingResolver
-/// through the same schedule — asserted by tests and by bench_serving's
-/// self-check.
+/// Oracle::InlineAnswer's, DRAINING TO QUIESCENCE (every review delivered
+/// and folded) leaves labels, oracle cost, and certificates bit-identical
+/// to driving the synchronous StreamingResolver through the same schedule
+/// — asserted by tests and by bench_serving's self-check.
 class ResolutionService {
  public:
   ResolutionService(ResolutionServiceOptions options, QualityRequirement req);
-  ~ResolutionService();
 
   ResolutionService(const ResolutionService&) = delete;
   ResolutionService& operator=(const ResolutionService&) = delete;
@@ -200,46 +192,38 @@ class ResolutionService {
   // --- Write side (serialized internally; callable from any thread) ---
 
   /// Folds completed reviews (epoch boundary), ingests the shard, publishes
-  /// a snapshot. Blocks while a certification holds the writer lock.
+  /// a snapshot. Blocks while another writer call holds the writer lock.
   EpochReport Ingest(data::Shard shard);
 
-  /// Starts an asynchronous certification over the pairs ingested so far.
-  /// Returns once the background certifier OWNS the writer lock — not when
-  /// it finishes — so the caller's next Ingest provably serializes after
-  /// the certification and the certificate covers exactly the epochs
-  /// ingested before this call (mutex wakeup order is not FIFO; returning
-  /// any earlier would let a subsequent Ingest overtake the certifier and
-  /// make the certified prefix nondeterministic). Readers keep serving the
-  /// last snapshot while the certifier runs; the certificate publishes when
-  /// done. Returns false when a certification is already in flight (the
-  /// request is dropped, not queued). Must not be called while holding a
-  /// mutation open elsewhere on the same thread.
+  /// Folds completed reviews (epoch boundary), certifies the pairs ingested
+  /// so far on the calling thread and publishes the result; returns when the
+  /// certificate is published. Readers keep serving the previous snapshot
+  /// meanwhile. Always returns true: a request is never dropped, so two
+  /// back-to-back requests both run (the second reuses the first's
+  /// answers). The certificate itself is read through DrainToQuiescence()
+  /// and the published snapshot.
   bool RequestCertification();
-
-  /// True while a background certification is running.
-  bool certification_in_flight() const { return cert_running_.load(); }
 
   /// Enqueues pairs for out-of-band human review. Pairs not yet ingested or
   /// already answered are skipped; returns the number actually enqueued.
   /// Completed verdicts fold in at the next epoch boundary (Ingest,
-  /// certification start, or DrainToQuiescence).
+  /// RequestCertification, or DrainToQuiescence).
   size_t EnqueueReview(const std::vector<data::InstancePair>& pairs);
 
   /// Blocks until every enqueued review verdict has been delivered by the
   /// queue's threads (delivered, not folded — folding still happens at the
   /// next epoch boundary). Calling this immediately before
-  /// RequestCertification pins the certified evidence set: the certifier's
-  /// boundary fold then sees EVERY review enqueued so far, independent of
-  /// delivery timing. Without it a slow worker can hold a verdict past
-  /// the certification start, and — because risk-aware inspection is
-  /// evidence-driven — certify against a different answer set than a rerun
-  /// would.
+  /// RequestCertification pins the certified evidence set: the
+  /// certification's boundary fold then sees EVERY review enqueued so far,
+  /// independent of delivery timing. Without it a slow worker can hold a
+  /// verdict past the certification start, and — because risk-aware
+  /// inspection is evidence-driven — certify against a different answer set
+  /// than a rerun would.
   void WaitForReviewDelivery() { queue_.WaitIdle(); }
 
-  /// Waits until every enqueued review is delivered and the in-flight
-  /// certification (if any) finished, folds the remaining completed
-  /// reviews, publishes, and returns the latest certificate (error when no
-  /// certification ever ran or the last one failed).
+  /// Waits until every enqueued review is delivered, folds the remaining
+  /// completed reviews, publishes, and returns the latest certificate
+  /// (error when no certification ever ran or the last one failed).
   Result<StreamingCertificate> DrainToQuiescence();
 
   // --- Read side (wait-free; never blocks on mutation) ---
@@ -270,10 +254,6 @@ class ResolutionService {
   /// be current.
   /// Caller holds writer_mu_.
   void PublishLocked(bool refresh);
-  /// Body of the background certification thread.
-  void RunCertification();
-  /// Joins a finished certifier thread. Caller holds cert_admin_mu_.
-  void JoinCertifierLocked();
 
   ResolutionServiceOptions options_;
   QualityRequirement req_;
@@ -282,16 +262,10 @@ class ResolutionService {
   std::mutex writer_mu_;
   StreamingResolver resolver_;  // guarded by writer_mu_
 
+  /// Its destructor joins the delivery threads. Reviews still queued never
+  /// touch the resolver (their verdicts were computed at enqueue time).
   AsyncOracleQueue queue_;
 
-  std::mutex cert_admin_mu_;
-  std::thread cert_thread_;               // guarded by cert_admin_mu_
-  std::atomic<bool> cert_running_{false};
-  /// Handshake for RequestCertification's returns-after-lock-owned
-  /// guarantee (see above).
-  std::mutex cert_start_mu_;
-  std::condition_variable cert_start_cv_;
-  bool cert_started_ = false;  // guarded by cert_start_mu_
   std::optional<Result<StreamingCertificate>> last_cert_;  // writer_mu_
 
   /// A copy of the resolver's cumulative workload, shared by every

@@ -1,6 +1,7 @@
 #include "entity/transitivity_repair.h"
 
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -10,6 +11,13 @@
 
 namespace humo::entity {
 namespace {
+
+/// Local-search sweeps per conflict component before giving up on further
+/// improvement (each sweep visits every component record once).
+constexpr size_t kMaxSweeps = 8;
+/// Seed of the per-component Rng::Stream that randomizes the sweep visit
+/// order. A fixed seed gives a deterministic, thread-count-invariant repair.
+constexpr uint64_t kRepairSeed = 0x5EEDC0DEULL;
 
 /// One observed edge inside a conflict component, in component-local record
 /// indices (positions within the component's member list).
@@ -35,8 +43,7 @@ struct ComponentOutcome {
 /// from the caller-provided stream, candidate clusters are scanned in
 /// ascending id order, and ties keep the current assignment.
 ComponentOutcome SolveComponent(size_t num_nodes,
-                                const std::vector<LocalEdge>& edges, Rng rng,
-                                size_t max_sweeps) {
+                                const std::vector<LocalEdge>& edges, Rng rng) {
   ComponentOutcome out;
   out.assignment.assign(num_nodes, 0);
   if (num_nodes == 0) return out;
@@ -52,7 +59,7 @@ ComponentOutcome SolveComponent(size_t num_nodes,
   std::vector<uint32_t> order(num_nodes);
   std::iota(order.begin(), order.end(), 0);
 
-  for (size_t sweep = 0; sweep < max_sweeps; ++sweep) {
+  for (size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     ++out.sweeps;
     rng.Shuffle(&order);
     bool improved = false;
@@ -132,8 +139,7 @@ size_t CountDisagreements(const data::Workload& workload,
 
 RepairResult RepairTransitivity(const data::Workload& workload,
                                 const std::vector<int>& labels,
-                                const ClusteringOptions& cluster_options,
-                                const RepairOptions& repair_options) {
+                                const ClusteringOptions& cluster_options) {
   const size_t n = workload.size();
   assert(labels.size() == n);
   RepairResult out;
@@ -212,7 +218,7 @@ RepairResult RepairTransitivity(const data::Workload& workload,
           for (size_t c = b; c < e; ++c) {
             outcomes[c] = SolveComponent(
                 initial.EntitySize(component_entity[c]), component_edges[c],
-                Rng::Stream(repair_options.seed, c), repair_options.max_sweeps);
+                Rng::Stream(kRepairSeed, c));
           }
         });
     for (const ComponentOutcome& o : outcomes) {

@@ -1,23 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "data/workload.h"
 #include "entity/entity_clustering.h"
 
 namespace humo::entity {
-
-struct RepairOptions {
-  /// Local-search sweeps per conflict component before giving up on further
-  /// improvement (each sweep visits every component record once).
-  size_t max_sweeps = 8;
-  /// Seed of the per-component Rng::Stream that randomizes the sweep visit
-  /// order. Any fixed seed gives a deterministic, thread-count-invariant
-  /// repair; varying it explores different local optima.
-  uint64_t seed = 0x5EEDC0DEULL;
-};
 
 struct RepairStats {
   /// Observed labels disagreeing with the pre-repair clustering (negative
@@ -65,8 +54,7 @@ struct RepairResult {
 /// input pair permutation.
 RepairResult RepairTransitivity(const data::Workload& workload,
                                 const std::vector<int>& labels,
-                                const ClusteringOptions& cluster_options = {},
-                                const RepairOptions& repair_options = {});
+                                const ClusteringOptions& cluster_options = {});
 
 /// Observed labels that disagree with `clustering`: pairs labeled match
 /// whose endpoints sit in different entities, plus pairs labeled non-match

@@ -59,13 +59,14 @@
 /// To SERVE lookups while that stream is still arriving, wrap the resolver
 /// in the resolution service (core/resolution_service.h): every mutation
 /// publishes an immutable snapshot readers access wait-free through an
-/// atomic shared_ptr, certification runs on a background thread, human
-/// review verdicts arrive out of band and fold in at epoch boundaries, and
-/// draining to quiescence reproduces the synchronous resolver bit for bit:
+/// atomic shared_ptr, certification runs on the caller's thread while
+/// readers keep serving the previous snapshot, human review verdicts arrive
+/// out of band and fold in at epoch boundaries, and draining to quiescence
+/// reproduces the synchronous resolver bit for bit:
 ///
 ///   core::ResolutionService service({/*streaming=*/{}}, req);
 ///   while (stream.Next(&shard)) service.Ingest(std::move(shard));
-///   service.RequestCertification();        // returns immediately
+///   service.RequestCertification();        // certifies and publishes
 ///   auto label = service.snapshot()->LabelOf(i);  // wait-free, any thread
 ///   auto cert = service.DrainToQuiescence();  // == streaming.Certify()
 ///

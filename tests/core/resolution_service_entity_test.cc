@@ -123,7 +123,8 @@ TEST_F(ResolutionServiceEntityTest, EntityViewConsistentUnderConcurrentIngest) {
 /// Every published snapshot's entity view equals a cold clustering of its
 /// own workload and labels, and snapshots of one unchanged workload share
 /// the workload copy and the record-key array. The writer is driven from
-/// one thread and waits out each certification, so every version is seen.
+/// one thread and every certification publishes before its request
+/// returns, so every version is seen.
 TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
   data::WorkloadStreamOptions stream_options;
   stream_options.num_shards = 12;
@@ -149,10 +150,6 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
     }
     last = snap;
   };
-  const auto certify_and_wait = [&service] {
-    ASSERT_TRUE(service.RequestCertification());
-    while (service.certification_in_flight()) std::this_thread::yield();
-  };
   const auto review_burst = [](size_t e) {
     std::vector<data::InstancePair> burst;
     for (size_t k = 0; k < 16; ++k) {
@@ -164,7 +161,7 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
   check_next();
   for (size_t e = 0; e < stream.num_shards(); ++e) {
     if (e == 6) {
-      certify_and_wait();
+      ASSERT_TRUE(service.RequestCertification());
       check_next();
     }
     if (e % 3 == 1) {
@@ -200,7 +197,7 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
     const size_t idx = last->workload().IndexOfSorted(pair);
     ASSERT_EQ(last->LabelOf(idx), pair.is_match ? 1 : 0) << "pair " << idx;
   }
-  certify_and_wait();
+  ASSERT_TRUE(service.RequestCertification());
   check_next();
   EXPECT_EQ(shared, 4u);
 }

@@ -16,9 +16,9 @@ namespace {
 
 /// The serving-layer contracts (ISSUE 7): wait-free readers can never
 /// observe a torn snapshot, and draining the service to quiescence — every
-/// review delivered and folded, certification finished — reproduces the
-/// synchronous StreamingResolver bit for bit: labels, solution, oracle
-/// cost, certificate.
+/// review delivered and folded — reproduces the synchronous
+/// StreamingResolver bit for bit: labels, solution, oracle cost,
+/// certificate.
 class ResolutionServiceTest : public ::testing::Test {
  protected:
   static data::Workload ds_;
@@ -66,9 +66,8 @@ TEST_F(ResolutionServiceTest, DrainIsBitIdenticalToSynchronousResolver) {
 
     for (size_t e = 0; e < stream.num_shards(); ++e) {
       if (e == 4) {
-        // Mid-stream certification. The service runs it on a background
-        // thread over exactly the 4 ingested shards; the drain makes its
-        // certificate comparable to the synchronous one.
+        // Mid-stream certification over exactly the 4 ingested shards; the
+        // drain folds any delivered reviews and returns its certificate.
         ASSERT_TRUE(service.RequestCertification());
         auto service_cert = service.DrainToQuiescence();
         auto reference_cert = reference.Certify();
@@ -105,6 +104,42 @@ TEST_F(ResolutionServiceTest, DrainIsBitIdenticalToSynchronousResolver) {
     EXPECT_EQ(snap->labels(), service_cert->resolution.labels);
     const size_t probe = ds_.size() / 2;
     EXPECT_EQ(snap->LabelOf(probe), service_cert->resolution.labels[probe]);
+  }
+}
+
+/// A certification request is never dropped: a second request right after
+/// the first runs too, over the same evidence, so it reuses every answer
+/// the first bought and matches a resolver that certified twice.
+TEST_F(ResolutionServiceTest, BackToBackCertificationRequestsBothRun) {
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  for (const core::StreamCertifier certifier :
+       {core::StreamCertifier::kSamp, core::StreamCertifier::kRisk}) {
+    SCOPED_TRACE(certifier == core::StreamCertifier::kSamp ? "SAMP" : "RISK");
+    core::ResolutionServiceOptions options = DefaultServiceOptions(2);
+    options.streaming.certifier = certifier;
+    data::WorkloadStreamOptions stream_options;
+    stream_options.num_shards = 4;
+    data::WorkloadStream stream(&ds_, stream_options);
+
+    core::ResolutionService service(options, req);
+    core::StreamingResolver reference(options.streaming, req);
+    for (size_t e = 0; e < 2; ++e) {
+      service.Ingest(stream.ShardAt(e));
+      reference.Ingest(stream.ShardAt(e));
+    }
+
+    const size_t published = service.snapshots_published();
+    ASSERT_TRUE(service.RequestCertification());
+    ASSERT_TRUE(service.RequestCertification());
+    EXPECT_EQ(service.snapshots_published(), published + 2);
+
+    auto service_cert = service.DrainToQuiescence();
+    ASSERT_TRUE(reference.Certify().ok());
+    auto reference_cert = reference.Certify();
+    ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
+    ASSERT_TRUE(reference_cert.ok());
+    EXPECT_EQ(service_cert->fresh_inspections, 0u);
+    ExpectCertsEqual(*service_cert, *reference_cert);
   }
 }
 
@@ -208,8 +243,6 @@ TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
           const size_t mid = snap->pairs() / 2;
           const int label = snap->LabelOf(mid);
           ASSERT_TRUE(label == 0 || label == 1);
-          const auto batch = snap->BatchLabels({0, mid, snap->pairs() - 1});
-          ASSERT_EQ(batch[1], label);
         }
         ++count;
       }
@@ -230,12 +263,9 @@ TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
       }
       reviews_enqueued += service.EnqueueReview(burst);
     }
-    if (e == 40) {
+    if (e == 40 || e == 80) {
       ASSERT_TRUE(service.RequestCertification());
     }
-    // The second request may race the first certification's final counter
-    // store; a drop (false) is acceptable behavior, not a failure.
-    if (e == 80) service.RequestCertification();
   }
   auto cert = service.DrainToQuiescence();
   done.store(true, std::memory_order_release);

@@ -76,10 +76,6 @@ FUNCTIONS = {
         "bounds the oracle's two answer bitsets at two bits per pair",
     "humo::core::PartialSamplingOptimizer::options":
         "reads the sampling budget a test bounds SAMP's cost by",
-    "humo::core::ResolutionService::certification_in_flight":
-        "waits out a certification to observe its snapshot",
-    "humo::core::ResolutionSnapshot::BatchLabels":
-        "checks batch lookups against single ones under mutation",
     "humo::core::ResolutionSnapshot::MembersOf":
         "observes a snapshot's entity members",
     "humo::core::ResolutionSnapshot::epochs_ingested":
