@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace humo::entity {
 namespace {
@@ -74,12 +75,11 @@ std::vector<uint32_t> RankColumn(const uint32_t* ids, size_t n,
   return distinct;
 }
 
-}  // namespace
-
-RecordUniverse IndexRecords(const data::Workload& workload,
-                            const ClusteringOptions& options) {
+/// The sparse path of IndexRecords: each column radix-ranked, then one
+/// merge of the two ranked sides by packed key.
+RecordUniverse RadixIndex(const data::Workload& workload,
+                          const ClusteringOptions& options) {
   const size_t n = workload.size();
-  assert(n <= UINT32_MAX);
   RecordUniverse out;
   std::vector<uint32_t> left_ids, right_ids;
   {
@@ -92,9 +92,8 @@ RecordUniverse IndexRecords(const data::Workload& workload,
         RankColumn(workload.right_id_data(), n, &words, &scratch, &out.right);
   }
 
-  // One merge of the two ranked sides by packed key. Equal keys (a shared
-  // source) become one record; comparing packed keys orders the sides
-  // correctly whichever source number is larger.
+  // Equal keys (a shared source) become one record; comparing packed keys
+  // orders the sides correctly whichever source number is larger.
   const uint64_t left_src = static_cast<uint64_t>(options.left_source) << 32;
   const uint64_t right_src = static_cast<uint64_t>(options.right_source) << 32;
   const size_t nl = left_ids.size();
@@ -118,6 +117,136 @@ RecordUniverse IndexRecords(const data::Workload& workload,
 
   for (uint32_t& r : out.left) r = left_global[r];
   for (uint32_t& r : out.right) r = right_global[r];
+  return out;
+}
+
+/// Record index per id over one source's dense span: `(*this)[id]` for any
+/// id the source holds.
+struct RankTable {
+  uint32_t lo = 0;
+  std::vector<uint32_t> index;  // record index of id lo + k at [k]
+  uint32_t operator[](uint32_t id) const { return index[id - lo]; }
+};
+
+/// The dense path of IndexRecords and FromLabels: the view's record keys and
+/// one RankTable per source (a shared source's two columns share one).
+struct RankTables {
+  std::shared_ptr<std::vector<uint64_t>> keys;
+  std::vector<RankTable> tables;  // left column's first
+  const RankTable& left() const { return tables.front(); }
+  const RankTable& right() const { return tables.back(); }
+};
+
+/// Ranks the view through tables when every source's id span is at most
+/// kDenseSpanPerEndpoint times the endpoints it holds; nullopt (having
+/// allocated nothing) otherwise.
+std::optional<RankTables> RankDense(const data::Workload& workload,
+                                    const ClusteringOptions& options) {
+  const size_t n = workload.size();
+  assert(n <= UINT32_MAX);
+  const uint32_t* const columns[2] = {workload.left_id_data(),
+                                      workload.right_id_data()};
+  uint32_t lo[2] = {UINT32_MAX, UINT32_MAX};
+  uint32_t hi[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      lo[c] = std::min(lo[c], columns[c][i]);
+      hi[c] = std::max(hi[c], columns[c][i]);
+    }
+  }
+  const bool shared = options.left_source == options.right_source;
+  if (shared) {
+    lo[0] = lo[1] = std::min(lo[0], lo[1]);
+    hi[0] = hi[1] = std::max(hi[0], hi[1]);
+  }
+  const uint64_t endpoints = shared ? 2 * n : n;
+  uint64_t span[2];
+  for (int c = 0; c < 2; ++c) {
+    span[c] = n == 0 ? 0 : uint64_t{hi[c]} - lo[c] + 1;
+    if (span[c] > kDenseSpanPerEndpoint * endpoints) return std::nullopt;
+  }
+
+  // Mark each source's ids, counting the distinct ones; then number the
+  // marked ids in ascending order, sources in key order, so the keys come
+  // out sorted with no merge.
+  RankTables out;
+  const int num_tables = shared ? 1 : 2;
+  out.tables.resize(num_tables);
+  size_t distinct = 0;
+  for (int t = 0; t < num_tables; ++t) {
+    RankTable& table = out.tables[t];
+    table.lo = lo[t];
+    table.index.assign(span[t], 0);
+    for (int c = t; c < 2; c += num_tables) {
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t& mark = table.index[columns[c][i] - table.lo];
+        distinct += 1 - mark;
+        mark = 1;
+      }
+    }
+  }
+  out.keys = std::make_shared<std::vector<uint64_t>>();
+  out.keys->reserve(distinct);
+  const uint32_t sources[2] = {options.left_source, options.right_source};
+  const int first = !shared && sources[1] < sources[0] ? 1 : 0;
+  for (int k = 0; k < num_tables; ++k) {
+    const int t = first ^ k;
+    const uint64_t src = static_cast<uint64_t>(sources[t]) << 32;
+    std::vector<uint32_t>& index = out.tables[t].index;
+    for (size_t id = 0; id < index.size(); ++id) {
+      if (index[id] == 0) continue;
+      index[id] = static_cast<uint32_t>(out.keys->size());
+      out.keys->push_back(src | (out.tables[t].lo + id));
+    }
+  }
+  return out;
+}
+
+/// Union-find parent array over `m` records after joining the match-labeled
+/// pairs; `left(i)` and `right(i)` are pair i's record indices. Roots link
+/// larger under smaller, so each root is its component's smallest record.
+/// Serial O(n alpha): the canonical renumbering erases any dependence on
+/// union order.
+template <typename LeftRecord, typename RightRecord>
+std::vector<uint32_t> UnionMatches(size_t m, const std::vector<int>& labels,
+                                   LeftRecord left, RightRecord right) {
+  std::vector<uint32_t> parent(m);
+  for (size_t r = 0; r < m; ++r) parent[r] = static_cast<uint32_t>(r);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] != 1) continue;
+    const uint32_t a = Find(&parent, left(i));
+    const uint32_t b = Find(&parent, right(i));
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  return parent;
+}
+
+std::vector<uint32_t> UnionMatches(const RecordUniverse& universe,
+                                   const std::vector<int>& labels) {
+  assert(labels.size() == universe.left.size());
+  return UnionMatches(
+      universe.record_keys->size(), labels,
+      [&universe](size_t i) { return universe.left[i]; },
+      [&universe](size_t i) { return universe.right[i]; });
+}
+
+}  // namespace
+
+RecordUniverse IndexRecords(const data::Workload& workload,
+                            const ClusteringOptions& options) {
+  const std::optional<RankTables> ranks = RankDense(workload, options);
+  if (!ranks) return RadixIndex(workload, options);
+  const size_t n = workload.size();
+  RecordUniverse out;
+  out.record_keys = ranks->keys;
+  out.left.resize(n);
+  out.right.resize(n);
+  const uint32_t* l = workload.left_id_data();
+  const uint32_t* r = workload.right_id_data();
+  for (size_t i = 0; i < n; ++i) {
+    out.left[i] = ranks->left()[l[i]];
+    out.right[i] = ranks->right()[r[i]];
+  }
   return out;
 }
 
@@ -209,13 +338,23 @@ bool EntityClustering::MemberRange::Contains(RecordRef record) const {
 EntityClustering EntityClustering::FromLabels(const data::Workload& workload,
                                               const std::vector<int>& labels,
                                               const ClusteringOptions& options) {
+  assert(labels.size() == workload.size());
   EntityClustering out;
-  // Each temporary is scoped to its step, so the peak footprint is one
-  // step's scratch on top of the final arrays: the per-pair record indices
-  // are freed as soon as the union step has read them.
+  // The rank tables (or the radix universe) are freed before BuildFrom
+  // allocates, so the peak footprint is BuildFrom's. A dense view unions
+  // straight through its tables and builds no per-pair record arrays.
   std::vector<uint32_t> parent;
-  {
-    RecordUniverse universe = IndexRecords(workload, options);
+  if (const std::optional<RankTables> ranks = RankDense(workload, options)) {
+    out.record_keys_ = ranks->keys;
+    const uint32_t* l = workload.left_id_data();
+    const uint32_t* r = workload.right_id_data();
+    const RankTable& left = ranks->left();
+    const RankTable& right = ranks->right();
+    parent = UnionMatches(
+        ranks->keys->size(), labels, [&](size_t i) { return left[l[i]]; },
+        [&](size_t i) { return right[r[i]]; });
+  } else {
+    const RecordUniverse universe = RadixIndex(workload, options);
     out.record_keys_ = universe.record_keys;
     parent = UnionMatches(universe, labels);
   }
@@ -231,56 +370,41 @@ EntityClustering EntityClustering::FromUniverse(
   return out;
 }
 
-std::vector<uint32_t> EntityClustering::UnionMatches(
-    const RecordUniverse& universe, const std::vector<int>& labels) {
-  const size_t n = universe.left.size();
-  assert(labels.size() == n);
-  const size_t m = universe.record_keys->size();
-  // Serial O(n alpha): the canonical renumbering erases any dependence on
-  // union order.
-  std::vector<uint32_t> parent(m);
-  for (size_t r = 0; r < m; ++r) parent[r] = static_cast<uint32_t>(r);
-  for (size_t i = 0; i < n; ++i) {
-    if (labels[i] != 1) continue;
-    const uint32_t a = Find(&parent, universe.left[i]);
-    const uint32_t b = Find(&parent, universe.right[i]);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  return parent;
-}
-
 void EntityClustering::BuildFrom(std::vector<uint32_t> parent) {
   const size_t m = parent.size();
   assert(m == record_keys_->size());
-  {
-    // Canonical entity ids: first appearance in ascending record order.
-    entity_of_.assign(m, 0);
-    std::vector<uint32_t> entity_of_root(m, UINT32_MAX);
-    uint32_t next = 0;
-    for (size_t r = 0; r < m; ++r) {
-      const uint32_t root = Find(&parent, static_cast<uint32_t>(r));
-      if (entity_of_root[root] == UINT32_MAX) entity_of_root[root] = next++;
-      entity_of_[r] = entity_of_root[root];
-    }
-    num_entities_ = next;
-    parent = {};
+  // Canonical entity ids: first appearance in ascending record order. Every
+  // link points to a smaller record (UnionMatches), so in one ascending scan
+  // a root takes the next id and any other record copies the id its
+  // parent's slot already holds: the parent array becomes entity_of_ in
+  // place.
+  uint32_t next = 0;
+  for (size_t r = 0; r < m; ++r) {
+    const uint32_t p = parent[r];
+    assert(p <= r);
+    parent[r] = p == r ? next++ : parent[p];
   }
+  entity_of_ = std::move(parent);
+  num_entities_ = next;
 
-  // CSR member lists of record indices: counting pass, prefix offsets,
-  // ascending scatter (records scanned in ascending key order land sorted
-  // within their entity automatically). The counts become the scatter
-  // cursors.
-  std::vector<uint32_t> counts(num_entities_, 0);
-  for (size_t r = 0; r < m; ++r) ++counts[entity_of_[r]];
-  member_offsets_.assign(num_entities_ + 1, 0);
-  for (size_t e = 0; e < num_entities_; ++e) {
-    member_offsets_[e + 1] = member_offsets_[e] + counts[e];
-    if (counts[e] >= 2) ++multi_record_entities_;
-    counts[e] = member_offsets_[e];
+  // CSR member lists of record indices. Member counts land at offset
+  // [e + 2]; a prefix sum makes [e + 1] entity e's start, and an ascending
+  // scatter with [e + 1] as the cursor leaves it at e's end, so records
+  // land sorted within their entity and no cursor array is allocated.
+  member_offsets_.assign(num_entities_ + 2, 0);
+  for (size_t r = 0; r < m; ++r) ++member_offsets_[entity_of_[r] + 2];
+  for (size_t e = 2; e < member_offsets_.size(); ++e) {
+    member_offsets_[e] += member_offsets_[e - 1];
   }
   members_.resize(m);
   for (size_t r = 0; r < m; ++r) {
-    members_[counts[entity_of_[r]]++] = static_cast<uint32_t>(r);
+    members_[member_offsets_[entity_of_[r] + 1]++] = static_cast<uint32_t>(r);
+  }
+  member_offsets_.pop_back();
+  for (size_t e = 0; e < num_entities_; ++e) {
+    if (member_offsets_[e + 1] - member_offsets_[e] >= 2) {
+      ++multi_record_entities_;
+    }
   }
 
   checksum_ = ComputeChecksum();

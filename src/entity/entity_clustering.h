@@ -57,11 +57,21 @@ struct RecordUniverse {
   std::vector<uint32_t> right;  // per pair, index into *record_keys
 };
 
-/// Builds the record universe in linear passes with no binary search: each
-/// endpoint column is radix-sorted by id (only as many 11-bit passes as its
-/// largest id needs), its distinct ids are ranked in one scan, and the two
-/// ranked sides are merged once by packed key. A pure function of the pair
-/// set: independent of pair order and thread count.
+/// A source's ids are ranked through one table over [min id, max id] when
+/// that span is at most this many times the endpoints the source holds (n
+/// per column of a two-table view, 2n for a shared source).
+inline constexpr uint64_t kDenseSpanPerEndpoint = 2;
+
+/// Builds the record universe in linear passes with no binary search. When
+/// every source's id span is dense (kDenseSpanPerEndpoint), each source
+/// marks its ids in one table over its span, and one ascending scan per
+/// table numbers the marked ids; sources are numbered in key order, so the
+/// keys come out sorted with no merge, and each pair's indices are two
+/// table lookups. A shared source gets one table over both columns.
+/// Otherwise each column is radix-sorted by id (only as many 11-bit passes
+/// as its largest id needs), its distinct ids are ranked in one scan, and
+/// the two ranked sides are merged once by packed key. A pure function of
+/// the pair set: independent of pair order and thread count.
 RecordUniverse IndexRecords(const data::Workload& workload,
                             const ClusteringOptions& options);
 
@@ -93,11 +103,15 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
 ///   * members of an entity are stored in ascending record-key order.
 /// Two clusterings over the same workload are therefore equal (operator==,
 /// equal Checksum()) iff they induce the same partition. Construction is a
-/// serial sequence of linear passes: IndexRecords radix-ranks the record
-/// universe, an O(n alpha(n)) union-find joins the match edges, and the
-/// canonical renumbering erases any dependence on union order. Each
-/// temporary is freed as soon as its pass ends. The record keys are the
-/// universe's shared array, not a copy.
+/// serial sequence of linear passes: the records are ranked as IndexRecords
+/// ranks them (rank tables over dense id spans, radix passes over sparse
+/// ones), an O(n alpha(n)) union-find joins the match edges, and the
+/// canonical renumbering erases any dependence on union order. Over dense
+/// spans FromLabels looks each match edge's records up in the tables and
+/// builds no per-pair record arrays. Each temporary is freed as soon as its
+/// pass ends, the rank tables before the member lists allocate, and the
+/// union-find parent array becomes the entity-id array. The record keys are
+/// the universe's shared array, not a copy.
 ///
 /// Immutable after construction: every accessor is const and touches only
 /// frozen storage, so a clustering shared through a shared_ptr (see
@@ -180,10 +194,9 @@ class EntityClustering {
   size_t RecordIndexOf(RecordRef record) const;
 
  private:
-  /// Union-find parent array after joining the match edges.
-  static std::vector<uint32_t> UnionMatches(const RecordUniverse& universe,
-                                            const std::vector<int>& labels);
-  /// Canonical ids, CSR members and checksum from the union-find roots.
+  /// Canonical ids, CSR members and checksum from a union-find parent
+  /// array whose every link points to a smaller record; the array becomes
+  /// entity_of_.
   void BuildFrom(std::vector<uint32_t> parent);
   uint64_t ComputeChecksum() const;
 

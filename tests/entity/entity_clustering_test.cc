@@ -209,6 +209,24 @@ std::vector<uint32_t> IdPool(int bits, size_t count, uint64_t seed) {
   return pool;
 }
 
+/// n pairs whose left and right columns each span exactly
+/// [lo, lo + span - 1]: the first two pairs put both ends in each column,
+/// and every other id is drawn from the span.
+data::Workload SpanWorkload(size_t n, uint32_t lo, uint64_t span,
+                            uint64_t seed) {
+  Rng rng(seed);
+  const uint32_t hi = static_cast<uint32_t>(lo + (span - 1));
+  const auto draw = [&] {
+    return static_cast<uint32_t>(lo + rng.NextBelow(span));
+  };
+  std::vector<data::InstancePair> pairs = {
+      {lo, hi, rng.NextDouble(), true}, {hi, lo, rng.NextDouble(), false}};
+  while (pairs.size() < n) {
+    pairs.push_back({draw(), draw(), rng.NextDouble(), rng.NextDouble() < 0.3});
+  }
+  return data::Workload(std::move(pairs));
+}
+
 void ExpectMatchesReference(const data::Workload& w,
                             const ClusteringOptions& options) {
   const std::vector<int> labels = w.GroundTruthLabels();
@@ -249,10 +267,40 @@ TEST(EntityClusteringTest, MatchesSortAndBinarySearchReference) {
     ExpectMatchesReference(data::Workload({{7, 7, 0.5, false}}), dedup);
   }
   {
-    SCOPED_TRACE("all ids 0: zero radix passes");
+    SCOPED_TRACE("all ids 0: one-slot rank tables");
     const data::Workload w({{0, 0, 0.1, true}, {0, 0, 0.2, false}});
     ExpectMatchesReference(w, two_table);
     ExpectMatchesReference(w, dedup);
+  }
+  {
+    SCOPED_TRACE("shared sparse span, left ids all 0: zero radix passes");
+    const data::Workload w({{0, 1u << 30, 0.1, true},
+                            {0, 5, 0.2, true},
+                            {0, UINT32_MAX, 0.3, false}});
+    ExpectMatchesReference(w, dedup);
+  }
+  {
+    // A table over [0, max id] would take 16 GB.
+    SCOPED_TRACE("dense span ending at UINT32_MAX");
+    const data::Workload w = SpanWorkload(3000, UINT32_MAX - 4095, 4096, 11);
+    ExpectMatchesReference(w, two_table);
+    ExpectMatchesReference(w, dedup);
+    ExpectMatchesReference(w, ClusteringOptions{7, 3});
+  }
+  // Spans around the dense/sparse threshold: a two-table column ranks n
+  // endpoints, a shared source 2n.
+  constexpr size_t kPairs = 1000;
+  constexpr uint64_t kLimit = entity::kDenseSpanPerEndpoint;
+  for (const int64_t delta : {-1, 0, 1}) {
+    SCOPED_TRACE(delta);
+    const uint32_t lo = 12345;
+    ExpectMatchesReference(
+        SpanWorkload(kPairs, lo, kLimit * kPairs + delta, 21), two_table);
+    ExpectMatchesReference(
+        SpanWorkload(kPairs, lo, kLimit * kPairs + delta, 22),
+        ClusteringOptions{1, 0});
+    ExpectMatchesReference(
+        SpanWorkload(kPairs, lo, 2 * kLimit * kPairs + delta, 23), dedup);
   }
   for (const int bits : {11, 22, 32}) {
     SCOPED_TRACE(bits);
@@ -361,23 +409,33 @@ TEST(EntityClusteringTest, ExtendRecordsHandlesUnchangedAndUnrelatedWorkloads) {
 }
 
 TEST(EntityClusteringTest, FromUniverseSharesKeysAndEqualsFromLabels) {
-  const ClusteringOptions dedup{4, 4};
   const std::vector<uint32_t> left = IdPool(22, 200, 3);
   const std::vector<uint32_t> right = IdPool(22, 200, 4);
-  const data::Workload w = PoolWorkload(800, left, right, 0.4, 5);
-  const entity::RecordUniverse universe = entity::IndexRecords(w, dedup);
-  const std::vector<int> labels = w.GroundTruthLabels();
-  const EntityClustering a = EntityClustering::FromUniverse(universe, labels);
-  const EntityClustering b = EntityClustering::FromUniverse(
-      universe, std::vector<int>(w.size(), 0));
-  const EntityClustering cold = EntityClustering::FromLabels(w, labels, dedup);
-  EXPECT_EQ(a, cold);
-  EXPECT_EQ(a.Checksum(), cold.Checksum());
-  EXPECT_EQ(&a.record_keys(), universe.record_keys.get());
-  EXPECT_EQ(&b.record_keys(), universe.record_keys.get());
-  EXPECT_EQ(b.num_entities(), b.num_records());
-  // The universe stays intact for the next clustering.
-  EXPECT_EQ(universe.left.size(), w.size());
+  const data::Workload sparse = PoolWorkload(800, left, right, 0.4, 5);
+  const data::Workload dense = SpanWorkload(800, 50, 900, 6);
+  for (const data::Workload* w : {&sparse, &dense}) {
+    for (const ClusteringOptions options :
+         {ClusteringOptions{4, 4}, ClusteringOptions{0, 1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (w == &sparse ? "sparse" : "dense") << " sources "
+                   << options.left_source << "," << options.right_source);
+      const entity::RecordUniverse universe = entity::IndexRecords(*w, options);
+      const std::vector<int> labels = w->GroundTruthLabels();
+      const EntityClustering a =
+          EntityClustering::FromUniverse(universe, labels);
+      const EntityClustering b = EntityClustering::FromUniverse(
+          universe, std::vector<int>(w->size(), 0));
+      const EntityClustering cold =
+          EntityClustering::FromLabels(*w, labels, options);
+      EXPECT_EQ(a, cold);
+      EXPECT_EQ(a.Checksum(), cold.Checksum());
+      EXPECT_EQ(&a.record_keys(), universe.record_keys.get());
+      EXPECT_EQ(&b.record_keys(), universe.record_keys.get());
+      EXPECT_EQ(b.num_entities(), b.num_records());
+      // The universe stays intact for the next clustering.
+      EXPECT_EQ(universe.left.size(), w->size());
+    }
+  }
 }
 
 }  // namespace
