@@ -1,19 +1,16 @@
-// Entity-layer bench: cluster-build throughput and transitivity repair on
-// the synthetic entity graph at the million-pair scale preset. Unlike the
+// Entity-layer bench: cluster-build throughput and entity quality on the
+// synthetic entity graph at the million-pair scale preset. Unlike the
 // DS/AB pair simulators (degree-1 records), the entity graph realizes a
 // latent partition with multi-record entities, duplicate mentions, and
-// cross-entity pairs — the workload shape where union-find clustering and
-// the correlation-clustering repair actually have work to do.
+// cross-entity pairs — the workload shape where union-find clustering
+// actually has work to do.
 //
 // The bench *checks* the contracts it advertises and exits nonzero on any
 // violation, so the committed BENCH_entities.json cannot silently go stale:
 //   * exact_recovery — clustering the ground-truth labels recovers the
 //     latent partition bit-for-bit (up to canonical renumbering);
-//   * repaired_transitive — after RepairTransitivity the labels ARE a
-//     clustering relation (zero disagreements against their own closure),
-//     and repair never increased disagreements vs the noisy input;
-//   * thread_invariant — clustering and repair checksums are identical
-//     with the global pool pinned to 1 and to 4 threads;
+//   * thread_invariant — clustering checksums are identical with the
+//     global pool pinned to 1 and to 4 threads;
 //   * cluster-build throughput stays above kMpairsPerSecFloor — the
 //     committed baseline gates the real number at 20% tolerance in CI; the
 //     floor only catches catastrophic loss.
@@ -38,9 +35,8 @@ constexpr entity::ClusteringOptions kDedup{0, 0};
 constexpr size_t kTargetPairs = 1000000;
 // Clustering repetitions; the row keeps the best timing.
 constexpr size_t kReps = 3;
-// Label flip fraction fed to repair: high enough that some conflict
-// components have genuinely improving moves, so the baseline pins a repair
-// that DOES something, not a no-op.
+// Label flip fraction of the noisy labeling whose entity quality the row
+// reports.
 constexpr double kNoise = 0.02;
 // Minimum cluster-build throughput, in Mpairs/sec.
 constexpr double kMpairsPerSecFloor = 1.0;
@@ -52,35 +48,35 @@ struct Row {
   size_t noise_flips = 0;
   double cluster_ms = 0.0;  // best of kReps
   double cluster_mpairs_per_sec = 0.0;
-  double repair_ms = 0.0;
-  size_t conflict_components = 0;
-  size_t moves_applied = 0;
-  size_t disagreements_before = 0;
-  size_t disagreements_after = 0;
   bool exact_recovery = false;
-  bool repaired_transitive = false;
   bool thread_invariant = false;
   double entity_precision = 0.0;
   double entity_recall = 0.0;
   double jaccard_agreement = 0.0;
 };
 
-/// Latent partition recovered exactly: same entity count and a consistent
-/// latent->predicted bijection over every record.
+/// Latent partition recovered exactly, read through the served member
+/// lists: the same records, the same entity count, and every predicted
+/// entity's members drawn from one latent entity, each latent entity
+/// claimed by one predicted entity.
 bool RecoversLatentPartition(const data::EntityGraph& g,
                              const entity::EntityClustering& c) {
   if (c.num_records() != g.num_records) return false;
   if (c.num_entities() != g.num_entities) return false;
-  std::vector<uint32_t> latent_to_predicted(g.num_entities, UINT32_MAX);
-  for (uint32_t r = 0; r < g.num_records; ++r) {
-    const auto predicted = c.EntityOf({0, r});
-    if (!predicted.has_value()) return false;
-    uint32_t& mapped = latent_to_predicted[g.entity_of_record[r]];
-    if (mapped == UINT32_MAX) {
-      mapped = *predicted;
-    } else if (mapped != *predicted) {
-      return false;
+  std::vector<bool> claimed(g.num_entities, false);
+  for (uint32_t e = 0; e < c.num_entities(); ++e) {
+    const entity::EntityClustering::MemberRange members = c.MembersOf(e);
+    if (members.empty()) return false;
+    uint32_t latent = UINT32_MAX;
+    for (size_t k = 0; k < members.size(); ++k) {
+      const entity::RecordRef record = members[k];
+      if (record.source != 0 || record.id >= g.num_records) return false;
+      const uint32_t of = g.entity_of_record[record.id];
+      if (latent == UINT32_MAX) latent = of;
+      if (of != latent) return false;
     }
+    if (claimed[latent]) return false;
+    claimed[latent] = true;
   }
   return true;
 }
@@ -89,10 +85,8 @@ bool RecoversLatentPartition(const data::EntityGraph& g,
 
 int main() {
   bench::PrintHeader(
-      "bench_entities — union-find clustering and transitivity repair on "
-      "the latent entity graph",
-      "ISSUE 8 entity contracts: exact recovery, transitive closure, "
-      "thread-count invariance");
+      "bench_entities — union-find clustering on the latent entity graph",
+      "ISSUE 8 entity contracts: exact recovery, thread-count invariance");
 
   bool contract_ok = true;
 
@@ -132,24 +126,9 @@ int main() {
           : 0.0;
   row.exact_recovery = RecoversLatentPartition(g, truth_clusters);
 
-  // --- Transitivity repair over the noisy labels.
-  const auto repair_start = std::chrono::steady_clock::now();
-  const entity::RepairResult repaired =
-      entity::RepairTransitivity(g.workload, noisy, kDedup);
-  row.repair_ms = MsSince(repair_start);
-  row.conflict_components = repaired.stats.conflict_components;
-  row.moves_applied = repaired.stats.moves_applied;
-  row.disagreements_before = repaired.stats.disagreements_before;
-  row.disagreements_after = repaired.stats.disagreements_after;
-  row.repaired_transitive =
-      entity::CountDisagreements(g.workload, repaired.labels,
-                                 repaired.clustering, kDedup) == 0 &&
-      row.disagreements_after <= row.disagreements_before;
-
   // --- Thread-count invariance: pool pinned to 1 vs 4 threads must give
-  // bit-identical clustering AND repair results.
+  // a bit-identical clustering.
   uint64_t cluster_checksum[2] = {0, 0};
-  uint64_t repair_checksum[2] = {0, 0};
   const size_t thread_counts[2] = {1, 4};
   for (int t = 0; t < 2; ++t) {
     ThreadPool::SetGlobalThreads(thread_counts[t]);
@@ -157,25 +136,22 @@ int main() {
         entity::EntityClustering::FromLabels(g.workload, truth_labels,
                                              kDedup)
             .Checksum();
-    repair_checksum[t] =
-        entity::RepairTransitivity(g.workload, noisy, kDedup)
-            .clustering.Checksum();
   }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
-  row.thread_invariant = cluster_checksum[0] == cluster_checksum[1] &&
-                         repair_checksum[0] == repair_checksum[1] &&
-                         repair_checksum[0] ==
-                             repaired.clustering.Checksum();
+  row.thread_invariant = cluster_checksum[0] == cluster_checksum[1];
 
-  // --- Entity-level quality of the repaired clustering (informational;
-  // the exact contract fields above already pin determinism).
+  // --- Entity-level quality of the noisy labels' clustering
+  // (informational; the exact contract fields above already pin
+  // determinism).
   const entity::EntityClustering truth =
       eval::TruthClustering(g.workload, kDedup);
+  const entity::EntityClustering noisy_clusters =
+      entity::EntityClustering::FromLabels(g.workload, noisy, kDedup);
   const eval::EntityQuality quality =
-      eval::EntityQualityOf(truth, repaired.clustering);
+      eval::EntityQualityOf(truth, noisy_clusters);
   row.entity_precision = quality.precision;
   row.entity_recall = quality.recall;
-  row.jaccard_agreement = eval::JaccardAgreement(truth, repaired.clustering);
+  row.jaccard_agreement = eval::JaccardAgreement(truth, noisy_clusters);
 
   if (!row.exact_recovery) {
     std::fprintf(stderr,
@@ -183,16 +159,9 @@ int main() {
                  "recover the latent partition\n");
     contract_ok = false;
   }
-  if (!row.repaired_transitive) {
-    std::fprintf(stderr,
-                 "CONTRACT VIOLATION: repair left an inconsistent "
-                 "labeling (before=%zu after=%zu)\n",
-                 row.disagreements_before, row.disagreements_after);
-    contract_ok = false;
-  }
   if (!row.thread_invariant) {
     std::fprintf(stderr,
-                 "CONTRACT VIOLATION: clustering/repair not bit-identical "
+                 "CONTRACT VIOLATION: clustering not bit-identical "
                  "across thread counts\n");
     contract_ok = false;
   }
@@ -204,15 +173,13 @@ int main() {
     contract_ok = false;
   }
 
-  std::printf("\n%9s %9s %9s %8s %10s %9s %7s %7s %6s %6s %6s\n", "pairs",
-              "records", "entities", "clust_ms", "Mpairs/s", "repair_ms",
-              "dis_in", "dis_out", "exact", "trans", "thrd");
-  std::printf("%9zu %9zu %9zu %8.1f %10.2f %9.1f %7zu %7zu %6s %6s %6s\n",
+  std::printf("\n%9s %9s %9s %8s %10s %8s %8s %6s %6s\n", "pairs",
+              "records", "entities", "clust_ms", "Mpairs/s", "ent_prec",
+              "ent_rec", "exact", "thrd");
+  std::printf("%9zu %9zu %9zu %8.1f %10.2f %8.4f %8.4f %6s %6s\n",
               row.pairs, row.records, row.entities, row.cluster_ms,
-              row.cluster_mpairs_per_sec, row.repair_ms,
-              row.disagreements_before, row.disagreements_after,
-              row.exact_recovery ? "yes" : "no",
-              row.repaired_transitive ? "yes" : "no",
+              row.cluster_mpairs_per_sec, row.entity_precision,
+              row.entity_recall, row.exact_recovery ? "yes" : "no",
               row.thread_invariant ? "yes" : "no");
 
   bench::JsonObject out;
@@ -222,13 +189,7 @@ int main() {
   out.Set("noise_flips", row.noise_flips);
   out.Set("cluster_ms", row.cluster_ms, 2);
   out.Set("cluster_mpairs_per_sec", row.cluster_mpairs_per_sec, 2);
-  out.Set("repair_ms", row.repair_ms, 2);
-  out.Set("conflict_components", row.conflict_components);
-  out.Set("moves_applied", row.moves_applied);
-  out.Set("disagreements_before", row.disagreements_before);
-  out.Set("disagreements_after", row.disagreements_after);
   out.Set("exact_recovery", row.exact_recovery);
-  out.Set("repaired_transitive", row.repaired_transitive);
   out.Set("thread_invariant", row.thread_invariant);
   out.Set("entity_precision", row.entity_precision, 6);
   out.Set("entity_recall", row.entity_recall, 6);

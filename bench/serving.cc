@@ -1,8 +1,7 @@
 // Mixed-traffic serving bench for the always-on resolution service: N
 // reader threads hammer wait-free pair-label lookups against the published
-// snapshot while the write side ingests shards, folds review verdicts that
-// two delivery threads hand over out of band, and runs a RISK
-// certification on the writer thread.
+// snapshot while the write side ingests shards, enters review verdicts, and
+// runs a RISK certification, all on the writer thread.
 //
 // The bench *checks* the contracts it advertises and exits nonzero on any
 // violation, so the committed BENCH_serving.json cannot silently go stale:
@@ -13,11 +12,11 @@
 //     agreement) with monotonically advancing versions;
 //   * after DrainToQuiescence, the service's certificate, labels, and
 //     lifetime oracle cost are IDENTICAL to a synchronous StreamingResolver
-//     driven through the same shard/certification/review schedule — out-of-
-//     band review delivery changes when a verdict lands, never the result.
+//     driven through the same shard/certification/review schedule, with the
+//     same verdicts preloaded where the service received them.
 //
 // Each row also records mutate_over_sync = mutate_ms / sync_ms: what the
-// serving write side (snapshot publishes, review queue, concurrent readers)
+// serving write side (snapshot publishes, reviews, concurrent readers)
 // costs over the bare resolver on the same schedule. The regression gate
 // holds it lower-better.
 //
@@ -48,8 +47,6 @@ const std::vector<size_t> kPairCounts =
 constexpr size_t kShards = bench::kSanitized ? 8 : 16;
 // Reader threads.
 constexpr size_t kReaders = 4;
-// Review-delivery threads (ResolutionServiceOptions::crowd_workers).
-constexpr size_t kCrowdWorkers = 2;
 // Minimum sustained lookups/sec across every reader.
 constexpr double kLookupsPerSecFloor = bench::kSanitized ? 1.0 : 1e6;
 
@@ -58,7 +55,6 @@ struct Row {
   size_t pairs = 0;
   size_t shards = 0;
   size_t readers = 0;
-  size_t crowd_workers = 0;
   size_t lookups_total = 0;
   double mutate_ms = 0.0;
   double lookups_per_sec = 0.0;
@@ -79,7 +75,7 @@ struct SyncRun {
   double ms = 0.0;
 };
 
-/// The out-of-band review burst at epoch `e` — one schedule shared by the
+/// The review burst at epoch `e` — one schedule shared by the
 /// service run (EnqueueReview) and the synchronous reference (direct
 /// preloads), so both certify over the same evidence.
 std::vector<data::InstancePair> ReviewBurst(size_t e,
@@ -94,7 +90,7 @@ std::vector<data::InstancePair> ReviewBurst(size_t e,
 
 /// The synchronous reference: the bare resolver driven through the same
 /// shard + certification schedule, with the same review verdicts seeded by
-/// direct preloads at the same epoch boundaries. The mirroring matters:
+/// direct preloads at the same points. The mirroring matters:
 /// risk-aware inspection is evidence-driven, so a reference WITHOUT the
 /// review answers can walk a different inspection path and certify
 /// different labels — equality vs the service is only a by-construction
@@ -141,8 +137,8 @@ SyncRun RunSynchronous(const data::Workload& base,
 
 int main() {
   bench::PrintHeader(
-      "bench_serving — snapshot-isolated reads over the async-oracle "
-      "resolution service",
+      "bench_serving — snapshot-isolated reads over the resolution "
+      "service",
       "ISSUE 7 serving contracts: wait-free lookups under mutation, "
       "drain == synchronous");
 
@@ -153,10 +149,8 @@ int main() {
 
   for (const size_t pairs : kPairCounts) {
     const data::Workload base = data::SimulatePairs(bench::ContractAb(pairs));
-    std::printf("AB: %zu pairs, %zu matches, %zu shards, %zu readers, "
-                "%zu crowd workers\n",
-                base.size(), base.CountMatches(), kShards, kReaders,
-                kCrowdWorkers);
+    std::printf("AB: %zu pairs, %zu matches, %zu shards, %zu readers\n",
+                base.size(), base.CountMatches(), kShards, kReaders);
 
     core::StreamingOptions streaming;
     streaming.certifier = core::StreamCertifier::kRisk;
@@ -168,13 +162,11 @@ int main() {
     row.pairs = base.size();
     row.shards = kShards;
     row.readers = kReaders;
-    row.crowd_workers = kCrowdWorkers;
     row.sync_cost = sync.total_inspections;
     row.sync_ms = sync.ms;
 
     core::ResolutionServiceOptions service_options;
     service_options.streaming = streaming;
-    service_options.crowd_workers = kCrowdWorkers;
     core::ResolutionService service(service_options, req);
 
     data::WorkloadStreamOptions stream_options;
@@ -226,23 +218,19 @@ int main() {
     const auto mutate_start = std::chrono::steady_clock::now();
     for (size_t e = 0; e < kShards; ++e) {
       if (e == kShards / 2) {
-        // Certification over exactly the first half, on this thread while
-        // the readers keep serving the previous snapshot. Waiting for
-        // review delivery first pins the certified evidence set — the
-        // certification's boundary fold sees every review enqueued so far
-        // instead of whatever subset the crowd workers happened to finish.
-        service.WaitForReviewDelivery();
+        // Certification over exactly the first half, with every review
+        // entered so far, on this thread while the readers keep serving
+        // the previous snapshot.
         service.RequestCertification();
       }
       const std::vector<data::InstancePair> burst = ReviewBurst(e, base);
       if (!burst.empty()) {
-        // A review burst: out-of-band verdicts that fold at later epoch
-        // boundaries (pairs that have not arrived yet are skipped).
+        // A review burst: the simulated reviewer's verdicts enter at once
+        // (pairs that have not arrived yet are skipped).
         service.EnqueueReview(burst);
       }
       service.Ingest(stream.ShardAt(e));
     }
-    service.WaitForReviewDelivery();
     service.RequestCertification();
     auto cert = service.DrainToQuiescence();
     row.mutate_ms = MsSince(mutate_start);
@@ -269,11 +257,8 @@ int main() {
 
     // Drain-to-quiescence self-check. The synchronous reference performed
     // the SAME schedule — shards, certifications, and review evidence
-    // (direct preloads at the burst boundaries, with WaitForReviewDelivery
-    // pinning the service's fold points) — so the certificate must match
-    // exactly: solution, labels, certified, and lifetime oracle cost
-    // (Oracle::Preload is idempotent per pair, so duplicate-review timing
-    // cannot shift the totals).
+    // (direct preloads before the same shards) — so the certificate must
+    // match exactly: solution, labels, certified, and lifetime oracle cost.
     const bool labels_equal =
         cert->resolution.labels == sync.cert.resolution.labels;
     const bool solution_equal =
@@ -311,13 +296,13 @@ int main() {
     rows.push_back(row);
   }
 
-  std::printf("\n%-4s %9s %7s %8s %6s %12s %10s %12s %6s %6s %6s\n", "wl",
-              "pairs", "shards", "readers", "crowd", "lookups", "mutate_ms",
+  std::printf("\n%-4s %9s %7s %8s %12s %10s %12s %6s %6s %6s\n", "wl",
+              "pairs", "shards", "readers", "lookups", "mutate_ms",
               "lookups/s", "snaps", "equal", "cert");
   for (const Row& r : rows) {
-    std::printf("%-4s %9zu %7zu %8zu %6zu %12zu %10.1f %12.0f %6zu %6s %6s\n",
+    std::printf("%-4s %9zu %7zu %8zu %12zu %10.1f %12.0f %6zu %6s %6s\n",
                 r.workload.c_str(), r.pairs, r.shards, r.readers,
-                r.crowd_workers, r.lookups_total, r.mutate_ms,
+                r.lookups_total, r.mutate_ms,
                 r.lookups_per_sec, r.snapshots_published,
                 r.drained_equals_synchronous ? "yes" : "no",
                 r.certified ? "yes" : "no");
@@ -330,7 +315,6 @@ int main() {
     out.Set("pairs", r.pairs);
     out.Set("shards", r.shards);
     out.Set("readers", r.readers);
-    out.Set("crowd_workers", r.crowd_workers);
     out.Set("lookups_total", r.lookups_total);
     out.Set("mutate_ms", r.mutate_ms, 2);
     out.Set("lookups_per_sec", r.lookups_per_sec, 0);

@@ -71,9 +71,9 @@ class Oracle {
   /// The deterministic verdict the simulated human gives for `index`:
   /// ground truth XOR the seeded per-index error flip. Pure (no memory, no
   /// counters): the inline path answers with it, and so do callers that
-  /// must reproduce an inline answer out of band (a review verdict the
-  /// resolution service computes at enqueue time, a bench's synchronous
-  /// reference).
+  /// must reproduce an inline answer elsewhere (the resolution service's
+  /// simulated reviewer, ResolutionService::EnqueueReview, and a bench's
+  /// synchronous reference).
   bool InlineAnswer(size_t index) const;
 
   /// Routes fresh inspections through `provider` (nullptr restores inline

@@ -1,6 +1,5 @@
 #include "core/resolution_service.h"
 
-#include <cassert>
 #include <utility>
 
 namespace humo::core {
@@ -29,62 +28,6 @@ uint64_t ResolutionSnapshot::ComputeChecksum() const {
   return h;
 }
 
-// --- AsyncOracleQueue ---
-
-AsyncOracleQueue::AsyncOracleQueue(size_t workers) {
-  workers_.reserve(workers);
-  for (size_t t = 0; t < workers; ++t) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-AsyncOracleQueue::~AsyncOracleQueue() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void AsyncOracleQueue::SubmitReview(const data::InstancePair& pair,
-                                    bool answer) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (workers_.empty()) {
-      // Synchronous crowd: the verdict is delivered immediately; it still
-      // folds in only at the next epoch boundary.
-      completed_.push_back({pair, answer});
-      return;
-    }
-    pending_.push_back({pair, answer});
-  }
-  work_cv_.notify_one();
-}
-
-std::vector<AsyncOracleQueue::Review> AsyncOracleQueue::TakeCompleted() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Review> out;
-  out.swap(completed_);
-  return out;
-}
-
-void AsyncOracleQueue::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_.empty(); });
-}
-
-void AsyncOracleQueue::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !pending_.empty(); });
-    if (stop_) return;
-    completed_.push_back(std::move(pending_.front()));
-    pending_.pop_front();
-    if (pending_.empty()) done_cv_.notify_all();
-  }
-}
-
 // --- ResolutionService ---
 
 ResolutionService::ResolutionService(ResolutionServiceOptions options,
@@ -92,7 +35,6 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
     : options_(options),
       req_(req),
       resolver_(options_.streaming, req_),
-      queue_(options_.crowd_workers),
       published_workload_(std::make_shared<const data::Workload>()) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   PublishLocked(/*refresh=*/true);  // version 1: the empty snapshot
@@ -100,9 +42,6 @@ ResolutionService::ResolutionService(ResolutionServiceOptions options,
 
 EpochReport ResolutionService::Ingest(data::Shard shard) {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // Epoch boundary: fold BEFORE the merge, so the resolver moves the folded
-  // answers across an interior merge like any others.
-  FoldCompletedReviewsLocked();
   EpochReport report = resolver_.Ingest(std::move(shard));
   // The one place the cumulative workload grows: copy it once for the
   // snapshots to share and extend the universe by the pairs that landed.
@@ -118,36 +57,50 @@ EpochReport ResolutionService::Ingest(data::Shard shard) {
 
 bool ResolutionService::RequestCertification() {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  FoldCompletedReviewsLocked();
   last_cert_ = resolver_.Certify();
   // A failed certification may have inspected pairs without refreshing.
   PublishLocked(/*refresh=*/!last_cert_->ok());
   return true;
 }
 
+bool ResolutionService::SubmitReview(const data::InstancePair& pair,
+                                     bool verdict) {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  const size_t idx = resolver_.cumulative().IndexOfSorted(pair);
+  if (idx >= resolver_.cumulative().size()) return false;  // not arrived yet
+  if (resolver_.oracle().WasAsked(idx)) return false;      // already answered
+  // The pair is in the cumulative workload, so the resolver finds it, and
+  // its oracle moves the answer across later interior merges like any other.
+  resolver_.PreloadEvidence(pair, verdict);
+  reviews_folded_.fetch_add(1, std::memory_order_relaxed);
+  review_since_publish_ = true;
+  return true;
+}
+
 size_t ResolutionService::EnqueueReview(
     const std::vector<data::InstancePair>& pairs) {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  size_t enqueued = 0;
-  for (const data::InstancePair& pair : pairs) {
-    const size_t idx = resolver_.cumulative().IndexOfSorted(pair);
-    if (idx >= resolver_.cumulative().size()) continue;  // not arrived yet
-    if (resolver_.oracle().WasAsked(idx)) continue;      // already answered
-    // The verdict is computed HERE, under the writer lock, against the
-    // current index — a review answer is a pure function of the pair, so
-    // computing it at submit time and delivering it later changes latency,
-    // never the value. (Workers must not compute review answers themselves:
-    // the pair's index shifts under interior merges.)
-    queue_.SubmitReview(pair, resolver_.oracle().InlineAnswer(idx));
-    ++enqueued;
+  // The simulated human's verdict depends on the pair's index (its error
+  // flip is seeded per index), which an interior merge shifts, so read it
+  // under the writer lock; SubmitReview then re-checks the skip rules.
+  std::vector<std::pair<data::InstancePair, bool>> verdicts;
+  {
+    std::lock_guard<std::mutex> lock(writer_mu_);
+    for (const data::InstancePair& pair : pairs) {
+      const size_t idx = resolver_.cumulative().IndexOfSorted(pair);
+      if (idx >= resolver_.cumulative().size()) continue;  // not arrived yet
+      verdicts.emplace_back(pair, resolver_.oracle().InlineAnswer(idx));
+    }
   }
-  return enqueued;
+  size_t accepted = 0;
+  for (const auto& [pair, verdict] : verdicts) {
+    accepted += SubmitReview(pair, verdict) ? 1 : 0;
+  }
+  return accepted;
 }
 
 Result<StreamingCertificate> ResolutionService::DrainToQuiescence() {
-  queue_.WaitIdle();
   std::lock_guard<std::mutex> lock(writer_mu_);
-  if (FoldCompletedReviewsLocked() > 0) PublishLocked(/*refresh=*/true);
+  if (review_since_publish_) PublishLocked(/*refresh=*/true);
   if (!last_cert_.has_value()) {
     return Status::FailedPrecondition(
         "DrainToQuiescence: no certification was requested");
@@ -159,21 +112,8 @@ std::shared_ptr<const ResolutionSnapshot> ResolutionService::snapshot() const {
   return std::atomic_load(&snapshot_);
 }
 
-size_t ResolutionService::FoldCompletedReviewsLocked() {
-  size_t folded = 0;
-  for (const AsyncOracleQueue::Review& review : queue_.TakeCompleted()) {
-    // EnqueueReview accepted the pair only once it was in the cumulative
-    // workload, and Workload::MergeSorted only adds pairs, so it is found.
-    const bool found = resolver_.PreloadEvidence(review.pair, review.answer);
-    assert(found);
-    folded += found ? 1 : 0;
-  }
-  reviews_folded_.fetch_add(folded, std::memory_order_relaxed);
-  return folded;
-}
-
 void ResolutionService::PublishLocked(bool refresh) {
-  // After a review fold the provisional serving state must see the new
+  // After a review the provisional serving state must see the new
   // evidence. Right after Ingest or Certify it already does, and a second
   // refresh would recompute the same labels and estimates. Either way the
   // refresh writes only serving state (it reads the evidence and the last
@@ -182,6 +122,8 @@ void ResolutionService::PublishLocked(bool refresh) {
   // the same schedule stay bit-identical.
   const EpochReport& report =
       refresh ? resolver_.RefreshServing() : resolver_.serving_report();
+
+  review_since_publish_ = false;
 
   auto snap = std::make_shared<ResolutionSnapshot>();
   snap->version_ = publish_count_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -192,7 +134,7 @@ void ResolutionService::PublishLocked(bool refresh) {
 
   // Serve certificate labels only while the certificate is CURRENT: issued
   // at this epoch, covering every pair, with no evidence folded since
-  // (total_inspections moved => review answers the certificate never saw).
+  // (total_inspections moved => review verdicts the certificate never saw).
   const StreamingCertificate* cert = resolver_.last_certificate();
   const bool cert_current =
       cert != nullptr && cert->epoch == resolver_.epochs_ingested() &&

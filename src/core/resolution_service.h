@@ -1,14 +1,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -103,54 +100,11 @@ class ResolutionSnapshot {
   uint64_t checksum_ = 0;
 };
 
-/// Out-of-band delivery of human review verdicts: the pending-review-queue
-/// pattern. SubmitReview enqueues a verdict that is already known (an
-/// answer is a pure function of the question, see Oracle::InlineAnswer and
-/// ResolutionService::EnqueueReview), and worker threads move it to the
-/// completed buffer whenever they get to it, so verdicts ARRIVE at times
-/// the submitter does not control. The service folds the completed buffer
-/// in at the next epoch boundary. Certification never goes through this
-/// queue: its inspections are answered inline by the resolver's oracle.
-class AsyncOracleQueue {
- public:
-  struct Review {
-    data::InstancePair pair;
-    bool answer = false;
-  };
-
-  /// `workers` = delivery threads; 0 delivers every review at submit time
-  /// (the degenerate synchronous crowd).
-  explicit AsyncOracleQueue(size_t workers);
-  ~AsyncOracleQueue();
-
-  AsyncOracleQueue(const AsyncOracleQueue&) = delete;
-  AsyncOracleQueue& operator=(const AsyncOracleQueue&) = delete;
-
-  /// Enqueues one review verdict for out-of-band delivery.
-  void SubmitReview(const data::InstancePair& pair, bool answer);
-
-  /// Drains the completed-review buffer (delivery order).
-  std::vector<Review> TakeCompleted();
-
-  /// Blocks until every submitted review has been delivered.
-  void WaitIdle();
-
- private:
-  void WorkerLoop();
-
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: reviews queued / stop
-  std::condition_variable done_cv_;   // WaitIdle: queue drained
-  std::deque<Review> pending_;        // submitted, not delivered; mu_
-  std::vector<Review> completed_;     // delivered, not folded; mu_
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
 struct ResolutionServiceOptions {
   StreamingOptions streaming;
-  /// Threads delivering review verdicts (AsyncOracleQueue); 0 delivers
-  /// each verdict at submit time.
+  /// Changes nothing: review verdicts enter through SubmitReview on the
+  /// caller's thread. Kept because the frozen bench/e2e/bench_e2e.cc sets
+  /// it; remove it when that bench is re-cut.
   size_t crowd_workers = 2;
   /// How the workload's id columns map onto record sources for the
   /// snapshot's entity view (default: two-table ER).
@@ -161,11 +115,11 @@ struct ResolutionServiceOptions {
 /// EPOCHS from READ SNAPSHOTS so millions of lookups never contend with
 /// ingest or certification.
 ///
-/// Write side (Ingest / RequestCertification / EnqueueReview fold-ins) is
-/// serialized on one internal writer lock; every mutation ends by
-/// publishing a fresh immutable ResolutionSnapshot via an atomic
-/// shared_ptr swap (RCU-style: readers pin the epoch they loaded, old
-/// epochs are reclaimed when the last reader drops them).
+/// Write side (Ingest / RequestCertification / SubmitReview) is serialized
+/// on one internal writer lock; Ingest and RequestCertification end by
+/// publishing a fresh immutable ResolutionSnapshot via an atomic shared_ptr
+/// swap (RCU-style: readers pin the epoch they loaded, old epochs are
+/// reclaimed when the last reader drops them).
 ///
 /// Read side (snapshot) never takes the writer lock and never blocks on
 /// mutation — a lookup is an atomic snapshot load plus an array read
@@ -174,14 +128,16 @@ struct ResolutionServiceOptions {
 /// Certification runs on the caller's thread under the writer lock and
 /// answers its own inspections through the resolver's oracle, exactly as a
 /// bare StreamingResolver does, so a certificate covers exactly the epochs
-/// ingested before the request. Human REVIEW verdicts submitted via
-/// EnqueueReview arrive out of band through the AsyncOracleQueue and fold
-/// in at the next epoch boundary through StreamingResolver::PreloadEvidence,
-/// which finds each pair by identity. Because a review verdict is exactly
-/// Oracle::InlineAnswer's, DRAINING TO QUIESCENCE (every review delivered
-/// and folded) leaves labels, oracle cost, and certificates bit-identical
-/// to driving the synchronous StreamingResolver through the same schedule
-/// — asserted by tests and by bench_serving's self-check.
+/// ingested before the request. Human REVIEW verdicts are input: a
+/// reviewer submits one through SubmitReview, from any thread, and the
+/// service enters it into the resolver's oracle at once through
+/// StreamingResolver::PreloadEvidence, which finds the pair by identity.
+/// The verdict may disagree with the truth; it is served verbatim. Every
+/// writer call holds the lock, so a review lands between two writer calls,
+/// and the service is at every point the synchronous StreamingResolver
+/// with the same verdicts preloaded at the same points in the schedule:
+/// labels, oracle cost and certificates bit-identical — asserted by tests
+/// and by bench_serving's self-check.
 class ResolutionService {
  public:
   ResolutionService(ResolutionServiceOptions options, QualityRequirement req);
@@ -191,12 +147,13 @@ class ResolutionService {
 
   // --- Write side (serialized internally; callable from any thread) ---
 
-  /// Folds completed reviews (epoch boundary), ingests the shard, publishes
-  /// a snapshot. Blocks while another writer call holds the writer lock.
+  /// Ingests the shard and publishes a snapshot, which serves every review
+  /// submitted before the call. Blocks while another writer call holds the
+  /// writer lock.
   EpochReport Ingest(data::Shard shard);
 
-  /// Folds completed reviews (epoch boundary), certifies the pairs ingested
-  /// so far on the calling thread and publishes the result; returns when the
+  /// Certifies the pairs ingested so far, with every review submitted so
+  /// far, on the calling thread and publishes the result; returns when the
   /// certificate is published. Readers keep serving the previous snapshot
   /// meanwhile. Always returns true: a request is never dropped, so two
   /// back-to-back requests both run (the second reuses the first's
@@ -204,26 +161,27 @@ class ResolutionService {
   /// and the published snapshot.
   bool RequestCertification();
 
-  /// Enqueues pairs for out-of-band human review. Pairs not yet ingested or
-  /// already answered are skipped; returns the number actually enqueued.
-  /// Completed verdicts fold in at the next epoch boundary (Ingest,
-  /// RequestCertification, or DrainToQuiescence).
+  /// Enters a human review verdict for `pair`. Accepted only when the pair
+  /// has arrived and has no answer yet; returns whether it was. An accepted
+  /// verdict is evidence from the next publish on (Ingest,
+  /// RequestCertification or DrainToQuiescence), and every later
+  /// certification reuses it.
+  bool SubmitReview(const data::InstancePair& pair, bool verdict);
+
+  /// The simulated reviewer: submits, for each pair that has arrived, the
+  /// verdict of the resolver's oracle (Oracle::InlineAnswer, the ground
+  /// truth unless the oracle has an error rate). Returns the number of
+  /// verdicts SubmitReview accepted.
   size_t EnqueueReview(const std::vector<data::InstancePair>& pairs);
 
-  /// Blocks until every enqueued review verdict has been delivered by the
-  /// queue's threads (delivered, not folded — folding still happens at the
-  /// next epoch boundary). Calling this immediately before
-  /// RequestCertification pins the certified evidence set: the
-  /// certification's boundary fold then sees EVERY review enqueued so far,
-  /// independent of delivery timing. Without it a slow worker can hold a
-  /// verdict past the certification start, and — because risk-aware
-  /// inspection is evidence-driven — certify against a different answer set
-  /// than a rerun would.
-  void WaitForReviewDelivery() { queue_.WaitIdle(); }
+  /// Nothing to wait for: a submitted review is in the resolver when
+  /// SubmitReview returns. Kept because the frozen bench/e2e/bench_e2e.cc
+  /// calls it; remove it when that bench is re-cut.
+  void WaitForReviewDelivery() {}
 
-  /// Waits until every enqueued review is delivered, folds the remaining
-  /// completed reviews, publishes, and returns the latest certificate
-  /// (error when no certification ever ran or the last one failed).
+  /// Publishes once more when a review arrived after the last publish, and
+  /// returns the latest certificate (error when no certification ever ran
+  /// or the last one failed).
   Result<StreamingCertificate> DrainToQuiescence();
 
   // --- Read side (wait-free; never blocks on mutation) ---
@@ -234,6 +192,7 @@ class ResolutionService {
   // --- Introspection ---
 
   size_t snapshots_published() const { return publish_count_.load(); }
+  /// Reviews SubmitReview accepted, each entered once.
   size_t reviews_folded() const { return reviews_folded_.load(); }
 
   /// Direct resolver access for the drain-equivalence checks in tests and
@@ -244,9 +203,6 @@ class ResolutionService {
   }
 
  private:
-  /// Epoch boundary: folds completed reviews into the resolver's oracle.
-  /// Returns how many folded. Caller holds writer_mu_.
-  size_t FoldCompletedReviewsLocked();
   /// Builds and atomically publishes a snapshot over published_workload_
   /// and universe_, which Ingest keeps current. `refresh` re-runs the
   /// resolver's serving refresh (RefreshServing) first; without it the
@@ -258,15 +214,14 @@ class ResolutionService {
   ResolutionServiceOptions options_;
   QualityRequirement req_;
 
-  /// Serializes every resolver mutation (ingest, certification, fold-in).
+  /// Serializes every resolver mutation (ingest, certification, review).
   std::mutex writer_mu_;
   StreamingResolver resolver_;  // guarded by writer_mu_
 
-  /// Its destructor joins the delivery threads. Reviews still queued never
-  /// touch the resolver (their verdicts were computed at enqueue time).
-  AsyncOracleQueue queue_;
-
   std::optional<Result<StreamingCertificate>> last_cert_;  // writer_mu_
+  /// A review was entered after the last publish, so the published
+  /// snapshot does not serve it yet. Guarded by writer_mu_.
+  bool review_since_publish_ = false;
 
   /// A copy of the resolver's cumulative workload, shared by every
   /// snapshot until it grows, and its record universe under

@@ -174,14 +174,15 @@ class StreamingResolver {
 
   size_t epochs_ingested() const { return epochs_ingested_; }
 
-  /// Seeds an out-of-band human answer (the review fold-in hook): locates
+  /// Seeds a human answer bought outside the resolver (the resolution
+  /// service's review path, ResolutionService::SubmitReview): locates
   /// `pair` by identity — (left, right, similarity), robust to the index
   /// shifts interior merges cause — and preloads the answer into the
   /// oracle (free, idempotent; see Oracle::Preload). Returns false when the
   /// pair is not part of the cumulative workload; merges only add pairs, so
   /// a pair found once is found at every later epoch. Call
-  /// RefreshServing() after a fold-in burst so the provisional labeling and
-  /// estimates see the new evidence.
+  /// RefreshServing() after a burst of preloads so the provisional labeling
+  /// and estimates see the new evidence.
   bool PreloadEvidence(const data::InstancePair& pair, bool answer);
 
   /// Recomputes the provisional labels and plug-in estimates from the

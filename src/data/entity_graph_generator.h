@@ -14,7 +14,7 @@ namespace humo::data {
 /// cross-entity non-match pairs. Every existing generator emits degree-1
 /// records (each record appears in exactly one pair), which makes every
 /// cluster trivially a pair; this one is what the entity layer's
-/// clustering, repair, and set-based metrics are exercised against.
+/// clustering and set-based metrics are exercised against.
 ///
 /// The realization is a pure function of the config: entity sizes come
 /// from Rng::Stream(seed, entity * 4), edges from
@@ -71,8 +71,9 @@ EntityGraphConfig EntityGraphConfigForPairs(size_t target_pairs,
 
 /// Ground-truth labels with a `flip_fraction` of independent per-pair flips
 /// (Rng::Stream(seed, pair index) — deterministic, order-independent).
-/// Flipping breaks transitive consistency, which is exactly what
-/// entity::RepairTransitivity exists to undo.
+/// Flipping breaks transitive consistency: a flipped non-match can merge two
+/// entities, and a flipped match splits one only where no other match edge
+/// connects it.
 std::vector<int> NoisyLabels(const Workload& workload, double flip_fraction,
                              uint64_t seed);
 

@@ -75,8 +75,8 @@ std::vector<uint32_t> RankColumn(const uint32_t* ids, size_t n,
   return distinct;
 }
 
-/// The sparse path of IndexRecords: each column radix-ranked, then one
-/// merge of the two ranked sides by packed key.
+/// The sparse path of FromLabels: each column radix-ranked, then one merge
+/// of the two ranked sides by packed key.
 RecordUniverse RadixIndex(const data::Workload& workload,
                           const ClusteringOptions& options) {
   const size_t n = workload.size();
@@ -128,7 +128,7 @@ struct RankTable {
   uint32_t operator[](uint32_t id) const { return index[id - lo]; }
 };
 
-/// The dense path of IndexRecords and FromLabels: the view's record keys and
+/// The dense path of FromLabels: the view's record keys and
 /// one RankTable per source (a shared source's two columns share one).
 struct RankTables {
   std::shared_ptr<std::vector<uint64_t>> keys;
@@ -231,24 +231,6 @@ std::vector<uint32_t> UnionMatches(const RecordUniverse& universe,
 }
 
 }  // namespace
-
-RecordUniverse IndexRecords(const data::Workload& workload,
-                            const ClusteringOptions& options) {
-  const std::optional<RankTables> ranks = RankDense(workload, options);
-  if (!ranks) return RadixIndex(workload, options);
-  const size_t n = workload.size();
-  RecordUniverse out;
-  out.record_keys = ranks->keys;
-  out.left.resize(n);
-  out.right.resize(n);
-  const uint32_t* l = workload.left_id_data();
-  const uint32_t* r = workload.right_id_data();
-  for (size_t i = 0; i < n; ++i) {
-    out.left[i] = ranks->left()[l[i]];
-    out.right[i] = ranks->right()[r[i]];
-  }
-  return out;
-}
 
 RecordUniverse ExtendRecords(const RecordUniverse& prior,
                              const data::Workload& grown,

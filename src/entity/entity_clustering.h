@@ -46,10 +46,10 @@ struct ClusteringOptions {
 /// The record universe of a pairwise workload under one ClusteringOptions
 /// view: the sorted distinct packed keys of both endpoint columns, and each
 /// pair's endpoint positions in them (`(*record_keys)[left[i]]` is pair i's
-/// left record). EntityClustering and RepairTransitivity both build on it,
-/// so this is the one place that knows how records are laid out. The keys
-/// are immutable and shared: every clustering built from a universe points
-/// at the same array.
+/// left record). EntityClustering and the resolution service's carried
+/// universe both build on it, so this is the one place that knows how
+/// records are laid out. The keys are immutable and shared: every
+/// clustering built from a universe points at the same array.
 struct RecordUniverse {
   std::shared_ptr<const std::vector<uint64_t>> record_keys =
       std::make_shared<const std::vector<uint64_t>>();  // sorted, distinct
@@ -62,27 +62,15 @@ struct RecordUniverse {
 /// per column of a two-table view, 2n for a shared source).
 inline constexpr uint64_t kDenseSpanPerEndpoint = 2;
 
-/// Builds the record universe in linear passes with no binary search. When
-/// every source's id span is dense (kDenseSpanPerEndpoint), each source
-/// marks its ids in one table over its span, and one ascending scan per
-/// table numbers the marked ids; sources are numbered in key order, so the
-/// keys come out sorted with no merge, and each pair's indices are two
-/// table lookups. A shared source gets one table over both columns.
-/// Otherwise each column is radix-sorted by id (only as many 11-bit passes
-/// as its largest id needs), its distinct ids are ranked in one scan, and
-/// the two ranked sides are merged once by packed key. A pure function of
-/// the pair set: independent of pair order and thread count.
-RecordUniverse IndexRecords(const data::Workload& workload,
-                            const ClusteringOptions& options);
-
 /// The record universe of `grown`, built from `prior` (the universe before
 /// one data::Workload::MergeSorted) instead of from scratch. `landed` is
 /// what that merge returned: the ascending positions in `grown` of the
 /// pairs it added, so the other positions hold prior's pairs in prior's
 /// order. Only the landed pairs' keys are sorted and merged into prior's,
 /// and every old pair's record indices are carried through one remap
-/// pass. The result equals IndexRecords(grown, options) field for field;
-/// an empty prior (a default RecordUniverse) needs no special case.
+/// pass. The result is the universe of `grown` field for field, a pure
+/// function of its pair set; from an empty prior (a default
+/// RecordUniverse, every pair landed) it is built from scratch.
 RecordUniverse ExtendRecords(const RecordUniverse& prior,
                              const data::Workload& grown,
                              const std::vector<size_t>& landed,
@@ -102,13 +90,19 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
 ///     order, so entity 0 contains the globally smallest record;
 ///   * members of an entity are stored in ascending record-key order.
 /// Two clusterings over the same workload are therefore equal (operator==,
-/// equal Checksum()) iff they induce the same partition. Construction is a
-/// serial sequence of linear passes: the records are ranked as IndexRecords
-/// ranks them (rank tables over dense id spans, radix passes over sparse
-/// ones), an O(n alpha(n)) union-find joins the match edges, and the
-/// canonical renumbering erases any dependence on union order. Over dense
-/// spans FromLabels looks each match edge's records up in the tables and
-/// builds no per-pair record arrays. Each temporary is freed as soon as its
+/// equal Checksum()) iff they induce the same partition. FromLabels is a
+/// serial sequence of linear passes with no binary search. When every
+/// source's id span is dense (kDenseSpanPerEndpoint), each source marks its
+/// ids in one table over its span, and one ascending scan per table numbers
+/// the marked ids; sources are numbered in key order, so the keys come out
+/// sorted with no merge, and a shared source gets one table over both
+/// columns. Each match edge's records are then two table lookups, and no
+/// per-pair record arrays are built. Otherwise each column is radix-sorted
+/// by id (only as many 11-bit passes as its largest id needs), its distinct
+/// ids are ranked in one scan, and the two ranked sides are merged once by
+/// packed key into a RecordUniverse. An O(n alpha(n)) union-find joins the
+/// match edges, and the canonical renumbering erases any dependence on
+/// union order. Each temporary is freed as soon as its
 /// pass ends, the rank tables before the member lists allocate, and the
 /// union-find parent array becomes the entity-id array. The record keys are
 /// the universe's shared array, not a copy.
@@ -165,10 +159,6 @@ class EntityClustering {
   /// into this clustering's storage — valid as long as the clustering (or
   /// the snapshot holding it) is alive.
   MemberRange MembersOf(uint32_t entity) const;
-
-  size_t EntitySize(uint32_t entity) const {
-    return MembersOf(entity).count;
-  }
 
   /// Sorted distinct packed record keys (the record universe).
   const std::vector<uint64_t>& record_keys() const { return *record_keys_; }

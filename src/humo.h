@@ -60,27 +60,26 @@
 /// in the resolution service (core/resolution_service.h): every mutation
 /// publishes an immutable snapshot readers access wait-free through an
 /// atomic shared_ptr, certification runs on the caller's thread while
-/// readers keep serving the previous snapshot, human review verdicts arrive
-/// out of band and fold in at epoch boundaries, and draining to quiescence
-/// reproduces the synchronous resolver bit for bit:
+/// readers keep serving the previous snapshot, submitted verdicts of human
+/// reviewers enter the resolver's evidence at once, and draining to
+/// quiescence reproduces the synchronous resolver bit for bit:
 ///
 ///   core::ResolutionService service({/*streaming=*/{}}, req);
 ///   while (stream.Next(&shard)) service.Ingest(std::move(shard));
+///   service.SubmitReview(pair, verdict);   // a reviewer's verdict, any thread
 ///   service.RequestCertification();        // certifies and publishes
 ///   auto label = service.snapshot()->LabelOf(i);  // wait-free, any thread
 ///   auto cert = service.DrainToQuiescence();  // == streaming.Certify()
 ///
 /// Pair labels are only half the story: downstream consumers want ENTITIES.
 /// The entity layer (entity/) folds any pair labeling into a deterministic
-/// clustering over the underlying records, repairs transitivity conflicts
-/// with a minimum-disagreement local search, and scores cluster quality
-/// (eval/entity_metrics.h). Snapshots published by the resolution service
-/// carry the same view wait-free:
+/// clustering over the underlying records (the transitive closure of the
+/// match labels) and scores cluster quality (eval/entity_metrics.h).
+/// Snapshots published by the resolution service carry the same view
+/// wait-free:
 ///
 ///   auto clusters = entity::EntityClustering::FromLabels(w, labels);
-///   auto repaired = entity::RepairTransitivity(w, labels);
-///   auto quality = eval::EntityQualityOf(eval::TruthClustering(w),
-///                                        repaired.clustering);
+///   auto quality = eval::EntityQualityOf(eval::TruthClustering(w), clusters);
 ///   auto who = service.snapshot()->EntityOf({/*source=*/0, /*id=*/42});
 ///
 /// When the "oracle" is a CROWD rather than a single expert, the crowd task
@@ -135,7 +134,6 @@
 #include "data/workload.h"
 #include "data/workload_stream.h"
 #include "entity/entity_clustering.h"
-#include "entity/transitivity_repair.h"
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
 #include "eval/experiment.h"

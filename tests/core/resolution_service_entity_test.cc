@@ -35,7 +35,6 @@ data::Workload ResolutionServiceEntityTest::ds_;
 core::ResolutionServiceOptions ServiceOptions() {
   core::ResolutionServiceOptions options;
   options.streaming.sampling.seed = 21;
-  options.crowd_workers = 2;
   return options;
 }
 
@@ -166,7 +165,6 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
     }
     if (e % 3 == 1) {
       service.EnqueueReview(review_burst(e));
-      service.WaitForReviewDelivery();
     }
     service.Ingest(stream.ShardAt(e));
     check_next();
@@ -174,10 +172,10 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
   // An empty shard lands nothing: its snapshot shares the last copy.
   service.Ingest(data::Shard{});
   check_next();
-  // Verdicts folded at drain publish once more over the same workload. No
-  // mutation is in flight, so the resolver can name the unanswered pairs
-  // the last snapshot labels wrongly (the crowd is error-free: its verdict
-  // is the pair's truth).
+  // Verdicts entered after the last publish make the drain publish once
+  // more over the same workload. No mutation is in flight, so the resolver
+  // can name the unanswered pairs the last snapshot labels wrongly (the
+  // simulated reviewer is error-free: its verdict is the pair's truth).
   const core::StreamingResolver& resolver = service.resolver_unsynchronized();
   std::vector<data::InstancePair> corrected;
   for (size_t i = 0; i < last->pairs() && corrected.size() < 16; ++i) {
@@ -189,7 +187,6 @@ TEST_F(ResolutionServiceEntityTest, EverySnapshotEqualsColdClustering) {
   }
   ASSERT_FALSE(corrected.empty());
   ASSERT_EQ(service.EnqueueReview(corrected), corrected.size());
-  service.WaitForReviewDelivery();
   ASSERT_TRUE(service.DrainToQuiescence().ok());
   check_next();
   // The drain publish refreshed the serving state, so it serves them.

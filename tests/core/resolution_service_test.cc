@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,11 +16,10 @@
 namespace humo {
 namespace {
 
-/// The serving-layer contracts (ISSUE 7): wait-free readers can never
-/// observe a torn snapshot, and draining the service to quiescence — every
-/// review delivered and folded — reproduces the synchronous
-/// StreamingResolver bit for bit: labels, solution, oracle cost,
-/// certificate.
+/// The serving-layer contracts: wait-free readers can never observe a torn
+/// snapshot, and the service reproduces the synchronous StreamingResolver,
+/// with the same review verdicts preloaded at the same points, bit for
+/// bit: labels, solution, oracle cost, certificate.
 class ResolutionServiceTest : public ::testing::Test {
  protected:
   static data::Workload ds_;
@@ -30,11 +31,30 @@ class ResolutionServiceTest : public ::testing::Test {
 
 data::Workload ResolutionServiceTest::ds_;
 
-core::ResolutionServiceOptions DefaultServiceOptions(size_t crowd_workers) {
+core::ResolutionServiceOptions DefaultServiceOptions() {
   core::ResolutionServiceOptions options;
   options.streaming.sampling.seed = 21;
-  options.crowd_workers = crowd_workers;
   return options;
+}
+
+/// A pair no workload holds: its similarity lies outside [0, 1].
+data::InstancePair UnseenPair() {
+  return data::InstancePair{0xFFFFFF, 0xFFFFFF, 2.0, false};
+}
+
+/// Preloads into `reference` what ResolutionService::EnqueueReview submits
+/// for `pairs`: the oracle's verdict for every arrived, unanswered pair.
+void PreloadLikeEnqueueReview(const std::vector<data::InstancePair>& pairs,
+                              core::StreamingResolver* reference) {
+  for (const data::InstancePair& pair : pairs) {
+    const size_t idx = reference->cumulative().IndexOfSorted(pair);
+    if (idx >= reference->cumulative().size() ||
+        reference->oracle().WasAsked(idx)) {
+      continue;
+    }
+    ASSERT_TRUE(reference->PreloadEvidence(
+        pair, reference->oracle().InlineAnswer(idx)));
+  }
 }
 
 void ExpectCertsEqual(const core::StreamingCertificate& a,
@@ -51,60 +71,113 @@ void ExpectCertsEqual(const core::StreamingCertificate& a,
 
 TEST_F(ResolutionServiceTest, DrainIsBitIdenticalToSynchronousResolver) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
-  // Three review-delivery threads and none (delivery at submit) must both
-  // be indistinguishable from the bare resolver after a drain.
-  for (const size_t crowd : {size_t{0}, size_t{3}}) {
-    SCOPED_TRACE("crowd=" + std::to_string(crowd));
-    const core::ResolutionServiceOptions options =
-        DefaultServiceOptions(crowd);
-    data::WorkloadStreamOptions stream_options;
-    stream_options.num_shards = 8;
-    data::WorkloadStream stream(&ds_, stream_options);
+  const core::ResolutionServiceOptions options = DefaultServiceOptions();
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 8;
+  data::WorkloadStream stream(&ds_, stream_options);
 
-    core::ResolutionService service(options, req);
-    core::StreamingResolver reference(options.streaming, req);
+  core::ResolutionService service(options, req);
+  core::StreamingResolver reference(options.streaming, req);
 
-    for (size_t e = 0; e < stream.num_shards(); ++e) {
-      if (e == 4) {
-        // Mid-stream certification over exactly the 4 ingested shards; the
-        // drain folds any delivered reviews and returns its certificate.
-        ASSERT_TRUE(service.RequestCertification());
-        auto service_cert = service.DrainToQuiescence();
-        auto reference_cert = reference.Certify();
-        ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
-        ASSERT_TRUE(reference_cert.ok());
-        ExpectCertsEqual(*service_cert, *reference_cert);
-      }
-      service.Ingest(stream.ShardAt(e));
-      reference.Ingest(stream.ShardAt(e));
+  for (size_t e = 0; e < stream.num_shards(); ++e) {
+    if (e == 4) {
+      // Mid-stream certification over exactly the 4 ingested shards; the
+      // drain returns its certificate.
+      ASSERT_TRUE(service.RequestCertification());
+      auto service_cert = service.DrainToQuiescence();
+      auto reference_cert = reference.Certify();
+      ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
+      ASSERT_TRUE(reference_cert.ok());
+      ExpectCertsEqual(*service_cert, *reference_cert);
     }
-
-    ASSERT_TRUE(service.RequestCertification());
-    auto service_cert = service.DrainToQuiescence();
-    auto reference_cert = reference.Certify();
-    ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
-    ASSERT_TRUE(reference_cert.ok());
-    ExpectCertsEqual(*service_cert, *reference_cert);
-
-    // The resolver under the service went through the exact synchronous
-    // schedule: full internal-state agreement, not just certificate-level.
-    const core::StreamingResolver& inner = service.resolver_unsynchronized();
-    EXPECT_EQ(inner.provisional_labels(), reference.provisional_labels());
-    EXPECT_EQ(inner.total_inspections(), reference.total_inspections());
-    EXPECT_EQ(inner.total_duplicate_requests(), 0u);
-
-    // The published snapshot serves the certificate: current, consistent,
-    // and every wait-free lookup agrees with the certified labels.
-    const auto snap = service.snapshot();
-    ASSERT_NE(snap, nullptr);
-    EXPECT_TRUE(snap->Validate());
-    EXPECT_EQ(snap->epochs_ingested(), stream.num_shards());
-    EXPECT_EQ(snap->pairs(), ds_.size());
-    EXPECT_TRUE(snap->quality().certified);
-    EXPECT_EQ(snap->labels(), service_cert->resolution.labels);
-    const size_t probe = ds_.size() / 2;
-    EXPECT_EQ(snap->LabelOf(probe), service_cert->resolution.labels[probe]);
+    service.Ingest(stream.ShardAt(e));
+    reference.Ingest(stream.ShardAt(e));
   }
+
+  ASSERT_TRUE(service.RequestCertification());
+  auto service_cert = service.DrainToQuiescence();
+  auto reference_cert = reference.Certify();
+  ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
+  ASSERT_TRUE(reference_cert.ok());
+  ExpectCertsEqual(*service_cert, *reference_cert);
+
+  // The resolver under the service went through the exact synchronous
+  // schedule: full internal-state agreement, not just certificate-level.
+  const core::StreamingResolver& inner = service.resolver_unsynchronized();
+  EXPECT_EQ(inner.provisional_labels(), reference.provisional_labels());
+  EXPECT_EQ(inner.total_inspections(), reference.total_inspections());
+  EXPECT_EQ(inner.total_duplicate_requests(), 0u);
+
+  // The published snapshot serves the certificate: current, consistent,
+  // and every wait-free lookup agrees with the certified labels.
+  const auto snap = service.snapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_TRUE(snap->Validate());
+  EXPECT_EQ(snap->epochs_ingested(), stream.num_shards());
+  EXPECT_EQ(snap->pairs(), ds_.size());
+  EXPECT_TRUE(snap->quality().certified);
+  EXPECT_EQ(snap->labels(), service_cert->resolution.labels);
+  const size_t probe = ds_.size() / 2;
+  EXPECT_EQ(snap->LabelOf(probe), service_cert->resolution.labels[probe]);
+}
+
+/// Reviews land between writer calls, so every published snapshot — not
+/// only the drained one — equals the synchronous resolver with the same
+/// verdicts preloaded at the same points: provisional labels after an
+/// ingest, certificate labels after a certification.
+TEST_F(ResolutionServiceTest, EverySnapshotEqualsTheSynchronousResolver) {
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  const core::ResolutionServiceOptions options = DefaultServiceOptions();
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 9;
+  data::WorkloadStream stream(&ds_, stream_options);
+
+  core::ResolutionService service(options, req);
+  core::StreamingResolver reference(options.streaming, req);
+
+  for (size_t e = 0; e < stream.num_shards(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    if (e == 5) {
+      ASSERT_TRUE(service.RequestCertification());
+      auto reference_cert = reference.Certify();
+      ASSERT_TRUE(reference_cert.ok());
+      const auto snap = service.snapshot();
+      EXPECT_EQ(snap->labels(), reference_cert->resolution.labels);
+      EXPECT_EQ(snap->quality().certified, reference_cert->certified);
+    }
+    if (e % 3 == 1) {
+      // A simulated review burst, plus one reviewer verdict against the
+      // truth on a pair that has arrived.
+      std::vector<data::InstancePair> burst;
+      for (size_t k = 0; k < 12; ++k) {
+        burst.push_back(ds_[(e * 7919 + k * 104729) % ds_.size()]);
+      }
+      service.EnqueueReview(burst);
+      PreloadLikeEnqueueReview(burst, &reference);
+      const size_t idx = e * 31;
+      const data::InstancePair wrong = reference.cumulative()[idx];
+      if (!reference.oracle().WasAsked(idx)) {
+        ASSERT_TRUE(service.SubmitReview(wrong, !wrong.is_match));
+        ASSERT_TRUE(reference.PreloadEvidence(wrong, !wrong.is_match));
+      }
+    }
+    service.Ingest(stream.ShardAt(e));
+    reference.Ingest(stream.ShardAt(e));
+    const auto snap = service.snapshot();
+    ASSERT_TRUE(snap->Validate());
+    EXPECT_EQ(snap->labels(), reference.provisional_labels());
+    EXPECT_EQ(snap->quality().precision,
+              reference.serving_report().est_precision);
+    EXPECT_EQ(snap->quality().recall, reference.serving_report().est_recall);
+  }
+
+  ASSERT_TRUE(service.RequestCertification());
+  auto service_cert = service.DrainToQuiescence();
+  auto reference_cert = reference.Certify();
+  ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
+  ASSERT_TRUE(reference_cert.ok());
+  ExpectCertsEqual(*service_cert, *reference_cert);
+  EXPECT_EQ(service.snapshot()->labels(), reference_cert->resolution.labels);
 }
 
 /// A certification request is never dropped: a second request right after
@@ -115,7 +188,7 @@ TEST_F(ResolutionServiceTest, BackToBackCertificationRequestsBothRun) {
   for (const core::StreamCertifier certifier :
        {core::StreamCertifier::kSamp, core::StreamCertifier::kRisk}) {
     SCOPED_TRACE(certifier == core::StreamCertifier::kSamp ? "SAMP" : "RISK");
-    core::ResolutionServiceOptions options = DefaultServiceOptions(2);
+    core::ResolutionServiceOptions options = DefaultServiceOptions();
     options.streaming.certifier = certifier;
     data::WorkloadStreamOptions stream_options;
     stream_options.num_shards = 4;
@@ -145,7 +218,7 @@ TEST_F(ResolutionServiceTest, BackToBackCertificationRequestsBothRun) {
 
 TEST_F(ResolutionServiceTest, ReviewFoldInMatchesDirectPreload) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
-  const core::ResolutionServiceOptions options = DefaultServiceOptions(2);
+  const core::ResolutionServiceOptions options = DefaultServiceOptions();
   data::WorkloadStreamOptions stream_options;
   stream_options.num_shards = 6;
   data::WorkloadStream stream(&ds_, stream_options);
@@ -162,28 +235,19 @@ TEST_F(ResolutionServiceTest, ReviewFoldInMatchesDirectPreload) {
   std::vector<data::InstancePair> review;
   const data::Workload& seen = reference.cumulative();
   for (size_t i = 0; i < seen.size(); i += 50) review.push_back(seen[i]);
-  data::InstancePair unseen;
-  unseen.left_id = 0xFFFFFF;
-  unseen.right_id = 0xFFFFFF;
-  unseen.similarity = 2.0;  // outside [0,1]: cannot collide with real pairs
-  review.push_back(unseen);
+  review.push_back(UnseenPair());
 
   const size_t enqueued = service.EnqueueReview(review);
   EXPECT_EQ(enqueued, review.size() - 1);
 
   // Reference: the same evidence, seeded synchronously. The service computes
-  // each verdict with Oracle::InlineAnswer, so the folded verdicts are these
-  // exact values.
-  for (const data::InstancePair& pair : review) {
-    const size_t idx = seen.IndexOfSorted(pair);
-    if (idx >= seen.size() || reference.oracle().WasAsked(idx)) continue;
-    ASSERT_TRUE(
-        reference.PreloadEvidence(pair, reference.oracle().InlineAnswer(idx)));
-  }
+  // each verdict with Oracle::InlineAnswer, so the entered verdicts are
+  // these exact values.
+  PreloadLikeEnqueueReview(review, &reference);
   reference.RefreshServing();
 
-  // Drain delivers and folds every outstanding verdict (no certification
-  // ran yet, so the drain itself reports an error — evidence still folds).
+  // Every accepted verdict is already in the resolver (no certification ran
+  // yet, so the drain itself reports an error).
   EXPECT_FALSE(service.DrainToQuiescence().ok());
   EXPECT_EQ(service.reviews_folded(), enqueued);
   EXPECT_EQ(service.resolver_unsynchronized().total_inspections(),
@@ -209,12 +273,71 @@ TEST_F(ResolutionServiceTest, ReviewFoldInMatchesDirectPreload) {
   EXPECT_EQ(service.EnqueueReview({review[0]}), 0u);
 }
 
-/// ISSUE 7 stress satellite: readers spin on lookups across >= 100 epoch
-/// swaps while shards ingest, reviews arrive, and certifications run;
-/// every observed snapshot must be internally consistent.
+/// A reviewer's verdict is input, not a lookup of the truth: a verdict
+/// that contradicts the truth is served verbatim and certified over exactly
+/// like the same answer preloaded into a bare resolver.
+TEST_F(ResolutionServiceTest,
+       SubmittedVerdictIsServedEvenWhenItDisagreesWithTruth) {
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  const core::ResolutionServiceOptions options = DefaultServiceOptions();
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 6;
+  data::WorkloadStream stream(&ds_, stream_options);
+
+  core::ResolutionService service(options, req);
+  core::StreamingResolver reference(options.streaming, req);
+  for (size_t e = 0; e < 3; ++e) {
+    service.Ingest(stream.ShardAt(e));
+    reference.Ingest(stream.ShardAt(e));
+  }
+
+  std::vector<data::InstancePair> wrong;
+  const data::Workload& seen = reference.cumulative();
+  for (size_t i = 0; i < seen.size(); i += 97) wrong.push_back(seen[i]);
+  for (const data::InstancePair& pair : wrong) {
+    ASSERT_TRUE(service.SubmitReview(pair, !pair.is_match));
+    ASSERT_TRUE(reference.PreloadEvidence(pair, !pair.is_match));
+  }
+  EXPECT_EQ(service.reviews_folded(), wrong.size());
+
+  // A pair that has not arrived, and an answered pair (whatever the new
+  // verdict), are rejected and change nothing.
+  EXPECT_FALSE(service.SubmitReview(UnseenPair(), true));
+  EXPECT_FALSE(service.SubmitReview(wrong[0], wrong[0].is_match));
+  EXPECT_FALSE(service.SubmitReview(wrong[0], !wrong[0].is_match));
+  EXPECT_EQ(service.reviews_folded(), wrong.size());
+
+  // The next snapshot serves every wrong verdict as given.
+  service.Ingest(stream.ShardAt(3));
+  reference.Ingest(stream.ShardAt(3));
+  const auto snap = service.snapshot();
+  for (const data::InstancePair& pair : wrong) {
+    const size_t idx = snap->workload().IndexOfSorted(pair);
+    ASSERT_LT(idx, snap->pairs());
+    EXPECT_EQ(snap->LabelOf(idx), pair.is_match ? 0 : 1) << "pair " << idx;
+  }
+  EXPECT_EQ(snap->labels(), reference.provisional_labels());
+
+  for (size_t e = 4; e < stream.num_shards(); ++e) {
+    service.Ingest(stream.ShardAt(e));
+    reference.Ingest(stream.ShardAt(e));
+  }
+  ASSERT_TRUE(service.RequestCertification());
+  auto service_cert = service.DrainToQuiescence();
+  auto reference_cert = reference.Certify();
+  ASSERT_TRUE(service_cert.ok()) << service_cert.status().message();
+  ASSERT_TRUE(reference_cert.ok());
+  ExpectCertsEqual(*service_cert, *reference_cert);
+  EXPECT_EQ(service.resolver_unsynchronized().oracle().preloaded(),
+            wrong.size());
+}
+
+/// Stress: readers spin on lookups across >= 100 epoch swaps while the
+/// writer ingests and certifies and a reviewer thread submits verdicts
+/// concurrently; every observed snapshot must be internally consistent.
 TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
-  const core::ResolutionServiceOptions options = DefaultServiceOptions(2);
+  const core::ResolutionServiceOptions options = DefaultServiceOptions();
   data::WorkloadStreamOptions stream_options;
   stream_options.num_shards = 120;
   data::WorkloadStream stream(&ds_, stream_options);
@@ -250,43 +373,50 @@ TEST_F(ResolutionServiceTest, SnapshotStressUnderConcurrentMutation) {
     });
   }
 
-  size_t reviews_enqueued = 0;
+  // The reviewer submits verdicts (every third one against the truth) for
+  // pairs that may or may not have arrived; the service sorts that out.
+  // Its verdicts land between the writer's ingests and certifications, at
+  // times neither thread controls.
+  std::atomic<bool> writing{true};
+  size_t reviews_accepted = 0;
+  std::thread reviewer([&] {
+    for (size_t k = 0; writing.load(std::memory_order_acquire); ++k) {
+      const data::InstancePair pair = ds_[(k * 101 + 37) % ds_.size()];
+      const bool verdict = k % 3 == 0 ? !pair.is_match : pair.is_match;
+      reviews_accepted += service.SubmitReview(pair, verdict) ? 1 : 0;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+
   for (size_t e = 0; e < stream.num_shards(); ++e) {
     service.Ingest(stream.ShardAt(e));
-    if (e % 10 == 5) {
-      // A small review burst against pairs that may or may not have
-      // arrived; the service sorts that out. Nobody waits for delivery, so
-      // verdicts land across later interior merges and certifications.
-      std::vector<data::InstancePair> burst;
-      for (size_t k = 0; k < 5; ++k) {
-        burst.push_back(ds_[(e * 37 + k * 101) % ds_.size()]);
-      }
-      reviews_enqueued += service.EnqueueReview(burst);
-    }
     if (e == 40 || e == 80) {
       ASSERT_TRUE(service.RequestCertification());
     }
   }
+  writing.store(false, std::memory_order_release);
+  reviewer.join();
   auto cert = service.DrainToQuiescence();
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
   ASSERT_TRUE(cert.ok()) << cert.status().message();
   // One swap per ingest (plus the initial publish, certifications, and
-  // review fold-ins): well past the 100-swap floor.
+  // the drain's publish): well past the 100-swap floor.
   EXPECT_GE(service.snapshots_published(), stream.num_shards() + 1);
   EXPECT_GT(lookups.load(), 0u);
   EXPECT_TRUE(service.snapshot()->Validate());
-  // Every accepted review folds exactly once, however late it was
-  // delivered: its pair was in the workload when accepted, and merges only
-  // add pairs.
-  EXPECT_GT(reviews_enqueued, 0u);
-  EXPECT_EQ(service.reviews_folded(), reviews_enqueued);
+  // Every accepted review is entered exactly once: its pair was in the
+  // workload when accepted, and merges only add pairs.
+  EXPECT_GT(reviews_accepted, 0u);
+  EXPECT_EQ(service.reviews_folded(), reviews_accepted);
+  EXPECT_EQ(service.resolver_unsynchronized().oracle().preloaded(),
+            reviews_accepted);
 }
 
 TEST_F(ResolutionServiceTest, EdgeCases) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
-  core::ResolutionService service(DefaultServiceOptions(1), req);
+  core::ResolutionService service(DefaultServiceOptions(), req);
 
   // The service is born serving: an empty but valid snapshot.
   const auto empty = service.snapshot();
@@ -307,6 +437,8 @@ TEST_F(ResolutionServiceTest, EdgeCases) {
   // Reviews against an empty service are all skipped.
   EXPECT_EQ(service.EnqueueReview({data::InstancePair{1, 2, 0.5, false}}),
             0u);
+  EXPECT_FALSE(service.SubmitReview(data::InstancePair{1, 2, 0.5, false},
+                                    true));
 
   // A tiny ingest publishes and serves.
   data::Shard tiny;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -68,8 +69,8 @@ TEST(EntityClusteringTest, TwoTableConnectedComponents) {
   EXPECT_EQ(big[2], (RecordRef{1, 0}));
   EXPECT_TRUE(big.Contains({1, 0}));
   EXPECT_FALSE(big.Contains({1, 1}));
-  EXPECT_EQ(c.EntitySize(0), 3u);
-  EXPECT_EQ(c.EntitySize(1), 1u);
+  EXPECT_EQ(c.MembersOf(0).size(), 3u);
+  EXPECT_EQ(c.MembersOf(1).size(), 1u);
   EXPECT_TRUE(c.MembersOf(99).empty());
 }
 
@@ -180,6 +181,20 @@ ReferenceClustering ReferenceFromLabels(const data::Workload& w,
   return out;
 }
 
+/// The reference's record universe: sorted distinct keys and each pair's
+/// binary-searched endpoint indices.
+entity::RecordUniverse ReferenceUniverse(const data::Workload& w,
+                                         const ClusteringOptions& options) {
+  ReferenceClustering ref = ReferenceFromLabels(w, w.GroundTruthLabels(),
+                                                options);
+  entity::RecordUniverse out;
+  out.record_keys = std::make_shared<const std::vector<uint64_t>>(
+      std::move(ref.record_keys));
+  out.left = std::move(ref.left_idx);
+  out.right = std::move(ref.right_idx);
+  return out;
+}
+
 /// n pairs whose ids are drawn from the given pools, with random
 /// similarities (so the workload's sort scrambles draw order) and a random
 /// match label at `match_rate`.
@@ -232,7 +247,12 @@ void ExpectMatchesReference(const data::Workload& w,
   const std::vector<int> labels = w.GroundTruthLabels();
   const ReferenceClustering ref = ReferenceFromLabels(w, labels, options);
 
-  const entity::RecordUniverse universe = entity::IndexRecords(w, options);
+  // A universe extended from nothing (every pair landed) is built from
+  // scratch.
+  std::vector<size_t> all(w.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  const entity::RecordUniverse universe =
+      entity::ExtendRecords({}, w, all, options);
   EXPECT_EQ(*universe.record_keys, ref.record_keys);
   EXPECT_EQ(universe.left, ref.left_idx);
   EXPECT_EQ(universe.right, ref.right_idx);
@@ -345,20 +365,20 @@ TEST(EntityClusteringTest, MatchesSortAndBinarySearchReference) {
 /// Grows a workload from `start` shard by shard the way the streaming
 /// resolver does (Workload::MergeSorted) and checks after every shard that
 /// extending the previous universe by the positions the merge returned
-/// equals indexing the grown workload cold.
+/// equals the reference universe of the grown workload.
 void ExpectExtensionMatchesIndex(const data::Workload& start,
                                  const data::Workload& base,
                                  const data::WorkloadStreamOptions& stream,
                                  const ClusteringOptions& options) {
   const data::WorkloadStream shards(&base, stream);
   data::Workload grown = start;
-  entity::RecordUniverse universe = entity::IndexRecords(grown, options);
+  entity::RecordUniverse universe = ReferenceUniverse(grown, options);
   for (size_t e = 0; e < shards.num_shards(); ++e) {
     SCOPED_TRACE(e);
     const std::vector<size_t> landed =
         grown.MergeSorted(shards.ShardAt(e).pairs);
     universe = entity::ExtendRecords(universe, grown, landed, options);
-    const entity::RecordUniverse cold = entity::IndexRecords(grown, options);
+    const entity::RecordUniverse cold = ReferenceUniverse(grown, options);
     ASSERT_EQ(*universe.record_keys, *cold.record_keys);
     ASSERT_EQ(universe.left, cold.left);
     ASSERT_EQ(universe.right, cold.right);
@@ -397,7 +417,7 @@ TEST(EntityClusteringTest, ExtendedUniverseEqualsColdIndex) {
 TEST(EntityClusteringTest, ExtendRecordsHandlesUnchangedAndUnrelatedWorkloads) {
   const ClusteringOptions two_table{0, 1};
   const data::Workload w = TwoTableWorkload();
-  const entity::RecordUniverse universe = entity::IndexRecords(w, two_table);
+  const entity::RecordUniverse universe = ReferenceUniverse(w, two_table);
   {
     SCOPED_TRACE("nothing landed");
     const entity::RecordUniverse same =
@@ -419,7 +439,7 @@ TEST(EntityClusteringTest, FromUniverseSharesKeysAndEqualsFromLabels) {
       SCOPED_TRACE(::testing::Message()
                    << (w == &sparse ? "sparse" : "dense") << " sources "
                    << options.left_source << "," << options.right_source);
-      const entity::RecordUniverse universe = entity::IndexRecords(*w, options);
+      const entity::RecordUniverse universe = ReferenceUniverse(*w, options);
       const std::vector<int> labels = w->GroundTruthLabels();
       const EntityClustering a =
           EntityClustering::FromUniverse(universe, labels);

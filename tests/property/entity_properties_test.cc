@@ -8,8 +8,6 @@
 #include "data/entity_graph_generator.h"
 #include "data/workload.h"
 #include "entity/entity_clustering.h"
-#include "entity/transitivity_repair.h"
-#include "eval/entity_metrics.h"
 
 namespace humo {
 namespace {
@@ -19,10 +17,7 @@ using data::EntityGraphConfig;
 using data::GenerateEntityGraph;
 using data::NoisyLabels;
 using entity::ClusteringOptions;
-using entity::CountDisagreements;
 using entity::EntityClustering;
-using entity::RepairResult;
-using entity::RepairTransitivity;
 
 constexpr ClusteringOptions kDedup{0, 0};
 
@@ -91,59 +86,15 @@ TEST_P(EntityPropertyTest, ClusteringAndRepairAreThreadCountInvariant) {
       NoisyLabels(g.workload, pc.noise, pc.seed ^ 0xA5A5);
 
   uint64_t cluster_checksum[2] = {0, 0};
-  uint64_t repair_checksum[2] = {0, 0};
-  std::vector<int> repaired_labels[2];
-  size_t moves[2] = {0, 0};
   const size_t thread_counts[2] = {1, 4};
   for (int t = 0; t < 2; ++t) {
     ThreadPool::SetGlobalThreads(thread_counts[t]);
     cluster_checksum[t] =
         EntityClustering::FromLabels(g.workload, labels, kDedup).Checksum();
-    const RepairResult r = RepairTransitivity(g.workload, labels, kDedup);
-    repair_checksum[t] = r.clustering.Checksum();
-    repaired_labels[t] = r.labels;
-    moves[t] = r.stats.moves_applied;
   }
   ThreadPool::SetGlobalThreads(0);  // restore the default pool
 
   EXPECT_EQ(cluster_checksum[0], cluster_checksum[1]);
-  EXPECT_EQ(repair_checksum[0], repair_checksum[1]);
-  EXPECT_EQ(repaired_labels[0], repaired_labels[1]);
-  EXPECT_EQ(moves[0], moves[1]);
-}
-
-TEST_P(EntityPropertyTest, RepairReachesTransitiveClosureWithoutRegressing) {
-  const EntityPropertyCase pc = GetParam();
-  const EntityGraph g = Generate(pc);
-  const std::vector<int> labels =
-      NoisyLabels(g.workload, pc.noise, pc.seed ^ 0xA5A5);
-
-  const RepairResult r = RepairTransitivity(g.workload, labels, kDedup);
-  // Transitive closure: the repaired labels ARE a clustering relation.
-  EXPECT_EQ(CountDisagreements(g.workload, r.labels, r.clustering, kDedup),
-            0u);
-  // Repair never increases disagreements against the observed labels.
-  EXPECT_LE(r.stats.disagreements_after, r.stats.disagreements_before);
-  // And with noise present there is something to repair.
-  if (pc.noise > 0.0) {
-    EXPECT_GT(r.stats.disagreements_before, 0u);
-  }
-  // Idempotence of the full repair pass.
-  const RepairResult again = RepairTransitivity(g.workload, r.labels, kDedup);
-  EXPECT_EQ(again.labels, r.labels);
-  EXPECT_EQ(again.stats.disagreements_before, 0u);
-  EXPECT_EQ(again.stats.moves_applied, 0u);
-
-  // Entity metrics against the (consistent) truth stay well-formed.
-  const EntityClustering truth = eval::TruthClustering(g.workload, kDedup);
-  const eval::EntityQuality q = eval::EntityQualityOf(truth, r.clustering);
-  EXPECT_GE(q.precision, 0.0);
-  EXPECT_LE(q.precision, 1.0);
-  EXPECT_GE(q.recall, 0.0);
-  EXPECT_LE(q.recall, 1.0);
-  const double agreement = eval::JaccardAgreement(truth, r.clustering);
-  EXPECT_GE(agreement, 0.0);
-  EXPECT_LE(agreement, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

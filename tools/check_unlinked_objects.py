@@ -116,14 +116,6 @@ FUNCTIONS = {
     # entity
     "humo::entity::EntityClustering::MemberRange::Contains":
         "observes the members of a live clustering",
-    "humo::entity::EntityClustering::MemberRange::empty":
-        "observes the members of a live clustering",
-    "humo::entity::EntityClustering::MemberRange::size":
-        "observes the members of a live clustering",
-    "humo::entity::EntityClustering::MemberRange::operator[]":
-        "observes the members of a live clustering",
-    "humo::entity::UnpackRecord":
-        "observes the members of a live clustering",
     "humo::entity::EntityClustering::num_multi_record_entities":
         "observes the entity-size split of a live clustering",
     "humo::entity::operator==":
