@@ -96,14 +96,11 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
   // paths into denormal territory.
   const std::vector<gp::GpCandidate> grid =
       gp::GapGuardedGrid(Slice(data.x, n));
-  gp::GpOptions options;
-  options.noise_variance = 1e-8;
 
   // Baseline model both refit paths start from: the grid winner on the
   // first n observations.
   auto base = gp::SelectGpByMarginalLikelihood(
-      Slice(data.x, n), Slice(data.y, n), grid, gp::KernelFamily::kRbf,
-      options, Slice(data.noise, n));
+      Slice(data.x, n), Slice(data.y, n), grid, Slice(data.noise, n));
   if (!base.ok()) {
     std::fprintf(stderr, "base fit failed at n=%zu: %s\n", n,
                  base.status().ToString().c_str());
@@ -117,7 +114,7 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
     for (size_t r = 1; r <= rounds; ++r) {
       auto fit = gp::SelectGpByMarginalLikelihood(
           Slice(data.x, n + r), Slice(data.y, n + r), grid,
-          gp::KernelFamily::kRbf, options, Slice(data.noise, n + r));
+          Slice(data.noise, n + r));
       if (!fit.ok()) return 1;
     }
     best_full = std::min(best_full, NowMs() - t0);
@@ -141,7 +138,7 @@ int RunSize(size_t n, size_t rounds, size_t queries, size_t reps,
       // fit of the SAME kernel on the same data within 1e-9.
       auto scratch = gp::GpRegression::Fit(
           model.kernel(), Slice(data.x, n + rounds), Slice(data.y, n + rounds),
-          options, Slice(data.noise, n + rounds));
+          Slice(data.noise, n + rounds));
       if (!scratch.ok()) return 1;
       for (double q : {0.05, 0.31, 0.5, 0.77, 0.96}) {
         const auto a = model.Predict(q);

@@ -44,7 +44,7 @@ double LooVarianceInflation(const gp::GpRegression& gp,
   y_mean /= static_cast<double>(k);
 
   linalg::Matrix gram = gp.kernel().GramSymmetric(xs);
-  gram.AddToDiagonal(kGpNoiseFloor);
+  gram.AddToDiagonal(gp::kNoiseFloor);
   for (size_t t = 0; t < k; ++t) {
     gram(t, t) +=
         strata[train[t]].proportion_variance() + scatter_variance;
@@ -224,11 +224,9 @@ Result<gp::GpRegression> FitGp(
     noise.push_back(strata[k].proportion_variance() + scatter_variance);
   }
   const std::vector<gp::GpCandidate> grid = gp::GapGuardedGrid(xs);
-  gp::GpOptions gp_options;
-  gp_options.noise_variance = kGpNoiseFloor;
   ctx->RecordGpGridFit();
-  Result<gp::GpRegression> fit = gp::SelectGpByMarginalLikelihood(
-      xs, ys, grid, gp::KernelFamily::kRbf, gp_options, noise);
+  Result<gp::GpRegression> fit =
+      gp::SelectGpByMarginalLikelihood(xs, ys, grid, noise);
   if (incremental && fit.ok()) {
     // This grid winner becomes the warm-start baseline for later rounds.
     GpFitState* state = ctx->gp_fit_state();

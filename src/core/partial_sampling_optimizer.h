@@ -22,15 +22,6 @@ namespace humo::core {
 /// discretization error at negligible cost. HYBR and RISK apply it too.
 inline constexpr double kQualityMargin = 0.015;
 
-/// Homoscedastic noise floor added on top of the per-subset sampling
-/// variance of every GP fit. Kept tiny: fully-enumerated sampled subsets
-/// have zero sampling variance, and an artificial floor of variance f
-/// inflates every unsampled subset's posterior std by ~sqrt(f/2), which —
-/// summed over hundreds of subsets in the Eq. 20 aggregation — dwarfs the
-/// real uncertainty and balloons DH. Numerical conditioning is handled by
-/// the Cholesky jitter, not this floor.
-inline constexpr double kGpNoiseFloor = 1e-8;
-
 /// Options of the partial-sampling search (§VI-B, Algorithm 1).
 struct PartialSamplingOptions {
   /// Pairs sampled (and human-labeled) per sampled subset. The paper

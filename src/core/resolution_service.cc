@@ -32,9 +32,7 @@ uint64_t ResolutionSnapshot::ComputeChecksum() const {
 
 ResolutionService::ResolutionService(ResolutionServiceOptions options,
                                      QualityRequirement req)
-    : options_(options),
-      req_(req),
-      resolver_(options_.streaming, req_),
+    : resolver_(options.streaming, req),
       published_workload_(std::make_shared<const data::Workload>()) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   PublishLocked(/*refresh=*/true);  // version 1: the empty snapshot
@@ -49,7 +47,7 @@ EpochReport ResolutionService::Ingest(data::Shard shard) {
     published_workload_ =
         std::make_shared<const data::Workload>(resolver_.cumulative());
     universe_ = entity::ExtendRecords(universe_, *published_workload_,
-                                      resolver_.landed(), options_.entity);
+                                      resolver_.landed(), /*options=*/{});
   }
   PublishLocked(/*refresh=*/false);
   return report;

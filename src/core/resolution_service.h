@@ -43,9 +43,12 @@ class ResolutionSnapshot {
   size_t pairs() const { return labels_.size(); }
   const QualityEstimate& quality() const { return quality_; }
 
-  /// Label of every pair in cumulative sorted order: carried human answers
-  /// verbatim, machine labels elsewhere (certificate labels when
-  /// quality().certified, the resolver's provisional labels otherwise).
+  /// Label of every pair in cumulative sorted order. When
+  /// quality().certified these are the certificate's labels: carried human
+  /// answers verbatim inside DH, and rank labels in D+ and D- even where a
+  /// carried answer (a review verdict, say) contradicts the rank. Otherwise
+  /// they are the resolver's provisional labels, which serve every carried
+  /// answer verbatim and machine labels elsewhere.
   const std::vector<int>& labels() const { return labels_; }
   int LabelOf(size_t index) const { return labels_[index]; }
 
@@ -106,9 +109,6 @@ struct ResolutionServiceOptions {
   /// caller's thread. Kept because the frozen bench/e2e/bench_e2e.cc sets
   /// it; remove it when that bench is re-cut.
   size_t crowd_workers = 2;
-  /// How the workload's id columns map onto record sources for the
-  /// snapshot's entity view (default: two-table ER).
-  entity::ClusteringOptions entity;
 };
 
 /// Always-on serving layer over StreamingResolver: separates MUTATION
@@ -132,12 +132,14 @@ struct ResolutionServiceOptions {
 /// reviewer submits one through SubmitReview, from any thread, and the
 /// service enters it into the resolver's oracle at once through
 /// StreamingResolver::PreloadEvidence, which finds the pair by identity.
-/// The verdict may disagree with the truth; it is served verbatim. Every
-/// writer call holds the lock, so a review lands between two writer calls,
-/// and the service is at every point the synchronous StreamingResolver
-/// with the same verdicts preloaded at the same points in the schedule:
-/// labels, oracle cost and certificates bit-identical — asserted by tests
-/// and by bench_serving's self-check.
+/// The verdict may disagree with the truth. Provisional snapshots serve it
+/// verbatim, and so do certified ones inside DH; in D+ and D- a certified
+/// snapshot serves the certificate's rank label (see
+/// ResolutionSnapshot::labels). Every writer call holds the lock, so a
+/// review lands between two writer calls, and the service is at every
+/// point the synchronous StreamingResolver with the same verdicts preloaded
+/// at the same points in the schedule: labels, oracle cost and certificates
+/// bit-identical — asserted by tests and by bench_serving's self-check.
 class ResolutionService {
  public:
   ResolutionService(ResolutionServiceOptions options, QualityRequirement req);
@@ -211,9 +213,6 @@ class ResolutionService {
   /// Caller holds writer_mu_.
   void PublishLocked(bool refresh);
 
-  ResolutionServiceOptions options_;
-  QualityRequirement req_;
-
   /// Serializes every resolver mutation (ingest, certification, review).
   std::mutex writer_mu_;
   StreamingResolver resolver_;  // guarded by writer_mu_
@@ -224,10 +223,10 @@ class ResolutionService {
   bool review_since_publish_ = false;
 
   /// A copy of the resolver's cumulative workload, shared by every
-  /// snapshot until it grows, and its record universe under
-  /// options_.entity. Ingest replaces both whenever pairs landed, extending
-  /// the universe by them (entity::ExtendRecords) instead of re-indexing
-  /// every record. Guarded by writer_mu_.
+  /// snapshot until it grows, and its two-table record universe
+  /// (entity::ClusteringOptions{}). Ingest replaces both whenever pairs
+  /// landed, extending the universe by them (entity::ExtendRecords) instead
+  /// of re-indexing every record. Guarded by writer_mu_.
   std::shared_ptr<const data::Workload> published_workload_;
   entity::RecordUniverse universe_;
 

@@ -9,7 +9,7 @@ StreamingResolver::StreamingResolver(StreamingOptions options,
     : options_(options),
       req_(req),
       cumulative_(),
-      partition_(&cumulative_, options_.subset_size),
+      partition_(&cumulative_, kStreamingSubsetSize),
       oracle_(&cumulative_),
       ctx_(&partition_, &oracle_) {}
 
@@ -27,7 +27,7 @@ EpochReport StreamingResolver::Ingest(data::Shard shard) {
     // Number of old subsets whose [begin, end) content a pure tail append
     // provably preserves: every full-size subset except the last one built,
     // which absorbed the remainder and changes when pairs land after it.
-    const size_t old_full = old_n / options_.subset_size;
+    const size_t old_full = old_n / kStreamingSubsetSize;
     const size_t preserved = old_full >= 1 ? old_full - 1 : 0;
 
     // Where the shard's pairs landed in the merged order: a pure tail

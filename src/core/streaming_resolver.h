@@ -24,9 +24,10 @@ enum class StreamCertifier {
   kRisk,  ///< SAMP's DH, risk-ordered partial inspection (r-HUMO style)
 };
 
+/// Unit-subset size of the evolving partition (the paper fixes 200).
+inline constexpr size_t kStreamingSubsetSize = 200;
+
 struct StreamingOptions {
-  /// Unit-subset size of the evolving partition (the paper fixes 200).
-  size_t subset_size = 200;
   StreamCertifier certifier = StreamCertifier::kSamp;
   /// Sampling configuration every certifier starts from (S0 / Algorithm 1).
   /// The same options must be used for the one-shot comparison run when

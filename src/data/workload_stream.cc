@@ -29,9 +29,6 @@ WorkloadStream::WorkloadStream(const Workload* base,
       }
       break;
     }
-    case ArrivalOrder::kRoundRobin:
-      for (size_t i = 0; i < n; ++i) assignment_[i % s].push_back(i);
-      break;
     case ArrivalOrder::kSimilarityAscending:
       for (size_t e = 0; e < s; ++e) {
         const size_t begin = e * n / s, end = (e + 1) * n / s;

@@ -18,10 +18,6 @@ enum class ArrivalOrder {
   /// inserts pairs throughout the sorted order, so no index-keyed state
   /// survives the epoch.
   kShuffled,
-  /// Pair i of the similarity-sorted base goes to shard i % num_shards:
-  /// deterministic interleaving without randomness, same
-  /// cross-section-per-shard character as kShuffled.
-  kRoundRobin,
   /// Shard e is the e-th contiguous slice of the similarity-sorted base:
   /// every epoch merge is a pure tail append, the case where the streaming
   /// resolver's carry-over (oracle answers, subset statistics, GP

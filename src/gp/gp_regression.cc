@@ -42,18 +42,16 @@ bool AllFinite(const std::vector<double>& v) {
 
 /// The observation check Fit, ExtendedWith and the grid selector share: x
 /// and y parallel, noise_variances empty or parallel, and every value
-/// (the noise floor included) finite. Emptiness is the caller's rule.
+/// finite. Emptiness is the caller's rule.
 Status ValidateObservations(const std::vector<double>& x,
                             const std::vector<double>& y,
-                            const std::vector<double>& noise_variances,
-                            double noise_floor) {
+                            const std::vector<double>& noise_variances) {
   if (x.size() != y.size())
     return Status::InvalidArgument(
         StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
   if (!noise_variances.empty() && noise_variances.size() != x.size())
     return Status::InvalidArgument("noise_variances must parallel x");
-  if (!AllFinite(x) || !AllFinite(y) || !AllFinite(noise_variances) ||
-      !std::isfinite(noise_floor))
+  if (!AllFinite(x) || !AllFinite(y) || !AllFinite(noise_variances))
     return Status::InvalidArgument("x, y and noise variances must be finite");
   return Status::OK();
 }
@@ -92,17 +90,15 @@ void GpRegression::FinishFit() {
 
 Result<GpRegression> GpRegression::Fit(Kernel kernel, std::vector<double> x,
                                        std::vector<double> y,
-                                       GpOptions options,
                                        std::vector<double> noise_variances) {
-  HUMO_RETURN_NOT_OK(
-      ValidateObservations(x, y, noise_variances, options.noise_variance));
+  HUMO_RETURN_NOT_OK(ValidateObservations(x, y, noise_variances));
   if (x.empty()) return Status::InvalidArgument("empty training set");
   HUMO_RETURN_NOT_OK(
       ValidateHyperparameters(kernel.signal_variance(), kernel.length_scale()));
 
-  GpRegression gp(kernel, options, std::move(x), std::move(y));
+  GpRegression gp(kernel, std::move(x), std::move(y));
   linalg::Matrix k = gp.kernel_.GramSymmetric(gp.x_);
-  k.AddToDiagonal(options.noise_variance);
+  k.AddToDiagonal(kNoiseFloor);
   for (size_t i = 0; i < noise_variances.size(); ++i)
     k(i, i) += noise_variances[i];
 
@@ -114,8 +110,7 @@ Result<GpRegression> GpRegression::Fit(Kernel kernel, std::vector<double> x,
 Result<GpRegression> GpRegression::ExtendedWith(
     const std::vector<double>& x_new, const std::vector<double>& y_new,
     const std::vector<double>& noise_variances_new) const {
-  HUMO_RETURN_NOT_OK(ValidateObservations(x_new, y_new, noise_variances_new,
-                                          options_.noise_variance));
+  HUMO_RETURN_NOT_OK(ValidateObservations(x_new, y_new, noise_variances_new));
   if (x_new.empty()) return *this;
 
   const size_t n = x_.size();
@@ -128,11 +123,11 @@ Result<GpRegression> GpRegression::ExtendedWith(
   for (size_t i = 0; i < k; ++i) {
     kernel_.FillRow(x_new[i], x_.data(), n, rows.RowPtr(i));
     kernel_.FillRow(x_new[i], x_new.data(), i + 1, rows.RowPtr(i) + n);
-    rows(i, n + i) += options_.noise_variance;
+    rows(i, n + i) += kNoiseFloor;
     if (!noise_variances_new.empty()) rows(i, n + i) += noise_variances_new[i];
   }
 
-  GpRegression gp(kernel_, options_, x_, y_);
+  GpRegression gp(kernel_, x_, y_);
   gp.x_.insert(gp.x_.end(), x_new.begin(), x_new.end());
   gp.y_.insert(gp.y_.end(), y_new.begin(), y_new.end());
   // Extended (not copy + Append): the frozen factor block is copied once,
@@ -262,10 +257,9 @@ constexpr size_t kNoCandidate = std::numeric_limits<size_t>::max();
 Status ValidateGridInputs(const std::vector<double>& x,
                           const std::vector<double>& y,
                           const std::vector<GpCandidate>& grid,
-                          const std::vector<double>& noise_variances,
-                          double noise_floor) {
+                          const std::vector<double>& noise_variances) {
   if (grid.empty()) return Status::InvalidArgument("empty candidate grid");
-  HUMO_RETURN_NOT_OK(ValidateObservations(x, y, noise_variances, noise_floor));
+  HUMO_RETURN_NOT_OK(ValidateObservations(x, y, noise_variances));
   if (x.empty()) return Status::InvalidArgument("empty training set");
   for (const GpCandidate& c : grid)
     HUMO_RETURN_NOT_OK(
@@ -276,15 +270,13 @@ Status ValidateGridInputs(const std::vector<double>& x,
 /// One length scale's kernel shape at every pair of training inputs, in
 /// CholeskyLanes' panel order (see LaneMatrixSource), so a panel request is
 /// one contiguous run. Within a diagonal block the slots above the diagonal
-/// hold the mirrored pair's shape, which the factor never reads. `poly`
-/// stays empty for RBF, whose polynomial factor is 1.
+/// hold the mirrored pair's shape, which the factor never reads.
 struct ScaleShapes {
   double length_scale = 0.0;
-  std::vector<double> poly, env;
+  std::vector<double> env;
 };
 
-void ComputeShapes(KernelFamily family, const std::vector<double>& x,
-                   ScaleShapes* shapes) {
+void ComputeShapes(const std::vector<double>& x, ScaleShapes* shapes) {
   using linalg::CholeskyLanes;
   const size_t n = x.size();
   const size_t size = CholeskyLanes::PanelOrderSize(n);
@@ -300,38 +292,31 @@ void ComputeShapes(KernelFamily family, const std::vector<double>& x,
     }
   }
   assert(idx == size);
-  // RBF's polynomial factor is 1; the other families store theirs.
-  if (family != KernelFamily::kRbf) shapes->poly.resize(size);
-  ShapeRow(family, shapes->env.data(), size, shapes->length_scale,
-           shapes->poly.data(), shapes->env.data());
+  ShapeRow(shapes->env.data(), size, shapes->length_scale, shapes->env.data());
 }
 
 /// The four matrices of one lane group: lane q holds the noisy Gram matrix
 /// GpRegression::Fit would factor for its candidate, entry by entry in
-/// Fit's operation order — (sf2 * poly) * env off the diagonal, then the
-/// noise floor, then the point's own noise on it.
+/// Fit's operation order — sf2 * env, then kNoiseFloor on the diagonal,
+/// then the point's own noise on it.
 class GridLanes : public linalg::LaneMatrixSource {
  public:
   GridLanes(const std::array<const ScaleShapes*, kLanes>& shapes,
-            const std::array<double, kLanes>& sf2, double noise_floor,
+            const std::array<double, kLanes>& sf2,
             const std::vector<double>& noise, size_t n)
-      : shapes_(shapes), sf2_(sf2), floor_(noise_floor), noise_(noise), n_(n) {}
+      : shapes_(shapes), sf2_(sf2), noise_(noise), n_(n) {}
 
   void FillPanel(size_t j0, size_t width, double* out) const override {
     const size_t offset = linalg::CholeskyLanes::PanelOffset(j0, n_);
     const size_t count = (n_ - j0) * width;
     for (size_t q = 0; q < kLanes; ++q) {
-      const ScaleShapes& s = *shapes_[q];
-      const double* env = s.env.data() + offset;
-      const double* poly = s.poly.empty() ? nullptr : s.poly.data() + offset;
-      for (size_t k = 0; k < count; ++k)
-        out[kLanes * k + q] =
-            (sf2_[q] * (poly != nullptr ? poly[k] : 1.0)) * env[k];
+      const double* env = shapes_[q]->env.data() + offset;
+      for (size_t k = 0; k < count; ++k) out[kLanes * k + q] = sf2_[q] * env[k];
     }
     for (size_t i = j0; i < j0 + width; ++i) {
       double* diag = out + kLanes * ((i - j0) * width + (i - j0));
       for (size_t q = 0; q < kLanes; ++q) {
-        diag[q] += floor_;
+        diag[q] += kNoiseFloor;
         if (!noise_.empty()) diag[q] += noise_[i];
       }
     }
@@ -340,7 +325,6 @@ class GridLanes : public linalg::LaneMatrixSource {
  private:
   std::array<const ScaleShapes*, kLanes> shapes_;
   std::array<double, kLanes> sf2_;
-  double floor_;
   const std::vector<double>& noise_;
   size_t n_;
 };
@@ -368,10 +352,8 @@ bool Beats(double lml, size_t index, const Pick& pick) {
 
 Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
-    const std::vector<GpCandidate>& grid, KernelFamily family,
-    GpOptions options, std::vector<double> noise_variances) {
-  HUMO_RETURN_NOT_OK(
-      ValidateGridInputs(x, y, grid, noise_variances, options.noise_variance));
+    const std::vector<GpCandidate>& grid, std::vector<double> noise_variances) {
+  HUMO_RETURN_NOT_OK(ValidateGridInputs(x, y, grid, noise_variances));
   const size_t n = x.size();
   const double y_mean = TargetMean(y);
   std::vector<double> y_centered(n);
@@ -384,21 +366,21 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
     size_t s = 0;
     while (s < shapes.size() && shapes[s].length_scale != grid[c].length_scale)
       ++s;
-    if (s == shapes.size()) shapes.push_back({grid[c].length_scale, {}, {}});
+    if (s == shapes.size()) shapes.push_back({grid[c].length_scale, {}});
     scale_of[c] = s;
   }
   ThreadPool::Global()->ParallelFor(
       shapes.size(), /*grain=*/1, [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
-          ComputeShapes(family, x, &shapes[s]);
+          ComputeShapes(x, &shapes[s]);
         }
       });
 
   // A candidate whose jitter-free lane factor failed: Fit retries it with
   // jitter, as the per-candidate loop would have.
   auto refit = [&](size_t c) {
-    const Kernel kernel(family, grid[c].signal_variance, grid[c].length_scale);
-    return GpRegression::Fit(kernel, x, y, options, noise_variances);
+    const Kernel kernel(grid[c].signal_variance, grid[c].length_scale);
+    return GpRegression::Fit(kernel, x, y, noise_variances);
   };
   // Lane groups run in parallel; each merges its pick into `winner` under
   // the lock with Beats, whose order does not depend on which group
@@ -408,7 +390,6 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
   Pick winner;
   linalg::CholeskyLanes winner_lanes;
   std::mutex winner_mu;
-  const double noise_floor = options.noise_variance;
   // Group g holds candidates 4g .. 4g + 3; idle lanes of the last group
   // repeat its first candidate, and their results are ignored.
   const size_t num_groups = (grid.size() + kLanes - 1) / kLanes;
@@ -426,7 +407,7 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
             scales[q] = &shapes[scale_of[c]];
             sf2[q] = grid[c].signal_variance;
           }
-          const GridLanes source(scales, sf2, noise_floor, noise_variances, n);
+          const GridLanes source(scales, sf2, noise_variances, n);
           const unsigned factored = lanes.Factor(n, source);
           if (factored != 0) lanes.Solve(y_centered.data(), alpha.data());
 
@@ -460,8 +441,8 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
     return Status::Internal("no candidate produced a valid fit");
   if (winner.refit.has_value()) return std::move(*winner.refit);
   const GpCandidate& best = grid[winner.index];
-  const Kernel kernel(family, best.signal_variance, best.length_scale);
-  GpRegression gp(kernel, options, x, y);
+  const Kernel kernel(best.signal_variance, best.length_scale);
+  GpRegression gp(kernel, x, y);
   gp.chol_ = winner_lanes.Lane(winner.lane);
   gp.FinishFit();
   return gp;

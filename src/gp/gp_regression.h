@@ -29,12 +29,14 @@ struct JointPrediction {
   double WeightedTotalStdDev(const std::vector<double>& weights) const;
 };
 
-/// Options controlling GP fitting.
-struct GpOptions {
-  /// Homoscedastic observation-noise variance added to the training
-  /// diagonal; per-point noise can additionally be supplied to Fit.
-  double noise_variance = 1e-4;
-};
+/// Homoscedastic noise floor every fit adds to its training diagonal, on
+/// top of the per-point noise a caller supplies. Kept tiny: a fully
+/// enumerated sampled subset has zero sampling variance, and an artificial
+/// floor of variance f inflates every unsampled subset's posterior std by
+/// ~sqrt(f/2), which — summed over hundreds of subsets in the Eq. 20
+/// aggregation — dwarfs the real uncertainty and balloons DH. Numerical
+/// conditioning is left to the Cholesky jitter, not this floor.
+inline constexpr double kNoiseFloor = 1e-8;
 
 /// Candidate hyperparameter grid entry for SelectGpByMarginalLikelihood.
 struct GpCandidate {
@@ -51,15 +53,14 @@ struct GpCandidate {
 /// fitted model is a plain value: copies are independent and equal.
 class GpRegression {
  public:
-  /// Fits the GP. `noise_variances`, when non-empty, must parallel `x` and
-  /// adds heteroscedastic per-observation noise (sampling variance of each
-  /// observed proportion) to the training diagonal. Mismatched or empty
-  /// x/y, noise_variances of the wrong length, a non-finite x, y or noise
-  /// value, and a kernel whose signal variance or length scale is not
-  /// positive and finite are InvalidArgument.
+  /// Fits the GP. The training diagonal carries kNoiseFloor plus, when
+  /// `noise_variances` is non-empty (it must parallel `x`), heteroscedastic
+  /// per-observation noise (sampling variance of each observed proportion).
+  /// Mismatched or empty x/y, noise_variances of the wrong length, a
+  /// non-finite x, y or noise value, and a kernel whose signal variance or
+  /// length scale is not positive and finite are InvalidArgument.
   static Result<GpRegression> Fit(Kernel kernel, std::vector<double> x,
                                   std::vector<double> y,
-                                  GpOptions options = {},
                                   std::vector<double> noise_variances = {});
 
   /// Returns a model refitted on this model's training set extended by
@@ -138,15 +139,11 @@ class GpRegression {
   // Builds only the winning candidate's model, from its lane factor.
   friend Result<GpRegression> SelectGpByMarginalLikelihood(
       const std::vector<double>& x, const std::vector<double>& y,
-      const std::vector<GpCandidate>& grid, KernelFamily family,
-      GpOptions options, std::vector<double> noise_variances);
+      const std::vector<GpCandidate>& grid,
+      std::vector<double> noise_variances);
 
-  GpRegression(Kernel kernel, GpOptions options, std::vector<double> x,
-               std::vector<double> y)
-      : kernel_(kernel),
-        options_(options),
-        x_(std::move(x)),
-        y_(std::move(y)) {}
+  GpRegression(Kernel kernel, std::vector<double> x, std::vector<double> y)
+      : kernel_(kernel), x_(std::move(x)), y_(std::move(y)) {}
 
   /// Recomputes mean/centering, alpha, and the log marginal likelihood from
   /// x_/y_/chol_ — the shared tail of Fit and ExtendedWith.
@@ -159,7 +156,6 @@ class GpRegression {
   double Variance(double x_star, const double* whitened) const;
 
   Kernel kernel_;
-  GpOptions options_;
   std::vector<double> x_;
   std::vector<double> y_;  // original observations (ExtendedWith re-centers)
   std::vector<double> y_centered_;
@@ -176,8 +172,8 @@ class GpRegression {
 /// GpRegression::Fit and keeping the first strict improvement, at any thread
 /// count. How it gets there:
 ///   - each distinct length scale's kernel shape (ShapeRow) is computed
-///     once per pair of inputs; a candidate's Gram entries are then two
-///     multiplications, (sf2 * poly) * env, plus the noise diagonal;
+///     once per pair of inputs; a candidate's Gram entries are then one
+///     multiplication, sf2 * env, plus the noise diagonal;
 ///   - candidates are factored and solved four at a time, one per lane of
 ///     linalg::CholeskyLanes, with the shapes filled in column block by
 ///     column block rather than as n x n Gram matrices; lane groups are the
@@ -192,8 +188,8 @@ class GpRegression {
 /// InvalidArgument. Internal means no candidate factored even with jitter.
 Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
-    const std::vector<GpCandidate>& grid, KernelFamily family,
-    GpOptions options = {}, std::vector<double> noise_variances = {});
+    const std::vector<GpCandidate>& grid,
+    std::vector<double> noise_variances = {});
 
 /// A sensible default grid for similarity inputs in [0,1].
 std::vector<GpCandidate> DefaultGpGrid();

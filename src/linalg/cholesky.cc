@@ -18,6 +18,11 @@ constexpr size_t kParallelFactorMinDim = 96;
 /// Rows per task in the below-diagonal column update.
 constexpr size_t kParallelFactorGrain = 32;
 
+/// Factor's jitter schedule: the first diagonal jitter tried after a
+/// non-positive pivot, and the cap of its x10 escalation.
+constexpr double kInitialJitter = 1e-10;
+constexpr double kMaxJitter = 1e-2;
+
 /// Attempts a plain Cholesky factorization; returns false on a non-positive
 /// pivot.
 ///
@@ -71,15 +76,14 @@ bool TryFactor(const Matrix& a, Matrix* l) {
 
 }  // namespace
 
-Result<Cholesky> Cholesky::Factor(const Matrix& a, double initial_jitter,
-                                  double max_jitter) {
+Result<Cholesky> Cholesky::Factor(const Matrix& a) {
   if (a.rows() != a.cols())
     return Status::InvalidArgument(
         StrFormat("Cholesky requires a square matrix, got %zux%zu", a.rows(),
                   a.cols()));
   Cholesky chol;
   if (TryFactor(a, &chol.l_)) return chol;
-  for (double jitter = initial_jitter; jitter <= max_jitter; jitter *= 10.0) {
+  for (double jitter = kInitialJitter; jitter <= kMaxJitter; jitter *= 10.0) {
     Matrix aj = a;
     aj.AddToDiagonal(jitter);
     if (TryFactor(aj, &chol.l_)) {

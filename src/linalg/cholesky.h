@@ -14,12 +14,10 @@ class Cholesky {
   Cholesky() = default;
 
   /// Factors `a`. When factorization hits a non-positive pivot, jitter
-  /// (starting at `initial_jitter`, escalating x10 up to `max_jitter`) is
-  /// added to the diagonal and factorization is retried — the standard GP
-  /// stabilization for nearly singular kernel matrices.
-  static Result<Cholesky> Factor(const Matrix& a,
-                                 double initial_jitter = 1e-10,
-                                 double max_jitter = 1e-2);
+  /// (starting at 1e-10, escalating x10 up to 1e-2) is added to the
+  /// diagonal and factorization is retried — the standard GP stabilization
+  /// for nearly singular kernel matrices.
+  static Result<Cholesky> Factor(const Matrix& a);
 
   /// Rank-k extension of the factor when new observations arrive: given
   /// this factor of the n x n matrix A, returns the factor of the bordered

@@ -42,10 +42,9 @@ GpSubsetModel MakeModel(size_t m = 20) {
       train_y.push_back(v[k]);  // proportion == similarity (a clean ramp)
     }
   }
-  gp::GpOptions o;
-  o.noise_variance = 1e-6;
-  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.5, 0.3),
-                                  train_x, train_y, o);
+  const std::vector<double> noise(train_x.size(), 1e-6);
+  auto gp =
+      gp::GpRegression::Fit(gp::Kernel(0.5, 0.3), train_x, train_y, noise);
   EXPECT_TRUE(gp.ok());
   return ModelFromGp(std::move(*gp), v, n);
 }
@@ -202,10 +201,7 @@ GpSubsetModel MakeModelWithObservations(double scatter_var,
       evidence[k] = {100, 100, 50};  // fully inspected: 50 of 100 match
     }
   }
-  gp::GpOptions o;
-  o.noise_variance = 1e-8;
-  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.25, 0.4),
-                                  train_x, train_y, o);
+  auto gp = gp::GpRegression::Fit(gp::Kernel(0.25, 0.4), train_x, train_y);
   EXPECT_TRUE(gp.ok());
   return ModelFromGp(std::move(*gp), v, n, evidence, scatter, inflation);
 }
@@ -397,10 +393,8 @@ uint64_t Bits(double x) {
 gp::GpRegression FitRampGp() {
   const std::vector<double> x = {0.05, 0.2, 0.35, 0.5, 0.62, 0.8, 0.95};
   const std::vector<double> y = {0.02, 0.06, 0.21, 0.48, 0.7, 0.91, 0.97};
-  gp::GpOptions o;
-  o.noise_variance = 1e-4;
-  auto gp = gp::GpRegression::Fit(
-      gp::Kernel(gp::KernelFamily::kMatern52, 0.3, 0.25), x, y, o);
+  const std::vector<double> noise(x.size(), 1e-4);
+  auto gp = gp::GpRegression::Fit(gp::Kernel(0.3, 0.25), x, y, noise);
   EXPECT_TRUE(gp.ok());
   return std::move(*gp);
 }

@@ -332,6 +332,49 @@ TEST_F(ResolutionServiceTest,
             wrong.size());
 }
 
+/// A certified snapshot serves the certificate's labels, and the certificate
+/// labels D+ and D- by rank: a verdict that contradicts the truth for a
+/// pair that ends outside DH is held by the oracle but not served.
+TEST_F(ResolutionServiceTest,
+       SubmittedVerdictOutsideDhYieldsToTheCertificate) {
+  const core::QualityRequirement req{0.9, 0.9, 0.9};
+  data::WorkloadStreamOptions stream_options;
+  stream_options.num_shards = 3;
+  data::WorkloadStream stream(&ds_, stream_options);
+  core::ResolutionService service(DefaultServiceOptions(), req);
+  for (size_t e = 0; e < stream.num_shards(); ++e)
+    service.Ingest(stream.ShardAt(e));
+
+  // The highest-similarity match and the lowest-similarity non-match, each
+  // reviewed as its opposite.
+  const data::Workload& seen = service.snapshot()->workload();
+  ASSERT_EQ(seen.size(), ds_.size());
+  size_t top = seen.size() - 1, bottom = 0;
+  while (!seen[top].is_match) --top;
+  while (seen[bottom].is_match) ++bottom;
+  ASSERT_TRUE(service.SubmitReview(seen[top], false));
+  ASSERT_TRUE(service.SubmitReview(seen[bottom], true));
+
+  ASSERT_TRUE(service.RequestCertification());
+  auto cert = service.DrainToQuiescence();
+  ASSERT_TRUE(cert.ok()) << cert.status().message();
+  const auto snap = service.snapshot();
+  ASSERT_TRUE(snap->quality().certified);
+  ASSERT_FALSE(cert->solution.empty);
+  const core::StreamingResolver& resolver = service.resolver_unsynchronized();
+  const core::SubsetPartition& partition = resolver.partition();
+  // `bottom` lies in D-, `top` in D+.
+  EXPECT_LT(bottom, partition[cert->solution.h_lo].begin);
+  EXPECT_GE(top, partition[cert->solution.h_hi].end);
+  EXPECT_FALSE(resolver.oracle().CachedAnswer(top));
+  EXPECT_TRUE(resolver.oracle().CachedAnswer(bottom));
+  for (const size_t idx : {top, bottom}) {
+    EXPECT_EQ(snap->LabelOf(idx), cert->resolution.labels[idx]) << idx;
+  }
+  EXPECT_EQ(snap->LabelOf(top), 1);
+  EXPECT_EQ(snap->LabelOf(bottom), 0);
+}
+
 /// Stress: readers spin on lookups across >= 100 epoch swaps while the
 /// writer ingests and certifies and a reviewer thread submits verdicts
 /// concurrently; every observed snapshot must be internally consistent.

@@ -22,8 +22,8 @@ namespace {
 std::shared_ptr<GpSubsetModel> MakeModel() {
   std::vector<double> xs = {0.1, 0.3, 0.5, 0.7, 0.9};
   std::vector<double> ys = {0.0, 0.1, 0.5, 0.9, 1.0};
-  auto gp = gp::GpRegression::Fit(gp::Kernel(gp::KernelFamily::kRbf, 0.5, 0.25),
-                                  xs, ys);
+  auto gp = gp::GpRegression::Fit(gp::Kernel(0.5, 0.25), xs, ys,
+                                  std::vector<double>(xs.size(), 1e-4));
   EXPECT_TRUE(gp.ok());
   std::vector<double> v, n;
   std::vector<double> scatter(10, 1e-4);

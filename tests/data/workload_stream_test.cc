@@ -93,17 +93,11 @@ TEST_P(WorkloadStreamTest, ShardAtMatchesIteration) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, WorkloadStreamTest,
                          ::testing::Values(ArrivalOrder::kShuffled,
-                                           ArrivalOrder::kRoundRobin,
                                            ArrivalOrder::kSimilarityAscending),
                          [](const ::testing::TestParamInfo<ArrivalOrder>& i) {
-                           switch (i.param) {
-                             case ArrivalOrder::kShuffled:
-                               return "Shuffled";
-                             case ArrivalOrder::kRoundRobin:
-                               return "RoundRobin";
-                             default:
-                               return "SimilarityAscending";
-                           }
+                           return i.param == ArrivalOrder::kShuffled
+                                      ? "Shuffled"
+                                      : "SimilarityAscending";
                          });
 
 TEST(WorkloadStreamOrderTest, SimilarityAscendingShardsAreContiguousSlices) {

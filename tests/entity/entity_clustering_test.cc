@@ -398,7 +398,7 @@ TEST(EntityClusteringTest, ExtendedUniverseEqualsColdIndex) {
   const data::Workload one_pair({{UINT32_MAX, 0, 0.5, true}});
 
   for (const data::ArrivalOrder order :
-       {data::ArrivalOrder::kShuffled, data::ArrivalOrder::kRoundRobin,
+       {data::ArrivalOrder::kShuffled,
         data::ArrivalOrder::kSimilarityAscending}) {
     for (const ClusteringOptions options :
          {ClusteringOptions{0, 1}, ClusteringOptions{4, 4}}) {

@@ -24,14 +24,13 @@ bool SameBits(double a, double b) {
 Result<GpRegression> ReferenceSelect(const std::vector<double>& x,
                                      const std::vector<double>& y,
                                      const std::vector<GpCandidate>& grid,
-                                     KernelFamily family, GpOptions options,
                                      const std::vector<double>& noise) {
   double best_lml = -std::numeric_limits<double>::infinity();
   Result<GpRegression> best =
       Status::Internal("no candidate produced a valid fit");
   for (const GpCandidate& cand : grid) {
-    const Kernel kernel(family, cand.signal_variance, cand.length_scale);
-    auto fit = GpRegression::Fit(kernel, x, y, options, noise);
+    const Kernel kernel(cand.signal_variance, cand.length_scale);
+    auto fit = GpRegression::Fit(kernel, x, y, noise);
     if (!fit.ok()) continue;
     const double lml = fit->LogMarginalLikelihood();
     if (lml > best_lml) {
@@ -50,7 +49,6 @@ void ExpectSameWinner(const Result<GpRegression>& got,
     EXPECT_EQ(got.status().code(), want.status().code()) << what;
     return;
   }
-  EXPECT_EQ(got->kernel().family(), want->kernel().family()) << what;
   EXPECT_TRUE(SameBits(got->kernel().signal_variance(),
                        want->kernel().signal_variance()))
       << what;
@@ -103,66 +101,47 @@ std::vector<GpCandidate> FirstCandidates(size_t count) {
   return grid;
 }
 
-const char* FamilyName(KernelFamily family) {
-  switch (family) {
-    case KernelFamily::kMatern32:
-      return "matern32";
-    case KernelFamily::kMatern52:
-      return "matern52";
-    case KernelFamily::kRbf:
-      break;
-  }
-  return "rbf";
-}
-
-/// One sweep case: the selector against the reference on MakeTraining data
-/// under SAMP's noise floor.
-void CheckCase(size_t n, const std::vector<GpCandidate>& grid,
-               KernelFamily family, bool noisy) {
+/// One sweep case: the selector against the reference on MakeTraining data.
+void CheckCase(size_t n, const std::vector<GpCandidate>& grid, bool noisy) {
   const TrainingSet t = MakeTraining(n, noisy, 100 + n);
   const auto& [x, y, noise] = t;
-  GpOptions opt;
-  opt.noise_variance = 1e-8;  // SAMP's floor
   std::string what = "threads=";
   what += std::to_string(ThreadPool::Global()->num_threads());
   what += " n=" + std::to_string(n);
   what += " grid=" + std::to_string(grid.size());
-  what += std::string(" ") + FamilyName(family);
   what += " noisy=" + std::to_string(noisy);
-  const auto got = SelectGpByMarginalLikelihood(x, y, grid, family, opt, noise);
-  const auto want = ReferenceSelect(x, y, grid, family, opt, noise);
+  const auto got = SelectGpByMarginalLikelihood(x, y, grid, noise);
+  const auto want = ReferenceSelect(x, y, grid, noise);
   ExpectSameWinner(got, want, what);
 }
 
-/// With no noise at all, long length scales make the Gram matrix
-/// numerically singular, so their jitter-free lane factor fails and only
-/// Fit's jitter escalation rescues them, while short scales factor as they
-/// are. A straight line favours the long scales, so the winner is a
-/// rescued candidate.
+/// With no noise at all — a per-point noise of -kNoiseFloor cancels the
+/// floor — long length scales make the Gram matrix numerically singular,
+/// so their jitter-free lane factor fails and only Fit's jitter escalation
+/// rescues them, while short scales factor as they are. A straight line
+/// favours the long scales, so the winner is a rescued candidate.
 void CheckJitterRescue() {
   std::vector<double> x, y;
   for (size_t i = 0; i < 40; ++i) {
     x.push_back(i / 39.0);
     y.push_back(0.2 + 0.5 * x.back());
   }
+  const std::vector<double> exact(x.size(), -kNoiseFloor);
   const std::vector<GpCandidate> mixed = {
       {0.25, 0.02}, {0.25, 0.05}, {0.25, 1.0}, {1.0, 1.0}, {0.01, 0.1}};
-  const KernelFamily rbf = KernelFamily::kRbf;
-  GpOptions exact;
-  exact.noise_variance = 0.0;
   size_t jittered = 0;
   for (const GpCandidate& cand : mixed) {
-    const Kernel kernel(rbf, cand.signal_variance, cand.length_scale);
+    const Kernel kernel(cand.signal_variance, cand.length_scale);
     auto fit = GpRegression::Fit(kernel, x, y, exact);
     ASSERT_TRUE(fit.ok());
     jittered += fit->jitter_used() > 0.0;
   }
   ASSERT_GT(jittered, 0u);
   ASSERT_LT(jittered, mixed.size());
-  const auto want = ReferenceSelect(x, y, mixed, rbf, exact, {});
+  const auto want = ReferenceSelect(x, y, mixed, exact);
   ASSERT_TRUE(want.ok());
   EXPECT_GT(want->jitter_used(), 0.0);
-  const auto got = SelectGpByMarginalLikelihood(x, y, mixed, rbf, exact);
+  const auto got = SelectGpByMarginalLikelihood(x, y, mixed, exact);
   ExpectSameWinner(got, want, "jitter rescue");
 }
 
@@ -173,11 +152,10 @@ void CheckAllCandidatesFail() {
   std::vector<double> noise = t.noise;
   noise[7] = -1.0;
   const std::vector<GpCandidate> grid = DefaultGpGrid();
-  const KernelFamily rbf = KernelFamily::kRbf;
-  const auto got = SelectGpByMarginalLikelihood(t.x, t.y, grid, rbf, {}, noise);
+  const auto got = SelectGpByMarginalLikelihood(t.x, t.y, grid, noise);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInternal);
-  const auto want = ReferenceSelect(t.x, t.y, grid, rbf, {}, noise);
+  const auto want = ReferenceSelect(t.x, t.y, grid, noise);
   ExpectSameWinner(got, want, "all candidates fail");
 }
 
@@ -191,12 +169,9 @@ TEST(GpModelSelectionTest, MatchesPerCandidateReference) {
       for (size_t g = 0; g < grids.size(); ++g) {
         // The two largest sizes keep the full grid and one short grid.
         if (n > 100 && g != 2 && g != 4) continue;
-        for (int f = 0; f < 3; ++f) {
-          const KernelFamily family = static_cast<KernelFamily>(f);
-          for (bool noisy : {false, true}) {
-            CheckCase(n, grids[g], family, noisy);
-            if (HasFatalFailure()) return;
-          }
+        for (bool noisy : {false, true}) {
+          CheckCase(n, grids[g], noisy);
+          if (HasFatalFailure()) return;
         }
       }
     }
@@ -217,52 +192,46 @@ const std::vector<double> kX = {0.1, 0.3, 0.5, 0.7, 0.9};
 const std::vector<double> kY = {0.1, 0.2, 0.5, 0.8, 0.9};
 
 TEST(GpModelSelectionTest, RejectsSizeMismatch) {
-  ExpectInvalid(SelectGpByMarginalLikelihood(kX, {0.1, 0.2}, DefaultGpGrid(),
-                                             KernelFamily::kRbf));
+  ExpectInvalid(SelectGpByMarginalLikelihood(kX, {0.1, 0.2}, DefaultGpGrid()));
 }
 
 TEST(GpModelSelectionTest, RejectsEmptyTrainingSet) {
-  ExpectInvalid(SelectGpByMarginalLikelihood({}, {}, DefaultGpGrid(),
-                                             KernelFamily::kRbf));
+  ExpectInvalid(SelectGpByMarginalLikelihood({}, {}, DefaultGpGrid()));
 }
 
 TEST(GpModelSelectionTest, RejectsWrongLengthNoise) {
-  ExpectInvalid(SelectGpByMarginalLikelihood(
-      kX, kY, DefaultGpGrid(), KernelFamily::kRbf, {}, {1e-4, 1e-4}));
+  ExpectInvalid(
+      SelectGpByMarginalLikelihood(kX, kY, DefaultGpGrid(), {1e-4, 1e-4}));
 }
 
 TEST(GpModelSelectionTest, RejectsNanInput) {
   std::vector<double> x = kX;
   x[2] = std::numeric_limits<double>::quiet_NaN();
-  ExpectInvalid(SelectGpByMarginalLikelihood(x, kY, DefaultGpGrid(),
-                                             KernelFamily::kRbf));
+  ExpectInvalid(SelectGpByMarginalLikelihood(x, kY, DefaultGpGrid()));
 }
 
 TEST(GpModelSelectionTest, RejectsNonFiniteTargetOrNoise) {
   std::vector<double> y = kY;
   y[0] = std::numeric_limits<double>::quiet_NaN();
-  ExpectInvalid(SelectGpByMarginalLikelihood(kX, y, DefaultGpGrid(),
-                                             KernelFamily::kRbf));
+  ExpectInvalid(SelectGpByMarginalLikelihood(kX, y, DefaultGpGrid()));
   std::vector<double> noise(kX.size(), 1e-4);
   noise[4] = std::numeric_limits<double>::infinity();
-  ExpectInvalid(SelectGpByMarginalLikelihood(
-      kX, kY, DefaultGpGrid(), KernelFamily::kRbf, {}, noise));
+  ExpectInvalid(SelectGpByMarginalLikelihood(kX, kY, DefaultGpGrid(), noise));
 }
 
 TEST(GpModelSelectionTest, RejectsZeroLengthScale) {
-  ExpectInvalid(SelectGpByMarginalLikelihood(
-      kX, kY, {{0.25, 0.1}, {0.25, 0.0}}, KernelFamily::kMatern32));
+  ExpectInvalid(
+      SelectGpByMarginalLikelihood(kX, kY, {{0.25, 0.1}, {0.25, 0.0}}));
 }
 
 TEST(GpModelSelectionTest, RejectsNegativeSignalVariance) {
-  ExpectInvalid(SelectGpByMarginalLikelihood(
-      kX, kY, {{-0.25, 0.1}, {0.25, 0.2}}, KernelFamily::kRbf));
+  ExpectInvalid(
+      SelectGpByMarginalLikelihood(kX, kY, {{-0.25, 0.1}, {0.25, 0.2}}));
 }
 
 TEST(GpModelSelectionTest, RejectsNanSignalVariance) {
   ExpectInvalid(SelectGpByMarginalLikelihood(
-      kX, kY, {{0.25, 0.1}, {std::numeric_limits<double>::quiet_NaN(), 0.2}},
-      KernelFamily::kMatern52));
+      kX, kY, {{0.25, 0.1}, {std::numeric_limits<double>::quiet_NaN(), 0.2}}));
 }
 
 }  // namespace

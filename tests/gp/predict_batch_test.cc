@@ -30,10 +30,7 @@ TrainingSet MakeTraining(size_t n, uint64_t seed) {
 }
 
 GpRegression FitRbf(const TrainingSet& t, double sf2 = 0.25, double l = 0.1) {
-  GpOptions o;
-  o.noise_variance = 1e-6;
-  auto gp = GpRegression::Fit(Kernel(KernelFamily::kRbf, sf2, l), t.x, t.y, o,
-                              t.noise);
+  auto gp = GpRegression::Fit(Kernel(sf2, l), t.x, t.y, t.noise);
   EXPECT_TRUE(gp.ok());
   return std::move(*gp);
 }
@@ -108,12 +105,9 @@ TEST(PredictBatchTest, JointPredictionDiagonalMatchesPointVariance) {
 TEST(PredictBatchTest, ExtendedWithAgreesWithFromScratchFit) {
   const TrainingSet t = MakeTraining(24, 7);
   const size_t n0 = 20;
-  GpOptions o;
-  o.noise_variance = 1e-6;
   auto base = GpRegression::Fit(
-      Kernel(KernelFamily::kRbf, 0.25, 0.1),
-      std::vector<double>(t.x.begin(), t.x.begin() + n0),
-      std::vector<double>(t.y.begin(), t.y.begin() + n0), o,
+      Kernel(0.25, 0.1), std::vector<double>(t.x.begin(), t.x.begin() + n0),
+      std::vector<double>(t.y.begin(), t.y.begin() + n0),
       std::vector<double>(t.noise.begin(), t.noise.begin() + n0));
   ASSERT_TRUE(base.ok());
   auto extended = base->ExtendedWith(
@@ -123,8 +117,7 @@ TEST(PredictBatchTest, ExtendedWithAgreesWithFromScratchFit) {
   ASSERT_TRUE(extended.ok());
   EXPECT_EQ(extended->num_training_points(), t.x.size());
 
-  auto scratch = GpRegression::Fit(Kernel(KernelFamily::kRbf, 0.25, 0.1), t.x,
-                                   t.y, o, t.noise);
+  auto scratch = GpRegression::Fit(Kernel(0.25, 0.1), t.x, t.y, t.noise);
   ASSERT_TRUE(scratch.ok());
   EXPECT_NEAR(extended->LogMarginalLikelihood(),
               scratch->LogMarginalLikelihood(), 1e-9);

@@ -100,7 +100,7 @@ TEST_F(StreamingResolverTest, CertifyOnceIsBitIdenticalToOneShot) {
   const core::QualityRequirement req{0.9, 0.9, 0.9};
   const core::StreamingOptions options = DefaultStreamingOptions();
   const OneShotRun oneshot =
-      RunOneShotSamp(ds_, req, options.sampling, options.subset_size);
+      RunOneShotSamp(ds_, req, options.sampling, core::kStreamingSubsetSize);
 
   for (const size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
     for (const data::ArrivalOrder order :
@@ -122,7 +122,7 @@ TEST_F(StreamingResolverTest, CertifyOnceIsBitIdenticalToOneShot) {
       ASSERT_TRUE(cert.ok()) << cert.status().message();
 
       ExpectPartitionMatchesFresh(resolver.partition(), ds_,
-                                  options.subset_size);
+                                  core::kStreamingSubsetSize);
       ExpectSolutionsEqual(cert->solution, oneshot.solution);
       EXPECT_EQ(cert->resolution.labels, oneshot.resolution.labels);
       EXPECT_EQ(cert->fresh_inspections, oneshot.cost);
@@ -198,7 +198,7 @@ TEST_F(StreamingResolverTest, RecertifyAfterGrowthMatchesOneShotAndReuses) {
   // bit-identical to the cold run on the grown workload — but pays only
   // for pairs no earlier epoch answered.
   const OneShotRun oneshot =
-      RunOneShotSamp(ds_, req, options.sampling, options.subset_size);
+      RunOneShotSamp(ds_, req, options.sampling, core::kStreamingSubsetSize);
   ExpectSolutionsEqual(second->solution, oneshot.solution);
   EXPECT_EQ(second->resolution.labels, oneshot.resolution.labels);
   EXPECT_LT(second->fresh_inspections, oneshot.cost);
@@ -223,7 +223,7 @@ TEST_F(StreamingResolverTest, PureAppendStreamCarriesStateAcrossEpochs) {
     const core::EpochReport& report = resolver.Ingest(std::move(shard));
     EXPECT_TRUE(report.pure_append);
     ExpectPartitionMatchesFresh(resolver.partition(), resolver.cumulative(),
-                                options.subset_size);
+                                core::kStreamingSubsetSize);
   }
   auto first = resolver.Certify();
   ASSERT_TRUE(first.ok());
@@ -241,7 +241,7 @@ TEST_F(StreamingResolverTest, PureAppendStreamCarriesStateAcrossEpochs) {
   // Carried subset statistics + answers make regrowing the certificate
   // cheaper than the cold one-shot run on the grown workload.
   const OneShotRun oneshot =
-      RunOneShotSamp(ds_, req, options.sampling, options.subset_size);
+      RunOneShotSamp(ds_, req, options.sampling, core::kStreamingSubsetSize);
   EXPECT_LT(second->fresh_inspections, oneshot.cost);
   EXPECT_EQ(resolver.total_duplicate_requests(), 0u);
   // Every carried answer is served verbatim.
@@ -269,7 +269,7 @@ TEST_F(StreamingResolverTest, RiskCertifierCostsAtMostOneShotSamp) {
   EXPECT_TRUE(cert->certified);
 
   const OneShotRun oneshot =
-      RunOneShotSamp(ds_, req, options.sampling, options.subset_size);
+      RunOneShotSamp(ds_, req, options.sampling, core::kStreamingSubsetSize);
   EXPECT_LE(cert->total_inspections, oneshot.cost);
   EXPECT_EQ(resolver.total_duplicate_requests(), 0u);
   const auto quality =

@@ -125,8 +125,6 @@ FUNCTIONS = {
     # gp
     "humo::gp::GpRegression::jitter_used":
         "observes the jitter grid selection's rescue needed",
-    "humo::gp::Kernel::family":
-        "observes which kernel family a fit selected",
     "humo::gp::GpRegression::PredictJoint":
         "reference for PredictBatch and the Eq. 20 range accumulator",
     "humo::gp::GpRegression::WhitenedCross":
