@@ -7,6 +7,9 @@
 
 namespace humo::actl {
 
+/// Confidence of the one-sided precision certificate per probe.
+constexpr double kConfidence = 0.9;
+
 Result<ActlResult> ActiveLearningResolver::Resolve(
     const core::SubsetPartition& partition, double target_precision,
     core::Oracle* oracle) const {
@@ -32,8 +35,7 @@ Result<ActlResult> ActiveLearningResolver::Resolve(
     const auto picks = rng.SampleWithoutReplacement(region_size, take);
     size_t positives = 0;
     for (size_t off : picks) positives += oracle->Label(region_begin + off);
-    const auto iv =
-        stats::WilsonInterval(positives, take, options_.confidence);
+    const auto iv = stats::WilsonInterval(positives, take, kConfidence);
     return iv.lo >= target_precision;
   };
 

@@ -14,8 +14,6 @@ struct ActlOptions {
   /// Labels drawn per threshold probe when estimating the precision of the
   /// region above the probe threshold.
   size_t samples_per_probe = 100;
-  /// Confidence of the one-sided precision certificate per probe.
-  double confidence = 0.9;
   uint64_t seed = 17;
 };
 
@@ -36,11 +34,11 @@ struct ActlResult {
 /// The classifier family is the monotone threshold family over the machine
 /// metric: label match iff similarity >= v. The search walks the threshold
 /// down from the top subset, at each step estimating the precision of the
-/// would-be match region by sampling it (Wilson lower bound at the
-/// configured confidence); it stops before the certificate drops below the
-/// target precision, thereby maximizing recall subject to the precision
-/// constraint. Unlike HUMO it offers NO recall guarantee — the comparison
-/// axis of Tables V/VI and Fig. 11.
+/// would-be match region by sampling it (Wilson lower bound at confidence
+/// 0.9); it stops before the certificate drops below the target precision,
+/// thereby maximizing recall subject to the precision constraint. Unlike
+/// HUMO it offers NO recall guarantee — the comparison axis of Tables V/VI
+/// and Fig. 11.
 class ActiveLearningResolver {
  public:
   explicit ActiveLearningResolver(ActlOptions options = {})

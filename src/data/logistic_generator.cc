@@ -9,9 +9,8 @@
 
 namespace humo::data {
 
-double LogisticMatchProportion(double v, double tau, double midpoint,
-                               double ceiling) {
-  return ceiling / (1.0 + std::exp(-tau * (v - midpoint)));
+double LogisticMatchProportion(double v, double tau, double ceiling) {
+  return ceiling / (1.0 + std::exp(-tau * (v - kLogisticMidpoint)));
 }
 
 Workload GenerateLogisticWorkload(const LogisticGeneratorOptions& options) {
@@ -28,8 +27,8 @@ Workload GenerateLogisticWorkload(const LogisticGeneratorOptions& options) {
     const double band_lo = static_cast<double>(k) / static_cast<double>(m);
     const double band_width = 1.0 / static_cast<double>(m);
     const double v_center = band_lo + 0.5 * band_width;
-    double proportion = LogisticMatchProportion(
-        v_center, options.tau, options.midpoint, options.ceiling);
+    double proportion =
+        LogisticMatchProportion(v_center, options.tau, options.ceiling);
     if (options.sigma > 0.0) {
       proportion += rng.NextGaussian(0.0, options.sigma);
     }

@@ -23,15 +23,16 @@ struct LogisticGeneratorOptions {
   double tau = 14.0;
   /// Std-dev of the per-subset Gaussian proportion noise.
   double sigma = 0.1;
-  /// Midpoint and ceiling of the logistic curve (paper fixes 0.55 / 0.95).
-  double midpoint = 0.55;
+  /// Ceiling of the logistic curve (the paper fixes 0.95).
   double ceiling = 0.95;
   uint64_t seed = 77;
 };
 
-/// Eq. 22: ceiling / (1 + exp(-tau (v - midpoint))).
-double LogisticMatchProportion(double v, double tau, double midpoint = 0.55,
-                               double ceiling = 0.95);
+/// Midpoint of the logistic curve (the paper fixes 0.55).
+inline constexpr double kLogisticMidpoint = 0.55;
+
+/// Eq. 22: ceiling / (1 + exp(-tau (v - kLogisticMidpoint))).
+double LogisticMatchProportion(double v, double tau, double ceiling = 0.95);
 
 /// Generates the synthetic workload.
 Workload GenerateLogisticWorkload(const LogisticGeneratorOptions& options);

@@ -5,6 +5,9 @@
 
 namespace humo::ml {
 
+/// L2 regularization strength (lambda of Pegasos).
+constexpr double kLambda = 1e-4;
+
 LinearSvm LinearSvm::Train(const Dataset& data, const SvmOptions& options) {
   assert(data.size() > 0);
   const size_t d = data.num_features();
@@ -20,14 +23,14 @@ LinearSvm LinearSvm::Train(const Dataset& data, const SvmOptions& options) {
   // t0 = 1/lambda caps the first steps at eta <= 1. Plain Pegasos
   // (eta_1 = 1/lambda) makes the unregularized bias blow up by ~1/lambda
   // on the first example and never recover within realistic epoch budgets.
-  const double t0 = 1.0 / options.lambda;
+  const double t0 = 1.0 / kLambda;
   size_t t = 0;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.Shuffle(&order);
     for (size_t i : order) {
       ++t;
       const double eta =
-          1.0 / (options.lambda * (static_cast<double>(t) + t0));
+          1.0 / (kLambda * (static_cast<double>(t) + t0));
       const double y = data.labels[i] == 1 ? 1.0 : -1.0;
       const double cost_weight =
           data.labels[i] == 1 ? options.positive_weight : 1.0;
@@ -37,7 +40,7 @@ LinearSvm LinearSvm::Train(const Dataset& data, const SvmOptions& options) {
       margin *= y;
 
       // L2 shrink step applies regardless of the hinge being active.
-      const double shrink = 1.0 - eta * options.lambda;
+      const double shrink = 1.0 - eta * kLambda;
       for (double& wj : svm.w_) wj *= shrink;
       if (margin < 1.0) {
         const double step = eta * cost_weight * y;

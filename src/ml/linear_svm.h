@@ -9,8 +9,6 @@ namespace humo::ml {
 
 /// Hyperparameters for the Pegasos-style SGD trainer.
 struct SvmOptions {
-  /// L2 regularization strength (lambda of Pegasos).
-  double lambda = 1e-4;
   /// Number of SGD epochs over the (shuffled) training set.
   size_t epochs = 30;
   /// Weight applied to positive examples' losses to counter class imbalance

@@ -6,6 +6,13 @@
 
 namespace humo::stats {
 
+/// Beta(1 + kSmoothing, 1 + kSmoothing) pseudo-counts on every worker's
+/// sensitivity/specificity and on the class prior, so a worker with one
+/// vote cannot be estimated as perfect or adversarial.
+constexpr double kSmoothing = 1.0;
+/// Bounds of the prior and every worker parameter before the E-step's logs.
+constexpr double kFloor = 1e-6, kCeil = 1.0 - kFloor;
+
 DawidSkeneResult RunDawidSkene(size_t num_items, size_t num_workers,
                                const std::vector<CrowdVote>& votes,
                                const DawidSkeneOptions& options) {
@@ -15,9 +22,6 @@ DawidSkeneResult RunDawidSkene(size_t num_items, size_t num_workers,
   r.specificity.assign(num_workers, 0.5);
   r.error_rate.assign(num_workers, 0.5);
   if (num_items == 0 || num_workers == 0 || votes.empty()) return r;
-
-  const double s = std::max(options.smoothing, 0.0);
-  const double eps = std::clamp(options.clamp_eps, 1e-12, 0.49);
 
   // Initialization: per-item majority fraction (the aggregate every EM
   // refinement must at least match).
@@ -35,12 +39,12 @@ DawidSkeneResult RunDawidSkene(size_t num_items, size_t num_workers,
   std::vector<double> spec_num(num_workers), spec_den(num_workers);
   for (size_t it = 0; it < options.iterations; ++it) {
     // M-step: worker confusion parameters and the class prior from the
-    // current soft labels, with Beta(1+s, 1+s) smoothing.
-    std::fill(sens_num.begin(), sens_num.end(), s);
-    std::fill(sens_den.begin(), sens_den.end(), 2.0 * s);
-    std::fill(spec_num.begin(), spec_num.end(), s);
-    std::fill(spec_den.begin(), spec_den.end(), 2.0 * s);
-    double prior_num = s, prior_den = 2.0 * s;
+    // current soft labels, with kSmoothing pseudo-counts.
+    std::fill(sens_num.begin(), sens_num.end(), kSmoothing);
+    std::fill(sens_den.begin(), sens_den.end(), 2.0 * kSmoothing);
+    std::fill(spec_num.begin(), spec_num.end(), kSmoothing);
+    std::fill(spec_den.begin(), spec_den.end(), 2.0 * kSmoothing);
+    double prior_num = kSmoothing, prior_den = 2.0 * kSmoothing;
     for (size_t i = 0; i < num_items; ++i) {
       if (vote_count[i] > 0.0) {
         prior_num += r.posterior[i];
@@ -57,10 +61,10 @@ DawidSkeneResult RunDawidSkene(size_t num_items, size_t num_workers,
         spec_num[v.worker] += 1.0 - p;
       }
     }
-    r.match_prior = std::clamp(prior_num / prior_den, eps, 1.0 - eps);
+    r.match_prior = std::clamp(prior_num / prior_den, kFloor, kCeil);
     for (size_t w = 0; w < num_workers; ++w) {
-      r.sensitivity[w] = std::clamp(sens_num[w] / sens_den[w], eps, 1.0 - eps);
-      r.specificity[w] = std::clamp(spec_num[w] / spec_den[w], eps, 1.0 - eps);
+      r.sensitivity[w] = std::clamp(sens_num[w] / sens_den[w], kFloor, kCeil);
+      r.specificity[w] = std::clamp(spec_num[w] / spec_den[w], kFloor, kCeil);
     }
 
     // E-step: per-item posterior as a log-space Bayes product over the

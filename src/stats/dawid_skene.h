@@ -19,13 +19,6 @@ struct DawidSkeneOptions {
   /// function of the votes — bit-identical run to run and machine to
   /// machine regardless of how close the fit already is.
   size_t iterations = 20;
-  /// Beta(1 + smoothing, 1 + smoothing) pseudo-counts on every worker's
-  /// sensitivity/specificity and on the class prior, so a worker with one
-  /// vote cannot be estimated as perfect or adversarial.
-  double smoothing = 1.0;
-  /// Probability floor/ceiling applied to worker parameters before the
-  /// E-step takes logs.
-  double clamp_eps = 1e-6;
 };
 
 struct DawidSkeneResult {

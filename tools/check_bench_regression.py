@@ -12,13 +12,11 @@ cover exactly the baseline's rows: a baseline row with no matching candidate
 row, and a candidate row the baseline lacks, each fail the gate.
 
 Usage:
-  check_bench_regression.py --baseline BENCH_gp_refit.json \
-      --candidate build/BENCH_gp_refit.json
+  check_bench_regression.py --baseline BENCH_records.json \
+      --candidate build/BENCH_records.json
   check_bench_regression.py --selftest
 
 The per-bench contract (keyed by the JSON's "bench" field):
-  micro_gp_refit  key (n)            higher-better refit_speedup,
-                                     predict_speedup
   streaming       key (workload,     lower-better  cost_ratio
                   mode, certifier,   higher-better reused_answers
                   shards, order,     exact         identical_labels
@@ -70,12 +68,6 @@ TOLERANCE = 0.20
 # bench name -> (row key fields, higher-better, lower-better, exact,
 # ratchet); a missing category is empty
 CONTRACTS = {
-    "micro_gp_refit": {
-        "key": ("n",),
-        "higher": ("refit_speedup", "predict_speedup"),
-        "lower": (),
-        "exact": (),
-    },
     "streaming": {
         "key": ("workload", "mode", "certifier", "shards", "order", "pairs"),
         "higher": ("reused_answers",),
@@ -210,13 +202,20 @@ def compare(baseline, candidate):
 
 
 def selftest():
+    def records_row(scale, simd_speedup):
+        return {
+            "scale": scale,
+            "simd_speedup": simd_speedup,
+            "lsh_recall": 0.995,
+            "lsh_pairs": scale // 10,
+            "samp_cost": scale // 50,
+            "scores_identical": 1,
+        }
+
     baseline = {
-        "bench": "micro_gp_refit",
+        "bench": "records_scale",
         "threads": 1,
-        "results": [
-            {"n": 64, "refit_speedup": 120.0, "predict_speedup": 2.0},
-            {"n": 128, "refit_speedup": 250.0, "predict_speedup": 2.6},
-        ],
+        "results": [records_row(100000, 70.0), records_row(1000000, 45.0)],
     }
     clean = copy.deepcopy(baseline)
     assert compare(baseline, clean) == [], (
@@ -224,12 +223,12 @@ def selftest():
     )
 
     regressed = copy.deepcopy(baseline)
-    regressed["results"][0]["refit_speedup"] *= 0.75  # injected 25% loss
+    regressed["results"][0]["simd_speedup"] *= 0.75  # injected 25% loss
     violations = compare(baseline, regressed)
     assert violations, "selftest: 25% regression must be rejected"
 
     nulled = copy.deepcopy(baseline)
-    nulled["results"][1]["predict_speedup"] = None  # a non-finite double
+    nulled["results"][1]["lsh_recall"] = None  # a non-finite double
     assert compare(baseline, nulled), (
         "selftest: a null contract field must be rejected"
     )
@@ -246,20 +245,18 @@ def selftest():
     )
 
     dropped = copy.deepcopy(baseline)
-    del dropped["results"][1]  # the n=128 row is not run
+    del dropped["results"][1]  # the 1M row is not run
     assert compare(baseline, dropped), (
         "selftest: a baseline row the candidate lacks must be rejected"
     )
     extra = copy.deepcopy(baseline)
-    extra["results"].append(
-        {"n": 1024, "refit_speedup": 300.0, "predict_speedup": 3.0}
-    )
+    extra["results"].append(records_row(10000000, 40.0))
     assert compare(baseline, extra), (
         "selftest: a candidate row the baseline lacks must be rejected"
     )
 
     within = copy.deepcopy(baseline)
-    within["results"][0]["refit_speedup"] *= 0.85  # 15% — inside tolerance
+    within["results"][0]["simd_speedup"] *= 0.85  # 15% — inside tolerance
     assert compare(baseline, within) == [], (
         "selftest: 15% wobble must pass at 20% tolerance"
     )

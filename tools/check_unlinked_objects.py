@@ -125,6 +125,8 @@ FUNCTIONS = {
     # gp
     "humo::gp::GpRegression::jitter_used":
         "observes the jitter grid selection's rescue needed",
+    "humo::gp::GpRegression::Predict":
+        "per-point reference PredictBatch is checked against bit for bit",
     "humo::gp::GpRegression::PredictJoint":
         "reference for PredictBatch and the Eq. 20 range accumulator",
     "humo::gp::GpRegression::WhitenedCross":
