@@ -55,28 +55,26 @@ struct Row {
   double jaccard_agreement = 0.0;
 };
 
-/// Latent partition recovered exactly, read through the served member
-/// lists: the same records, the same entity count, and every predicted
-/// entity's members drawn from one latent entity, each latent entity
-/// claimed by one predicted entity.
+/// Latent partition recovered exactly, read through the entity id per
+/// record: the same records, the same entity count, and one bijection
+/// between latent and predicted entity ids that holds on every record.
 bool RecoversLatentPartition(const data::EntityGraph& g,
                              const entity::EntityClustering& c) {
   if (c.num_records() != g.num_records) return false;
   if (c.num_entities() != g.num_entities) return false;
-  std::vector<bool> claimed(g.num_entities, false);
-  for (uint32_t e = 0; e < c.num_entities(); ++e) {
-    const entity::EntityClustering::MemberRange members = c.MembersOf(e);
-    if (members.empty()) return false;
-    uint32_t latent = UINT32_MAX;
-    for (size_t k = 0; k < members.size(); ++k) {
-      const entity::RecordRef record = members[k];
-      if (record.source != 0 || record.id >= g.num_records) return false;
-      const uint32_t of = g.entity_of_record[record.id];
-      if (latent == UINT32_MAX) latent = of;
-      if (of != latent) return false;
+  std::vector<uint32_t> latent_of(c.num_entities(), UINT32_MAX);
+  std::vector<uint32_t> predicted_of(g.num_entities, UINT32_MAX);
+  for (size_t r = 0; r < c.num_records(); ++r) {
+    const uint64_t key = c.record_keys()[r];
+    const uint32_t id = static_cast<uint32_t>(key);
+    if (key >> 32 != 0 || id >= g.num_records) return false;
+    const uint32_t latent = g.entity_of_record[id];
+    const uint32_t predicted = c.entity_of_record()[r];
+    if (latent_of[predicted] == UINT32_MAX) latent_of[predicted] = latent;
+    if (predicted_of[latent] == UINT32_MAX) predicted_of[latent] = predicted;
+    if (latent_of[predicted] != latent || predicted_of[latent] != predicted) {
+      return false;
     }
-    if (claimed[latent]) return false;
-    claimed[latent] = true;
   }
   return true;
 }

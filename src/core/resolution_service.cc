@@ -143,7 +143,7 @@ void ResolutionService::PublishLocked(bool refresh) {
       cert_current ? cert->resolution.labels : resolver_.provisional_labels();
   snap->workload_ = published_workload_;
   // Entity view: canonical clustering of the served labels, frozen with the
-  // snapshot so EntityOf/MembersOf reads stay wait-free.
+  // snapshot so EntityOf reads stay wait-free.
   snap->entities_ = std::make_shared<entity::EntityClustering>(
       entity::EntityClustering::FromUniverse(universe_, snap->labels_));
   snap->checksum_ = snap->ComputeChecksum();

@@ -58,21 +58,16 @@ class ResolutionSnapshot {
   const data::Workload& workload() const { return *workload_; }
 
   /// ENTITY VIEW of this snapshot: the canonical clustering of the served
-  /// labels, built once at publish time and frozen with the rest of the
-  /// snapshot. Reads are wait-free — a binary search / CSR slice over
-  /// immutable storage, same contract as labels().
+  /// labels (one entity id per record), built once at publish time and
+  /// frozen with the rest of the snapshot. Reads are wait-free — a binary
+  /// search and an array read over immutable storage, same contract as
+  /// labels().
   const entity::EntityClustering& entities() const { return *entities_; }
 
   /// Entity of `record` under this snapshot's labels, or nullopt when the
   /// record has not been mentioned by any ingested pair.
   std::optional<uint32_t> EntityOf(entity::RecordRef record) const {
     return entities_->EntityOf(record);
-  }
-
-  /// Members of entity `entity`, ascending record order. The view points
-  /// into the snapshot's storage — valid while the snapshot is held.
-  entity::EntityClustering::MemberRange MembersOf(uint32_t entity) const {
-    return entities_->MembersOf(entity);
   }
 
   size_t num_entities() const { return entities_->num_entities(); }

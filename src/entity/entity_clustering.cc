@@ -309,22 +309,15 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
   return out;
 }
 
-bool EntityClustering::MemberRange::Contains(RecordRef record) const {
-  const uint64_t key = PackRecord(record);
-  const auto key_less = [this](uint32_t r, uint64_t k) { return keys[r] < k; };
-  const uint32_t* end = records + count;
-  const uint32_t* it = std::lower_bound(records, end, key, key_less);
-  return it != end && keys[*it] == key;
-}
-
 EntityClustering EntityClustering::FromLabels(const data::Workload& workload,
                                               const std::vector<int>& labels,
                                               const ClusteringOptions& options) {
   assert(labels.size() == workload.size());
   EntityClustering out;
-  // The rank tables (or the radix universe) are freed before BuildFrom
-  // allocates, so the peak footprint is BuildFrom's. A dense view unions
-  // straight through its tables and builds no per-pair record arrays.
+  // The rank tables (or the radix universe) are freed before BuildFrom,
+  // which allocates nothing: the parent array becomes entity_of_. A dense
+  // view unions straight through its tables and builds no per-pair record
+  // arrays.
   std::vector<uint32_t> parent;
   if (const std::optional<RankTables> ranks = RankDense(workload, options)) {
     out.record_keys_ = ranks->keys;
@@ -368,27 +361,6 @@ void EntityClustering::BuildFrom(std::vector<uint32_t> parent) {
   }
   entity_of_ = std::move(parent);
   num_entities_ = next;
-
-  // CSR member lists of record indices. Member counts land at offset
-  // [e + 2]; a prefix sum makes [e + 1] entity e's start, and an ascending
-  // scatter with [e + 1] as the cursor leaves it at e's end, so records
-  // land sorted within their entity and no cursor array is allocated.
-  member_offsets_.assign(num_entities_ + 2, 0);
-  for (size_t r = 0; r < m; ++r) ++member_offsets_[entity_of_[r] + 2];
-  for (size_t e = 2; e < member_offsets_.size(); ++e) {
-    member_offsets_[e] += member_offsets_[e - 1];
-  }
-  members_.resize(m);
-  for (size_t r = 0; r < m; ++r) {
-    members_[member_offsets_[entity_of_[r] + 1]++] = static_cast<uint32_t>(r);
-  }
-  member_offsets_.pop_back();
-  for (size_t e = 0; e < num_entities_; ++e) {
-    if (member_offsets_[e + 1] - member_offsets_[e] >= 2) {
-      ++multi_record_entities_;
-    }
-  }
-
   checksum_ = ComputeChecksum();
 }
 
@@ -396,14 +368,6 @@ std::optional<uint32_t> EntityClustering::EntityOf(RecordRef record) const {
   const size_t idx = RecordIndexOf(record);
   if (idx >= record_keys_->size()) return std::nullopt;
   return entity_of_[idx];
-}
-
-EntityClustering::MemberRange EntityClustering::MembersOf(
-    uint32_t entity) const {
-  if (entity >= num_entities_) return {};
-  const size_t begin = member_offsets_[entity];
-  const size_t end = member_offsets_[entity + 1];
-  return {members_.data() + begin, record_keys_->data(), end - begin};
 }
 
 size_t EntityClustering::RecordIndexOf(RecordRef record) const {

@@ -26,9 +26,6 @@ struct RecordRef {
 inline uint64_t PackRecord(RecordRef r) {
   return (static_cast<uint64_t>(r.source) << 32) | r.id;
 }
-inline RecordRef UnpackRecord(uint64_t key) {
-  return {static_cast<uint32_t>(key >> 32), static_cast<uint32_t>(key)};
-}
 inline bool operator==(RecordRef a, RecordRef b) {
   return a.source == b.source && a.id == b.id;
 }
@@ -82,51 +79,36 @@ RecordUniverse ExtendRecords(const RecordUniverse& prior,
 /// the record clusters downstream consumers (task packing, multi-source
 /// serving, set-based evaluation) operate on.
 ///
-/// The representation is CANONICAL — a pure function of the set
-/// {(record pair, label)}, independent of pair order, construction path,
-/// and thread count:
+/// The representation is one entity id per record, and it is CANONICAL — a
+/// pure function of the set {(record pair, label)}, independent of pair
+/// order, construction path, and thread count:
 ///   * records are the sorted distinct packed (source, id) keys;
 ///   * entity ids are assigned by first appearance in that sorted record
-///     order, so entity 0 contains the globally smallest record;
-///   * members of an entity are stored in ascending record-key order.
-/// Two clusterings over the same workload are therefore equal (operator==,
-/// equal Checksum()) iff they induce the same partition. FromLabels is a
-/// serial sequence of linear passes with no binary search. When every
-/// source's id span is dense (kDenseSpanPerEndpoint), each source marks its
-/// ids in one table over its span, and one ascending scan per table numbers
-/// the marked ids; sources are numbered in key order, so the keys come out
-/// sorted with no merge, and a shared source gets one table over both
-/// columns. Each match edge's records are then two table lookups, and no
-/// per-pair record arrays are built. Otherwise each column is radix-sorted
-/// by id (only as many 11-bit passes as its largest id needs), its distinct
-/// ids are ranked in one scan, and the two ranked sides are merged once by
-/// packed key into a RecordUniverse. An O(n alpha(n)) union-find joins the
-/// match edges, and the canonical renumbering erases any dependence on
-/// union order. Each temporary is freed as soon as its
-/// pass ends, the rank tables before the member lists allocate, and the
-/// union-find parent array becomes the entity-id array. The record keys are
-/// the universe's shared array, not a copy.
+///     order, so entity 0 contains the globally smallest record.
+/// An entity's members are the records whose entity_of_record() entry
+/// names it. Two clusterings over the same workload are therefore equal
+/// (operator==, equal Checksum()) iff they induce the same partition.
+/// FromLabels is a serial sequence of linear passes with no binary search.
+/// When every source's id span is dense (kDenseSpanPerEndpoint), each
+/// source marks its ids in one table over its span, and one ascending scan
+/// per table numbers the marked ids; sources are numbered in key order, so
+/// the keys come out sorted with no merge, and a shared source gets one
+/// table over both columns. Each match edge's records are then two table
+/// lookups, and no per-pair record arrays are built. Otherwise each column
+/// is radix-sorted by id (only as many 11-bit passes as its largest id
+/// needs), its distinct ids are ranked in one scan, and the two ranked
+/// sides are merged once by packed key into a RecordUniverse. An
+/// O(n alpha(n)) union-find joins the match edges, and the canonical
+/// renumbering erases any dependence on union order. Each temporary is
+/// freed as soon as its pass ends, and the union-find parent array becomes
+/// the entity-id array. The record keys are the universe's shared array,
+/// not a copy.
 ///
 /// Immutable after construction: every accessor is const and touches only
 /// frozen storage, so a clustering shared through a shared_ptr (see
 /// core::ResolutionSnapshot) is safe to read from any number of threads.
 class EntityClustering {
  public:
-  /// View over one entity's members in ascending record order: a
-  /// contiguous run of record indices into the clustering's record keys.
-  struct MemberRange {
-    const uint32_t* records = nullptr;  // ascending indices into `keys`
-    const uint64_t* keys = nullptr;     // the clustering's record_keys()
-    size_t count = 0;
-    size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    RecordRef operator[](size_t i) const {
-      return UnpackRecord(keys[records[i]]);
-    }
-    /// True when `record` is a member (binary search, O(log size)).
-    bool Contains(RecordRef record) const;
-  };
-
   EntityClustering() = default;
 
   /// Clusters the workload's records by the given pair labels (1 = match):
@@ -148,17 +130,10 @@ class EntityClustering {
   size_t num_records() const { return record_keys_->size(); }
   /// Entities (clusters), singletons included.
   size_t num_entities() const { return num_entities_; }
-  /// Entities with at least two members.
-  size_t num_multi_record_entities() const { return multi_record_entities_; }
 
   /// Entity of `record`, or nullopt when the record is not part of the
   /// workload. O(log n) binary search; wait-free (no locks, frozen data).
   std::optional<uint32_t> EntityOf(RecordRef record) const;
-
-  /// Members of entity `entity` in ascending record order. The view points
-  /// into this clustering's storage — valid as long as the clustering (or
-  /// the snapshot holding it) is alive.
-  MemberRange MembersOf(uint32_t entity) const;
 
   /// Sorted distinct packed record keys (the record universe).
   const std::vector<uint64_t>& record_keys() const { return *record_keys_; }
@@ -184,20 +159,16 @@ class EntityClustering {
   size_t RecordIndexOf(RecordRef record) const;
 
  private:
-  /// Canonical ids, CSR members and checksum from a union-find parent
-  /// array whose every link points to a smaller record; the array becomes
-  /// entity_of_.
+  /// Canonical ids and checksum from a union-find parent array whose every
+  /// link points to a smaller record; the array becomes entity_of_.
   void BuildFrom(std::vector<uint32_t> parent);
   uint64_t ComputeChecksum() const;
 
   /// Sorted ascending; shared with the universe it was built from.
   std::shared_ptr<const std::vector<uint64_t>> record_keys_ =
       std::make_shared<const std::vector<uint64_t>>();
-  std::vector<uint32_t> entity_of_;     // parallel to record_keys_
-  std::vector<uint32_t> member_offsets_;  // CSR offsets into members_
-  std::vector<uint32_t> members_;  // record indices grouped by entity
+  std::vector<uint32_t> entity_of_;  // parallel to record_keys_
   size_t num_entities_ = 0;
-  size_t multi_record_entities_ = 0;
   uint64_t checksum_ = 0;
 };
 

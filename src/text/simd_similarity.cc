@@ -165,11 +165,6 @@ double IdSetSimilarity(const uint32_t* a, size_t na, const uint32_t* b,
       const size_t uni = na + nb - inter;
       return static_cast<double>(inter) / static_cast<double>(uni);
     }
-    case IdSetMetric::kDice:
-      return 2.0 * static_cast<double>(inter) / static_cast<double>(na + nb);
-    case IdSetMetric::kOverlap:
-      return static_cast<double>(inter) /
-             static_cast<double>(std::min(na, nb));
     case IdSetMetric::kCosineTfIdf:
       break;
   }

@@ -18,10 +18,6 @@ enum class IdSetMetric {
   /// text::JaccardSimilarity over string tokens exactly (bitwise: both are
   /// the same integer division).
   kJaccard,
-  /// 2|A∩B| / (|A|+|B|).
-  kDice,
-  /// |A∩B| / min(|A|,|B|).
-  kOverlap,
   /// Dot product of the per-id TF-IDF weight columns (weights are
   /// L2-normalized per record, so the dot IS the cosine). Two empty
   /// documents score 0, matching TfIdfModel::Cosine on empty vectors.

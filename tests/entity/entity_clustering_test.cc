@@ -20,7 +20,6 @@ using entity::ClusteringOptions;
 using entity::EntityClustering;
 using entity::PackRecord;
 using entity::RecordRef;
-using entity::UnpackRecord;
 
 /// Two-table workload: L0-R0 match, L1-R0 match, L2-R1 non, L3-R2 match.
 /// Entities: {L0, L1, R0}, {L2}, {L3, R2}, {R1}.
@@ -39,7 +38,7 @@ TEST(RecordRefTest, PackingPreservesLexicographicOrder) {
   const RecordRef a{0, 5}, b{1, 0}, c{1, 5};
   EXPECT_LT(PackRecord(a), PackRecord(b));
   EXPECT_LT(PackRecord(b), PackRecord(c));
-  EXPECT_EQ(UnpackRecord(PackRecord(c)), c);
+  EXPECT_EQ(PackRecord(c), (uint64_t{1} << 32) | 5);
   EXPECT_TRUE((RecordRef{2, 3}) == (RecordRef{2, 3}));
   EXPECT_FALSE((RecordRef{2, 3}) == (RecordRef{3, 2}));
 }
@@ -50,7 +49,6 @@ TEST(EntityClusteringTest, TwoTableConnectedComponents) {
 
   EXPECT_EQ(c.num_records(), 7u);  // L0..L3 + R0..R2
   EXPECT_EQ(c.num_entities(), 4u);
-  EXPECT_EQ(c.num_multi_record_entities(), 2u);
 
   // Canonical numbering: first appearance in ascending (source, id) order.
   EXPECT_EQ(c.EntityOf({0, 0}), std::optional<uint32_t>(0));
@@ -62,16 +60,14 @@ TEST(EntityClusteringTest, TwoTableConnectedComponents) {
   EXPECT_EQ(c.EntityOf({1, 1}), std::optional<uint32_t>(3));
   EXPECT_EQ(c.EntityOf({5, 5}), std::nullopt);
 
-  const EntityClustering::MemberRange big = c.MembersOf(0);
-  ASSERT_EQ(big.size(), 3u);
-  EXPECT_EQ(big[0], (RecordRef{0, 0}));
-  EXPECT_EQ(big[1], (RecordRef{0, 1}));
-  EXPECT_EQ(big[2], (RecordRef{1, 0}));
-  EXPECT_TRUE(big.Contains({1, 0}));
-  EXPECT_FALSE(big.Contains({1, 1}));
-  EXPECT_EQ(c.MembersOf(0).size(), 3u);
-  EXPECT_EQ(c.MembersOf(1).size(), 1u);
-  EXPECT_TRUE(c.MembersOf(99).empty());
+  // One entity id per record, in ascending (source, id) order.
+  const std::vector<uint64_t> keys = {
+      PackRecord({0, 0}), PackRecord({0, 1}), PackRecord({0, 2}),
+      PackRecord({0, 3}), PackRecord({1, 0}), PackRecord({1, 1}),
+      PackRecord({1, 2})};
+  EXPECT_EQ(c.record_keys(), keys);
+  EXPECT_EQ(c.entity_of_record(),
+            (std::vector<uint32_t>{0, 0, 1, 2, 0, 3, 2}));
 }
 
 TEST(EntityClusteringTest, SingleSourceDedup) {
@@ -96,17 +92,18 @@ TEST(EntityClusteringTest, ChecksumSeparatesPartitions) {
   EXPECT_NE(truth, none);
   EXPECT_NE(truth.Checksum(), none.Checksum());
   EXPECT_EQ(none.num_entities(), none.num_records());
-  EXPECT_EQ(none.num_multi_record_entities(), 0u);
 }
 
 TEST(EntityClusteringTest, RecordIndexRoundTrip) {
   const data::Workload w = TwoTableWorkload();
   const EntityClustering c = EntityClustering::FromLabels(w, TruthLabels(w));
   for (size_t r = 0; r < c.num_records(); ++r) {
-    const RecordRef ref = UnpackRecord(c.record_keys()[r]);
+    const uint64_t key = c.record_keys()[r];
+    const RecordRef ref{static_cast<uint32_t>(key >> 32),
+                        static_cast<uint32_t>(key)};
+    EXPECT_EQ(PackRecord(ref), key);
     EXPECT_EQ(c.RecordIndexOf(ref), r);
     EXPECT_EQ(c.EntityOf(ref), std::optional<uint32_t>(c.entity_of_record()[r]));
-    EXPECT_TRUE(c.MembersOf(c.entity_of_record()[r]).Contains(ref));
   }
   EXPECT_EQ(c.RecordIndexOf({9, 9}), c.num_records());
 }
@@ -118,7 +115,7 @@ struct ReferenceClustering {
   std::vector<uint64_t> record_keys;
   std::vector<uint32_t> left_idx, right_idx;
   std::vector<uint32_t> entity_of;
-  std::vector<std::vector<uint64_t>> members;
+  uint32_t num_entities = 0;
   uint64_t checksum = 0;
 };
 
@@ -162,17 +159,15 @@ ReferenceClustering ReferenceFromLabels(const data::Workload& w,
   for (size_t r = 0; r < m; ++r) {
     const uint32_t root = find(static_cast<uint32_t>(r));
     if (entity_of_root[root] == UINT32_MAX) {
-      entity_of_root[root] = static_cast<uint32_t>(out.members.size());
-      out.members.emplace_back();
+      entity_of_root[root] = out.num_entities++;
     }
     out.entity_of.push_back(entity_of_root[root]);
-    out.members[entity_of_root[root]].push_back(keys[r]);
   }
 
   // FNV-1a, one step per 64-bit word.
   uint64_t h = 0xcbf29ce484222325ULL;
   h = (h ^ m) * 0x100000001b3ULL;
-  h = (h ^ out.members.size()) * 0x100000001b3ULL;
+  h = (h ^ out.num_entities) * 0x100000001b3ULL;
   for (size_t r = 0; r < m; ++r) {
     h = (h ^ keys[r]) * 0x100000001b3ULL;
     h = (h ^ out.entity_of[r]) * 0x100000001b3ULL;
@@ -263,15 +258,7 @@ void ExpectMatchesReference(const data::Workload& w,
     const EntityClustering c = EntityClustering::FromLabels(w, labels, options);
     EXPECT_EQ(c.record_keys(), ref.record_keys);
     EXPECT_EQ(c.entity_of_record(), ref.entity_of);
-    ASSERT_EQ(c.num_entities(), ref.members.size());
-    for (uint32_t e = 0; e < c.num_entities(); ++e) {
-      const EntityClustering::MemberRange members = c.MembersOf(e);
-      std::vector<uint64_t> keys;
-      for (size_t k = 0; k < members.size(); ++k) {
-        keys.push_back(PackRecord(members[k]));
-      }
-      EXPECT_EQ(keys, ref.members[e]);
-    }
+    EXPECT_EQ(c.num_entities(), ref.num_entities);
     EXPECT_EQ(c.Checksum(), ref.checksum);
   }
   ThreadPool::SetGlobalThreads(0);

@@ -19,27 +19,20 @@ constexpr ClusteringOptions kDedup{0, 0};
 void CheckClusteringInvariants(const EntityClustering& c) {
   ASSERT_EQ(c.entity_of_record().size(), c.num_records());
   ASSERT_TRUE(std::is_sorted(c.record_keys().begin(), c.record_keys().end()));
-  // MembersOf partitions the records: every record appears in exactly the
-  // entity EntityOf says, and sizes add up.
-  size_t total = 0;
-  size_t multi = 0;
-  for (uint32_t e = 0; e < c.num_entities(); ++e) {
-    const EntityClustering::MemberRange members = c.MembersOf(e);
-    ASSERT_FALSE(members.empty());  // canonical ids have no empty entities
-    if (members.size() >= 2) ++multi;
-    for (size_t i = 0; i < members.size(); ++i) {
-      ASSERT_EQ(c.EntityOf(members[i]), std::optional<uint32_t>(e));
-      if (i > 0) {
-        ASSERT_LT(PackRecord(members[i - 1]), PackRecord(members[i]));
-      }
-    }
-    total += members.size();
+  // Canonical ids: in ascending record order each record either reuses an
+  // id seen before or takes the next one, so the ids are exactly
+  // 0 .. num_entities() - 1 and EntityOf agrees with the array.
+  uint32_t next = 0;
+  for (size_t r = 0; r < c.num_records(); ++r) {
+    const uint32_t e = c.entity_of_record()[r];
+    ASSERT_LE(e, next) << "record " << r;
+    if (e == next) ++next;
+    const uint64_t key = c.record_keys()[r];
+    const entity::RecordRef ref{static_cast<uint32_t>(key >> 32),
+                                static_cast<uint32_t>(key)};
+    ASSERT_EQ(c.EntityOf(ref), std::optional<uint32_t>(e));
   }
-  ASSERT_EQ(total, c.num_records());
-  ASSERT_EQ(multi, c.num_multi_record_entities());
-  for (const uint32_t e : c.entity_of_record()) {
-    ASSERT_LT(e, c.num_entities());
-  }
+  ASSERT_EQ(next, c.num_entities());
 }
 
 TEST(EntityFuzzTest, EmptyWorkload) {
@@ -48,7 +41,6 @@ TEST(EntityFuzzTest, EmptyWorkload) {
   EXPECT_EQ(c.num_records(), 0u);
   EXPECT_EQ(c.num_entities(), 0u);
   EXPECT_EQ(c.EntityOf({0, 0}), std::nullopt);
-  EXPECT_TRUE(c.MembersOf(0).empty());
   CheckClusteringInvariants(c);
 }
 
@@ -72,7 +64,9 @@ TEST(EntityFuzzTest, AllMatchCollapsesToOneEntity) {
       EntityClustering::FromLabels(w, w.GroundTruthLabels(), kDedup);
   EXPECT_EQ(c.num_records(), 31u);
   EXPECT_EQ(c.num_entities(), 1u);
-  EXPECT_EQ(c.MembersOf(0).size(), 31u);
+  EXPECT_EQ(std::count(c.entity_of_record().begin(),
+                       c.entity_of_record().end(), 0u),
+            31);
   CheckClusteringInvariants(c);
 }
 
@@ -85,7 +79,6 @@ TEST(EntityFuzzTest, AllNonMatchStaysSingletons) {
   const EntityClustering c =
       EntityClustering::FromLabels(w, w.GroundTruthLabels(), kDedup);
   EXPECT_EQ(c.num_entities(), c.num_records());
-  EXPECT_EQ(c.num_multi_record_entities(), 0u);
   CheckClusteringInvariants(c);
 }
 

@@ -118,24 +118,13 @@ TEST(IdSetSimilarityTest, SetMetricConventions) {
   EXPECT_EQ(IdSetSimilarity(empty.data(), 0, empty.data(), 0,
                             IdSetMetric::kJaccard),
             1.0);
-  EXPECT_EQ(
-      IdSetSimilarity(empty.data(), 0, empty.data(), 0, IdSetMetric::kDice),
-      1.0);
-  EXPECT_EQ(IdSetSimilarity(empty.data(), 0, empty.data(), 0,
-                            IdSetMetric::kOverlap),
-            1.0);
   // One side empty: 0.0.
   EXPECT_EQ(
       IdSetSimilarity(one.data(), 1, empty.data(), 0, IdSetMetric::kJaccard),
       0.0);
-  // Identical singletons: 1.0 under every set metric.
+  // Identical singletons: 1.0.
   EXPECT_EQ(
       IdSetSimilarity(one.data(), 1, one.data(), 1, IdSetMetric::kJaccard),
-      1.0);
-  EXPECT_EQ(IdSetSimilarity(one.data(), 1, one.data(), 1, IdSetMetric::kDice),
-            1.0);
-  EXPECT_EQ(
-      IdSetSimilarity(one.data(), 1, one.data(), 1, IdSetMetric::kOverlap),
       1.0);
 }
 
@@ -146,12 +135,6 @@ TEST(IdSetSimilarityTest, JaccardValue) {
       IdSetSimilarity(a.data(), a.size(), b.data(), b.size(),
                       IdSetMetric::kJaccard),
       2.0 / 6.0);
-  EXPECT_DOUBLE_EQ(IdSetSimilarity(a.data(), a.size(), b.data(), b.size(),
-                                   IdSetMetric::kDice),
-                   2.0 * 2.0 / 8.0);
-  EXPECT_DOUBLE_EQ(IdSetSimilarity(a.data(), a.size(), b.data(), b.size(),
-                                   IdSetMetric::kOverlap),
-                   2.0 / 4.0);
 }
 
 /// Builds IdSetColumns over a flat set of records for batch tests.
@@ -203,8 +186,7 @@ TEST(BatchIdSetSimilarityTest, MatchesPerPairCalls) {
     }
   }
   for (IdSetMetric metric :
-       {IdSetMetric::kJaccard, IdSetMetric::kDice, IdSetMetric::kOverlap,
-        IdSetMetric::kCosineTfIdf}) {
+       {IdSetMetric::kJaccard, IdSetMetric::kCosineTfIdf}) {
     std::vector<double> batch(pa.size());
     BatchIdSetSimilarity(a.View(), b.View(), pa.data(), pb.data(), pa.size(),
                          metric, batch.data());

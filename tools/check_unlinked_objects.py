@@ -76,8 +76,6 @@ FUNCTIONS = {
         "bounds the oracle's two answer bitsets at two bits per pair",
     "humo::core::PartialSamplingOptimizer::options":
         "reads the sampling budget a test bounds SAMP's cost by",
-    "humo::core::ResolutionSnapshot::MembersOf":
-        "observes a snapshot's entity members",
     "humo::core::ResolutionSnapshot::epochs_ingested":
         "observes which epochs a snapshot covers",
     "humo::core::ResolutionSnapshot::quality":
@@ -114,10 +112,6 @@ FUNCTIONS = {
     "humo::data::RecordTable::schema[abi:cxx11]":
         "observes the attribute schema a generator emits",
     # entity
-    "humo::entity::EntityClustering::MemberRange::Contains":
-        "observes the members of a live clustering",
-    "humo::entity::EntityClustering::num_multi_record_entities":
-        "observes the entity-size split of a live clustering",
     "humo::entity::operator==":
         "compares a clustering or record with a reference",
     "humo::entity::operator!=":
