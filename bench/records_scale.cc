@@ -5,7 +5,8 @@
 // per scale:
 //
 //   tokenize_ms       RecordColumns::Build of both tables into a shared
-//                     dictionary + TF-IDF weight attachment
+//                     dictionary (tokenization alone: nothing here reads
+//                     TF-IDF weights)
 //   exact_pairs/ms    TokenBlock on the group key — the exact candidate
 //                     baseline LSH recall is measured against
 //   lsh_pairs/ms      MinHashLshBlock (banded multi-probe MinHash over
@@ -133,17 +134,13 @@ int RunScale(size_t scale, RecordsResult* out) {
   const data::ScaleTables tables = data::GenerateScaleTables(tables_cfg);
   out->records = tables.left.size() + tables.right.size();
 
-  // ---- Tokenize into shared-dictionary columns + TF-IDF weights. ----
+  // ---- Tokenize into shared-dictionary columns. ----
   double t0 = NowMs();
   text::TokenDictionary dict;
-  data::RecordColumns left_cols =
+  const data::RecordColumns left_cols =
       data::RecordColumns::Build(tables.left, 1, &dict);
-  data::RecordColumns right_cols =
+  const data::RecordColumns right_cols =
       data::RecordColumns::Build(tables.right, 1, &dict);
-  text::TfIdfModel model;
-  model.FitDictionary(dict);
-  left_cols.AttachTfIdf(model);
-  right_cols.AttachTfIdf(model);
   out->tokenize_ms = NowMs() - t0;
 
   // ---- Exact baseline: token blocking on the group key. ----

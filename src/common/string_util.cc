@@ -1,10 +1,21 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
 namespace humo {
+namespace {
+
+constexpr std::array<char, 256> MakeMatchFold() {
+  std::array<char, 256> fold{};
+  for (char c = '0'; c <= '9'; ++c) fold[c] = c;
+  for (char c = 'a'; c <= 'z'; ++c) fold[c] = fold[c - 'a' + 'A'] = c;
+  return fold;
+}
+
+}  // namespace
+
+const std::array<char, 256> kMatchFold = MakeMatchFold();
 
 std::vector<std::string> SplitAny(std::string_view s, std::string_view seps) {
   std::vector<std::string> out;
@@ -35,11 +46,11 @@ std::string NormalizeForMatching(std::string_view s) {
   out.reserve(s.size());
   bool pending_space = false;
   for (char raw : s) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
+    const char c = kMatchFold[static_cast<unsigned char>(raw)];
+    if (c != 0) {
       if (pending_space && !out.empty()) out.push_back(' ');
       pending_space = false;
-      out.push_back(static_cast<char>(std::tolower(c)));
+      out.push_back(c);
     } else {
       // Whitespace and punctuation both act as token separators.
       pending_space = true;

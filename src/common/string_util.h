@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,10 +13,18 @@ std::vector<std::string> SplitAny(std::string_view s, std::string_view seps);
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Collapses runs of whitespace to single spaces and trims; lower-cases;
-/// strips all characters that are not alphanumeric or space. This is the
-/// canonical normalization applied to attribute values before similarity
-/// computation.
+/// The byte rule of NormalizeForMatching as one table: kMatchFold[c] is the
+/// lower-case form of an ASCII letter or digit ([0-9A-Za-z], A-Z folded to
+/// a-z) and 0 for every other byte, which separates tokens. The rule is
+/// fixed ASCII, not the process locale's: bytes >= 0x80 separate, so UTF-8
+/// letters split tokens exactly as in the "C" locale, whatever a host
+/// program passed to setlocale.
+extern const std::array<char, 256> kMatchFold;
+
+/// Lower-cases ASCII letters and keeps digits (kMatchFold); every run of
+/// other bytes becomes one ' ' between tokens, none leading or trailing.
+/// This is the canonical normalization applied to attribute values before
+/// similarity computation.
 std::string NormalizeForMatching(std::string_view s);
 
 /// printf-style formatting into a std::string.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,6 +18,77 @@ namespace {
 /// balances skewed attribute lengths).
 constexpr size_t kTokenizeGrain = 256;
 
+/// Tokens handed to one TokenDictionary::InternBatch call.
+constexpr size_t kInternSlice = 1024;
+
+/// The tokens of one tokenization task's records, back to back: `bytes`
+/// holds every normalized token with no separator, and record i's sorted
+/// distinct tokens are spans [ends[i - 1], ends[i]) (from 0 for i = 0),
+/// each with its term frequency. Nothing is allocated per record.
+struct TokenArena {
+  struct Span {
+    uint32_t offset;  // into bytes
+    uint32_t length;
+    uint32_t tf;
+  };
+  std::string bytes;
+  std::vector<Span> spans;
+  std::vector<uint32_t> ends;  // per record
+
+  std::string_view View(const Span& s) const {
+    return {bytes.data() + s.offset, s.length};
+  }
+
+  /// Appends one record: `value` normalized by kMatchFold (the byte rule of
+  /// NormalizeForMatching, so the tokens are exactly
+  /// text::WordTokens(NormalizeForMatching(value))), its tokens sorted and
+  /// merged into distinct spans with their counts.
+  void Add(std::string_view value) {
+    const size_t first = spans.size();
+    size_t out = bytes.size();
+    if (value.size() > UINT32_MAX - out) {
+      std::fprintf(stderr,
+                   "RecordColumns::Build: %zu normalized bytes of one task "
+                   "exceed the uint32 offset range\n",
+                   out + value.size());
+      std::abort();
+    }
+    bytes.resize(out + value.size());
+    char* const data = bytes.data();
+    size_t start = out;
+    for (const char raw : value) {
+      const char c = kMatchFold[static_cast<unsigned char>(raw)];
+      if (c != 0) {
+        data[out++] = c;
+      } else if (out > start) {
+        spans.push_back({static_cast<uint32_t>(start),
+                         static_cast<uint32_t>(out - start), 1});
+        start = out;
+      }
+    }
+    if (out > start) {
+      spans.push_back({static_cast<uint32_t>(start),
+                       static_cast<uint32_t>(out - start), 1});
+    }
+    bytes.resize(out);
+    Span* const s = spans.data() + first;
+    const size_t count = spans.size() - first;
+    std::sort(s, s + count, [this](const Span& x, const Span& y) {
+      return View(x) < View(y);
+    });
+    size_t distinct = 0;
+    for (size_t i = 0; i < count; ++i) {
+      if (distinct > 0 && View(s[distinct - 1]) == View(s[i])) {
+        ++s[distinct - 1].tf;
+      } else {
+        s[distinct++] = s[i];
+      }
+    }
+    spans.resize(first + distinct);
+    ends.push_back(static_cast<uint32_t>(spans.size()));
+  }
+};
+
 }  // namespace
 
 RecordColumns RecordColumns::Build(const RecordTable& table,
@@ -27,54 +99,33 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
   cols.offsets_.assign(n + 1, 0);
   if (n == 0) return cols;
 
-  // Phase 1 (parallel, index-addressed): normalize each record's value once
-  // into its slot, then split, sort and dedup string_views into that one
-  // string, with per-token counts. NormalizeForMatching leaves only single
-  // ' ' separators and no leading/trailing one, so splitting on ' ' yields
-  // exactly text::WordTokens' tokens, with no per-token allocation; the
-  // token list is sized once, to the distinct count.
-  struct RecordTokens {
-    std::string text;  // normalized value
-    // Sorted unique views of text, each with its term frequency.
-    std::vector<std::pair<std::string_view, uint32_t>> tokens;
-  };
-  std::vector<RecordTokens> tokenized(n);
+  // Phase 1 (parallel): each task tokenizes its records into the arena of
+  // its task index. A ParallelFor that runs inline is one task (arena 0
+  // holds every record), so the arenas, concatenated in task order, list
+  // the records in table order at any thread count.
+  std::vector<TokenArena> arenas((n + kTokenizeGrain - 1) / kTokenizeGrain);
   ThreadPool::Global()->ParallelFor(
       n, kTokenizeGrain, [&](size_t begin, size_t end) {
-        std::vector<std::string_view> toks;
+        TokenArena& arena = arenas[begin / kTokenizeGrain];
+        size_t bytes = 0;
         for (size_t r = begin; r < end; ++r) {
-          RecordTokens& out = tokenized[r];
-          out.text = NormalizeForMatching(table[r].attributes[attribute_index]);
-          const std::string_view text = out.text;
-          toks.clear();
-          for (size_t b = 0; b < text.size();) {
-            size_t e = text.find(' ', b);
-            if (e == std::string_view::npos) e = text.size();
-            toks.push_back(text.substr(b, e - b));
-            b = e + 1;
-          }
-          std::sort(toks.begin(), toks.end());
-          size_t distinct = 0;
-          for (size_t i = 0; i < toks.size(); ++i) {
-            distinct += i == 0 || toks[i] != toks[i - 1];
-          }
-          out.tokens.reserve(distinct);
-          for (size_t i = 0; i < toks.size();) {
-            size_t j = i + 1;
-            while (j < toks.size() && toks[j] == toks[i]) ++j;
-            out.tokens.emplace_back(toks[i], static_cast<uint32_t>(j - i));
-            i = j;
-          }
+          bytes += table[r].attributes[attribute_index].size();
+        }
+        arena.bytes.reserve(bytes);
+        arena.ends.reserve(end - begin);
+        for (size_t r = begin; r < end; ++r) {
+          arena.Add(table[r].attributes[attribute_index]);
         }
       });
 
   // Phase 2 (serial, record order): intern into the shared dictionary.
   // Interning order — and with it every id — depends only on the table's
-  // record order, never on scheduling. Per-record ids are then re-sorted:
-  // tokens were sorted lexicographically, but ids are assigned first-seen,
-  // so id order is NOT token order.
+  // record order, never on scheduling. The ids land in token_ids_ in span
+  // order and each record's are then re-sorted: tokens were sorted
+  // lexicographically, but ids are assigned first-seen, so id order is NOT
+  // token order.
   size_t total = 0;
-  for (const RecordTokens& rt : tokenized) total += rt.tokens.size();
+  for (const TokenArena& arena : arenas) total += arena.spans.size();
   if (total > UINT32_MAX) {
     std::fprintf(stderr,
                  "RecordColumns::Build: %zu token ids exceed the uint32 "
@@ -82,24 +133,39 @@ RecordColumns RecordColumns::Build(const RecordTable& table,
                  total);
     std::abort();
   }
-  cols.token_ids_.reserve(total);
-  cols.term_freq_.reserve(total);
+  cols.token_ids_.resize(total);
+  cols.term_freq_.resize(total);
+  std::vector<std::string_view> views;
   std::vector<std::pair<uint32_t, uint32_t>> scratch;  // (id, tf)
-  for (size_t r = 0; r < n; ++r) {
-    const RecordTokens& rt = tokenized[r];
-    scratch.clear();
-    scratch.reserve(rt.tokens.size());
-    for (const auto& [token, tf] : rt.tokens) {
-      scratch.emplace_back(dict->Intern(token), tf);
+  size_t r = 0;
+  uint32_t base = 0;  // first span of the arena in the columns
+  for (const TokenArena& arena : arenas) {
+    const size_t m = arena.spans.size();
+    uint32_t* const ids = cols.token_ids_.data() + base;
+    for (size_t lo = 0; lo < m; lo += kInternSlice) {
+      const size_t hi = std::min(m, lo + kInternSlice);
+      views.clear();
+      for (size_t k = lo; k < hi; ++k) {
+        views.push_back(arena.View(arena.spans[k]));
+      }
+      dict->InternBatch(views.data(), views.size(), ids + lo);
     }
-    std::sort(scratch.begin(), scratch.end());
-    const uint32_t base = cols.offsets_[r];
-    cols.offsets_[r + 1] = base + static_cast<uint32_t>(scratch.size());
-    for (const auto& [id, tf] : scratch) {
-      cols.token_ids_.push_back(id);
-      cols.term_freq_.push_back(tf);
+    uint32_t* const tfs = cols.term_freq_.data() + base;
+    uint32_t begin = 0;
+    for (const uint32_t end : arena.ends) {
+      scratch.clear();
+      for (uint32_t k = begin; k < end; ++k) {
+        scratch.emplace_back(ids[k], arena.spans[k].tf);
+      }
+      std::sort(scratch.begin(), scratch.end());
+      for (uint32_t k = begin; k < end; ++k) {
+        std::tie(ids[k], tfs[k]) = scratch[k - begin];
+      }
+      dict->CountDocument(ids + begin, end - begin);
+      cols.offsets_[++r] = base + end;
+      begin = end;
     }
-    dict->CountDocument(cols.token_ids_.data() + base, scratch.size());
+    base += static_cast<uint32_t>(m);
   }
   return cols;
 }

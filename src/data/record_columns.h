@@ -20,24 +20,28 @@ namespace humo::data {
 /// signatures, TF-IDF cosine — walks contiguous integer/double columns.
 ///
 /// Building is deterministic: tokenization runs parallel over the thread
-/// pool into index-addressed slots, and interning runs serially in record
-/// order, so ids (and everything derived from them) are bit-identical at
-/// any thread count and independent of the dictionary's hash function.
-/// Tokenizing allocates one normalized string per record and nothing per
-/// token: tokens are string_views into it until the dictionary copies each
-/// distinct one into its arena.
+/// pool, each task into one arena addressed by its task index, and
+/// interning runs serially in record order, so ids (and everything derived
+/// from them) are bit-identical at any thread count and independent of the
+/// dictionary's hash function. A task's arena holds its records' normalized
+/// token bytes back to back plus (offset, length, tf) spans of each
+/// record's sorted distinct tokens: nothing is allocated per record or per
+/// token until the dictionary copies each distinct token into its own
+/// arena, through batched, prefetched probes (TokenDictionary::InternBatch).
 class RecordColumns {
  public:
   RecordColumns() = default;
 
-  /// Tokenizes `attribute_index` of every record (NormalizeForMatching +
-  /// WordTokens — the same normalization the string scorers apply), interns
+  /// Tokenizes `attribute_index` of every record (the tokens of
+  /// WordTokens(NormalizeForMatching(value)), through the same kMatchFold
+  /// table the string scorers' normalization reads), interns
   /// into `dict` (shared across tables so both sides agree on ids), sorts
   /// and dedups each record's ids, and accumulates per-record tf plus the
   /// dictionary's document frequencies. One dictionary document is counted
   /// per record. Offsets are uint32: aborts in every build type, rather
   /// than wrap, when the table's total ids exceed UINT32_MAX (and, via
-  /// TokenDictionary::Intern, when the dictionary's arena would).
+  /// TokenDictionary::InternBatch, when the dictionary's arena would, or
+  /// when one tokenization task's normalized bytes would).
   static RecordColumns Build(const RecordTable& table, size_t attribute_index,
                              text::TokenDictionary* dict);
 

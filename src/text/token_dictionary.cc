@@ -1,5 +1,6 @@
 #include "text/token_dictionary.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,31 +56,42 @@ void TokenDictionary::Grow() {
   }
 }
 
-uint32_t TokenDictionary::Intern(std::string_view token) {
-  const uint64_t h = HashToken(token);
-  size_t pos = 0;
-  if (!slots_.empty()) {
-    pos = FindSlot(token, h);
-    if (slots_[pos] != kNoToken) return slots_[pos];
+void TokenDictionary::InternBatch(const std::string_view* tokens, size_t n,
+                                  uint32_t* ids) {
+  uint64_t hashes[kBatch];
+  for (size_t lo = 0; lo < n; lo += kBatch) {
+    const size_t m = std::min(kBatch, n - lo);
+    const std::string_view* batch = tokens + lo;
+    for (size_t i = 0; i < m; ++i) hashes[i] = HashToken(batch[i]);
+    // Room for every token of the batch to be new, so no probe below moves
+    // the table (or invalidates a prefetched slot).
+    while (2 * (size() + m) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = 0; i < m; ++i) {
+      __builtin_prefetch(&slots_[hashes[i] & mask]);
+    }
+    for (size_t i = 0; i < m; ++i) {
+      const std::string_view token = batch[i];
+      const size_t pos = FindSlot(token, hashes[i]);
+      if (slots_[pos] == kNoToken) {
+        const size_t id = size();
+        if (id >= kNoToken || token.size() > UINT32_MAX - bytes_.size()) {
+          std::fprintf(stderr,
+                       "TokenDictionary: %zu ids / %zu arena bytes + a "
+                       "%zu-byte token exceed the uint32 id and offset "
+                       "range\n",
+                       id, bytes_.size(), token.size());
+          std::abort();
+        }
+        bytes_.append(token);
+        starts_.push_back(static_cast<uint32_t>(bytes_.size()));
+        hashes_.push_back(hashes[i]);
+        doc_freq_.push_back(0);
+        slots_[pos] = static_cast<uint32_t>(id);
+      }
+      ids[lo + i] = slots_[pos];
+    }
   }
-  const size_t id = size();
-  if (id >= kNoToken || token.size() > UINT32_MAX - bytes_.size()) {
-    std::fprintf(stderr,
-                 "TokenDictionary: %zu ids / %zu arena bytes + a %zu-byte "
-                 "token exceed the uint32 id and offset range\n",
-                 id, bytes_.size(), token.size());
-    std::abort();
-  }
-  if (2 * (id + 1) > slots_.size()) {
-    Grow();
-    pos = FindSlot(token, h);
-  }
-  bytes_.append(token);
-  starts_.push_back(static_cast<uint32_t>(bytes_.size()));
-  hashes_.push_back(h);
-  doc_freq_.push_back(0);
-  slots_[pos] = static_cast<uint32_t>(id);
-  return static_cast<uint32_t>(id);
 }
 
 uint32_t TokenDictionary::IdOf(std::string_view token) const {

@@ -19,12 +19,16 @@ namespace humo::text {
 /// (`bytes_`; token `id` is [starts_[id], starts_[id + 1])). A power-of-two
 /// open-addressed table of ids (linear probing, load <= 1/2) finds a token
 /// by its 64-bit hash, cached per id so growing the table never rereads
-/// token bytes. Intern and IdOf take a string_view and allocate nothing
-/// unless the token is new (and then only amortized arena/table growth).
+/// token bytes. Nearly every home slot of a large dictionary is a cache
+/// miss, so InternBatch hashes a batch of tokens first, grows the table
+/// once for the batch, prefetches every home slot, and only then probes
+/// in order: the misses overlap instead of queueing. Intern is the
+/// one-token batch. Neither allocates unless a token is new (and then only
+/// amortized arena/table growth).
 ///
 /// Offsets are uint32, so the arena holds at most UINT32_MAX bytes and the
-/// dictionary fewer than kNoToken ids; Intern aborts beyond either limit in
-/// every build type rather than wrap.
+/// dictionary fewer than kNoToken ids; interning aborts beyond either limit
+/// in every build type rather than wrap.
 ///
 /// The dictionary also tracks per-token document frequency (via
 /// CountDocument), the statistic TfIdfModel::FitDictionary turns into an
@@ -32,7 +36,16 @@ namespace humo::text {
 class TokenDictionary {
  public:
   /// Id of `token`, interning it if unseen. Ids are dense: 0, 1, 2, ...
-  uint32_t Intern(std::string_view token);
+  uint32_t Intern(std::string_view token) {
+    uint32_t id;
+    InternBatch(&token, 1, &id);
+    return id;
+  }
+
+  /// ids[i] = Intern(tokens[i]) for i = 0, 1, ..., n - 1, in that order (so
+  /// the same ids as one Intern call per token), with the table probes of
+  /// each kBatch tokens overlapped.
+  void InternBatch(const std::string_view* tokens, size_t n, uint32_t* ids);
 
   /// Id of `token`, or kNoToken when it was never interned.
   static constexpr uint32_t kNoToken = UINT32_MAX;
@@ -62,6 +75,10 @@ class TokenDictionary {
   /// Doubles slots_ (or allocates it) and reinserts every id by its cached
   /// hash.
   void Grow();
+
+  /// Tokens hashed, and their home slots prefetched, ahead of each probe
+  /// pass of InternBatch.
+  static constexpr size_t kBatch = 32;
 
   std::string bytes_;                // token bytes, back to back
   std::vector<uint32_t> starts_{0};  // size() + 1 arena offsets

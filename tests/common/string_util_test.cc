@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <clocale>
+#include <string>
+
 namespace humo {
 namespace {
 
@@ -40,6 +43,40 @@ TEST(StringUtilTest, NormalizeForMatchingKeepsDigits) {
 TEST(StringUtilTest, NormalizeEmpty) {
   EXPECT_EQ(NormalizeForMatching(""), "");
   EXPECT_EQ(NormalizeForMatching("!!!"), "");
+}
+
+/// The ASCII rule spelled out: digits and lower-case letters kept, upper-case
+/// letters folded, every other byte (bytes >= 0x80 too) a separator (0).
+char AsciiRule(int b) {
+  if ((b >= '0' && b <= '9') || (b >= 'a' && b <= 'z')) {
+    return static_cast<char>(b);
+  }
+  if (b >= 'A' && b <= 'Z') return static_cast<char>(b - 'A' + 'a');
+  return 0;
+}
+
+TEST(StringUtilTest, NormalizeForMatchingIsFixedAsciiInEveryLocale) {
+  const std::string saved = std::setlocale(LC_ALL, nullptr);
+  // Whichever of these the host has; a Latin-1 locale would make
+  // std::isalnum keep bytes >= 0x80.
+  size_t checked = 0;
+  for (const char* locale : {"C", "C.UTF-8", "C.utf8", "en_US.UTF-8",
+                             "en_US.ISO-8859-1", "de_DE.ISO-8859-1",
+                             "fr_FR.ISO-8859-15"}) {
+    if (std::setlocale(LC_ALL, locale) == nullptr) continue;
+    ++checked;
+    for (int b = 0; b < 256; ++b) {
+      const char want = AsciiRule(b);
+      EXPECT_EQ(kMatchFold[b], want) << "byte " << b;
+      const std::string value = {'x', static_cast<char>(b), 'y'};
+      const std::string expected =
+          want != 0 ? std::string{'x', want, 'y'} : std::string("x y");
+      EXPECT_EQ(NormalizeForMatching(value), expected)
+          << "byte " << b << " in locale " << locale;
+    }
+  }
+  std::setlocale(LC_ALL, saved.c_str());
+  EXPECT_GE(checked, 1u);
 }
 
 TEST(StringUtilTest, StrFormat) {

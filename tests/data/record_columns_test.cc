@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -325,6 +326,58 @@ TEST(RecordColumnsTest, MatchesStringMapDictionaryReference) {
       for (uint32_t id = 0; id < dict.size(); ++id) {
         ASSERT_EQ(dict.TokenOf(id), ref_dict.tokens[id]) << where;
       }
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+/// Each token of WordTokens(NormalizeForMatching(value)) with its count.
+std::map<std::string, uint32_t> StringTokenCounts(const std::string& value) {
+  std::map<std::string, uint32_t> counts;
+  for (const std::string& t : text::WordTokens(NormalizeForMatching(value))) {
+    ++counts[t];
+  }
+  return counts;
+}
+
+TEST(RecordColumnsTest, ArenaTokensMatchNormalizeForMatching) {
+  std::vector<std::string> values = {
+      "Entity-Resolution: A Survey!",
+      "  a   b \t c  \r\n",
+      "Model X-200 (v2) 007 v2",
+      "x\xc3\xa9y caf\xc3\xa9 CAF\xc3\x89 na\xc3\xafve",
+      "\xe2\x80\x94" "dash" "\xe2\x80\x94 \xf0\x9f\x98\x80" "emoji",
+      "!!! --- ...",
+      "",
+      "A1b2C3 a1B2c3 A1B2C3",
+      "\x7f\x80\xff\x01" "Tab" "\x0b" "Vt",
+  };
+  std::string every_byte;
+  for (int b = 255; b >= 0; --b) every_byte.push_back(static_cast<char>(b));
+  values.push_back(every_byte);
+  // Past one tokenization task (256 records), so several arenas concatenate.
+  const size_t base_values = values.size();
+  for (uint32_t i = 0; i < 600; ++i) {
+    values.push_back(values[i % base_values] + " r" + std::to_string(i % 7));
+  }
+  RecordTable t({"value"});
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(t.Add({i, i, {values[i]}}).ok());
+  }
+  for (const size_t threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    text::TokenDictionary dict;
+    const RecordColumns cols = RecordColumns::Build(t, 0, &dict);
+    ASSERT_EQ(cols.num_records(), values.size());
+    for (size_t r = 0; r < values.size(); ++r) {
+      std::map<std::string, uint32_t> got;
+      const uint32_t o = cols.offsets()[r];
+      for (size_t i = 0; i < cols.num_ids(r); ++i) {
+        got[std::string(dict.TokenOf(cols.ids(r)[i]))] =
+            cols.term_freq()[o + i];
+      }
+      EXPECT_EQ(got, StringTokenCounts(values[r]))
+          << "record " << r << ", " << threads << " threads";
     }
   }
   ThreadPool::SetGlobalThreads(0);

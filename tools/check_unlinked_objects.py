@@ -166,6 +166,9 @@ FUNCTIONS = {
         "string TF-IDF: reference for the id-path weights",
     "humo::text::TokenDictionary::IdOf":
         "looks up interned ids to check the dictionary and the columns",
+    "humo::text::TokenDictionary::Intern":
+        "test convenience: InternBatch with n = 1, for tests that intern "
+        "one token at a time",
 }
 
 
